@@ -19,6 +19,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo run --release -p mbrpa-lint -- --deny --timing --json target/lint_findings.json
 cargo run --release -p mbrpa-lint -- --validate target/lint_findings.json
 
+# One JSON toolkit: the string escaper and the `\uXXXX` reader exist once,
+# in crates/schema (crates/e2e measures the program from outside and is
+# exempt). A second copy anywhere else is how four private parsers grew.
+if grep -rnE --include='*.rs' 'u\{:04x\}|fn (hex4|unicode_escape)' crates src tests examples \
+    | grep -vE '^crates/(schema|e2e)/'; then
+    echo "ci: JSON escape writer or \\u reader outside crates/schema — use mbrpa_schema::json"
+    exit 1
+fi
+
 # Sanitizer legs: Miri (UB in the unsafe SIMD/linalg kernels) and
 # ThreadSanitizer (data races in the serve executor pool). Both need a
 # nightly toolchain with specific components; when unavailable the legs
@@ -197,11 +206,11 @@ wait "$WORKER_A" 2>/dev/null || true
 wait "$WORKER_B" 2>/dev/null || true
 trap - EXIT
 
-# Kernel micro-benchmarks: smoke shapes keep this fast; the run
-# cross-checks the new kernels against in-tree pre-PR reference
-# implementations and the emitted JSON is schema-validated. The artifact
-# lives under target/ so it can never be committed by accident. A second
-# run on two rayon threads exercises the multi-vector parallel paths.
+# Kernel micro-benchmarks: smoke shapes keep this fast; the run times
+# the live kernels only and the emitted JSON is schema-validated. The
+# artifact lives under target/ so it can never be committed by accident.
+# A second run on two rayon threads exercises the multi-vector parallel
+# paths.
 cargo run --release -p mbrpa-bench --bin kernels_bench -- --smoke --out target/BENCH_kernels_smoke.json
 cargo run --release -p mbrpa-bench --bin kernels_bench -- --validate target/BENCH_kernels_smoke.json
 cargo run --release -p mbrpa-bench --bin kernels_bench -- --smoke --threads 2 --out target/BENCH_kernels_smoke_mt.json

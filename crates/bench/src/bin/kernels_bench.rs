@@ -1,550 +1,46 @@
-//! Micro-benchmarks of the hot kernels (runtime-dispatched SIMD stencil
-//! block applies, packed GEMM microkernels, and the lane-split reduction
-//! suite) against in-tree copies of the PR-3 implementations — the
-//! autovectorized fused/packed kernels this PR's explicit SIMD layer
-//! replaced — emitting a schema-versioned `BENCH_kernels.json`.
+//! Micro-benchmarks of the hot kernels as they run today: the
+//! runtime-dispatched SIMD stencil block applies, the packed GEMM
+//! microkernels, and the lane-split reduction suite, emitting a
+//! schema-versioned `BENCH_kernels.json`. The committed document is the
+//! baseline a later run is compared against; there is no in-tree copy of
+//! older kernels (their correctness oracles live in the crates' tests).
 //!
 //! Flags:
 //!
 //! * `--smoke` — tiny shapes (seconds, CI-friendly) instead of
 //!   paper-relevant ones,
 //! * `--out PATH` — output path (default `BENCH_kernels.json`),
-//! * `--threads N` — rayon pool size for both kernel families,
+//! * `--threads N` — rayon pool size,
 //! * `--validate PATH` — parse PATH and check it against the
-//!   `mbrpa.kernels-bench/2` schema, then exit (no benchmarks run).
+//!   `mbrpa.kernels-bench/3` schema, then exit (no benchmarks run).
 //!
-//! The active SIMD dispatch path (settable via `MBRPA_SIMD`) is recorded
-//! in the emitted document, and every case records wall seconds for the
-//! new and reference kernels, the speedup, the new kernel's scalar
-//! GFLOP/s, and full shape metadata, so regressions are attributable
-//! without rerunning.
+//! The active SIMD dispatch path (settable via `MBRPA_SIMD`) and the
+//! thread count are recorded in the emitted document, and every case
+//! records wall seconds, scalar GFLOP/s, and full shape metadata, so
+//! regressions are attributable without rerunning.
 
 use mbrpa_dft::{Hamiltonian, PotentialParams, SiliconSpec, SternheimerOperator};
 use mbrpa_grid::{Boundary, Grid3, Laplacian};
 use mbrpa_linalg::{matmul_hn_into, matmul_into, vecops, Mat, Scalar, C64};
+use mbrpa_schema::json::{self, obj, require_num, require_str, s, u, JsonValue};
 use std::hint::black_box;
 use std::time::Instant;
-
-/// In-tree copies of the PR-3 kernels — the fused single-pass stencil,
-/// the packed register-blocked GEMM with a generic (autovectorized)
-/// microkernel, the 4×4-tiled Gram product, and the plain-loop vector
-/// reductions — exactly as they stood before the runtime-dispatched
-/// SIMD layer replaced them. Kept verbatim so the speedup column
-/// measures the explicit-SIMD rewrite, not incidental drift.
-mod reference {
-    use mbrpa_grid::{Boundary, Laplacian};
-    use mbrpa_linalg::{Mat, Scalar};
-    use rayon::prelude::*;
-
-    const PANEL: usize = 512;
-    const PAR_THRESHOLD: usize = 1 << 16;
-    const A_BLOCK_BYTES: usize = 1 << 18;
-
-    // -- PR-3 vector kernels (plain loops; the serial dependency chain in
-    //    the reductions is what the lane-split SIMD versions break) --
-
-    pub fn dot_t<T: Scalar>(x: &[T], y: &[T]) -> T {
-        let mut acc = T::zero();
-        for (&a, &b) in x.iter().zip(y.iter()) {
-            acc += a * b;
-        }
-        acc
-    }
-
-    pub fn dot_h<T: Scalar>(x: &[T], y: &[T]) -> T {
-        let mut acc = T::zero();
-        for (&a, &b) in x.iter().zip(y.iter()) {
-            acc += a.conj() * b;
-        }
-        acc
-    }
-
-    pub fn norm2<T: Scalar>(x: &[T]) -> f64 {
-        x.iter().map(|v| v.abs_sq()).sum::<f64>().sqrt()
-    }
-
-    pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
-        for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-            *yi += alpha * xi;
-        }
-    }
-
-    pub fn axpby<T: Scalar>(alpha: T, x: &[T], beta: T, y: &mut [T]) {
-        for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-            *yi = alpha * xi + beta * *yi;
-        }
-    }
-
-    fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
-        for xi in x.iter_mut() {
-            *xi *= alpha;
-        }
-    }
-
-    // -- PR-3 fused single-pass stencil --
-
-    /// Stencil coefficients reconstructed from a [`Laplacian`]'s public
-    /// surface, applied by the PR-3 fused (but scalar-loop) sweep.
-    pub struct RefStencil {
-        nx: usize,
-        ny: usize,
-        nz: usize,
-        periodic: bool,
-        radius: usize,
-        cx: Vec<f64>,
-        cy: Vec<f64>,
-        cz: Vec<f64>,
-        diag: f64,
-    }
-
-    impl RefStencil {
-        pub fn from_laplacian(lap: &Laplacian) -> Self {
-            let g = lap.grid();
-            let w = mbrpa_grid::second_derivative_weights(lap.radius());
-            let scale = |h: f64| -> Vec<f64> { w.iter().map(|c| c / (h * h)).collect() };
-            let (cx, cy, cz) = (scale(g.hx), scale(g.hy), scale(g.hz));
-            let diag = cx[0] + cy[0] + cz[0];
-            Self {
-                nx: g.nx,
-                ny: g.ny,
-                nz: g.nz,
-                periodic: g.bc == Boundary::Periodic,
-                radius: lap.radius(),
-                cx,
-                cy,
-                cz,
-                diag,
-            }
-        }
-
-        /// The PR-3 `Laplacian::apply_raw`: single fused sweep per
-        /// z-slice with paired ±t runs, relying on autovectorization.
-        pub fn apply<T: Scalar>(&self, v: &[T], out: &mut [T]) {
-            let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-            let periodic = self.periodic;
-            let r = self.radius;
-            let slice = nx * ny;
-
-            #[inline(always)]
-            fn pair_add<T: Scalar>(ol: &mut [T], plus: Option<&[T]>, minus: Option<&[T]>, c: f64) {
-                match (plus, minus) {
-                    (Some(p), Some(m)) => {
-                        for ((o, &a), &b) in ol.iter_mut().zip(p.iter()).zip(m.iter()) {
-                            *o += a.scale(c);
-                            *o += b.scale(c);
-                        }
-                    }
-                    (Some(p), None) => {
-                        for (o, &a) in ol.iter_mut().zip(p.iter()) {
-                            *o += a.scale(c);
-                        }
-                    }
-                    (None, Some(m)) => {
-                        for (o, &b) in ol.iter_mut().zip(m.iter()) {
-                            *o += b.scale(c);
-                        }
-                    }
-                    (None, None) => {}
-                }
-            }
-
-            for k in 0..nz {
-                let ks = k * slice;
-                {
-                    let os = &mut out[ks..ks + slice];
-                    let vs = &v[ks..ks + slice];
-                    for (o, &x) in os.iter_mut().zip(vs.iter()) {
-                        *o = x.scale(self.diag);
-                    }
-                }
-                for j in 0..ny {
-                    let base = ks + j * nx;
-                    let vl = &v[base..base + nx];
-                    let ol = &mut out[base..base + nx];
-                    for t in 1..=r {
-                        let c = self.cx[t];
-                        for i in t..nx - t {
-                            ol[i] += (vl[i - t] + vl[i + t]).scale(c);
-                        }
-                        if periodic {
-                            for i in 0..t {
-                                ol[i] += (vl[i + nx - t] + vl[i + t]).scale(c);
-                            }
-                            for i in nx - t..nx {
-                                ol[i] += (vl[i - t] + vl[i + t - nx]).scale(c);
-                            }
-                        } else {
-                            for i in 0..t {
-                                ol[i] += vl[i + t].scale(c);
-                            }
-                            for i in nx - t..nx {
-                                ol[i] += vl[i - t].scale(c);
-                            }
-                        }
-                    }
-                }
-                for t in 1..=r {
-                    let c = self.cy[t];
-                    let band = (ny - 2 * t) * nx;
-                    {
-                        let o = &mut out[ks + t * nx..ks + t * nx + band];
-                        let p = &v[ks + 2 * t * nx..ks + 2 * t * nx + band];
-                        let m = &v[ks..ks + band];
-                        pair_add(o, Some(p), Some(m), c);
-                    }
-                    {
-                        let len = t * nx;
-                        let o = &mut out[ks..ks + len];
-                        let p = &v[ks + t * nx..ks + t * nx + len];
-                        let m = periodic.then(|| &v[ks + (ny - t) * nx..ks + ny * nx]);
-                        pair_add(o, Some(p), m, c);
-                    }
-                    {
-                        let len = t * nx;
-                        let o = &mut out[ks + (ny - t) * nx..ks + ny * nx];
-                        let m = &v[ks + (ny - 2 * t) * nx..ks + (ny - t) * nx];
-                        let p = periodic.then(|| &v[ks..ks + len]);
-                        pair_add(o, p, Some(m), c);
-                    }
-                }
-                for t in 1..=r {
-                    let c = self.cz[t];
-                    let o = &mut out[ks..ks + slice];
-                    let p = (k + t < nz || periodic).then(|| {
-                        let b = ((k + t) % nz) * slice;
-                        &v[b..b + slice]
-                    });
-                    let m = (k >= t || periodic).then(|| {
-                        let b = ((k + nz - t) % nz) * slice;
-                        &v[b..b + slice]
-                    });
-                    pair_add(o, p, m, c);
-                }
-            }
-        }
-    }
-
-    // -- PR-3 packed register-blocked GEMM (generic microkernel) --
-
-    fn pack_a<T: Scalar, const MR: usize>(
-        a: &Mat<T>,
-        row0: usize,
-        mc: usize,
-        k: usize,
-        buf: &mut [T],
-    ) {
-        let n_panels = mc.div_ceil(MR);
-        for ip in 0..n_panels {
-            let i0 = row0 + ip * MR;
-            let mre = MR.min(row0 + mc - i0);
-            let panel = &mut buf[ip * MR * k..(ip + 1) * MR * k];
-            for l in 0..k {
-                let src = &a.col(l)[i0..i0 + mre];
-                let dst = &mut panel[l * MR..(l + 1) * MR];
-                dst[..mre].copy_from_slice(src);
-                for d in dst.iter_mut().skip(mre) {
-                    *d = T::zero();
-                }
-            }
-        }
-    }
-
-    fn pack_b<T: Scalar, const NR: usize>(b: &Mat<T>, alpha: T, k: usize, n: usize, buf: &mut [T]) {
-        let n_panels = n.div_ceil(NR);
-        for jp in 0..n_panels {
-            let j0 = jp * NR;
-            let nre = NR.min(n - j0);
-            let panel = &mut buf[jp * NR * k..(jp + 1) * NR * k];
-            for jj in 0..nre {
-                let bj = &b.col(j0 + jj)[..k];
-                for l in 0..k {
-                    panel[l * NR + jj] = alpha * bj[l];
-                }
-            }
-            for jj in nre..NR {
-                for l in 0..k {
-                    panel[l * NR + jj] = T::zero();
-                }
-            }
-        }
-    }
-
-    /// The PR-3 microkernel: interleaved `T` accumulators, compile-time
-    /// MR×NR unroll, autovectorized (`*`/`+=`, no explicit FMA).
-    #[inline(always)]
-    fn micro_kernel<T: Scalar, const MR: usize, const NR: usize>(
-        k: usize,
-        ap: &[T],
-        bp: &[T],
-        acc: &mut [[T; MR]; NR],
-    ) {
-        for (al, bl) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(k) {
-            let al: &[T; MR] = al.try_into().expect("MR-sized chunk");
-            let bl: &[T; NR] = bl.try_into().expect("NR-sized chunk");
-            for jj in 0..NR {
-                let b = bl[jj];
-                for ii in 0..MR {
-                    acc[jj][ii] += al[ii] * b;
-                }
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn store_tile_col<T: Scalar>(dst: &mut [T], src: &[T], beta: T) {
-        if beta == T::zero() {
-            dst.copy_from_slice(src);
-        } else if beta == T::one() {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += *s;
-            }
-        } else {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = *s + beta * *d;
-            }
-        }
-    }
-
-    fn strip_gemm<T: Scalar, const MR: usize, const NR: usize>(
-        a: &Mat<T>,
-        bpack: &[T],
-        r0: usize,
-        h: usize,
-        k: usize,
-        n: usize,
-        mut write_tile: impl FnMut(usize, usize, &[[T; MR]; NR], usize, usize),
-    ) {
-        let mc_elems = (A_BLOCK_BYTES / std::mem::size_of::<T>() / k.max(1)).max(MR);
-        let mc_max = (mc_elems / MR * MR).min(h.div_ceil(MR) * MR);
-        let mut a_buf = vec![T::zero(); mc_max * k];
-        let n_col_panels = n.div_ceil(NR);
-
-        let mut off = 0;
-        while off < h {
-            let mc = mc_max.min(h - off);
-            pack_a::<T, MR>(a, r0 + off, mc, k, &mut a_buf);
-            let n_row_panels = mc.div_ceil(MR);
-            for jp in 0..n_col_panels {
-                let nre = NR.min(n - jp * NR);
-                let bp = &bpack[jp * NR * k..(jp + 1) * NR * k];
-                for ip in 0..n_row_panels {
-                    let mre = MR.min(mc - ip * MR);
-                    let ap = &a_buf[ip * MR * k..(ip + 1) * MR * k];
-                    let mut acc = [[T::zero(); MR]; NR];
-                    micro_kernel::<T, MR, NR>(k, ap, bp, &mut acc);
-                    write_tile(off + ip * MR, jp * NR, &acc, mre, nre);
-                }
-            }
-            off += mc;
-        }
-    }
-
-    fn gemm_driver<T: Scalar, const MR: usize, const NR: usize>(
-        alpha: T,
-        a: &Mat<T>,
-        b: &Mat<T>,
-        beta: T,
-        c: &mut Mat<T>,
-    ) {
-        let (m, k) = a.shape();
-        let n = b.cols();
-        assert_eq!(c.shape(), (m, n), "output shape mismatch");
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 || alpha == T::zero() {
-            let data = c.as_mut_slice();
-            if beta == T::zero() {
-                data.iter_mut().for_each(|x| *x = T::zero());
-            } else if beta != T::one() {
-                scal(beta, data);
-            }
-            return;
-        }
-
-        let mut b_buf = vec![T::zero(); n.div_ceil(NR) * NR * k];
-        pack_b::<T, NR>(b, alpha, k, n, &mut b_buf);
-
-        let work = m * n * k;
-        let slots = rayon::current_num_threads();
-        let p = if work < PAR_THRESHOLD || slots == 1 {
-            1
-        } else {
-            slots.min(m.div_ceil(4 * MR)).max(1)
-        };
-
-        if p == 1 {
-            let c_data = c.as_mut_slice();
-            strip_gemm::<T, MR, NR>(a, &b_buf, 0, m, k, n, |i0, j0, acc, mre, nre| {
-                for jj in 0..nre {
-                    let col = &mut c_data[(j0 + jj) * m + i0..(j0 + jj) * m + i0 + mre];
-                    store_tile_col(col, &acc[jj][..mre], beta);
-                }
-            });
-            return;
-        }
-
-        let h_strip = m.div_ceil(p).div_ceil(MR) * MR;
-        let strips: Vec<(usize, usize)> = (0..m.div_ceil(h_strip))
-            .map(|s| (s * h_strip, h_strip.min(m - s * h_strip)))
-            .collect();
-        let mut col_segs: Vec<Vec<&mut [T]>> =
-            strips.iter().map(|_| Vec::with_capacity(n)).collect();
-        let mut rest = c.as_mut_slice();
-        for _ in 0..n {
-            let (mut col, tail) = rest.split_at_mut(m);
-            rest = tail;
-            for (s, &(_, h)) in strips.iter().enumerate() {
-                let (seg, col_tail) = col.split_at_mut(h);
-                col_segs[s].push(seg);
-                col = col_tail;
-            }
-        }
-        let b_ref = &b_buf;
-        strips
-            .par_iter()
-            .zip(col_segs.into_par_iter())
-            .for_each(|(&(r0, h), mut segs)| {
-                strip_gemm::<T, MR, NR>(a, b_ref, r0, h, k, n, |i0, j0, acc, mre, nre| {
-                    for jj in 0..nre {
-                        let col = &mut segs[j0 + jj][i0..i0 + mre];
-                        store_tile_col(col, &acc[jj][..mre], beta);
-                    }
-                });
-            });
-    }
-
-    /// The PR-3 `matmul_into`: 8×4 tiles for f64, 4×4 for Complex64,
-    /// interleaved accumulators either way.
-    pub fn matmul_into<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
-        assert_eq!(a.cols(), b.rows(), "inner dimension mismatch");
-        if T::COMPONENTS >= 2 {
-            gemm_driver::<T, 4, 4>(alpha, a, b, beta, c);
-        } else {
-            gemm_driver::<T, 8, 4>(alpha, a, b, beta, c);
-        }
-    }
-
-    // -- PR-3 Gram product (4×4 dot tiles over PANEL chunks) --
-
-    fn gram_chunk<T: Scalar>(
-        a: &Mat<T>,
-        b: &Mat<T>,
-        mul: impl Fn(T, T) -> T + Copy,
-        row0: usize,
-        h: usize,
-        out: &mut [T],
-    ) {
-        let kc = a.cols();
-        let n = b.cols();
-        let mut j0 = 0;
-        while j0 < n {
-            let nj = (n - j0).min(4);
-            let mut i0 = 0;
-            while i0 < kc {
-                let ni = (kc - i0).min(4);
-                if ni == 4 && nj == 4 {
-                    let ac = [
-                        &a.col(i0)[row0..row0 + h],
-                        &a.col(i0 + 1)[row0..row0 + h],
-                        &a.col(i0 + 2)[row0..row0 + h],
-                        &a.col(i0 + 3)[row0..row0 + h],
-                    ];
-                    let bc = [
-                        &b.col(j0)[row0..row0 + h],
-                        &b.col(j0 + 1)[row0..row0 + h],
-                        &b.col(j0 + 2)[row0..row0 + h],
-                        &b.col(j0 + 3)[row0..row0 + h],
-                    ];
-                    let mut acc = [[T::zero(); 4]; 4];
-                    for r in 0..h {
-                        let av = [ac[0][r], ac[1][r], ac[2][r], ac[3][r]];
-                        let bv = [bc[0][r], bc[1][r], bc[2][r], bc[3][r]];
-                        for jj in 0..4 {
-                            for ii in 0..4 {
-                                acc[jj][ii] += mul(av[ii], bv[jj]);
-                            }
-                        }
-                    }
-                    for jj in 0..4 {
-                        for ii in 0..4 {
-                            out[(j0 + jj) * kc + i0 + ii] = acc[jj][ii];
-                        }
-                    }
-                } else {
-                    for jj in 0..nj {
-                        let bj = &b.col(j0 + jj)[row0..row0 + h];
-                        for ii in 0..ni {
-                            let ai = &a.col(i0 + ii)[row0..row0 + h];
-                            let mut acc = T::zero();
-                            for r in 0..h {
-                                acc += mul(ai[r], bj[r]);
-                            }
-                            out[(j0 + jj) * kc + i0 + ii] = acc;
-                        }
-                    }
-                }
-                i0 += ni;
-            }
-            j0 += nj;
-        }
-    }
-
-    /// The PR-3 conjugated Gram product `AᴴB` with index-ordered
-    /// partial folding.
-    pub fn matmul_hn<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-        let (m, kc) = a.shape();
-        let n = b.cols();
-        let mul = |x: T, y: T| x.conj() * y;
-        let mut out = Mat::zeros(kc, n);
-        let work = m * n * kc;
-        if work < PAR_THRESHOLD || m < 2 * PANEL {
-            gram_chunk(a, b, mul, 0, m, out.as_mut_slice());
-            return out;
-        }
-        let n_chunks = m.div_ceil(PANEL);
-        let mut partials = vec![T::zero(); n_chunks * kc * n];
-        let chunk_of = |p: usize, buf: &mut [T]| {
-            let row0 = p * PANEL;
-            gram_chunk(a, b, mul, row0, PANEL.min(m - row0), buf);
-        };
-        if rayon::current_num_threads() > 1 {
-            let chunk_refs: Vec<(usize, &mut [T])> =
-                partials.chunks_mut(kc * n).enumerate().collect();
-            chunk_refs
-                .into_par_iter()
-                .for_each(|(p, buf)| chunk_of(p, buf));
-        } else {
-            for (p, buf) in partials.chunks_mut(kc * n).enumerate() {
-                chunk_of(p, buf);
-            }
-        }
-        let out_data = out.as_mut_slice();
-        out_data.copy_from_slice(&partials[..kc * n]);
-        for p in 1..n_chunks {
-            for (o, x) in out_data.iter_mut().zip(&partials[p * kc * n..]) {
-                *o += *x;
-            }
-        }
-        out
-    }
-}
 
 /// One benchmark result row.
 struct Case {
     name: String,
     shape: String,
-    secs_new: f64,
-    secs_ref: f64,
+    secs: f64,
     gflops: f64,
 }
 
 impl Case {
-    fn speedup(&self) -> f64 {
-        if self.secs_new > 0.0 {
-            self.secs_ref / self.secs_new
-        } else {
-            0.0
+    fn new(name: impl Into<String>, shape: String, secs: f64, flops: f64) -> Self {
+        Self {
+            name: name.into(),
+            shape,
+            secs,
+            gflops: flops / secs * 1e-9,
         }
     }
 }
@@ -576,32 +72,17 @@ fn stencil_cases(smoke: bool, reps: usize, cases: &mut Vec<Case>) {
     let (dims, radius) = if smoke { (10, 2) } else { (30, 4) };
     let g = Grid3::new((dims, dims, dims), (0.45, 0.45, 0.45), Boundary::Periodic);
     let lap = Laplacian::new(g, radius);
-    let refk = reference::RefStencil::from_laplacian(&lap);
     let n = g.len();
     for s in [8usize, 32] {
         let v = filled::<f64>(n, s, 0x5eed + s as u64);
-        let mut out_new = Mat::zeros(n, s);
-        let mut out_ref = Mat::zeros(n, s);
-        let secs_new = time_best(reps, &mut || lap.apply_block(&v, &mut out_new));
-        let secs_ref = time_best(reps, &mut || {
-            for j in 0..s {
-                refk.apply(v.col(j), out_ref.col_mut(j));
-            }
-        });
-        // The SIMD path fuses `o += c·(p+m)` into one rounding, so the
-        // PR-3 reference differs in the last ulps — compare to tolerance.
-        assert!(
-            out_new.max_abs_diff(&out_ref) <= 1e-10,
-            "fused SIMD stencil diverged from the PR-3 reference"
-        );
-        let flops = lap.apply_flops_per_vector() as f64 * s as f64;
-        cases.push(Case {
-            name: format!("laplacian_block_f64_s{s}"),
-            shape: format!("grid={dims}x{dims}x{dims} radius={radius} s={s}"),
-            secs_new,
-            secs_ref,
-            gflops: flops / secs_new * 1e-9,
-        });
+        let mut out = Mat::zeros(n, s);
+        let secs = time_best(reps, &mut || lap.apply_block(&v, &mut out));
+        cases.push(Case::new(
+            format!("laplacian_block_f64_s{s}"),
+            format!("grid={dims}x{dims}x{dims} radius={radius} s={s}"),
+            secs,
+            lap.apply_flops_per_vector() as f64 * s as f64,
+        ));
     }
 }
 
@@ -618,47 +99,21 @@ fn sternheimer_case(smoke: bool, reps: usize, cases: &mut Vec<Case>) {
     let ham = Hamiltonian::new(&crystal, radius, &PotentialParams::default());
     let (lambda, omega) = (0.3, 0.5);
     let op = SternheimerOperator::new(&ham, lambda, omega);
-    let lap = ham.laplacian();
-    let refk = reference::RefStencil::from_laplacian(lap);
-    let g = lap.grid();
+    let g = ham.laplacian().grid();
     let n = ham.dim();
     let s = 8usize;
     let v = filled::<C64>(n, s, 0xabcd);
-    let mut out_new = Mat::zeros(n, s);
-    let mut out_ref = Mat::zeros(n, s);
-    let secs_new = time_best(reps, &mut || op.apply_block(&v, &mut out_new));
-    // PR-3 path: per column, fused scalar stencil + Hamiltonian tail + shift
-    let shift = C64::new(-lambda, omega);
-    let secs_ref = time_best(reps, &mut || {
-        for j in 0..s {
-            let (x, o) = (v.col(j), out_ref.col_mut(j));
-            refk.apply(x, o);
-            for ((ov, &xv), &p) in o.iter_mut().zip(x.iter()).zip(ham.vloc().iter()) {
-                *ov = ov.scale(-0.5) + xv.scale(p);
-            }
-            if let Some(nl) = ham.nonlocal() {
-                nl.apply_add(x, o);
-            }
-            for (ov, &xv) in o.iter_mut().zip(x.iter()) {
-                *ov += shift * xv;
-            }
-        }
-    });
-    assert!(
-        out_new.max_abs_diff(&out_ref) <= 1e-10,
-        "sternheimer block diverged from the PR-3 reference"
-    );
-    let flops = op.apply_flops() as f64 * s as f64;
-    cases.push(Case {
-        name: "sternheimer_block_c64_s8".into(),
-        shape: format!(
+    let mut out = Mat::zeros(n, s);
+    let secs = time_best(reps, &mut || op.apply_block(&v, &mut out));
+    cases.push(Case::new(
+        "sternheimer_block_c64_s8",
+        format!(
             "grid={}x{}x{} radius={radius} s={s} lambda={lambda} omega={omega}",
             g.nx, g.ny, g.nz
         ),
-        secs_new,
-        secs_ref,
-        gflops: flops / secs_new * 1e-9,
-    });
+        secs,
+        op.apply_flops() as f64 * s as f64,
+    ));
 }
 
 fn gemm_cases(smoke: bool, reps: usize, cases: &mut Vec<Case>) {
@@ -666,185 +121,111 @@ fn gemm_cases(smoke: bool, reps: usize, cases: &mut Vec<Case>) {
     // matrix (`V·Q`, `P·β`), and the conjugated projection `VᴴW`.
     let (m, k) = if smoke { (4096, 32) } else { (27_000, 96) };
     let n = k;
+    let shape = format!("m={m} k={k} n={n}");
 
     let a64 = filled::<f64>(m, k, 1);
     let b64 = filled::<f64>(k, n, 2);
-    let mut c_new = Mat::zeros(m, n);
-    let mut c_ref = Mat::zeros(m, n);
-    let secs_new = time_best(reps, &mut || matmul_into(1.0, &a64, &b64, 0.0, &mut c_new));
-    let secs_ref = time_best(reps, &mut || {
-        reference::matmul_into(1.0, &a64, &b64, 0.0, &mut c_ref)
-    });
-    assert!(
-        c_new.max_abs_diff(&c_ref) <= 1e-12 * k as f64,
-        "f64 GEMM diverged from the PR-3 reference"
-    );
-    cases.push(Case {
-        name: "gemm_nn_f64".into(),
-        shape: format!("m={m} k={k} n={n}"),
-        secs_new,
-        secs_ref,
-        gflops: 2.0 * (m * k * n) as f64 / secs_new * 1e-9,
-    });
+    let mut c64 = Mat::zeros(m, n);
+    let secs = time_best(reps, &mut || matmul_into(1.0, &a64, &b64, 0.0, &mut c64));
+    cases.push(Case::new(
+        "gemm_nn_f64",
+        shape.clone(),
+        secs,
+        2.0 * (m * k * n) as f64,
+    ));
 
     let ac = filled::<C64>(m, k, 3);
     let bc = filled::<C64>(k, n, 4);
     let one = C64::new(1.0, 0.0);
     let zero = C64::new(0.0, 0.0);
-    let mut cc_new = Mat::zeros(m, n);
-    let mut cc_ref = Mat::zeros(m, n);
-    let secs_new = time_best(reps, &mut || matmul_into(one, &ac, &bc, zero, &mut cc_new));
-    let secs_ref = time_best(reps, &mut || {
-        reference::matmul_into(one, &ac, &bc, zero, &mut cc_ref)
-    });
-    assert!(
-        cc_new.max_abs_diff(&cc_ref) <= 1e-12 * k as f64,
-        "C64 GEMM diverged from the PR-3 reference"
-    );
-    cases.push(Case {
-        name: "gemm_nn_c64_rayleigh_ritz".into(),
-        shape: format!("m={m} k={k} n={n}"),
-        secs_new,
-        secs_ref,
-        gflops: 8.0 * (m * k * n) as f64 / secs_new * 1e-9,
-    });
+    let mut cc = Mat::zeros(m, n);
+    let secs = time_best(reps, &mut || matmul_into(one, &ac, &bc, zero, &mut cc));
+    cases.push(Case::new(
+        "gemm_nn_c64_rayleigh_ritz",
+        shape.clone(),
+        secs,
+        8.0 * (m * k * n) as f64,
+    ));
 
     // The Gram benchmark squares a block against itself (`VᴴV`), the
     // orthonormality-check shape.
-    let mut g_new = Mat::zeros(k, n);
-    let secs_new = time_best(reps, &mut || matmul_hn_into(&ac, &ac, &mut g_new));
-    let secs_ref = time_best(reps, &mut || {
-        let _ = reference::matmul_hn(&ac, &ac);
-    });
-    cases.push(Case {
-        name: "gram_hn_c64".into(),
-        shape: format!("m={m} k={k} n={k}"),
-        secs_new,
-        secs_ref,
-        gflops: 8.0 * (m * k * k) as f64 / secs_new * 1e-9,
-    });
+    let mut gram = Mat::zeros(k, n);
+    let secs = time_best(reps, &mut || matmul_hn_into(&ac, &ac, &mut gram));
+    cases.push(Case::new(
+        "gram_hn_c64",
+        shape,
+        secs,
+        8.0 * (m * k * k) as f64,
+    ));
 }
 
-/// The reduction suite: lane-split dispatched dot/norm/axpy/axpby versus
-/// the PR-3 plain loops. The serial dependency chain in a scalar
-/// reduction is the bottleneck the fixed lane split removes, so the dot
-/// and norm cases are where the accumulation-tree redesign shows up.
+/// The reduction suite: lane-split dispatched dot/norm/axpy/axpby — the
+/// vector kernels inside COCG's recurrences and residual checks.
 fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
     let n = if smoke { 1 << 14 } else { 1 << 21 };
     let reps = if smoke { 11 } else { 31 };
     let shape = format!("n={n}");
+    let shape_c = format!("n={}", n / 2);
 
-    // -- dot_t f64 --
     let x = filled::<f64>(n, 1, 0x11);
-    let y = filled::<f64>(n, 1, 0x12);
-    let (xs, ys) = (x.col(0), y.col(0));
-    let d_new = vecops::dot_t(xs, ys);
-    let d_ref = reference::dot_t(xs, ys);
-    assert!((d_new - d_ref).abs() <= 1e-9 * d_ref.abs().max(1.0));
-    let secs_new = time_best(reps, &mut || {
-        black_box(vecops::dot_t(black_box(xs), black_box(ys)));
+    let mut y = filled::<f64>(n, 1, 0x12);
+    let xs = x.col(0);
+    let secs = time_best(reps, &mut || {
+        black_box(vecops::dot_t(black_box(xs), black_box(y.col(0))));
     });
-    let secs_ref = time_best(reps, &mut || {
-        black_box(reference::dot_t(black_box(xs), black_box(ys)));
-    });
-    cases.push(Case {
-        name: "reduce_dot_t_f64".into(),
-        shape: shape.clone(),
-        secs_new,
-        secs_ref,
-        gflops: 2.0 * n as f64 / secs_new * 1e-9,
-    });
+    cases.push(Case::new(
+        "reduce_dot_t_f64",
+        shape.clone(),
+        secs,
+        2.0 * n as f64,
+    ));
 
-    // -- dot_h c64 --
     let xc = filled::<C64>(n / 2, 1, 0x13);
-    let yc = filled::<C64>(n / 2, 1, 0x14);
-    let (xcs, ycs) = (xc.col(0), yc.col(0));
-    let d_new = vecops::dot_h(xcs, ycs);
-    let d_ref = reference::dot_h(xcs, ycs);
-    assert!((d_new - d_ref).norm() <= 1e-9 * d_ref.norm().max(1.0));
-    let secs_new = time_best(reps, &mut || {
-        black_box(vecops::dot_h(black_box(xcs), black_box(ycs)));
+    let mut yc = filled::<C64>(n / 2, 1, 0x14);
+    let xcs = xc.col(0);
+    let secs = time_best(reps, &mut || {
+        black_box(vecops::dot_h(black_box(xcs), black_box(yc.col(0))));
     });
-    let secs_ref = time_best(reps, &mut || {
-        black_box(reference::dot_h(black_box(xcs), black_box(ycs)));
-    });
-    cases.push(Case {
-        name: "reduce_dot_h_c64".into(),
-        shape: format!("n={}", n / 2),
-        secs_new,
-        secs_ref,
-        gflops: 8.0 * (n / 2) as f64 / secs_new * 1e-9,
-    });
+    cases.push(Case::new(
+        "reduce_dot_h_c64",
+        shape_c.clone(),
+        secs,
+        8.0 * (n / 2) as f64,
+    ));
 
-    // -- nrm2 f64 --
-    let d_new = vecops::norm2(xs);
-    let d_ref = reference::norm2(xs);
-    assert!((d_new - d_ref).abs() <= 1e-9 * d_ref.max(1.0));
-    let secs_new = time_best(reps, &mut || {
+    let secs = time_best(reps, &mut || {
         black_box(vecops::norm2(black_box(xs)));
     });
-    let secs_ref = time_best(reps, &mut || {
-        black_box(reference::norm2(black_box(xs)));
-    });
-    cases.push(Case {
-        name: "reduce_nrm2_f64".into(),
-        shape: shape.clone(),
-        secs_new,
-        secs_ref,
-        gflops: 2.0 * n as f64 / secs_new * 1e-9,
-    });
+    cases.push(Case::new(
+        "reduce_nrm2_f64",
+        shape.clone(),
+        secs,
+        2.0 * n as f64,
+    ));
 
-    // -- axpy f64 (streaming update: both sides bandwidth-bound) --
-    let mut y_new = y.clone();
-    let mut y_ref = y.clone();
-    vecops::axpy(0.5, xs, y_new.col_mut(0));
-    reference::axpy(0.5, xs, y_ref.col_mut(0));
-    assert!(y_new.max_abs_diff(&y_ref) <= 1e-12);
-    let secs_new = time_best(reps, &mut || {
-        vecops::axpy(black_box(0.5), black_box(xs), y_new.col_mut(0));
+    // streaming update: bandwidth-bound
+    let secs = time_best(reps, &mut || {
+        vecops::axpy(black_box(0.5), black_box(xs), y.col_mut(0));
     });
-    let secs_ref = time_best(reps, &mut || {
-        reference::axpy(black_box(0.5), black_box(xs), y_ref.col_mut(0));
-    });
-    cases.push(Case {
-        name: "reduce_axpy_f64".into(),
-        shape: shape.clone(),
-        secs_new,
-        secs_ref,
-        gflops: 2.0 * n as f64 / secs_new * 1e-9,
-    });
+    cases.push(Case::new("reduce_axpy_f64", shape, secs, 2.0 * n as f64));
 
-    // -- axpby c64 (the xpay-style update inside COCG's recurrences) --
+    // the xpay-style update inside COCG's recurrences
     let alpha = C64::new(0.3, -0.2);
     let beta = C64::new(0.5, 0.1);
-    let mut w_new = yc.clone();
-    let mut w_ref = yc.clone();
-    vecops::axpby(alpha, xcs, beta, w_new.col_mut(0));
-    reference::axpby(alpha, xcs, beta, w_ref.col_mut(0));
-    assert!(w_new.max_abs_diff(&w_ref) <= 1e-12);
-    let secs_new = time_best(reps, &mut || {
+    let secs = time_best(reps, &mut || {
         vecops::axpby(
             black_box(alpha),
             black_box(xcs),
             black_box(beta),
-            w_new.col_mut(0),
+            yc.col_mut(0),
         );
     });
-    let secs_ref = time_best(reps, &mut || {
-        reference::axpby(
-            black_box(alpha),
-            black_box(xcs),
-            black_box(beta),
-            w_ref.col_mut(0),
-        );
-    });
-    cases.push(Case {
-        name: "reduce_axpby_c64".into(),
-        shape: format!("n={}", n / 2),
-        secs_new,
-        secs_ref,
-        gflops: 14.0 * (n / 2) as f64 / secs_new * 1e-9,
-    });
+    cases.push(Case::new(
+        "reduce_axpby_c64",
+        shape_c,
+        secs,
+        14.0 * (n / 2) as f64,
+    ));
 }
 
 // ---------------------------------------------------------------------
@@ -853,270 +234,65 @@ fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
 
 const SCHEMA: &str = mbrpa_schema::KERNELS_BENCH;
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn emit_json(cases: &[Case], dispatch: &str, threads: usize, smoke: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\":\"{SCHEMA}\",\"dispatch\":\"{dispatch}\",\"threads\":{threads},\"smoke\":{smoke},\"cases\":["
-    ));
-    for (i, c) in cases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"shape\":\"{}\",\"secs_new\":{},\"secs_ref\":{},\"speedup\":{},\"gflops\":{}}}",
-            c.name,
-            c.shape,
-            json_f64(c.secs_new),
-            json_f64(c.secs_ref),
-            json_f64(c.speedup()),
-            json_f64(c.gflops),
-        ));
-    }
-    out.push_str("]}\n");
-    out
+    let rows = cases
+        .iter()
+        .map(|c| {
+            obj(vec![
+                ("name", s(&c.name)),
+                ("shape", s(&c.shape)),
+                ("secs", JsonValue::Num(c.secs)),
+                ("gflops", JsonValue::Num(c.gflops)),
+            ])
+        })
+        .collect();
+    let doc = obj(vec![
+        ("schema", s(SCHEMA)),
+        ("dispatch", s(dispatch)),
+        ("threads", u(threads)),
+        ("smoke", JsonValue::Bool(smoke)),
+        ("cases", JsonValue::Arr(rows)),
+    ]);
+    doc.to_json() + "\n"
 }
 
-/// Minimal JSON value for the hand-rolled validator.
-#[derive(Debug)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            b: text.as_bytes(),
-            pos: 0,
-        }
-    }
-    fn ws(&mut self) {
-        while self.pos < self.b.len() && (self.b[self.pos] as char).is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.pos < self.b.len() && self.b[self.pos] == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.pos))
-        }
-    }
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.pos).copied()
-    }
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self.pos < self.b.len()
-            && matches!(
-                self.b[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        while self.pos < self.b.len() {
-            let c = self.b[self.pos];
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.b.get(self.pos).ok_or("truncated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(
-                                self.b.get(self.pos..self.pos + 4).ok_or("truncated \\u")?,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(cp).ok_or("bad codepoint")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                other => out.push(other as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-/// Validate `text` against the `mbrpa.kernels-bench/2` schema.
+/// Validate `text` against the `mbrpa.kernels-bench/3` schema.
 fn validate(text: &str) -> Result<usize, String> {
-    let mut p = Parser::new(text);
-    let root = p.value()?;
-    p.ws();
-    if p.pos != p.b.len() {
-        return Err("trailing garbage after JSON document".into());
-    }
-    let schema = root
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'schema'")?;
+    let root = json::parse(text).map_err(|e| e.to_string())?;
+    let schema = require_str(&root, "schema")?;
     if schema != SCHEMA {
         return Err(format!("schema '{schema}', expected '{SCHEMA}'"));
     }
-    let dispatch = root
-        .get("dispatch")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'dispatch'")?;
+    let dispatch = require_str(&root, "dispatch")?;
     if !["scalar", "avx2", "neon"].contains(&dispatch) {
         return Err(format!("unknown 'dispatch' path '{dispatch}'"));
     }
-    let threads = root
-        .get("threads")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric field 'threads'")?;
-    if threads < 1.0 {
+    if require_num(&root, "threads")? < 1.0 {
         return Err("'threads' must be >= 1".into());
     }
     root.get("smoke")
-        .and_then(Json::as_bool)
-        .ok_or("missing boolean field 'smoke'")?;
-    let cases = match root.get("cases") {
-        Some(Json::Arr(items)) if !items.is_empty() => items,
-        Some(Json::Arr(_)) => return Err("'cases' must be non-empty".into()),
-        _ => return Err("missing array field 'cases'".into()),
-    };
+        .and_then(JsonValue::as_bool)
+        .ok_or("missing boolean member `smoke`")?;
+    let cases = root
+        .get("cases")
+        .and_then(JsonValue::as_arr)
+        .ok_or("missing array member `cases`")?;
+    if cases.is_empty() {
+        return Err("'cases' must be non-empty".into());
+    }
     for (i, case) in cases.iter().enumerate() {
-        for key in ["name", "shape"] {
-            case.get(key)
-                .and_then(Json::as_str)
-                .ok_or(format!("case {i}: missing string field '{key}'"))?;
-        }
-        for key in ["secs_new", "secs_ref", "speedup", "gflops"] {
-            let v = case
-                .get(key)
-                .and_then(Json::as_num)
-                .ok_or(format!("case {i}: missing numeric field '{key}'"))?;
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(format!("case {i}: '{key}' must be finite and >= 0"));
+        let check = || -> Result<(), String> {
+            require_str(case, "name")?;
+            require_str(case, "shape")?;
+            for key in ["secs", "gflops"] {
+                let v = require_num(case, key)?;
+                if !(v.is_finite() && v >= 0.0) {
+                    return Err(format!("'{key}' must be finite and >= 0"));
+                }
             }
-        }
+            Ok(())
+        };
+        check().map_err(|e| format!("case {i}: {e}"))?;
     }
     Ok(cases.len())
 }
@@ -1183,17 +359,12 @@ fn main() {
             vec![
                 c.name.clone(),
                 c.shape.clone(),
-                format!("{:.2}", c.secs_new * 1e3),
-                format!("{:.2}", c.secs_ref * 1e3),
-                format!("{:.2}x", c.speedup()),
+                format!("{:.2}", c.secs * 1e3),
                 format!("{:.2}", c.gflops),
             ]
         })
         .collect();
-    mbrpa_bench::print_table(
-        &["kernel", "shape", "new [ms]", "ref [ms]", "speedup", "GF/s"],
-        &rows,
-    );
+    mbrpa_bench::print_table(&["kernel", "shape", "time [ms]", "GF/s"], &rows);
 
     let doc = emit_json(&cases, dispatch.name(), threads, smoke);
     if let Err(e) = validate(&doc) {

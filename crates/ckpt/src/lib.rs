@@ -40,7 +40,8 @@ pub use codec::{
 };
 pub use crc32::crc32;
 pub use store::{
-    list_namespaces, valid_namespace_id, CheckpointStore, LoadedSnapshot, Slot, SlotState,
+    list_namespaces, valid_namespace_id, write_atomic, CheckpointStore, LoadedSnapshot, Slot,
+    SlotState,
 };
 
 /// Errors reading, writing, or validating snapshots.

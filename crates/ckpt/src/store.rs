@@ -8,6 +8,9 @@
 //!    valid snapshot (slots alternate A → B → A → …),
 //! 3. the directory itself is fsynced so the rename is durable.
 //!
+//! Steps 1–3 are [`write_atomic`], exported for every other durable
+//! document in the workspace.
+//!
 //! A crash before the rename leaves both slots untouched; a crash during
 //! the rename is resolved by the filesystem (rename is atomic on POSIX);
 //! a torn write can only ever damage the slot being replaced — the other
@@ -17,8 +20,8 @@
 
 use crate::codec::{decode_snapshot, encode_snapshot, Snapshot};
 use crate::CkptError;
-use std::fs::{self, File, OpenOptions};
-use std::io::Write as _;
+use std::fs::{self, File};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// The two alternating snapshot slots.
@@ -130,19 +133,7 @@ impl CheckpointStore {
         let bytes = encode_snapshot(snap);
         mbrpa_obs::add("ckpt.bytes_written", bytes.len() as u64);
         mbrpa_obs::add("ckpt.saves", 1);
-        let target = self.slot_path(self.next_slot);
-        let tmp = self.dir.join(format!("{}.tmp", self.next_slot.file_name()));
-        {
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &target)?;
-        sync_dir(&self.dir)?;
+        write_atomic(&self.slot_path(self.next_slot), &bytes)?;
         self.next_slot = self.next_slot.other();
         self.next_seq += 1;
         Ok(())
@@ -245,17 +236,33 @@ pub fn list_namespaces(root: impl AsRef<Path>) -> Result<Vec<String>, CkptError>
     Ok(ids)
 }
 
-/// Durably record the rename by fsyncing the directory (POSIX requires
-/// this for the new directory entry to survive power loss).
-fn sync_dir(dir: &Path) -> Result<(), CkptError> {
+/// Write `bytes` to `path` atomically and durably — the one
+/// implementation of the discipline every on-disk document in the
+/// workspace relies on (checkpoint slots, job state, cache entries, the
+/// LRU journal, the route table): temp file in the same directory,
+/// `fsync`, rename over the target, `fsync` the directory. A reader (or a
+/// restarted process) sees either the old contents or the new, never a
+/// torn write. The temp name is dot-prefixed (`.<name>.tmp`), so a crash
+/// mid-write leaves only a dotfile that directory scans discard.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let dir = path
+        .parent()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no parent"))?;
+    let file_name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
+    let tmp = dir.join(format!(".{file_name}.tmp"));
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)?;
+    // POSIX requires the directory fsync for the new entry to survive
+    // power loss
     #[cfg(unix)]
-    {
-        File::open(dir)?.sync_all()?;
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = dir;
-    }
+    File::open(dir)?.sync_all()?;
     Ok(())
 }
 

@@ -189,6 +189,19 @@ fn fnv128(bytes: &[u8]) -> u128 {
     h
 }
 
+/// 64-bit FNV-1a over a byte slice — the workspace's one 64-bit hash.
+/// Stable across platforms and releases: the checkpoint run-compatibility
+/// fingerprint and the router's rendezvous scores are both persisted and
+/// must not move between builds.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// The 128-bit fingerprint of a parsed input: FNV-1a over
 /// [`canonical_bytes`]. Equal for every spelling of the same calculation;
 /// different whenever any semantic field differs (up to hash collision,
@@ -324,5 +337,13 @@ NP: 2
         let mut version = [0u8; 4];
         version.copy_from_slice(&bytes[MAGIC.len()..MAGIC.len() + 4]);
         assert_eq!(u32::from_le_bytes(version), CANONICAL_VERSION);
+    }
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        // standard FNV-1a test vectors
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -207,20 +207,19 @@ pub fn config_fingerprint(config: &RpaConfig, n_d: usize) -> u64 {
 /// snapshots from older builds are rejected instead of misread.
 const FINGERPRINT_SCHEMA: u64 = 1;
 
-struct Fnv64(u64);
+/// The fingerprint's field stream: little-endian `u64`s, hashed with the
+/// shared [`fnv1a64`](crate::fnv1a64).
+struct Fnv64(Vec<u8>);
 
 impl Fnv64 {
     fn new() -> Self {
-        Self(0xCBF2_9CE4_8422_2325)
+        Self(Vec::new())
     }
     fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0.extend_from_slice(&v.to_le_bytes());
     }
     fn finish(&self) -> u64 {
-        self.0
+        crate::fnv1a64(&self.0)
     }
 }
 

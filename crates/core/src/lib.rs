@@ -46,7 +46,8 @@ pub mod workers;
 
 pub use cancel::CancelToken;
 pub use canonical::{
-    canonical_bytes, fingerprint_hex, input_fingerprint, is_fingerprint_hex, CANONICAL_VERSION,
+    canonical_bytes, fingerprint_hex, fnv1a64, input_fingerprint, is_fingerprint_hex,
+    CANONICAL_VERSION,
 };
 pub use checkpoint::{
     compute_rpa_energy_resumable, compute_rpa_energy_resumable_cancellable, config_fingerprint,

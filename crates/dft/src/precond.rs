@@ -13,7 +13,7 @@
 use crate::hamiltonian::Hamiltonian;
 use mbrpa_grid::SpectralLaplacian;
 use mbrpa_linalg::{Mat, C64};
-use mbrpa_solver::precond::Preconditioner;
+use mbrpa_solver::{with_thread_workspace, Preconditioner, Workspace};
 
 /// `(−½∇² + σ)⁻¹` with complex shift `σ = v̄ − λ + iω`.
 pub struct ShiftedLaplacianPreconditioner {
@@ -58,18 +58,26 @@ impl Preconditioner for ShiftedLaplacianPreconditioner {
         self.spectral.grid().len()
     }
 
-    fn apply_block(&self, w: &Mat<C64>) -> Mat<C64> {
+    fn apply_block_into(&self, w: &Mat<C64>, z: &mut Mat<C64>) {
         let n = self.dim();
         assert_eq!(w.rows(), n);
+        assert_eq!(z.shape(), w.shape());
         let sigma = self.sigma;
         let f = move |lam: f64| C64::new(1.0, 0.0) / (C64::new(-0.5 * lam, 0.0) + sigma);
-        let mut out = Mat::zeros(n, w.cols());
-        let mut col = vec![C64::new(0.0, 0.0); n];
-        for j in 0..w.cols() {
-            self.spectral.apply_function_complex(&f, w.col(j), &mut col);
-            out.col_mut(j).copy_from_slice(&col);
-        }
-        out
+        // transform scratch from this thread's f64 pool: the solver loop
+        // calls this every iteration and must stay off the allocator
+        with_thread_workspace(|ws: &mut Workspace<f64>| {
+            let mut scratch = ws.take_zeroed(n, SpectralLaplacian::COMPLEX_SCRATCH_PER_POINT);
+            for j in 0..w.cols() {
+                self.spectral.apply_function_complex(
+                    &f,
+                    w.col(j),
+                    z.col_mut(j),
+                    scratch.as_mut_slice(),
+                );
+            }
+            ws.give(scratch);
+        });
     }
 }
 
@@ -80,7 +88,7 @@ mod tests {
     use crate::hamiltonian::SternheimerOperator;
     use crate::potential::PotentialParams;
     use crate::system::SiliconSpec;
-    use mbrpa_solver::{block_cocg, block_pcocg, true_relative_residual, CocgOptions};
+    use mbrpa_solver::{block_cocg, block_cocg_ws, true_relative_residual, CocgOptions};
 
     fn fixture() -> (Hamiltonian, SpectralLaplacian, Vec<f64>) {
         let crystal = SiliconSpec {
@@ -123,7 +131,7 @@ mod tests {
             max_iters: 3000,
             ..CocgOptions::default()
         };
-        let (x, rep) = block_pcocg(&op, &pre, &b, None, &opts);
+        let (x, rep) = block_cocg_ws(&op, &b, None, &opts, Some(&pre), &mut Workspace::new());
         assert!(rep.converged, "{rep:?}");
         assert!(true_relative_residual(&op, &b, &x) < 1e-6);
     }
@@ -143,7 +151,7 @@ mod tests {
             ..CocgOptions::default()
         };
         let (_, plain) = block_cocg(&op, &b, None, &opts);
-        let (_, pcg) = block_pcocg(&op, &pre, &b, None, &opts);
+        let (_, pcg) = block_cocg_ws(&op, &b, None, &opts, Some(&pre), &mut Workspace::new());
         assert!(plain.converged && pcg.converged, "{plain:?} vs {pcg:?}");
         assert!(
             pcg.iterations < plain.iterations,

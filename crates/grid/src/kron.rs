@@ -134,30 +134,44 @@ impl SpectralLaplacian {
         }
     }
 
+    /// `f64` scratch values per grid point [`apply_function_complex`]
+    /// needs: real/imaginary inputs, their coefficients, one transform
+    /// buffer.
+    ///
+    /// [`apply_function_complex`]: Self::apply_function_complex
+    pub const COMPLEX_SCRATCH_PER_POINT: usize = 5;
+
     /// Apply a complex-valued spectral function `f(∇²)` to a complex
     /// vector: real and imaginary parts are transformed with the (real)
     /// Kronecker eigenbasis, mixed by the complex multiplier in
     /// coefficient space, and transformed back. This powers the inverse
     /// shifted-Laplacian preconditioner `(−½∇² + σ)⁻¹` of the paper's §V.
+    ///
+    /// `scratch` is caller-owned working memory of exactly
+    /// [`COMPLEX_SCRATCH_PER_POINT`](Self::COMPLEX_SCRATCH_PER_POINT)` · n`
+    /// values (contents ignored), so a solver loop calling this once per
+    /// column per iteration does not touch the allocator.
     pub fn apply_function_complex(
         &self,
         f: &dyn Fn(f64) -> num_complex::Complex64,
         v: &[num_complex::Complex64],
         out: &mut [num_complex::Complex64],
+        scratch: &mut [f64],
     ) {
         let n = self.grid.len();
         assert_eq!(v.len(), n);
         assert_eq!(out.len(), n);
-        let re: Vec<f64> = v.iter().map(|z| z.re).collect();
-        let im: Vec<f64> = v.iter().map(|z| z.im).collect();
-        let mut c_re = vec![0.0; n];
-        let mut c_im = vec![0.0; n];
-        // forward transforms with f = id on the *coefficients*: reuse
-        // apply_function with f = 1 would round-trip; instead transform
-        // once by exploiting linearity: forward(x) = apply_function with
-        // identity multiplier is forward∘backward = id. So do it manually.
-        self.forward(&re, &mut c_re);
-        self.forward(&im, &mut c_im);
+        assert_eq!(scratch.len(), Self::COMPLEX_SCRATCH_PER_POINT * n);
+        let (re, rest) = scratch.split_at_mut(n);
+        let (im, rest) = rest.split_at_mut(n);
+        let (c_re, rest) = rest.split_at_mut(n);
+        let (c_im, buf) = rest.split_at_mut(n);
+        for ((r, i), z) in re.iter_mut().zip(im.iter_mut()).zip(v.iter()) {
+            *r = z.re;
+            *i = z.im;
+        }
+        self.forward(re, c_re, buf);
+        self.forward(im, c_im, buf);
         // complex multiply in coefficient space
         let tol = self.zero_tol();
         for c in 0..self.grid.nz {
@@ -174,40 +188,36 @@ impl SpectralLaplacian {
                 }
             }
         }
-        let mut o_re = vec![0.0; n];
-        let mut o_im = vec![0.0; n];
-        self.backward(&c_re, &mut o_re);
-        self.backward(&c_im, &mut o_im);
-        for ((o, &r), &i) in out.iter_mut().zip(o_re.iter()).zip(o_im.iter()) {
+        self.backward(c_re, re, buf);
+        self.backward(c_im, im, buf);
+        for ((o, &r), &i) in out.iter_mut().zip(re.iter()).zip(im.iter()) {
             *o = num_complex::Complex64::new(r, i);
         }
     }
 
     /// Forward Kronecker transform: `out = (Qzᵀ⊗Qyᵀ⊗Qxᵀ) v`.
-    fn forward(&self, v: &[f64], out: &mut [f64]) {
+    fn forward(&self, v: &[f64], out: &mut [f64], buf: &mut [f64]) {
         let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.grid.nz);
-        let mut buf = vec![0.0; v.len()];
         gemm_tn_slices(nx, nx, ny * nz, self.qx.as_slice(), v, out);
         for k in 0..nz {
             let o = &out[k * nx * ny..(k + 1) * nx * ny];
             let b = &mut buf[k * nx * ny..(k + 1) * nx * ny];
             gemm_nn_slices(nx, ny, ny, o, self.qy.as_slice(), b);
         }
-        gemm_nn_slices(nx * ny, nz, nz, &buf, self.qz.as_slice(), out);
+        gemm_nn_slices(nx * ny, nz, nz, buf, self.qz.as_slice(), out);
     }
 
     /// Backward Kronecker transform: `out = (Qz⊗Qy⊗Qx) c`.
-    fn backward(&self, c: &[f64], out: &mut [f64]) {
+    fn backward(&self, c: &[f64], out: &mut [f64], buf: &mut [f64]) {
         let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.grid.nz);
-        let mut buf = vec![0.0; c.len()];
-        gemm_nn_slices(nx * ny, nz, nz, c, self.qz_t.as_slice(), &mut buf);
+        gemm_nn_slices(nx * ny, nz, nz, c, self.qz_t.as_slice(), buf);
         for k in 0..nz {
             let b = &buf[k * nx * ny..(k + 1) * nx * ny];
             let o = &mut out[k * nx * ny..(k + 1) * nx * ny];
             gemm_nn_slices(nx, ny, ny, b, self.qy_t.as_slice(), o);
         }
         buf.copy_from_slice(out);
-        gemm_tn_slices(nx, nx, ny * nz, self.qx_t.as_slice(), &buf, out);
+        gemm_tn_slices(nx, nx, ny * nz, self.qx_t.as_slice(), buf, out);
     }
 
     /// Solve the Poisson problem `∇² u = rhs` (pseudo-inverse on the
@@ -342,7 +352,13 @@ mod tests {
             .collect();
         let f_real = |lam: f64| if lam == 0.0 { 0.0 } else { 1.0 / (-lam) };
         let mut oc = vec![Complex64::new(0.0, 0.0); n];
-        spec.apply_function_complex(&|lam| Complex64::new(f_real(lam), 0.0), &vc, &mut oc);
+        let mut scratch = vec![0.0; SpectralLaplacian::COMPLEX_SCRATCH_PER_POINT * n];
+        spec.apply_function_complex(
+            &|lam| Complex64::new(f_real(lam), 0.0),
+            &vc,
+            &mut oc,
+            &mut scratch,
+        );
         let mut or_ = vec![0.0; n];
         let mut oi = vec![0.0; n];
         spec.apply_function(&f_real, &re, &mut or_);
@@ -372,6 +388,7 @@ mod tests {
             &|lam| Complex64::new(1.0, 0.0) / (Complex64::new(-0.5 * lam, 0.0) + sigma),
             &v,
             &mut u,
+            &mut vec![0.0; SpectralLaplacian::COMPLEX_SCRATCH_PER_POINT * n],
         );
         // apply (−½∇² + σ) with the stencil
         let mut lu = vec![Complex64::new(0.0, 0.0); n];

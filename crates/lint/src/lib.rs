@@ -36,8 +36,8 @@
 //!
 //! Unused suppressions are themselves findings (`unused_allow`), so
 //! stale justifications cannot accumulate. The rule catalogue and the
-//! policy for adding rules live in DESIGN.md §9; the scope-tree
-//! architecture and the structural rule semantics in DESIGN.md §14.
+//! policy for adding rules, the scope-tree architecture and the
+//! structural rule semantics all live in DESIGN.md §9.
 
 #![warn(missing_docs)]
 

@@ -58,7 +58,7 @@ Suppress a finding only with an inline justification, on the violating
 line or the line above:
   // lint: allow(<rule>) — <why this is sound here>
 
-See DESIGN.md §9 (rule policy) and §14 (scope tree & structural rules).
+See DESIGN.md §9 (rule policy, scope tree, structural rules).
 ";
 
 fn main() -> ExitCode {

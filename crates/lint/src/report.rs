@@ -1,9 +1,9 @@
 //! Reporting: human-readable findings table, schema-versioned JSON
-//! emission, and a hand-rolled validator for the emitted JSON (same
-//! pattern as `kernels_bench --validate`, so CI can round-trip the
-//! artifact without pulling in a JSON dependency).
+//! emission, and the validator for the emitted JSON, both on the shared
+//! `mbrpa_schema::json` toolkit (so CI can round-trip the artifact).
 
 use crate::rules::{Finding, RULE_IDS};
+use mbrpa_schema::json::{self, obj, require_str, require_uint, s, u, JsonValue};
 
 /// Schema identifier written into every findings document. Bump on any
 /// backwards-incompatible change and document it in DESIGN.md §9.
@@ -54,324 +54,74 @@ pub fn human_table(findings: &[Finding], files_scanned: usize) -> String {
 
 /// Serialise findings to the `mbrpa.lint-findings/1` JSON document.
 pub fn to_json(findings: &[Finding], files_scanned: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\":\"{SCHEMA}\",\"files_scanned\":{files_scanned},\"total\":{},",
-        findings.len()
-    ));
-    out.push_str("\"counts\":{");
-    let mut first = true;
-    for rule in RULE_IDS {
-        let n = findings.iter().filter(|f| f.rule == rule).count();
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\"{rule}\":{n}"));
-    }
-    out.push_str("},\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"file\":\"{}\",\"line\":{},\"rule\":\"{}\",\"message\":\"{}\"}}",
-            escape(&f.file),
-            f.line,
-            f.rule,
-            escape(&f.message)
-        ));
-    }
-    out.push_str("]}\n");
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    let counts = RULE_IDS
+        .iter()
+        .map(|&rule| (rule, u(findings.iter().filter(|f| f.rule == rule).count())))
+        .collect();
+    let rows = findings
+        .iter()
+        .map(|f| {
+            obj(vec![
+                ("file", s(&f.file)),
+                ("line", u(f.line as usize)),
+                ("rule", s(f.rule)),
+                ("message", s(&f.message)),
+            ])
+        })
+        .collect();
+    let doc = obj(vec![
+        ("schema", s(SCHEMA)),
+        ("files_scanned", u(files_scanned)),
+        ("total", u(findings.len())),
+        ("counts", obj(counts)),
+        ("findings", JsonValue::Arr(rows)),
+    ]);
+    doc.to_json() + "\n"
 }
 
 /// Validate `text` against the `mbrpa.lint-findings/1` schema. Returns
 /// the number of findings in the document.
 pub fn validate(text: &str) -> Result<usize, String> {
-    let mut p = Parser::new(text);
-    let root = p.value()?;
-    p.ws();
-    if p.pos != p.b.len() {
-        return Err("trailing garbage after JSON document".into());
-    }
-    let schema = root
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'schema'")?;
+    let root = json::parse(text).map_err(|e| e.to_string())?;
+    let schema = require_str(&root, "schema")?;
     if schema != SCHEMA {
         return Err(format!("schema '{schema}', expected '{SCHEMA}'"));
     }
-    let files = root
-        .get("files_scanned")
-        .and_then(Json::as_num)
-        .and_then(as_count)
-        .ok_or("'files_scanned' must be a non-negative integer")?;
-    if files < 1 {
+    if require_uint(&root, "files_scanned")? < 1 {
         return Err("'files_scanned' must be >= 1".into());
     }
-    let total = root
-        .get("total")
-        .and_then(Json::as_num)
-        .and_then(as_count)
-        .ok_or("'total' must be a non-negative integer")?;
-    let counts = root.get("counts").ok_or("missing object field 'counts'")?;
-    let mut count_sum = 0usize;
+    let total = require_uint(&root, "total")?;
+    let counts = root.get("counts").ok_or("missing object member `counts`")?;
+    let mut count_sum = 0u64;
     for rule in RULE_IDS {
-        let n = counts
-            .get(rule)
-            .and_then(Json::as_num)
-            .and_then(as_count)
-            .ok_or(format!("counts.{rule} must be a non-negative integer"))?;
-        count_sum += n;
+        count_sum += require_uint(counts, rule).map_err(|e| format!("counts: {e}"))?;
     }
-    let findings = match root.get("findings") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err("missing array field 'findings'".into()),
-    };
-    if findings.len() != total || count_sum != total {
+    let findings = root
+        .get("findings")
+        .and_then(JsonValue::as_arr)
+        .ok_or("missing array member `findings`")?;
+    if findings.len() as u64 != total || count_sum != total {
         return Err(format!(
             "inconsistent totals: total={total}, findings={}, counts sum={count_sum}",
             findings.len()
         ));
     }
     for (i, f) in findings.iter().enumerate() {
-        for key in ["file", "rule", "message"] {
-            f.get(key)
-                .and_then(Json::as_str)
-                .ok_or(format!("finding {i}: missing string field '{key}'"))?;
-        }
-        let rule = f.get("rule").and_then(Json::as_str).unwrap_or("");
-        if !RULE_IDS.contains(&rule) {
-            return Err(format!("finding {i}: unknown rule '{rule}'"));
-        }
-        let line = f
-            .get("line")
-            .and_then(Json::as_num)
-            .and_then(as_count)
-            .ok_or(format!("finding {i}: 'line' must be a positive integer"))?;
-        if line < 1 {
-            return Err(format!("finding {i}: 'line' must be a positive integer"));
-        }
+        let check = || -> Result<(), String> {
+            require_str(f, "file")?;
+            require_str(f, "message")?;
+            let rule = require_str(f, "rule")?;
+            if !RULE_IDS.contains(&rule) {
+                return Err(format!("unknown rule '{rule}'"));
+            }
+            if require_uint(f, "line")? < 1 {
+                return Err("'line' must be a positive integer".into());
+            }
+            Ok(())
+        };
+        check().map_err(|e| format!("finding {i}: {e}"))?;
     }
     Ok(findings.len())
-}
-
-/// A JSON number as a non-negative integer count, or `None` if it is
-/// negative, non-finite, or has a fractional part.
-#[allow(clippy::float_cmp)]
-fn as_count(v: f64) -> Option<usize> {
-    // lint: allow(float_cmp) — integer-valuedness check on a JSON number
-    if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= usize::MAX as f64 {
-        Some(v as usize)
-    } else {
-        None
-    }
-}
-
-/// Minimal JSON value for the hand-rolled validator.
-#[derive(Debug)]
-enum Json {
-    Null,
-    // The schema has no boolean fields yet; the parser keeps the value
-    // so future schema bumps don't have to touch it.
-    Bool(#[allow(dead_code)] bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            b: text.as_bytes(),
-            pos: 0,
-        }
-    }
-    fn ws(&mut self) {
-        while self.pos < self.b.len() && (self.b[self.pos] as char).is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-    fn expect_byte(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.pos < self.b.len() && self.b[self.pos] == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", c as char, self.pos))
-        }
-    }
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.pos).copied()
-    }
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or("unexpected end of input")? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self.pos < self.b.len()
-            && matches!(
-                self.b[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let start = self.pos;
-        let mut out = String::new();
-        let mut had_escape = false;
-        while self.pos < self.b.len() {
-            let c = self.b[self.pos];
-            self.pos += 1;
-            match c {
-                b'"' => {
-                    if !had_escape {
-                        // Escape-free strings decode straight from the
-                        // source bytes, preserving multi-byte UTF-8.
-                        return std::str::from_utf8(&self.b[start..self.pos - 1])
-                            .map(str::to_string)
-                            .map_err(|e| e.to_string());
-                    }
-                    return Ok(out);
-                }
-                b'\\' => {
-                    had_escape = true;
-                    let esc = *self.b.get(self.pos).ok_or("truncated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(
-                                self.b.get(self.pos..self.pos + 4).ok_or("truncated \\u")?,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(cp).ok_or("bad codepoint")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                other => out.push(other as char),
-            }
-        }
-        Err("unterminated string".into())
-    }
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.expect_byte(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -403,7 +403,7 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
     }
 
     // Structural rules (R8–R12): need the scope tree, not just the
-    // token window. See DESIGN.md §14 for the per-rule semantics.
+    // token window. See DESIGN.md §9 for the per-rule semantics.
     rule_atomic_ordering(a, &code, &mut emit);
     rule_unsafe_wrapper(a, &code, &is_test_line, &mut emit);
     rule_nested_par(a, &code, &mut emit);
@@ -495,7 +495,7 @@ const CHECK_MACROS: [&str; 4] = ["assert", "assert_eq", "assert_ne", "panic"];
 
 /// In `crates/simd`, every `unsafe` block must sit inside a *safe*
 /// function that proves the preconditions first (the two-corner-check
-/// pattern of DESIGN.md §13), and `unsafe fn` entry points must not be
+/// pattern of DESIGN.md §8), and `unsafe fn` entry points must not be
 /// fully public — callers go through the checked safe wrappers.
 /// `unsafe fn` bodies and `macro_rules!` bodies are exempt (their
 /// obligations transfer to callers / expansion sites), and the `safety`
@@ -581,7 +581,7 @@ fn rule_unsafe_wrapper(
                 "unsafe_wrapper",
                 "`unsafe` block in a safe SIMD function with no preceding \
                  `assert!`-family check: prove the bounds/alignment preconditions \
-                 first (two-corner-check pattern, DESIGN.md §13)"
+                 first (two-corner-check pattern, DESIGN.md §8)"
                     .to_string(),
             );
         }

@@ -2,7 +2,7 @@
 //!
 //! The token-stream rules of PR 4 are deliberately flat — they look at
 //! a token and a couple of neighbours. The concurrency and unsafety
-//! rules added in the static-analysis v2 pass (DESIGN.md §14) need more:
+//! rules added in the static-analysis v2 pass (DESIGN.md §9) need more:
 //! *which function owns this `unsafe` block*, *is this `par_iter` call
 //! nested under a region that already holds the rayon pool*, *does the
 //! scope that binds this lock guard also perform blocking IO*. This

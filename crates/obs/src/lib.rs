@@ -1,6 +1,7 @@
 //! # mbrpa-obs — telemetry for the solver stack
 //!
-//! A zero-dependency observability layer shared by the whole workspace:
+//! An observability layer shared by the whole workspace (its only
+//! dependency is the JSON writer in `mbrpa-schema`):
 //!
 //! * **Spans** — hierarchical scoped wall-clock timers. [`span`] returns a
 //!   guard; nested guards build `/`-separated paths
@@ -44,6 +45,7 @@
 
 #![warn(missing_docs)]
 
+use mbrpa_schema::json::{obj, s, JsonValue, JsonValue::Num};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -616,69 +618,45 @@ impl Report {
     /// Serialise the report as versioned JSON (schema in DESIGN.md).
     /// Non-finite floats are emitted as `null`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push('{');
-        out.push_str(&format!("\"schema_version\":{},", self.schema_version));
-        match &self.job {
-            Some(job) => out.push_str(&format!("\"job\":{},", json_str(job))),
-            None => out.push_str("\"job\":null,"),
-        }
-        match &self.dispatch {
-            Some(d) => out.push_str(&format!("\"dispatch\":{},", json_str(d))),
-            None => out.push_str("\"dispatch\":null,"),
-        }
-        out.push_str(&format!(
-            "\"total_wall_s\":{},",
-            json_f64(self.total_wall_s)
-        ));
-        out.push_str("\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"path\":{},\"total_s\":{},\"count\":{}}}",
-                json_str(&s.path),
-                json_f64(s.total_s),
-                s.count
-            ));
-        }
-        out.push_str("],\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_str(k), v));
-        }
-        out.push_str("},\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"dropped\":{},\"values\":[",
-                json_str(&s.name),
-                s.dropped
-            ));
-            push_f64_list(&mut out, &s.values);
-            out.push_str("]}");
-        }
-        out.push_str("],\"traces\":[");
-        for (i, t) in self.traces.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"label\":{},\"truncated\":{},\"points\":[",
-                json_str(&t.name),
-                json_str(&t.label),
-                t.truncated
-            ));
-            push_f64_list(&mut out, &t.points);
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
+        let opt_str = |v: &Option<String>| v.as_deref().map_or(JsonValue::Null, s);
+        let nums = |values: &[f64]| JsonValue::Arr(values.iter().map(|&v| Num(v)).collect());
+        let spans = self.spans.iter().map(|sp| {
+            obj(vec![
+                ("path", s(&sp.path)),
+                ("total_s", Num(sp.total_s)),
+                ("count", Num(sp.count as f64)),
+            ])
+        });
+        let counters = self
+            .counters
+            .iter()
+            .map(|(k, v)| (k.clone(), Num(*v as f64)));
+        let series = self.series.iter().map(|se| {
+            obj(vec![
+                ("name", s(&se.name)),
+                ("dropped", Num(se.dropped as f64)),
+                ("values", nums(&se.values)),
+            ])
+        });
+        let traces = self.traces.iter().map(|t| {
+            obj(vec![
+                ("name", s(&t.name)),
+                ("label", s(&t.label)),
+                ("truncated", Num(t.truncated as f64)),
+                ("points", nums(&t.points)),
+            ])
+        });
+        obj(vec![
+            ("schema_version", Num(f64::from(self.schema_version))),
+            ("job", opt_str(&self.job)),
+            ("dispatch", opt_str(&self.dispatch)),
+            ("total_wall_s", Num(self.total_wall_s)),
+            ("spans", JsonValue::Arr(spans.collect())),
+            ("counters", JsonValue::Obj(counters.collect())),
+            ("series", JsonValue::Arr(series.collect())),
+            ("traces", JsonValue::Arr(traces.collect())),
+        ])
+        .to_json()
     }
 
     /// Render an indented plain-text tree of spans with share-of-wall
@@ -732,41 +710,6 @@ impl Report {
         }
         out
     }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn push_f64_list(out: &mut String, values: &[f64]) {
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_f64(*v));
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -915,7 +858,7 @@ mod tests {
         let r = report();
         set_enabled(false);
         let text = r.to_json();
-        assert_json(&text);
+        mbrpa_schema::json::parse(&text).expect("report must be valid JSON");
         assert!(text.contains("\"schema_version\":2"));
         assert!(text.contains("\"dispatch\":"));
         assert!(text.contains("null"), "NaN must serialise to null");
@@ -936,7 +879,7 @@ mod tests {
         assert_eq!(tagged.job.as_deref(), Some("job-0042"));
         assert!(untagged.job.is_none());
         let json = tagged.to_json();
-        assert_json(&json);
+        mbrpa_schema::json::parse(&json).expect("report must be valid JSON");
         assert!(json.contains("\"job\":\"job-0042\""), "{json}");
         assert!(untagged.to_json().contains("\"job\":null"));
     }
@@ -1038,117 +981,5 @@ mod tests {
         };
         assert!(empty.derived_rates().is_empty());
         assert!(!empty.summary_table().contains("derived rate"));
-    }
-
-    /// Minimal recursive-descent JSON validator — enough to prove the
-    /// hand-rolled writer emits structurally valid documents.
-    fn assert_json(text: &str) {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        skip_value(bytes, &mut pos);
-        skip_ws(bytes, &mut pos);
-        assert_eq!(pos, bytes.len(), "trailing garbage after JSON value");
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && (b[*pos] as char).is_ascii_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn skip_value(b: &[u8], pos: &mut usize) {
-        skip_ws(b, pos);
-        assert!(*pos < b.len(), "unexpected end of JSON");
-        match b[*pos] {
-            b'{' => {
-                *pos += 1;
-                skip_ws(b, pos);
-                if b[*pos] == b'}' {
-                    *pos += 1;
-                    return;
-                }
-                loop {
-                    skip_string(b, pos);
-                    skip_ws(b, pos);
-                    assert_eq!(b[*pos], b':', "expected ':' in object");
-                    *pos += 1;
-                    skip_value(b, pos);
-                    skip_ws(b, pos);
-                    match b[*pos] {
-                        b',' => {
-                            *pos += 1;
-                            skip_ws(b, pos);
-                        }
-                        b'}' => {
-                            *pos += 1;
-                            return;
-                        }
-                        c => panic!("unexpected {:?} in object", c as char),
-                    }
-                }
-            }
-            b'[' => {
-                *pos += 1;
-                skip_ws(b, pos);
-                if b[*pos] == b']' {
-                    *pos += 1;
-                    return;
-                }
-                loop {
-                    skip_value(b, pos);
-                    skip_ws(b, pos);
-                    match b[*pos] {
-                        b',' => *pos += 1,
-                        b']' => {
-                            *pos += 1;
-                            return;
-                        }
-                        c => panic!("unexpected {:?} in array", c as char),
-                    }
-                }
-            }
-            b'"' => skip_string(b, pos),
-            b't' => {
-                assert!(text_at(b, *pos, "true"));
-                *pos += 4;
-            }
-            b'f' => {
-                assert!(text_at(b, *pos, "false"));
-                *pos += 5;
-            }
-            b'n' => {
-                assert!(text_at(b, *pos, "null"));
-                *pos += 4;
-            }
-            _ => skip_number(b, pos),
-        }
-    }
-
-    fn text_at(b: &[u8], pos: usize, lit: &str) -> bool {
-        b.len() >= pos + lit.len() && &b[pos..pos + lit.len()] == lit.as_bytes()
-    }
-
-    fn skip_string(b: &[u8], pos: &mut usize) {
-        skip_ws(b, pos);
-        assert_eq!(b[*pos], b'"', "expected string");
-        *pos += 1;
-        while b[*pos] != b'"' {
-            if b[*pos] == b'\\' {
-                *pos += 1;
-            }
-            *pos += 1;
-            assert!(*pos < b.len(), "unterminated string");
-        }
-        *pos += 1;
-    }
-
-    fn skip_number(b: &[u8], pos: &mut usize) {
-        let start = *pos;
-        while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-            *pos += 1;
-        }
-        assert!(*pos > start, "expected a number at byte {start}");
-        let s = std::str::from_utf8(&b[start..*pos]).unwrap();
-        assert!(s.parse::<f64>().is_ok(), "invalid number literal {s:?}");
     }
 }

@@ -1,12 +1,18 @@
-//! Hand-rolled JSON: a value tree, a recursive-descent parser, and a
-//! writer. Zero dependencies, and objects preserve insertion order (a
-//! `Vec` of pairs, never a hash map) so every emitted document is
+//! The workspace's one JSON toolkit: a value tree, a recursive-descent
+//! parser, a writer, and the field helpers validators are built from.
+//! Zero dependencies, and objects preserve insertion order (a `Vec` of
+//! pairs, never a hash map) so every emitted document is
 //! byte-deterministic.
+//!
+//! Every crate that reads or writes a versioned document — the serving
+//! daemon and router, `mbrpa-obs` reports, `mbrpa-lint` findings,
+//! `kernels_bench` — goes through this module, so this is the single
+//! place untrusted JSON bytes are parsed.
 //!
 //! The subset is full RFC 8259 on parse (escapes, `\uXXXX` with
 //! surrogate pairs, nested depth capped) while the writer only ever
-//! emits what the daemon produces: finite numbers (non-finite floats
-//! become `null`) and strings escaped per the RFC.
+//! emits what mbrpa produces: finite numbers (non-finite floats become
+//! `null`) and strings escaped per the RFC.
 
 use std::fmt;
 
@@ -149,6 +155,28 @@ pub fn s(text: &str) -> JsonValue {
 /// Shorthand: a numeric value from an unsigned integer.
 pub fn u(v: usize) -> JsonValue {
     JsonValue::Num(v as f64)
+}
+
+/// The string member `key` of `v`; the error names the member.
+pub fn require_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
+    v.get(key)
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| format!("missing string member `{key}`"))
+}
+
+/// The numeric member `key` of `v`; the error names the member.
+pub fn require_num(v: &JsonValue, key: &str) -> Result<f64, String> {
+    v.get(key)
+        .and_then(JsonValue::as_f64)
+        .ok_or_else(|| format!("missing numeric member `{key}`"))
+}
+
+/// The non-negative integer member `key` of `v` (see
+/// [`JsonValue::as_u64`]); the error names the member.
+pub fn require_uint(v: &JsonValue, key: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("missing integer member `{key}`"))
 }
 
 /// Format a number the way the writer does: shortest round-trip for

@@ -1,4 +1,6 @@
-//! mbrpa-schema: the single registry of schema-version tags.
+//! mbrpa-schema: the single registry of schema-version tags, and the
+//! one JSON toolkit ([`json`]) every versioned document is read and
+//! written with.
 //!
 //! Every versioned document mbrpa writes to disk or the wire — job
 //! submissions, results, cache entries, lint reports, bench reports —
@@ -18,6 +20,8 @@
 //! migration the document actually needs — and the bump is visible to
 //! every reader and writer at once.
 
+pub mod json;
+
 /// Job submission body accepted by `POST /v1/jobs` (`mbrpa-serve`).
 pub const JOB: &str = "mbrpa.job/1";
 /// Job lifecycle/status document served by `GET /v1/jobs/<id>`.
@@ -32,8 +36,9 @@ pub const JOB_LIST: &str = "mbrpa.job-list/1";
 pub const CACHE_ENTRY: &str = "mbrpa.cache-entry/1";
 /// `mbrpa-lint` findings report (`--json` output / `--validate` input).
 pub const LINT_FINDINGS: &str = "mbrpa.lint-findings/1";
-/// `kernels_bench` report (`BENCH_kernels.json`); v2 added `dispatch`.
-pub const KERNELS_BENCH: &str = "mbrpa.kernels-bench/2";
+/// `kernels_bench` report (`BENCH_kernels.json`); v2 added `dispatch`,
+/// v3 dropped the frozen-reference columns (`secs_ref`, `speedup`).
+pub const KERNELS_BENCH: &str = "mbrpa.kernels-bench/3";
 /// One worker's liveness/occupancy as tracked by `rparouter` (embedded
 /// in the router's health document and `GET /v1/workers`).
 pub const WORKER: &str = "mbrpa.worker/1";

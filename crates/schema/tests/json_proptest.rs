@@ -1,8 +1,8 @@
-//! Property tests of the hand-rolled JSON layer in `mbrpa-serve`.
+//! Property tests of the workspace's one JSON toolkit.
 //!
-//! The daemon's wire formats, the on-disk job store, and the result
-//! cache all ride on this parser/writer pair, so the properties that
-//! matter are: write→parse is the identity on every value the writer
+//! The daemon's wire formats, the on-disk job store, the result cache,
+//! and the obs / lint / bench reports all ride on this parser/writer
+//! pair, so the properties that matter are: write→parse is the identity on every value the writer
 //! can emit (including every f64 bit pattern except non-finite, every
 //! Unicode string, deep nesting up to `MAX_DEPTH`), and the parser
 //! never panics or accepts garbage on adversarial input.
@@ -10,7 +10,7 @@
 // Test code: panics are failures (DESIGN.md §9).
 #![allow(clippy::unwrap_used)]
 
-use mbrpa_serve::json::{self, JsonValue, MAX_DEPTH};
+use mbrpa_schema::json::{self, JsonValue, MAX_DEPTH};
 use proptest::prelude::*;
 
 /// Arbitrary JSON value with finite numbers only (the writer turns
@@ -81,6 +81,26 @@ proptest! {
         }
     }
 
+    /// Same, below the `&str` boundary: whatever bytes arrive (decoded
+    /// the way every caller does before parsing), the parser returns —
+    /// and nesting past `MAX_DEPTH` is refused at the bracket that
+    /// crosses it, so the bytes after it are never descended into.
+    #[test]
+    fn parser_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+        depth in (MAX_DEPTH + 2)..4096usize,
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(v) = json::parse(&text) {
+            prop_assert_eq!(json::parse(&v.to_json()).unwrap(), v);
+        }
+        // an unclosed bracket run followed by those bytes: the error
+        // must point at the first too-deep bracket, not past it
+        let hostile = "[".repeat(depth) + &text;
+        let err = json::parse(&hostile).unwrap_err();
+        prop_assert_eq!(err.offset, MAX_DEPTH + 1, "{}", err);
+    }
+
     /// Insertion order of object members is part of the contract (the
     /// store relies on byte-deterministic output): parse preserves it,
     /// and write emits it back in the same order.
@@ -128,5 +148,56 @@ proptest! {
         if let Some(prefix) = text.get(..cut) {
             let _ = json::parse(prefix); // must simply not panic
         }
+    }
+}
+
+/// The accept/reject documents the private lint and bench parsers were
+/// unit-tested with before this toolkit replaced them, plus the shapes
+/// their writers emitted (exponent-form numbers, a trailing newline).
+#[test]
+fn documents_of_the_replaced_parsers_keep_their_verdicts() {
+    let accepted = [
+        "{}",
+        "{\"schema\":\"mbrpa.lint-findings/1\",\"files_scanned\":12,\"total\":1,\
+         \"counts\":{\"unwrap\":1},\"findings\":[{\"file\":\"crates/x/src/lib.rs\",\
+         \"line\":3,\"rule\":\"unwrap\",\"message\":\"bad \\\"quote\\\" and\\nnewline\"}]}\n",
+        "{\"schema\":\"mbrpa.kernels-bench/2\",\"dispatch\":\"avx2\",\"threads\":1,\
+         \"smoke\":false,\"cases\":[{\"name\":\"gemm_nn_f64\",\"shape\":\"m=4096 k=32 n=32\",\
+         \"secs_new\":1.25e-3,\"secs_ref\":2.5e-3,\"speedup\":2e0,\"gflops\":6.7e0}]}\n",
+        "{\"schema_version\":2,\"job\":null,\"total_wall_s\":1e-12,\"points\":[1e0,null,5e-1]}",
+        " [ 1 , 2 ] ",
+    ];
+    for text in accepted {
+        let v = json::parse(text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        assert_eq!(json::parse(&v.to_json()).unwrap(), v, "{text}");
+    }
+    let finding = json::parse(accepted[1]).unwrap();
+    let message = finding.get("findings").unwrap().as_arr().unwrap()[0]
+        .get("message")
+        .unwrap();
+    assert_eq!(message.as_str(), Some("bad \"quote\" and\nnewline"));
+    let case = json::parse(accepted[2]).unwrap();
+    let secs = case.get("cases").unwrap().as_arr().unwrap()[0]
+        .get("secs_new")
+        .unwrap();
+    assert_eq!(secs.as_f64(), Some(1.25e-3));
+
+    for text in [
+        "not json",
+        "{} x",
+        "{\"a\":1}}",
+        "[1,]",
+        "{\"a\" 1}",
+        "\"\\q\"",
+        "\"\\u12",
+        "\"open",
+        "tru",
+        // the replaced parsers let these three through; the strict one
+        // (RFC 8259) must not
+        "+1",
+        "\"\\ud800\"",
+        "\"raw\ncontrol\"",
+    ] {
+        assert!(json::parse(text).is_err(), "{text:?} should be rejected");
     }
 }

@@ -37,7 +37,7 @@
 
 use crate::job::{validate_cache_entry_doc, CACHE_ENTRY_SCHEMA};
 use crate::json::{self, obj, s, JsonValue};
-use crate::store::write_atomic;
+use mbrpa_ckpt::write_atomic;
 use mbrpa_core::is_fingerprint_hex;
 use std::fs;
 use std::io;

@@ -1,4 +1,4 @@
-//! Job wire schemas and hand-rolled validators.
+//! Job wire schemas and their validators.
 //!
 //! Every body the daemon reads or writes is a schema-versioned JSON
 //! document; the `schema` member names the layout so clients can detect
@@ -16,7 +16,7 @@
 //!   canonical 128-bit input fingerprint plus the embedded
 //!   `mbrpa.result/1` it maps to (see `crate::cache`).
 
-use crate::json::{obj, s, u, JsonValue};
+use crate::json::{obj, require_num, require_str, require_uint, s, u, JsonValue};
 use mbrpa_core::io::{parse_rpa_input, RpaInput};
 use mbrpa_core::{PartialRun, RpaResult};
 
@@ -306,24 +306,6 @@ pub fn partial_doc(id: &str, partial: &PartialRun) -> JsonValue {
     ])
 }
 
-fn require_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing string member `{key}`"))
-}
-
-fn require_num(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing numeric member `{key}`"))
-}
-
-fn require_uint(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing integer member `{key}`"))
-}
-
 /// Validate a `mbrpa.result/1` document, including that
 /// `total_energy_bits` decodes to exactly the bits of `total_energy`.
 pub fn validate_result_doc(v: &JsonValue) -> Result<(), String> {
@@ -545,7 +527,7 @@ pub fn validate_route_table_doc(v: &JsonValue) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate an `mbrpa-obs` profile document (JSON schema version 1):
+/// Validate an `mbrpa-obs` profile document (JSON schema version 2):
 /// `schema_version`, a `job` attribution (string or null), and the span
 /// and counter tables.
 pub fn validate_profile_doc(v: &JsonValue) -> Result<(), String> {
@@ -571,9 +553,15 @@ pub fn validate_profile_doc(v: &JsonValue) -> Result<(), String> {
         require_num(span, "total_s")?;
         require_uint(span, "count")?;
     }
-    v.get("counters")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing array member `counters`")?;
+    let counters = v
+        .get("counters")
+        .and_then(JsonValue::as_obj)
+        .ok_or("missing object member `counters`")?;
+    for (name, total) in counters {
+        total
+            .as_u64()
+            .ok_or_else(|| format!("counter `{name}` must be an integer"))?;
+    }
     Ok(())
 }
 
@@ -820,6 +808,30 @@ mod tests {
             })
             .collect::<Vec<_>>();
         assert!(validate_health_doc(&JsonValue::Obj(truncated)).is_err());
+    }
+
+    #[test]
+    fn profile_validator_accepts_what_obs_writes() {
+        let report = mbrpa_obs::Report {
+            schema_version: mbrpa_obs::SCHEMA_VERSION,
+            job: Some("job-000001".to_string()),
+            dispatch: None,
+            total_wall_s: 1.5,
+            spans: vec![mbrpa_obs::SpanEntry {
+                path: "rpa/omega[0]".to_string(),
+                total_s: 0.75,
+                count: 1,
+            }],
+            counters: vec![("solver.cocg.matvecs".to_string(), 70_913)],
+            series: vec![],
+            traces: vec![],
+        };
+        let doc = parse(&report.to_json()).unwrap();
+        validate_profile_doc(&doc).unwrap();
+        let broken = report.to_json().replace(":70913", ":-1");
+        assert!(validate_profile_doc(&parse(&broken).unwrap())
+            .unwrap_err()
+            .contains("solver.cocg.matvecs"));
     }
 
     #[test]

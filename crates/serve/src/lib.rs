@@ -7,7 +7,8 @@
 //! Everything is hand-rolled on `std` — no tokio, no hyper, no serde —
 //! matching the workspace's zero-dependency discipline:
 //!
-//! * [`json`] — a strict recursive-descent JSON parser and writer,
+//! * [`json`] — the workspace's JSON toolkit, re-exported from
+//!   `mbrpa-schema` under the path callers have always used,
 //! * [`job`] — schema-versioned wire documents (`mbrpa.job/1`,
 //!   `mbrpa.job-status/1`, `mbrpa.result/1`, `mbrpa.health/1`) with
 //!   validators; submissions are fully parsed and cross-checked against
@@ -47,11 +48,12 @@ pub mod daemon;
 pub mod executor;
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod queue;
 pub mod router;
 pub mod signal;
 pub mod store;
+
+pub use mbrpa_schema::json;
 
 pub use cache::{CacheCounters, CacheStore};
 pub use daemon::{Daemon, DaemonConfig, Logger, RunningJob, ServeShared};

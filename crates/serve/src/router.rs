@@ -48,7 +48,7 @@ use crate::job::{
     self, JobSpec, JobState, HEALTH_SCHEMA, LIST_SCHEMA, ROUTE_TABLE_SCHEMA, WORKER_SCHEMA,
 };
 use crate::json::{self, obj, s, u, JsonValue};
-use crate::store::write_atomic;
+use mbrpa_ckpt::write_atomic;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -291,24 +291,15 @@ pub struct RouterShared {
 // ---------------------------------------------------------------------
 // rendezvous hashing
 
-/// FNV-1a over `bytes` (64-bit). Stable across platforms and releases —
-/// the route assignment must not move when the router restarts.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Rendezvous score of `(fingerprint, worker)`.
+/// Rendezvous score of `(fingerprint, worker)`: the shared FNV-1a, stable
+/// across platforms and releases — the route assignment must not move
+/// when the router restarts.
 fn rendezvous_score(fingerprint: &str, worker: &str) -> u64 {
     let mut key = Vec::with_capacity(fingerprint.len() + worker.len() + 1);
     key.extend_from_slice(fingerprint.as_bytes());
     key.push(0); // unambiguous separator: neither side contains NUL
     key.extend_from_slice(worker.as_bytes());
-    fnv1a64(&key)
+    mbrpa_core::fnv1a64(&key)
 }
 
 /// Candidate workers for `fingerprint`, best first: rendezvous score
@@ -1258,13 +1249,5 @@ mod tests {
         assert_eq!(doc.get("state").unwrap().as_str(), Some("queued"));
         assert_eq!(doc.get("priority").unwrap().as_u64(), Some(4));
         assert!(rewrite_id("not json", "rjob-000001").is_none());
-    }
-
-    #[test]
-    fn fnv1a64_matches_reference_vectors() {
-        // standard FNV-1a test vectors
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -12,10 +12,11 @@
 //! <root>/ckpt/<id>/            # two-slot checkpoint namespace
 //! ```
 //!
-//! Every file is written atomically (temp file in the same directory,
-//! `fsync`, rename, directory `fsync` — the same discipline as the
-//! `mbrpa-ckpt` two-slot store), so a `kill -9` at any instant leaves
-//! each job with a consistent `job.json`/`state` pair. On restart
+//! Every file is written with `mbrpa_ckpt::write_atomic` (temp file in
+//! the same directory, `fsync`, rename, directory `fsync` — the one
+//! implementation the two-slot checkpoint store also uses), so a
+//! `kill -9` at any instant leaves each job with a consistent
+//! `job.json`/`state` pair. On restart
 //! [`JobStore::scan`] rebuilds the queue from these files; a directory
 //! missing its `job.json` (crash between `mkdir` and the first write,
 //! before the submission was ever acknowledged) is skipped.
@@ -25,8 +26,9 @@
 
 use crate::job::{valid_label, JobSpec, JobState};
 use crate::json;
+use mbrpa_ckpt::write_atomic;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// File holding the submission body.
@@ -186,32 +188,6 @@ impl JobStore {
         jobs.sort_by(|a, b| a.id.cmp(&b.id));
         Ok(jobs)
     }
-}
-
-/// Write `bytes` to `path` atomically: temp file in the same directory,
-/// `fsync`, rename over the target, `fsync` the directory. A reader (or
-/// a restarted daemon) sees either the old contents or the new, never a
-/// torn write. Shared with the result cache, which relies on the same
-/// discipline (its temp files start with `.` so a crash mid-write leaves
-/// only a dotfile the cache scan discards).
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path
-        .parent()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no parent"))?;
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp = dir.join(format!(".{file_name}.tmp"));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)?;
-    // make the rename durable: fsync the containing directory
-    fs::File::open(dir)?.sync_all()?;
-    Ok(())
 }
 
 #[cfg(test)]

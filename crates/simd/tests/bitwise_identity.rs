@@ -1,6 +1,6 @@
 //! Bitwise identity of every `mbrpa-simd` primitive across dispatch paths.
 //!
-//! The crate's contract (DESIGN.md §13) is that the scalar backend is not
+//! The crate's contract (DESIGN.md §8) is that the scalar backend is not
 //! merely "close to" the vector backends — it replicates their lane
 //! layout and fused-multiply-add structure exactly, so **every** path
 //! returns the same bits for the same input. These properties drive each
@@ -163,6 +163,51 @@ proptest! {
             let (wr, wi) = mbrpa_simd::dot_h_c64_on(s, &x, &y);
             let (gr, gi) = mbrpa_simd::dot_h_c64_on(d, &x, &y);
             assert_same_bits(d, "dot_h_c64", &[gr, gi], &[wr, wi]);
+        }
+    }
+
+    /// The scalar oracle itself against plain loops, at the lengths and
+    /// for the five vector kernels COCG's recurrences use (with every
+    /// other path bit-identical to it, this pins them all): the lane
+    /// split changes the rounding, never the value.
+    #[test]
+    fn scalar_oracle_matches_plain_loops(
+        m in 0usize..600,
+        seed in 1u64..u64::MAX,
+    ) {
+        let mut rng = Rng::new(seed);
+        let x = rng.vec(2 * m);
+        let y = rng.vec(2 * m);
+        let s = Dispatch::Scalar;
+        let tol = 1e-12 * (1 + m) as f64;
+
+        let dot: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
+        prop_assert!((mbrpa_simd::dot_on(s, &x, &y) - dot).abs() <= tol);
+        let sq: f64 = x.iter().map(|a| a * a).sum();
+        prop_assert!((mbrpa_simd::nrm2_sq_on(s, &x) - sq).abs() <= tol);
+
+        // xᴴy = Σ conj(x)·y over interleaved (re, im) pairs
+        let (mut hr, mut hi) = (0.0, 0.0);
+        for (a, b) in x.chunks_exact(2).zip(y.chunks_exact(2)) {
+            hr += a[0] * b[0] + a[1] * b[1];
+            hi += a[0] * b[1] - a[1] * b[0];
+        }
+        let (gr, gi) = mbrpa_simd::dot_h_c64_on(s, &x, &y);
+        prop_assert!((gr - hr).abs() <= tol && (gi - hi).abs() <= tol);
+
+        let mut got = y.clone();
+        mbrpa_simd::axpy_on(s, 0.5, &x, &mut got);
+        for ((g, a), b) in got.iter().zip(&x).zip(&y) {
+            prop_assert!((g - (b + 0.5 * a)).abs() <= 1e-14);
+        }
+
+        // y ← α·x + β·y with α = 0.3 − 0.2i, β = 0.5 + 0.1i
+        let mut got = y.clone();
+        mbrpa_simd::axpby_c64_on(s, 0.3, -0.2, 0.5, 0.1, &x, &mut got);
+        for ((g, a), b) in got.chunks_exact(2).zip(x.chunks_exact(2)).zip(y.chunks_exact(2)) {
+            let re = 0.3 * a[0] + 0.2 * a[1] + 0.5 * b[0] - 0.1 * b[1];
+            let im = 0.3 * a[1] - 0.2 * a[0] + 0.5 * b[1] + 0.1 * b[0];
+            prop_assert!((g[0] - re).abs() <= 1e-14 && (g[1] - im).abs() <= 1e-14);
         }
     }
 

@@ -23,8 +23,16 @@
 //! buffer pool, so repeated per-frequency solves touch the allocator only
 //! while warming the pool. [`block_cocg`] uses the calling thread's
 //! persistent pool; [`block_cocg_ws`] accepts an explicit one.
+//!
+//! The same loop runs preconditioned (the paper's §V inverse-Laplacian
+//! idea): COCG admits any *complex-symmetric* `M ≈ A⁻¹` (a real SPD
+//! operator qualifies) by iterating on `Z = M·W` with the bilinear Gram
+//! matrix `ρ = WᵀZ`, which keeps the short-term recurrence and the
+//! `O(n·s²)` per-iteration cost. Without a preconditioner no `Z` buffer
+//! exists and `W` stands in for it, operation for operation.
 
 use crate::operator::LinearOperator;
+use crate::precond::Preconditioner;
 use crate::stats::SolveReport;
 use crate::workspace::{with_thread_workspace, Workspace};
 use mbrpa_linalg::{exactly_zero, matmul_into, matmul_tn_into, Mat, C64};
@@ -245,10 +253,19 @@ pub fn block_cocg(
     x0: Option<&Mat<C64>>,
     opts: &CocgOptions,
 ) -> (Mat<C64>, SolveReport) {
-    with_thread_workspace(|ws| block_cocg_ws(op, b, x0, opts, ws))
+    with_thread_workspace(|ws| block_cocg_ws(op, b, x0, opts, None, ws))
 }
 
-/// [`block_cocg`] with an explicit [`Workspace`] buffer pool.
+/// `Z = M·W` into the pooled `Z` buffer, when the solve is preconditioned.
+fn refresh_z(precond: Option<&dyn Preconditioner>, w: &Mat<C64>, z: &mut Option<Mat<C64>>) {
+    if let (Some(m), Some(z)) = (precond, z.as_mut()) {
+        m.apply_block_into(w, z);
+    }
+}
+
+/// [`block_cocg`] with an explicit [`Workspace`] buffer pool and an
+/// optional preconditioner `M ≈ A⁻¹` (`Z = M·W`, `ρ = WᵀZ`; with `M = I`
+/// the iterates equal the unpreconditioned ones bit for bit).
 ///
 /// All per-iteration temporaries are taken from (and returned to) `ws`;
 /// the pool is left balanced on exit, holding every buffer the solve
@@ -259,11 +276,15 @@ pub fn block_cocg_ws(
     b: &Mat<C64>,
     x0: Option<&Mat<C64>>,
     opts: &CocgOptions,
+    precond: Option<&dyn Preconditioner>,
     ws: &mut Workspace<C64>,
 ) -> (Mat<C64>, SolveReport) {
     let n = op.dim();
     let s_total = b.cols();
     assert_eq!(b.rows(), n, "rhs dimension mismatch");
+    if let Some(m) = precond {
+        assert_eq!(m.dim(), n, "preconditioner dimension mismatch");
+    }
     let mut report = SolveReport::new();
 
     // Telemetry: counters fire at the point of occurrence (the recursive
@@ -325,10 +346,12 @@ pub fn block_cocg_ws(
         ws.take_copy(&b_a)
     };
 
+    let mut z = precond.map(|_| ws.take_zeroed(n, s_total));
+    refresh_z(precond, &w, &mut z);
     let mut rho = ws.take_zeroed(s_total, s_total);
-    matmul_tn_into(&w, &w, &mut rho);
+    matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho);
     let mut p: Mat<C64> = Mat::zeros(n, 0);
-    let mut restart = true; // first iteration: P = W
+    let mut restart = true; // first iteration: P = Z
 
     let one = C64::new(1.0, 0.0);
     let zero = C64::new(0.0, 0.0);
@@ -400,21 +423,24 @@ pub fn block_cocg_ws(
                 select(ws, &mut b_a, &keep);
                 select(ws, &mut x_a, &keep);
                 select(ws, &mut w, &keep);
+                if let Some(z) = z.as_mut() {
+                    select(ws, z, &keep);
+                }
                 for (newl, &l) in keep.iter().enumerate() {
                     active[newl] = active[l];
                 }
                 active.truncate(keep.len());
                 let rho_new = ws.take_zeroed(keep.len(), keep.len());
                 ws.give(std::mem::replace(&mut rho, rho_new));
-                matmul_tn_into(&w, &w, &mut rho);
+                matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho);
                 restart = true;
             }
         }
 
-        // Line 5: P ← W + P·β (β folded into `p` before this point; after
-        // a restart, P = W).
+        // Line 5: P ← Z + P·β (β folded into `p` before this point; after
+        // a restart, P = Z).
         if restart {
-            let p_new = ws.take_copy(&w);
+            let p_new = ws.take_copy(z.as_ref().unwrap_or(&w));
             ws.give(std::mem::replace(&mut p, p_new));
             restart = false;
         }
@@ -465,7 +491,8 @@ pub fn block_cocg_ws(
             w.as_mut_slice().copy_from_slice(b_a.as_slice());
             w.axpy(-one, &ax);
             ws.give(ax);
-            matmul_tn_into(&w, &w, &mut rho);
+            refresh_z(precond, &w, &mut z);
+            matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho);
             restart = true;
             continue;
         }
@@ -476,10 +503,11 @@ pub fn block_cocg_ws(
         matmul_into(-one, &u, &alpha, one, &mut w);
         ws.give(alpha);
         ws.give(u);
+        refresh_z(precond, &w, &mut z);
 
-        // Line 11: ρ₊ = WᵀW.
+        // Line 11: ρ₊ = WᵀZ.
         let mut rho_next = ws.take_zeroed(sw, sw);
-        matmul_tn_into(&w, &w, &mut rho_next);
+        matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho_next);
 
         // Line 12: β = ρ⁻¹ρ₊, then fold into P for the next iteration.
         let mut beta = ws.take_zeroed(sw, sw);
@@ -492,10 +520,10 @@ pub fn block_cocg_ws(
             &mut beta,
         );
         if beta_ok {
-            // P ← W + P·β for the next round (line 5, precomputed)
+            // P ← Z + P·β for the next round (line 5, precomputed)
             let mut p_next = ws.take_zeroed(n, sw);
             matmul_into(one, &p, &beta, zero, &mut p_next);
-            p_next.axpy(one, &w);
+            p_next.axpy(one, z.as_ref().unwrap_or(&w));
             ws.give(std::mem::replace(&mut p, p_next));
             ws.give(beta);
         } else {
@@ -534,6 +562,9 @@ pub fn block_cocg_ws(
     ws.give(b_a);
     ws.give(x_a);
     ws.give(w);
+    if let Some(z) = z {
+        ws.give(z);
+    }
     ws.give(p);
     ws.give(rho);
 
@@ -554,7 +585,7 @@ pub fn block_cocg_ws(
             for (start, count) in [(0, half), (half, s_total - half)] {
                 let b_sub = b.columns(start, count);
                 let g_sub = x_full.columns(start, count);
-                let (x_sub, rep) = block_cocg_ws(op, &b_sub, Some(&g_sub), &sub_opts, ws);
+                let (x_sub, rep) = block_cocg_ws(op, &b_sub, Some(&g_sub), &sub_opts, precond, ws);
                 x_full.set_columns(start, &x_sub);
                 report.iterations += rep.iterations;
                 report.matvecs += rep.matvecs;
@@ -919,11 +950,11 @@ mod tests {
         let b = rand_rhs(40, 4, 32);
         let opts = CocgOptions::with_tol(1e-10);
         let mut ws = Workspace::new();
-        let (_, r1) = block_cocg_ws(&op, &b, None, &opts, &mut ws);
+        let (_, r1) = block_cocg_ws(&op, &b, None, &opts, None, &mut ws);
         assert!(r1.converged);
         let warm = ws.fresh_allocs();
         assert!(warm > 0);
-        let (x, r2) = block_cocg_ws(&op, &b, None, &opts, &mut ws);
+        let (x, r2) = block_cocg_ws(&op, &b, None, &opts, None, &mut ws);
         assert!(r2.converged);
         assert_eq!(
             ws.fresh_allocs(),

@@ -10,10 +10,11 @@
 //! Two cost oracles are provided: wall-clock timing (the paper's method)
 //! and a deterministic FLOP model (for reproducible tests and CI).
 
-use crate::block_cocg::{block_cocg, CocgOptions};
+use crate::block_cocg::{block_cocg_ws, CocgOptions};
 use crate::operator::LinearOperator;
-use crate::precond::{block_pcocg, Preconditioner};
+use crate::precond::Preconditioner;
 use crate::stats::{SolveReport, WorkerStats};
+use crate::workspace::with_thread_workspace;
 use mbrpa_linalg::{Mat, C64};
 use std::time::Instant;
 
@@ -89,10 +90,9 @@ pub fn solve_multi_rhs_pre(
         let chunk_b = b.columns(start, width);
         let chunk_g = guess.map(|g| g.columns(start, width));
         let t0 = Instant::now();
-        let (x, report) = match precond {
-            Some(m) => block_pcocg(op, m, &chunk_b, chunk_g.as_ref(), opts),
-            None => block_cocg(op, &chunk_b, chunk_g.as_ref(), opts),
-        };
+        let (x, report) = with_thread_workspace(|ws| {
+            block_cocg_ws(op, &chunk_b, chunk_g.as_ref(), opts, precond, ws)
+        });
         let elapsed = t0.elapsed();
         solution.set_columns(start, &x);
         let cost = match policy {

@@ -40,7 +40,7 @@ pub use dynamic_block::{solve_multi_rhs, solve_multi_rhs_pre, BlockPolicy, Multi
 pub use gmres::{gmres, gmres_block, GmresOptions};
 pub use initial_guess::galerkin_guess;
 pub use operator::{DenseOperator, LinearOperator};
-pub use precond::{block_pcocg, IdentityPreconditioner, Preconditioner};
+pub use precond::{IdentityPreconditioner, Preconditioner};
 pub use qmr::{qmr_sym, QmrOptions};
 pub use seed::{seed_cocg, SeedReport};
 pub use stats::{BlockSizeHistogram, SolveReport, WorkerStats};

@@ -1,29 +1,27 @@
-//! Preconditioned block COCG — the third future-work item of the paper's
-//! §V: "we can leverage fast Poisson solves to use the *inverse* Laplacian
-//! as a preconditioner … dynamically applied only in those cases" (the
-//! difficult Sternheimer systems).
+//! Preconditioners for block COCG — the third future-work item of the
+//! paper's §V: "we can leverage fast Poisson solves to use the *inverse*
+//! Laplacian as a preconditioner … dynamically applied only in those
+//! cases" (the difficult Sternheimer systems).
 //!
-//! COCG admits any *complex-symmetric* preconditioner `M ≈ A⁻¹` (a real
-//! SPD operator qualifies): the recurrence runs on the preconditioned
-//! residuals `Z = M·W` with the bilinear Gram matrices `ρ = WᵀZ`,
-//! preserving the short-term recurrence and the `O(n·s²)` per-iteration
-//! cost profile of Algorithm 3.
+//! The iteration itself is [`crate::block_cocg_ws`], which takes an
+//! optional [`Preconditioner`]; this module holds only the trait and the
+//! identity used as a consistency oracle.
 
-use crate::block_cocg::CocgOptions;
-use crate::operator::LinearOperator;
-use crate::stats::SolveReport;
-use mbrpa_linalg::{exactly_zero, matmul, matmul_into, matmul_tn, Lu, Mat, C64};
+use mbrpa_linalg::{Mat, C64};
 
 /// A (complex-symmetric) preconditioner `M ≈ A⁻¹` applied blockwise.
 pub trait Preconditioner: Sync {
     /// Vector length.
     fn dim(&self) -> usize;
-    /// `Z = M·W`.
-    fn apply_block(&self, w: &Mat<C64>) -> Mat<C64>;
+    /// `Z = M·W`, overwriting every entry of `z` (same shape as `w`). The
+    /// solver hands in a pooled buffer, so an implementation that does
+    /// not allocate keeps the solve allocation-free in steady state.
+    fn apply_block_into(&self, w: &Mat<C64>, z: &mut Mat<C64>);
 }
 
-/// The trivial preconditioner `M = I` (turns [`block_pcocg`] into plain
-/// block COCG; used by tests as a consistency oracle).
+/// The trivial preconditioner `M = I`: block COCG preconditioned with it
+/// reproduces the unpreconditioned iterates bit for bit (tests use it as
+/// a consistency oracle).
 pub struct IdentityPreconditioner {
     n: usize,
 }
@@ -39,195 +37,28 @@ impl Preconditioner for IdentityPreconditioner {
     fn dim(&self) -> usize {
         self.n
     }
-    fn apply_block(&self, w: &Mat<C64>) -> Mat<C64> {
-        w.clone()
+    fn apply_block_into(&self, w: &Mat<C64>, z: &mut Mat<C64>) {
+        z.as_mut_slice().copy_from_slice(w.as_slice());
     }
-}
-
-/// Solve the `s×s` Gram system with symmetric diagonal equilibration (same
-/// guard as the unpreconditioned solver).
-fn equilibrated_solve(g: &Mat<C64>, r: &Mat<C64>, rcond_floor: f64) -> Option<Mat<C64>> {
-    let s = g.rows();
-    let mut scale = vec![1.0f64; s];
-    for (j, sc) in scale.iter_mut().enumerate() {
-        let d = g[(j, j)].norm();
-        if d > 0.0 {
-            *sc = 1.0 / d.sqrt();
-        }
-    }
-    let g_tilde = Mat::from_fn(s, s, |i, j| g[(i, j)].scale(scale[i] * scale[j]));
-    let lu = Lu::factor(&g_tilde).ok()?;
-    if lu.rcond_estimate() <= rcond_floor {
-        return None;
-    }
-    let mut sr = r.clone();
-    for j in 0..sr.cols() {
-        for (i, v) in sr.col_mut(j).iter_mut().enumerate() {
-            *v = v.scale(scale[i]);
-        }
-    }
-    let mut x = lu.solve_mat(&sr);
-    for j in 0..x.cols() {
-        for (i, v) in x.col_mut(j).iter_mut().enumerate() {
-            *v = v.scale(scale[i]);
-        }
-    }
-    Some(x)
-}
-
-/// Preconditioned block COCG for `A Y = B` with preconditioner `M`.
-///
-/// Identical to Algorithm 3 with `W` replaced by `Z = M·W` in the search
-/// direction update and `ρ = WᵀZ`; with `M = I` it reduces exactly to the
-/// unpreconditioned method.
-pub fn block_pcocg(
-    op: &dyn LinearOperator<C64>,
-    precond: &dyn Preconditioner,
-    b: &Mat<C64>,
-    x0: Option<&Mat<C64>>,
-    opts: &CocgOptions,
-) -> (Mat<C64>, SolveReport) {
-    let n = op.dim();
-    assert_eq!(precond.dim(), n, "preconditioner dimension mismatch");
-    let s = b.cols();
-    assert_eq!(b.rows(), n);
-    let mut report = SolveReport::new();
-    let one = C64::new(1.0, 0.0);
-
-    let b_fro = b.fro_norm();
-    if exactly_zero(b_fro) || s == 0 {
-        report.converged = true;
-        report.relative_residual = 0.0;
-        return (x0.cloned().unwrap_or_else(|| Mat::zeros(n, s)), report);
-    }
-
-    let mut x = match x0 {
-        Some(g) => {
-            assert_eq!(g.shape(), (n, s));
-            g.clone()
-        }
-        None => Mat::zeros(n, s),
-    };
-    let mut w = if x0.is_some() {
-        let mut ax = Mat::zeros(n, s);
-        op.apply_block(&x, &mut ax);
-        report.matvecs += s;
-        let mut w = b.clone();
-        w.axpy(-one, &ax);
-        w
-    } else {
-        b.clone()
-    };
-
-    let mut z = precond.apply_block(&w);
-    let mut rho = matmul_tn(&w, &z);
-    let mut p = Mat::zeros(n, 0);
-    let mut restart = true;
-
-    loop {
-        let res = w.fro_norm() / b_fro;
-        report.relative_residual = res;
-        if res <= opts.tol {
-            report.converged = true;
-            break;
-        }
-        if report.iterations >= opts.max_iters {
-            break;
-        }
-
-        if restart {
-            p = z.clone();
-            restart = false;
-        }
-
-        let mut u = Mat::zeros(n, p.cols());
-        op.apply_block(&p, &mut u);
-        report.matvecs += p.cols();
-        let mu = matmul_tn(&u, &p);
-
-        let alpha = match equilibrated_solve(&mu, &rho, opts.breakdown_rcond) {
-            Some(a) => a,
-            None => {
-                report.breakdowns += 1;
-                report.iterations += 1;
-                if report.breakdowns > opts.max_breakdowns {
-                    break;
-                }
-                let mut ax = Mat::zeros(n, s);
-                op.apply_block(&x, &mut ax);
-                report.matvecs += s;
-                w = b.clone();
-                w.axpy(-one, &ax);
-                z = precond.apply_block(&w);
-                rho = matmul_tn(&w, &z);
-                restart = true;
-                continue;
-            }
-        };
-
-        matmul_into(one, &p, &alpha, one, &mut x);
-        matmul_into(-one, &u, &alpha, one, &mut w);
-        z = precond.apply_block(&w);
-        let rho_next = matmul_tn(&w, &z);
-
-        match equilibrated_solve(&rho, &rho_next, opts.breakdown_rcond) {
-            Some(beta) => {
-                let mut p_next = matmul(&p, &beta);
-                p_next.axpy(one, &z);
-                p = p_next;
-            }
-            None => {
-                report.breakdowns += 1;
-                if report.breakdowns > opts.max_breakdowns {
-                    report.iterations += 1;
-                    break;
-                }
-                restart = true;
-            }
-        }
-        rho = rho_next;
-        report.iterations += 1;
-
-        if w.has_bad_values() || x.has_bad_values() {
-            report.converged = false;
-            break;
-        }
-    }
-
-    // persistent breakdowns: finish the halves separately from the iterate
-    if !report.converged && report.breakdowns > opts.max_breakdowns && s > 1 {
-        let remaining = opts.max_iters.saturating_sub(report.iterations);
-        if remaining > 0 {
-            let half = s / 2;
-            let sub_opts = CocgOptions {
-                max_iters: remaining,
-                ..*opts
-            };
-            let mut converged_all = true;
-            let mut worst: f64 = 0.0;
-            for (start, count) in [(0, half), (half, s - half)] {
-                let b_sub = b.columns(start, count);
-                let g_sub = x.columns(start, count);
-                let (x_sub, rep) = block_pcocg(op, precond, &b_sub, Some(&g_sub), &sub_opts);
-                x.set_columns(start, &x_sub);
-                report.iterations += rep.iterations;
-                report.matvecs += rep.matvecs;
-                report.breakdowns += rep.breakdowns;
-                converged_all &= rep.converged;
-                worst = worst.max(rep.relative_residual);
-            }
-            report.converged = converged_all;
-            report.relative_residual = worst;
-        }
-    }
-    (x, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_cocg::{block_cocg, true_relative_residual};
+    use crate::block_cocg::{block_cocg, block_cocg_ws, true_relative_residual, CocgOptions};
     use crate::operator::DenseOperator;
+    use crate::stats::SolveReport;
+    use crate::workspace::Workspace;
+    use mbrpa_linalg::matmul_into;
+
+    fn block_pcocg(
+        op: &DenseOperator<C64>,
+        precond: &dyn Preconditioner,
+        b: &Mat<C64>,
+        opts: &CocgOptions,
+    ) -> (Mat<C64>, SolveReport) {
+        block_cocg_ws(op, b, None, opts, Some(precond), &mut Workspace::new())
+    }
 
     fn test_operator(n: usize, diag: f64, omega: f64, seed: u64) -> DenseOperator<C64> {
         let mut state = seed | 1;
@@ -270,8 +101,9 @@ mod tests {
         fn dim(&self) -> usize {
             self.inv.rows()
         }
-        fn apply_block(&self, w: &Mat<C64>) -> Mat<C64> {
-            matmul(&self.inv, w)
+        fn apply_block_into(&self, w: &Mat<C64>, z: &mut Mat<C64>) {
+            let (one, zero) = (C64::new(1.0, 0.0), C64::new(0.0, 0.0));
+            matmul_into(one, &self.inv, w, zero, z);
         }
     }
 
@@ -281,11 +113,11 @@ mod tests {
         let b = rand_rhs(35, 3, 2);
         let opts = CocgOptions::with_tol(1e-9);
         let (x_plain, r_plain) = block_cocg(&op, &b, None, &opts);
-        let (x_pre, r_pre) = block_pcocg(&op, &IdentityPreconditioner::new(35), &b, None, &opts);
+        let (x_pre, r_pre) = block_pcocg(&op, &IdentityPreconditioner::new(35), &b, &opts);
         assert!(r_plain.converged && r_pre.converged);
-        assert!(
-            x_plain.max_abs_diff(&x_pre) < 1e-7,
-            "identity preconditioning must not change the iterates"
+        assert_eq!(
+            x_plain, x_pre,
+            "identity preconditioning must not change a single bit"
         );
         assert_eq!(r_plain.iterations, r_pre.iterations);
     }
@@ -297,7 +129,7 @@ mod tests {
         let pre = InversePreconditioner { inv };
         let b = rand_rhs(20, 2, 4);
         let opts = CocgOptions::with_tol(1e-10);
-        let (x, rep) = block_pcocg(&op, &pre, &b, None, &opts);
+        let (x, rep) = block_pcocg(&op, &pre, &b, &opts);
         assert!(rep.converged);
         assert!(
             rep.iterations <= 2,
@@ -339,7 +171,7 @@ mod tests {
         let b = rand_rhs(n, 2, 8);
         let opts = CocgOptions::with_tol(1e-9);
         let (_, r_plain) = block_cocg(&op, &b, None, &opts);
-        let (x, r_pre) = block_pcocg(&op, &pre, &b, None, &opts);
+        let (x, r_pre) = block_pcocg(&op, &pre, &b, &opts);
         assert!(r_plain.converged && r_pre.converged);
         assert!(
             r_pre.iterations < r_plain.iterations,
@@ -358,7 +190,6 @@ mod tests {
             &op,
             &IdentityPreconditioner::new(10),
             &b,
-            None,
             &CocgOptions::default(),
         );
         assert!(rep.converged);
@@ -374,7 +205,6 @@ mod tests {
             &op,
             &IdentityPreconditioner::new(11),
             &b,
-            None,
             &CocgOptions::default(),
         );
     }

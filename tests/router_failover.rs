@@ -7,6 +7,7 @@
 #![allow(clippy::unwrap_used)]
 
 use mbrpa::prelude::*;
+use mbrpa::serve::json::{self, require_str, require_uint, JsonValue};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -105,19 +106,17 @@ fn http(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, Strin
     (status, body)
 }
 
-/// Pull a `"key": value` scalar out of a flat JSON body without a
-/// parser dependency in this integration test.
-fn json_member(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = body[start..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        return Some(stripped[..stripped.find('"')?].to_string());
-    }
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    Some(rest[..end].to_string())
+/// Every `/v1` body is one JSON document.
+fn doc(body: &str) -> JsonValue {
+    json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"))
+}
+
+/// The single route of a `mbrpa.route-table/1` body.
+fn only_route(routes: &str) -> JsonValue {
+    let table = doc(routes);
+    let rows = table.get("routes").and_then(JsonValue::as_arr).unwrap();
+    assert_eq!(rows.len(), 1, "{routes}");
+    rows[0].clone()
 }
 
 #[test]
@@ -152,11 +151,11 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
 
     let submit = format!(
         "{{\"schema\":\"mbrpa.job/1\",\"input\":{}}}",
-        mbrpa::serve::json::s(JOB_INPUT).to_json()
+        json::s(JOB_INPUT).to_json()
     );
     let (status, body) = http(&router_addr, "POST", "/v1/jobs", Some(&submit));
     assert_eq!(status, 201, "{body}");
-    let rid = json_member(&body, "id").unwrap();
+    let rid = require_str(&doc(&body), "id").unwrap().to_string();
     assert!(
         rid.starts_with("rjob-"),
         "router must re-key the id: {body}"
@@ -165,7 +164,9 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
     // which worker owns the job? (rendezvous picks either)
     let (status, routes) = http(&router_addr, "GET", "/v1/routes", None);
     assert_eq!(status, 200, "{routes}");
-    let owner = json_member(&routes, "worker").unwrap();
+    let owner = require_str(&only_route(&routes), "worker")
+        .unwrap()
+        .to_string();
     assert!(
         owner == addr_a || owner == addr_b,
         "route names an unknown worker: {routes}"
@@ -178,12 +179,13 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
     loop {
         let (status, body) = http(&router_addr, "GET", &format!("/v1/jobs/{rid}"), None);
         assert_eq!(status, 200, "{body}");
+        let status_doc = doc(&body);
         assert_eq!(
-            json_member(&body, "id").as_deref(),
-            Some(rid.as_str()),
+            require_str(&status_doc, "id"),
+            Ok(rid.as_str()),
             "proxied status must carry the router id: {body}"
         );
-        let state = json_member(&body, "state").unwrap();
+        let state = require_str(&status_doc, "state").unwrap();
         if state == "completed" {
             // machine too fast: the job finished before we could kill its
             // owner; the bit-identity assertion below still applies
@@ -191,9 +193,7 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
             break;
         }
         assert_ne!(state, "failed", "{body}");
-        let completed: usize = json_member(&body, "completed")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        let completed = require_uint(&status_doc, "completed").unwrap_or(0);
         if state == "running" && completed >= 1 {
             break;
         }
@@ -228,7 +228,8 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
         loop {
             let (status, body) = http(&router_addr, "GET", &format!("/v1/jobs/{rid}"), None);
             assert_eq!(status, 200, "{body}");
-            let state = json_member(&body, "state").unwrap();
+            let status_doc = doc(&body);
+            let state = require_str(&status_doc, "state").unwrap();
             if state == "completed" {
                 break;
             }
@@ -241,33 +242,29 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
         // failover
         let (status, routes) = http(&router_addr, "GET", "/v1/routes", None);
         assert_eq!(status, 200, "{routes}");
-        let now_on = json_member(&routes, "worker").unwrap();
+        let route = only_route(&routes);
+        let now_on = require_str(&route, "worker").unwrap();
         assert_ne!(now_on, owner, "route still names the dead worker");
-        let failovers: usize = json_member(&routes, "failovers")
-            .and_then(|v| v.parse().ok())
-            .unwrap();
+        let failovers = require_uint(&route, "failovers").unwrap();
         assert!(failovers >= 1, "failover not recorded: {routes}");
 
         let (status, health) = http(&router_addr, "GET", "/v1/health", None);
         assert_eq!(status, 200, "{health}");
-        let counted: usize = json_member(&health, "failovers")
-            .and_then(|v| v.parse().ok())
-            .unwrap();
+        let counted = require_uint(doc(&health).get("router").unwrap(), "failovers").unwrap();
         assert!(counted >= 1, "health must report the failover: {health}");
     }
 
     // the adopted result must be bit-identical to the uninterrupted run
     let (status, body) = http(&router_addr, "GET", &format!("/v1/jobs/{rid}/result"), None);
     assert_eq!(status, 200, "{body}");
+    let result = doc(&body);
     assert_eq!(
-        json_member(&body, "total_energy_bits").as_deref(),
-        Some(reference_bits.as_str()),
+        require_str(&result, "total_energy_bits"),
+        Ok(reference_bits.as_str()),
         "adopted energy differs from the uninterrupted run: {body}"
     );
     if killed_mid_run {
-        let n_restored: usize = json_member(&body, "n_restored")
-            .and_then(|v| v.parse().ok())
-            .unwrap();
+        let n_restored = require_uint(&result, "n_restored").unwrap();
         assert!(
             n_restored >= 1,
             "the adopter restored nothing from the dead worker's checkpoints: {body}"

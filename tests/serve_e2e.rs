@@ -6,6 +6,7 @@
 #![allow(clippy::unwrap_used)]
 
 use mbrpa::prelude::*;
+use mbrpa::serve::json::{self, require_str, require_uint, JsonValue};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -84,19 +85,9 @@ fn http(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, Strin
     (status, body)
 }
 
-/// Pull a `"key": value` scalar out of a flat JSON body without a
-/// parser dependency in this integration test.
-fn json_member(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let start = body.find(&needle)? + needle.len();
-    let rest = body[start..].trim_start();
-    if let Some(stripped) = rest.strip_prefix('"') {
-        return Some(stripped[..stripped.find('"')?].to_string());
-    }
-    let end = rest
-        .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
-        .unwrap_or(rest.len());
-    Some(rest[..end].to_string())
+/// Every `/v1` body is one JSON document.
+fn doc(body: &str) -> JsonValue {
+    json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"))
 }
 
 #[test]
@@ -125,11 +116,11 @@ fn kill_dash_nine_resumes_bit_for_bit() {
     let submit = format!(
         "{{\"schema\":\"mbrpa.job/1\",\"input\":{}}}",
         // JSON-escape the input text
-        mbrpa::serve::json::s(JOB_INPUT).to_json()
+        json::s(JOB_INPUT).to_json()
     );
     let (status, body) = http(&addr, "POST", "/v1/jobs", Some(&submit));
     assert_eq!(status, 201, "{body}");
-    let id = json_member(&body, "id").unwrap();
+    let id = require_str(&doc(&body), "id").unwrap().to_string();
 
     // wait until at least one frequency is checkpointed, so the resume
     // actually has prior state to load
@@ -138,7 +129,8 @@ fn kill_dash_nine_resumes_bit_for_bit() {
     loop {
         let (status, body) = http(&addr, "GET", &format!("/v1/jobs/{id}"), None);
         assert_eq!(status, 200, "{body}");
-        let state = json_member(&body, "state").unwrap();
+        let status_doc = doc(&body);
+        let state = require_str(&status_doc, "state").unwrap();
         if state == "completed" {
             // machine too fast: the job finished before we could kill it;
             // the bit-identity assertion below still applies
@@ -146,9 +138,7 @@ fn kill_dash_nine_resumes_bit_for_bit() {
             break;
         }
         assert_ne!(state, "failed", "{body}");
-        let completed: usize = json_member(&body, "completed")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        let completed = require_uint(&status_doc, "completed").unwrap_or(0);
         if state == "running" && completed >= 1 {
             break;
         }
@@ -174,7 +164,8 @@ fn kill_dash_nine_resumes_bit_for_bit() {
         loop {
             let (status, body) = http(&addr2, "GET", &format!("/v1/jobs/{id}"), None);
             assert_eq!(status, 200, "{body}");
-            let state = json_member(&body, "state").unwrap();
+            let status_doc = doc(&body);
+            let state = require_str(&status_doc, "state").unwrap();
             if state == "completed" {
                 break;
             }
@@ -191,14 +182,13 @@ fn kill_dash_nine_resumes_bit_for_bit() {
         .to_string();
     let (status, body) = http(&addr, "GET", &format!("/v1/jobs/{id}/result"), None);
     assert_eq!(status, 200, "{body}");
+    let result = doc(&body);
     assert_eq!(
-        json_member(&body, "total_energy_bits").as_deref(),
-        Some(reference_bits.as_str()),
+        require_str(&result, "total_energy_bits"),
+        Ok(reference_bits.as_str()),
         "resumed energy differs from the uninterrupted run: {body}"
     );
-    let n_restored: usize = json_member(&body, "n_restored")
-        .and_then(|v| v.parse().ok())
-        .unwrap();
+    let n_restored = require_uint(&result, "n_restored").unwrap();
     if killed_mid_run {
         assert!(n_restored >= 1, "resume restored nothing: {body}");
     }
