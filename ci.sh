@@ -215,3 +215,17 @@ cargo run --release -p mbrpa-bench --bin kernels_bench -- --smoke --out target/B
 cargo run --release -p mbrpa-bench --bin kernels_bench -- --validate target/BENCH_kernels_smoke.json
 cargo run --release -p mbrpa-bench --bin kernels_bench -- --smoke --threads 2 --out target/BENCH_kernels_smoke_mt.json
 cargo run --release -p mbrpa-bench --bin kernels_bench -- --validate target/BENCH_kernels_smoke_mt.json
+
+# End-to-end smoke: the four BENCHMARK.json workloads at seconds-long
+# shapes through the benchmark's own entry point. The exit code gates
+# correctness only — energies against the pinned smoke references,
+# convergence, cache-hit bits equal to miss bits; the timings it prints
+# are for the log, not a gate (this machine is not the one the numbers
+# were committed on). run.sh builds against the offline stand-ins under
+# crates/e2e/stubs, a different dependency graph from the registry build
+# above, so it gets a target directory of its own instead of invalidating
+# this one — and runs last, because the stand-ins rewrite Cargo.lock.
+for WORKLOAD in si8_solve finegrid_solve cluster_ckpt_solve serve_mix; do
+    CARGO_TARGET_DIR=target/e2e_smoke bash crates/e2e/run.sh --workload "$WORKLOAD" --smoke \
+        || { echo "ci: e2e smoke failed on $WORKLOAD"; exit 1; }
+done

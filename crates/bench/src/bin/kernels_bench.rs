@@ -1,9 +1,11 @@
 //! Micro-benchmarks of the hot kernels as they run today: the
 //! runtime-dispatched SIMD stencil block applies, the packed GEMM
-//! microkernels, and the lane-split reduction suite, emitting a
-//! schema-versioned `BENCH_kernels.json`. The committed document is the
-//! baseline a later run is compared against; there is no in-tree copy of
-//! older kernels (their correctness oracles live in the crates' tests).
+//! microkernels, the lane-split reduction suite, the fused block-COCG
+//! update and one whole block-COCG iteration at the shapes the drivers
+//! solve, emitting a schema-versioned `BENCH_kernels.json`. The committed
+//! document is the baseline a later run is compared against; there is no
+//! in-tree copy of older kernels (their correctness oracles live in the
+//! crates' tests).
 //!
 //! Flags:
 //!
@@ -19,10 +21,11 @@
 //! records wall seconds, scalar GFLOP/s, and full shape metadata, so
 //! regressions are attributable without rerunning.
 
-use mbrpa_dft::{Hamiltonian, PotentialParams, SiliconSpec, SternheimerOperator};
+use mbrpa_dft::{Hamiltonian, PotentialParams, SiliconSpec, SternheimerLinOp, SternheimerOperator};
 use mbrpa_grid::{Boundary, Grid3, Laplacian};
 use mbrpa_linalg::{matmul_hn_into, matmul_into, vecops, Mat, Scalar, C64};
 use mbrpa_schema::json::{self, obj, require_num, require_str, s, u, JsonValue};
+use mbrpa_solver::{block_cocg_ws, CocgOptions, LinearOperator, Workspace};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -228,6 +231,92 @@ fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
     ));
 }
 
+/// The fused update sweep of block COCG (lines 9–11 of Alg. 3: `X += P·α`,
+/// `W −= U·α`, `WᵀW` and the column norms in one pass) at the block
+/// widths the solves run at.
+fn cocg_update_cases(reps: usize, cases: &mut Vec<Case>) {
+    let n = 2744;
+    for sw in [1usize, 2, 4] {
+        let block = |seed: u64| filled::<C64>(n, sw, seed + sw as u64).map(|z| z.scale(1e-3));
+        let (p, u) = (block(0x71), block(0x72));
+        let alpha = filled::<C64>(sw, sw, 0x73 + sw as u64).map(|z| z.scale(1e-3));
+        let (mut x, mut w) = (block(0x74), block(0x75));
+        let mut rho = vec![0.0; 2 * sw * sw];
+        let mut w_sq = vec![0.0; sw];
+        let secs = time_best(reps, &mut || {
+            mbrpa_simd::cocg_update_c64(
+                n,
+                sw,
+                C64::as_components(p.as_slice()),
+                C64::as_components(u.as_slice()),
+                C64::as_components(alpha.as_slice()),
+                C64::as_components_mut(x.as_mut_slice()),
+                C64::as_components_mut(w.as_mut_slice()),
+                &mut rho,
+                &mut w_sq,
+            );
+            black_box(&w_sq);
+        });
+        cases.push(Case::new(
+            format!("cocg_update_c64_s{sw}"),
+            format!("n={n} s={sw}"),
+            secs,
+            24.0 * (n * sw * sw) as f64,
+        ));
+    }
+}
+
+/// One whole block-COCG iteration (operator apply, `μ`, the fused update,
+/// the direction update, two `s × s` solves) against the Sternheimer
+/// operator, at the grid sizes and block widths of the end-to-end
+/// workloads. `secs` is per iteration: a fixed-length solve that cannot
+/// converge, divided by its iteration count.
+fn cocg_iter_cases(reps: usize, cases: &mut Vec<Case>) {
+    const ITERS: usize = 24;
+    for (sw, ppc, boundary) in [
+        (1usize, 14usize, Boundary::Periodic),
+        (2, 14, Boundary::Periodic),
+        (1, 7, Boundary::Periodic),
+        (4, 8, Boundary::Dirichlet),
+    ] {
+        let crystal = SiliconSpec {
+            points_per_cell: ppc,
+            boundary,
+            ..SiliconSpec::default()
+        }
+        .build();
+        let ham = Hamiltonian::new(&crystal, 2, &PotentialParams::default());
+        let (lambda, omega) = (-0.2, 0.5);
+        let op = SternheimerLinOp::new(SternheimerOperator::new(&ham, lambda, omega));
+        let n = ham.dim();
+        let b = filled::<C64>(n, sw, 0xc0c6 + sw as u64);
+        let opts = CocgOptions {
+            tol: 0.0,
+            max_iters: ITERS,
+            ..CocgOptions::default()
+        };
+        let mut ws = Workspace::new();
+        let mut iterations = 0;
+        let secs = time_best(reps, &mut || {
+            let (x, rep) = block_cocg_ws(&op, &b, None, &opts, None, &mut ws);
+            iterations = rep.iterations;
+            black_box(x);
+        });
+        assert_eq!(
+            iterations, ITERS,
+            "the timed solve must run its full length"
+        );
+        // real flops: the operator on s columns plus five n·s² complex products
+        let flops = (sw * op.apply_flops() + 40 * n * sw * sw) as f64;
+        cases.push(Case::new(
+            format!("cocg_iter_c64_s{sw}_n{n}"),
+            format!("grid={ppc}x{ppc}x{ppc} radius=2 s={sw} lambda={lambda} omega={omega} iters={ITERS}"),
+            secs / ITERS as f64,
+            flops,
+        ));
+    }
+}
+
 // ---------------------------------------------------------------------
 // JSON emission + validation (schema `mbrpa_schema::KERNELS_BENCH`)
 // ---------------------------------------------------------------------
@@ -340,8 +429,9 @@ fn main() {
 
     let threads = threads.unwrap_or_else(rayon::current_num_threads);
     let reps = if smoke { 3 } else { 9 };
-    // Stencil cases run in ~1 ms, so a best-of-7 is one scheduler blip
-    // away from garbage; they get more samples for the same wall time.
+    // Stencil, COCG-update and COCG-iteration cases run in ~1 ms or less,
+    // so a best-of-7 is one scheduler blip away from garbage; they get
+    // more samples for the same wall time.
     let stencil_reps = if smoke { 5 } else { 25 };
     let run = || {
         let mut cases: Vec<Case> = Vec::new();
@@ -349,6 +439,8 @@ fn main() {
         sternheimer_case(smoke, stencil_reps, &mut cases);
         gemm_cases(smoke, reps, &mut cases);
         reduce_cases(smoke, &mut cases);
+        cocg_update_cases(stencil_reps, &mut cases);
+        cocg_iter_cases(stencil_reps, &mut cases);
         cases
     };
     let cases = mbrpa_bench::with_threads(threads, run);

@@ -30,6 +30,40 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// Least Sternheimer work (grid points × columns × occupied orbitals) one
+/// pool thread must be handed before a `χ⁰` apply fans its tasks out over
+/// rayon; with less, the same tasks run back to back on the calling thread,
+/// in the same order and with the same arithmetic. 2¹⁴ is about 5 ms of
+/// solves. A fan-out pays only once the pool's sleeping helper runs on a
+/// core of its own, and a helper the kernel wakes on the caller's core is
+/// moved off it at a scheduler tick (4 ms at `HZ=250`): a task list shorter
+/// than that ran on one core or on two depending on where the tick fell,
+/// and the same job took 20 or 33 ms from one submission to the next
+/// (EXPERIMENTS.md, "`solve_s` on `serve_mix`").
+const MIN_FAN_OUT_WORK: usize = 1 << 14;
+
+/// `f(index, item)` over `items`, results in input order: across the pool
+/// when `fan_out`, otherwise one after another on the calling thread.
+fn map_tasks<T: Sync, R: Send>(
+    items: &[T],
+    fan_out: bool,
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    if fan_out {
+        items
+            .par_iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect()
+    } else {
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect()
+    }
+}
+
 /// When to apply the inverse shifted-Laplacian preconditioner (the
 /// paper's §V: "such a preconditioner … should be dynamically applied
 /// only in those cases" — the difficult Sternheimer systems).
@@ -266,28 +300,32 @@ impl<'a> DielectricOperator<'a> {
             .clone()
     }
 
-    /// One orbital's contribution to `χ⁰V` for a set of columns
-    /// (one line of Eq. 6 plus its share of Eq. 5): solves
-    /// `(H − λ_j + iω) Y_j = −V ⊙ Ψ_j` and returns
-    /// `2·g_σ·Re(Ψ_j ⊙ Y_j)` (with `g_σ = 2` this is the paper's `4·Re`).
     /// Has the attached [`CancelToken`] (if any) been set?
     fn cancel_requested(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
+    /// One orbital's contribution to `χ⁰V` for a set of columns
+    /// (one line of Eq. 6 plus its share of Eq. 5): solves
+    /// `(H − λ_j + iω) Y_j = −V ⊙ Ψ_j` and adds
+    /// `2·g_σ·Re(Ψ_j ⊙ Y_j)` (with `g_σ = 2` this is the paper's `4·Re`)
+    /// to `acc`. `b` is the caller's right-hand-side buffer, the shape of
+    /// `v`, overwritten here and reused from orbital to orbital.
     fn orbital_contribution(
         &self,
         channel: usize,
         j: usize,
         v: &Mat<f64>,
+        b: &mut Mat<C64>,
+        acc: &mut Mat<f64>,
         stats: &mut WorkerStats,
-    ) -> Mat<f64> {
-        // Early-exit between Sternheimer solves: the returned block is
-        // truncated garbage, which is sound because the one-way token
-        // guarantees every downstream consumer observes the cancellation
-        // and discards the whole application (see `crate::cancel`).
+    ) {
+        // Early-exit between Sternheimer solves: `acc` is left truncated,
+        // which is sound because the one-way token guarantees every
+        // downstream consumer observes the cancellation and discards the
+        // whole application (see `crate::cancel`).
         if self.cancel_requested() {
-            return Mat::zeros(self.ham.dim(), v.cols());
+            return;
         }
         let ch = &self.channels[channel];
         let n = self.ham.dim();
@@ -300,7 +338,6 @@ impl<'a> DielectricOperator<'a> {
         };
         let psi_j = ch.psi.col(j);
         // B = −V ⊙ Ψ_j
-        let mut b = Mat::<C64>::zeros(n, w);
         for c in 0..w {
             let vc = v.col(c);
             let bc = b.col_mut(c);
@@ -314,7 +351,7 @@ impl<'a> DielectricOperator<'a> {
                 ch.energies,
                 ch.energies[j],
                 self.omega,
-                &b,
+                b,
             ))
         } else {
             None
@@ -337,7 +374,7 @@ impl<'a> DielectricOperator<'a> {
         let it_before = stats.iterations;
         let out = solve_multi_rhs_pre(
             &stern,
-            &b,
+            b,
             guess.as_ref(),
             &cocg_opts,
             self.settings.policy,
@@ -356,27 +393,24 @@ impl<'a> DielectricOperator<'a> {
         // 2·g_σ·Re(Ψ_j ⊙ Y_j): the ± iω conjugate-pair combination gives
         // the 2, the channel degeneracy the g_σ (= 4·Re for closed shells)
         let factor = 2.0 * ch.degeneracy;
-        let mut acc = Mat::zeros(n, w);
         for c in 0..w {
             let yc = out.solution.col(c);
             let ac = acc.col_mut(c);
             for i in 0..n {
-                ac[i] = factor * psi_j[i] * yc[i].re;
+                ac[i] += factor * psi_j[i] * yc[i].re;
             }
         }
-        acc
     }
 
     /// `χ⁰V` for one worker's columns (Algorithm 7 lines 3–6); `v` already
     /// contains `ν½V` when called from the dielectric product.
     fn chi0_columns(&self, v: &Mat<f64>, stats: &mut WorkerStats) -> Mat<f64> {
-        let n = self.ham.dim();
-        let w = v.cols();
+        let (n, w) = (self.ham.dim(), v.cols());
         let mut acc = Mat::zeros(n, w);
+        let mut b = Mat::<C64>::zeros(n, w);
         for (sigma, ch) in self.channels.iter().enumerate() {
             for j in 0..ch.energies.len() {
-                let contrib = self.orbital_contribution(sigma, j, v, stats);
-                acc.axpy(1.0, &contrib);
+                self.orbital_contribution(sigma, j, v, &mut b, &mut acc, stats);
             }
         }
         acc
@@ -403,10 +437,18 @@ impl<'a> DielectricOperator<'a> {
         // flat counters/series flushed per closure.
         let _stern_span = mbrpa_obs::span("sternheimer");
         let obs_on = mbrpa_obs::enabled();
-        let ctx_label = format!("omega={:.4}", self.omega);
+        let ctx_label = if obs_on {
+            format!("omega={:.4}", self.omega)
+        } else {
+            String::new()
+        };
         if obs_on {
             mbrpa_obs::add("chi0.applications", cols as u64);
         }
+
+        let n_orbitals: usize = self.channels.iter().map(|ch| ch.energies.len()).sum();
+        // whether `slots` concurrent tasks each get enough of this apply
+        let worth_fanning_out = |slots: usize| n * cols * n_orbitals >= slots * MIN_FAN_OUT_WORK;
 
         let mut result = match self.settings.distribution {
             WorkDistribution::StaticColumns => {
@@ -417,10 +459,8 @@ impl<'a> DielectricOperator<'a> {
                 // instead of oversubscribing the pool.
                 let _outer = mbrpa_grid::par::outer_scope(p);
                 let ranges = partition_columns(cols.max(1), p);
-                let pieces: Vec<(usize, usize, Mat<f64>, WorkerStats)> = ranges
-                    .par_iter()
-                    .enumerate()
-                    .map(|(widx, range)| {
+                let pieces: Vec<(usize, usize, Mat<f64>, WorkerStats)> =
+                    map_tasks(&ranges, worth_fanning_out(p), |widx, range| {
                         if obs_on {
                             mbrpa_obs::set_context(&ctx_label);
                         }
@@ -435,8 +475,7 @@ impl<'a> DielectricOperator<'a> {
                             mbrpa_obs::flush_thread();
                         }
                         (widx, range.start, out, stats)
-                    })
-                    .collect();
+                    });
                 let mut result = Mat::zeros(n, cols);
                 // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
                 let mut merged = self.stats.lock().expect("stats mutex poisoned");
@@ -457,19 +496,18 @@ impl<'a> DielectricOperator<'a> {
                 // of the static partition disappears (§V)
                 let width = chunk_width.max(1).min(cols.max(1));
                 let n_chunks = cols.div_ceil(width).max(1);
-                // pre-apply ν½ per chunk (cheap, parallel)
-                let chunks: Vec<(usize, Mat<f64>)> = (0..n_chunks)
-                    .into_par_iter()
-                    .map(|c| {
-                        let start = c * width;
-                        let count = width.min(cols - start);
-                        let mut local = v.columns(start, count);
-                        if with_nu_sqrt {
-                            self.coulomb.apply_nu_sqrt_block(&mut local);
-                        }
-                        (start, local)
-                    })
-                    .collect();
+                let slots = (n_chunks * n_orbitals).min(rayon::current_num_threads());
+                let fan_out = worth_fanning_out(slots);
+                // pre-apply ν½ per chunk (cheap)
+                let starts: Vec<usize> = (0..n_chunks).map(|c| c * width).collect();
+                let chunks: Vec<(usize, Mat<f64>)> = map_tasks(&starts, fan_out, |_, &start| {
+                    let count = width.min(cols - start);
+                    let mut local = v.columns(start, count);
+                    if with_nu_sqrt {
+                        self.coulomb.apply_nu_sqrt_block(&mut local);
+                    }
+                    (start, local)
+                });
                 let tasks: Vec<(usize, usize, usize)> = (0..n_chunks)
                     .flat_map(|c| {
                         self.channels
@@ -484,23 +522,23 @@ impl<'a> DielectricOperator<'a> {
                 // thread at a time; register that with the guard so the
                 // per-task solver kernels stay serial while stealing is
                 // active.
-                let _outer =
-                    mbrpa_grid::par::outer_scope(tasks.len().min(rayon::current_num_threads()));
-                let pieces: Vec<(usize, Mat<f64>, WorkerStats)> = tasks
-                    .par_iter()
-                    .map(|&(c, sigma, j)| {
+                let _outer = mbrpa_grid::par::outer_scope(slots);
+                let pieces: Vec<(usize, Mat<f64>, WorkerStats)> =
+                    map_tasks(&tasks, fan_out, |_, &(c, sigma, j)| {
                         if obs_on {
                             mbrpa_obs::set_context(&ctx_label);
                         }
                         let mut stats = WorkerStats::new();
-                        let contrib = self.orbital_contribution(sigma, j, &chunks[c].1, &mut stats);
+                        let v_c = &chunks[c].1;
+                        let mut contrib = Mat::zeros(n, v_c.cols());
+                        let mut b = Mat::<C64>::zeros(n, v_c.cols());
+                        self.orbital_contribution(sigma, j, v_c, &mut b, &mut contrib, &mut stats);
                         if obs_on {
                             mbrpa_obs::clear_context();
                             mbrpa_obs::flush_thread();
                         }
                         (chunks[c].0, contrib, stats)
-                    })
-                    .collect();
+                    });
                 let mut result = Mat::zeros(n, cols);
                 // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
                 let mut merged = self.stats.lock().expect("stats mutex poisoned");
@@ -657,6 +695,29 @@ mod tests {
             "partition must not change the math: {}",
             o1.max_abs_diff(&o4)
         );
+    }
+
+    #[test]
+    fn fanned_out_apply_equals_its_workers_run_one_by_one() {
+        // the other tests here sit below MIN_FAN_OUT_WORK and never leave
+        // the calling thread; 48 columns over 2 workers go through the pool
+        let f = fixture();
+        let n = f.ham.dim();
+        let cols = 48;
+        assert!(n * cols * f.energies.len() >= 2 * MIN_FAN_OUT_WORK);
+        let v = Mat::from_fn(n, cols, |i, j| ((i * 3 + j * 7) % 23) as f64 * 0.04 - 0.44);
+        let pooled = op(&f, 0.7, 2).apply_dielectric_block(&v);
+        for range in partition_columns(cols, 2) {
+            let alone = op(&f, 0.7, 1).apply_dielectric_block(&v.columns(range.start, range.count));
+            for c in 0..range.count {
+                let same = pooled
+                    .col(range.start + c)
+                    .iter()
+                    .zip(alone.col(c))
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "column {} differs", range.start + c);
+            }
+        }
     }
 
     #[test]

@@ -76,21 +76,24 @@ impl Hamiltonian {
     /// `out = H v` for one vector (real or complex).
     pub fn apply<T: Scalar>(&self, v: &[T], out: &mut [T]) {
         self.lap.apply(v, out);
-        self.apply_tail(v, out);
+        self.apply_tail(v, out, |p, x| x.scale(p));
     }
 
     /// Telemetry-free single-vector apply; block drivers call this from
     /// worker tasks and record counters once on the calling thread.
     pub fn apply_raw<T: Scalar>(&self, v: &[T], out: &mut [T]) {
         self.lap.apply_raw(v, out);
-        self.apply_tail(v, out);
+        self.apply_tail(v, out, |p, x| x.scale(p));
     }
 
-    /// Finish `H v` given `out = ∇² v`: scale by −½ while adding
-    /// `V_loc ⊙ v`, then the non-local projector term.
-    fn apply_tail<T: Scalar>(&self, v: &[T], out: &mut [T]) {
+    /// Finish `H v` given `out = ∇² v`: one pass over the grid scales by
+    /// −½ while adding the diagonal term, then the sparse non-local
+    /// projector term follows. `diag(V_loc[i], v[i])` is the diagonal
+    /// term: `V_loc ⊙ v` for `H` itself, and `((V_loc − λ) + iω) ⊙ v` for
+    /// the Sternheimer operator, whose shift so costs no second pass.
+    fn apply_tail<T: Scalar>(&self, v: &[T], out: &mut [T], diag: impl Fn(f64, T) -> T) {
         for ((o, &x), &p) in out.iter_mut().zip(v.iter()).zip(self.vloc.iter()) {
-            *o = o.scale(-0.5) + x.scale(p);
+            *o = o.scale(-0.5) + diag(p, x);
         }
         if let Some(nl) = &self.nonlocal {
             nl.apply_add(v, out);
@@ -211,25 +214,27 @@ impl<'a> SternheimerOperator<'a> {
 
     /// `out = (H − λ + iω) v`.
     pub fn apply(&self, v: &[C64], out: &mut [C64]) {
-        self.ham.apply(v, out);
-        self.shift_tail(v, out);
+        self.ham.lap.apply(v, out);
+        self.shifted_tail(v, out);
     }
 
     /// Telemetry-free single-vector apply; block drivers call this from
     /// worker tasks and record counters once on the calling thread.
     pub fn apply_raw(&self, v: &[C64], out: &mut [C64]) {
-        self.ham.apply_raw(v, out);
-        self.shift_tail(v, out);
+        self.ham.lap.apply_raw(v, out);
+        self.shifted_tail(v, out);
     }
 
-    fn shift_tail(&self, v: &[C64], out: &mut [C64]) {
-        let shift = C64::new(-self.lambda, self.omega);
-        for (o, &x) in out.iter_mut().zip(v.iter()) {
-            *o += shift * x;
-        }
+    /// The tail of `H` with `(V_loc − λ) + iω` as its diagonal coefficient:
+    /// `out` and `v` are each streamed once.
+    fn shifted_tail(&self, v: &[C64], out: &mut [C64]) {
+        let (lambda, omega) = (self.lambda, self.omega);
+        self.ham
+            .apply_tail(v, out, |p, x| C64::new(p - lambda, omega) * x);
     }
 
-    /// Block application, one column at a time, splitting the columns
+    /// Block application: the fused single-vector apply per column (the
+    /// stencil works one vector at a time, §III-C), splitting the columns
     /// across threads when [`mbrpa_grid::par::block_apply_chunks`] says the
     /// pool has idle capacity.
     pub fn apply_block(&self, v: &Mat<C64>, out: &mut Mat<C64>) {
@@ -265,7 +270,8 @@ impl<'a> SternheimerOperator<'a> {
 
     /// FLOPs of one application to one vector.
     pub fn apply_flops(&self) -> usize {
-        // complex arithmetic ≈ 4× real per multiply-add on the real stencil
+        // every coefficient of H is real, so complex data costs 2× the
+        // real apply (re and im separately); the complex shift adds 8/point
         2 * self.ham.apply_flops() + 8 * self.dim()
     }
 }

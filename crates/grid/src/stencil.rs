@@ -169,7 +169,9 @@ impl Laplacian {
     /// The vector is first copied into a halo'd scratch volume with `r`
     /// extra planes on every face (wrapped copies for periodic
     /// boundaries, zeros for Dirichlet — a `w·0` FMA contributes exactly
-    /// nothing), after which every output point applies the **same**
+    /// nothing; only the face slabs the cross reads are filled, not the
+    /// edge and corner regions), after which every output point applies
+    /// the **same**
     /// `6r + 1` uniform `(weight, signed offset)` terms with no boundary
     /// branch anywhere: one [`mbrpa_simd::stencil_rows_on`] call sweeps
     /// the whole volume, accumulating all terms into each output element
@@ -196,9 +198,10 @@ impl Laplacian {
         // Halo'd scratch volume, (nz + 2r) × (ny + 2r) slabs of rows of
         // nxc + 2·rc components, reused across applies (a fresh 100s-of-kB
         // allocation per call would pay page faults for the whole volume
-        // every time). Every element is written on every call — rows with
-        // a source are copied, rows and side halos without one (Dirichlet)
-        // are explicitly zeroed — so no stale data survives reuse.
+        // every time). Every element the sweep reads is written on every
+        // call — rows with a source are copied, rows and side halos
+        // without one (Dirichlet) are explicitly zeroed — so no stale
+        // data is ever read.
         let (hx, hy, hz) = (nxc + 2 * rc, ny + 2 * r, nz + 2 * r);
         HALO_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
@@ -223,27 +226,37 @@ impl Laplacian {
                     .collect()
             };
             let (ktab, jtab) = (wrap_tab(nz), wrap_tab(ny));
+            // Only the faces are filled: an axis-aligned cross never
+            // reads an edge or corner region of the halo (a point offset
+            // along two axes at once), so z-halo slabs get their ny×nx
+            // core, y-halo rows their nx core, and x halos exist on core
+            // rows alone. What is skipped keeps stale — initialised,
+            // never read — values.
             for (kh, slab) in halo.chunks_exact_mut(hy * hx).enumerate() {
                 let ks = ktab[kh];
-                if ks < 0 {
-                    slab.fill(0.0);
-                    continue;
-                }
-                let vslab = &vc[ks as usize * ny * nxc..][..ny * nxc];
-                for (jh, dst) in slab.chunks_exact_mut(hx).enumerate() {
+                let z_core = (r..r + nz).contains(&kh);
+                let vslab = (ks >= 0).then(|| &vc[ks as usize * ny * nxc..][..ny * nxc]);
+                let rows = if z_core { 0..hy } else { r..r + ny };
+                for jh in rows {
+                    let dst = &mut slab[jh * hx..(jh + 1) * hx];
                     let js = jtab[jh];
-                    if js < 0 {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let row = &vslab[js as usize * nxc..][..nxc];
+                    let yz_core = z_core && (r..r + ny).contains(&jh);
+                    let row = match vslab {
+                        Some(vslab) if js >= 0 => &vslab[js as usize * nxc..][..nxc],
+                        _ => {
+                            dst[rc..rc + nxc].fill(0.0);
+                            continue;
+                        }
+                    };
                     dst[rc..rc + nxc].copy_from_slice(row);
-                    if periodic {
-                        dst[..rc].copy_from_slice(&row[nxc - rc..]);
-                        dst[rc + nxc..].copy_from_slice(&row[..rc]);
-                    } else {
-                        dst[..rc].fill(0.0);
-                        dst[rc + nxc..].fill(0.0);
+                    if yz_core {
+                        if periodic {
+                            dst[..rc].copy_from_slice(&row[nxc - rc..]);
+                            dst[rc + nxc..].copy_from_slice(&row[..rc]);
+                        } else {
+                            dst[..rc].fill(0.0);
+                            dst[rc + nxc..].fill(0.0);
+                        }
                     }
                 }
             }
@@ -474,6 +487,32 @@ mod tests {
         let oracle = kron_sum_oracle(&g, 3, &v);
         for (a, b) in out.iter().zip(oracle.iter()) {
             assert!((a - b).abs() < 1e-11, "{a} vs {b}");
+        }
+    }
+
+    /// Only the face slabs of the halo'd scratch are refilled per apply, so
+    /// its edge and corner regions hold whatever an earlier apply on this
+    /// thread left at those flat positions. Poison them through a larger
+    /// grid first: if the sweep read a single one, the 1e200s would show.
+    #[test]
+    fn matches_kronecker_sum_for_every_radius_over_a_poisoned_scratch() {
+        for bc in [Boundary::Periodic, Boundary::Dirichlet] {
+            for r in 1..=4 {
+                let big = Grid3::new((13, 12, 14), (0.5, 0.5, 0.5), Boundary::Periodic);
+                let poison = vec![1e200; big.len()];
+                let mut sink = vec![0.0; big.len()];
+                Laplacian::new(big, r).apply(&poison, &mut sink);
+
+                let g = Grid3::new((2 * r + 2, 2 * r + 4, 2 * r + 3), (0.5, 0.6, 0.7), bc);
+                let lap = Laplacian::new(g, r);
+                let v = test_vec(g.len(), 17 + r as u64);
+                let mut out = vec![0.0; g.len()];
+                lap.apply(&v, &mut out);
+                let oracle = kron_sum_oracle(&g, r, &v);
+                for (a, b) in out.iter().zip(oracle.iter()) {
+                    assert!((a - b).abs() < 1e-10, "{bc:?} r={r}: {a} vs {b}");
+                }
+            }
         }
     }
 

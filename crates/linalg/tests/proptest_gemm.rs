@@ -118,6 +118,40 @@ fn check_field<T: Scalar>(m: usize, k: usize, n: usize, sel: u64, seed: u64) -> 
     Ok(())
 }
 
+/// Complex `matmul_tn_into` with at most four columns a side (the
+/// pack-free `thin_gram_c64` sweep) against the naive oracle and against
+/// the blocked Gram driver, which the same product reaches once both
+/// operands are padded to five columns. The output starts NaN-filled: it
+/// must be overwritten, not read. Row counts are ragged on purpose (odd,
+/// and not a multiple of any lane width).
+fn check_thin_gram(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
+    type T = C64;
+    let mut rng = Rng(seed | 1);
+    let a: Mat<T> = filled(m, k, &mut rng);
+    let g: Mat<T> = filled(m, n, &mut rng);
+    let nan = T::from_re(f64::NAN);
+    let wide = 5;
+    let mut tn = Mat::from_fn(k, n, |_, _| nan);
+    matmul_tn_into(&a, &g, &mut tn);
+    let a_wide = Mat::from_fn(m, wide, |i, l| if l < k { a[(i, l)] } else { T::one() });
+    let g_wide = Mat::from_fn(m, wide, |i, j| if j < n { g[(i, j)] } else { T::one() });
+    let mut tn_wide = Mat::zeros(wide, wide);
+    matmul_tn_into(&a_wide, &g_wide, &mut tn_wide);
+    for j in 0..n {
+        for i in 0..k {
+            let mut dt = T::zero();
+            for r in 0..m {
+                dt += a[(r, i)] * g[(r, j)];
+            }
+            let tol = 1e-13 * (m as f64).max(1.0);
+            if !((tn[(i, j)] - dt).abs() <= tol && (tn[(i, j)] - tn_wide[(i, j)]).abs() <= tol) {
+                return Err(format!("thin matmul_tn at ({i},{j}), m={m} k={k} n={n}"));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -135,6 +169,18 @@ proptest! {
         }
         if let Err(e) = check_field::<C64>(m, k, n, sel, seed ^ 0xABCD) {
             prop_assert!(false, "C64: {e}");
+        }
+    }
+
+    #[test]
+    fn thin_gram_matches_oracle_and_blocked_path(
+        m in 0usize..40,
+        k in 0usize..5,
+        n in 0usize..5,
+        seed in 1u64..u64::MAX,
+    ) {
+        if let Err(e) = check_thin_gram(m, k, n, seed) {
+            prop_assert!(false, "{e}");
         }
     }
 

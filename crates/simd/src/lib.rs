@@ -4,8 +4,9 @@
 //! `core::arch` intrinsics (enforced by the mbrpa-lint `arch_intrinsics`
 //! rule). It exposes a *safe* slice-level API — scaled copies, fused
 //! axpy variants, Chebyshev shift/scale updates, complex axpy/axpby,
-//! lane-split dot products and norms, BLIS-style GEMM microkernels, and
-//! Gram tiles — and picks the fastest available backend at runtime:
+//! lane-split dot products and norms, BLIS-style GEMM microkernels,
+//! Gram tiles, and the pack-free thin-block kernels of block COCG — and
+//! picks the fastest available backend at runtime:
 //!
 //! | path     | arch     | selected when                                  |
 //! |----------|----------|------------------------------------------------|
@@ -41,7 +42,7 @@ mod avx2;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 
-pub use lanes::{C64_LANES, F64_LANES, GRAM_C64_LANES, GRAM_F64_LANES};
+pub use lanes::{C64_LANES, F64_LANES, GRAM_C64_LANES, GRAM_F64_LANES, THIN_MAX};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -600,6 +601,150 @@ pub fn gram2_c64_on(
 #[inline]
 pub fn gram2_c64(conj: bool, a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64], out: &mut [f64; 8]) {
     gram2_c64_on(active(), conj, a0, a1, b0, b1, out)
+}
+
+// ---------------------------------------------------------------------------
+// Thin-block kernels: `rows × s` complex blocks (column-major, interleaved
+// `[re, im, …]`, columns `rows` apart) against `s × s` coefficients held in
+// registers, `s ≤ THIN_MAX`. They are what block COCG costs per iteration
+// besides the operator, at the block sizes every solve runs at.
+// ---------------------------------------------------------------------------
+
+/// The thin-block kernels have an AVX2 body and the scalar twin; on NEON
+/// the twin runs (bit-identical by contract, like any unavailable path).
+macro_rules! dispatch_thin {
+    ($d:expr, $name:ident ( $($arg:expr),* )) => {
+        match $d {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the Avx2 path is only offered by `available()` (and
+            // accepted by `force`/env resolution) when CPUID reports both
+            // `avx2` and `fma`.
+            Dispatch::Avx2 => unsafe { avx2::$name($($arg),*) },
+            _ => scalar::$name($($arg),*),
+        }
+    };
+}
+
+/// Panic unless `x` is a `rows × cols` interleaved complex block.
+#[inline]
+fn assert_block(what: &str, x: &[f64], rows: usize, cols: usize) {
+    assert_eq!(
+        Some(x.len()),
+        rows.checked_mul(2 * cols),
+        "{what} is not a {rows}×{cols} complex block"
+    );
+}
+
+#[inline]
+fn assert_thin(what: &str, s: usize) {
+    assert!(
+        (1..=THIN_MAX).contains(&s),
+        "{what} = {s} is outside the thin-block range 1..={THIN_MAX}"
+    );
+}
+
+/// Pack-free thin Gram `out = AᵀB` (unconjugated, the COCG bilinear
+/// form) on the given path: `a` is `rows × k`, `b` is `rows × n`, `out`
+/// is `k × n`, `1 ≤ k, n ≤ THIN_MAX`; `out` is overwritten and never
+/// read. Same lane layout as [`cocg_update_c64_on`] (row `i` in complex
+/// lane `i mod 2`), so `thin_gram(W, W)` equals the `rho` that kernel
+/// returns bit for bit.
+#[inline]
+pub fn thin_gram_c64_on(
+    d: Dispatch,
+    rows: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+) {
+    assert_thin("k", k);
+    assert_thin("n", n);
+    assert_block("a", a, rows, k);
+    assert_block("b", b, rows, n);
+    assert_block("out", out, k, n);
+    dispatch_thin!(d, thin_gram_c64(rows, k, n, a, b, out))
+}
+
+/// Pack-free thin Gram `out = AᵀB` on the active path.
+#[inline]
+pub fn thin_gram_c64(rows: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+    thin_gram_c64_on(active(), rows, k, n, a, b, out)
+}
+
+/// Lines 9–11 of block COCG (Alg. 3) in one sweep over the rows, on the
+/// given path: `X += P·α`, `W −= U·α`, and on the way out the
+/// complex-symmetric Gram `rho = WᵀW` of the updated residual (`s × s`,
+/// exactly symmetric) together with `w_sq[j] = ‖w_j‖²`. All four blocks
+/// are `rows × s`, `alpha` and `rho` are `s × s`, `1 ≤ s ≤ THIN_MAX`.
+/// The reductions use two complex lanes (row `i` in lane `i mod 2`) and
+/// the shared lane folds, so every path returns the same bits.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn cocg_update_c64_on(
+    d: Dispatch,
+    rows: usize,
+    s: usize,
+    p: &[f64],
+    u: &[f64],
+    alpha: &[f64],
+    x: &mut [f64],
+    w: &mut [f64],
+    rho: &mut [f64],
+    w_sq: &mut [f64],
+) {
+    assert_thin("s", s);
+    assert_block("p", p, rows, s);
+    assert_block("u", u, rows, s);
+    assert_block("x", x, rows, s);
+    assert_block("w", w, rows, s);
+    assert_block("alpha", alpha, s, s);
+    assert_block("rho", rho, s, s);
+    assert_eq!(w_sq.len(), s, "one squared norm per column");
+    dispatch_thin!(d, cocg_update_c64(rows, s, p, u, alpha, x, w, rho, w_sq))
+}
+
+/// Fused block COCG update on the active path.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn cocg_update_c64(
+    rows: usize,
+    s: usize,
+    p: &[f64],
+    u: &[f64],
+    alpha: &[f64],
+    x: &mut [f64],
+    w: &mut [f64],
+    rho: &mut [f64],
+    w_sq: &mut [f64],
+) {
+    cocg_update_c64_on(active(), rows, s, p, u, alpha, x, w, rho, w_sq)
+}
+
+/// Line 5 of block COCG in place, on the given path: `P ← Z + P·β` with
+/// `z`, `p` `rows × s` and `beta` `s × s`, `1 ≤ s ≤ THIN_MAX`. Every
+/// `p_l` of a row is read before any is written.
+#[inline]
+pub fn cocg_direction_c64_on(
+    d: Dispatch,
+    rows: usize,
+    s: usize,
+    z: &[f64],
+    beta: &[f64],
+    p: &mut [f64],
+) {
+    assert_thin("s", s);
+    assert_block("z", z, rows, s);
+    assert_block("p", p, rows, s);
+    assert_block("beta", beta, s, s);
+    dispatch_thin!(d, cocg_direction_c64(rows, s, z, beta, p))
+}
+
+/// In-place direction update `P ← Z + P·β` on the active path.
+#[inline]
+pub fn cocg_direction_c64(rows: usize, s: usize, z: &[f64], beta: &[f64], p: &mut [f64]) {
+    cocg_direction_c64_on(active(), rows, s, z, beta, p)
 }
 
 #[cfg(test)]

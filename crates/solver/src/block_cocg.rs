@@ -35,7 +35,7 @@ use crate::operator::LinearOperator;
 use crate::precond::Preconditioner;
 use crate::stats::SolveReport;
 use crate::workspace::{with_thread_workspace, Workspace};
-use mbrpa_linalg::{exactly_zero, matmul_into, matmul_tn_into, Mat, C64};
+use mbrpa_linalg::{exactly_zero, matmul_into, matmul_tn_into, Mat, Scalar, C64};
 
 /// Options for [`block_cocg`].
 #[derive(Clone, Copy, Debug)]
@@ -133,7 +133,7 @@ fn equilibrated_solve_into(
     }
 
     // G̃ = S G S, built and factored in one pooled buffer.
-    let mut lu = ws.take_zeroed(s, s);
+    let mut lu = ws.take_scratch(s, s);
     for j in 0..s {
         for i in 0..s {
             lu[(i, j)] = g[(i, j)].scale(scale[i] * scale[j]);
@@ -263,6 +263,24 @@ fn refresh_z(precond: Option<&dyn Preconditioner>, w: &Mat<C64>, z: &mut Option<
     }
 }
 
+/// `out[j] = ‖w_j‖²` (the dispatched lane-split reduction per column).
+fn col_norms_sq(w: &Mat<C64>, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(
+        w.col_iter()
+            .map(|c| mbrpa_simd::nrm2_sq(C64::as_components(c))),
+    );
+}
+
+/// Interleaved `[re, im, …]` view of a whole block.
+fn comps(m: &Mat<C64>) -> &[f64] {
+    C64::as_components(m.as_slice())
+}
+
+fn comps_mut(m: &mut Mat<C64>) -> &mut [f64] {
+    C64::as_components_mut(m.as_mut_slice())
+}
+
 /// [`block_cocg`] with an explicit [`Workspace`] buffer pool and an
 /// optional preconditioner `M ≈ A⁻¹` (`Z = M·W`, `ρ = WᵀZ`; with `M = I`
 /// the iterates equal the unpreconditioned ones bit for bit).
@@ -271,6 +289,16 @@ fn refresh_z(precond: Option<&dyn Preconditioner>, w: &Mat<C64>, z: &mut Option<
 /// the pool is left balanced on exit, holding every buffer the solve
 /// warmed up, so back-to-back calls at the same problem shape perform no
 /// steady-state heap allocation.
+///
+/// An iteration is three sweeps over `n × s` data: `U = A·P` with
+/// `μ = UᵀP` taken while `U` is hot; lines 9–11 (`X += P·α`, `W −= U·α`,
+/// `ρ₊ = WᵀW`, `‖w_j‖²`); and `P ← Z + P·β`. At `s ≤ 4` — every block the
+/// drivers solve — the last two are single fused `mbrpa-simd` kernels;
+/// wider blocks run the same steps as packed GEMMs and Gram products.
+/// The residual norm, the deflation test and the blow-up guard all read
+/// the `‖w_j‖²` and Gram entries those sweeps produce: a non-finite value
+/// there ends the solve with `converged = false`, and the iterate is
+/// scanned once at exit so a non-finite `X` is never reported converged.
 pub fn block_cocg_ws(
     op: &dyn LinearOperator<C64>,
     b: &Mat<C64>,
@@ -325,41 +353,41 @@ pub fn block_cocg_ws(
     // Active column bookkeeping (rebuilt in place on deflation).
     let mut active: Vec<usize> = (0..s_total).collect();
     let mut keep: Vec<usize> = Vec::with_capacity(s_total);
-    let mut w_norms: Vec<f64> = Vec::with_capacity(s_total);
+    // ‖w_j‖² of every active column, refreshed by each residual update.
+    let mut w_sq: Vec<f64> = Vec::with_capacity(s_total);
     let mut scratch = GaussScratch::with_capacity(s_total);
     let mut b_a = ws.take_copy(b);
     let mut x_a = ws.take_copy(&x_full);
 
+    let one = C64::new(1.0, 0.0);
+    let zero = C64::new(0.0, 0.0);
+
     // W = B − A·X (skip the operator application for a zero guess).
-    let mut w = if x0.is_some() {
-        let mut ax = ws.take_zeroed(n, s_total);
+    let mut w = ws.take_copy(&b_a);
+    if x0.is_some() {
+        let mut ax = ws.take_scratch(n, s_total);
         op.apply_block(&x_a, &mut ax);
         report.matvecs += s_total;
         if obs_on {
             mbrpa_obs::add("solver.cocg.matvecs", s_total as u64);
         }
-        let mut w = ws.take_copy(&b_a);
-        w.axpy(-C64::new(1.0, 0.0), &ax);
+        w.axpy(-one, &ax);
         ws.give(ax);
-        w
-    } else {
-        ws.take_copy(&b_a)
-    };
+    }
+    col_norms_sq(&w, &mut w_sq);
 
-    let mut z = precond.map(|_| ws.take_zeroed(n, s_total));
+    let mut z = precond.map(|_| ws.take_scratch(n, s_total));
     refresh_z(precond, &w, &mut z);
-    let mut rho = ws.take_zeroed(s_total, s_total);
+    let mut rho = ws.take_scratch(s_total, s_total);
     matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho);
     let mut p: Mat<C64> = Mat::zeros(n, 0);
     let mut restart = true; // first iteration: P = Z
-
-    let one = C64::new(1.0, 0.0);
-    let zero = C64::new(0.0, 0.0);
+    let mut blown_up = false;
 
     loop {
         // Global convergence check (Eq. 10 over the full block: deflated
         // columns already satisfy their per-column bound).
-        let res = w.fro_norm() / b_fro;
+        let res = w_sq.iter().sum::<f64>().sqrt() / b_fro;
         debug_assert!(
             res.is_finite(),
             "non-finite block residual norm {res} at iteration {} — NaN \
@@ -383,20 +411,9 @@ pub fn block_cocg_ws(
 
         // Optional deflation: retire individually-converged columns.
         if opts.deflate && active.len() > 1 {
-            w_norms.clear();
-            for j in 0..w.cols() {
-                // Dispatched lane-split reduction — same kernel (and the
-                // same bit pattern) as the matrix-level norms.
-                let col_norm = mbrpa_linalg::vecops::norm2(w.col(j));
-                debug_assert!(
-                    col_norm.is_finite(),
-                    "non-finite residual norm {col_norm} in deflation column {j}"
-                );
-                w_norms.push(col_norm);
-            }
             keep.clear();
             for (local, &global) in active.iter().enumerate() {
-                if w_norms[local] <= opts.tol * b_col_norms[global].max(f64::MIN_POSITIVE) {
+                if w_sq[local].sqrt() <= opts.tol * b_col_norms[global].max(f64::MIN_POSITIVE) {
                     x_full.set_columns(global, &x_a.columns(local, 1));
                 } else {
                     keep.push(local);
@@ -414,7 +431,7 @@ pub fn block_cocg_ws(
                     break;
                 }
                 let select = |ws: &mut Workspace<C64>, m: &mut Mat<C64>, keep: &[usize]| {
-                    let mut out = ws.take_zeroed(n, keep.len());
+                    let mut out = ws.take_scratch(n, keep.len());
                     for (newj, &oldj) in keep.iter().enumerate() {
                         out.col_mut(newj).copy_from_slice(m.col(oldj));
                     }
@@ -428,38 +445,51 @@ pub fn block_cocg_ws(
                 }
                 for (newl, &l) in keep.iter().enumerate() {
                     active[newl] = active[l];
+                    w_sq[newl] = w_sq[l];
                 }
                 active.truncate(keep.len());
-                let rho_new = ws.take_zeroed(keep.len(), keep.len());
+                w_sq.truncate(keep.len());
+                let rho_new = ws.take_scratch(keep.len(), keep.len());
                 ws.give(std::mem::replace(&mut rho, rho_new));
                 matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho);
                 restart = true;
             }
         }
 
-        // Line 5: P ← Z + P·β (β folded into `p` before this point; after
-        // a restart, P = Z).
+        // Line 5 after a restart: P = Z (otherwise `p` already holds
+        // `Z + P·β` from the end of the previous iteration).
         if restart {
             let p_new = ws.take_copy(z.as_ref().unwrap_or(&w));
             ws.give(std::mem::replace(&mut p, p_new));
             restart = false;
         }
         let sw = p.cols();
+        let thin = sw <= mbrpa_simd::THIN_MAX;
 
-        // Line 6: U = A·P.
-        let mut u = ws.take_zeroed(n, sw);
+        // Lines 6–7: U = A·P, then μ = UᵀP (= PᵀAP, complex symmetric)
+        // while U is still in cache.
+        let mut u = ws.take_scratch(n, sw);
         op.apply_block(&p, &mut u);
         report.matvecs += sw;
         if obs_on {
             mbrpa_obs::add("solver.cocg.matvecs", sw as u64);
         }
-
-        // Line 7: μ = UᵀP (= PᵀAP, complex symmetric).
-        let mut mu = ws.take_zeroed(sw, sw);
+        let mut mu = ws.take_scratch(sw, sw);
         matmul_tn_into(&u, &p, &mut mu);
+        if mu.has_bad_values() {
+            // the operator returned NaN/Inf: stop before it reaches X
+            ws.give(mu);
+            ws.give(u);
+            blown_up = true;
+            report.iterations += 1;
+            if obs_on {
+                mbrpa_obs::add("solver.cocg.iterations", 1);
+            }
+            break;
+        }
 
         // Line 8: α = μ⁻¹ρ, guarded against breakdown.
-        let mut alpha = ws.take_zeroed(sw, sw);
+        let mut alpha = ws.take_scratch(sw, sw);
         let alpha_ok = equilibrated_solve_into(
             &mu,
             &rho,
@@ -482,7 +512,7 @@ pub fn block_cocg_ws(
                 break;
             }
             // restart: fresh residual from the current iterate
-            let mut ax = ws.take_zeroed(n, x_a.cols());
+            let mut ax = ws.take_scratch(n, x_a.cols());
             op.apply_block(&x_a, &mut ax);
             report.matvecs += x_a.cols();
             if obs_on {
@@ -491,26 +521,59 @@ pub fn block_cocg_ws(
             w.as_mut_slice().copy_from_slice(b_a.as_slice());
             w.axpy(-one, &ax);
             ws.give(ax);
+            col_norms_sq(&w, &mut w_sq);
             refresh_z(precond, &w, &mut z);
             matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho);
             restart = true;
             continue;
         }
 
-        // Line 9: Y ← Y + P·α.
-        matmul_into(one, &p, &alpha, one, &mut x_a);
-        // Line 10: W ← W − U·α.
-        matmul_into(-one, &u, &alpha, one, &mut w);
+        // Lines 9–11: X += P·α, W −= U·α, ρ₊ = WᵀZ and the column norms
+        // of the new residual. Thin blocks do it in one fused sweep (which
+        // yields WᵀW, i.e. ρ₊ when Z = W); wide blocks as separate products.
+        let mut rho_next = ws.take_scratch(sw, sw);
+        if thin {
+            mbrpa_simd::cocg_update_c64(
+                n,
+                sw,
+                comps(&p),
+                comps(&u),
+                comps(&alpha),
+                comps_mut(&mut x_a),
+                comps_mut(&mut w),
+                comps_mut(&mut rho_next),
+                &mut w_sq,
+            );
+            if obs_on {
+                mbrpa_obs::add("linalg.gemm_flops", (16 * n * sw * sw) as u64);
+                mbrpa_obs::add("solver.reduce.gram_flops", (8 * n * sw * sw) as u64);
+            }
+        } else {
+            matmul_into(one, &p, &alpha, one, &mut x_a);
+            matmul_into(-one, &u, &alpha, one, &mut w);
+            col_norms_sq(&w, &mut w_sq);
+        }
         ws.give(alpha);
         ws.give(u);
-        refresh_z(precond, &w, &mut z);
+        let mut finite = w_sq.iter().all(|v| v.is_finite());
+        if finite && !(thin && precond.is_none()) {
+            refresh_z(precond, &w, &mut z);
+            matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho_next);
+        }
+        finite = finite && !rho_next.has_bad_values();
+        if !finite {
+            // numerical blow-up: surface as non-convergence
+            ws.give(rho_next);
+            blown_up = true;
+            report.iterations += 1;
+            if obs_on {
+                mbrpa_obs::add("solver.cocg.iterations", 1);
+            }
+            break;
+        }
 
-        // Line 11: ρ₊ = WᵀZ.
-        let mut rho_next = ws.take_zeroed(sw, sw);
-        matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho_next);
-
-        // Line 12: β = ρ⁻¹ρ₊, then fold into P for the next iteration.
-        let mut beta = ws.take_zeroed(sw, sw);
+        // Line 12: β = ρ⁻¹ρ₊, then line 5 for the next round.
+        let mut beta = ws.take_scratch(sw, sw);
         let beta_ok = equilibrated_solve_into(
             &rho,
             &rho_next,
@@ -520,11 +583,19 @@ pub fn block_cocg_ws(
             &mut beta,
         );
         if beta_ok {
-            // P ← Z + P·β for the next round (line 5, precomputed)
-            let mut p_next = ws.take_zeroed(n, sw);
-            matmul_into(one, &p, &beta, zero, &mut p_next);
-            p_next.axpy(one, z.as_ref().unwrap_or(&w));
-            ws.give(std::mem::replace(&mut p, p_next));
+            // P ← Z + P·β
+            let zw = z.as_ref().unwrap_or(&w);
+            if thin {
+                mbrpa_simd::cocg_direction_c64(n, sw, comps(zw), comps(&beta), comps_mut(&mut p));
+                if obs_on {
+                    mbrpa_obs::add("linalg.gemm_flops", (8 * n * sw * sw) as u64);
+                }
+            } else {
+                let mut p_next = ws.take_scratch(n, sw);
+                matmul_into(one, &p, &beta, zero, &mut p_next);
+                p_next.axpy(one, zw);
+                ws.give(std::mem::replace(&mut p, p_next));
+            }
             ws.give(beta);
         } else {
             ws.give(beta);
@@ -547,12 +618,13 @@ pub fn block_cocg_ws(
         if obs_on {
             mbrpa_obs::add("solver.cocg.iterations", 1);
         }
+    }
 
-        if w.has_bad_values() || x_a.has_bad_values() {
-            // numerical blow-up: surface as non-convergence
-            report.converged = false;
-            break;
-        }
+    // The one scan of the iterate: X can overflow while W stays finite,
+    // and must not pass for a solution when it did.
+    blown_up |= x_a.has_bad_values();
+    if blown_up {
+        report.converged = false;
     }
 
     // scatter the active block back into the full solution
@@ -571,8 +643,9 @@ pub fn block_cocg_ws(
     // Persistent breakdowns with s > 1 mean the block residuals became
     // linearly dependent faster than the recurrence could use them: split
     // the block in half and finish each part from the current iterate
-    // (width-1 COCG cannot block-break down).
-    if !report.converged && report.breakdowns > opts.max_breakdowns && s_total > 1 {
+    // (width-1 COCG cannot block-break down). A blown-up iterate is no
+    // starting point for anything.
+    if !report.converged && !blown_up && report.breakdowns > opts.max_breakdowns && s_total > 1 {
         let remaining = opts.max_iters.saturating_sub(report.iterations);
         if remaining > 0 {
             let half = s_total / 2;

@@ -34,6 +34,14 @@ pub enum BlockPolicy {
 /// Cost model of one block-COCG chunk solve (per §III-B): per iteration,
 /// one operator application on `s` vectors, five `O(n·s²)` products, and
 /// two `O(s³)` solves.
+///
+/// The two halves are not in the same unit: `apply_flops` counts real
+/// flops, while `10·n·s²` (five products, two per multiply-add) and
+/// `4·s³` count *complex* operations, each worth about four real ones.
+/// The model therefore under-weights the block algebra against the
+/// operator by that factor. The constants are the ones Alg. 4's choices
+/// were validated with; re-fitting them changes block sizes and is a
+/// change of its own.
 fn model_cost(op: &dyn LinearOperator<C64>, s: usize, report: &SolveReport) -> f64 {
     let n = op.dim() as f64;
     let sf = s as f64;

@@ -11,7 +11,9 @@ pub trait LinearOperator<T: Scalar>: Sync {
     /// Vector length `n`.
     fn dim(&self) -> usize;
 
-    /// `y = A x` for one vector.
+    /// `y = A x` for one vector. Every entry of `y` is overwritten and
+    /// none is read: the solvers hand in pooled buffers whose contents
+    /// are stale.
     fn apply(&self, x: &[T], y: &mut [T]);
 
     /// `Y = A X`, default column-by-column (stencil-style operators prefer

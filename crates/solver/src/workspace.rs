@@ -94,6 +94,17 @@ impl<T: Scalar> Workspace<T> {
         Mat::from_col_major(rows, cols, v)
     }
 
+    /// Take a `rows × cols` matrix whose contents are unspecified (stale
+    /// values of an earlier use, zeros where the buffer had to grow): for
+    /// outputs the caller overwrites entirely — `U = A·P`, Gram matrices,
+    /// `s × s` solves — where [`take_zeroed`](Workspace::take_zeroed)'s
+    /// fill would be a wasted sweep.
+    pub fn take_scratch(&mut self, rows: usize, cols: usize) -> Mat<T> {
+        let mut v = self.take_vec(rows * cols);
+        v.resize(rows * cols, T::zero());
+        Mat::from_col_major(rows, cols, v)
+    }
+
     /// Take a matrix from the pool initialized as a copy of `src`.
     pub fn take_copy(&mut self, src: &Mat<T>) -> Mat<T> {
         let mut v = self.take_vec(src.as_slice().len());
@@ -182,6 +193,23 @@ mod tests {
         ws.give(a);
         let b = ws.take_zeroed(3, 3);
         assert!(b.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn take_scratch_has_the_shape_and_skips_the_fill() {
+        let mut ws = Workspace::<f64>::new();
+        let mut a = ws.take_zeroed(3, 3);
+        a.fill(7.5);
+        ws.give(a);
+        let b = ws.take_scratch(3, 2);
+        assert_eq!(b.shape(), (3, 2));
+        assert_eq!(ws.fresh_allocs(), 1, "served from the pool");
+        assert!(b.as_slice().iter().all(|&x| x == 7.5), "no fill happened");
+        ws.give(b);
+        // growing past the recycled length zero-fills only the new tail
+        let c = ws.take_scratch(4, 3);
+        assert_eq!(c.as_slice().len(), 12);
+        ws.give(c);
     }
 
     #[test]

@@ -4,9 +4,36 @@
 use mbrpa_linalg::{matmul, Mat, C64};
 use mbrpa_solver::{
     block_cocg, block_cocg_ws, cocg, gmres, qmr_sym, seed_cocg, true_relative_residual,
-    CocgOptions, DenseOperator, GmresOptions, IdentityPreconditioner, QmrOptions, Workspace,
+    CocgOptions, DenseOperator, GmresOptions, IdentityPreconditioner, LinearOperator,
+    Preconditioner, QmrOptions, Workspace,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A dense operator that goes bad: from its `from_call`-th block
+/// application on, every entry of the result is `poison` — NaN or Inf (a
+/// blown-up `U`), or zero (`μ = UᵀP = 0`, a breakdown no restart cures).
+struct FaultyOperator {
+    inner: DenseOperator<C64>,
+    calls: AtomicUsize,
+    from_call: usize,
+    poison: C64,
+}
+
+impl LinearOperator<C64> for FaultyOperator {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn apply(&self, x: &[C64], y: &mut [C64]) {
+        self.inner.apply(x, y);
+    }
+    fn apply_block(&self, x: &Mat<C64>, y: &mut Mat<C64>) {
+        self.inner.apply_block(x, y);
+        if self.calls.fetch_add(1, Ordering::SeqCst) >= self.from_call {
+            y.fill(self.poison);
+        }
+    }
+}
 
 /// Random complex-symmetric `A = S + (d + iω)I`, diagonally dominated so
 /// every draw is solvable.
@@ -122,6 +149,68 @@ proptest! {
             prop_assert_eq!(a.re.to_bits(), c.re.to_bits());
             prop_assert_eq!(a.im.to_bits(), c.im.to_bits());
         }
+    }
+
+    /// An operator that starts returning NaN, Inf or zeros mid-solve ends
+    /// the solve flagged unconverged with a finite iterate — no panic (the
+    /// debug assertions of a test build included), no NaN handed back —
+    /// at every thin block width, with and without a preconditioner.
+    #[test]
+    fn operator_faults_end_unconverged_and_finite(
+        op in operator_strategy(18),
+        b in rhs_strategy(18, 4),
+        from_call in 0usize..4,
+        kind in 0usize..3,
+        preconditioned in any::<bool>(),
+    ) {
+        let poison = [C64::new(f64::NAN, 0.0), C64::new(0.0, f64::INFINITY), C64::new(0.0, 0.0)][kind];
+        let identity = IdentityPreconditioner::new(18);
+        let precond = preconditioned.then_some(&identity as &dyn Preconditioner);
+        for s in [1usize, 2, 4] {
+            let faulty = FaultyOperator {
+                inner: op.clone(),
+                calls: AtomicUsize::new(0),
+                from_call,
+                poison,
+            };
+            let opts = CocgOptions { tol: 1e-12, max_iters: 60, ..CocgOptions::default() };
+            let (x, rep) = block_cocg_ws(
+                &faulty,
+                &b.columns(0, s),
+                None,
+                &opts,
+                precond,
+                &mut Workspace::new(),
+            );
+            prop_assert!(!rep.converged, "s={s} kind={kind}: {rep:?}");
+            prop_assert!(!x.has_bad_values(), "s={s} kind={kind}: non-finite iterate");
+            prop_assert!(rep.iterations <= opts.max_iters + 1);
+        }
+    }
+
+    /// Deflation retires columns one by one as they converge; what it
+    /// hands back still solves the full block.
+    #[test]
+    fn deflated_solution_meets_the_true_residual(op in operator_strategy(20), b in rhs_strategy(20, 4)) {
+        let opts = CocgOptions { tol: 1e-9, deflate: true, ..CocgOptions::default() };
+        let (x, rep) = block_cocg(&op, &b, None, &opts);
+        prop_assume!(rep.converged);
+        prop_assert!(true_relative_residual(&op, &b, &x) < 1e-7);
+    }
+
+    /// Two identical right-hand sides make every Gram matrix singular: the
+    /// block breaks down until the half-split recursion separates them,
+    /// and the halves' solutions still solve the block.
+    #[test]
+    fn half_split_recovers_from_dependent_columns(op in operator_strategy(16), b in rhs_strategy(16, 2)) {
+        let mut twins = Mat::zeros(16, 4);
+        twins.set_columns(0, &b);
+        twins.set_columns(2, &b);
+        let opts = CocgOptions { tol: 1e-9, ..CocgOptions::default() };
+        let (x, rep) = block_cocg(&op, &twins, None, &opts);
+        prop_assert!(rep.breakdowns > opts.max_breakdowns, "no breakdown: {rep:?}");
+        prop_assume!(rep.converged);
+        prop_assert!(true_relative_residual(&op, &twins, &x) < 1e-7);
     }
 
     /// The seed method solves every column correctly.
