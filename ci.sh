@@ -28,6 +28,24 @@ if grep -rnE --include='*.rs' 'u\{:04x\}|fn (hex4|unicode_escape)' crates src te
     exit 1
 fi
 
+# One run path: `RpaSetup::run_with` is the only way into the frequency
+# loop and `RpaSetup::from_input` the only place that picks the KS solver
+# by grid size (crates/e2e rebuilds the rule from outside, crates/bench has
+# its own ladder set-up; both are exempt). A `*_cancellable` twin or a
+# second copy of the size rule is how four entry points grew.
+if grep -rnE --include='*.rs' 'fn \w*_(cancellable|resumable_cancellable)\b' crates/core/src; then
+    echo "ci: a *_cancellable entry point is back under crates/core/src — extend RunOptions instead"
+    exit 1
+fi
+if grep -rnF --include='*.rs' 'n_grid() <= 1000' crates src tests examples \
+    | grep -vE '^crates/(e2e|bench)/' \
+    | grep -v '^crates/core/src/rpa.rs:'; then
+    echo "ci: dense-vs-CheFSI size rule outside RpaSetup::from_input — call from_input"
+    exit 1
+fi
+[ "$(grep -cF 'n_grid() <= 1000' crates/core/src/rpa.rs)" = 1 ] \
+    || { echo "ci: the size rule must appear exactly once, in RpaSetup::from_input"; exit 1; }
+
 # Sanitizer legs: Miri (UB in the unsafe SIMD/linalg kernels) and
 # ThreadSanitizer (data races in the serve executor pool). Both need a
 # nightly toolchain with specific components; when unavailable the legs
@@ -80,6 +98,9 @@ SERVE_ADDR="$(cat "$SERVE_ROOT/addr.txt")"
 RPACLIENT=target/release/examples/rpaclient
 "$RPACLIENT" -addr "$SERVE_ADDR" submit inputs/cluster_smoke.rpa -name ci-smoke
 "$RPACLIENT" -addr "$SERVE_ADDR" wait job-000001
+# nobody interrupted this 3-frequency job: it must not call itself a restart
+grep -q '"n_restored":0' "$SERVE_ROOT/store/jobs/job-000001/result.json" \
+    || { echo "ci: an uninterrupted served job reports restored frequencies"; exit 1; }
 "$RPACLIENT" -addr "$SERVE_ADDR" health
 target/release/rpaserved -validate result "$SERVE_ROOT/store/jobs/job-000001/result.json"
 target/release/rpaserved -validate profile "$SERVE_ROOT/store/jobs/job-000001/profile.json"

@@ -9,6 +9,7 @@
 //! 4. plus the **seed-projection method** of §II as the rejected-design
 //!    baseline for block COCG.
 
+use mbrpa_bench::seed::seed_cocg;
 use mbrpa_bench::{ladder_config, prepare_ladder_system, print_table, HarnessOptions};
 use mbrpa_core::{
     compute_rpa_energy_lanczos, frequency_quadrature, PrecondPolicy, TraceEstimatorOptions,
@@ -16,7 +17,7 @@ use mbrpa_core::{
 };
 use mbrpa_dft::{SternheimerLinOp, SternheimerOperator};
 use mbrpa_linalg::{Mat, C64};
-use mbrpa_solver::{block_cocg, seed_cocg, CocgOptions};
+use mbrpa_solver::{block_cocg, CocgOptions};
 use std::time::Instant;
 
 fn main() {

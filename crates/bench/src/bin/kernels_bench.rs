@@ -418,7 +418,7 @@ fn main() {
 
     // Resolve (and honor MBRPA_SIMD) before any kernel runs, so the
     // recorded dispatch is exactly what every case measured.
-    let dispatch = match mbrpa_simd::init_from_env() {
+    let dispatch = match mbrpa::init_runtime(None, None) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("{e}");

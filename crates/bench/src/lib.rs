@@ -12,6 +12,9 @@
 
 #![warn(missing_docs)]
 
+pub mod qmr;
+pub mod seed;
+
 use mbrpa_core::{KsSolver, RpaConfig, RpaSetup};
 use mbrpa_dft::{ChefsiOptions, PotentialParams, SiliconSpec};
 

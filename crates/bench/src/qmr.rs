@@ -10,9 +10,8 @@
 //! result in the residual or error norms", §III-B). Included as the
 //! literature's middle ground between COCG and full GMRES.
 
-use crate::operator::LinearOperator;
-use crate::stats::SolveReport;
 use mbrpa_linalg::{exactly_zero, vecops, C64};
+use mbrpa_solver::{LinearOperator, SolveReport};
 
 /// Options for [`qmr_sym`].
 #[derive(Clone, Copy, Debug)]
@@ -215,10 +214,8 @@ pub fn qmr_sym(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_cocg::cocg;
-    use crate::block_cocg::CocgOptions;
-    use crate::operator::DenseOperator;
     use mbrpa_linalg::Mat;
+    use mbrpa_solver::{cocg, CocgOptions, DenseOperator};
 
     fn test_operator(n: usize, diag: f64, omega: f64, seed: u64) -> DenseOperator<C64> {
         let mut state = seed | 1;
@@ -267,7 +264,7 @@ mod tests {
         assert!(rep.converged, "{rep:?}");
         let bm = Mat::col_vector(b);
         let xm = Mat::col_vector(x);
-        assert!(crate::block_cocg::true_relative_residual(&op, &bm, &xm) < 1e-9);
+        assert!(mbrpa_solver::true_relative_residual(&op, &bm, &xm) < 1e-9);
     }
 
     #[test]
@@ -304,7 +301,7 @@ mod tests {
         assert!(rep.converged, "{rep:?}");
         let bm = Mat::col_vector(b);
         let xm = Mat::col_vector(x);
-        assert!(crate::block_cocg::true_relative_residual(&op, &bm, &xm) < 1e-6);
+        assert!(mbrpa_solver::true_relative_residual(&op, &bm, &xm) < 1e-6);
     }
 
     #[test]

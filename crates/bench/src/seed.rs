@@ -13,10 +13,8 @@
 //! (`x₀ = Σ_i p_i (p_iᵀ b)/(p_iᵀ A p_i)`, diagonal thanks to conjugacy in
 //! the bilinear form) and then refined with COCG.
 
-use crate::block_cocg::CocgOptions;
-use crate::operator::LinearOperator;
-use crate::stats::SolveReport;
 use mbrpa_linalg::{exactly_zero, vecops, Mat, C64};
+use mbrpa_solver::{CocgOptions, LinearOperator, SolveReport};
 
 /// Outcome of a seed-projection solve.
 #[derive(Clone, Debug)]
@@ -134,7 +132,7 @@ pub fn seed_cocg(
         projected_residuals.push(vecops::norm2(&r) / b_norm);
 
         // refine with plain COCG from the projected guess
-        let (xj, rep) = crate::block_cocg::cocg(op, bj, Some(&guess), opts);
+        let (xj, rep) = mbrpa_solver::cocg(op, bj, Some(&guess), opts);
         x.col_mut(j).copy_from_slice(&xj);
         total.iterations += rep.iterations;
         total.matvecs += rep.matvecs;
@@ -156,8 +154,7 @@ pub fn seed_cocg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_cocg::{block_cocg, true_relative_residual};
-    use crate::operator::DenseOperator;
+    use mbrpa_solver::{block_cocg, true_relative_residual, DenseOperator};
 
     fn test_operator(n: usize, diag: f64, omega: f64, seed: u64) -> DenseOperator<C64> {
         let mut state = seed | 1;
@@ -253,7 +250,7 @@ mod tests {
         let (x, report) = seed_cocg(&op, &b, &opts);
         assert!(report.total.converged);
         assert!(report.projected_residuals.is_empty());
-        let (x_ref, _) = crate::block_cocg::cocg(&op, b.col(0), None, &opts);
+        let (x_ref, _) = mbrpa_solver::cocg(&op, b.col(0), None, &opts);
         for (a, c) in x.col(0).iter().zip(x_ref.iter()) {
             assert!((a - c).norm() < 1e-9);
         }

@@ -3,13 +3,15 @@
 //! The frequency loop dominates walltime (thousands of CPU-seconds per
 //! quadrature point at production scale) while the state needed to resume
 //! is compact: the warm-start eigenvector block, the accumulated energy,
-//! and the per-frequency summaries. [`compute_rpa_energy_resumable`] wraps
-//! the loop of [`crate::rpa::compute_rpa_energy`] with a journaled
+//! and the per-frequency summaries. Given a store,
+//! [`RpaSetup::run_with`](crate::rpa::RpaSetup::run_with) journals a
 //! snapshot (via [`mbrpa_ckpt`]) after each quadrature frequency, and on
 //! startup resumes from the last completed frequency — reproducing the
 //! uninterrupted run's total energy **bit for bit**, because the snapshot
 //! stores every `f64` as raw IEEE-754 bits and the loop is deterministic
-//! for a fixed configuration.
+//! for a fixed configuration. This module is the two ends of that
+//! journal ([`persist`], [`restore`]), the run-compatibility fingerprint
+//! that guards it, and the policy/outcome/error types of a run.
 //!
 //! A [config fingerprint](config_fingerprint) guards the resume: grid
 //! dimension, eigencount, quadrature order, tolerances, seed, worker
@@ -19,15 +21,10 @@
 //! partitions work per worker, so a different worker count can change the
 //! floating-point summation order and break bit-reproducibility.)
 
-use crate::cancel::CancelToken;
 use crate::config::RpaConfig;
-use crate::rpa::{
-    frequency_loop, FrequencyProgress, LoopOutcome, OmegaReport, PartialRun, ResumeSeed, RpaResult,
-};
+use crate::rpa::{OmegaReport, PartialRun, RpaResult};
 use crate::subspace::{SubspaceIterRecord, SubspaceTimings};
 use mbrpa_ckpt::{CheckpointStore, CkptError, IterRow, OmegaSummary, Snapshot};
-use mbrpa_dft::{Crystal, Hamiltonian, KsSolution};
-use mbrpa_grid::CoulombOperator;
 use mbrpa_linalg::LinalgError;
 use mbrpa_solver::BlockPolicy;
 use std::fmt;
@@ -123,11 +120,11 @@ impl Default for ResumePolicy {
     }
 }
 
-/// Result of a resumable run.
+/// Result of [`RpaSetup::run_with`](crate::rpa::RpaSetup::run_with).
 #[derive(Debug)]
 pub enum ResumableOutcome {
-    /// All frequencies done; the result is equivalent (bit-for-bit in the
-    /// energy) to an uninterrupted [`crate::rpa::compute_rpa_energy`].
+    /// All frequencies done; the energy is bit-for-bit that of an
+    /// uninterrupted run, however many restarts it took to get here.
     Complete(Box<RpaResult>),
     /// The run stopped at a frequency boundary per
     /// [`ResumePolicy::stop_after`]; state is journaled in the store.
@@ -137,10 +134,10 @@ pub enum ResumableOutcome {
         /// Total frequencies of the full calculation.
         n_omega: usize,
     },
-    /// The run observed its [`CancelToken`] at a frequency boundary. The
-    /// completed prefix was checkpointed into the store (even when
-    /// [`ResumePolicy::every`] would have skipped that boundary), so a
-    /// later resume completes the run bit-for-bit.
+    /// The run observed its [`CancelToken`](crate::CancelToken) at a
+    /// frequency boundary. With a store attached the completed prefix was
+    /// checkpointed (even when [`ResumePolicy::every`] would have skipped
+    /// that boundary), so a later resume completes the run bit-for-bit.
     Cancelled(PartialRun),
 }
 
@@ -294,129 +291,37 @@ fn duration_s(s: f64) -> Duration {
     Duration::try_from_secs_f64(s).unwrap_or(Duration::ZERO)
 }
 
-/// Resumable variant of [`crate::rpa::compute_rpa_energy`].
-///
-/// Journals a snapshot into `store` at frequency boundaries per `policy`,
-/// and (when `policy.resume`) seeds the loop from the newest valid
-/// snapshot. A resumed run reproduces the uninterrupted run's
-/// `total_energy` bit for bit; [`RpaResult::n_restored`] reports how many
-/// frequencies came from the checkpoint instead of being recomputed.
-pub fn compute_rpa_energy_resumable(
-    crystal: &Crystal,
-    ham: &Hamiltonian,
-    ks: &KsSolution,
-    coulomb: &CoulombOperator,
-    config: &RpaConfig,
+/// Journal the loop state into `store` as one snapshot.
+pub(crate) fn persist(
     store: &mut CheckpointStore,
-    policy: &ResumePolicy,
-) -> Result<ResumableOutcome, RpaRunError> {
-    resumable_inner(crystal, ham, ks, coulomb, config, store, policy, None)
-}
-
-/// [`compute_rpa_energy_resumable`] with a cooperative [`CancelToken`].
-///
-/// An observed cancellation forces a snapshot of the completed prefix
-/// (regardless of [`ResumePolicy::every`]) and returns
-/// [`ResumableOutcome::Cancelled`]; re-running with `resume: true` after
-/// clearing the token completes the calculation with a `total_energy`
-/// bit-identical to an uninterrupted run.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_rpa_energy_resumable_cancellable(
-    crystal: &Crystal,
-    ham: &Hamiltonian,
-    ks: &KsSolution,
-    coulomb: &CoulombOperator,
-    config: &RpaConfig,
-    store: &mut CheckpointStore,
-    policy: &ResumePolicy,
-    cancel: &CancelToken,
-) -> Result<ResumableOutcome, RpaRunError> {
-    resumable_inner(
-        crystal,
-        ham,
-        ks,
-        coulomb,
-        config,
-        store,
-        policy,
-        Some(cancel),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn resumable_inner(
-    crystal: &Crystal,
-    ham: &Hamiltonian,
-    ks: &KsSolution,
-    coulomb: &CoulombOperator,
-    config: &RpaConfig,
-    store: &mut CheckpointStore,
-    policy: &ResumePolicy,
-    cancel: Option<&CancelToken>,
-) -> Result<ResumableOutcome, RpaRunError> {
-    let n_d = ham.dim();
-    config.validate(n_d);
-    let fingerprint = config_fingerprint(config, n_d);
-
-    let seed = if policy.resume {
-        match store.load_latest()? {
-            Some(loaded) => Some(seed_from_snapshot(
-                loaded.snapshot,
-                fingerprint,
-                config,
-                n_d,
-            )?),
-            None => None,
-        }
-    } else {
-        None
+    fingerprint: u64,
+    state: &PartialRun,
+) -> Result<(), CkptError> {
+    let mut snap = Snapshot {
+        fingerprint,
+        sequence: 0, // stamped by the store
+        completed: state.completed as u64,
+        n_omega_total: state.n_omega as u64,
+        accumulated_energy: state.accumulated_energy,
+        warm_start: state.warm_start.clone(),
+        omega: state.per_omega.iter().map(summary_of).collect(),
     };
-
-    let every = policy.every.max(1);
-    let mut sink = |p: FrequencyProgress<'_>| -> Result<(), CkptError> {
-        if !(p.final_of_call || p.completed.is_multiple_of(every)) {
-            return Ok(());
-        }
-        let mut snap = Snapshot {
-            fingerprint,
-            sequence: 0, // stamped by the store
-            completed: p.completed as u64,
-            n_omega_total: p.n_omega as u64,
-            accumulated_energy: p.accumulated_energy,
-            warm_start: p.warm_start.clone(),
-            omega: p.per_omega.iter().map(summary_of).collect(),
-        };
-        store.save(&mut snap)
-    };
-
-    match frequency_loop(
-        crystal,
-        ham,
-        ks,
-        coulomb,
-        config,
-        seed,
-        policy.stop_after,
-        Some(&mut sink),
-        cancel,
-    )? {
-        LoopOutcome::Complete(result) => Ok(ResumableOutcome::Complete(result)),
-        LoopOutcome::Partial { completed } => Ok(ResumableOutcome::Checkpointed {
-            completed,
-            n_omega: config.n_omega,
-        }),
-        LoopOutcome::Cancelled(partial) => Ok(ResumableOutcome::Cancelled(partial)),
-    }
+    store.save(&mut snap)
 }
 
-/// Validate a loaded snapshot against the current run and convert it into
-/// loop seed state.
-fn seed_from_snapshot(
-    snap: Snapshot,
+/// Load the newest valid snapshot and check that it can seed this run.
+/// `None` when there is nothing to resume from (an empty store, or a
+/// snapshot taken before the first frequency finished).
+pub(crate) fn restore(
+    store: &CheckpointStore,
     fingerprint: u64,
     config: &RpaConfig,
     n_d: usize,
-) -> Result<ResumeSeed, RpaRunError> {
+) -> Result<Option<PartialRun>, RpaRunError> {
+    let Some(loaded) = store.load_latest()? else {
+        return Ok(None);
+    };
+    let snap = loaded.snapshot;
     if snap.fingerprint != fingerprint {
         return Err(RpaRunError::ConfigMismatch {
             saved: snap.fingerprint,
@@ -439,9 +344,10 @@ fn seed_from_snapshot(
             ),
         });
     }
-    if snap.completed > 0
-        && (snap.warm_start.rows() != n_d || snap.warm_start.cols() != config.n_eig)
-    {
+    if snap.completed == 0 {
+        return Ok(None);
+    }
+    if snap.warm_start.rows() != n_d || snap.warm_start.cols() != config.n_eig {
         return Err(RpaRunError::IncompatibleSnapshot {
             reason: format!(
                 "warm-start block is {}×{}, run wants {n_d}×{}",
@@ -451,12 +357,13 @@ fn seed_from_snapshot(
             ),
         });
     }
-    Ok(ResumeSeed {
-        start_k: snap.completed as usize,
+    Ok(Some(PartialRun {
+        completed: snap.completed as usize,
+        n_omega: config.n_omega,
         warm_start: snap.warm_start,
         accumulated_energy: snap.accumulated_energy,
-        restored: snap.omega.iter().map(report_of).collect(),
-    })
+        per_omega: snap.omega.iter().map(report_of).collect(),
+    }))
 }
 
 #[cfg(test)]

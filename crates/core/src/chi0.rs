@@ -300,8 +300,10 @@ impl<'a> DielectricOperator<'a> {
             .clone()
     }
 
-    /// Has the attached [`CancelToken`] (if any) been set?
-    fn cancel_requested(&self) -> bool {
+    /// Has the attached [`CancelToken`] (if any) been set? The operator
+    /// is the one holder of the token below the RPA driver: the subspace
+    /// iteration asks here at its own boundaries.
+    pub(crate) fn cancel_requested(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 

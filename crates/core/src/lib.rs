@@ -49,10 +49,7 @@ pub use canonical::{
     canonical_bytes, fingerprint_hex, fnv1a64, input_fingerprint, is_fingerprint_hex,
     CANONICAL_VERSION,
 };
-pub use checkpoint::{
-    compute_rpa_energy_resumable, compute_rpa_energy_resumable_cancellable, config_fingerprint,
-    ResumableOutcome, ResumePolicy, RpaRunError,
-};
+pub use checkpoint::{config_fingerprint, ResumableOutcome, ResumePolicy, RpaRunError};
 pub use chi0::{
     DielectricOperator, PrecondPolicy, SpinChannel, SternheimerSettings, WorkDistribution,
 };
@@ -64,13 +61,12 @@ pub use direct::{
 pub use io::{parse_rpa_input, ParseError, RpaInput};
 pub use quadrature::{frequency_quadrature, gauss_legendre, FrequencyPoint};
 pub use rpa::{
-    compute_rpa_energy, compute_rpa_energy_cancellable, quadrature_of, random_orthonormal_block,
-    KsSolver, OmegaReport, PartialRun, RpaOutcome, RpaResult, RpaSetup,
+    quadrature_of, random_orthonormal_block, KsSolver, OmegaReport, PartialRun, RpaResult,
+    RpaSetup, RunOptions,
 };
 pub use rpa_lanczos::{compute_rpa_energy_lanczos, LanczosOmegaReport, LanczosRpaResult};
 pub use subspace::{
-    subspace_iteration, subspace_iteration_cancellable, trace_term, SubspaceIterRecord,
-    SubspaceOutcome, SubspaceTimings,
+    subspace_iteration, trace_term, SubspaceIterRecord, SubspaceOutcome, SubspaceTimings,
 };
 pub use trace_est::{
     block_lanczos_trace, lanczos_trace, BlockTraceOptions, TraceEstimate, TraceEstimatorOptions,

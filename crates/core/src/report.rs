@@ -296,6 +296,7 @@ mod tests {
         let partial = PartialRun {
             completed: 1,
             n_omega: 8,
+            warm_start: mbrpa_linalg::Mat::zeros(0, 0),
             accumulated_energy: -5.93784e-4,
             per_omega: r.per_omega.clone(),
         };

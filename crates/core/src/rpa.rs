@@ -7,16 +7,14 @@
 
 use crate::cancel::CancelToken;
 use crate::checkpoint::{
-    compute_rpa_energy_resumable, compute_rpa_energy_resumable_cancellable, ResumableOutcome,
-    ResumePolicy, RpaRunError,
+    config_fingerprint, persist, restore, ResumableOutcome, ResumePolicy, RpaRunError,
 };
 use crate::chi0::{DielectricOperator, SternheimerSettings};
 use crate::config::RpaConfig;
+use crate::io::RpaInput;
 use crate::quadrature::{frequency_quadrature, FrequencyPoint};
-use crate::subspace::{
-    subspace_iteration_cancellable, trace_term, SubspaceIterRecord, SubspaceTimings,
-};
-use mbrpa_ckpt::{CheckpointStore, CkptError};
+use crate::subspace::{subspace_iteration, trace_term, SubspaceIterRecord, SubspaceTimings};
+use mbrpa_ckpt::CheckpointStore;
 use mbrpa_dft::{
     solve_occupied_chefsi, solve_occupied_dense, ChefsiOptions, Crystal, Hamiltonian, KsSolution,
     PotentialParams,
@@ -87,338 +85,52 @@ pub struct RpaResult {
     pub n_restored: usize,
 }
 
-/// State restored from a checkpoint that seeds [`frequency_loop`] at a
-/// frequency boundary instead of from scratch.
-pub(crate) struct ResumeSeed {
-    /// First frequency index still to compute.
-    pub start_k: usize,
-    /// Eigenvector block after frequency `start_k - 1`, bit-exact.
-    pub warm_start: Mat<f64>,
-    /// Running `Σ w_k E_k / 2π` over the restored frequencies, bit-exact.
-    pub accumulated_energy: f64,
-    /// Reports of the restored frequencies, in solve order.
-    pub restored: Vec<OmegaReport>,
-}
-
-/// Loop state handed to the checkpoint sink after each completed
-/// frequency. Borrows the live accumulators — the sink serializes, it
-/// does not own.
-pub(crate) struct FrequencyProgress<'a> {
-    /// Frequencies completed so far (restored + computed).
-    pub completed: usize,
-    /// Total quadrature frequencies.
-    pub n_omega: usize,
-    /// Eigenvector block after the frequency just finished.
-    pub warm_start: &'a Mat<f64>,
-    /// Running `Σ w_k E_k / 2π`, bit-exact.
-    pub accumulated_energy: f64,
-    /// Reports so far, in solve order.
-    pub per_omega: &'a [OmegaReport],
-    /// Whether this is the last frequency this call will compute (either
-    /// the quadrature is exhausted, `stop_after` is reached, or a
-    /// cancellation was observed at this boundary). Sinks must persist on
-    /// this boundary or the tail work is lost.
-    pub final_of_call: bool,
-}
-
-/// What a cancelled run had finished when it stopped. Everything here
-/// reflects *completed* frequencies only — the frequency in flight at
-/// cancellation time is discarded wholesale, and the journaled
-/// checkpoint (when one was attached) holds exactly this state.
+/// The frequency loop's state at a frequency boundary. One struct serves
+/// every consumer: a checkpoint persists it, a resume seeds the loop from
+/// it, and a cancelled run hands it back. Everything here reflects
+/// *completed* frequencies only — the frequency in flight when a
+/// cancellation lands is discarded wholesale.
 #[derive(Clone, Debug)]
 pub struct PartialRun {
-    /// Frequencies completed (restored + computed) before the stop.
+    /// Frequencies completed so far (restored + computed).
     pub completed: usize,
-    /// Total quadrature frequencies the run would have stepped.
+    /// Total quadrature frequencies of the run.
     pub n_omega: usize,
+    /// Eigenvector block after frequency `completed - 1` (the random
+    /// starting block while `completed == 0`), bit-exact.
+    pub warm_start: Mat<f64>,
     /// Running `Σ w_k E_k / 2π` over the completed frequencies, bit-exact.
     pub accumulated_energy: f64,
     /// Reports of the completed frequencies, in solve order.
     pub per_omega: Vec<OmegaReport>,
 }
 
-/// Outcome of [`frequency_loop`].
-pub(crate) enum LoopOutcome {
-    /// Every quadrature frequency is done.
-    Complete(Box<RpaResult>),
-    /// Stopped early at a frequency boundary (`stop_after`).
-    Partial {
-        /// Frequencies completed (restored + computed).
-        completed: usize,
-    },
-    /// Stopped because the [`CancelToken`] was set.
-    Cancelled(PartialRun),
+/// What [`RpaSetup::run_with`] does besides stepping the frequencies.
+/// The default attaches nothing: a plain run to completion.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Journal per-frequency state into the store, and seed the loop from
+    /// it, as the policy says.
+    pub checkpoint: Option<(&'a mut CheckpointStore, &'a ResumePolicy)>,
+    /// Stop cooperatively at the next safe boundary once this is set.
+    pub cancel: Option<&'a CancelToken>,
+    /// Called as `(completed, n_omega)` after each frequency computed in
+    /// this call, once that boundary's snapshot (when the policy takes
+    /// one there) is durable.
+    pub on_frequency: Option<&'a mut dyn FnMut(usize, usize)>,
 }
 
-type ProgressSink<'s> = &'s mut dyn FnMut(FrequencyProgress<'_>) -> Result<(), CkptError>;
-
-/// Flush the last completed frequency to the sink (forcing persistence
-/// even when a sparse `every` policy would have skipped that boundary)
-/// and hand back the completed prefix of a cancelled run.
+/// Snapshot the completed prefix of a cancelled run — even where a sparse
+/// `every` would have skipped that boundary — and hand it back.
 fn cancelled_exit(
-    n_omega: usize,
-    warm_start: &Mat<f64>,
-    accumulated_energy: f64,
-    per_omega: Vec<OmegaReport>,
-    sink: &mut Option<ProgressSink<'_>>,
-) -> Result<LoopOutcome, RpaRunError> {
-    let completed = per_omega.len();
-    if completed > 0 {
-        if let Some(sink) = sink.as_mut() {
-            sink(FrequencyProgress {
-                completed,
-                n_omega,
-                warm_start,
-                accumulated_energy,
-                per_omega: &per_omega,
-                final_of_call: true,
-            })?;
-        }
+    state: PartialRun,
+    checkpoint: Option<(&mut CheckpointStore, &ResumePolicy)>,
+    fingerprint: u64,
+) -> Result<ResumableOutcome, RpaRunError> {
+    if let Some((store, _)) = checkpoint.filter(|_| state.completed > 0) {
+        persist(store, fingerprint, &state)?;
     }
-    Ok(LoopOutcome::Cancelled(PartialRun {
-        completed,
-        n_omega,
-        accumulated_energy,
-        per_omega,
-    }))
-}
-
-/// The shared frequency loop behind both [`compute_rpa_energy`] and
-/// [`crate::checkpoint::compute_rpa_energy_resumable`].
-///
-/// Steps frequencies `resume.start_k..` (0 on a fresh run), optionally
-/// stopping after `stop_after` newly computed frequencies, and reports
-/// each completed frequency to `sink`. The arithmetic is identical to the
-/// historical non-resumable loop: the energy accumulates left to right in
-/// solve order, so seeding from a snapshot's `accumulated_energy` and
-/// warm-start block reproduces the uninterrupted run bit for bit.
-///
-/// `cancel` is observed at two boundaries: before each frequency, and on
-/// a cancelled subspace iteration (whose partial eigenpairs are
-/// discarded wholesale, so the accumulated state stays exactly the
-/// post-previous-frequency state an uninterrupted run would have had).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn frequency_loop(
-    crystal: &Crystal,
-    ham: &Hamiltonian,
-    ks: &KsSolution,
-    coulomb: &CoulombOperator,
-    config: &RpaConfig,
-    resume: Option<ResumeSeed>,
-    stop_after: Option<usize>,
-    mut sink: Option<ProgressSink<'_>>,
-    cancel: Option<&CancelToken>,
-) -> Result<LoopOutcome, RpaRunError> {
-    let never = CancelToken::new();
-    let cancel = cancel.unwrap_or(&never);
-    let t_start = Instant::now();
-    let n_d = ham.dim();
-    config.validate(n_d);
-    let quad = frequency_quadrature(config.n_omega);
-    let psi = ks.occupied_orbitals();
-    let energies = ks.occupied_energies().to_vec();
-
-    let settings = SternheimerSettings {
-        tol: config.tol_sternheimer,
-        max_iters: config.cocg_max_iters,
-        policy: config.block_policy,
-        use_galerkin_guess: config.use_galerkin_guess,
-        precondition: config.precondition,
-        distribution: config.distribution,
-    };
-
-    let (start_k, mut v, mut total, mut per_omega) = match resume {
-        Some(seed) if seed.start_k > 0 => (
-            seed.start_k,
-            seed.warm_start,
-            seed.accumulated_energy,
-            seed.restored,
-        ),
-        _ => (
-            0,
-            random_orthonormal_block(n_d, config.n_eig, config.seed),
-            0.0,
-            Vec::with_capacity(quad.len()),
-        ),
-    };
-    let end_k = quad
-        .len()
-        .min(start_k.saturating_add(stop_after.unwrap_or(usize::MAX)));
-
-    let mut timings = SubspaceTimings::default();
-    for rep in &per_omega {
-        timings.merge(&rep.timings);
-    }
-    let mut solver_stats = WorkerStats::new();
-    let mut worker_load = vec![Duration::ZERO; config.n_workers];
-
-    for (k, pt) in quad.iter().enumerate().take(end_k).skip(start_k) {
-        if cancel.is_cancelled() {
-            return cancelled_exit(quad.len(), &v, total, per_omega, &mut sink);
-        }
-        let _omega_span = mbrpa_obs::span(&format!("omega[{k}]"));
-        let op = DielectricOperator::new(
-            ham,
-            &psi,
-            &energies,
-            coulomb,
-            pt.omega,
-            settings,
-            config.n_workers,
-        )
-        .with_cancel(cancel.clone());
-        // `v` stays intact (the block is cloned into the iteration) so a
-        // cancellation mid-frequency can still flush the exact
-        // post-previous-frequency state to the checkpoint sink; one
-        // n_d × n_eig copy per frequency is noise next to the solves.
-        let v0 = if config.warm_start || k == 0 {
-            v.clone()
-        } else {
-            random_orthonormal_block(n_d, config.n_eig, config.seed ^ (k as u64))
-        };
-        let out = subspace_iteration_cancellable(
-            &op,
-            v0,
-            config.tol_eig_at(k),
-            config.max_filter_iters,
-            config.cheb_degree,
-            cancel,
-        )?;
-        if out.cancelled {
-            // the in-flight frequency is discarded wholesale: none of its
-            // stats, timings, or (possibly truncated) eigenpairs may leak
-            // into the accumulated state
-            return cancelled_exit(quad.len(), &v, total, per_omega, &mut sink);
-        }
-        if mbrpa_obs::enabled() {
-            let label = format!("omega[{k}]");
-            let errors: Vec<f64> = out.history.iter().map(|h| h.error).collect();
-            mbrpa_obs::record_trace("subspace.si_error", &label, &errors);
-            mbrpa_obs::add(&format!("{label}/sternheimer.iterations"), {
-                op.stats_snapshot().iterations as u64
-            });
-            mbrpa_obs::add(
-                &format!("{label}/chi0.applications"),
-                op.applications() as u64,
-            );
-            mbrpa_obs::record("subspace.filter_rounds", out.filter_rounds as f64);
-        }
-        let e_k = trace_term(&out.eigenvalues);
-        let contribution = pt.weight * e_k / (2.0 * std::f64::consts::PI);
-        total += contribution;
-        timings.merge(&out.timings);
-        solver_stats.merge(&op.stats_snapshot());
-        for (acc, t) in worker_load.iter_mut().zip(op.worker_load_snapshot()) {
-            *acc += t;
-        }
-        per_omega.push(OmegaReport {
-            omega: pt.omega,
-            weight: pt.weight,
-            unit_node: pt.unit_node,
-            energy_term: e_k,
-            contribution,
-            filter_rounds: out.filter_rounds,
-            error: out.error,
-            converged: out.converged,
-            eigenvalues: out.eigenvalues,
-            timings: out.timings,
-            history: out.history,
-        });
-        v = out.vectors;
-        if let Some(sink) = sink.as_mut() {
-            sink(FrequencyProgress {
-                completed: k + 1,
-                n_omega: quad.len(),
-                warm_start: &v,
-                accumulated_energy: total,
-                per_omega: &per_omega,
-                final_of_call: k + 1 == end_k,
-            })?;
-        }
-    }
-
-    if end_k < quad.len() {
-        return Ok(LoopOutcome::Partial { completed: end_k });
-    }
-
-    Ok(LoopOutcome::Complete(Box::new(RpaResult {
-        total_energy: total,
-        energy_per_atom: total / crystal.atoms.len() as f64,
-        per_omega,
-        timings,
-        solver_stats,
-        worker_load,
-        wall_time: t_start.elapsed(),
-        n_d,
-        n_s: ks.n_occupied,
-        n_eig: config.n_eig,
-        n_atoms: crystal.atoms.len(),
-        n_restored: start_k,
-    })))
-}
-
-/// Compute the RPA correlation energy for a prepared system.
-///
-/// For long runs that must survive preemption, see
-/// [`crate::checkpoint::compute_rpa_energy_resumable`], which wraps the
-/// same loop with journaled per-frequency snapshots.
-pub fn compute_rpa_energy(
-    crystal: &Crystal,
-    ham: &Hamiltonian,
-    ks: &KsSolution,
-    coulomb: &CoulombOperator,
-    config: &RpaConfig,
-) -> Result<RpaResult, LinalgError> {
-    match frequency_loop(crystal, ham, ks, coulomb, config, None, None, None, None) {
-        Ok(LoopOutcome::Complete(result)) => Ok(*result),
-        Ok(LoopOutcome::Partial { .. }) => unreachable!("no stop_after was requested"),
-        Ok(LoopOutcome::Cancelled(_)) => unreachable!("no cancel token was attached"),
-        Err(RpaRunError::Linalg(e)) => Err(e),
-        Err(_) => unreachable!("no checkpoint sink was attached"),
-    }
-}
-
-/// Outcome of a cancellable (but non-checkpointed) RPA run.
-#[derive(Debug)]
-pub enum RpaOutcome {
-    /// The run finished every quadrature frequency.
-    Complete(Box<RpaResult>),
-    /// The [`CancelToken`] was observed at a frequency boundary; the
-    /// partial state reflects completed frequencies only.
-    Cancelled(PartialRun),
-}
-
-/// [`compute_rpa_energy`] with a cooperative [`CancelToken`], observed
-/// before each quadrature frequency and at each subspace-iteration
-/// boundary within one. Without checkpoints the partial state is
-/// returned, not persisted; pair with
-/// [`crate::checkpoint::compute_rpa_energy_resumable_cancellable`] for a
-/// run that can later resume bit-for-bit.
-pub fn compute_rpa_energy_cancellable(
-    crystal: &Crystal,
-    ham: &Hamiltonian,
-    ks: &KsSolution,
-    coulomb: &CoulombOperator,
-    config: &RpaConfig,
-    cancel: &CancelToken,
-) -> Result<RpaOutcome, LinalgError> {
-    match frequency_loop(
-        crystal,
-        ham,
-        ks,
-        coulomb,
-        config,
-        None,
-        None,
-        None,
-        Some(cancel),
-    ) {
-        Ok(LoopOutcome::Complete(result)) => Ok(RpaOutcome::Complete(result)),
-        Ok(LoopOutcome::Partial { .. }) => unreachable!("no stop_after was requested"),
-        Ok(LoopOutcome::Cancelled(partial)) => Ok(RpaOutcome::Cancelled(partial)),
-        Err(RpaRunError::Linalg(e)) => Err(e),
-        Err(_) => unreachable!("no checkpoint sink was attached"),
-    }
+    Ok(ResumableOutcome::Cancelled(state))
 }
 
 /// Seeded random block with orthonormalized columns (Algorithm 6 line 4).
@@ -477,25 +189,31 @@ impl RpaSetup {
         })
     }
 
-    /// Run the RPA calculation on this setup.
-    pub fn run(&self, config: &RpaConfig) -> Result<RpaResult, LinalgError> {
-        compute_rpa_energy(&self.crystal, &self.ham, &self.ks, &self.coulomb, config)
+    /// The setup every front end runs a parsed `.rpa` input on: the
+    /// input's crystal (vacancy included), the default potential, stencil
+    /// radius 2, and the dense KS solver up to 1000 grid points, CheFSI
+    /// beyond. That `rpacalc` and the daemon both come through here is
+    /// what makes a served energy bit-identical to a command-line one.
+    pub fn from_input(input: &RpaInput) -> Result<Self, LinalgError> {
+        let crystal = match input.vacancy {
+            Some(site) => input.system.build_with_vacancy(site),
+            None => input.system.build(),
+        };
+        let ks_solver = if crystal.n_grid() <= 1000 {
+            KsSolver::Dense { extra: 4 }
+        } else {
+            KsSolver::Chefsi(ChefsiOptions::default())
+        };
+        Self::prepare(crystal, &PotentialParams::default(), 2, ks_solver)
     }
 
-    /// Run with a cooperative [`CancelToken`] (no checkpointing).
-    pub fn run_cancellable(
-        &self,
-        config: &RpaConfig,
-        cancel: &CancelToken,
-    ) -> Result<RpaOutcome, LinalgError> {
-        compute_rpa_energy_cancellable(
-            &self.crystal,
-            &self.ham,
-            &self.ks,
-            &self.coulomb,
-            config,
-            cancel,
-        )
+    /// Run the RPA calculation on this setup.
+    pub fn run(&self, config: &RpaConfig) -> Result<RpaResult, LinalgError> {
+        match self.run_with(config, RunOptions::default()) {
+            Ok(ResumableOutcome::Complete(result)) => Ok(*result),
+            Err(RpaRunError::Linalg(e)) => Err(e),
+            _ => unreachable!("no checkpoint store or cancel token was attached"),
+        }
     }
 
     /// Run with crash-safe per-frequency checkpoints in `store`, resuming
@@ -506,38 +224,194 @@ impl RpaSetup {
         store: &mut CheckpointStore,
         policy: &ResumePolicy,
     ) -> Result<ResumableOutcome, RpaRunError> {
-        compute_rpa_energy_resumable(
-            &self.crystal,
-            &self.ham,
-            &self.ks,
-            &self.coulomb,
+        self.run_with(
             config,
-            store,
-            policy,
+            RunOptions {
+                checkpoint: Some((store, policy)),
+                ..RunOptions::default()
+            },
         )
     }
 
-    /// [`Self::run_resumable`] with a cooperative [`CancelToken`]: an
-    /// observed cancellation checkpoints the completed prefix (even when
-    /// the `every` policy would have skipped that boundary) so a later
-    /// resume reproduces the uninterrupted run bit for bit.
-    pub fn run_resumable_cancellable(
+    /// The frequency loop — Algorithm 6, and the only way into it.
+    ///
+    /// Steps the quadrature frequencies from the restored prefix (none on
+    /// a fresh run) to the end, or to `stop_after` newly computed ones.
+    /// The energy accumulates left to right in solve order, so seeding
+    /// from a snapshot's `accumulated_energy` and warm-start block
+    /// reproduces the uninterrupted run bit for bit;
+    /// [`RpaResult::n_restored`] says how many frequencies came from the
+    /// store.
+    ///
+    /// The cancel token is observed before each frequency and, through
+    /// the [`DielectricOperator`] that holds it, at every boundary inside
+    /// one. A cancelled frequency is discarded wholesale, so the state
+    /// stays exactly what an uninterrupted run had after the previous
+    /// frequency; that prefix is snapshotted (even where `every` would
+    /// have skipped the boundary) and returned as
+    /// [`ResumableOutcome::Cancelled`].
+    pub fn run_with(
         &self,
         config: &RpaConfig,
-        store: &mut CheckpointStore,
-        policy: &ResumePolicy,
-        cancel: &CancelToken,
+        options: RunOptions<'_>,
     ) -> Result<ResumableOutcome, RpaRunError> {
-        compute_rpa_energy_resumable_cancellable(
-            &self.crystal,
-            &self.ham,
-            &self.ks,
-            &self.coulomb,
-            config,
-            store,
-            policy,
+        let RunOptions {
+            mut checkpoint,
             cancel,
-        )
+            mut on_frequency,
+        } = options;
+        let n_d = self.ham.dim();
+        config.validate(n_d);
+        let fingerprint = config_fingerprint(config, n_d);
+        let restored = match &checkpoint {
+            Some((store, policy)) if policy.resume => restore(store, fingerprint, config, n_d)?,
+            _ => None,
+        };
+
+        let t_start = Instant::now();
+        let quad = frequency_quadrature(config.n_omega);
+        let psi = self.ks.occupied_orbitals();
+        let energies = self.ks.occupied_energies().to_vec();
+        let settings = SternheimerSettings {
+            tol: config.tol_sternheimer,
+            max_iters: config.cocg_max_iters,
+            policy: config.block_policy,
+            use_galerkin_guess: config.use_galerkin_guess,
+            precondition: config.precondition,
+            distribution: config.distribution,
+        };
+
+        let mut state = restored.unwrap_or_else(|| PartialRun {
+            completed: 0,
+            n_omega: quad.len(),
+            warm_start: random_orthonormal_block(n_d, config.n_eig, config.seed),
+            accumulated_energy: 0.0,
+            per_omega: Vec::with_capacity(quad.len()),
+        });
+        let n_restored = state.completed;
+        let (every, stop_after) = match &checkpoint {
+            Some((_, policy)) => (policy.every.max(1), policy.stop_after),
+            None => (1, None),
+        };
+        let end_k = quad
+            .len()
+            .min(n_restored.saturating_add(stop_after.unwrap_or(usize::MAX)));
+
+        let mut timings = SubspaceTimings::default();
+        for rep in &state.per_omega {
+            timings.merge(&rep.timings);
+        }
+        let mut solver_stats = WorkerStats::new();
+        let mut worker_load = vec![Duration::ZERO; config.n_workers];
+
+        for (k, pt) in quad.iter().enumerate().take(end_k).skip(n_restored) {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return cancelled_exit(state, checkpoint, fingerprint);
+            }
+            let _omega_span = mbrpa_obs::span(&format!("omega[{k}]"));
+            let mut op = DielectricOperator::new(
+                &self.ham,
+                &psi,
+                &energies,
+                &self.coulomb,
+                pt.omega,
+                settings,
+                config.n_workers,
+            );
+            if let Some(token) = cancel {
+                op = op.with_cancel(token.clone());
+            }
+            // the warm-start block is cloned into the iteration, so a
+            // cancellation mid-frequency leaves `state` exactly as it was
+            // after the previous frequency; one n_d × n_eig copy per
+            // frequency is noise next to the solves
+            let v0 = if config.warm_start || k == 0 {
+                state.warm_start.clone()
+            } else {
+                random_orthonormal_block(n_d, config.n_eig, config.seed ^ (k as u64))
+            };
+            let out = subspace_iteration(
+                &op,
+                v0,
+                config.tol_eig_at(k),
+                config.max_filter_iters,
+                config.cheb_degree,
+            )?;
+            if out.cancelled {
+                // the in-flight frequency is discarded wholesale: none of its
+                // stats, timings, or (possibly truncated) eigenpairs may leak
+                // into the accumulated state
+                return cancelled_exit(state, checkpoint, fingerprint);
+            }
+            if mbrpa_obs::enabled() {
+                let label = format!("omega[{k}]");
+                let errors: Vec<f64> = out.history.iter().map(|h| h.error).collect();
+                mbrpa_obs::record_trace("subspace.si_error", &label, &errors);
+                mbrpa_obs::add(&format!("{label}/sternheimer.iterations"), {
+                    op.stats_snapshot().iterations as u64
+                });
+                mbrpa_obs::add(
+                    &format!("{label}/chi0.applications"),
+                    op.applications() as u64,
+                );
+                mbrpa_obs::record("subspace.filter_rounds", out.filter_rounds as f64);
+            }
+            let e_k = trace_term(&out.eigenvalues);
+            let contribution = pt.weight * e_k / (2.0 * std::f64::consts::PI);
+            state.accumulated_energy += contribution;
+            timings.merge(&out.timings);
+            solver_stats.merge(&op.stats_snapshot());
+            for (acc, t) in worker_load.iter_mut().zip(op.worker_load_snapshot()) {
+                *acc += t;
+            }
+            state.per_omega.push(OmegaReport {
+                omega: pt.omega,
+                weight: pt.weight,
+                unit_node: pt.unit_node,
+                energy_term: e_k,
+                contribution,
+                filter_rounds: out.filter_rounds,
+                error: out.error,
+                converged: out.converged,
+                eigenvalues: out.eigenvalues,
+                timings: out.timings,
+                history: out.history,
+            });
+            state.warm_start = out.vectors;
+            state.completed = k + 1;
+            if let Some((store, _)) = checkpoint.as_mut() {
+                // the last frequency of a call always snapshots, or the
+                // tail since the previous multiple of `every` is lost
+                if k + 1 == end_k || (k + 1).is_multiple_of(every) {
+                    persist(store, fingerprint, &state)?;
+                }
+            }
+            if let Some(observe) = on_frequency.as_mut() {
+                observe(k + 1, quad.len());
+            }
+        }
+
+        if end_k < quad.len() {
+            return Ok(ResumableOutcome::Checkpointed {
+                completed: end_k,
+                n_omega: quad.len(),
+            });
+        }
+        let n_atoms = self.crystal.atoms.len();
+        Ok(ResumableOutcome::Complete(Box::new(RpaResult {
+            total_energy: state.accumulated_energy,
+            energy_per_atom: state.accumulated_energy / n_atoms as f64,
+            per_omega: state.per_omega,
+            timings,
+            solver_stats,
+            worker_load,
+            wall_time: t_start.elapsed(),
+            n_d,
+            n_s: self.ks.n_occupied,
+            n_eig: config.n_eig,
+            n_atoms,
+            n_restored,
+        })))
     }
 }
 

@@ -13,7 +13,6 @@
 //! can converge with zero filter applications — the "skip polynomial
 //! filtering" behaviour of §III-F falls out naturally.
 
-use crate::cancel::CancelToken;
 use crate::chi0::DielectricOperator;
 use mbrpa_linalg::{generalized_sym_eig, matmul, matmul_tn, LinalgError, Mat};
 use mbrpa_solver::chebyshev_filter;
@@ -76,7 +75,7 @@ pub struct SubspaceOutcome {
     pub error: f64,
     /// Whether the tolerance was reached within the round cap.
     pub converged: bool,
-    /// The iteration stopped because its [`CancelToken`] was set. The
+    /// The iteration stopped because the operator's cancel token was set. The
     /// eigenpairs are whatever the last completed projection produced
     /// (possibly none) and **must be discarded** by resumable drivers.
     pub cancelled: bool,
@@ -173,28 +172,18 @@ fn rayleigh_ritz(
 }
 
 /// Run Algorithm 5 from the initial block `v0` at the operator's frequency.
+///
+/// The operator's cancel token (if it holds one) is checked before each
+/// Rayleigh–Ritz projection and each Chebyshev filter round. A cancelled
+/// outcome carries `cancelled = true` and whatever state the last
+/// completed kernel produced; callers must discard it (the RPA driver
+/// recomputes the frequency from its last checkpoint on resume).
 pub fn subspace_iteration(
     op: &DielectricOperator<'_>,
     v0: Mat<f64>,
     tol: f64,
     max_rounds: usize,
     cheb_degree: usize,
-) -> Result<SubspaceOutcome, LinalgError> {
-    subspace_iteration_cancellable(op, v0, tol, max_rounds, cheb_degree, &CancelToken::new())
-}
-
-/// [`subspace_iteration`] with a cooperative [`CancelToken`], checked
-/// before each Rayleigh–Ritz projection and each Chebyshev filter round.
-/// A cancelled outcome carries `cancelled = true` and whatever state the
-/// last completed kernel produced; callers must discard it (the resumable
-/// driver recomputes the frequency from its last checkpoint on resume).
-pub fn subspace_iteration_cancellable(
-    op: &DielectricOperator<'_>,
-    v0: Mat<f64>,
-    tol: f64,
-    max_rounds: usize,
-    cheb_degree: usize,
-    cancel: &CancelToken,
 ) -> Result<SubspaceOutcome, LinalgError> {
     let mut v = v0;
     let mut timings = SubspaceTimings::default();
@@ -216,7 +205,7 @@ pub fn subspace_iteration_cancellable(
         history,
     };
 
-    if cancel.is_cancelled() {
+    if op.cancel_requested() {
         return Ok(cancelled_outcome(
             v,
             timings,
@@ -234,7 +223,7 @@ pub fn subspace_iteration_cancellable(
 
     let mut rounds = 0;
     while step.error > tol && rounds < max_rounds {
-        if cancel.is_cancelled() {
+        if op.cancel_requested() {
             let (eigs, err) = (step.eigenvalues, step.error);
             return Ok(cancelled_outcome(v, timings, history, rounds, eigs, err));
         }
@@ -260,7 +249,7 @@ pub fn subspace_iteration_cancellable(
         // A cancellation observed mid-filter produced a truncated operator
         // application (see `chi0`); the block is garbage and must not be
         // projected or recorded — bail before the Rayleigh–Ritz step.
-        if cancel.is_cancelled() {
+        if op.cancel_requested() {
             let (eigs, err) = (step.eigenvalues, step.error);
             return Ok(cancelled_outcome(v, timings, history, rounds, eigs, err));
         }
@@ -301,6 +290,7 @@ fn record(ncheb: usize, step: &RitzStep, elapsed: Duration) -> SubspaceIterRecor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::chi0::SternheimerSettings;
     use crate::direct;
     use mbrpa_dft::{solve_occupied_dense, Hamiltonian, PotentialParams, SiliconSpec};
@@ -417,6 +407,8 @@ mod tests {
     #[test]
     fn pre_cancelled_token_short_circuits_before_any_work() {
         let f = fixture();
+        let cancel = CancelToken::new();
+        cancel.cancel();
         let op = DielectricOperator::new(
             &f.ham,
             &f.psi,
@@ -425,11 +417,10 @@ mod tests {
             0.9,
             SternheimerSettings::default(),
             1,
-        );
+        )
+        .with_cancel(cancel);
         let v0 = random_block(f.ham.dim(), 6, 7);
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let out = subspace_iteration_cancellable(&op, v0, 1e-5, 15, 3, &cancel).unwrap();
+        let out = subspace_iteration(&op, v0, 1e-5, 15, 3).unwrap();
         assert!(out.cancelled);
         assert!(!out.converged);
         assert!(out.history.is_empty(), "no projection should have run");
@@ -448,9 +439,9 @@ mod tests {
         let v0 = random_block(f.ham.dim(), 6, 7);
         let plain = subspace_iteration(&op, v0.clone(), 1e-5, 15, 3).unwrap();
         let op2 =
-            DielectricOperator::new(&f.ham, &f.psi, &f.energies, &f.coulomb, 0.9, settings, 1);
-        let live =
-            subspace_iteration_cancellable(&op2, v0, 1e-5, 15, 3, &CancelToken::new()).unwrap();
+            DielectricOperator::new(&f.ham, &f.psi, &f.energies, &f.coulomb, 0.9, settings, 1)
+                .with_cancel(CancelToken::new());
+        let live = subspace_iteration(&op2, v0, 1e-5, 15, 3).unwrap();
         assert!(!live.cancelled);
         assert_eq!(live.filter_rounds, plain.filter_rounds);
         assert_eq!(live.eigenvalues, plain.eigenvalues);

@@ -96,7 +96,8 @@ pub struct RunningJob {
     pub user_cancel: AtomicBool,
     /// Frequencies completed so far.
     pub completed: AtomicUsize,
-    /// Total frequencies of the run (0 until the first slice reports).
+    /// Total frequencies of the run (0 until the first frequency this
+    /// daemon computed is journaled).
     pub n_omega: AtomicUsize,
 }
 

@@ -1,14 +1,14 @@
-//! Executor pool: claims jobs, runs them in checkpointed slices, and
-//! finalizes their on-disk documents.
+//! Executor pool: claims jobs, runs each with one checkpointed
+//! [`RpaSetup::run_with`] call, and finalizes their on-disk documents.
 //!
-//! Each claimed job runs through the same pipeline as `rpacalc` — same
-//! solver selection, same potential, same stencil — so a served energy
-//! is bit-identical to a command-line run of the same input. The run is
-//! sliced one frequency at a time via [`ResumePolicy::stop_after`]: at
-//! every slice boundary the executor publishes progress for the status
-//! endpoint and observes cancellation, and because every slice
-//! checkpoints through `core::checkpoint`, a `kill -9` at any instant
-//! loses at most the in-flight frequency.
+//! Each claimed job goes through the path `rpacalc` takes —
+//! [`RpaSetup::from_input`], then the one frequency loop — so a served
+//! energy is bit-identical to a command-line run of the same input. The
+//! loop checkpoints every frequency through `core::checkpoint`, so a
+//! `kill -9` at any instant loses at most the in-flight frequency; it
+//! observes the job's cancel token itself, and its per-frequency
+//! observer publishes progress for the status endpoint once that
+//! frequency's snapshot is durable.
 //!
 //! Cancellation is disambiguated at the end: a token tripped by a
 //! client finalizes the job as `Cancelled` (with a partial report); a
@@ -20,8 +20,9 @@ use crate::job::{self, JobSpec, JobState};
 use crate::store::{ERROR_FILE, PARTIAL_FILE, PROFILE_FILE, REPORT_FILE, RESULT_FILE};
 use mbrpa_ckpt::CheckpointStore;
 use mbrpa_core::io::parse_rpa_input;
-use mbrpa_core::{report, KsSolver, ResumableOutcome, ResumePolicy, RpaInput, RpaResult, RpaSetup};
-use mbrpa_dft::{ChefsiOptions, PotentialParams};
+use mbrpa_core::{
+    report, ResumableOutcome, ResumePolicy, RpaInput, RpaResult, RpaSetup, RunOptions,
+};
 use mbrpa_grid::par::outer_scope;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -138,18 +139,7 @@ fn execute(shared: &Arc<ServeShared>, spec: &JobSpec, job: &RunningJob) -> Finis
 
     let setup = {
         let _setup_span = mbrpa_obs::span("setup");
-        let crystal = match input.vacancy {
-            Some(site) => input.system.build_with_vacancy(site),
-            None => input.system.build(),
-        };
-        // identical solver selection to rpacalc: dense for small grids,
-        // CheFSI beyond — part of the bit-for-bit contract
-        let solver = if crystal.n_grid() <= 1000 {
-            KsSolver::Dense { extra: 4 }
-        } else {
-            KsSolver::Chefsi(ChefsiOptions::default())
-        };
-        match RpaSetup::prepare(crystal, &PotentialParams::default(), 2, solver) {
+        match RpaSetup::from_input(&input) {
             Ok(s) => s,
             Err(e) => return Finish::Failed(format!("KS stage failed: {e}")),
         }
@@ -164,55 +154,52 @@ fn execute(shared: &Arc<ServeShared>, spec: &JobSpec, job: &RunningJob) -> Finis
     // region so the shared rayon pool is split instead of oversubscribed
     let _outer = (shared.executors > 1).then(|| outer_scope(1));
 
-    // one frequency per slice: each boundary checkpoints, publishes
-    // progress, and observes the cancel token; `resume: true` makes the
-    // first slice pick up any state a previous daemon left behind
-    let policy = ResumePolicy {
-        every: 1,
-        resume: true,
-        stop_after: Some(1),
+    // every boundary checkpoints, and the first thing the run does is
+    // pick up any state a previous daemon left behind
+    let policy = ResumePolicy::default();
+    let mut publish = |completed: usize, n_omega: usize| {
+        // ord: Release — pairs with the status endpoint's Acquire loads;
+        // store `completed` first so a reader that sees `n_omega > 0`
+        // also sees the matching progress
+        job.completed.store(completed, Ordering::Release);
+        // ord: Release — see `completed` above
+        job.n_omega.store(n_omega, Ordering::Release);
     };
     let _rpa_span = mbrpa_obs::span("rpa");
-    loop {
-        match setup.run_resumable_cancellable(&input.config, &mut store, &policy, &job.token) {
-            Ok(ResumableOutcome::Complete(result)) => {
-                return complete(shared, &input, job, &result, profiled);
-            }
-            Ok(ResumableOutcome::Checkpointed { completed, n_omega }) => {
-                // ord: Release — pairs with the status endpoint's Acquire loads;
-                // store `completed` first so a reader that sees `n_omega > 0`
-                // also sees the matching progress
-                job.completed.store(completed, Ordering::Release);
-                // ord: Release — see `completed` above
-                job.n_omega.store(n_omega, Ordering::Release);
-            }
-            Ok(ResumableOutcome::Cancelled(partial)) => {
-                // ord: Release — same progress-publication pairing as the
-                // Checkpointed arm above
-                job.completed.store(partial.completed, Ordering::Release);
-                // ord: Release — see `completed` above
-                job.n_omega.store(partial.n_omega, Ordering::Release);
-                // ord: Acquire — pairs with the cancel endpoint's Release store,
-                // so a tripped token implies the flag is already visible
-                if job.user_cancel.load(Ordering::Acquire) {
-                    let partial_json = job::partial_doc(&job.id, &partial).to_json();
-                    write_or_log(shared, &job.id, PARTIAL_FILE, &partial_json);
-                    let doc = report::partial_report(
-                        &input.config,
-                        &partial,
-                        setup.crystal.n_grid(),
-                        setup.crystal.n_occupied(),
-                        setup.crystal.atoms.len(),
-                    );
-                    write_or_log(shared, &job.id, REPORT_FILE, &doc);
-                    return Finish::Cancelled;
-                }
-                // drain: the checkpointed prefix stays in the namespace and
-                // the job returns to the backlog for the next daemon
-                return Finish::Requeue;
-            }
-            Err(e) => return Finish::Failed(format!("RPA stage failed: {e}")),
+    let outcome = setup.run_with(
+        &input.config,
+        RunOptions {
+            checkpoint: Some((&mut store, &policy)),
+            cancel: Some(&job.token),
+            on_frequency: Some(&mut publish),
+        },
+    );
+    match outcome {
+        Ok(ResumableOutcome::Complete(result)) => complete(shared, &input, job, &result, profiled),
+        Ok(ResumableOutcome::Checkpointed { .. }) => {
+            unreachable!("the policy sets no stop_after")
         }
+        Ok(ResumableOutcome::Cancelled(partial)) => {
+            // ord: Acquire — pairs with the cancel endpoint's Release store,
+            // so a tripped token implies the flag is already visible
+            if job.user_cancel.load(Ordering::Acquire) {
+                let partial_json = job::partial_doc(&job.id, &partial).to_json();
+                write_or_log(shared, &job.id, PARTIAL_FILE, &partial_json);
+                let doc = report::partial_report(
+                    &input.config,
+                    &partial,
+                    setup.crystal.n_grid(),
+                    setup.crystal.n_occupied(),
+                    setup.crystal.atoms.len(),
+                );
+                write_or_log(shared, &job.id, REPORT_FILE, &doc);
+                return Finish::Cancelled;
+            }
+            // drain: the checkpointed prefix stays in the namespace and
+            // the job returns to the backlog for the next daemon
+            Finish::Requeue
+        }
+        Err(e) => Finish::Failed(format!("RPA stage failed: {e}")),
     }
 }
 
@@ -220,7 +207,7 @@ fn execute(shared: &Arc<ServeShared>, spec: &JobSpec, job: &RunningJob) -> Finis
 /// namespace is keyed by the input's canonical fingerprint rather than
 /// the worker-local job id: two workers given the same submission open
 /// the *same* directory, so a worker adopting a job after a failover
-/// resumes from the dead worker's completed slices bit-for-bit. (The
+/// resumes from the dead worker's completed frequencies bit-for-bit. (The
 /// router's rendezvous hash assigns each fingerprint to exactly one live
 /// worker, so the namespace has a single writer at a time.)
 fn open_job_checkpoints(
@@ -241,12 +228,6 @@ fn complete(
     result: &RpaResult,
     profiled: bool,
 ) -> Finish {
-    // pairs with the status endpoint's Acquire loads (progress publication)
-    job.completed
-        .store(result.per_omega.len(), Ordering::Release); // ord: Release — see above
-                                                           // ord: Release — see `completed` above
-    job.n_omega.store(result.per_omega.len(), Ordering::Release);
-
     let result_doc = job::result_doc(&job.id, result);
     if let Err(e) = shared
         .store

@@ -387,6 +387,87 @@ fn find_header_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
+// ---------------------------------------------------------------------
+// the client side: router → worker, `rpaclient`, the test suites
+
+/// A parsed reply: status code, lowercased header names, body.
+#[derive(Debug)]
+pub struct Reply {
+    /// The status code.
+    pub status: u16,
+    /// Header `(name, value)` pairs, names lowercased.
+    pub headers: Vec<(String, String)>,
+    /// The body, verbatim.
+    pub body: String,
+}
+
+impl Reply {
+    /// A header value, by lowercase name.
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.headers
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
+/// One bounded HTTP exchange with the server at `addr` (`ip:port`). The
+/// timeout covers connect, send, and the full read, so a wedged peer
+/// cannot pin the caller.
+pub fn exchange(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    timeout: Duration,
+) -> Result<Reply, String> {
+    let socket: SocketAddr = addr
+        .parse()
+        .map_err(|_| format!("`{addr}` is not an ip:port address"))?;
+    let mut stream = TcpStream::connect_timeout(&socket, timeout)
+        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    stream
+        .set_read_timeout(Some(timeout))
+        .map_err(|e| e.to_string())?;
+    stream
+        .set_write_timeout(Some(timeout))
+        .map_err(|e| e.to_string())?;
+    let payload = body.unwrap_or("");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{payload}",
+        payload.len()
+    );
+    stream
+        .write_all(request.as_bytes())
+        .map_err(|e| format!("send to {addr} failed: {e}"))?;
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .map_err(|e| format!("receive from {addr} failed: {e}"))?;
+    let status: u16 = raw
+        .split(' ')
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| format!("malformed response from {addr}"))?;
+    let (head, body) = raw
+        .split_once("\r\n\r\n")
+        .map(|(h, b)| (h.to_string(), b.to_string()))
+        .unwrap_or_default();
+    let headers = head
+        .lines()
+        .skip(1) // the status line
+        .filter_map(|line| {
+            let (name, value) = line.split_once(':')?;
+            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
+        })
+        .collect();
+    Ok(Reply {
+        status,
+        headers,
+        body,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

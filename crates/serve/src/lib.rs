@@ -18,15 +18,17 @@
 //! * [`store`] — one directory per job with atomically-written state
 //!   files; a restarted daemon rebuilds its queue from this store,
 //! * [`http`] — HTTP/1.1 on `std::net`: accept thread + worker pool,
+//!   and the one client ([`http::exchange`]) the router, `rpaclient`
+//!   and the tests call,
 //! * [`api`] — the `/v1` routes,
 //! * [`cache`] — a content-addressed exact result cache keyed by the
 //!   canonical 128-bit input fingerprint; a resubmission of a
 //!   semantically identical input is answered with the stored
 //!   `mbrpa.result/1` (same `f64` bits) instead of recomputed,
-//! * [`executor`] — runs claimed jobs in one-frequency checkpointed
-//!   slices (same solver selection as `rpacalc`, so energies are
-//!   bit-identical), publishing progress and observing cancellation at
-//!   every slice boundary,
+//! * [`executor`] — runs each claimed job with one checkpointed
+//!   `RpaSetup::run_with` call (the path `rpacalc` takes, so energies
+//!   are bit-identical), which journals every frequency, observes the
+//!   job's cancel token and publishes progress as it goes,
 //! * [`daemon`] — assembly: crash recovery at startup, graceful drain
 //!   on shutdown,
 //! * [`router`] — `rparouter`: shards submissions across a fleet of

@@ -31,7 +31,7 @@
 //!   orphan: rendezvous over the *surviving* workers picks the adopter,
 //!   the stored body is resubmitted there, and — because fleet workers
 //!   share a fingerprint-keyed `-ckpt-root` — the adopter resumes from
-//!   the dead worker's last completed frequency slice, reproducing the
+//!   the dead worker's last completed frequency, reproducing the
 //!   uninterrupted energy bit for bit. The superseded claim is parked on
 //!   a `stale` list and cancelled if the old worker ever comes back, so
 //!   the namespace regains a single writer.
@@ -43,15 +43,15 @@
 //! which carry no floats, are rewritten to the router's job id.
 
 use crate::daemon::{lock, Logger};
-use crate::http::{Handler, HttpServer, Request, Response};
+use crate::http::{exchange, Handler, HttpServer, Request, Response};
 use crate::job::{
     self, JobSpec, JobState, HEALTH_SCHEMA, LIST_SCHEMA, ROUTE_TABLE_SCHEMA, WORKER_SCHEMA,
 };
 use crate::json::{self, obj, s, u, JsonValue};
 use mbrpa_ckpt::write_atomic;
 use std::fs;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -314,81 +314,6 @@ fn rendezvous_order<'a>(fingerprint: &str, workers: &[&'a str]) -> Vec<&'a str> 
 }
 
 // ---------------------------------------------------------------------
-// the HTTP client side (router → worker)
-
-/// A parsed upstream reply.
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// One bounded HTTP exchange with a worker. The timeout covers connect,
-/// send, and the full read, so a wedged worker cannot pin a handler.
-fn exchange(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Duration,
-) -> Result<Reply, String> {
-    let socket: SocketAddr = addr
-        .parse()
-        .map_err(|_| format!("`{addr}` is not an ip:port address"))?;
-    let mut stream = TcpStream::connect_timeout(&socket, timeout)
-        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("send to {addr} failed: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("receive from {addr} failed: {e}"))?;
-    let status: u16 = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| format!("malformed response from {addr}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    let headers = head
-        .lines()
-        .skip(1) // the status line
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    Ok(Reply {
-        status,
-        headers,
-        body,
-    })
-}
-
-// ---------------------------------------------------------------------
 // the router proper
 
 /// A started router: HTTP server + health poller over a [`RouterShared`].
@@ -632,7 +557,7 @@ fn probe_failed(shared: &RouterShared, addr: &str, why: &str) {
 /// Re-home every open route whose owner is dead onto a live worker. The
 /// adopter resumes from the shared fingerprint-keyed checkpoint
 /// namespace, so the job continues bit-for-bit from the dead worker's
-/// last completed slice.
+/// last completed frequency.
 fn adopt_orphans(shared: &Arc<RouterShared>) {
     let live = live_workers(shared);
     if live.is_empty() {

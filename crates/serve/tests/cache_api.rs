@@ -8,32 +8,15 @@
 // Test code: panics are failures (DESIGN.md §9).
 #![allow(clippy::unwrap_used)]
 
+mod common;
+
+use common::{http, wait_for_state, TINY_INPUT};
 use mbrpa_serve::daemon::{Daemon, DaemonConfig};
 use mbrpa_serve::job::{validate_result_doc, validate_status_doc};
 use mbrpa_serve::json::{self, JsonValue};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Deliberately tiny Dirichlet cluster: n_d = 125, two frequencies.
-const TINY_INPUT: &str = "\
-N_NUCHI_EIGS: 4
-N_OMEGA: 2
-TOL_EIG: 1e-2
-TOL_STERN_RES: 1e-2
-MAXIT_FILTERING: 4
-CHEB_DEGREE_RPA: 2
-BOUNDARY: DIRICHLET
-CELLS_Z: 1
-POINTS_PER_CELL: 5
-MESH: 0.69
-PERTURBATION: 0.02
-SYSTEM_SEED: 7
-NP: 1
-";
+use std::time::Duration;
 
 /// The same calculation as [`TINY_INPUT`], spelled as differently as the
 /// format allows: reordered keys, lowercase, aliases (`NP` ↔
@@ -75,70 +58,23 @@ SYSTEM_SEED: 7
 NP: 1
 ";
 
-fn scratch_root(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "mbrpa-serve-cache-{tag}-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed) // ord: Relaxed — unique-id counter, no data published
-    ))
-}
-
 fn start_with(tag: &str, executors: usize, config: DaemonConfig) -> (Daemon, SocketAddr, PathBuf) {
-    let root = scratch_root(tag);
-    let daemon = Daemon::start(DaemonConfig {
-        root: root.clone(),
-        addr: "127.0.0.1:0".to_string(),
-        executors,
-        backlog: 8,
-        profile: false,
-        http_workers: 2,
-        log: Arc::new(|_| {}),
-        ..config
-    })
-    .unwrap();
-    let addr = daemon.local_addr();
-    (daemon, addr, root)
+    common::start(
+        tag,
+        DaemonConfig {
+            executors,
+            backlog: 8,
+            ..config
+        },
+    )
 }
 
 fn start(tag: &str, executors: usize) -> (Daemon, SocketAddr, PathBuf) {
     start_with(tag, executors, DaemonConfig::default())
 }
 
-/// One HTTP exchange; returns `(status, body)`.
-fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, body) = raw.split_once("\r\n\r\n").unwrap();
-    let status: u16 = head
-        .split("\r\n")
-        .next()
-        .unwrap()
-        .split(' ')
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    (status, body.to_string())
-}
-
 fn submit_body(input: &str) -> String {
-    json::obj(vec![
-        ("schema", json::s("mbrpa.job/1")),
-        ("input", json::s(input)),
-        ("priority", json::u(5)),
-    ])
-    .to_json()
+    common::submit_body(input, 5)
 }
 
 /// Submit an input that must miss the cache; returns the new job id.
@@ -164,27 +100,7 @@ fn submit_hit(addr: SocketAddr, input: &str) -> JsonValue {
 }
 
 fn wait_completed(addr: SocketAddr, id: &str) {
-    let start = Instant::now();
-    loop {
-        let (status, body) = http(addr, "GET", &format!("/v1/jobs/{id}"), None);
-        assert_eq!(status, 200, "{body}");
-        let state = json::parse(&body)
-            .unwrap()
-            .get("state")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-        if state == "completed" {
-            return;
-        }
-        assert_ne!(state, "failed", "job failed: {body}");
-        assert!(
-            start.elapsed() < Duration::from_secs(120),
-            "timed out; last status: {body}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_for_state(addr, id, "completed", Duration::from_secs(120));
 }
 
 fn result_bits(addr: SocketAddr, id: &str) -> String {

@@ -5,136 +5,34 @@
 // Test code: panics are failures (DESIGN.md §9).
 #![allow(clippy::unwrap_used)]
 
-use mbrpa_core::{KsSolver, RpaSetup};
-use mbrpa_dft::PotentialParams;
+mod common;
+
+use common::{http, scratch_root, start_on, submit_body, wait_for_state, TINY_INPUT};
+use mbrpa_core::RpaSetup;
 use mbrpa_serve::daemon::{Daemon, DaemonConfig};
+use mbrpa_serve::http::exchange;
 use mbrpa_serve::job::{validate_health_doc, validate_result_doc, validate_status_doc};
 use mbrpa_serve::json::{self, JsonValue};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Deliberately tiny Dirichlet cluster: n_d = 125, two frequencies.
-const TINY_INPUT: &str = "\
-N_NUCHI_EIGS: 4
-N_OMEGA: 2
-TOL_EIG: 1e-2
-TOL_STERN_RES: 1e-2
-MAXIT_FILTERING: 4
-CHEB_DEGREE_RPA: 2
-BOUNDARY: DIRICHLET
-CELLS_Z: 1
-POINTS_PER_CELL: 5
-MESH: 0.69
-PERTURBATION: 0.02
-SYSTEM_SEED: 7
-NP: 1
-";
-
-fn scratch_root(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(format!(
-        "mbrpa-serve-api-{tag}-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed) // ord: Relaxed — unique-id counter, no data published
-    ))
-}
+use std::time::Duration;
 
 fn start(tag: &str, executors: usize, backlog: usize) -> (Daemon, SocketAddr, PathBuf) {
-    let root = scratch_root(tag);
-    let daemon = Daemon::start(DaemonConfig {
-        root: root.clone(),
-        addr: "127.0.0.1:0".to_string(),
-        executors,
-        backlog,
-        profile: false,
-        http_workers: 2,
-        log: Arc::new(|_| {}),
-        ..DaemonConfig::default()
-    })
-    .unwrap();
-    let addr = daemon.local_addr();
-    (daemon, addr, root)
-}
-
-/// One HTTP exchange; returns `(status, headers, body)`.
-fn http(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> (u16, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, body) = raw.split_once("\r\n\r\n").unwrap();
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .unwrap()
-        .split(' ')
-        .nth(1)
-        .unwrap()
-        .parse()
-        .unwrap();
-    let headers = lines
-        .filter_map(|line| line.split_once(':'))
-        .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn submit_body(input: &str, priority: usize) -> String {
-    json::obj(vec![
-        ("schema", json::s("mbrpa.job/1")),
-        ("input", json::s(input)),
-        ("priority", json::u(priority)),
-    ])
-    .to_json()
-}
-
-/// Poll the status endpoint until the job reaches `want` (or panic at
-/// the deadline).
-fn wait_for_state(addr: SocketAddr, id: &str, want: &str, deadline: Duration) -> JsonValue {
-    let start = Instant::now();
-    loop {
-        let (status, _, body) = http(addr, "GET", &format!("/v1/jobs/{id}"), None);
-        assert_eq!(status, 200, "{body}");
-        let doc = json::parse(&body).unwrap();
-        validate_status_doc(&doc).unwrap();
-        let state = doc.get("state").unwrap().as_str().unwrap().to_string();
-        if state == want {
-            return doc;
-        }
-        assert!(
-            !(state == "failed" && want != "failed"),
-            "job failed while waiting for {want}: {body}"
-        );
-        assert!(
-            start.elapsed() < deadline,
-            "timed out waiting for {want}; last status: {body}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    common::start(
+        tag,
+        DaemonConfig {
+            executors,
+            backlog,
+            ..DaemonConfig::default()
+        },
+    )
 }
 
 #[test]
 fn lifecycle_and_bit_identical_result() {
     let (daemon, addr, root) = start("lifecycle", 1, 4);
 
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 5)));
+    let (status, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 5)));
     assert_eq!(status, 201, "{body}");
     let doc = json::parse(&body).unwrap();
     validate_status_doc(&doc).unwrap();
@@ -142,7 +40,7 @@ fn lifecycle_and_bit_identical_result() {
 
     wait_for_state(addr, &id, "completed", Duration::from_secs(120));
 
-    let (status, _, body) = http(addr, "GET", &format!("/v1/jobs/{id}/result"), None);
+    let (status, body) = http(addr, "GET", &format!("/v1/jobs/{id}/result"), None);
     assert_eq!(status, 200, "{body}");
     let result = json::parse(&body).unwrap();
     validate_result_doc(&result).unwrap();
@@ -150,13 +48,7 @@ fn lifecycle_and_bit_identical_result() {
 
     // the served energy must be bit-identical to a direct in-process run
     let input = mbrpa_core::parse_rpa_input(TINY_INPUT).unwrap();
-    let setup = RpaSetup::prepare(
-        input.system.build(),
-        &PotentialParams::default(),
-        2,
-        KsSolver::Dense { extra: 4 },
-    )
-    .unwrap();
+    let setup = RpaSetup::from_input(&input).unwrap();
     let reference = setup.run(&input.config).unwrap();
     assert_eq!(
         result.get("total_energy_bits").unwrap().as_str().unwrap(),
@@ -165,18 +57,45 @@ fn lifecycle_and_bit_identical_result() {
     );
 
     // report is human-readable text
-    let (status, _, report) = http(addr, "GET", &format!("/v1/jobs/{id}/report"), None);
+    let (status, report) = http(addr, "GET", &format!("/v1/jobs/{id}/report"), None);
     assert_eq!(status, 200);
     assert!(report.contains("RPA"), "{report}");
 
+    // a job nobody interrupted describes itself as one run, not as the
+    // last slice of a restart: nothing restored, a wall time that covers
+    // every frequency's operator time, and the solve count of a direct run
+    assert_eq!(result.get("n_restored").unwrap().as_u64(), Some(0));
+    assert!(!report.contains("Checkpoint restart"), "{report}");
+    let seconds_after = |label: &str| -> f64 {
+        let line = report.lines().find(|l| l.starts_with(label)).unwrap();
+        let value = line.split(':').nth(1).unwrap().trim();
+        value.trim_end_matches("sec").trim().parse().unwrap()
+    };
+    let wall_s = result.get("wall_s").unwrap().as_f64().unwrap();
+    assert!(
+        wall_s + 1e-3 >= seconds_after("nu chi0 nu"),
+        "wall_s {wall_s} does not cover the run: {report}"
+    );
+    let solves: u64 = report
+        .lines()
+        .skip_while(|l| !l.starts_with("Block size | Count"))
+        .skip(1)
+        .map_while(|l| l.split('|').nth(1)?.trim().parse::<u64>().ok())
+        .sum();
+    assert_eq!(
+        solves,
+        reference.solver_stats.block_sizes.total() as u64,
+        "{report}"
+    );
+
     // health and list know about the job
-    let (status, _, body) = http(addr, "GET", "/v1/health", None);
+    let (status, body) = http(addr, "GET", "/v1/health", None);
     assert_eq!(status, 200);
     let health = json::parse(&body).unwrap();
     validate_health_doc(&health).unwrap();
     assert_eq!(health.get("completed").unwrap().as_u64(), Some(1));
 
-    let (status, _, body) = http(addr, "GET", "/v1/jobs", None);
+    let (status, body) = http(addr, "GET", "/v1/jobs", None);
     assert_eq!(status, 200);
     let list = json::parse(&body).unwrap();
     let jobs = list.get("jobs").unwrap().as_arr().unwrap();
@@ -194,20 +113,25 @@ fn full_backlog_returns_429_with_retry_after() {
     // fully deterministic
     let (daemon, addr, root) = start("backpressure", 0, 1);
 
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
+    let (status, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
     assert_eq!(status, 201, "{body}");
 
-    let (status, headers, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 9)));
-    assert_eq!(status, 429, "{body}");
-    let retry_after = headers
-        .iter()
-        .find(|(k, _)| k == "retry-after")
-        .map(|(_, v)| v.clone())
+    let reply = exchange(
+        &addr.to_string(),
+        "POST",
+        "/v1/jobs",
+        Some(&submit_body(TINY_INPUT, 9)),
+        Duration::from_secs(30),
+    )
+    .unwrap();
+    assert_eq!(reply.status, 429, "{}", reply.body);
+    let retry_after = reply
+        .header("retry-after")
         .expect("429 must carry Retry-After");
     assert!(retry_after.parse::<u64>().unwrap() >= 1);
 
     // the refused job left nothing behind
-    let (status, _, body) = http(addr, "GET", "/v1/health", None);
+    let (status, body) = http(addr, "GET", "/v1/health", None);
     assert_eq!(status, 200);
     let health = json::parse(&body).unwrap();
     assert_eq!(health.get("queued").unwrap().as_u64(), Some(1));
@@ -220,7 +144,7 @@ fn full_backlog_returns_429_with_retry_after() {
 fn queued_jobs_cancel_immediately() {
     let (daemon, addr, root) = start("cancel", 0, 4);
 
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
+    let (status, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
     assert_eq!(status, 201, "{body}");
     let id = json::parse(&body)
         .unwrap()
@@ -230,19 +154,19 @@ fn queued_jobs_cancel_immediately() {
         .unwrap()
         .to_string();
 
-    let (status, _, body) = http(addr, "POST", &format!("/v1/jobs/{id}/cancel"), None);
+    let (status, body) = http(addr, "POST", &format!("/v1/jobs/{id}/cancel"), None);
     assert_eq!(status, 200, "{body}");
     let doc = json::parse(&body).unwrap();
     assert_eq!(doc.get("state").unwrap().as_str(), Some("cancelled"));
 
     // no result, and cancelling again is idempotent
-    let (status, _, _) = http(addr, "GET", &format!("/v1/jobs/{id}/result"), None);
+    let (status, _) = http(addr, "GET", &format!("/v1/jobs/{id}/result"), None);
     assert_eq!(status, 409);
-    let (status, _, _) = http(addr, "POST", &format!("/v1/jobs/{id}/cancel"), None);
+    let (status, _) = http(addr, "POST", &format!("/v1/jobs/{id}/cancel"), None);
     assert_eq!(status, 200);
 
     // unknown jobs 404
-    let (status, _, _) = http(addr, "POST", "/v1/jobs/job-999999/cancel", None);
+    let (status, _) = http(addr, "POST", "/v1/jobs/job-999999/cancel", None);
     assert_eq!(status, 404);
 
     drop(daemon);
@@ -253,11 +177,11 @@ fn queued_jobs_cancel_immediately() {
 fn shutdown_drains_and_refuses_new_work() {
     let (mut daemon, addr, root) = start("shutdown", 0, 4);
 
-    let (status, _, body) = http(addr, "POST", "/v1/shutdown", None);
+    let (status, body) = http(addr, "POST", "/v1/shutdown", None);
     assert_eq!(status, 202, "{body}");
     assert!(daemon.drain_requested());
 
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
+    let (status, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
     assert_eq!(status, 503, "{body}");
 
     daemon.drain();
@@ -269,22 +193,15 @@ fn restart_recovers_queued_jobs_and_completes_them() {
     let root = scratch_root("recover");
 
     // first daemon accepts but never runs (zero executors)
-    let (daemon, addr, _) = {
-        let daemon = Daemon::start(DaemonConfig {
-            root: root.clone(),
-            addr: "127.0.0.1:0".to_string(),
+    let (daemon, addr) = start_on(
+        &root,
+        DaemonConfig {
             executors: 0,
             backlog: 4,
-            profile: false,
-            http_workers: 1,
-            log: Arc::new(|_| {}),
             ..DaemonConfig::default()
-        })
-        .unwrap();
-        let addr = daemon.local_addr();
-        (daemon, addr, ())
-    };
-    let (status, _, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
+        },
+    );
+    let (status, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
     assert_eq!(status, 201, "{body}");
     let id = json::parse(&body)
         .unwrap()
@@ -296,20 +213,16 @@ fn restart_recovers_queued_jobs_and_completes_them() {
     drop(daemon); // drain (nothing running)
 
     // second daemon on the same root picks the job up and finishes it
-    let daemon = Daemon::start(DaemonConfig {
-        root: root.clone(),
-        addr: "127.0.0.1:0".to_string(),
-        executors: 1,
-        backlog: 4,
-        profile: false,
-        http_workers: 1,
-        log: Arc::new(|_| {}),
-        ..DaemonConfig::default()
-    })
-    .unwrap();
-    let addr = daemon.local_addr();
+    let (daemon, addr) = start_on(
+        &root,
+        DaemonConfig {
+            executors: 1,
+            backlog: 4,
+            ..DaemonConfig::default()
+        },
+    );
     wait_for_state(addr, &id, "completed", Duration::from_secs(120));
-    let (status, _, body) = http(addr, "GET", &format!("/v1/jobs/{id}/result"), None);
+    let (status, body) = http(addr, "GET", &format!("/v1/jobs/{id}/result"), None);
     assert_eq!(status, 200, "{body}");
     validate_result_doc(&json::parse(&body).unwrap()).unwrap();
 

@@ -29,8 +29,6 @@ pub mod gmres;
 pub mod initial_guess;
 pub mod operator;
 pub mod precond;
-pub mod qmr;
-pub mod seed;
 pub mod stats;
 pub mod workspace;
 
@@ -41,7 +39,5 @@ pub use gmres::{gmres, gmres_block, GmresOptions};
 pub use initial_guess::galerkin_guess;
 pub use operator::{DenseOperator, LinearOperator};
 pub use precond::{IdentityPreconditioner, Preconditioner};
-pub use qmr::{qmr_sym, QmrOptions};
-pub use seed::{seed_cocg, SeedReport};
 pub use stats::{BlockSizeHistogram, SolveReport, WorkerStats};
 pub use workspace::{with_thread_workspace, Workspace};

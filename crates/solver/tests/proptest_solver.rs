@@ -3,9 +3,8 @@
 
 use mbrpa_linalg::{matmul, Mat, C64};
 use mbrpa_solver::{
-    block_cocg, block_cocg_ws, cocg, gmres, qmr_sym, seed_cocg, true_relative_residual,
-    CocgOptions, DenseOperator, GmresOptions, IdentityPreconditioner, LinearOperator,
-    Preconditioner, QmrOptions, Workspace,
+    block_cocg, block_cocg_ws, cocg, gmres, true_relative_residual, CocgOptions, DenseOperator,
+    GmresOptions, IdentityPreconditioner, LinearOperator, Preconditioner, Workspace,
 };
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -120,21 +119,6 @@ proptest! {
         }
     }
 
-    /// QMR agrees with COCG on complex-symmetric systems.
-    #[test]
-    fn qmr_cocg_agree(op in operator_strategy(14), b in rhs_strategy(14, 1)) {
-        let (xc, rc) = cocg(&op, b.col(0), None, &CocgOptions::with_tol(1e-11));
-        let (xq, rq) = qmr_sym(&op, b.col(0), None, &QmrOptions {
-            tol: 1e-11,
-            max_iters: 2000,
-            ..QmrOptions::default()
-        });
-        prop_assume!(rc.converged && rq.converged);
-        for (a, c) in xq.iter().zip(xc.iter()) {
-            prop_assert!((a - c).norm() < 1e-7);
-        }
-    }
-
     /// Identity preconditioning changes nothing — not one bit, converged
     /// or not: `M = I` runs the same arithmetic in the same order.
     #[test]
@@ -211,15 +195,6 @@ proptest! {
         prop_assert!(rep.breakdowns > opts.max_breakdowns, "no breakdown: {rep:?}");
         prop_assume!(rep.converged);
         prop_assert!(true_relative_residual(&op, &twins, &x) < 1e-7);
-    }
-
-    /// The seed method solves every column correctly.
-    #[test]
-    fn seed_method_is_correct(op in operator_strategy(18), b in rhs_strategy(18, 3)) {
-        let opts = CocgOptions::with_tol(1e-9);
-        let (x, rep) = seed_cocg(&op, &b, &opts);
-        prop_assume!(rep.total.converged);
-        prop_assert!(true_relative_residual(&op, &b, &x) < 1e-6);
     }
 
     /// Solving with the exact solution as guess converges immediately.

@@ -6,17 +6,16 @@
 //! cargo run --release --example rpaclient -- result job-000001
 //! ```
 //!
-//! Hand-rolled HTTP/1.1 over `std::net`, mirroring the daemon's own
-//! zero-dependency server. Every command prints the response body (JSON
-//! for everything but `report`) to stdout and exits nonzero on any
+//! Speaks through the daemon crate's own HTTP client
+//! ([`mbrpa::serve::http::exchange`]). Every command prints the response
+//! body (JSON for everything but `report`) to stdout and exits nonzero on any
 //! non-2xx status, surfacing the server's JSON `error` member — and the
 //! `Retry-After` header when one is sent (429 backpressure, 503 drains)
 //! — on stderr so scripts see why a request was refused and when to
 //! resubmit.
 
+use mbrpa::serve::http::{self, Reply};
 use mbrpa::serve::json::{self, obj, s, u, JsonValue};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -38,80 +37,24 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// A parsed HTTP reply: status code, lowercased header names, body.
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: String,
-}
-
-/// One HTTP exchange.
+/// One HTTP exchange, under the client's fixed 30 s timeout.
 fn exchange(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result<Reply, String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .map_err(|e| e.to_string())?;
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream
-        .write_all(request.as_bytes())
-        .map_err(|e| format!("send failed: {e}"))?;
-    let mut raw = String::new();
-    stream
-        .read_to_string(&mut raw)
-        .map_err(|e| format!("receive failed: {e}"))?;
-    let status: u16 = raw
-        .split(' ')
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| format!("malformed response: {raw:.60}"))?;
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    let headers = head
-        .lines()
-        .skip(1) // the status line
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
-    Ok(Reply {
-        status,
-        headers,
-        body,
-    })
-}
-
-/// A response header value, by lowercase name.
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
+    http::exchange(addr, method, path, body, Duration::from_secs(30))
 }
 
 /// Run an exchange, print the body, and translate the status to an exit
 /// code.
 fn run(addr: &str, method: &str, path: &str, body: Option<&str>) -> ExitCode {
     match exchange(addr, method, path, body) {
-        Ok(Reply {
-            status,
-            headers,
-            body,
-        }) => {
-            println!("{body}");
+        Ok(reply) => {
+            let status = reply.status;
+            println!("{}", reply.body);
             if (200..300).contains(&status) {
                 ExitCode::SUCCESS
             } else {
                 // surface the server's own diagnosis, not just the code:
                 // error replies carry {"error": "..."} in the body
-                let reason = json::parse(&body).ok().and_then(|doc| {
+                let reason = json::parse(&reply.body).ok().and_then(|doc| {
                     doc.get("error")
                         .and_then(JsonValue::as_str)
                         .map(String::from)
@@ -122,7 +65,7 @@ fn run(addr: &str, method: &str, path: &str, body: Option<&str>) -> ExitCode {
                 }
                 // backpressure, not failure: tell scripts when to retry
                 // (any status may carry the header — 429 and 503 do)
-                if let Some(seconds) = header(&headers, "retry-after") {
+                if let Some(seconds) = reply.header("retry-after") {
                     eprintln!("retry after {seconds} s");
                 }
                 ExitCode::FAILURE

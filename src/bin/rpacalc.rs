@@ -12,10 +12,10 @@
 
 use mbrpa::ckpt::CheckpointStore;
 use mbrpa::core::{
-    io as rpaio, report, CancelToken, KsSolver, PartialRun, ResumableOutcome, ResumePolicy,
-    RpaConfig, RpaOutcome, RpaSetup,
+    io as rpaio, report, CancelToken, PartialRun, ResumableOutcome, ResumePolicy, RpaConfig,
+    RpaSetup, RunOptions,
 };
-use mbrpa::dft::{load_orbitals, save_orbitals, ChefsiOptions, PotentialParams};
+use mbrpa::dft::{load_orbitals, save_orbitals};
 use mbrpa::serve::signal;
 use std::path::Path;
 use std::process::ExitCode;
@@ -185,36 +185,13 @@ fn main() -> ExitCode {
         eprintln!("-resume requires -checkpoint <dir>");
         return ExitCode::FAILURE;
     }
-    // Lock the SIMD dispatch path in before any kernel can resolve it
-    // lazily: `-simd` wins over the MBRPA_SIMD environment variable.
-    let dispatch = {
-        let resolved = match &simd_mode {
-            Some(m) => mbrpa_simd::Dispatch::parse(m)
-                .map_err(|e| format!("-simd: {e}"))
-                .and_then(mbrpa_simd::force),
-            None => mbrpa_simd::init_from_env(),
-        };
-        match resolved {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    mbrpa_obs::set_dispatch(dispatch.name());
+    if let Err(e) = mbrpa::init_runtime(simd_mode.as_deref(), threads) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     if profile_path.is_some() {
         mbrpa_obs::reset();
         mbrpa_obs::set_enabled(true);
-    }
-
-    if let Some(t) = threads {
-        if let Err(e) = rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build_global()
-        {
-            eprintln!("warning: could not size the thread pool: {e}");
-        }
     }
 
     let input_path = format!("{name}.rpa");
@@ -236,33 +213,24 @@ fn main() -> ExitCode {
         eprintln!("note: ignoring artifact key `{key}` (not needed by this formulation)");
     }
 
-    let crystal = match input.vacancy {
-        Some(site) => input.system.build_with_vacancy(site),
-        None => input.system.build(),
-    };
-    eprintln!(
-        "system {}: n_d = {}, n_s = {}",
-        crystal.label,
-        crystal.n_grid(),
-        crystal.n_occupied()
-    );
-
-    // KS stage: load from a prior run, or dense for small grids / CheFSI
-    // beyond (mirroring the artifact's precomputed-SPARC-output workflow)
+    // KS stage: dense for small grids, CheFSI beyond; `-load-ks` then
+    // swaps in the orbitals of a prior run (mirroring the artifact's
+    // precomputed-SPARC-output workflow)
     let mut setup_span = Some(mbrpa_obs::span("setup"));
     let orb_path = format!("{name}.orb");
-    let solver = if crystal.n_grid() <= 1000 {
-        KsSolver::Dense { extra: 4 }
-    } else {
-        KsSolver::Chefsi(ChefsiOptions::default())
-    };
-    let mut setup = match RpaSetup::prepare(crystal, &PotentialParams::default(), 2, solver) {
+    let mut setup = match RpaSetup::from_input(&input) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("KS stage failed: {e}");
             return ExitCode::FAILURE;
         }
     };
+    eprintln!(
+        "system {}: n_d = {}, n_s = {}",
+        setup.crystal.label,
+        setup.crystal.n_grid(),
+        setup.crystal.n_occupied()
+    );
     if load_ks {
         match load_orbitals(Path::new(&orb_path)) {
             Ok(ks) => {
@@ -296,85 +264,69 @@ fn main() -> ExitCode {
     let cancel = CancelToken::new();
     let _watcher = signal::watch(cancel.clone());
 
-    let mut rpa_span = Some(mbrpa_obs::span("rpa"));
-    let result = if let Some(dir) = &checkpoint_dir {
-        let mut store = match CheckpointStore::open(Path::new(dir)) {
-            Ok(s) => s,
+    let mut store = match &checkpoint_dir {
+        Some(dir) => match CheckpointStore::open(Path::new(dir)) {
+            Ok(s) => Some(s),
             Err(e) => {
                 eprintln!("cannot open checkpoint directory {dir}: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        let policy = ResumePolicy {
-            every: checkpoint_every,
-            resume,
-            stop_after: None,
-        };
-        match setup.run_resumable_cancellable(&input.config, &mut store, &policy, &cancel) {
-            Ok(ResumableOutcome::Complete(r)) => {
-                if r.n_restored > 0 {
-                    eprintln!(
-                        "resumed from checkpoint: {} of {} frequencies restored",
-                        r.n_restored,
-                        r.per_omega.len()
-                    );
-                }
-                *r
-            }
-            Ok(ResumableOutcome::Checkpointed { completed, n_omega }) => {
-                eprintln!("checkpointed at {completed} of {n_omega} frequencies");
-                drop(rpa_span.take());
-                if let Some(p) = &profile_path {
-                    if !emit_profile(p, None) {
-                        return ExitCode::FAILURE;
-                    }
-                }
-                return ExitCode::SUCCESS;
-            }
-            Ok(ResumableOutcome::Cancelled(partial)) => {
+        },
+        None => None,
+    };
+    let policy = ResumePolicy {
+        every: checkpoint_every,
+        resume,
+        stop_after: None,
+    };
+    let mut rpa_span = Some(mbrpa_obs::span("rpa"));
+    let outcome = setup.run_with(
+        &input.config,
+        RunOptions {
+            checkpoint: store.as_mut().map(|s| (s, &policy)),
+            cancel: Some(&cancel),
+            on_frequency: None,
+        },
+    );
+    let result = match outcome {
+        Ok(ResumableOutcome::Complete(r)) => {
+            if r.n_restored > 0 {
                 eprintln!(
-                    "interrupted: {} of {} frequencies done; state checkpointed in {dir}",
-                    partial.completed, partial.n_omega
-                );
-                eprintln!("rerun with -checkpoint {dir} -resume to finish bit-for-bit");
-                drop(rpa_span.take());
-                return finish_partial(
-                    &name,
-                    to_stdout,
-                    &input.config,
-                    &partial,
-                    &setup,
-                    profile_path.as_deref(),
+                    "resumed from checkpoint: {} of {} frequencies restored",
+                    r.n_restored,
+                    r.per_omega.len()
                 );
             }
-            Err(e) => {
-                eprintln!("RPA stage failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            *r
         }
-    } else {
-        match setup.run_cancellable(&input.config, &cancel) {
-            Ok(RpaOutcome::Complete(r)) => *r,
-            Ok(RpaOutcome::Cancelled(partial)) => {
-                eprintln!(
-                    "interrupted: {} of {} frequencies done (no -checkpoint directory, \
-                     so the run cannot be resumed)",
-                    partial.completed, partial.n_omega
-                );
-                drop(rpa_span.take());
-                return finish_partial(
-                    &name,
-                    to_stdout,
-                    &input.config,
-                    &partial,
-                    &setup,
-                    profile_path.as_deref(),
-                );
+        Ok(ResumableOutcome::Checkpointed { .. }) => unreachable!("the policy sets no stop_after"),
+        Ok(ResumableOutcome::Cancelled(partial)) => {
+            let done = format!(
+                "interrupted: {} of {} frequencies done",
+                partial.completed, partial.n_omega
+            );
+            match &checkpoint_dir {
+                Some(dir) => {
+                    eprintln!("{done}; state checkpointed in {dir}");
+                    eprintln!("rerun with -checkpoint {dir} -resume to finish bit-for-bit");
+                }
+                None => {
+                    eprintln!("{done} (no -checkpoint directory, so the run cannot be resumed)")
+                }
             }
-            Err(e) => {
-                eprintln!("RPA stage failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            drop(rpa_span.take());
+            return finish_partial(
+                &name,
+                to_stdout,
+                &input.config,
+                &partial,
+                &setup,
+                profile_path.as_deref(),
+            );
+        }
+        Err(e) => {
+            eprintln!("RPA stage failed: {e}");
+            return ExitCode::FAILURE;
         }
     };
 

@@ -197,39 +197,19 @@ fn main() -> ExitCode {
         }
     }
 
-    // Lock the SIMD dispatch path in before the executors spin up so every
-    // job (and the health document) reports the same resolved path.
-    let dispatch = {
-        let resolved = match &simd_mode {
-            Some(m) => mbrpa_simd::Dispatch::parse(m)
-                .map_err(|e| format!("-simd: {e}"))
-                .and_then(mbrpa_simd::force),
-            None => mbrpa_simd::init_from_env(),
-        };
-        match resolved {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    mbrpa_obs::set_dispatch(dispatch.name());
-
     if profile && executors > 1 {
         eprintln!("note: -profile needs a single executor; profiles will not be emitted");
     }
 
-    // install before spawning anything so every thread inherits it
+    // install before spawning anything (the rayon pool included) so every
+    // thread inherits it
     signal::install_termination_handler();
 
-    if let Some(t) = threads {
-        if let Err(e) = rayon::ThreadPoolBuilder::new()
-            .num_threads(t)
-            .build_global()
-        {
-            eprintln!("warning: could not size the thread pool: {e}");
-        }
+    // before the executors spin up, so every job (and the health
+    // document) reports the same resolved dispatch path
+    if let Err(e) = mbrpa::init_runtime(simd_mode.as_deref(), threads) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
 
     let config = DaemonConfig {

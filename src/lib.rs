@@ -55,15 +55,43 @@ pub use mbrpa_obs as obs;
 pub use mbrpa_serve as serve;
 pub use mbrpa_solver as solver;
 
+/// Process start-up shared by the binaries: lock the SIMD dispatch path
+/// in before any kernel can resolve it lazily (`simd`, the `-simd` flag,
+/// wins over the `MBRPA_SIMD` environment variable), record it for the
+/// telemetry and health documents, and size the global rayon pool when
+/// `threads` is given. An `Err` is the message to print before exiting
+/// with failure; a pool that cannot be sized is only a warning.
+pub fn init_runtime(
+    simd: Option<&str>,
+    threads: Option<usize>,
+) -> Result<mbrpa_simd::Dispatch, String> {
+    let dispatch = match simd {
+        Some(mode) => mbrpa_simd::Dispatch::parse(mode)
+            .map_err(|e| format!("-simd: {e}"))
+            .and_then(mbrpa_simd::force)?,
+        None => mbrpa_simd::init_from_env()?,
+    };
+    mbrpa_obs::set_dispatch(dispatch.name());
+    if let Some(t) = threads {
+        if let Err(e) = rayon::ThreadPoolBuilder::new()
+            .num_threads(t)
+            .build_global()
+        {
+            // lint: allow(print) — the binaries' own start-up: this is their stderr warning
+            eprintln!("warning: could not size the thread pool: {e}");
+        }
+    }
+    Ok(dispatch)
+}
+
 /// One-stop imports for applications.
 pub mod prelude {
     pub use mbrpa_ckpt::CheckpointStore;
     pub use mbrpa_core::{
-        compute_rpa_energy, compute_rpa_energy_cancellable, compute_rpa_energy_resumable,
-        compute_rpa_energy_resumable_cancellable, dielectric_spectrum, direct_rpa_energy,
-        frequency_quadrature, full_spectrum, lanczos_trace, subspace_iteration, CancelToken,
-        DielectricOperator, KsSolver, PartialRun, ResumableOutcome, ResumePolicy, RpaConfig,
-        RpaOutcome, RpaResult, RpaRunError, RpaSetup, SternheimerSettings, TraceEstimatorOptions,
+        dielectric_spectrum, direct_rpa_energy, frequency_quadrature, full_spectrum, lanczos_trace,
+        subspace_iteration, CancelToken, DielectricOperator, KsSolver, PartialRun,
+        ResumableOutcome, ResumePolicy, RpaConfig, RpaResult, RpaRunError, RpaSetup, RunOptions,
+        SternheimerSettings, TraceEstimatorOptions,
     };
     pub use mbrpa_dft::{
         silicon_ladder, solve_occupied_chefsi, solve_occupied_dense, ChefsiOptions, Crystal,

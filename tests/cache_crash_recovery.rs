@@ -7,13 +7,12 @@
 
 #![allow(clippy::unwrap_used)]
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
-use mbrpa::serve::json::{self, JsonValue};
+use common::{doc, http, read_addr, spawn_daemon, submit_body};
+use mbrpa::serve::json::JsonValue;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// Two cheap frequencies: completes in seconds.
 const JOB_INPUT: &str = "\
@@ -50,68 +49,9 @@ n_omega: 2
 n_nuchi_eigs: 4
 ";
 
-fn spawn_daemon(root: &Path, port_file: &Path) -> Child {
-    let _ = std::fs::remove_file(port_file);
-    Command::new(env!("CARGO_BIN_EXE_rpaserved"))
-        .arg("-root")
-        .arg(root)
-        .arg("-addr")
-        .arg("127.0.0.1:0")
-        .arg("-port-file")
-        .arg(port_file)
-        .arg("-executors")
-        .arg("1")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("rpaserved should start")
-}
-
-fn read_addr(port_file: &Path, child: &mut Child) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(text) = std::fs::read_to_string(port_file) {
-            if !text.trim().is_empty() {
-                return text.trim().to_string();
-            }
-        }
-        if let Ok(Some(status)) = child.try_wait() {
-            panic!("rpaserved exited before binding: {status}");
-        }
-        assert!(Instant::now() < deadline, "daemon never wrote its address");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-fn http(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let status: u16 = raw.split(' ').nth(1).unwrap().parse().unwrap();
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
 fn submit(addr: &str, input: &str) -> (u16, JsonValue) {
-    let body = json::obj(vec![
-        ("schema", json::s("mbrpa.job/1")),
-        ("input", json::s(input)),
-    ])
-    .to_json();
-    let (status, body) = http(addr, "POST", "/v1/jobs", Some(&body));
-    (status, json::parse(&body).unwrap())
+    let (status, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(input)));
+    (status, doc(&body))
 }
 
 fn wait_completed(addr: &str, id: &str) {
@@ -119,8 +59,8 @@ fn wait_completed(addr: &str, id: &str) {
     loop {
         let (status, body) = http(addr, "GET", &format!("/v1/jobs/{id}"), None);
         assert_eq!(status, 200, "{body}");
-        let doc = json::parse(&body).unwrap();
-        let state = doc.get("state").unwrap().as_str().unwrap();
+        let status_doc = doc(&body);
+        let state = status_doc.get("state").unwrap().as_str().unwrap();
         if state == "completed" {
             return;
         }
@@ -133,8 +73,7 @@ fn wait_completed(addr: &str, id: &str) {
 fn result_bits(addr: &str, id: &str) -> String {
     let (status, body) = http(addr, "GET", &format!("/v1/jobs/{id}/result"), None);
     assert_eq!(status, 200, "{body}");
-    json::parse(&body)
-        .unwrap()
+    doc(&body)
         .get("total_energy_bits")
         .unwrap()
         .as_str()
@@ -153,7 +92,7 @@ fn torn_cache_writes_never_produce_a_false_hit() {
 
     // daemon 1: complete one job, populating the cache
     let mut child = spawn_daemon(&root, &port_file);
-    let addr = read_addr(&port_file, &mut child);
+    let addr = read_addr(&port_file, &mut child, "rpaserved");
     let (status, doc) = submit(&addr, JOB_INPUT);
     assert_eq!(status, 201, "{}", doc.to_json());
     let id = doc.get("id").unwrap().as_str().unwrap().to_string();
@@ -181,7 +120,7 @@ fn torn_cache_writes_never_produce_a_false_hit() {
 
     // daemon 2 on the same store: the torn entry must not hit
     let mut child = spawn_daemon(&root, &port_file);
-    let addr = read_addr(&port_file, &mut child);
+    let addr = read_addr(&port_file, &mut child, "rpaserved");
     let (status, doc) = submit(&addr, JOB_VARIANT);
     assert_eq!(
         status,

@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use mbrpa::ckpt::{CheckpointStore, Slot};
-use mbrpa::core::{CancelToken, ResumableOutcome, ResumePolicy, RpaRunError};
+use mbrpa::core::{CancelToken, ResumableOutcome, ResumePolicy, RpaRunError, RunOptions};
 use mbrpa::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -200,7 +200,14 @@ fn cancel_after_restored_prefix_preserves_state() {
     cancel.cancel();
     let mut store = CheckpointStore::open(&dir).unwrap();
     let outcome = setup
-        .run_resumable_cancellable(&config, &mut store, &ResumePolicy::default(), &cancel)
+        .run_with(
+            &config,
+            RunOptions {
+                checkpoint: Some((&mut store, &ResumePolicy::default())),
+                cancel: Some(&cancel),
+                on_frequency: None,
+            },
+        )
         .unwrap();
     drop(store);
     match outcome {
@@ -231,57 +238,111 @@ fn cancel_after_restored_prefix_preserves_state() {
 }
 
 #[test]
-fn mid_run_cancel_resumes_bit_identical() {
-    // cancel from another thread while the loop runs; whenever the token
-    // lands, the journaled state must still complete to the exact bits
+fn cancel_at_every_boundary_resumes_bit_identical() {
+    // cancel from inside the per-frequency observer at boundary k (a
+    // token already set when the run starts, for k = 0), under a dense
+    // and a sparse `every` — the forced snapshot on cancellation must
+    // cover boundaries the sparse policy skips — and without a store
     let setup = tiny_setup();
     let config = tiny_config();
     let reference = setup.run(&config).unwrap();
-    let dir = scratch_dir("cancelmid");
 
-    let cancel = CancelToken::new();
-    let trigger = cancel.clone();
-    let killer = std::thread::spawn(move || {
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        trigger.cancel();
-    });
-    let mut store = CheckpointStore::open(&dir).unwrap();
-    // sparse `every` on purpose: the forced snapshot on cancellation must
-    // cover boundaries the policy would have skipped
-    let policy = ResumePolicy {
-        every: 3,
-        resume: true,
-        stop_after: None,
-    };
-    let outcome = setup
-        .run_resumable_cancellable(&config, &mut store, &policy, &cancel)
-        .unwrap();
-    killer.join().unwrap();
-    drop(store);
-
-    match outcome {
-        ResumableOutcome::Cancelled(p) => {
-            assert!(p.completed < config.n_omega);
-            if p.completed > 0 {
-                // the forced snapshot holds exactly the completed prefix
-                let store = CheckpointStore::open(&dir).unwrap();
-                let snap = store.load_latest().unwrap().unwrap().snapshot;
-                assert_eq!(snap.completed, p.completed as u64);
+    for every in [Some(1), Some(3), None] {
+        for k in 0..config.n_omega {
+            let dir = scratch_dir("cancelsweep");
+            let mut store = every.map(|_| CheckpointStore::open(&dir).unwrap());
+            let policy = ResumePolicy {
+                every: every.unwrap_or(1),
+                resume: true,
+                stop_after: None,
+            };
+            let cancel = CancelToken::new();
+            if k == 0 {
+                cancel.cancel();
             }
-            let resumed = resume_to_completion(&setup, &config, &dir);
-            assert_eq!(resumed.n_restored, p.completed);
-            assert_eq!(
-                resumed.total_energy.to_bits(),
-                reference.total_energy.to_bits()
-            );
+            let mut cancel_at_k = |completed: usize, _n_omega: usize| {
+                if completed == k {
+                    cancel.cancel();
+                }
+            };
+            let outcome = setup
+                .run_with(
+                    &config,
+                    RunOptions {
+                        checkpoint: store.as_mut().map(|s| (s, &policy)),
+                        cancel: Some(&cancel),
+                        on_frequency: Some(&mut cancel_at_k),
+                    },
+                )
+                .unwrap();
+            let ResumableOutcome::Cancelled(p) = outcome else {
+                panic!("every {every:?}, k = {k}: expected Cancelled, got {outcome:?}");
+            };
+            assert_eq!(p.completed, k, "every {every:?}");
+            assert_eq!(p.per_omega.len(), k);
+            // the partial accumulator is the reference's prefix, bit for bit
+            let mut prefix = 0.0;
+            for rep in &reference.per_omega[..k] {
+                prefix += rep.contribution;
+            }
+            assert_eq!(p.accumulated_energy.to_bits(), prefix.to_bits());
+
+            if let Some(store) = store {
+                // the forced snapshot holds exactly the completed prefix
+                // (nothing was ever written for k = 0)
+                let latest = store.load_latest().unwrap();
+                assert_eq!(
+                    latest.map(|l| l.snapshot.completed),
+                    (k > 0).then_some(k as u64),
+                    "every {every:?}, k = {k}"
+                );
+                drop(store);
+                let resumed = resume_to_completion(&setup, &config, &dir);
+                assert_eq!(resumed.n_restored, k);
+                assert_eq!(
+                    resumed.total_energy.to_bits(),
+                    reference.total_energy.to_bits(),
+                    "every {every:?}, k = {k}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
-        // the cancel landed after the last frequency: equally valid, and
-        // the result must already be the reference
-        ResumableOutcome::Complete(r) => {
-            assert_eq!(r.total_energy.to_bits(), reference.total_energy.to_bits());
-        }
-        other => panic!("unexpected outcome {other:?}"),
     }
+}
+
+#[test]
+fn observer_fires_once_per_computed_frequency_after_its_snapshot() {
+    let setup = tiny_setup();
+    let config = tiny_config();
+    let dir = scratch_dir("observer");
+    assert_eq!(run_prefix(&setup, &config, &dir, 1), 1);
+
+    // one frequency is restored, so the observer sees 2, 3, 4 — and a
+    // second handle on the store already finds each of them journaled
+    let mut seen = Vec::new();
+    let mut observe = |completed: usize, n_omega: usize| {
+        assert_eq!(n_omega, config.n_omega);
+        let journaled = CheckpointStore::open(&dir)
+            .unwrap()
+            .load_latest()
+            .unwrap()
+            .unwrap();
+        assert_eq!(journaled.snapshot.completed, completed as u64);
+        seen.push(completed);
+    };
+    let mut store = CheckpointStore::open(&dir).unwrap();
+    let outcome = setup
+        .run_with(
+            &config,
+            RunOptions {
+                checkpoint: Some((&mut store, &ResumePolicy::default())),
+                cancel: None,
+                on_frequency: Some(&mut observe),
+            },
+        )
+        .unwrap();
+    assert!(matches!(outcome, ResumableOutcome::Complete(_)));
+    assert_eq!(seen, vec![2, 3, 4]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,9 +6,11 @@
 
 #![allow(clippy::unwrap_used)]
 
+mod common;
+
+use common::{read_addr, spawn};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
-use std::time::{Duration, Instant};
+use std::process::{Command, Output};
 
 /// A result document that satisfies every `validate_result_doc` check
 /// (`total_energy_bits` is the exact bit pattern of `total_energy`).
@@ -121,22 +123,6 @@ fn rpaclient(addr: &str, args: &[&str]) -> Output {
         .unwrap()
 }
 
-fn read_addr(port_file: &Path, child: &mut Child) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(text) = std::fs::read_to_string(port_file) {
-            if !text.trim().is_empty() {
-                return text.trim().to_string();
-            }
-        }
-        if let Ok(Some(status)) = child.try_wait() {
-            panic!("rpaserved exited before binding: {status}");
-        }
-        assert!(Instant::now() < deadline, "daemon never wrote its address");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
 #[test]
 fn rpaclient_surfaces_retry_after_on_backpressure() {
     if !rpaclient_path().is_file() {
@@ -152,17 +138,13 @@ fn rpaclient_surfaces_retry_after_on_backpressure() {
     let port_file = dir.join("addr.txt");
 
     // zero executors + backlog 1: the second submission always 429s
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rpaserved"))
-        .arg("-root")
-        .arg(dir.join("store"))
-        .args(["-addr", "127.0.0.1:0", "-executors", "0", "-backlog", "1"])
-        .arg("-port-file")
-        .arg(&port_file)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    let addr = read_addr(&port_file, &mut child);
+    let mut child = spawn(
+        env!("CARGO_BIN_EXE_rpaserved"),
+        &dir.join("store"),
+        &port_file,
+        &["-executors", "0", "-backlog", "1"],
+    );
+    let addr = read_addr(&port_file, &mut child, "rpaserved");
 
     let input = input_path.to_str().unwrap();
     let first = rpaclient(&addr, &["submit", input, "-name", "first"]);

@@ -6,8 +6,7 @@
 // bitwise-reproducible results (DESIGN.md §9).
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
-use mbrpa::core::{io::parse_rpa_input, report, KsSolver, RpaSetup};
-use mbrpa::prelude::*;
+use mbrpa::core::{io::parse_rpa_input, report, RpaSetup};
 
 const INPUT: &str = "\
 # tiny end-to-end configuration
@@ -33,17 +32,9 @@ fn parse_build_run_report() {
     let input = parse_rpa_input(INPUT).expect("parse");
     assert_eq!(input.ignored_keys, vec!["FLAG_PQ_OPERATOR"]);
 
-    let crystal = input.system.build();
-    assert_eq!(crystal.label, "Si8");
-    assert_eq!(crystal.n_grid(), 125);
-
-    let setup = RpaSetup::prepare(
-        crystal,
-        &PotentialParams::default(),
-        2,
-        KsSolver::Dense { extra: 2 },
-    )
-    .expect("KS stage");
+    let setup = RpaSetup::from_input(&input).expect("KS stage");
+    assert_eq!(setup.crystal.label, "Si8");
+    assert_eq!(setup.crystal.n_grid(), 125);
     let result = setup.run(&input.config).expect("RPA stage");
 
     assert!(result.total_energy < 0.0);
@@ -65,7 +56,7 @@ fn vacancy_input_builds_the_smaller_system() {
     let input = parse_rpa_input(&text).expect("parse");
     assert_eq!(input.vacancy, Some(2));
     assert_eq!(input.config.n_eig, 18); // later key wins
-    let crystal = input.system.build_with_vacancy(input.vacancy.unwrap());
+    let crystal = RpaSetup::from_input(&input).expect("KS stage").crystal;
     assert_eq!(crystal.label, "Si7");
     assert_eq!(crystal.n_occupied(), 14);
 }
@@ -74,13 +65,7 @@ fn vacancy_input_builds_the_smaller_system() {
 fn orbital_roundtrip_through_the_pipeline() {
     // KS once, save, load, and verify the RPA energy is identical
     let input = parse_rpa_input(INPUT).expect("parse");
-    let setup = RpaSetup::prepare(
-        input.system.build(),
-        &PotentialParams::default(),
-        2,
-        KsSolver::Dense { extra: 2 },
-    )
-    .expect("KS stage");
+    let setup = RpaSetup::from_input(&input).expect("KS stage");
 
     let mut path = std::env::temp_dir();
     path.push(format!("mbrpa_pipeline_{}.orb", std::process::id()));
@@ -88,13 +73,7 @@ fn orbital_roundtrip_through_the_pipeline() {
     let loaded = mbrpa::dft::load_orbitals(&path).expect("load");
     std::fs::remove_file(&path).ok();
 
-    let mut setup2 = RpaSetup::prepare(
-        input.system.build(),
-        &PotentialParams::default(),
-        2,
-        KsSolver::Dense { extra: 2 },
-    )
-    .expect("KS stage 2");
+    let mut setup2 = RpaSetup::from_input(&input).expect("KS stage 2");
     setup2.ks = loaded;
 
     let e1 = setup.run(&input.config).expect("run 1").total_energy;

@@ -6,12 +6,13 @@
 
 #![allow(clippy::unwrap_used)]
 
+mod common;
+
+use common::{doc, http, read_addr, spawn, submit_body};
 use mbrpa::prelude::*;
-use mbrpa::serve::json::{self, require_str, require_uint, JsonValue};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use mbrpa::serve::json::{require_str, require_uint, JsonValue};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 /// Several cheap frequencies, so the kill usually lands mid-run and the
@@ -33,82 +34,30 @@ NP: 1
 ";
 
 fn spawn_worker(root: &Path, ckpt_root: &Path, port_file: &Path) -> Child {
-    let _ = std::fs::remove_file(port_file);
-    Command::new(env!("CARGO_BIN_EXE_rpaserved"))
-        .arg("-root")
-        .arg(root)
-        .arg("-ckpt-root")
-        .arg(ckpt_root)
-        .args(["-addr", "127.0.0.1:0", "-executors", "1"])
-        .arg("-port-file")
-        .arg(port_file)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("rpaserved should start")
+    let ckpt_root = ckpt_root.to_str().unwrap();
+    spawn(
+        env!("CARGO_BIN_EXE_rpaserved"),
+        root,
+        port_file,
+        &["-ckpt-root", ckpt_root, "-executors", "1"],
+    )
 }
 
 fn spawn_router(root: &Path, workers: &[&str], port_file: &Path) -> Child {
-    let _ = std::fs::remove_file(port_file);
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_rparouter"));
-    cmd.arg("-root")
-        .arg(root)
-        .args(["-addr", "127.0.0.1:0"])
-        .arg("-port-file")
-        .arg(port_file)
-        // fast detection so the test does not dawdle: two missed probes
-        // 150 ms apart declare a worker dead
-        .args(["-poll-ms", "150", "-probe-timeout-ms", "500"])
-        .args(["-fail-threshold", "2"]);
+    // fast detection so the test does not dawdle: two missed probes
+    // 150 ms apart declare a worker dead
+    let mut args = vec![
+        "-poll-ms",
+        "150",
+        "-probe-timeout-ms",
+        "500",
+        "-fail-threshold",
+        "2",
+    ];
     for worker in workers {
-        cmd.args(["-worker", worker]);
+        args.extend(["-worker", worker]);
     }
-    cmd.stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("rparouter should start")
-}
-
-fn read_addr(port_file: &Path, child: &mut Child, who: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(text) = std::fs::read_to_string(port_file) {
-            if !text.trim().is_empty() {
-                return text.trim().to_string();
-            }
-        }
-        if let Ok(Some(status)) = child.try_wait() {
-            panic!("{who} exited before binding: {status}");
-        }
-        assert!(Instant::now() < deadline, "{who} never wrote its address");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-fn http(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let status: u16 = raw.split(' ').nth(1).unwrap().parse().unwrap();
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// Every `/v1` body is one JSON document.
-fn doc(body: &str) -> JsonValue {
-    json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"))
+    spawn(env!("CARGO_BIN_EXE_rparouter"), root, port_file, &args)
 }
 
 /// The single route of a `mbrpa.route-table/1` body.
@@ -128,13 +77,7 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
 
     // reference: an uninterrupted in-process run of the same input
     let input = mbrpa::core::parse_rpa_input(JOB_INPUT).unwrap();
-    let setup = RpaSetup::prepare(
-        input.system.build(),
-        &PotentialParams::default(),
-        2,
-        KsSolver::Dense { extra: 4 },
-    )
-    .unwrap();
+    let setup = RpaSetup::from_input(&input).unwrap();
     let reference = setup.run(&input.config).unwrap();
     let reference_bits = format!("{:016x}", reference.total_energy.to_bits());
 
@@ -149,10 +92,7 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
     let mut router = spawn_router(&scratch.join("router"), &[&addr_a, &addr_b], &port_r);
     let router_addr = read_addr(&port_r, &mut router, "rparouter");
 
-    let submit = format!(
-        "{{\"schema\":\"mbrpa.job/1\",\"input\":{}}}",
-        json::s(JOB_INPUT).to_json()
-    );
+    let submit = submit_body(JOB_INPUT);
     let (status, body) = http(&router_addr, "POST", "/v1/jobs", Some(&submit));
     assert_eq!(status, 201, "{body}");
     let rid = require_str(&doc(&body), "id").unwrap().to_string();

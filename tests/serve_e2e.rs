@@ -5,12 +5,12 @@
 
 #![allow(clippy::unwrap_used)]
 
+mod common;
+
+use common::{doc, http, read_addr, spawn_daemon, submit_body};
 use mbrpa::prelude::*;
-use mbrpa::serve::json::{self, require_str, require_uint, JsonValue};
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use mbrpa::serve::json::{require_str, require_uint};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Several cheap frequencies, so a kill usually lands mid-run and the
@@ -31,65 +31,6 @@ SYSTEM_SEED: 7
 NP: 1
 ";
 
-fn spawn_daemon(root: &Path, port_file: &Path) -> Child {
-    let _ = std::fs::remove_file(port_file);
-    Command::new(env!("CARGO_BIN_EXE_rpaserved"))
-        .arg("-root")
-        .arg(root)
-        .arg("-addr")
-        .arg("127.0.0.1:0")
-        .arg("-port-file")
-        .arg(port_file)
-        .arg("-executors")
-        .arg("1")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("rpaserved should start")
-}
-
-fn read_addr(port_file: &Path, child: &mut Child) -> String {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(text) = std::fs::read_to_string(port_file) {
-            if !text.trim().is_empty() {
-                return text.trim().to_string();
-            }
-        }
-        if let Ok(Some(status)) = child.try_wait() {
-            panic!("rpaserved exited before binding: {status}");
-        }
-        assert!(Instant::now() < deadline, "daemon never wrote its address");
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-fn http(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let payload = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let status: u16 = raw.split(' ').nth(1).unwrap().parse().unwrap();
-    let body = raw
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// Every `/v1` body is one JSON document.
-fn doc(body: &str) -> JsonValue {
-    json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"))
-}
-
 #[test]
 fn kill_dash_nine_resumes_bit_for_bit() {
     let scratch = std::env::temp_dir().join(format!("mbrpa-serve-e2e-{}", std::process::id()));
@@ -100,24 +41,14 @@ fn kill_dash_nine_resumes_bit_for_bit() {
 
     // reference: an uninterrupted in-process run of the same input
     let input = mbrpa::core::parse_rpa_input(JOB_INPUT).unwrap();
-    let setup = RpaSetup::prepare(
-        input.system.build(),
-        &PotentialParams::default(),
-        2,
-        KsSolver::Dense { extra: 4 },
-    )
-    .unwrap();
+    let setup = RpaSetup::from_input(&input).unwrap();
     let reference = setup.run(&input.config).unwrap();
     let reference_bits = format!("{:016x}", reference.total_energy.to_bits());
 
     // first daemon: submit, wait for per-frequency progress, kill -9
     let mut child = spawn_daemon(&root, &port_file);
-    let addr = read_addr(&port_file, &mut child);
-    let submit = format!(
-        "{{\"schema\":\"mbrpa.job/1\",\"input\":{}}}",
-        // JSON-escape the input text
-        json::s(JOB_INPUT).to_json()
-    );
+    let addr = read_addr(&port_file, &mut child, "rpaserved");
+    let submit = submit_body(JOB_INPUT);
     let (status, body) = http(&addr, "POST", "/v1/jobs", Some(&submit));
     assert_eq!(status, 201, "{body}");
     let id = require_str(&doc(&body), "id").unwrap().to_string();
@@ -159,7 +90,7 @@ fn kill_dash_nine_resumes_bit_for_bit() {
 
         // second daemon on the same store: recovery requeues and resumes
         child = spawn_daemon(&root, &port_file);
-        let addr2 = read_addr(&port_file, &mut child);
+        let addr2 = read_addr(&port_file, &mut child, "rpaserved");
         let deadline = Instant::now() + Duration::from_secs(180);
         loop {
             let (status, body) = http(&addr2, "GET", &format!("/v1/jobs/{id}"), None);
