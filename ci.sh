@@ -46,6 +46,23 @@ fi
 [ "$(grep -cF 'n_grid() <= 1000' crates/core/src/rpa.rs)" = 1 ] \
     || { echo "ci: the size rule must appear exactly once, in RpaSetup::from_input"; exit 1; }
 
+# One Sternheimer solve path: Alg. 3 has no column-narrowing layer (it
+# would move every pinned energy and count; switching it on is a bench
+# argument of its own), the column split of a block apply lives once in
+# crates/grid/src/par.rs, and both fingerprints hash one field list.
+if grep -rnw --include='*.rs' 'deflate' crates/solver/src; then
+    echo "ci: \`deflate\` is back under crates/solver/src — Alg. 3 iterates on the block it was given"
+    exit 1
+fi
+if grep -nF 'into_par_iter' crates/dft/src/hamiltonian.rs crates/grid/src/stencil.rs; then
+    echo "ci: a block apply splits its own columns — call mbrpa_grid::par::apply_columns"
+    exit 1
+fi
+if grep -nE 'FINGERPRINT_SCHEMA: u64 = 1;' crates/core/src/checkpoint.rs; then
+    echo "ci: FINGERPRINT_SCHEMA is 1 again — schema-1 snapshots hashed a hand-kept field list"
+    exit 1
+fi
+
 # Sanitizer legs: Miri (UB in the unsafe SIMD/linalg kernels) and
 # ThreadSanitizer (data races in the serve executor pool). Both need a
 # nightly toolchain with specific components; when unavailable the legs

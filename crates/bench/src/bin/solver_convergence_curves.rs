@@ -43,7 +43,6 @@ fn main() {
                 tol: 1e-8,
                 max_iters: 3000,
                 track_residuals: true,
-                ..CocgOptions::default()
             };
             let (_, rep) = block_cocg(&op, &b, None, &opts);
             series.push((format!("cocg_s{s}"), rep.residual_history));

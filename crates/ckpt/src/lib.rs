@@ -39,10 +39,7 @@ pub use codec::{
     decode_snapshot, encode_snapshot, IterRow, OmegaSummary, Snapshot, FORMAT_VERSION, MAGIC,
 };
 pub use crc32::crc32;
-pub use store::{
-    list_namespaces, valid_namespace_id, write_atomic, CheckpointStore, LoadedSnapshot, Slot,
-    SlotState,
-};
+pub use store::{valid_namespace_id, write_atomic, CheckpointStore, LoadedSnapshot, Slot};
 
 /// Errors reading, writing, or validating snapshots.
 #[derive(Debug)]

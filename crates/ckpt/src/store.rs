@@ -50,17 +50,6 @@ impl Slot {
     }
 }
 
-/// What the loader found in one slot.
-#[derive(Debug)]
-pub enum SlotState {
-    /// The slot file does not exist.
-    Absent,
-    /// The slot decoded cleanly; the sequence is reported.
-    Valid(u64),
-    /// The slot exists but failed validation.
-    Corrupt(CkptError),
-}
-
 /// A successfully loaded snapshot plus provenance.
 #[derive(Debug)]
 pub struct LoadedSnapshot {
@@ -145,15 +134,6 @@ impl CheckpointStore {
         decode_snapshot(&bytes)
     }
 
-    /// Report the state of both slots (A then B) without loading fully.
-    pub fn slot_states(&self) -> [SlotState; 2] {
-        [Slot::A, Slot::B].map(|slot| match self.read_slot(slot) {
-            Ok(s) => SlotState::Valid(s.sequence),
-            Err(CkptError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => SlotState::Absent,
-            Err(e) => SlotState::Corrupt(e),
-        })
-    }
-
     /// Open a namespaced store `root/<id>/` for one job of a multi-job
     /// owner (a serving daemon's per-job checkpoint area). The id is
     /// restricted to `[A-Za-z0-9._-]` without a leading dot so a
@@ -207,33 +187,6 @@ pub fn valid_namespace_id(id: &str) -> bool {
         && id
             .bytes()
             .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
-}
-
-/// Enumerate the namespace ids under `root` (the inverse of
-/// [`CheckpointStore::open_namespaced`]): every directory entry whose
-/// name is a valid namespace id, sorted. A missing root is an empty
-/// listing, not an error — a daemon's first boot has no jobs yet.
-pub fn list_namespaces(root: impl AsRef<Path>) -> Result<Vec<String>, CkptError> {
-    let root = root.as_ref();
-    let entries = match fs::read_dir(root) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut ids = Vec::new();
-    for entry in entries {
-        let entry = entry?;
-        if !entry.file_type()?.is_dir() {
-            continue;
-        }
-        if let Some(name) = entry.file_name().to_str() {
-            if valid_namespace_id(name) {
-                ids.push(name.to_owned());
-            }
-        }
-    }
-    ids.sort();
-    Ok(ids)
 }
 
 /// Write `bytes` to `path` atomically and durably — the one
@@ -434,11 +387,8 @@ mod tests {
     }
 
     #[test]
-    fn namespaced_stores_are_isolated_and_listable() {
+    fn namespaced_stores_are_isolated() {
         let root = scratch_dir("namespaces");
-        // missing root lists empty instead of erroring
-        assert!(list_namespaces(&root).unwrap().is_empty());
-
         let mut a = CheckpointStore::open_namespaced(&root, "job-a").unwrap();
         let mut b = CheckpointStore::open_namespaced(&root, "job-b").unwrap();
         a.save(&mut snap(1)).unwrap();
@@ -446,11 +396,6 @@ mod tests {
         // each namespace sees only its own snapshot
         assert_eq!(a.load_latest().unwrap().unwrap().snapshot.completed, 1);
         assert_eq!(b.load_latest().unwrap().unwrap().snapshot.completed, 2);
-
-        // stray files and invalid names are not listed
-        fs::write(root.join("stray.txt"), b"x").unwrap();
-        fs::create_dir(root.join(".hidden")).unwrap();
-        assert_eq!(list_namespaces(&root).unwrap(), vec!["job-a", "job-b"]);
 
         let err = CheckpointStore::open_namespaced(&root, "../escape").unwrap_err();
         assert!(err.to_string().contains("invalid checkpoint namespace"));

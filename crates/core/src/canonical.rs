@@ -29,6 +29,7 @@
 //! fingerprints of the example inputs under `inputs/` so an accidental
 //! encoding change fails loudly.
 
+use crate::config::RpaConfig;
 use crate::io::RpaInput;
 use mbrpa_linalg::fcmp::exactly_zero;
 use mbrpa_solver::BlockPolicy;
@@ -83,12 +84,6 @@ fn norm_bits(v: f64) -> u64 {
 struct Encoder(Vec<u8>);
 
 impl Encoder {
-    fn new() -> Self {
-        let mut bytes = Vec::with_capacity(256);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&CANONICAL_VERSION.to_le_bytes());
-        Self(bytes)
-    }
     fn uint(&mut self, tag: u8, v: u64) {
         self.0.push(tag);
         self.0.extend_from_slice(&v.to_le_bytes());
@@ -105,7 +100,9 @@ impl Encoder {
 /// inputs describe the same calculation; see the module docs for what is
 /// normalized away.
 pub fn canonical_bytes(input: &RpaInput) -> Vec<u8> {
-    let mut e = Encoder::new();
+    let mut e = Encoder(Vec::with_capacity(256));
+    e.0.extend_from_slice(MAGIC);
+    e.0.extend_from_slice(&CANONICAL_VERSION.to_le_bytes());
     let spec = &input.system;
     e.uint(TAG_CELLS_Z, spec.cells_z as u64);
     e.uint(TAG_POINTS_PER_CELL, spec.points_per_cell as u64);
@@ -127,8 +124,22 @@ pub fn canonical_bytes(input: &RpaInput) -> Vec<u8> {
             e.0.extend_from_slice(&(site as u64).to_le_bytes());
         }
     }
+    encode_config(&input.config, &mut e);
+    e.0
+}
 
-    let config = &input.config;
+/// The configuration half of the canonical encoding on its own: the one
+/// list of [`RpaConfig`] fields, shared with the run-compatibility
+/// fingerprint [`crate::checkpoint::config_fingerprint`].
+pub(crate) fn config_bytes(config: &RpaConfig) -> Vec<u8> {
+    let mut e = Encoder(Vec::with_capacity(192));
+    encode_config(config, &mut e);
+    e.0
+}
+
+/// Every [`RpaConfig`] field, tagged, in a fixed order. A field added to
+/// the struct is added here and nowhere else.
+fn encode_config(config: &RpaConfig, e: &mut Encoder) {
     e.uint(TAG_N_EIG, config.n_eig as u64);
     e.uint(TAG_N_OMEGA, config.n_omega as u64);
     // length-prefixed so list boundaries cannot shift between fields
@@ -171,7 +182,6 @@ pub fn canonical_bytes(input: &RpaInput) -> Vec<u8> {
         }
     }
     e.uint(TAG_SEED, config.seed);
-    e.0
 }
 
 /// 128-bit FNV-1a offset basis.
@@ -274,21 +284,13 @@ NP: 2
     }
 
     #[test]
-    fn semantic_changes_do_not_collide() {
+    fn system_changes_do_not_collide() {
         let base = parse_rpa_input(BASE).unwrap();
         let reference = input_fingerprint(&base);
         for (label, text) in [
-            ("n_eig", BASE.replace("N_NUCHI_EIGS: 8", "N_NUCHI_EIGS: 9")),
-            ("n_omega", BASE.replace("N_OMEGA: 3", "N_OMEGA: 4")),
-            ("tol_eig", BASE.replace("1e-3", "2e-3")),
-            (
-                "tol_stern",
-                BASE.replace("TOL_STERN_RES: 1e-2", "TOL_STERN_RES: 2e-2"),
-            ),
             ("boundary", BASE.replace("DIRICHLET", "PERIODIC")),
             ("mesh", BASE.replace("MESH: 0.69", "MESH: 0.7")),
             ("seed", BASE.replace("SYSTEM_SEED: 7", "SYSTEM_SEED: 8")),
-            ("np", BASE.replace("NP: 2", "NP: 3")),
             ("vacancy", format!("{BASE}VACANCY: 1\n")),
         ] {
             let variant = parse_rpa_input(&text).unwrap();
@@ -296,6 +298,49 @@ NP: 2
                 input_fingerprint(&variant),
                 reference,
                 "{label} change did not move the fingerprint"
+            );
+        }
+    }
+
+    /// One row per [`RpaConfig`] field: changing it moves the cache key
+    /// and the checkpoint fingerprint alike (they share `encode_config`).
+    #[test]
+    fn every_config_field_moves_both_fingerprints() {
+        use crate::checkpoint::config_fingerprint;
+        use crate::chi0::{PrecondPolicy, WorkDistribution};
+        let base = parse_rpa_input(BASE).unwrap();
+        let with = |config: RpaConfig| RpaInput {
+            config,
+            ..base.clone()
+        };
+        let c = || base.config.clone();
+        #[rustfmt::skip]
+        let variants: Vec<(&str, RpaConfig)> = vec![
+            ("n_eig", RpaConfig { n_eig: 9, ..c() }),
+            ("n_omega", RpaConfig { n_omega: 5, ..c() }),
+            ("tol_eig", RpaConfig { tol_eig: vec![1e-3], ..c() }),
+            ("tol_sternheimer", RpaConfig { tol_sternheimer: 1e-5, ..c() }),
+            ("max_filter_iters", RpaConfig { max_filter_iters: 11, ..c() }),
+            ("cheb_degree", RpaConfig { cheb_degree: 3, ..c() }),
+            ("use_galerkin_guess", RpaConfig { use_galerkin_guess: !base.config.use_galerkin_guess, ..c() }),
+            ("warm_start", RpaConfig { warm_start: !base.config.warm_start, ..c() }),
+            ("block_policy", RpaConfig { block_policy: BlockPolicy::Fixed(2), ..c() }),
+            ("n_workers", RpaConfig { n_workers: 3, ..c() }),
+            ("cocg_max_iters", RpaConfig { cocg_max_iters: 601, ..c() }),
+            ("precondition", RpaConfig { precondition: PrecondPolicy::Always, ..c() }),
+            ("distribution", RpaConfig { distribution: WorkDistribution::WorkStealing { chunk_width: 4 }, ..c() }),
+            ("seed", RpaConfig { seed: 2025, ..c() }),
+        ];
+        for (label, config) in variants {
+            assert_ne!(
+                config_fingerprint(&config, 125),
+                config_fingerprint(&base.config, 125),
+                "{label} change did not move the checkpoint fingerprint"
+            );
+            assert_ne!(
+                input_fingerprint(&with(config)),
+                input_fingerprint(&base),
+                "{label} change did not move the input fingerprint"
             );
         }
     }

@@ -26,7 +26,6 @@ use crate::rpa::{OmegaReport, PartialRun, RpaResult};
 use crate::subspace::{SubspaceIterRecord, SubspaceTimings};
 use mbrpa_ckpt::{CheckpointStore, CkptError, IterRow, OmegaSummary, Snapshot};
 use mbrpa_linalg::LinalgError;
-use mbrpa_solver::BlockPolicy;
 use std::fmt;
 use std::time::Duration;
 
@@ -141,8 +140,10 @@ pub enum ResumableOutcome {
     Cancelled(PartialRun),
 }
 
-/// FNV-1a hash of every configuration field that affects the numerical
-/// trajectory of the run, plus the grid dimension. Two runs with equal
+/// FNV-1a hash of the schema number, the grid dimension and every
+/// configuration field that affects the numerical trajectory of the run
+/// (the config half of the canonical encoding, so the two fingerprints
+/// cannot disagree about which fields exist). Two runs with equal
 /// fingerprints walk identical floating-point paths frequency by
 /// frequency, which is what makes a resumed run bit-for-bit identical to
 /// an uninterrupted one.
@@ -153,72 +154,17 @@ pub enum ResumableOutcome {
 /// system definition included — lives in [`crate::canonical`] and keys
 /// the exact-result cache of `mbrpa-serve`.
 pub fn config_fingerprint(config: &RpaConfig, n_d: usize) -> u64 {
-    let mut h = Fnv64::new();
-    h.u64(FINGERPRINT_SCHEMA);
-    h.u64(n_d as u64);
-    h.u64(config.n_eig as u64);
-    h.u64(config.n_omega as u64);
-    h.u64(config.tol_eig.len() as u64);
-    for &tol in &config.tol_eig {
-        h.u64(tol.to_bits());
-    }
-    h.u64(config.tol_sternheimer.to_bits());
-    h.u64(config.max_filter_iters as u64);
-    h.u64(config.cheb_degree as u64);
-    h.u64(u64::from(config.use_galerkin_guess));
-    h.u64(u64::from(config.warm_start));
-    match config.block_policy {
-        BlockPolicy::Fixed(s) => {
-            h.u64(1);
-            h.u64(s as u64);
-        }
-        BlockPolicy::DynamicTimed => h.u64(2),
-        BlockPolicy::DynamicCostModel => h.u64(3),
-    }
-    h.u64(config.n_workers as u64);
-    h.u64(config.cocg_max_iters as u64);
-    match config.precondition {
-        crate::chi0::PrecondPolicy::Never => h.u64(1),
-        crate::chi0::PrecondPolicy::Always => h.u64(2),
-        crate::chi0::PrecondPolicy::HardOnly {
-            omega_max,
-            top_orbital_frac,
-        } => {
-            h.u64(3);
-            h.u64(omega_max.to_bits());
-            h.u64(top_orbital_frac.to_bits());
-        }
-    }
-    match config.distribution {
-        crate::chi0::WorkDistribution::StaticColumns => h.u64(1),
-        crate::chi0::WorkDistribution::WorkStealing { chunk_width } => {
-            h.u64(2);
-            h.u64(chunk_width as u64);
-        }
-    }
-    h.u64(config.seed);
-    h.finish()
+    let mut bytes = Vec::with_capacity(208);
+    bytes.extend_from_slice(&FINGERPRINT_SCHEMA.to_le_bytes());
+    bytes.extend_from_slice(&(n_d as u64).to_le_bytes());
+    bytes.extend_from_slice(&crate::canonical::config_bytes(config));
+    crate::fnv1a64(&bytes)
 }
 
 /// Bump when the fingerprint's field set or encoding changes, so stale
-/// snapshots from older builds are rejected instead of misread.
-const FINGERPRINT_SCHEMA: u64 = 1;
-
-/// The fingerprint's field stream: little-endian `u64`s, hashed with the
-/// shared [`fnv1a64`](crate::fnv1a64).
-struct Fnv64(Vec<u8>);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Self(Vec::new())
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn finish(&self) -> u64 {
-        crate::fnv1a64(&self.0)
-    }
-}
+/// snapshots from older builds are rejected instead of misread. 2: the
+/// fields are the config half of [`crate::canonical::canonical_bytes`].
+const FINGERPRINT_SCHEMA: u64 = 2;
 
 /// Serialize one frequency's report into its snapshot form. Timings are
 /// stored as seconds; everything numerical keeps exact bits.
@@ -387,75 +333,38 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_sees_every_tracked_field() {
+    fn fingerprint_tracks_the_grid_dimension() {
+        // the config fields are covered, for both fingerprints, by
+        // `canonical::tests::every_config_field_moves_both_fingerprints`
         let reference = config_fingerprint(&base_config(), 125);
-        let variants: Vec<RpaConfig> = vec![
-            RpaConfig {
-                n_eig: 9,
-                ..base_config()
-            },
-            RpaConfig {
-                n_omega: 5,
-                ..base_config()
-            },
-            RpaConfig {
-                tol_eig: vec![1e-3],
-                ..base_config()
-            },
-            RpaConfig {
-                tol_sternheimer: 1e-5,
-                ..base_config()
-            },
-            RpaConfig {
-                max_filter_iters: 11,
-                ..base_config()
-            },
-            RpaConfig {
-                cheb_degree: 3,
-                ..base_config()
-            },
-            RpaConfig {
-                use_galerkin_guess: false,
-                ..base_config()
-            },
-            RpaConfig {
-                warm_start: false,
-                ..base_config()
-            },
-            RpaConfig {
-                block_policy: BlockPolicy::Fixed(2),
-                ..base_config()
-            },
-            RpaConfig {
-                n_workers: 2,
-                ..base_config()
-            },
-            RpaConfig {
-                cocg_max_iters: 601,
-                ..base_config()
-            },
-            RpaConfig {
-                precondition: crate::chi0::PrecondPolicy::Always,
-                ..base_config()
-            },
-            RpaConfig {
-                distribution: crate::chi0::WorkDistribution::WorkStealing { chunk_width: 4 },
-                ..base_config()
-            },
-            RpaConfig {
-                seed: 2025,
-                ..base_config()
-            },
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(
-                config_fingerprint(v, 125),
-                reference,
-                "variant {i} did not change the fingerprint"
-            );
-        }
-        // the grid dimension is tracked too
         assert_ne!(config_fingerprint(&base_config(), 126), reference);
+    }
+
+    #[test]
+    fn snapshot_stamped_by_schema_1_is_refused() {
+        // what a build before the shared field list hashed this very
+        // config and grid to; the same run today must not resume from it
+        const SCHEMA_1: u64 = 0x9346_19ad_ad48_379f;
+        let config = base_config();
+        let current = config_fingerprint(&config, 125);
+        assert_ne!(current, SCHEMA_1);
+        let dir = std::env::temp_dir().join(format!("mbrpa-schema1-{}", std::process::id()));
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut snap = Snapshot {
+            fingerprint: SCHEMA_1,
+            sequence: 0,
+            completed: 0,
+            n_omega_total: config.n_omega as u64,
+            accumulated_energy: 0.0,
+            warm_start: mbrpa_linalg::Mat::zeros(125, config.n_eig),
+            omega: Vec::new(),
+        };
+        store.save(&mut snap).unwrap();
+        match restore(&store, current, &config, 125) {
+            Err(RpaRunError::ConfigMismatch { saved, .. }) => assert_eq!(saved, SCHEMA_1),
+            other => panic!("expected ConfigMismatch, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

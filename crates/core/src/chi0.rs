@@ -15,7 +15,7 @@
 //! iteration above it runs entirely in real arithmetic.
 
 use crate::cancel::CancelToken;
-use crate::workers::partition_columns;
+use crate::workers::{partition_columns, ColumnRange};
 use mbrpa_dft::{
     Hamiltonian, ShiftedLaplacianPreconditioner, SternheimerLinOp, SternheimerOperator,
 };
@@ -41,6 +41,13 @@ use std::time::{Duration, Instant};
 /// and the same job took 20 or 33 ms from one submission to the next
 /// (EXPERIMENTS.md, "`solve_s` on `serve_mix`").
 const MIN_FAN_OUT_WORK: usize = 1 << 14;
+
+/// One unit of a `χ⁰` apply: the orbitals `orbitals` (a run of the flat
+/// (spin channel, orbital) list) for the columns of range `chunk`.
+struct Task {
+    chunk: usize,
+    orbitals: std::ops::Range<usize>,
+}
 
 /// `f(index, item)` over `items`, results in input order: across the pool
 /// when `fan_out`, otherwise one after another on the calling thread.
@@ -404,20 +411,6 @@ impl<'a> DielectricOperator<'a> {
         }
     }
 
-    /// `χ⁰V` for one worker's columns (Algorithm 7 lines 3–6); `v` already
-    /// contains `ν½V` when called from the dielectric product.
-    fn chi0_columns(&self, v: &Mat<f64>, stats: &mut WorkerStats) -> Mat<f64> {
-        let (n, w) = (self.ham.dim(), v.cols());
-        let mut acc = Mat::zeros(n, w);
-        let mut b = Mat::<C64>::zeros(n, w);
-        for (sigma, ch) in self.channels.iter().enumerate() {
-            for j in 0..ch.energies.len() {
-                self.orbital_contribution(sigma, j, v, &mut b, &mut acc, stats);
-            }
-        }
-        acc
-    }
-
     /// `χ⁰V` over the worker partition (no `ν½` factors). Used by the
     /// direct-comparison tests and the `νχ⁰` spectrum figure.
     pub fn apply_chi0_block(&self, v: &Mat<f64>) -> Mat<f64> {
@@ -448,111 +441,100 @@ impl<'a> DielectricOperator<'a> {
             mbrpa_obs::add("chi0.applications", cols as u64);
         }
 
-        let n_orbitals: usize = self.channels.iter().map(|ch| ch.energies.len()).sum();
-        // whether `slots` concurrent tasks each get enough of this apply
-        let worth_fanning_out = |slots: usize| n * cols * n_orbitals >= slots * MIN_FAN_OUT_WORK;
-
-        let mut result = match self.settings.distribution {
-            WorkDistribution::StaticColumns => {
-                let p = self.n_workers.min(cols.max(1));
-                // Register the worker partition with the shared
-                // nested-parallelism guard: inner block applies and GEMMs
-                // under these tasks see the reduced `inner_slots()` budget
-                // instead of oversubscribing the pool.
-                let _outer = mbrpa_grid::par::outer_scope(p);
-                let ranges = partition_columns(cols.max(1), p);
-                let pieces: Vec<(usize, usize, Mat<f64>, WorkerStats)> =
-                    map_tasks(&ranges, worth_fanning_out(p), |widx, range| {
-                        if obs_on {
-                            mbrpa_obs::set_context(&ctx_label);
-                        }
-                        let mut stats = WorkerStats::new();
-                        let mut local = v.columns(range.start, range.count);
-                        if with_nu_sqrt {
-                            self.coulomb.apply_nu_sqrt_block(&mut local);
-                        }
-                        let out = self.chi0_columns(&local, &mut stats);
-                        if obs_on {
-                            mbrpa_obs::clear_context();
-                            mbrpa_obs::flush_thread();
-                        }
-                        (widx, range.start, out, stats)
-                    });
-                let mut result = Mat::zeros(n, cols);
-                // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
-                let mut merged = self.stats.lock().expect("stats mutex poisoned");
-                // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
-                let mut load = self.worker_load.lock().expect("load mutex poisoned");
-                for (widx, start, piece, stats) in &pieces {
-                    result.set_columns(*start, piece);
-                    merged.merge(stats);
-                    if *widx < load.len() {
-                        load[*widx] += stats.solve_time;
-                    }
-                }
-                result
-            }
+        // Both distributions are a list of one task shape: a column range
+        // and a run of the flat (spin channel, orbital) list.
+        let orbitals: Vec<(usize, usize)> = self
+            .channels
+            .iter()
+            .enumerate()
+            .flat_map(|(sigma, ch)| (0..ch.energies.len()).map(move |j| (sigma, j)))
+            .collect();
+        let n_orbitals = orbitals.len();
+        let (ranges, orbitals_per_task, slots_cap) = match self.settings.distribution {
+            // §III-D: one task per worker range, every orbital
+            WorkDistribution::StaticColumns => (
+                partition_columns(cols, self.n_workers),
+                n_orbitals,
+                usize::MAX,
+            ),
+            // §V: one task per (chunk, orbital), so no worker is pinned to
+            // a difficulty class; at most one task per pool thread runs
+            // at a time
             WorkDistribution::WorkStealing { chunk_width } => {
-                // fine-grained (orbital, chunk) tasks: no worker is pinned
-                // to a difficulty class, so the slowest-orbital imbalance
-                // of the static partition disappears (§V)
-                let width = chunk_width.max(1).min(cols.max(1));
-                let n_chunks = cols.div_ceil(width).max(1);
-                let slots = (n_chunks * n_orbitals).min(rayon::current_num_threads());
-                let fan_out = worth_fanning_out(slots);
-                // pre-apply ν½ per chunk (cheap)
-                let starts: Vec<usize> = (0..n_chunks).map(|c| c * width).collect();
-                let chunks: Vec<(usize, Mat<f64>)> = map_tasks(&starts, fan_out, |_, &start| {
-                    let count = width.min(cols - start);
-                    let mut local = v.columns(start, count);
-                    if with_nu_sqrt {
-                        self.coulomb.apply_nu_sqrt_block(&mut local);
-                    }
-                    (start, local)
-                });
-                let tasks: Vec<(usize, usize, usize)> = (0..n_chunks)
-                    .flat_map(|c| {
-                        self.channels
-                            .iter()
-                            .enumerate()
-                            .flat_map(move |(sigma, ch)| {
-                                (0..ch.energies.len()).map(move |j| (c, sigma, j))
-                            })
+                let width = chunk_width.max(1);
+                let chunks = (0..cols)
+                    .step_by(width)
+                    .map(|start| ColumnRange {
+                        start,
+                        count: width.min(cols - start),
                     })
                     .collect();
-                // Work-stealing saturates at most one task per pool
-                // thread at a time; register that with the guard so the
-                // per-task solver kernels stay serial while stealing is
-                // active.
-                let _outer = mbrpa_grid::par::outer_scope(slots);
-                let pieces: Vec<(usize, Mat<f64>, WorkerStats)> =
-                    map_tasks(&tasks, fan_out, |_, &(c, sigma, j)| {
-                        if obs_on {
-                            mbrpa_obs::set_context(&ctx_label);
-                        }
-                        let mut stats = WorkerStats::new();
-                        let v_c = &chunks[c].1;
-                        let mut contrib = Mat::zeros(n, v_c.cols());
-                        let mut b = Mat::<C64>::zeros(n, v_c.cols());
-                        self.orbital_contribution(sigma, j, v_c, &mut b, &mut contrib, &mut stats);
-                        if obs_on {
-                            mbrpa_obs::clear_context();
-                            mbrpa_obs::flush_thread();
-                        }
-                        (chunks[c].0, contrib, stats)
-                    });
-                let mut result = Mat::zeros(n, cols);
-                // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
-                let mut merged = self.stats.lock().expect("stats mutex poisoned");
-                for (start, piece, stats) in &pieces {
-                    for jc in 0..piece.cols() {
-                        mbrpa_linalg::vecops::axpy(1.0, piece.col(jc), result.col_mut(start + jc));
-                    }
-                    merged.merge(stats);
-                }
-                result
+                (chunks, 1, rayon::current_num_threads())
             }
         };
+        let tasks: Vec<Task> = (0..ranges.len())
+            .flat_map(|chunk| {
+                (0..n_orbitals)
+                    .step_by(orbitals_per_task.max(1))
+                    .map(move |lo| Task {
+                        chunk,
+                        orbitals: lo..(lo + orbitals_per_task).min(n_orbitals),
+                    })
+            })
+            .collect();
+        let slots = tasks.len().min(slots_cap);
+        // whether `slots` concurrent tasks each get enough of this apply
+        let fan_out = n * cols * n_orbitals >= slots * MIN_FAN_OUT_WORK;
+        // Register the task list with the shared nested-parallelism guard:
+        // inner block applies and GEMMs under these tasks see the reduced
+        // `inner_slots()` budget instead of oversubscribing the pool.
+        let _outer = mbrpa_grid::par::outer_scope(slots);
+
+        // Algorithm 7 line 2, once per column
+        let locals: Vec<Mat<f64>> = map_tasks(&ranges, fan_out, |_, range| {
+            let mut local = v.columns(range.start, range.count);
+            if with_nu_sqrt {
+                self.coulomb.apply_nu_sqrt_block(&mut local);
+            }
+            local
+        });
+        // lines 3–6: each task sums its orbitals' contributions in order
+        let pieces: Vec<(Mat<f64>, WorkerStats)> = map_tasks(&tasks, fan_out, |_, task| {
+            if obs_on {
+                mbrpa_obs::set_context(&ctx_label);
+            }
+            let mut stats = WorkerStats::new();
+            let local = &locals[task.chunk];
+            let mut acc = Mat::zeros(n, local.cols());
+            let mut b = Mat::<C64>::zeros(n, local.cols());
+            for &(sigma, j) in &orbitals[task.orbitals.clone()] {
+                self.orbital_contribution(sigma, j, local, &mut b, &mut acc, &mut stats);
+            }
+            if obs_on {
+                mbrpa_obs::clear_context();
+                mbrpa_obs::flush_thread();
+            }
+            (acc, stats)
+        });
+
+        let mut result = Mat::zeros(n, cols);
+        {
+            // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
+            let mut merged = self.stats.lock().expect("stats mutex poisoned");
+            // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
+            let mut load = self.worker_load.lock().expect("load mutex poisoned");
+            let per_worker = self.settings.distribution == WorkDistribution::StaticColumns;
+            for (task, (piece, stats)) in tasks.iter().zip(&pieces) {
+                let start = ranges[task.chunk].start;
+                for jc in 0..piece.cols() {
+                    mbrpa_linalg::vecops::axpy(1.0, piece.col(jc), result.col_mut(start + jc));
+                }
+                merged.merge(stats);
+                if per_worker {
+                    load[task.chunk] += stats.solve_time;
+                }
+            }
+        }
 
         if with_nu_sqrt {
             self.coulomb.apply_nu_sqrt_block(&mut result);
@@ -837,6 +819,34 @@ mod tests {
             stat.stats_snapshot().block_sizes.total(),
             steal.stats_snapshot().block_sizes.total()
         );
+    }
+
+    #[test]
+    fn distributions_agree_bit_for_bit_at_block_size_one() {
+        // one column per solve takes block width out of the arithmetic, so
+        // what is left is the task list: 3 + 2 columns × all orbitals
+        // against (2 + 2 + 1 columns) × one orbital each, merged in order
+        let f = fixture();
+        let n = f.ham.dim();
+        let v = Mat::from_fn(n, 5, |i, j| ((i * 7 + j * 5) % 31) as f64 * 0.03 - 0.45);
+        let apply = |distribution: WorkDistribution| {
+            let settings = SternheimerSettings {
+                tol: 1e-9,
+                policy: BlockPolicy::Fixed(1),
+                distribution,
+                ..SternheimerSettings::default()
+            };
+            DielectricOperator::new(&f.ham, &f.psi, &f.energies, &f.coulomb, 0.6, settings, 2)
+                .apply_dielectric_block(&v)
+        };
+        let a = apply(WorkDistribution::StaticColumns);
+        let b = apply(WorkDistribution::WorkStealing { chunk_width: 2 });
+        let same = a
+            .as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same, "max difference {}", a.max_abs_diff(&b));
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::potential::{local_potential, NonlocalProjectors, PotentialParams};
 use crate::system::Crystal;
 use mbrpa_grid::Laplacian;
 use mbrpa_linalg::{exactly_zero, Mat, Scalar, C64};
-use rayon::prelude::*;
 
 /// Real symmetric grid Hamiltonian.
 ///
@@ -101,37 +100,18 @@ impl Hamiltonian {
     }
 
     /// `out = H V` column by column (stencil applied one vector at a time,
-    /// per §III-C of the paper), splitting the columns across threads when
-    /// [`mbrpa_grid::par::block_apply_chunks`] says the pool has idle
-    /// capacity.
+    /// per §III-C of the paper), through [`mbrpa_grid::par::apply_columns`].
     pub fn apply_block<T: Scalar>(&self, v: &Mat<T>, out: &mut Mat<T>) {
         assert_eq!(v.shape(), out.shape());
         assert_eq!(v.rows(), self.dim());
         let s = v.cols();
-        let n = self.dim();
         mbrpa_obs::add("grid.stencil_applies", s as u64);
         mbrpa_obs::add(
             "grid.stencil_flops",
             self.lap.apply_flops_per_vector() * (T::COMPONENTS * s) as u64,
         );
-        let chunks = mbrpa_grid::par::block_apply_chunks(s, self.apply_flops() * T::COMPONENTS);
-        if chunks <= 1 || n == 0 {
-            for j in 0..s {
-                self.apply_raw(v.col(j), out.col_mut(j));
-            }
-            return;
-        }
-        let cols_per = s.div_ceil(chunks);
-        let tasks: Vec<(&[T], &mut [T])> = v
-            .as_slice()
-            .chunks(n * cols_per)
-            .zip(out.as_mut_slice().chunks_mut(n * cols_per))
-            .collect();
-        tasks.into_par_iter().for_each(|(src, dst)| {
-            for (sc, dc) in src.chunks(n).zip(dst.chunks_mut(n)) {
-                self.apply_raw(sc, dc);
-            }
-        });
+        let work_per_col = self.apply_flops() * T::COMPONENTS;
+        mbrpa_grid::par::apply_columns(v, out, work_per_col, |x, y| self.apply_raw(x, y));
     }
 
     /// Assemble the dense matrix (test oracle / direct baseline; small
@@ -234,38 +214,19 @@ impl<'a> SternheimerOperator<'a> {
     }
 
     /// Block application: the fused single-vector apply per column (the
-    /// stencil works one vector at a time, §III-C), splitting the columns
-    /// across threads when [`mbrpa_grid::par::block_apply_chunks`] says the
-    /// pool has idle capacity.
+    /// stencil works one vector at a time, §III-C), through
+    /// [`mbrpa_grid::par::apply_columns`].
     pub fn apply_block(&self, v: &Mat<C64>, out: &mut Mat<C64>) {
         assert_eq!(v.shape(), out.shape());
         assert_eq!(v.rows(), self.dim());
         let s = v.cols();
-        let n = self.dim();
         mbrpa_obs::add("grid.stencil_applies", s as u64);
         mbrpa_obs::add(
             "grid.stencil_flops",
             self.ham.laplacian().apply_flops_per_vector()
                 * (<C64 as Scalar>::COMPONENTS * s) as u64,
         );
-        let chunks = mbrpa_grid::par::block_apply_chunks(s, self.apply_flops());
-        if chunks <= 1 || n == 0 {
-            for j in 0..s {
-                self.apply_raw(v.col(j), out.col_mut(j));
-            }
-            return;
-        }
-        let cols_per = s.div_ceil(chunks);
-        let tasks: Vec<(&[C64], &mut [C64])> = v
-            .as_slice()
-            .chunks(n * cols_per)
-            .zip(out.as_mut_slice().chunks_mut(n * cols_per))
-            .collect();
-        tasks.into_par_iter().for_each(|(src, dst)| {
-            for (sc, dc) in src.chunks(n).zip(dst.chunks_mut(n)) {
-                self.apply_raw(sc, dc);
-            }
-        });
+        mbrpa_grid::par::apply_columns(v, out, self.apply_flops(), |x, y| self.apply_raw(x, y));
     }
 
     /// FLOPs of one application to one vector.

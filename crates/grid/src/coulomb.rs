@@ -74,22 +74,6 @@ impl CoulombOperator {
             v,
         );
     }
-
-    /// `out = ν⁻½ v` on the non-null subspace (zero mode → 0); inverse of
-    /// [`CoulombOperator::apply_nu_sqrt`] there.
-    pub fn apply_nu_inv_sqrt(&self, v: &[f64], out: &mut [f64]) {
-        self.spectral.apply_function(
-            &|lam| {
-                if exactly_zero(lam) {
-                    0.0
-                } else {
-                    ((-lam) / FOUR_PI).sqrt()
-                }
-            },
-            v,
-            out,
-        );
-    }
 }
 
 #[cfg(test)]
@@ -159,22 +143,6 @@ mod tests {
         nu.apply_nu(&v, &mut out);
         let quad: f64 = v.iter().zip(out.iter()).map(|(a, b)| a * b).sum();
         assert!(quad > 1.0, "Dirichlet ν should be strictly PD, got {quad}");
-    }
-
-    #[test]
-    fn inv_sqrt_inverts_sqrt_off_nullspace() {
-        let (g, nu) = setup(Boundary::Periodic);
-        let mut v = test_vec(g.len(), 9);
-        // project out constant mode so the pseudo-inverse is a true inverse
-        let mean: f64 = v.iter().sum::<f64>() / g.len() as f64;
-        v.iter_mut().for_each(|x| *x -= mean);
-        let mut half = vec![0.0; g.len()];
-        nu.apply_nu_sqrt(&v, &mut half);
-        let mut back = vec![0.0; g.len()];
-        nu.apply_nu_inv_sqrt(&half, &mut back);
-        for (a, b) in back.iter().zip(v.iter()) {
-            assert!((a - b).abs() < 1e-10);
-        }
     }
 
     #[test]

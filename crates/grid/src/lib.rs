@@ -16,14 +16,12 @@
 #![cfg_attr(test, allow(clippy::float_cmp))]
 #![warn(missing_docs)]
 
-pub mod ai_model;
 pub mod coulomb;
 pub mod grid;
 pub mod kron;
 pub mod par;
 pub mod stencil;
 
-pub use ai_model::{attainable_intensity, intensity, max_block_edge, max_intensity_cubic};
 pub use coulomb::CoulombOperator;
 pub use grid::{Boundary, Grid3};
 pub use kron::SpectralLaplacian;

@@ -14,14 +14,13 @@
 //! multiply-adds exactly, so results are bitwise identical across AVX2,
 //! NEON, and scalar dispatch. Per the paper's arithmetic-intensity
 //! analysis the kernel operates on **one vector at a time**; the block
-//! driver parallelizes across columns (gated by
-//! [`crate::par::block_apply_chunks`]), and a deliberately "simultaneous"
+//! driver parallelizes across columns
+//! ([`crate::par::apply_columns`]), and a deliberately "simultaneous"
 //! multi-vector variant is provided for the §III-C benchmark that
 //! substantiates that choice.
 
 use crate::grid::{Boundary, Grid3};
 use mbrpa_linalg::{Mat, Scalar};
-use rayon::prelude::*;
 
 /// Largest supported stencil radius: beyond this the central-difference
 /// weights underflow any f64 improvement and the halo cost only grows.
@@ -281,8 +280,7 @@ impl Laplacian {
     }
 
     /// Apply to every column of a block, one vector at a time (§III-C),
-    /// splitting the columns across threads when
-    /// [`crate::par::block_apply_chunks`] says the pool has idle capacity.
+    /// through [`crate::par::apply_columns`].
     pub fn apply_block<T: Scalar>(&self, v: &Mat<T>, out: &mut Mat<T>) {
         assert_eq!(v.shape(), out.shape());
         assert_eq!(v.rows(), self.grid.len());
@@ -292,27 +290,8 @@ impl Laplacian {
             "grid.stencil_flops",
             self.apply_flops_per_vector() * (T::COMPONENTS * s) as u64,
         );
-        let n = self.grid.len();
         let work_per_col = self.apply_flops_per_vector() as usize * T::COMPONENTS;
-        let chunks = crate::par::block_apply_chunks(s, work_per_col);
-        if chunks <= 1 || n == 0 {
-            for j in 0..s {
-                // split borrows: columns of distinct matrices
-                self.apply_raw(v.col(j), out.col_mut(j));
-            }
-            return;
-        }
-        let cols_per = s.div_ceil(chunks);
-        let tasks: Vec<(&[T], &mut [T])> = v
-            .as_slice()
-            .chunks(n * cols_per)
-            .zip(out.as_mut_slice().chunks_mut(n * cols_per))
-            .collect();
-        tasks.into_par_iter().for_each(|(src, dst)| {
-            for (sc, dc) in src.chunks(n).zip(dst.chunks_mut(n)) {
-                self.apply_raw(sc, dc);
-            }
-        });
+        crate::par::apply_columns(v, out, work_per_col, |x, y| self.apply_raw(x, y));
     }
 
     /// Deliberately "simultaneous" multi-vector application: iterates grid

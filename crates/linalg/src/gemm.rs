@@ -797,13 +797,6 @@ pub fn mat_vec<T: Scalar>(a: &Mat<T>, x: &[T]) -> Vec<T> {
     y
 }
 
-/// `y = Aᵀ · x` for a single vector.
-pub fn mat_tvec<T: Scalar>(a: &Mat<T>, x: &[T]) -> Vec<T> {
-    let (m, k) = a.shape();
-    assert_eq!(m, x.len(), "dimension mismatch");
-    (0..k).map(|i| vecops::dot_t(a.col(i), x)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,19 +918,13 @@ mod tests {
     }
 
     #[test]
-    fn mat_vec_and_tvec() {
+    fn mat_vec_matches_naive() {
         let a = pseudo_random(6, 4, 12);
         let x = vec![1.0, -2.0, 0.5, 3.0];
         let y = mat_vec(&a, &x);
         for i in 0..6 {
             let expect: f64 = (0..4).map(|l| a[(i, l)] * x[l]).sum();
             assert!((y[i] - expect).abs() < 1e-14);
-        }
-        let z = vec![1.0; 6];
-        let w = mat_tvec(&a, &z);
-        for j in 0..4 {
-            let expect: f64 = (0..6).map(|i| a[(i, j)]).sum();
-            assert!((w[j] - expect).abs() < 1e-14);
         }
     }
 

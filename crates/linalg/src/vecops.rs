@@ -112,26 +112,6 @@ pub fn hadamard<T: Scalar>(x: &[T], y: &[T], z: &mut [T]) {
     }
 }
 
-/// In-place Hadamard: `y ⊙= x`.
-#[inline]
-pub fn hadamard_assign<T: Scalar>(x: &[T], y: &mut [T]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi *= xi;
-    }
-}
-
-/// Mixed-field Hadamard used by the Sternheimer right-hand sides:
-/// `z = x ⊙ y` with real `x` scaling a `T`-valued `y`.
-#[inline]
-pub fn hadamard_real<T: Scalar>(x: &[f64], y: &[T], z: &mut [T]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len(), z.len());
-    for ((zi, &xi), &yi) in z.iter_mut().zip(x.iter()).zip(y.iter()) {
-        *zi = yi.scale(xi);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,21 +149,11 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_variants() {
-        let x = [2.0, 3.0];
-        let y = [Complex64::new(1.0, 1.0), Complex64::new(0.0, -1.0)];
-        let mut z = [Complex64::new(0.0, 0.0); 2];
-        hadamard_real(&x, &y, &mut z);
-        assert_eq!(z[0], Complex64::new(2.0, 2.0));
-        assert_eq!(z[1], Complex64::new(0.0, -3.0));
-
+    fn hadamard_product() {
         let a = [1.0, 2.0];
         let b = [3.0, 4.0];
         let mut c = [0.0; 2];
         hadamard(&a, &b, &mut c);
         assert_eq!(c, [3.0, 8.0]);
-        let mut d = [5.0, 6.0];
-        hadamard_assign(&a, &mut d);
-        assert_eq!(d, [5.0, 12.0]);
     }
 }

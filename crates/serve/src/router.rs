@@ -283,6 +283,8 @@ pub struct RouterShared {
     routes: Mutex<RouteTable>,
     draining: AtomicBool,
     fail_threshold: u32,
+    /// Period of the health poller, and the unit of dead-worker backoff.
+    poll_interval: Duration,
     probe_timeout: Duration,
     counters: RouterCounters,
     log: Logger,
@@ -347,6 +349,7 @@ impl Router {
             routes: Mutex::new(table),
             draining: AtomicBool::new(false),
             fail_threshold: config.fail_threshold.max(1),
+            poll_interval: config.poll_interval,
             probe_timeout: config.probe_timeout,
             counters: RouterCounters::default(),
             log: Arc::clone(&config.log),
@@ -357,10 +360,9 @@ impl Router {
         let http = HttpServer::start(listener, handler, config.http_workers.max(1))?;
 
         let poll_shared = Arc::clone(&shared);
-        let poll_interval = config.poll_interval;
         let poller = std::thread::Builder::new()
             .name("mbrpa-router-poll".to_string())
-            .spawn(move || poller_loop(&poll_shared, poll_interval))?;
+            .spawn(move || poller_loop(&poll_shared))?;
 
         Ok(Router {
             shared,
@@ -465,9 +467,7 @@ fn note_worker_failure(shared: &RouterShared, addr: &str) -> bool {
         // threshold, capped, so a dead host is probed ever more lazily
         let over = worker.consecutive_failures - shared.fail_threshold;
         let factor = 1u32 << over.min(4);
-        let delay = DEFAULT_POLL_INTERVAL
-            .saturating_mul(factor)
-            .min(MAX_BACKOFF);
+        let delay = shared.poll_interval.saturating_mul(factor).min(MAX_BACKOFF);
         worker.backoff_until = Some(Instant::now() + delay);
     }
     newly_dead
@@ -503,7 +503,7 @@ fn live_workers(shared: &RouterShared) -> Vec<String> {
 // ---------------------------------------------------------------------
 // health poller + failover
 
-fn poller_loop(shared: &Arc<RouterShared>, poll_interval: Duration) {
+fn poller_loop(shared: &Arc<RouterShared>) {
     loop {
         // ord: Acquire — pairs with the Release store in `Router::drain`
         if shared.draining.load(Ordering::Acquire) {
@@ -537,7 +537,7 @@ fn poller_loop(shared: &Arc<RouterShared>, poll_interval: Duration) {
         cancel_stale_claims(shared);
 
         // sleep in slices so a drain is observed promptly
-        while round_started.elapsed() < poll_interval {
+        while round_started.elapsed() < shared.poll_interval {
             // ord: Acquire — same drain pairing as the loop head
             if shared.draining.load(Ordering::Acquire) {
                 return;
@@ -1093,6 +1093,37 @@ mod tests {
                 rendezvous_order(&fingerprint, &without_owner)[0],
                 first[1],
                 "failover must promote the rendezvous runner-up"
+            );
+        }
+    }
+
+    #[test]
+    fn dead_worker_backoff_counts_in_configured_poll_intervals() {
+        let addr = "127.0.0.1:9";
+        let interval = Duration::from_millis(150);
+        let shared = RouterShared {
+            root: PathBuf::new(),
+            workers: Mutex::new(vec![WorkerState::new(addr)]),
+            routes: Mutex::new(RouteTable::default()),
+            draining: AtomicBool::new(false),
+            fail_threshold: 1,
+            poll_interval: interval,
+            probe_timeout: DEFAULT_PROBE_TIMEOUT,
+            counters: RouterCounters::default(),
+            log: Arc::new(|_| {}),
+        };
+        // the k-th failure past the threshold waits 2ᵏ poll intervals
+        for k in 0..3 {
+            let before = Instant::now();
+            let newly_dead = note_worker_failure(&shared, addr);
+            let after = Instant::now();
+            assert_eq!(newly_dead, k == 0);
+            let until = lock(&shared.workers)[0].backoff_until.unwrap();
+            let delay = interval * (1 << k);
+            assert!(
+                before + delay <= until && until <= after + delay,
+                "failure {k}: re-probe in {:?}, want {delay:?}",
+                until - before
             );
         }
     }

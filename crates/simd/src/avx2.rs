@@ -20,10 +20,10 @@
 
 use crate::lanes;
 use core::arch::x86_64::{
-    __m256d, _mm256_add_pd, _mm256_broadcast_sd, _mm256_castpd_si256, _mm256_cmp_pd,
-    _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd, _mm256_maskstore_pd,
-    _mm256_mul_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd,
-    _mm256_storeu_pd, _CMP_LT_OQ,
+    __m256d, _mm256_broadcast_sd, _mm256_castpd_si256, _mm256_cmp_pd, _mm256_fmadd_pd,
+    _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd, _mm256_maskstore_pd, _mm256_mul_pd,
+    _mm256_permute_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd,
+    _CMP_LT_OQ,
 };
 
 /// Swap re/im within each complex pair: `[a, b, c, d] → [b, a, d, c]`.
@@ -39,27 +39,6 @@ unsafe fn swap_pairs(v: __m256d) -> __m256d {
 // ---------------------------------------------------------------------------
 // Elementwise, real coefficients
 // ---------------------------------------------------------------------------
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-pub(crate) unsafe fn scale_copy(c: f64, x: &[f64], o: &mut [f64]) {
-    debug_assert_eq!(x.len(), o.len());
-    let n = o.len();
-    let n4 = n - n % 4;
-    let vc = _mm256_set1_pd(c);
-    let (xp, op) = (x.as_ptr(), o.as_mut_ptr());
-    let mut i = 0;
-    while i < n4 {
-        // SAFETY: i + 4 <= n and both slices have length n.
-        _mm256_storeu_pd(op.add(i), _mm256_mul_pd(vc, _mm256_loadu_pd(xp.add(i))));
-        i += 4;
-    }
-    for r in n4..n {
-        o[r] = c * x[r];
-    }
-}
 
 #[target_feature(enable = "avx2,fma")]
 // SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
@@ -81,30 +60,6 @@ pub(crate) unsafe fn axpy(c: f64, x: &[f64], o: &mut [f64]) {
     }
     for r in n4..n {
         o[r] = c.mul_add(x[r], o[r]);
-    }
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-pub(crate) unsafe fn axpy2(c: f64, p: &[f64], m: &[f64], o: &mut [f64]) {
-    debug_assert_eq!(p.len(), o.len());
-    debug_assert_eq!(m.len(), o.len());
-    let n = o.len();
-    let n4 = n - n % 4;
-    let vc = _mm256_set1_pd(c);
-    let (pp, mp, op) = (p.as_ptr(), m.as_ptr(), o.as_mut_ptr());
-    let mut i = 0;
-    while i < n4 {
-        // SAFETY: i + 4 <= n and all three slices have length n.
-        let sum = _mm256_add_pd(_mm256_loadu_pd(pp.add(i)), _mm256_loadu_pd(mp.add(i)));
-        let ov = _mm256_loadu_pd(op.add(i));
-        _mm256_storeu_pd(op.add(i), _mm256_fmadd_pd(vc, sum, ov));
-        i += 4;
-    }
-    for r in n4..n {
-        o[r] = c.mul_add(p[r] + m[r], o[r]);
     }
 }
 

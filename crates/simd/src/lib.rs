@@ -231,18 +231,6 @@ macro_rules! dispatch_on {
     };
 }
 
-/// `o = c · x` on the given path.
-#[inline]
-pub fn scale_copy_on(d: Dispatch, c: f64, x: &[f64], o: &mut [f64]) {
-    dispatch_on!(d, scale_copy(c, x, o))
-}
-
-/// `o = c · x` on the active path.
-#[inline]
-pub fn scale_copy(c: f64, x: &[f64], o: &mut [f64]) {
-    scale_copy_on(active(), c, x, o)
-}
-
 /// `o[i] += c · x[i]` (fused) on the given path.
 #[inline]
 pub fn axpy_on(d: Dispatch, c: f64, x: &[f64], o: &mut [f64]) {
@@ -253,19 +241,6 @@ pub fn axpy_on(d: Dispatch, c: f64, x: &[f64], o: &mut [f64]) {
 #[inline]
 pub fn axpy(c: f64, x: &[f64], o: &mut [f64]) {
     axpy_on(active(), c, x, o)
-}
-
-/// `o[i] += c · (p[i] + m[i])` (fused) on the given path — the paired
-/// ± stencil update.
-#[inline]
-pub fn axpy2_on(d: Dispatch, c: f64, p: &[f64], m: &[f64], o: &mut [f64]) {
-    dispatch_on!(d, axpy2(c, p, m, o))
-}
-
-/// `o[i] += c · (p[i] + m[i])` (fused) on the active path.
-#[inline]
-pub fn axpy2(c: f64, p: &[f64], m: &[f64], o: &mut [f64]) {
-    axpy2_on(active(), c, p, m, o)
 }
 
 /// `x *= c` on the given path.
@@ -300,13 +275,6 @@ pub fn shift_scale_on(d: Dispatch, s: f64, c: f64, x: &[f64], v: &mut [f64]) {
     dispatch_on!(d, shift_scale(s, c, x, v))
 }
 
-/// Chebyshev recurrence step `v[i] = s · (v[i] − c · x[i])` on the
-/// active path.
-#[inline]
-pub fn shift_scale(s: f64, c: f64, x: &[f64], v: &mut [f64]) {
-    shift_scale_on(active(), s, c, x, v)
-}
-
 /// Chebyshev three-term step
 /// `w[i] = s · (w[i] − c · y[i]) − t · xprev[i]` on the given path.
 #[inline]
@@ -321,13 +289,6 @@ pub fn shift_scale_sub_on(
     w: &mut [f64],
 ) {
     dispatch_on!(d, shift_scale_sub(s, c, t, y, xprev, w))
-}
-
-/// Chebyshev three-term step on the active path.
-#[inline]
-#[allow(clippy::many_single_char_names)]
-pub fn shift_scale_sub(s: f64, c: f64, t: f64, y: &[f64], xprev: &[f64], w: &mut [f64]) {
-    shift_scale_sub_on(active(), s, c, t, y, xprev, w)
 }
 
 /// Uniform-offset stencil sweep over a halo'd source volume, on the
@@ -401,32 +362,6 @@ pub fn stencil_rows_on(
             row_len,
             o
         )
-    )
-}
-
-/// Uniform-offset stencil sweep on the active path.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn stencil_rows(
-    terms: &[(f64, isize)],
-    src: &[f64],
-    origin: usize,
-    row_stride: usize,
-    slab_stride: usize,
-    rows_per_slab: usize,
-    row_len: usize,
-    o: &mut [f64],
-) {
-    stencil_rows_on(
-        active(),
-        terms,
-        src,
-        origin,
-        row_stride,
-        slab_stride,
-        rows_per_slab,
-        row_len,
-        o,
     )
 }
 
@@ -526,12 +461,6 @@ pub fn gemm_f64_8x4_on(d: Dispatch, k: usize, ap: &[f64], bp: &[f64], acc: &mut 
     dispatch_on!(d, gemm_f64_8x4(k, ap, bp, acc))
 }
 
-/// 8×4 f64 GEMM microkernel on the active path.
-#[inline]
-pub fn gemm_f64_8x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 32]) {
-    gemm_f64_8x4_on(active(), k, ap, bp, acc)
-}
-
 /// 4×4 split-complex GEMM microkernel on packed split panels
 /// (`[re×4 | im×4]` per depth step in both `ap` and `bp`), on the given
 /// path. Column `j` of `acc` holds `[re×4 | im×4]` at `acc[8j..8j + 8]`.
@@ -540,12 +469,6 @@ pub fn gemm_f64_8x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 32]) {
 #[inline]
 pub fn gemm_c64_4x4_on(d: Dispatch, k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 32]) {
     dispatch_on!(d, gemm_c64_4x4(k, ap, bp, acc))
-}
-
-/// 4×4 split-complex GEMM microkernel on the active path.
-#[inline]
-pub fn gemm_c64_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 32]) {
-    gemm_c64_4x4_on(active(), k, ap, bp, acc)
 }
 
 /// 2×4 real Gram tile: `out[2j + i] = a_iᵀ b_j` with the canonical
@@ -565,21 +488,6 @@ pub fn gram2x4_f64_on(
     dispatch_on!(d, gram2x4_f64(a0, a1, b0, b1, b2, b3, out))
 }
 
-/// 2×4 real Gram tile on the active path.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn gram2x4_f64(
-    a0: &[f64],
-    a1: &[f64],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-    out: &mut [f64; 8],
-) {
-    gram2x4_f64_on(active(), a0, a1, b0, b1, b2, b3, out)
-}
-
 /// 2×2 complex Gram tile on interleaved columns: `out` holds the four
 /// complex results `(i, j)` at `out[2·(2j + i)..][..2]`, computing
 /// `a_iᵀ b_j` (`conj = false`) or `a_iᴴ b_j` (`conj = true`) with the
@@ -595,12 +503,6 @@ pub fn gram2_c64_on(
     out: &mut [f64; 8],
 ) {
     dispatch_on!(d, gram2_c64(conj, a0, a1, b0, b1, out))
-}
-
-/// 2×2 complex Gram tile on the active path.
-#[inline]
-pub fn gram2_c64(conj: bool, a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64], out: &mut [f64; 8]) {
-    gram2_c64_on(active(), conj, a0, a1, b0, b1, out)
 }
 
 // ---------------------------------------------------------------------------
@@ -816,15 +718,11 @@ mod tests {
     fn elementwise_primitives_compute_expected_values() {
         for &d in available() {
             let x = [1.0, -2.0, 3.0];
-            let mut o = [0.0; 3];
-            scale_copy_on(d, 2.0, &x, &mut o);
-            assert_eq!(o, [2.0, -4.0, 6.0]);
+            let mut o = [2.0, -4.0, 6.0];
             axpy_on(d, 0.5, &x, &mut o);
             assert_eq!(o, [2.5, -5.0, 7.5]);
-            axpy2_on(d, 1.0, &x, &x, &mut o);
-            assert_eq!(o, [4.5, -9.0, 13.5]);
             scal_on(d, 2.0, &mut o);
-            assert_eq!(o, [9.0, -18.0, 27.0]);
+            assert_eq!(o, [5.0, -10.0, 15.0]);
             axpby_on(d, 1.0, 0.0, &x, &mut o);
             assert_eq!(o, x);
             let mut v = [10.0, 20.0];

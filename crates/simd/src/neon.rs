@@ -13,8 +13,7 @@
 
 use crate::lanes;
 use core::arch::aarch64::{
-    float64x2_t, vaddq_f64, vdupq_n_f64, vextq_f64, vfmaq_f64, vfmsq_f64, vld1q_f64, vmulq_f64,
-    vst1q_f64,
+    float64x2_t, vdupq_n_f64, vextq_f64, vfmaq_f64, vfmsq_f64, vld1q_f64, vmulq_f64, vst1q_f64,
 };
 
 /// Swap re/im within the complex pair held by one register.
@@ -30,27 +29,6 @@ unsafe fn swap_pair(v: float64x2_t) -> float64x2_t {
 // ---------------------------------------------------------------------------
 // Elementwise, real coefficients
 // ---------------------------------------------------------------------------
-
-#[target_feature(enable = "neon")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee NEON
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-pub(crate) unsafe fn scale_copy(c: f64, x: &[f64], o: &mut [f64]) {
-    debug_assert_eq!(x.len(), o.len());
-    let n = o.len();
-    let n2 = n - n % 2;
-    let vc = vdupq_n_f64(c);
-    let (xp, op) = (x.as_ptr(), o.as_mut_ptr());
-    let mut i = 0;
-    while i < n2 {
-        // SAFETY: i + 2 <= n and both slices have length n.
-        vst1q_f64(op.add(i), vmulq_f64(vc, vld1q_f64(xp.add(i))));
-        i += 2;
-    }
-    for r in n2..n {
-        o[r] = c * x[r];
-    }
-}
 
 #[target_feature(enable = "neon")]
 // SAFETY: `#[target_feature]` fn — the caller must guarantee NEON
@@ -78,26 +56,6 @@ pub(crate) unsafe fn axpy(c: f64, x: &[f64], o: &mut [f64]) {
 // SAFETY: `#[target_feature]` fn — the caller must guarantee NEON
 // support; `dispatch_on!` only routes here when `available()` reported
 // it. All memory access goes through safe slices.
-pub(crate) unsafe fn axpy2(c: f64, p: &[f64], m: &[f64], o: &mut [f64]) {
-    debug_assert_eq!(p.len(), o.len());
-    debug_assert_eq!(m.len(), o.len());
-    let n = o.len();
-    let n2 = n - n % 2;
-    let vc = vdupq_n_f64(c);
-    let (pp, mp, op) = (p.as_ptr(), m.as_ptr(), o.as_mut_ptr());
-    let mut i = 0;
-    while i < n2 {
-        // SAFETY: i + 2 <= n and all three slices have length n.
-        let sum = vaddq_f64(vld1q_f64(pp.add(i)), vld1q_f64(mp.add(i)));
-        let ov = vld1q_f64(op.add(i));
-        vst1q_f64(op.add(i), vfmaq_f64(ov, vc, sum));
-        i += 2;
-    }
-    for r in n2..n {
-        o[r] = c.mul_add(p[r] + m[r], o[r]);
-    }
-}
-
 #[target_feature(enable = "neon")]
 #[allow(clippy::too_many_arguments)]
 // SAFETY: `#[target_feature]` fn — the caller must guarantee NEON

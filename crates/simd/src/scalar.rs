@@ -16,7 +16,7 @@
 //!    per lane, shared final fold), which both paths realize literally.
 //!
 //! Complex data is interleaved `[re, im, re, im, …]` f64 slices; the
-//! split-complex GEMM panels are described at [`crate::gemm_c64_4x4`].
+//! split-complex GEMM panels are described at [`crate::gemm_c64_4x4_on`].
 
 use crate::lanes;
 
@@ -24,25 +24,10 @@ use crate::lanes;
 // Elementwise, real coefficients (componentwise-safe for complex data)
 // ---------------------------------------------------------------------------
 
-pub(crate) fn scale_copy(c: f64, x: &[f64], o: &mut [f64]) {
-    debug_assert_eq!(x.len(), o.len());
-    for (oi, &xi) in o.iter_mut().zip(x) {
-        *oi = c * xi;
-    }
-}
-
 pub(crate) fn axpy(c: f64, x: &[f64], o: &mut [f64]) {
     debug_assert_eq!(x.len(), o.len());
     for (oi, &xi) in o.iter_mut().zip(x) {
         *oi = c.mul_add(xi, *oi);
-    }
-}
-
-pub(crate) fn axpy2(c: f64, p: &[f64], m: &[f64], o: &mut [f64]) {
-    debug_assert_eq!(p.len(), o.len());
-    debug_assert_eq!(m.len(), o.len());
-    for ((oi, &pi), &mi) in o.iter_mut().zip(p).zip(m) {
-        *oi = c.mul_add(pi + mi, *oi);
     }
 }
 

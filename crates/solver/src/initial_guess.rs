@@ -43,6 +43,7 @@ pub fn galerkin_guess(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::rand_rhs;
     use mbrpa_linalg::{matmul, symmetric_eig};
 
     fn random_symmetric(n: usize, seed: u64) -> Mat<f64> {
@@ -55,20 +56,6 @@ mod tests {
         };
         let g = Mat::from_fn(n, n, |_, _| next());
         Mat::from_fn(n, n, |i, j| 0.5 * (g[(i, j)] + g[(j, i)]))
-    }
-
-    fn rand_rhs(n: usize, s: usize, seed: u64) -> Mat<C64> {
-        let mut state = seed | 1;
-        Mat::from_fn(n, s, |_, _| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let re = (state as f64 / u64::MAX as f64) - 0.5;
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            C64::new(re, (state as f64 / u64::MAX as f64) - 0.5)
-        })
     }
 
     /// residual ‖B − A·Y‖_F with A = H − λ + iω built densely

@@ -30,9 +30,13 @@ pub mod initial_guess;
 pub mod operator;
 pub mod precond;
 pub mod stats;
+#[cfg(test)]
+mod test_util;
 pub mod workspace;
 
-pub use block_cocg::{block_cocg, block_cocg_ws, cocg, true_relative_residual, CocgOptions};
+pub use block_cocg::{
+    block_cocg, block_cocg_ws, cocg, true_relative_residual, CocgOptions, MAX_BREAKDOWNS,
+};
 pub use chebyshev::{chebyshev_filter, chebyshev_filter_ws};
 pub use dynamic_block::{solve_multi_rhs, solve_multi_rhs_pre, BlockPolicy, MultiRhsOutcome};
 pub use gmres::{gmres, gmres_block, GmresOptions};

@@ -48,6 +48,7 @@ mod tests {
     use crate::block_cocg::{block_cocg, block_cocg_ws, true_relative_residual, CocgOptions};
     use crate::operator::DenseOperator;
     use crate::stats::SolveReport;
+    use crate::test_util::{rand_rhs, test_operator};
     use crate::workspace::Workspace;
     use mbrpa_linalg::matmul_into;
 
@@ -58,39 +59,6 @@ mod tests {
         opts: &CocgOptions,
     ) -> (Mat<C64>, SolveReport) {
         block_cocg_ws(op, b, None, opts, Some(precond), &mut Workspace::new())
-    }
-
-    fn test_operator(n: usize, diag: f64, omega: f64, seed: u64) -> DenseOperator<C64> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) - 0.5
-        };
-        let g = Mat::from_fn(n, n, |_, _| next());
-        let a = Mat::from_fn(n, n, |i, j| {
-            let mut z = C64::new(0.5 * (g[(i, j)] + g[(j, i)]), 0.0);
-            if i == j {
-                z += C64::new(diag, omega);
-            }
-            z
-        });
-        DenseOperator::new(a)
-    }
-
-    fn rand_rhs(n: usize, s: usize, seed: u64) -> Mat<C64> {
-        let mut state = seed | 1;
-        Mat::from_fn(n, s, |_, _| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let re = (state as f64 / u64::MAX as f64) - 0.5;
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            C64::new(re, (state as f64 / u64::MAX as f64) - 0.5)
-        })
     }
 
     /// Exact-inverse preconditioner built from a dense matrix.

@@ -3,7 +3,9 @@
 //! pack arena), a 40-iteration solve performs exactly as many heap
 //! allocations as a 4-iteration solve — every per-iteration temporary is
 //! pooled, so iteration count no longer touches the allocator. The same
-//! holds with a preconditioner: `Z = M·W` lands in a pooled buffer.
+//! holds with a preconditioner: `Z = M·W` lands in a pooled buffer. Per
+//! solve the count does not depend on the block width either: the iterate
+//! is the one matrix allocated, whatever `s` is.
 //!
 //! This file intentionally holds a single `#[test]`: the counting global
 //! allocator tallies the whole process, so concurrent tests in the same
@@ -117,6 +119,27 @@ fn iteration_count_does_not_change_allocation_count() {
     for precond in [None, Some(&dense_m as &dyn Preconditioner)] {
         check(&op, &b, precond);
     }
+    assert_eq!(
+        warm_solve_allocs(&op, &b.columns(0, 2)),
+        warm_solve_allocs(&op, &b),
+        "a warm solve must allocate the same number of times at s = 2 and s = 8"
+    );
+}
+
+/// Heap allocations of one solve from a pool an identical solve has warmed.
+fn warm_solve_allocs(op: &DenseOperator<C64>, b: &Mat<C64>) -> u64 {
+    let opts = CocgOptions::with_tol(1e-10);
+    let mut ws = Workspace::new();
+    let (_, warm) = block_cocg_ws(op, b, None, &opts, None, &mut ws);
+    assert!(warm.converged && warm.breakdowns == 0, "report: {warm:?}");
+    // ord: Relaxed — the measured solve runs on this thread; program order suffices
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let (x, rep) = block_cocg_ws(op, b, None, &opts, None, &mut ws);
+    // ord: Relaxed — see `before` above
+    let count = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(rep.iterations, warm.iterations);
+    drop(x);
+    count
 }
 
 fn check(op: &DenseOperator<C64>, b: &Mat<C64>, precond: Option<&dyn Preconditioner>) {
