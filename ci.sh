@@ -63,6 +63,23 @@ if grep -nE 'FINGERPRINT_SCHEMA: u64 = 1;' crates/core/src/checkpoint.rs; then
     exit 1
 fi
 
+# Wake-driven serve path: nothing between a connection arriving and its
+# reply, or between `queue.submit` and `queue.claim`, waits on a clock. The
+# listener blocks in accept(), idle executors wait on the queue's condvar,
+# and the router's poller waits out its interval on one a drain notifies.
+if grep -n 'set_nonblocking' crates/serve/src/http.rs; then
+    echo "ci: a non-blocking accept poll is back in serve/http.rs — the handler threads block in accept()"
+    exit 1
+fi
+if grep -n 'thread::sleep' crates/serve/src/executor.rs; then
+    echo "ci: serve/executor.rs sleeps — an idle executor waits on ServeShared::wake"
+    exit 1
+fi
+if grep -n 'from_millis(25)' crates/serve/src/router.rs; then
+    echo "ci: a 25 ms slice is back in serve/router.rs — the poller waits on drain_wake"
+    exit 1
+fi
+
 # Sanitizer legs: Miri (UB in the unsafe SIMD/linalg kernels) and
 # ThreadSanitizer (data races in the serve executor pool). Both need a
 # nightly toolchain with specific components; when unavailable the legs

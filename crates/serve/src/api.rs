@@ -79,7 +79,7 @@ fn health(shared: &Arc<ServeShared>) -> Response {
         ("simd", s(mbrpa_simd::active().name())),
         (
             "draining",
-            // ord: Acquire — pairs with the Release stores in `shutdown`/`drain`
+            // ord: Acquire — pairs with the Release store in `begin_drain`
             JsonValue::Bool(shared.draining.load(Ordering::Acquire)),
         ),
     ];
@@ -124,7 +124,7 @@ fn cache_flush(shared: &Arc<ServeShared>) -> Response {
 }
 
 fn submit(shared: &Arc<ServeShared>, req: &Request) -> Response {
-    // ord: Acquire — pairs with the Release stores in `shutdown`/`drain`; an
+    // ord: Acquire — pairs with the Release store in `begin_drain`; an
     // admission that races the drain is still rejected at claim time
     if shared.draining.load(Ordering::Acquire) {
         return Response::error(503, "daemon is draining; resubmit after restart");
@@ -175,10 +175,15 @@ fn submit(shared: &Arc<ServeShared>, req: &Request) -> Response {
         Err(e) => return Response::error(500, &format!("cannot persist the job: {e}")),
     };
     match queue.submit(&id, spec.priority) {
-        Ok(()) => Response::json(
-            201,
-            &job::status_doc(&id, &spec, JobState::Queued, None, None),
-        ),
+        Ok(()) => {
+            // still under the queue lock: an executor about to wait has
+            // either seen this job or is already waiting
+            shared.wake.notify_one();
+            Response::json(
+                201,
+                &job::status_doc(&id, &spec, JobState::Queued, None, None),
+            )
+        }
         // the store hands out fresh ids under this same lock, so neither
         // arm is reachable; answer 500 rather than panic in a handler
         Err(_) => Response::error(500, "queue refused a freshly allocated id"),
@@ -339,11 +344,6 @@ fn cancel_reply(shared: &Arc<ServeShared>, id: &str, status: u16) -> Response {
 }
 
 fn shutdown(shared: &Arc<ServeShared>) -> Response {
-    // ord: Release — pairs with the Acquire loads in `submit`/`health`/executor claim
-    shared.draining.store(true, Ordering::Release);
-    // cancel without `user_cancel`: running jobs checkpoint and requeue
-    for run in lock(&shared.running).iter() {
-        run.token.cancel();
-    }
+    shared.begin_drain();
     Response::json(202, &obj(vec![("status", s("draining"))]))
 }

@@ -20,7 +20,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Where daemon diagnostics go. The library never prints; binaries pass
@@ -119,6 +119,9 @@ pub struct ServeShared {
     /// The in-memory queue; the single serialization point for job
     /// lifecycle transitions (the store is only mutated under this lock).
     pub queue: Mutex<JobQueue>,
+    /// Paired with `queue`: idle executors wait on it, and whatever makes
+    /// a job claimable or begins a drain notifies it under the queue lock.
+    pub wake: Condvar,
     /// The on-disk job store.
     pub store: JobStore,
     /// Live handles of currently running jobs.
@@ -144,10 +147,26 @@ pub struct ServeShared {
 /// Lock a mutex, recovering from poisoning: a panicking executor must
 /// not take the whole daemon down with it.
 pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ServeShared {
+    /// Start a drain ([`Daemon::drain`], `POST /v1/shutdown`): refuse
+    /// admissions and claims, wake the idle executors so they exit, and
+    /// trip every running job's token without `user_cancel`, so those
+    /// jobs checkpoint and requeue.
+    pub fn begin_drain(&self) {
+        // ord: Release — pairs with the Acquire loads gating admission and claims
+        self.draining.store(true, Ordering::Release);
+        {
+            let _queue = lock(&self.queue);
+            self.wake.notify_all();
+        }
+        for job in lock(&self.running).iter() {
+            job.token.cancel();
+        }
+    }
+
     /// The live handle of a running job, if any.
     pub fn running_job(&self, id: &str) -> Option<Arc<RunningJob>> {
         lock(&self.running).iter().find(|r| r.id == id).cloned()
@@ -218,6 +237,7 @@ impl Daemon {
 
         let shared = Arc::new(ServeShared {
             queue: Mutex::new(queue),
+            wake: Condvar::new(),
             store,
             running: Mutex::new(Vec::new()),
             draining: AtomicBool::new(false),
@@ -232,6 +252,8 @@ impl Daemon {
         let handler = api::handler(Arc::clone(&shared));
         let http = HttpServer::start(listener, handler, config.http_workers.max(1))?;
 
+        // recovered jobs entered the queue above, before any executor
+        // exists to wait: the first claim finds them without a notify
         let executors = (0..config.executors)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -262,8 +284,7 @@ impl Daemon {
     /// a client's `POST /v1/shutdown`. The owning binary polls this and
     /// then calls [`Daemon::drain`] to finish the shutdown.
     pub fn drain_requested(&self) -> bool {
-        // ord: Acquire — pairs with the Release stores in `drain` and the
-        // HTTP shutdown handler
+        // ord: Acquire — pairs with the Release store in `begin_drain`
         self.shared.draining.load(Ordering::Acquire)
     }
 
@@ -271,11 +292,7 @@ impl Daemon {
     /// jobs (they checkpoint at the next frequency boundary and requeue),
     /// join the executors, close the listener. Idempotent.
     pub fn drain(&mut self) {
-        // ord: Release — pairs with the Acquire loads gating admission and claims
-        self.shared.draining.store(true, Ordering::Release);
-        for job in lock(&self.shared.running).iter() {
-            job.token.cancel();
-        }
+        self.shared.begin_drain();
         for handle in self.executors.drain(..) {
             let _ = handle.join();
         }

@@ -17,6 +17,7 @@
 
 use crate::daemon::{lock, RunningJob, ServeShared};
 use crate::job::{self, JobSpec, JobState};
+use crate::queue::JobQueue;
 use crate::store::{ERROR_FILE, PARTIAL_FILE, PROFILE_FILE, REPORT_FILE, RESULT_FILE};
 use mbrpa_ckpt::CheckpointStore;
 use mbrpa_core::io::parse_rpa_input;
@@ -25,9 +26,8 @@ use mbrpa_core::{
 };
 use mbrpa_grid::par::outer_scope;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// How a run ended, before the queue/store transition is applied.
 enum Finish {
@@ -41,20 +41,33 @@ enum Finish {
     Failed(String),
 }
 
+/// Block until a job is claimed (`Some`) or a drain begins (`None`). The
+/// predicate is re-checked under the queue lock before every wait and
+/// every notifier holds that lock, so no wake-up is lost and no timeout
+/// is needed.
+pub(crate) fn claim_or_drain(
+    queue: &Mutex<JobQueue>,
+    wake: &Condvar,
+    draining: &AtomicBool,
+) -> Option<String> {
+    let mut guard = lock(queue);
+    loop {
+        // ord: Acquire — pairs with the Release store in `begin_drain`
+        if draining.load(Ordering::Acquire) {
+            return None;
+        }
+        if let Some(id) = guard.claim() {
+            return Some(id);
+        }
+        // lint: allow(lock_hold) — `Condvar::wait` takes the guard and releases the mutex while blocked
+        guard = wake.wait(guard).unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
 /// Body of one executor thread: claim, run, finalize, repeat until the
 /// daemon drains.
 pub(crate) fn executor_loop(shared: &Arc<ServeShared>) {
-    loop {
-        // ord: Acquire — pairs with the Release stores in `Daemon::drain` and
-        // the HTTP shutdown handler
-        if shared.draining.load(Ordering::Acquire) {
-            return;
-        }
-        let claimed = lock(&shared.queue).claim();
-        let Some(id) = claimed else {
-            std::thread::sleep(Duration::from_millis(50));
-            continue;
-        };
+    while let Some(id) = claim_or_drain(&shared.queue, &shared.wake, &shared.draining) {
         run_one(shared, &id);
     }
 }
@@ -93,7 +106,13 @@ fn finalize(shared: &Arc<ServeShared>, id: &str, finish: Finish) {
     let mut queue = lock(&shared.queue);
     let (moved, state) = match &finish {
         Finish::Complete => (queue.complete(id), JobState::Completed),
-        Finish::Requeue => (queue.requeue(id), JobState::Queued),
+        Finish::Requeue => {
+            let moved = queue.requeue(id);
+            // claimable again; only a drain requeues today, so every
+            // executor is leaving, but the pairing holds whoever does
+            shared.wake.notify_one();
+            (moved, JobState::Queued)
+        }
         Finish::Cancelled => (queue.finish_cancelled(id), JobState::Cancelled),
         Finish::Failed(message) => {
             if let Err(e) = shared.store.write_doc(id, ERROR_FILE, message) {
@@ -273,5 +292,70 @@ fn complete(
 fn write_or_log(shared: &Arc<ServeShared>, id: &str, file: &str, text: &str) {
     if let Err(e) = shared.store.write_doc(id, file, text) {
         (shared.log)(&format!("{id}: cannot write {file}: {e}"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    /// Wake-up stress without a solver: producers submit and notify as
+    /// `api::submit` does, consumers run the executors' claim loop with a
+    /// no-op job body; a lost wake-up leaves jobs unclaimed at the
+    /// deadline, a double claim or a dropped job fails the count.
+    #[test]
+    fn every_submitted_job_is_claimed_once_and_a_drain_ends_the_wait() {
+        for round in 0..50 {
+            let queue = Mutex::new(JobQueue::new(200));
+            let (wake, draining) = (Condvar::new(), AtomicBool::new(false));
+            let claimed = Mutex::new(Vec::new());
+            std::thread::scope(|scope| {
+                let consumers: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            while let Some(id) = claim_or_drain(&queue, &wake, &draining) {
+                                lock(&claimed).push(id);
+                            }
+                        })
+                    })
+                    .collect();
+                let producers: Vec<_> = (0..4)
+                    .map(|p| {
+                        let (queue, wake) = (&queue, &wake);
+                        scope.spawn(move || {
+                            for n in 0..50 {
+                                let mut guard = lock(queue);
+                                guard.submit(&format!("job-{p}-{n}"), 4).unwrap();
+                                wake.notify_one();
+                            }
+                        })
+                    })
+                    .collect();
+                for producer in producers {
+                    producer.join().unwrap();
+                }
+                // the consumers are woken for every job; wait for the last
+                // claim, then drain as `begin_drain` does
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while lock(&claimed).len() < 200 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                // ord: Release — pairs with the Acquire load in `claim_or_drain`
+                draining.store(true, Ordering::Release);
+                {
+                    let _queue = lock(&queue);
+                    wake.notify_all();
+                }
+                for consumer in consumers {
+                    consumer.join().unwrap();
+                }
+            });
+            let mut ids = claimed.into_inner().unwrap();
+            assert_eq!(ids.len(), 200, "round {round}: claims");
+            ids.sort();
+            ids.dedup();
+            assert_eq!(ids.len(), 200, "round {round}: distinct ids");
+        }
     }
 }

@@ -1,10 +1,12 @@
 //! Hand-rolled HTTP/1.1 on `std::net` — no tokio, no hyper.
 //!
-//! One accept thread polls a non-blocking listener (25 ms cadence, so a
-//! shutdown flag is observed promptly) and feeds accepted connections
-//! to a small pool of worker threads over an `mpsc` channel. Each
-//! connection carries exactly one request (`Connection: close`), which
-//! keeps the parser trivial and is plenty for a job-submission API.
+//! A small pool of handler threads shares one listener; each blocks in
+//! `accept()` and handles the connection it got, so a busy pool pushes
+//! back through the kernel's listen backlog. [`HttpServer::shutdown`]
+//! raises a flag and wakes each blocked thread with one loop-back
+//! connection. Each connection carries exactly one request
+//! (`Connection: close`), which keeps the parser trivial and is plenty
+//! for a job-submission API.
 //!
 //! Hard limits protect the daemon from hostile or broken clients:
 //! headers ≤ 16 KiB, body ≤ 2 MiB, 10 s socket timeouts. Anything that
@@ -14,10 +16,9 @@
 
 use crate::json::JsonValue;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,15 +48,6 @@ pub struct Request {
 }
 
 impl Request {
-    /// First header with this (case-insensitive) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let needle = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == needle)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// The body as UTF-8, if it decodes.
     pub fn body_str(&self) -> Option<&str> {
         std::str::from_utf8(&self.body).ok()
@@ -76,14 +68,18 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response.
-    pub fn json(status: u16, value: &JsonValue) -> Self {
+    fn new(status: u16, body: Vec<u8>, content_type: &'static str) -> Self {
         Self {
             status,
             headers: Vec::new(),
-            body: value.to_json().into_bytes(),
-            content_type: "application/json",
+            body,
+            content_type,
         }
+    }
+
+    /// A JSON response.
+    pub fn json(status: u16, value: &JsonValue) -> Self {
+        Self::new(status, value.to_json().into_bytes(), "application/json")
     }
 
     /// A JSON error body: `{"error": "<message>"}`.
@@ -97,22 +93,16 @@ impl Response {
     /// A response whose body is already-serialized JSON text (stored
     /// documents are served verbatim, byte-for-byte as written).
     pub fn raw_json(status: u16, body: &str) -> Self {
-        Self {
-            status,
-            headers: Vec::new(),
-            body: body.as_bytes().to_vec(),
-            content_type: "application/json",
-        }
+        Self::new(status, body.as_bytes().to_vec(), "application/json")
     }
 
     /// A plain-text response.
     pub fn text(status: u16, body: &str) -> Self {
-        Self {
+        Self::new(
             status,
-            headers: Vec::new(),
-            body: body.as_bytes().to_vec(),
-            content_type: "text/plain; charset=utf-8",
-        }
+            body.as_bytes().to_vec(),
+            "text/plain; charset=utf-8",
+        )
     }
 
     /// Attach a header.
@@ -138,6 +128,8 @@ impl Response {
         }
     }
 
+    /// Head and body leave in one `write`: two would put the body
+    /// segment behind the peer's delayed ACK of the head.
     fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
@@ -147,26 +139,22 @@ impl Response {
             self.body.len()
         );
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            head.push_str(&format!("{name}: {value}\r\n"));
         }
         head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
-        stream.flush()
+        let mut reply = head.into_bytes();
+        reply.extend_from_slice(&self.body);
+        stream.write_all(&reply)
     }
 }
 
 /// The request handler shared by all workers.
 pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// A running server: accept thread + worker pool.
+/// A running server: a pool of threads, each blocked in `accept()`.
 pub struct HttpServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -174,60 +162,33 @@ impl HttpServer {
     /// Start serving on `listener` with `n_workers` handler threads.
     pub fn start(listener: TcpListener, handler: Handler, n_workers: usize) -> io::Result<Self> {
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-
-        let mut workers = Vec::new();
-        for _ in 0..n_workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let handler = Arc::clone(&handler);
-            workers.push(std::thread::spawn(move || loop {
-                // hold the lock only for the recv itself: this mutex exists
-                // solely to share the single consumer end among workers, and
-                // an idle worker *must* park inside recv while holding it
-                let next = {
-                    let Ok(guard) = rx.lock() else { return };
-                    // lint: allow(lock_hold) — blocking in recv under this lock is the design; no other code path takes `rx`
-                    guard.recv()
-                };
-                match next {
-                    Ok(stream) => handle_connection(stream, &handler),
-                    Err(_) => return, // channel closed: accept thread is gone
-                }
-            }));
-        }
-
-        let shutdown_seen = Arc::clone(&shutdown);
-        let accept = std::thread::spawn(move || {
-            loop {
-                // ord: Acquire — pairs with the Release store in `shutdown`
-                if shutdown_seen.load(Ordering::Acquire) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        if tx.send(stream).is_err() {
-                            break;
-                        }
+        // the threads own the listener: the port closes when the last exits
+        let listener = Arc::new(listener);
+        let workers = (0..n_workers.max(1))
+            .map(|_| {
+                let listener = Arc::clone(&listener);
+                let shutdown = Arc::clone(&shutdown);
+                let handler = Arc::clone(&handler);
+                std::thread::spawn(move || loop {
+                    let accepted = listener.accept();
+                    // ord: Acquire — pairs with the Release store in `shutdown`;
+                    // checked after every return so a wake connection (or a
+                    // client racing the shutdown) is dropped unhandled
+                    if shutdown.load(Ordering::Acquire) {
+                        return;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
+                    match accepted {
+                        Ok((stream, _peer)) => handle_connection(stream, &handler),
+                        // EMFILE, ECONNABORTED: no request waits on this back-off
+                        Err(_) => std::thread::sleep(Duration::from_millis(25)),
                     }
-                    Err(_) => {
-                        // transient accept failure; back off briefly
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                }
-            }
-            // dropping `tx` here closes the channel and drains the pool
-        });
-
+                })
+            })
+            .collect();
         Ok(Self {
             local_addr,
             shutdown,
-            accept: Some(accept),
             workers,
         })
     }
@@ -239,10 +200,20 @@ impl HttpServer {
 
     /// Stop accepting, finish in-flight requests, join every thread.
     pub fn shutdown(&mut self) {
-        // ord: Release — pairs with the accept loop's Acquire load
+        // ord: Release — pairs with the handler threads' Acquire load
         self.shutdown.store(true, Ordering::Release);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // one connection per thread: each `accept()` returns once more and
+        // sees the flag. A failed connect found the backlog full (every
+        // thread has a connection to wake it) or the listener gone.
+        for _ in &self.workers {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -258,6 +229,7 @@ impl Drop for HttpServer {
 
 fn handle_connection(mut stream: TcpStream, handler: &Handler) {
     let deadline = Instant::now() + Duration::from_secs(MAX_REQUEST_SECS);
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let response = match read_request(&mut stream, deadline) {
         Ok(request) => handler(&request),
@@ -277,11 +249,10 @@ fn read_chunk(
     chunk: &mut [u8],
     what: &str,
 ) -> Result<usize, String> {
+    let overdue = || format!("request {what} not complete within {MAX_REQUEST_SECS} s");
     let remaining = deadline.saturating_duration_since(Instant::now());
     if remaining.is_zero() {
-        return Err(format!(
-            "request {what} not complete within {MAX_REQUEST_SECS} s"
-        ));
+        return Err(overdue());
     }
     if stream.set_read_timeout(Some(remaining)).is_err() {
         return Err("cannot arm the read deadline".to_string());
@@ -289,9 +260,7 @@ fn read_chunk(
     match stream.read(chunk) {
         Ok(0) => Err(format!("connection closed mid-{what}")),
         Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "request {what} not complete within {MAX_REQUEST_SECS} s"
-        )),
+        Err(_) => Err(overdue()),
     }
 }
 
@@ -337,16 +306,7 @@ fn read_request(stream: &mut TcpStream, deadline: Instant) -> Result<Request, St
         })
         .collect();
 
-    let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| format!("malformed header line `{line}`"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
+    let headers = header_pairs(lines)?;
 
     let content_length: usize = match headers.iter().find(|(k, _)| k == "content-length") {
         Some((_, v)) => v
@@ -381,6 +341,19 @@ fn read_request(stream: &mut TcpStream, deadline: Instant) -> Result<Request, St
         headers,
         body,
     })
+}
+
+/// `name: value` lines as pairs, names lowercased.
+fn header_pairs<'a>(lines: impl Iterator<Item = &'a str>) -> Result<Vec<(String, String)>, String> {
+    lines
+        .filter(|line| !line.is_empty())
+        .map(|line| {
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| format!("malformed header line `{line}`"))?;
+            Ok((name.trim().to_ascii_lowercase(), value.trim().to_string()))
+        })
+        .collect()
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {
@@ -453,14 +426,9 @@ pub fn exchange(
         .split_once("\r\n\r\n")
         .map(|(h, b)| (h.to_string(), b.to_string()))
         .unwrap_or_default();
-    let headers = head
-        .lines()
-        .skip(1) // the status line
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            Some((name.trim().to_ascii_lowercase(), value.trim().to_string()))
-        })
-        .collect();
+    // skip(1): the status line
+    let headers = header_pairs(head.lines().skip(1))
+        .map_err(|e| format!("malformed response from {addr}: {e}"))?;
     Ok(Reply {
         status,
         headers,
@@ -471,28 +439,19 @@ pub fn exchange(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use std::sync::Barrier;
 
-    fn start_echo() -> HttpServer {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let handler: Handler = Arc::new(|req: &Request| {
-            let doc = json::obj(vec![
-                ("method", json::s(&req.method)),
-                ("path", json::s(&req.path)),
-                (
-                    "q",
-                    json::JsonValue::Arr(
-                        req.query
-                            .iter()
-                            .map(|(k, v)| json::s(&format!("{k}={v}")))
-                            .collect(),
-                    ),
-                ),
-                ("body", json::s(req.body_str().unwrap_or(""))),
-            ]);
-            Response::json(200, &doc)
-        });
-        HttpServer::start(listener, handler, 2).unwrap()
+    /// A two-thread server on `bind` around `handler`.
+    fn serve(
+        bind: &str,
+        handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
+    ) -> HttpServer {
+        HttpServer::start(TcpListener::bind(bind).unwrap(), Arc::new(handler), 2).unwrap()
+    }
+
+    /// A server that replies with the request's body.
+    fn mirror(bind: &str) -> HttpServer {
+        serve(bind, |req| Response::text(200, req.body_str().unwrap()))
     }
 
     fn roundtrip(addr: SocketAddr, raw: &str) -> String {
@@ -503,48 +462,42 @@ mod tests {
         out
     }
 
+    fn post(addr: SocketAddr, body: Option<&str>) -> Reply {
+        exchange(&addr.to_string(), "POST", "/", body, Duration::from_secs(5)).unwrap()
+    }
+
     #[test]
     fn parses_method_path_query_and_body() {
-        let mut server = start_echo();
+        let server = serve("127.0.0.1:0", |req| {
+            let body = req.body_str().unwrap();
+            let seen = format!("{} {} {:?} {body}", req.method, req.path, req.query);
+            Response::text(200, &seen)
+        });
         let reply = roundtrip(
             server.local_addr(),
             "POST /v1/jobs?x=1&flag HTTP/1.1\r\ncontent-length: 5\r\n\r\nhello",
         );
         assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
-        let body = reply.split("\r\n\r\n").nth(1).unwrap();
-        let doc = json::parse(body).unwrap();
-        assert_eq!(doc.get("method").unwrap().as_str(), Some("POST"));
-        assert_eq!(doc.get("path").unwrap().as_str(), Some("/v1/jobs"));
-        assert_eq!(doc.get("body").unwrap().as_str(), Some("hello"));
-        let q = doc.get("q").unwrap().as_arr().unwrap();
-        assert_eq!(q[0].as_str(), Some("x=1"));
-        assert_eq!(q[1].as_str(), Some("flag="));
-        server.shutdown();
+        let seen = reply.split("\r\n\r\n").nth(1).unwrap();
+        assert_eq!(seen, r#"POST /v1/jobs [("x", "1"), ("flag", "")] hello"#);
     }
 
     #[test]
-    fn malformed_requests_get_400() {
-        let mut server = start_echo();
-        let reply = roundtrip(server.local_addr(), "NONSENSE\r\n\r\n");
-        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
-        server.shutdown();
-    }
-
-    #[test]
-    fn oversized_body_is_rejected() {
-        let mut server = start_echo();
-        let raw = format!(
+    fn malformed_and_oversized_requests_get_400() {
+        let server = mirror("127.0.0.1:0");
+        let oversized = format!(
             "POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
             MAX_BODY_BYTES + 1
         );
-        let reply = roundtrip(server.local_addr(), &raw);
-        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
-        server.shutdown();
+        for raw in ["NONSENSE\r\n\r\n", &oversized] {
+            let reply = roundtrip(server.local_addr(), raw);
+            assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        }
     }
 
     #[test]
     fn truncated_body_gets_400_not_a_short_request() {
-        let mut server = start_echo();
+        let server = mirror("127.0.0.1:0");
         // declare 10 body bytes, deliver 3, then close the write side:
         // the server must answer 400, never hand the handler a body
         // shorter than the declared length
@@ -557,7 +510,6 @@ mod tests {
         stream.read_to_string(&mut reply).unwrap();
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
         assert!(reply.contains("3 of 10"), "{reply}");
-        server.shutdown();
     }
 
     #[test]
@@ -581,18 +533,66 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_joins_cleanly_and_stops_accepting() {
-        let mut server = start_echo();
+    fn large_and_empty_bodies_arrive_byte_exact() {
+        let server = mirror("127.0.0.1:0");
+        let big = "x".repeat(64 * 1024);
+        assert_eq!(post(server.local_addr(), Some(&big)).body, big);
+        assert_eq!(post(server.local_addr(), None).body, "");
+    }
+
+    #[test]
+    fn sequential_requests_wait_out_no_accept_tick() {
+        let server = mirror("127.0.0.1:0");
+        let started = Instant::now();
+        for _ in 0..40 {
+            assert_eq!(post(server.local_addr(), None).status, 200);
+        }
+        // a 25 ms accept poll made this at least a second
+        assert!(started.elapsed() < Duration::from_millis(500));
+    }
+
+    #[test]
+    fn idle_shutdown_is_prompt_and_closes_the_port() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let mut server = mirror(bind);
+            let started = Instant::now();
+            server.shutdown();
+            assert!(started.elapsed() < Duration::from_secs(1), "{bind}");
+            let refused = TcpStream::connect(("127.0.0.1", server.local_addr().port()));
+            assert_eq!(
+                refused.unwrap_err().kind(),
+                io::ErrorKind::ConnectionRefused
+            );
+        }
+    }
+
+    #[test]
+    fn shutdown_waits_for_the_requests_every_thread_is_handling() {
+        let gate = Arc::new(Barrier::new(3));
+        let in_handler = Arc::clone(&gate);
+        let mut server = serve("127.0.0.1:0", move |_| {
+            in_handler.wait(); // both threads are mid-request
+            in_handler.wait(); // released
+            Response::text(200, "done")
+        });
         let addr = server.local_addr();
-        server.shutdown();
-        // connections after shutdown either fail or never get a reply
-        if let Ok(mut stream) = TcpStream::connect(addr) {
-            let _ = stream.write_all(b"GET / HTTP/1.1\r\n\r\n");
-            stream
-                .set_read_timeout(Some(Duration::from_millis(200)))
-                .unwrap();
-            let mut out = String::new();
-            assert!(stream.read_to_string(&mut out).is_err() || out.is_empty());
+        let clients: Vec<_> = (0..2)
+            .map(|_| std::thread::spawn(move || post(addr, None).body))
+            .collect();
+        gate.wait();
+        let flag = Arc::clone(&server.shutdown);
+        let stopper = std::thread::spawn(move || server.shutdown());
+        // ord: Acquire — the handler threads' pairing; release the requests
+        // only once the shutdown is under way
+        while !flag.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        gate.wait();
+        let released = Instant::now();
+        stopper.join().unwrap();
+        assert!(released.elapsed() < Duration::from_secs(1));
+        for client in clients {
+            assert_eq!(client.join().unwrap(), "done");
         }
     }
 }

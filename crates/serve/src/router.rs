@@ -53,8 +53,8 @@ use std::fs;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -281,13 +281,25 @@ pub struct RouterShared {
     root: PathBuf,
     workers: Mutex<Vec<WorkerState>>,
     routes: Mutex<RouteTable>,
-    draining: AtomicBool,
+    /// Raised once by [`RouterShared::begin_drain`], which notifies
+    /// `drain_wake`: the poller waits out its interval there, so it sees
+    /// a drain at once however long the interval.
+    draining: Mutex<bool>,
+    drain_wake: Condvar,
     fail_threshold: u32,
     /// Period of the health poller, and the unit of dead-worker backoff.
     poll_interval: Duration,
     probe_timeout: Duration,
     counters: RouterCounters,
     log: Logger,
+}
+
+impl RouterShared {
+    /// Refuse new submissions and wake the poller so it exits.
+    fn begin_drain(&self) {
+        *lock(&self.draining) = true;
+        self.drain_wake.notify_all();
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -347,7 +359,8 @@ impl Router {
             root: config.root.clone(),
             workers: Mutex::new(config.workers.iter().map(|a| WorkerState::new(a)).collect()),
             routes: Mutex::new(table),
-            draining: AtomicBool::new(false),
+            draining: Mutex::new(false),
+            drain_wake: Condvar::new(),
             fail_threshold: config.fail_threshold.max(1),
             poll_interval: config.poll_interval,
             probe_timeout: config.probe_timeout,
@@ -385,17 +398,13 @@ impl Router {
     /// /v1/shutdown`). The owning binary polls this, then calls
     /// [`Router::drain`].
     pub fn drain_requested(&self) -> bool {
-        // ord: Acquire — pairs with the Release stores in `drain` and the
-        // HTTP shutdown handler
-        self.shared.draining.load(Ordering::Acquire)
+        *lock(&self.shared.draining)
     }
 
     /// Stop polling and serving. Workers (and their jobs) are left
     /// running: a drained router restarts from its route table.
     pub fn drain(&mut self) {
-        // ord: Release — pairs with the Acquire loads in the poller and
-        // the admission path
-        self.shared.draining.store(true, Ordering::Release);
+        self.shared.begin_drain();
         if let Some(handle) = self.poller.take() {
             let _ = handle.join();
         }
@@ -505,8 +514,7 @@ fn live_workers(shared: &RouterShared) -> Vec<String> {
 
 fn poller_loop(shared: &Arc<RouterShared>) {
     loop {
-        // ord: Acquire — pairs with the Release store in `Router::drain`
-        if shared.draining.load(Ordering::Acquire) {
+        if *lock(&shared.draining) {
             return;
         }
         let round_started = Instant::now();
@@ -536,14 +544,14 @@ fn poller_loop(shared: &Arc<RouterShared>) {
         adopt_orphans(shared);
         cancel_stale_claims(shared);
 
-        // sleep in slices so a drain is observed promptly
-        while round_started.elapsed() < shared.poll_interval {
-            // ord: Acquire — same drain pairing as the loop head
-            if shared.draining.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        // one wait for the rest of the interval, cut short by a drain
+        let rest = shared.poll_interval.saturating_sub(round_started.elapsed());
+        let flag = lock(&shared.draining);
+        drop(
+            shared
+                .drain_wake
+                .wait_timeout_while(flag, rest, |raised| !*raised),
+        );
     }
 }
 
@@ -801,11 +809,7 @@ fn health(shared: &Arc<RouterShared>) -> Response {
         // the router's own dispatch — workers report theirs in their own
         // health documents
         ("simd", s(mbrpa_simd::active().name())),
-        (
-            "draining",
-            // ord: Acquire — pairs with the Release stores in `shutdown`/`drain`
-            JsonValue::Bool(shared.draining.load(Ordering::Acquire)),
-        ),
+        ("draining", JsonValue::Bool(*lock(&shared.draining))),
         ("router", router_block),
     ]);
     Response::json(200, &doc)
@@ -820,8 +824,7 @@ fn workers(shared: &Arc<RouterShared>) -> Response {
 }
 
 fn submit(shared: &Arc<RouterShared>, req: &Request) -> Response {
-    // ord: Acquire — pairs with the Release stores in `shutdown`/`drain`
-    if shared.draining.load(Ordering::Acquire) {
+    if *lock(&shared.draining) {
         return Response::error(503, "router is draining; resubmit after restart");
     }
     let Some(text) = req.body_str() else {
@@ -1055,8 +1058,7 @@ fn cancel(shared: &Arc<RouterShared>, rid: &str) -> Response {
 }
 
 fn shutdown(shared: &Arc<RouterShared>) -> Response {
-    // ord: Release — pairs with the Acquire loads in `submit` and the poller
-    shared.draining.store(true, Ordering::Release);
+    shared.begin_drain();
     Response::json(202, &obj(vec![("status", s("draining"))]))
 }
 
@@ -1105,7 +1107,8 @@ mod tests {
             root: PathBuf::new(),
             workers: Mutex::new(vec![WorkerState::new(addr)]),
             routes: Mutex::new(RouteTable::default()),
-            draining: AtomicBool::new(false),
+            draining: Mutex::new(false),
+            drain_wake: Condvar::new(),
             fail_threshold: 1,
             poll_interval: interval,
             probe_timeout: DEFAULT_PROBE_TIMEOUT,
@@ -1126,6 +1129,22 @@ mod tests {
                 until - before
             );
         }
+    }
+
+    #[test]
+    fn drain_cuts_a_long_poll_interval_short() {
+        let root = std::env::temp_dir().join(format!("mbrpa-router-drain-{}", std::process::id()));
+        let mut router = Router::start(RouterConfig {
+            root: root.clone(),
+            workers: vec!["127.0.0.1:9".to_string()], // refuses at once
+            poll_interval: Duration::from_secs(60),
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        let started = Instant::now();
+        router.drain();
+        assert!(started.elapsed() < Duration::from_secs(1));
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The handler itself does exactly one lock-free atomic store (the only
 //! async-signal-safe action it takes); everything else happens on
 //! ordinary threads. Consumers either poll
-//! [`termination_requested`] (the daemon's accept loop) or spawn a
+//! [`termination_requested`] (the daemons' `main` park loops) or spawn a
 //! [`watch`]er that trips a `CancelToken` when the flag rises (the
 //! `rpacalc` CLI, so Ctrl-C checkpoints the run and writes a partial
 //! report instead of discarding hours of work).
@@ -84,7 +84,8 @@ impl Drop for CancelWatcher {
 
 /// Install the handler and spawn a watcher that cancels `cancel` when a
 /// termination signal arrives. Poll period is 25 ms — far below any
-/// frequency boundary the token is checked at.
+/// frequency boundary the token is checked at. It stays a timed poll: the
+/// flag is raised by a signal handler, which may not touch a condvar.
 pub fn watch(cancel: CancelToken) -> CancelWatcher {
     install_termination_handler();
     let stop = Arc::new(AtomicBool::new(false));

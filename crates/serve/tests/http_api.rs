@@ -9,13 +9,13 @@ mod common;
 
 use common::{http, scratch_root, start_on, submit_body, wait_for_state, TINY_INPUT};
 use mbrpa_core::RpaSetup;
-use mbrpa_serve::daemon::{Daemon, DaemonConfig};
+use mbrpa_serve::daemon::{lock, Daemon, DaemonConfig};
 use mbrpa_serve::http::exchange;
-use mbrpa_serve::job::{validate_health_doc, validate_result_doc, validate_status_doc};
+use mbrpa_serve::job::{validate_health_doc, validate_result_doc, validate_status_doc, JobState};
 use mbrpa_serve::json::{self, JsonValue};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(tag: &str, executors: usize, backlog: usize) -> (Daemon, SocketAddr, PathBuf) {
     common::start(
@@ -174,8 +174,33 @@ fn queued_jobs_cancel_immediately() {
 }
 
 #[test]
+fn an_idle_executor_claims_a_submission_at_once() {
+    let (daemon, addr, root) = start("wake", 1, 4);
+
+    let (status, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
+    let acked = Instant::now();
+    assert_eq!(status, 201, "{body}");
+    let doc = json::parse(&body).unwrap();
+    let id = doc.get("id").unwrap().as_str().unwrap();
+
+    // the submit handler notified the executor before it replied; a 50 ms
+    // idle sleep left the job queued for 25 ms on average
+    while lock(&daemon.shared().queue).state_of(id) == Some(JobState::Queued) {
+        assert!(
+            acked.elapsed() < Duration::from_millis(20),
+            "still queued 20 ms after the 201"
+        );
+        std::thread::yield_now();
+    }
+
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn shutdown_drains_and_refuses_new_work() {
-    let (mut daemon, addr, root) = start("shutdown", 0, 4);
+    // one executor, idle and waiting on the queue: the drain has to wake it
+    let (mut daemon, addr, root) = start("shutdown", 1, 4);
 
     let (status, body) = http(addr, "POST", "/v1/shutdown", None);
     assert_eq!(status, 202, "{body}");
@@ -184,7 +209,9 @@ fn shutdown_drains_and_refuses_new_work() {
     let (status, body) = http(addr, "POST", "/v1/jobs", Some(&submit_body(TINY_INPUT, 4)));
     assert_eq!(status, 503, "{body}");
 
+    let started = Instant::now();
     daemon.drain();
+    assert!(started.elapsed() < Duration::from_secs(1));
     let _ = std::fs::remove_dir_all(&root);
 }
 

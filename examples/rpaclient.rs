@@ -17,7 +17,7 @@
 use mbrpa::serve::http::{self, Reply};
 use mbrpa::serve::json::{self, obj, s, u, JsonValue};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
     eprintln!("usage: rpaclient [-addr <ip:port>] <command> [args]");
@@ -114,7 +114,12 @@ fn submit(addr: &str, args: &[String]) -> ExitCode {
     run(addr, "POST", "/v1/jobs", Some(&body))
 }
 
+/// Poll until `id` is terminal: every 20 ms for the first second (a
+/// small job is done in tens of milliseconds), every 500 ms after. A
+/// progress line is printed when it changes, not per poll.
 fn wait(addr: &str, id: &str) -> ExitCode {
+    let started = Instant::now();
+    let mut last_line = String::new();
     loop {
         let Reply { status, body, .. } =
             match exchange(addr, "GET", &format!("/v1/jobs/{id}"), None) {
@@ -158,8 +163,13 @@ fn wait(addr: &str, id: &str) -> ExitCode {
                     (Some(done), Some(total)) => format!(" ({done}/{total} frequencies)"),
                     _ => String::new(),
                 };
-                eprintln!("{id}: {state}{progress}");
-                std::thread::sleep(Duration::from_millis(500));
+                let line = format!("{id}: {state}{progress}");
+                if line != last_line {
+                    eprintln!("{line}");
+                    last_line = line;
+                }
+                let eager = started.elapsed() < Duration::from_secs(1);
+                std::thread::sleep(Duration::from_millis(if eager { 20 } else { 500 }));
             }
         }
     }

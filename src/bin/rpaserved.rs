@@ -241,7 +241,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // park until a signal or a client's POST /v1/shutdown requests a drain
+    // park until a signal or a client's POST /v1/shutdown requests a drain.
+    // A timed poll, not a condvar wait: the termination flag is set by a
+    // signal handler, which may not notify one. No request waits on this.
     while !signal::termination_requested() && !daemon.drain_requested() {
         std::thread::sleep(Duration::from_millis(100));
     }
