@@ -63,6 +63,27 @@ if grep -nE 'FINGERPRINT_SCHEMA: u64 = 1;' crates/core/src/checkpoint.rs; then
     exit 1
 fi
 
+# An apply that costs its grid points: one projector path — the plain
+# projector-by-projector loops survive under crates/dft/src only as the
+# `#[cfg(test)]` oracle the kernel is compared with — and nothing about an
+# apply that does not depend on the vector is rebuilt per call: the halo
+# plan (the old per-call `wrap_tab` tables) belongs to `Laplacian::new`.
+# The count that proves it, crates/dft/tests/apply_alloc.rs, ran in the
+# `cargo test --workspace` leg above; it must stay one `#[test]` there.
+for f in crates/dft/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nF '.indices.iter().zip('; then
+        echo "ci: a plain projector loop outside #[cfg(test)] in $f — call NonlocalProjectors::apply_add"
+        exit 1
+    fi
+done
+if sed -n '/pub fn apply_raw/,/^    }$/p' crates/grid/src/stencil.rs \
+    | grep -nE 'wrap_tab|\.collect\(|vec!|Vec::'; then
+    echo "ci: Laplacian::apply_raw builds a table per call — it belongs to the SweepPlan of Laplacian::new"
+    exit 1
+fi
+[ "$(grep -c '^#\[test\]' crates/dft/tests/apply_alloc.rs)" = 1 ] \
+    || { echo "ci: crates/dft/tests/apply_alloc.rs must hold its one #[test] (the warm-apply allocation count)"; exit 1; }
+
 # Wake-driven serve path: nothing between a connection arriving and its
 # reply, or between `queue.submit` and `queue.claim`, waits on a clock. The
 # listener blocks in accept(), idle executors wait on the queue's condvar,

@@ -1,11 +1,11 @@
 //! Micro-benchmarks of the hot kernels as they run today: the
 //! runtime-dispatched SIMD stencil block applies, the packed GEMM
 //! microkernels, the lane-split reduction suite, the fused block-COCG
-//! update and one whole block-COCG iteration at the shapes the drivers
-//! solve, emitting a schema-versioned `BENCH_kernels.json`. The committed
-//! document is the baseline a later run is compared against; there is no
-//! in-tree copy of older kernels (their correctness oracles live in the
-//! crates' tests).
+//! update, one whole block-COCG iteration and one Sternheimer apply at the
+//! shapes the drivers solve, emitting a schema-versioned
+//! `BENCH_kernels.json`. The committed document is the baseline a later run
+//! is compared against; there is no in-tree copy of older kernels (their
+//! correctness oracles live in the crates' tests).
 //!
 //! Flags:
 //!
@@ -317,6 +317,62 @@ fn cocg_iter_cases(reps: usize, cases: &mut Vec<Case>) {
     }
 }
 
+/// One Sternheimer `A·v` and its non-local projector term alone, on the
+/// grids of the end-to-end workloads. `secs` is per apply (a batch of
+/// applies divided by its length); `nnz/n_d` in the shape is what the
+/// projector term costs per grid point — it scales with atoms, not with
+/// the grid.
+fn apply_cases(reps: usize, cases: &mut Vec<Case>) {
+    const BATCH: usize = 64;
+    for (ppc, boundary, projector_row) in [
+        (7usize, Boundary::Periodic, true),
+        (14, Boundary::Periodic, true),
+        (8, Boundary::Dirichlet, false),
+    ] {
+        let crystal = SiliconSpec {
+            points_per_cell: ppc,
+            boundary,
+            ..SiliconSpec::default()
+        }
+        .build();
+        let ham = Hamiltonian::new(&crystal, 2, &PotentialParams::default());
+        let (lambda, omega) = (-0.2, 0.5);
+        let op = SternheimerOperator::new(&ham, lambda, omega);
+        let n = ham.dim();
+        let nl = ham.nonlocal().expect("the model has a projector term");
+        let shape = format!(
+            "grid={ppc}x{ppc}x{ppc} radius=2 nnz/n_d={:.2}",
+            nl.nnz() as f64 / n as f64
+        );
+        let v = filled::<C64>(n, 1, 0xa9917 + ppc as u64);
+        let mut out = Mat::<C64>::zeros(n, 1);
+        let secs = time_best(reps, &mut || {
+            for _ in 0..BATCH {
+                op.apply_raw(black_box(v.col(0)), out.col_mut(0));
+            }
+        });
+        cases.push(Case::new(
+            format!("stern_apply_c64_n{n}"),
+            format!("{shape} lambda={lambda} omega={omega}"),
+            secs / BATCH as f64,
+            op.apply_flops() as f64,
+        ));
+        if projector_row {
+            let secs = time_best(reps, &mut || {
+                for _ in 0..BATCH {
+                    nl.apply_add(black_box(v.col(0)), out.col_mut(0));
+                }
+            });
+            cases.push(Case::new(
+                format!("projector_apply_c64_n{n}"),
+                shape,
+                secs / BATCH as f64,
+                8.0 * nl.nnz() as f64,
+            ));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // JSON emission + validation (schema `mbrpa_schema::KERNELS_BENCH`)
 // ---------------------------------------------------------------------
@@ -429,9 +485,9 @@ fn main() {
 
     let threads = threads.unwrap_or_else(rayon::current_num_threads);
     let reps = if smoke { 3 } else { 9 };
-    // Stencil, COCG-update and COCG-iteration cases run in ~1 ms or less,
-    // so a best-of-7 is one scheduler blip away from garbage; they get
-    // more samples for the same wall time.
+    // Stencil, COCG-update, COCG-iteration and apply cases run in ~1 ms or
+    // less, so a best-of-7 is one scheduler blip away from garbage; they
+    // get more samples for the same wall time.
     let stencil_reps = if smoke { 5 } else { 25 };
     let run = || {
         let mut cases: Vec<Case> = Vec::new();
@@ -441,6 +497,7 @@ fn main() {
         reduce_cases(smoke, &mut cases);
         cocg_update_cases(stencil_reps, &mut cases);
         cocg_iter_cases(stencil_reps, &mut cases);
+        apply_cases(stencil_reps, &mut cases);
         cases
     };
     let cases = mbrpa_bench::with_threads(threads, run);

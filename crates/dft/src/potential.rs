@@ -13,6 +13,7 @@
 use crate::system::Crystal;
 use mbrpa_grid::Grid3;
 use mbrpa_linalg::{Mat, Scalar};
+use mbrpa_simd::SparseRows;
 
 /// Shape parameters of the model pseudopotential.
 #[derive(Clone, Copy, Debug)]
@@ -81,7 +82,7 @@ pub fn local_potential(crystal: &Crystal, params: &PotentialParams) -> Vec<f64> 
 /// one Kleinman–Bylander-style channel.
 #[derive(Clone, Debug)]
 pub struct Projector {
-    /// Grid indices inside the support ball.
+    /// Grid indices inside the support ball, strictly ascending.
     pub indices: Vec<u32>,
     /// Projector values at those indices (unit l₂ norm).
     pub values: Vec<f64>,
@@ -90,11 +91,24 @@ pub struct Projector {
 }
 
 /// The non-local term `V_nl = Σ_a γ_a |p_a⟩⟨p_a| = 𝒳 Γ 𝒳ᵀ` with sparse,
-/// atom-centered columns of `𝒳`.
+/// atom-centered columns of `𝒳`, held projector-major: row `a` of the
+/// sparse matrix is `p_a` over the grid points of its support.
+///
+/// **Invariant the unchecked kernel rests on:** every stored grid index is
+/// `< dim` and each projector's indices are strictly ascending.
+/// [`from_projectors`](Self::from_projectors) is the only constructor and
+/// asserts it in every build profile (through [`SparseRows::from_rows`]);
+/// [`Hamiltonian::from_parts`] refuses a `dim` that differs from its
+/// grid's, and [`apply_add`](Self::apply_add) any vector not of length
+/// `dim`.
+///
+/// [`Hamiltonian::from_parts`]: crate::Hamiltonian::from_parts
 #[derive(Clone, Debug)]
 pub struct NonlocalProjectors {
-    projectors: Vec<Projector>,
-    dim: usize,
+    /// `𝒳ᵀ`, one row per channel.
+    projectors: SparseRows,
+    /// Channel strengths `γ_a`.
+    strengths: Vec<f64>,
 }
 
 impl NonlocalProjectors {
@@ -130,58 +144,68 @@ impl NonlocalProjectors {
                 strength: params.nonlocal_strength,
             });
         }
+        Self::from_projectors(grid.len(), &projectors)
+    }
+
+    /// Explicit channels on a grid of `dim` points.
+    ///
+    /// # Panics
+    /// If a channel's index and value lists differ in length, its indices
+    /// are not strictly ascending, or one is `≥ dim` (the type-level
+    /// invariant).
+    pub fn from_projectors(dim: usize, projectors: &[Projector]) -> Self {
+        let rows = projectors
+            .iter()
+            .map(|p| (p.indices.as_slice(), p.values.as_slice()));
         Self {
-            projectors,
-            dim: grid.len(),
+            projectors: SparseRows::from_rows(dim, rows),
+            strengths: projectors.iter().map(|p| p.strength).collect(),
         }
     }
 
     /// Number of projector channels.
     pub fn len(&self) -> usize {
-        self.projectors.len()
+        self.strengths.len()
     }
 
     /// True when no channels exist.
     pub fn is_empty(&self) -> bool {
-        self.projectors.is_empty()
+        self.strengths.is_empty()
     }
 
     /// Grid dimension the projectors act on.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.projectors.cols()
     }
 
     /// Total stored non-zeros across channels.
     pub fn nnz(&self) -> usize {
-        self.projectors.iter().map(|p| p.indices.len()).sum()
+        self.projectors.nnz()
     }
 
     /// Sum of channel strengths `Σ γ_a`: an upper bound on `λ_max(V_nl)`
     /// (each channel is a unit-norm rank-1 PSD term of norm `γ_a`).
     pub fn strength_sum(&self) -> f64 {
-        self.projectors.iter().map(|p| p.strength.max(0.0)).sum()
+        self.strengths.iter().map(|g| g.max(0.0)).sum()
     }
 
-    /// `y += Σ_a γ_a p_a (p_aᵀ x)` for one vector (sparse gather + scatter).
+    /// `y += Σ_a γ_a p_a (p_aᵀ x)` for one vector: per channel a sparse dot
+    /// over its support, then a sparse update of `y` over the same points
+    /// ([`mbrpa_simd::sparse_projector_add_on`]).
     pub fn apply_add<T: Scalar>(&self, x: &[T], y: &mut [T]) {
-        debug_assert_eq!(x.len(), self.dim);
-        debug_assert_eq!(y.len(), self.dim);
-        for proj in &self.projectors {
-            let mut dot = T::zero();
-            for (&i, &v) in proj.indices.iter().zip(proj.values.iter()) {
-                dot += x[i as usize].scale(v);
-            }
-            let coeff = dot.scale(proj.strength);
-            for (&i, &v) in proj.indices.iter().zip(proj.values.iter()) {
-                y[i as usize] += coeff.scale(v);
-            }
-        }
+        mbrpa_simd::sparse_projector_add_on(
+            mbrpa_simd::active(),
+            T::COMPONENTS,
+            &self.projectors,
+            &self.strengths,
+            T::as_components(x),
+            T::as_components_mut(y),
+        );
     }
 
-    /// Block version: applied column by column; the paper treats this term
-    /// as a sparse-dense matmul (`𝒳ᵀ P` then `𝒳 · …`) for higher arithmetic
-    /// intensity, which this layout mirrors by keeping each channel's
-    /// gather/scatter contiguous.
+    /// Block version: [`apply_add`](Self::apply_add) on each column in
+    /// turn — the non-local term, like the stencil, works one vector at a
+    /// time.
     pub fn apply_add_block<T: Scalar>(&self, x: &Mat<T>, y: &mut Mat<T>) {
         assert_eq!(x.shape(), y.shape());
         for j in 0..x.cols() {
@@ -247,7 +271,7 @@ mod tests {
         assert!(nl.nnz() > 0);
         assert!(nl.nnz() < 8 * c.n_grid(), "projectors must be localized");
         for p in 0..nl.len() {
-            let norm: f64 = nl.projectors[p].values.iter().map(|x| x * x).sum();
+            let norm: f64 = nl.projectors.row(p).1.iter().map(|x| x * x).sum();
             assert!((norm - 1.0).abs() < 1e-12);
         }
     }
@@ -334,5 +358,130 @@ mod tests {
             assert!((yc[i].re - yr[i]).abs() < 1e-12);
             assert!((yc[i].im - yi[i]).abs() < 1e-12);
         }
+    }
+
+    /// The plain loops `apply_add` ran before the unchecked kernel took
+    /// over: the oracle it has to match bit for bit.
+    fn apply_add_plain<T: Scalar>(projectors: &[Projector], x: &[T], y: &mut [T]) {
+        for proj in projectors {
+            let mut dot = T::zero();
+            for (&i, &v) in proj.indices.iter().zip(proj.values.iter()) {
+                dot += x[i as usize].scale(v);
+            }
+            let coeff = dot.scale(proj.strength);
+            for (&i, &v) in proj.indices.iter().zip(proj.values.iter()) {
+                y[i as usize] += coeff.scale(v);
+            }
+        }
+    }
+
+    /// `apply_add` and the kernel on every dispatch path against the plain
+    /// loops, from a non-zero `y`.
+    fn assert_matches_plain_loops<T: Scalar>(list: &[Projector], x: &[T], y0: &[T], what: &str) {
+        let nl = NonlocalProjectors::from_projectors(x.len(), list);
+        let mut want = y0.to_vec();
+        apply_add_plain(list, x, &mut want);
+        let same = |got: &[T], path: &str| {
+            let (got, want) = (T::as_components(got), T::as_components(&want));
+            let at = got
+                .iter()
+                .zip(want)
+                .position(|(g, w)| g.to_bits() != w.to_bits());
+            assert_eq!(at, None, "{what}, {path}: first differing component");
+        };
+        let mut got = y0.to_vec();
+        nl.apply_add(x, &mut got);
+        same(&got, "apply_add");
+        for &d in mbrpa_simd::available() {
+            let mut got = y0.to_vec();
+            mbrpa_simd::sparse_projector_add_on(
+                d,
+                T::COMPONENTS,
+                &nl.projectors,
+                &nl.strengths,
+                T::as_components(x),
+                T::as_components_mut(&mut got),
+            );
+            same(&got, d.name());
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_plain_loops_bit_for_bit() {
+        use mbrpa_grid::Boundary::{Dirichlet, Periodic};
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state as f64 / u64::MAX as f64) - 0.5
+        };
+        for (ppc, boundary) in [
+            (7, Periodic),
+            (14, Periodic),
+            (8, Dirichlet),
+            (5, Dirichlet),
+        ] {
+            let crystal = SiliconSpec {
+                points_per_cell: ppc,
+                boundary,
+                ..SiliconSpec::default()
+            }
+            .build();
+            let n = crystal.n_grid();
+            let built = NonlocalProjectors::build(&crystal, &PotentialParams::default());
+            let channels: Vec<Projector> = (0..built.len())
+                .map(|a| {
+                    let (indices, values) = built.projectors.row(a);
+                    Projector {
+                        indices: indices.to_vec(),
+                        values: values.to_vec(),
+                        strength: built.strengths[a],
+                    }
+                })
+                .collect();
+            assert_eq!(channels.len(), 8);
+            // even and odd counts around the kernel's pairs; the ninth
+            // channel is the first again
+            for count in [0, 1, 3, 4, 5, 8, 9] {
+                let mut list: Vec<Projector> =
+                    channels.iter().cycle().take(count).cloned().collect();
+                for (a, p) in list.iter_mut().enumerate() {
+                    p.strength = 0.7 + 0.3 * a as f64;
+                }
+                if count >= 3 {
+                    // one channel whose support holds no grid point
+                    list[1].indices.clear();
+                    list[1].values.clear();
+                }
+                let what = format!("{boundary:?} {ppc}³, {count} channels");
+                let (x, y): (Vec<f64>, Vec<f64>) = (0..n).map(|_| (next(), next())).unzip();
+                assert_matches_plain_loops(&list, &x, &y, &what);
+                let (x, y): (Vec<C64>, Vec<C64>) = (0..n)
+                    .map(|_| (C64::new(next(), next()), C64::new(next(), next())))
+                    .unzip();
+                assert_matches_plain_loops(&list, &x, &y, &what);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 0..27")]
+    fn a_projector_reaching_past_the_grid_is_refused() {
+        let stray = Projector {
+            indices: vec![3, 27],
+            values: vec![0.6, 0.8],
+            strength: 1.0,
+        };
+        let _ = NonlocalProjectors::from_projectors(27, &[stray]);
+    }
+
+    #[test]
+    #[should_panic(expected = "x is not one element per column")]
+    fn a_vector_of_another_length_is_refused() {
+        let nl = NonlocalProjectors::build(&small_crystal(), &PotentialParams::default());
+        let x = vec![0.0; nl.dim() - 1];
+        let mut y = vec![0.0; nl.dim()];
+        nl.apply_add(&x, &mut y);
     }
 }

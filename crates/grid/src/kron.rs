@@ -74,6 +74,40 @@ impl SpectralLaplacian {
         ZERO_MODE_RTOL * self.lambda_max_abs.max(1.0)
     }
 
+    /// Every Kronecker-sum eigenvalue `λ = λx + λy + λz` in coefficient
+    /// order, the periodic `λ ≈ 0` constant mode as exactly `0.0`.
+    fn eigenvalues(&self) -> impl Iterator<Item = f64> + '_ {
+        let tol = self.zero_tol();
+        let yz = self
+            .lz
+            .iter()
+            .flat_map(move |lz| self.ly.iter().map(move |ly| ly + lz));
+        yz.flat_map(move |lyz| {
+            self.lx.iter().map(move |lx| {
+                let lam = lx + lyz;
+                if lam.abs() <= tol {
+                    0.0
+                } else {
+                    lam
+                }
+            })
+        })
+    }
+
+    /// `out = Q·diag(table)·Qᵀ v`: forward transform, one multiply per
+    /// coefficient, back transform. `buf` is working memory of `v`'s
+    /// length (contents ignored).
+    fn apply_table(&self, table: &[f64], v: &[f64], out: &mut [f64], buf: &mut [f64]) {
+        let n = self.grid.len();
+        assert_eq!(v.len(), n);
+        assert_eq!(out.len(), n);
+        self.forward(v, out, buf);
+        for (o, t) in out.iter_mut().zip(table) {
+            *o *= t;
+        }
+        self.backward(out, buf);
+    }
+
     /// Apply `f(∇²)` to a single vector, writing into `out`.
     ///
     /// `f` receives each Kronecker-sum eigenvalue `λ = λx + λy + λz`; for
@@ -81,55 +115,20 @@ impl SpectralLaplacian {
     /// as exactly `0.0`, letting callers implement pseudo-inverses by
     /// returning `0.0` there.
     pub fn apply_function(&self, f: &dyn Fn(f64) -> f64, v: &[f64], out: &mut [f64]) {
-        let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.grid.nz);
-        let n = self.grid.len();
-        assert_eq!(v.len(), n);
-        assert_eq!(out.len(), n);
-        let mut buf = vec![0.0; n];
-
-        // Forward transform: coefficients c = (Qzᵀ ⊗ Qyᵀ ⊗ Qxᵀ) v.
-        // x: out = Qxᵀ · V with V seen as (nx, ny·nz)
-        gemm_tn_slices(nx, nx, ny * nz, self.qx.as_slice(), v, out);
-        // y: per z-slice, buf_slice = out_slice (nx×ny) · Qy
-        for k in 0..nz {
-            let o = &out[k * nx * ny..(k + 1) * nx * ny];
-            let b = &mut buf[k * nx * ny..(k + 1) * nx * ny];
-            gemm_nn_slices(nx, ny, ny, o, self.qy.as_slice(), b);
-        }
-        // z: out = buf (nx·ny, nz) · Qz
-        gemm_nn_slices(nx * ny, nz, nz, &buf, self.qz.as_slice(), out);
-
-        // Diagonal scaling by f(λ).
-        let tol = self.zero_tol();
-        for c in 0..nz {
-            for b in 0..ny {
-                let lyz = self.ly[b] + self.lz[c];
-                let base = nx * (b + ny * c);
-                for a in 0..nx {
-                    let lam = self.lx[a] + lyz;
-                    let lam = if lam.abs() <= tol { 0.0 } else { lam };
-                    out[base + a] *= f(lam);
-                }
-            }
-        }
-
-        // Back transform with the transposed factors.
-        gemm_nn_slices(nx * ny, nz, nz, out, self.qz_t.as_slice(), &mut buf);
-        for k in 0..nz {
-            let b = &buf[k * nx * ny..(k + 1) * nx * ny];
-            let o = &mut out[k * nx * ny..(k + 1) * nx * ny];
-            gemm_nn_slices(nx, ny, ny, b, self.qy_t.as_slice(), o);
-        }
-        buf.copy_from_slice(out);
-        gemm_tn_slices(nx, nx, ny * nz, self.qx_t.as_slice(), &buf, out);
+        let table: Vec<f64> = self.eigenvalues().map(f).collect();
+        self.apply_table(&table, v, out, &mut vec![0.0; self.grid.len()]);
     }
 
-    /// Apply `f(∇²)` to every column of a block, in place.
+    /// Apply `f(∇²)` to every column of a block, in place: `f` is
+    /// tabulated and the working memory allocated once for the block, not
+    /// once per column.
     pub fn apply_function_block(&self, f: &dyn Fn(f64) -> f64, v: &mut Mat<f64>) {
-        assert_eq!(v.rows(), self.grid.len());
-        let mut out = vec![0.0; v.rows()];
+        let n = self.grid.len();
+        assert_eq!(v.rows(), n);
+        let table: Vec<f64> = self.eigenvalues().map(f).collect();
+        let (mut out, mut buf) = (vec![0.0; n], vec![0.0; n]);
         for j in 0..v.cols() {
-            self.apply_function(f, v.col(j), &mut out);
+            self.apply_table(&table, v.col(j), &mut out, &mut buf);
             v.col_mut(j).copy_from_slice(&out);
         }
     }
@@ -173,24 +172,13 @@ impl SpectralLaplacian {
         self.forward(re, c_re, buf);
         self.forward(im, c_im, buf);
         // complex multiply in coefficient space
-        let tol = self.zero_tol();
-        for c in 0..self.grid.nz {
-            for b in 0..self.grid.ny {
-                let lyz = self.ly[b] + self.lz[c];
-                let base = self.grid.nx * (b + self.grid.ny * c);
-                for a in 0..self.grid.nx {
-                    let lam = self.lx[a] + lyz;
-                    let lam = if lam.abs() <= tol { 0.0 } else { lam };
-                    let m = f(lam);
-                    let (r, i) = (c_re[base + a], c_im[base + a]);
-                    c_re[base + a] = m.re * r - m.im * i;
-                    c_im[base + a] = m.re * i + m.im * r;
-                }
-            }
+        for ((r, i), lam) in c_re.iter_mut().zip(c_im.iter_mut()).zip(self.eigenvalues()) {
+            let m = f(lam);
+            (*r, *i) = (m.re * *r - m.im * *i, m.re * *i + m.im * *r);
         }
-        self.backward(c_re, re, buf);
-        self.backward(c_im, im, buf);
-        for ((o, &r), &i) in out.iter_mut().zip(re.iter()).zip(im.iter()) {
+        self.backward(c_re, buf);
+        self.backward(c_im, buf);
+        for ((o, &r), &i) in out.iter_mut().zip(c_re.iter()).zip(c_im.iter()) {
             *o = num_complex::Complex64::new(r, i);
         }
     }
@@ -207,17 +195,17 @@ impl SpectralLaplacian {
         gemm_nn_slices(nx * ny, nz, nz, buf, self.qz.as_slice(), out);
     }
 
-    /// Backward Kronecker transform: `out = (Qz⊗Qy⊗Qx) c`.
-    fn backward(&self, c: &[f64], out: &mut [f64], buf: &mut [f64]) {
+    /// Backward Kronecker transform in place: `c ← (Qz⊗Qy⊗Qx) c`.
+    fn backward(&self, c: &mut [f64], buf: &mut [f64]) {
         let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.grid.nz);
         gemm_nn_slices(nx * ny, nz, nz, c, self.qz_t.as_slice(), buf);
         for k in 0..nz {
             let b = &buf[k * nx * ny..(k + 1) * nx * ny];
-            let o = &mut out[k * nx * ny..(k + 1) * nx * ny];
+            let o = &mut c[k * nx * ny..(k + 1) * nx * ny];
             gemm_nn_slices(nx, ny, ny, b, self.qy_t.as_slice(), o);
         }
-        buf.copy_from_slice(out);
-        gemm_tn_slices(nx, nx, ny * nz, self.qx_t.as_slice(), buf, out);
+        buf.copy_from_slice(c);
+        gemm_tn_slices(nx, nx, ny * nz, self.qx_t.as_slice(), buf, c);
     }
 
     /// Solve the Poisson problem `∇² u = rhs` (pseudo-inverse on the

@@ -85,6 +85,40 @@ pub fn dense_laplacian_1d(n: usize, h: f64, r: usize, bc: Boundary) -> Mat<f64> 
     l
 }
 
+/// Everything about one apply that does not depend on the vector, for one
+/// component count per element: what to copy or zero in the halo'd scratch
+/// volume and what the sweep then adds up. Positions and offsets count
+/// components.
+///
+/// Only the faces of the halo are filled: an axis-aligned cross never reads
+/// an edge or corner region (a point offset along two axes at once), so
+/// z-halo slabs get their ny×nx core, y-halo rows their nx core, and x
+/// halos matter on core rows alone.
+#[derive(Clone, Debug)]
+struct SweepPlan {
+    /// Length of the halo'd volume, `(nx + 2r)·cs × (ny + 2r) × (nz + 2r)`.
+    volume: usize,
+    /// `(to, from)` of the `nx` core elements of every row with a source
+    /// row in the vector (itself, or its periodic image), in volume order.
+    rows: Vec<(usize, usize)>,
+    /// Components of its own ends each of `rows` wraps into the x halo
+    /// beside it: `r` elements on a periodic grid (on a face row nothing
+    /// reads them), none on a Dirichlet one.
+    wrap: usize,
+    /// What a Dirichlet boundary keeps at zero, as `(to, 0)` copies out of
+    /// [`Laplacian::zeros`]: the face rows, and the x halos of `r` elements
+    /// on either side of the core rows.
+    zero_rows: Vec<(usize, usize)>,
+    zero_x_halos: Vec<(usize, usize)>,
+    /// Uniform `(weight, signed offset)` terms: diag, then each axis by
+    /// ascending distance with the +t neighbour before −t.
+    terms: Vec<(f64, isize)>,
+    /// First core element, row stride and slab stride of the volume.
+    origin: usize,
+    row_stride: usize,
+    slab_stride: usize,
+}
+
 /// The 3-D finite-difference Laplacian operator `∇²` on a [`Grid3`].
 #[derive(Clone, Debug)]
 pub struct Laplacian {
@@ -96,6 +130,11 @@ pub struct Laplacian {
     cz: Vec<f64>,
     /// Sum of the three axis diagonal terms.
     diag: f64,
+    /// The apply of a real (`[0]`) and of an interleaved complex (`[1]`)
+    /// vector.
+    plans: [SweepPlan; 2],
+    /// One complex row of zeros, the source of a Dirichlet halo.
+    zeros: Vec<f64>,
 }
 
 impl Laplacian {
@@ -119,7 +158,51 @@ impl Laplacian {
         let cy = scale(grid.hy);
         let cz = scale(grid.hz);
         let diag = cx[0] + cy[0] + cz[0];
+        let r = radius;
+        let periodic = grid.bc == Boundary::Periodic;
+        // Source plane of halo'd plane `ih` along an axis of `m` points:
+        // itself in the core, the wrapped one in a periodic halo, none in
+        // a Dirichlet halo.
+        let source =
+            |ih: usize, m: usize| ((r..r + m).contains(&ih) || periodic).then(|| (ih + m - r) % m);
+        let plans = [1, 2].map(|cs| {
+            let (nxc, rc) = (grid.nx * cs, r * cs);
+            let (hx, hy, hz) = (nxc + 2 * rc, grid.ny + 2 * r, grid.nz + 2 * r);
+            let mut plan = SweepPlan {
+                volume: hx * hy * hz,
+                rows: Vec::new(),
+                wrap: if periodic { rc } else { 0 },
+                zero_rows: Vec::new(),
+                zero_x_halos: Vec::new(),
+                terms: vec![(diag, 0)],
+                origin: (r * hy + r) * hx + rc,
+                row_stride: hx,
+                slab_stride: hy * hx,
+            };
+            for kh in 0..hz {
+                let z_core = (r..r + grid.nz).contains(&kh);
+                for jh in if z_core { 0..hy } else { r..r + grid.ny } {
+                    let to = (kh * hy + jh) * hx + rc;
+                    match source(kh, grid.nz).zip(source(jh, grid.ny)) {
+                        Some((ks, js)) => plan.rows.push((to, (ks * grid.ny + js) * nxc)),
+                        None => plan.zero_rows.push((to, 0)),
+                    }
+                    if !periodic && z_core && (r..r + grid.ny).contains(&jh) {
+                        plan.zero_x_halos.extend([(to - rc, 0), (to + nxc, 0)]);
+                    }
+                }
+            }
+            for (cw, stride) in [(&cx, cs), (&cy, hx), (&cz, hy * hx)] {
+                for t in 1..=r {
+                    let off = (t * stride) as isize;
+                    plan.terms.extend([(cw[t], off), (cw[t], -off)]);
+                }
+            }
+            plan
+        });
         Self {
+            plans,
+            zeros: vec![0.0; 2 * grid.nx],
             grid,
             radius,
             cx,
@@ -165,117 +248,60 @@ impl Laplacian {
     /// record counters once on the calling thread, so telemetry never
     /// strands in unflushed worker-thread buffers.
     ///
-    /// The vector is first copied into a halo'd scratch volume with `r`
-    /// extra planes on every face (wrapped copies for periodic
-    /// boundaries, zeros for Dirichlet — a `w·0` FMA contributes exactly
-    /// nothing; only the face slabs the cross reads are filled, not the
-    /// edge and corner regions), after which every output point applies
-    /// the **same**
-    /// `6r + 1` uniform `(weight, signed offset)` terms with no boundary
-    /// branch anywhere: one [`mbrpa_simd::stencil_rows_on`] call sweeps
-    /// the whole volume, accumulating all terms into each output element
-    /// in registers and storing it **once** — instead of the band-sweep
-    /// structure that read and rewrote the output slice once per distance
-    /// per axis. Accumulation order is fixed (diag, then x, y, z by
-    /// ascending `t` with `+t` before `−t`), one fused multiply-add per
-    /// term on every dispatch path, so AVX2, NEON, and scalar produce
-    /// bitwise identical results.
+    /// Everything that does not depend on the vector — which row feeds
+    /// which halo row, the sweep's `6r + 1` uniform terms — was built by
+    /// [`Laplacian::new`]; what is left here is the two steps that touch
+    /// data. The vector is copied row by row
+    /// ([`mbrpa_simd::copy_rows_on`]) into the calling thread's halo'd
+    /// scratch volume with `r` extra planes on every face (wrapped copies
+    /// for periodic boundaries, zeros for Dirichlet — a `w·0` FMA
+    /// contributes exactly nothing; only the face slabs the cross reads are
+    /// filled, not the edge and corner regions). After that every output
+    /// point applies the **same** `(weight, signed offset)` terms with no
+    /// boundary branch anywhere: one [`mbrpa_simd::stencil_rows_on`] call
+    /// sweeps the whole volume, accumulating all terms into each output
+    /// element in registers and storing it **once**. Accumulation order is
+    /// fixed (diag, then x, y, z by ascending `t` with `+t` before `−t`),
+    /// one fused multiply-add per term on every dispatch path, so AVX2,
+    /// NEON, and scalar produce bitwise identical results.
     pub fn apply_raw<T: Scalar>(&self, v: &[T], out: &mut [T]) {
         let n = self.grid.len();
         assert_eq!(v.len(), n);
         assert_eq!(out.len(), n);
-        let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.grid.nz);
-        let periodic = self.grid.bc == Boundary::Periodic;
-        let r = self.radius;
         let cs = T::COMPONENTS;
+        let plan = &self.plans[cs - 1];
+        let (nxc, rc) = (self.grid.nx * cs, self.radius * cs);
         let d = mbrpa_simd::active();
         let vc = T::as_components(v);
         let oc = T::as_components_mut(out);
-        let nxc = nx * cs;
-        let rc = r * cs;
 
-        // Halo'd scratch volume, (nz + 2r) × (ny + 2r) slabs of rows of
-        // nxc + 2·rc components, reused across applies (a fresh 100s-of-kB
-        // allocation per call would pay page faults for the whole volume
-        // every time). Every element the sweep reads is written on every
-        // call — rows with a source are copied, rows and side halos
-        // without one (Dirichlet) are explicitly zeroed — so no stale
-        // data is ever read.
-        let (hx, hy, hz) = (nxc + 2 * rc, ny + 2 * r, nz + 2 * r);
+        // The halo'd scratch volume is reused across applies (a fresh
+        // 100s-of-kB allocation per call would pay page faults for the
+        // whole volume every time). Every element the sweep reads is
+        // written on every call — rows with a source are copied, rows and
+        // side halos without one (Dirichlet) are explicitly zeroed — so no
+        // stale data is ever read; what the plan does not list keeps
+        // stale — initialised, never read — values.
         HALO_SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            if scratch.len() < hx * hy * hz {
-                scratch.resize(hx * hy * hz, 0.0);
+            if scratch.len() < plan.volume {
+                scratch.resize(plan.volume, 0.0);
             }
-            let halo = &mut scratch[..hx * hy * hz];
-            // Wrapped source index per halo plane, resolved once per axis
-            // (-1 marks a Dirichlet zero plane) instead of per row.
-            let wrap_tab = |m: usize| -> Vec<isize> {
-                (0..m + 2 * r)
-                    .map(|ih| {
-                        let i = ih as isize - r as isize;
-                        if 0 <= i && (i as usize) < m {
-                            i
-                        } else if periodic {
-                            i.rem_euclid(m as isize)
-                        } else {
-                            -1
-                        }
-                    })
-                    .collect()
-            };
-            let (ktab, jtab) = (wrap_tab(nz), wrap_tab(ny));
-            // Only the faces are filled: an axis-aligned cross never
-            // reads an edge or corner region of the halo (a point offset
-            // along two axes at once), so z-halo slabs get their ny×nx
-            // core, y-halo rows their nx core, and x halos exist on core
-            // rows alone. What is skipped keeps stale — initialised,
-            // never read — values.
-            for (kh, slab) in halo.chunks_exact_mut(hy * hx).enumerate() {
-                let ks = ktab[kh];
-                let z_core = (r..r + nz).contains(&kh);
-                let vslab = (ks >= 0).then(|| &vc[ks as usize * ny * nxc..][..ny * nxc]);
-                let rows = if z_core { 0..hy } else { r..r + ny };
-                for jh in rows {
-                    let dst = &mut slab[jh * hx..(jh + 1) * hx];
-                    let js = jtab[jh];
-                    let yz_core = z_core && (r..r + ny).contains(&jh);
-                    let row = match vslab {
-                        Some(vslab) if js >= 0 => &vslab[js as usize * nxc..][..nxc],
-                        _ => {
-                            dst[rc..rc + nxc].fill(0.0);
-                            continue;
-                        }
-                    };
-                    dst[rc..rc + nxc].copy_from_slice(row);
-                    if yz_core {
-                        if periodic {
-                            dst[..rc].copy_from_slice(&row[nxc - rc..]);
-                            dst[rc + nxc..].copy_from_slice(&row[..rc]);
-                        } else {
-                            dst[..rc].fill(0.0);
-                            dst[rc + nxc..].fill(0.0);
-                        }
-                    }
-                }
-            }
-
-            // Uniform terms: diag, then each axis by ascending distance
-            // with the +t neighbour before −t. Offsets are in components;
-            // the fixed-size array keeps the hot path allocation-free.
-            let mut terms = [(0.0_f64, 0_isize); 6 * MAX_RADIUS + 1];
-            terms[0] = (self.diag, 0);
-            let mut nt = 1;
-            for (cw, stride) in [(&self.cx, cs), (&self.cy, hx), (&self.cz, hy * hx)] {
-                for t in 1..=r {
-                    let off = (t * stride) as isize;
-                    terms[nt] = (cw[t], off);
-                    terms[nt + 1] = (cw[t], -off);
-                    nt += 2;
-                }
-            }
-            let origin = (r * hy + r) * hx + rc;
-            mbrpa_simd::stencil_rows_on(d, &terms[..nt], halo, origin, hx, hy * hx, ny, nxc, oc);
+            let halo = &mut scratch[..plan.volume];
+            mbrpa_simd::copy_rows_on(d, nxc, plan.wrap, &plan.rows, vc, halo);
+            mbrpa_simd::copy_rows_on(d, nxc, 0, &plan.zero_rows, &self.zeros, halo);
+            mbrpa_simd::copy_rows_on(d, rc, 0, &plan.zero_x_halos, &self.zeros, halo);
+            mbrpa_simd::stencil_rows_on(
+                d,
+                &plan.terms,
+                halo,
+                plan.origin,
+                plan.row_stride,
+                plan.slab_stride,
+                self.grid.ny,
+                nxc,
+                oc,
+            );
         });
     }
 

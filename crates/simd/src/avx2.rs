@@ -19,11 +19,13 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::lanes;
+use crate::sparse::SparseRows;
 use core::arch::x86_64::{
-    __m256d, _mm256_broadcast_sd, _mm256_castpd_si256, _mm256_cmp_pd, _mm256_fmadd_pd,
-    _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd, _mm256_maskstore_pd, _mm256_mul_pd,
-    _mm256_permute_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd, _mm256_storeu_pd,
-    _CMP_LT_OQ,
+    __m128d, __m256d, __m256i, _mm256_broadcast_sd, _mm256_castpd_si256, _mm256_cmp_pd,
+    _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd, _mm256_maskstore_pd,
+    _mm256_mul_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd,
+    _mm256_storeu_pd, _mm_add_pd, _mm_load_sd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd,
+    _mm_setzero_pd, _mm_store_sd, _mm_storeu_pd, _CMP_LT_OQ,
 };
 
 /// Swap re/im within each complex pair: `[a, b, c, d] → [b, a, d, c]`.
@@ -83,6 +85,123 @@ pub(crate) unsafe fn scal(c: f64, x: &mut [f64]) {
     }
 }
 
+/// Lanes `0..live` of a masked load or store enabled, `live` in `0..=4`.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — reached from kernels carrying the same
+// features only. Register-only.
+unsafe fn lane_mask(live: usize) -> __m256i {
+    _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LT_OQ>(
+        _mm256_set_pd(3.0, 2.0, 1.0, 0.0),
+        _mm256_set1_pd(live as f64),
+    ))
+}
+
+/// One row of `4·NV` components moved through registers, the last vector
+/// through `mask` when `MASKED`: every load before any store, no loop and
+/// no call.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — reached from `copy_rows` only. The
+// caller guarantees `s` readable and `d` writable over the row's live
+// lanes.
+unsafe fn copy_block<const NV: usize, const MASKED: bool>(
+    s: *const f64,
+    d: *mut f64,
+    mask: __m256i,
+) {
+    let mut regs = [_mm256_setzero_pd(); NV];
+    for v in 0..NV {
+        regs[v] = if MASKED && v == NV - 1 {
+            _mm256_maskload_pd(s.add(4 * v), mask)
+        } else {
+            _mm256_loadu_pd(s.add(4 * v))
+        };
+    }
+    for v in 0..NV {
+        if MASKED && v == NV - 1 {
+            _mm256_maskstore_pd(d.add(4 * v), mask, regs[v]);
+        } else {
+            _mm256_storeu_pd(d.add(4 * v), regs[v]);
+        }
+    }
+}
+
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; `dispatch_thin!` only routes here when `available()` reported
+// it. The wrapper checks `wrap ≤ len`; every row is checked against both
+// slices right before it is moved (the assert in the loop), which bounds
+// every access.
+pub(crate) unsafe fn copy_rows(
+    len: usize,
+    wrap: usize,
+    rows: &[(usize, usize)],
+    src: &[f64],
+    dst: &mut [f64],
+) {
+    if len == 0 || wrap > 4 {
+        return crate::scalar::copy_rows(len, wrap, rows, src, dst);
+    }
+    // the last position a row may start at on either side, if any
+    let last_from = src.len().checked_sub(len);
+    let last_to = dst.len().checked_sub(len).and_then(|n| n.checked_sub(wrap));
+    let vecs = len.div_ceil(4);
+    let masked = !len.is_multiple_of(4);
+    let mask = lane_mask(len - 4 * (vecs - 1));
+    let wrap_mask = lane_mask(wrap);
+    let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+    // A row of up to eight vectors is all register moves, one
+    // instantiation per vector count chosen once per call; a longer one is
+    // what `memcpy` is good at.
+    macro_rules! sweep {
+        ($row:expr) => {
+            for &(to, from) in rows {
+                assert!(
+                    Some(from) <= last_from && wrap <= to && Some(to) <= last_to,
+                    "a halo row leaves its slice"
+                );
+                // SAFETY: from + len ≤ src.len() and
+                // wrap ≤ to ≤ dst.len() − len − wrap (just asserted),
+                // wrap ≤ len (wrapper): the row, the `wrap` components
+                // before it and the `wrap` after it lie inside `dst`, the
+                // row and both its ends inside `src`; `src` is shared and
+                // `dst` exclusive, so they cannot overlap.
+                let (s, d) = (sp.add(from), dp.add(to));
+                $row(s, d);
+                if wrap > 0 {
+                    let (tail, head) = (
+                        _mm256_maskload_pd(s.add(len - wrap), wrap_mask),
+                        _mm256_maskload_pd(s, wrap_mask),
+                    );
+                    _mm256_maskstore_pd(d.sub(wrap), wrap_mask, tail);
+                    _mm256_maskstore_pd(d.add(len), wrap_mask, head);
+                }
+            }
+        };
+    }
+    macro_rules! block {
+        ($nv:literal) => {
+            if masked {
+                sweep!(|s, d| copy_block::<$nv, true>(s, d, mask))
+            } else {
+                sweep!(|s, d| copy_block::<$nv, false>(s, d, mask))
+            }
+        };
+    }
+    match vecs {
+        1 => block!(1),
+        2 => block!(2),
+        3 => block!(3),
+        4 => block!(4),
+        5 => block!(5),
+        6 => block!(6),
+        7 => block!(7),
+        8 => block!(8),
+        _ => sweep!(|s, d| core::ptr::copy_nonoverlapping(s, d, len)),
+    }
+}
+
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
 // SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
@@ -102,105 +221,117 @@ pub(crate) unsafe fn stencil_rows(
     o: &mut [f64],
 ) {
     let n = row_len;
-    let (w0, off0) = terms[0];
-    let rest = &terms[1..];
-    let vw0 = _mm256_set1_pd(w0);
     let sp = src.as_ptr();
     let op = o.as_mut_ptr();
     let nrows = o.len() / n;
-    let mut slab_base = origin;
-    let mut row_in_slab = 0usize;
-    let mut base = origin;
-    // Every row leaves the same n % 4 remainder, so the tail mask is
-    // built once per call.
-    let mask = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_LT_OQ>(
-        _mm256_set_pd(3.0, 2.0, 1.0, 0.0),
-        _mm256_set1_pd((n % 4) as f64),
-    ));
-    for rix in 0..nrows {
-        // SAFETY: base is in bounds (see function-level argument).
-        let rp = sp.add(base);
-        let orow = op.add(rix * n);
-        // Statically-unrolled register blocks (16-, 8-, then 4-wide):
-        // each output element sits in one lane of one named accumulator
-        // register for its whole term chain, so the chains interleave
-        // (hiding FMA latency) and each per-term coefficient broadcast is
-        // shared by the whole block. A dynamic vector count would spill
-        // the accumulator array to the stack on every term — the static
-        // tiers keep everything in ymm registers. The final `n % 4`
-        // elements run one masked vector — disabled lanes load as zero,
-        // compute garbage, and are never stored — so no row ever falls
-        // back to a scalar loop.
-        let mut i = 0usize;
-        while i + 16 <= n {
-            // SAFETY: i + 16 <= n; base + off is corner-bounded (above).
-            let tp = rp.offset(off0).add(i);
-            let mut a0 = _mm256_mul_pd(vw0, _mm256_loadu_pd(tp));
-            let mut a1 = _mm256_mul_pd(vw0, _mm256_loadu_pd(tp.add(4)));
-            let mut a2 = _mm256_mul_pd(vw0, _mm256_loadu_pd(tp.add(8)));
-            let mut a3 = _mm256_mul_pd(vw0, _mm256_loadu_pd(tp.add(12)));
-            for &(w, off) in rest {
-                let vw = _mm256_set1_pd(w);
-                let tp = rp.offset(off).add(i);
-                a0 = _mm256_fmadd_pd(vw, _mm256_loadu_pd(tp), a0);
-                a1 = _mm256_fmadd_pd(vw, _mm256_loadu_pd(tp.add(4)), a1);
-                a2 = _mm256_fmadd_pd(vw, _mm256_loadu_pd(tp.add(8)), a2);
-                a3 = _mm256_fmadd_pd(vw, _mm256_loadu_pd(tp.add(12)), a3);
+    // Statically-unrolled register blocks: each output element sits in one
+    // lane of one named accumulator register for its whole term chain, so
+    // the chains interleave (hiding FMA latency) and each per-term
+    // coefficient broadcast is shared by the whole block. A dynamic vector
+    // count would spill the accumulator array to the stack on every term,
+    // hence one instantiation per count. What the 16-wide blocks of a row
+    // leave over runs as ONE block of ⌈rem/4⌉ ≤ 4 accumulators whose last
+    // vector, if partial, is masked — disabled lanes load as zero, compute
+    // garbage, and are never stored — so a short row is one set of
+    // interleaved chains, not a cascade of narrower, latency-bound ones.
+    // Every row leaves the same remainder, so its block and mask are chosen
+    // once per call.
+    let rem = n % 16;
+    let rem_vecs = rem.div_ceil(4);
+    let mask = lane_mask(rem - 4 * rem_vecs.saturating_sub(1));
+    macro_rules! sweep {
+        ($rem_block:expr) => {{
+            let mut slab_base = origin;
+            let mut row_in_slab = 0usize;
+            let mut base = origin;
+            for rix in 0..nrows {
+                // SAFETY: base is in bounds (see function-level argument).
+                let rp = sp.add(base);
+                let orow = op.add(rix * n);
+                let mut i = 0usize;
+                while i + 16 <= n {
+                    // SAFETY: i + 16 <= n; base + off is corner-bounded
+                    // (above).
+                    stencil_block::<4, false>(terms, rp.add(i), orow.add(i), mask);
+                    i += 16;
+                }
+                // SAFETY: the block's live lanes are exactly i..n; base +
+                // off is corner-bounded (above).
+                $rem_block(rp.add(i), orow.add(i));
+                row_in_slab += 1;
+                if row_in_slab == rows_per_slab {
+                    row_in_slab = 0;
+                    slab_base += slab_stride;
+                    base = slab_base;
+                } else {
+                    base += row_stride;
+                }
             }
-            _mm256_storeu_pd(orow.add(i), a0);
-            _mm256_storeu_pd(orow.add(i + 4), a1);
-            _mm256_storeu_pd(orow.add(i + 8), a2);
-            _mm256_storeu_pd(orow.add(i + 12), a3);
-            i += 16;
-        }
-        if i + 8 <= n {
-            // SAFETY: i + 8 <= n; base + off is corner-bounded (above).
-            let tp = rp.offset(off0).add(i);
-            let mut a0 = _mm256_mul_pd(vw0, _mm256_loadu_pd(tp));
-            let mut a1 = _mm256_mul_pd(vw0, _mm256_loadu_pd(tp.add(4)));
-            for &(w, off) in rest {
-                let vw = _mm256_set1_pd(w);
-                let tp = rp.offset(off).add(i);
-                a0 = _mm256_fmadd_pd(vw, _mm256_loadu_pd(tp), a0);
-                a1 = _mm256_fmadd_pd(vw, _mm256_loadu_pd(tp.add(4)), a1);
+        }};
+    }
+    macro_rules! rem_block {
+        ($nv:literal) => {
+            if !rem.is_multiple_of(4) {
+                sweep!(|rp, orow| stencil_block::<$nv, true>(terms, rp, orow, mask))
+            } else {
+                sweep!(|rp, orow| stencil_block::<$nv, false>(terms, rp, orow, mask))
             }
-            _mm256_storeu_pd(orow.add(i), a0);
-            _mm256_storeu_pd(orow.add(i + 4), a1);
-            i += 8;
-        }
-        if i + 4 <= n {
-            // SAFETY: i + 4 <= n; base + off is corner-bounded (above).
-            let mut a0 = _mm256_mul_pd(vw0, _mm256_loadu_pd(rp.offset(off0).add(i)));
-            for &(w, off) in rest {
-                a0 = _mm256_fmadd_pd(
-                    _mm256_set1_pd(w),
-                    _mm256_loadu_pd(rp.offset(off).add(i)),
-                    a0,
-                );
-            }
-            _mm256_storeu_pd(orow.add(i), a0);
-            i += 4;
-        }
-        if i < n {
-            // SAFETY: enabled mask lanes satisfy i + lane < n; base + off
-            // is corner-bounded (above).
-            let mut a0 = _mm256_mul_pd(vw0, _mm256_maskload_pd(rp.offset(off0).add(i), mask));
-            for &(w, off) in rest {
-                a0 = _mm256_fmadd_pd(
-                    _mm256_set1_pd(w),
-                    _mm256_maskload_pd(rp.offset(off).add(i), mask),
-                    a0,
-                );
-            }
-            _mm256_maskstore_pd(orow.add(i), mask, a0);
-        }
-        row_in_slab += 1;
-        if row_in_slab == rows_per_slab {
-            row_in_slab = 0;
-            slab_base += slab_stride;
-            base = slab_base;
+        };
+    }
+    match rem_vecs {
+        0 => sweep!(|_, _| ()),
+        1 => rem_block!(1),
+        2 => rem_block!(2),
+        3 => rem_block!(3),
+        _ => rem_block!(4),
+    }
+}
+
+/// `NV` adjacent output vectors of one stencil row, all terms accumulated
+/// in registers: `orow[l] = Σ_t terms[t].0 · rp[l + terms[t].1]` for the
+/// block's lanes `l`. With `MASKED` the last vector loads and stores
+/// through `mask` only.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — reached from `stencil_rows` only, which
+// carries the same features. The caller guarantees `rp + l + off` readable
+// and `orow + l` writable for every term offset and every live lane `l` of
+// the block (`4·NV` lanes, or up to the last set lane of `mask` in the
+// last vector when `MASKED`).
+unsafe fn stencil_block<const NV: usize, const MASKED: bool>(
+    terms: &[(f64, isize)],
+    rp: *const f64,
+    orow: *mut f64,
+    mask: __m256i,
+) {
+    // vector `v` of the block at `tp`: through the mask if it is the
+    // masked last one
+    let load = |tp: *const f64, v: usize| {
+        if MASKED && v == NV - 1 {
+            _mm256_maskload_pd(tp.add(4 * v), mask)
         } else {
-            base += row_stride;
+            _mm256_loadu_pd(tp.add(4 * v))
+        }
+    };
+    // a multiply opens each chain, one FMA per further term
+    let (w0, off0) = terms[0];
+    let vw0 = _mm256_set1_pd(w0);
+    let mut acc = [_mm256_setzero_pd(); NV];
+    for v in 0..NV {
+        acc[v] = _mm256_mul_pd(vw0, load(rp.offset(off0), v));
+    }
+    for &(w, off) in &terms[1..] {
+        let vw = _mm256_set1_pd(w);
+        let tp = rp.offset(off);
+        for v in 0..NV {
+            acc[v] = _mm256_fmadd_pd(vw, load(tp, v), acc[v]);
+        }
+    }
+    for v in 0..NV {
+        if MASKED && v == NV - 1 {
+            _mm256_maskstore_pd(orow.add(4 * v), mask, acc[v]);
+        } else {
+            _mm256_storeu_pd(orow.add(4 * v), acc[v]);
         }
     }
 }
@@ -286,6 +417,121 @@ pub(crate) unsafe fn shift_scale_sub(
     }
     for r in n4..n {
         w[r] = (-t).mul_add(xprev[r], s * (-c).mul_add(y[r], w[r]));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The sparse rank-one sum `y += Σ_r γ_r p_r (p_rᵀx)` over the rows `p_r` of
+// a `SparseRows`, on dense vectors of `CS` components per element
+//
+// An element is held in one `__m128d`: both lanes for interleaved complex
+// data (`CS = 2`), the low lane over a zero high lane for real data
+// (`CS = 1`). Packed multiplies and adds then round each live lane exactly
+// as the scalar twin's plain `*` and `+` do.
+// ---------------------------------------------------------------------------
+
+/// Element `i` of a dense vector of `CS`-component elements.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — reached from `sparse_projector_add_cs`
+// only, which carries the same features. The caller guarantees `p` points
+// at a vector of more than `i` elements.
+unsafe fn elem_load<const CS: usize>(p: *const f64, i: usize) -> __m128d {
+    if CS == 1 {
+        _mm_load_sd(p.add(i))
+    } else {
+        _mm_loadu_pd(p.add(2 * i))
+    }
+}
+
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — see `sparse_projector_add`.
+unsafe fn sparse_projector_add_cs<const CS: usize>(
+    rows: &SparseRows,
+    gamma: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    let (ptr, idx, val) = rows.parts();
+    let (ip, vp, xp, yp) = (idx.as_ptr(), val.as_ptr(), x.as_ptr(), y.as_mut_ptr());
+    // SAFETY (all three closures): `k` is an entry of `idx`/`val` — every
+    // call site takes it from a span `ptr[r]..ptr[r + 1]`; `SparseRows`
+    // bounds every stored index by `rows.cols()`, and the wrapper checked
+    // that `x` and `y` hold that many elements.
+    let entry = |k: usize| (*ip.add(k) as usize, _mm_set1_pd(*vp.add(k)));
+    // one more term of a dot: `acc + x[idx_k]·val_k`
+    let dot_term = |acc: __m128d, k: usize| {
+        let (i, p) = entry(k);
+        _mm_add_pd(acc, _mm_mul_pd(elem_load::<CS>(xp, i), p))
+    };
+    // `y += c·p_r` over the entries `span` of one row
+    let update = |c: __m128d, span: core::ops::Range<usize>| {
+        for k in span {
+            let (i, p) = entry(k);
+            let sum = _mm_add_pd(elem_load::<CS>(yp, i), _mm_mul_pd(c, p));
+            if CS == 1 {
+                _mm_store_sd(yp.add(i), sum);
+            } else {
+                _mm_storeu_pd(yp.add(2 * i), sum);
+            }
+        }
+    };
+    // Two rows at a time (an odd last one beside an empty span). A dot is
+    // one chain of dependent adds, so a row alone runs at the latency of
+    // an add per entry; two independent chains side by side run at the
+    // throughput of the loads. Which rows share a pass changes no row's own
+    // sequence of adds.
+    let nrows = rows.rows();
+    let span = |r: usize| {
+        if r < nrows {
+            ptr[r] as usize..ptr[r + 1] as usize
+        } else {
+            0..0
+        }
+    };
+    for r in (0..nrows).step_by(2) {
+        let (a, b) = (span(r), span(r + 1));
+        let shared = a.len().min(b.len());
+        let (mut dot_a, mut dot_b) = (_mm_setzero_pd(), _mm_setzero_pd());
+        for k in 0..shared {
+            dot_a = dot_term(dot_a, a.start + k);
+            dot_b = dot_term(dot_b, b.start + k);
+        }
+        for k in a.start + shared..a.end {
+            dot_a = dot_term(dot_a, k);
+        }
+        for k in b.start + shared..b.end {
+            dot_b = dot_term(dot_b, k);
+        }
+        // `y += γ_r (p_rᵀx) p_r`, one row after the other: rows may share
+        // columns, and the order in which their terms reach such an
+        // element of `y` is part of its bits. `gamma` holds one strength
+        // per row (wrapper); an empty `b` past the last row updates
+        // nothing.
+        update(_mm_mul_pd(dot_a, _mm_set1_pd(gamma[r])), a);
+        if !b.is_empty() {
+            update(_mm_mul_pd(dot_b, _mm_set1_pd(gamma[r + 1])), b);
+        }
+    }
+}
+
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; `dispatch_thin!` only routes here when `available()` reported
+// it. The wrapper checks `cs ∈ {1, 2}`, `gamma.len() = rows.rows()` and
+// `x.len() = y.len() = cs·rows.cols()`; `SparseRows` checked every stored
+// index against `rows.cols()` when it was built.
+pub(crate) unsafe fn sparse_projector_add(
+    cs: usize,
+    rows: &SparseRows,
+    gamma: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    if cs == 1 {
+        sparse_projector_add_cs::<1>(rows, gamma, x, y)
+    } else {
+        sparse_projector_add_cs::<2>(rows, gamma, x, y)
     }
 }
 

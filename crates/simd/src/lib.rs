@@ -5,8 +5,9 @@
 //! rule). It exposes a *safe* slice-level API — scaled copies, fused
 //! axpy variants, Chebyshev shift/scale updates, complex axpy/axpby,
 //! lane-split dot products and norms, BLIS-style GEMM microkernels,
-//! Gram tiles, and the pack-free thin-block kernels of block COCG — and
-//! picks the fastest available backend at runtime:
+//! Gram tiles, the pack-free thin-block kernels of block COCG, and the
+//! three pieces of `H·v` (halo fill, stencil sweep, sparse projector term)
+//! — and picks the fastest available backend at runtime:
 //!
 //! | path     | arch     | selected when                                  |
 //! |----------|----------|------------------------------------------------|
@@ -36,6 +37,7 @@
 
 mod lanes;
 mod scalar;
+mod sparse;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -43,6 +45,7 @@ mod avx2;
 mod neon;
 
 pub use lanes::{C64_LANES, F64_LANES, GRAM_C64_LANES, GRAM_F64_LANES, THIN_MAX};
+pub use sparse::SparseRows;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -512,8 +515,9 @@ pub fn gram2_c64_on(
 // besides the operator, at the block sizes every solve runs at.
 // ---------------------------------------------------------------------------
 
-/// The thin-block kernels have an AVX2 body and the scalar twin; on NEON
-/// the twin runs (bit-identical by contract, like any unavailable path).
+/// Kernels with an AVX2 body and the scalar twin only (the thin-block,
+/// sparse and halo-fill kernels); on NEON the twin runs (bit-identical by
+/// contract, like any unavailable path).
 macro_rules! dispatch_thin {
     ($d:expr, $name:ident ( $($arg:expr),* )) => {
         match $d {
@@ -647,6 +651,69 @@ pub fn cocg_direction_c64_on(
 #[inline]
 pub fn cocg_direction_c64(rows: usize, s: usize, z: &[f64], beta: &[f64], p: &mut [f64]) {
     cocg_direction_c64_on(active(), rows, s, z, beta, p)
+}
+
+// ---------------------------------------------------------------------------
+// The two pieces of `H·v` around the stencil sweep that are not dense
+// streams: filling the halo'd volume row by row, and the non-local
+// projector term over a [`SparseRows`] whose indices were checked when it
+// was built. Like the thin-block kernels they have an AVX2 body and the
+// scalar twin.
+// ---------------------------------------------------------------------------
+
+/// The halo fill of the stencil, on the given path:
+/// `dst[to..to + len] = src[from..from + len]` for every `(to, from)` of
+/// `rows`, in list order, and with `wrap > 0` each row's periodic images
+/// beside it — its last `wrap` components into `dst[to − wrap..to]`, its
+/// first `wrap` into `dst[to + len..to + len + wrap]`. An apply fills
+/// hundreds of rows of a few dozen components: the vector path moves each
+/// through registers, where a `memcpy` call per row costs more than the
+/// bytes it moves.
+///
+/// # Panics
+/// If `wrap > len` or a row or its images leave `src` or `dst`.
+#[inline]
+pub fn copy_rows_on(
+    d: Dispatch,
+    len: usize,
+    wrap: usize,
+    rows: &[(usize, usize)],
+    src: &[f64],
+    dst: &mut [f64],
+) {
+    assert!(wrap <= len, "a row of {len} cannot wrap {wrap} components");
+    dispatch_thin!(d, copy_rows(len, wrap, rows, src, dst))
+}
+
+/// The sparse rank-one sum `y += Σ_r γ_r p_r (p_rᵀx)` over the rows `p_r` of
+/// `rows`, on the given path — the non-local term `𝒳Γ𝒳ᵀ` of the Hamiltonian
+/// with one projector per row. `x` and `y` hold `rows.cols()` elements of
+/// `cs` real components (`1`: `f64`; `2`: interleaved complex), `gamma` one
+/// strength per row.
+///
+/// Every path does the arithmetic of the plain loops, a plain multiply and
+/// a plain add per entry: each dot `p_rᵀx` is one chain from zero in stored
+/// (ascending column) order, `c_r = γ_r·(p_rᵀx)`, then `y[i] += c_r·p_r[i]`
+/// with the rows taken in ascending order. The dots do not depend on one
+/// another, so the vector path advances two of them side by side; which
+/// ones share a pass changes no bit.
+#[inline]
+pub fn sparse_projector_add_on(
+    d: Dispatch,
+    cs: usize,
+    rows: &SparseRows,
+    gamma: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    assert!(
+        cs == 1 || cs == 2,
+        "{cs} components per element (1 = real, 2 = interleaved complex)"
+    );
+    assert_eq!(gamma.len(), rows.rows(), "one strength per row");
+    assert_eq!(x.len(), cs * rows.cols(), "x is not one element per column");
+    assert_eq!(y.len(), cs * rows.cols(), "y is not one element per column");
+    dispatch_thin!(d, sparse_projector_add(cs, rows, gamma, x, y))
 }
 
 #[cfg(test)]

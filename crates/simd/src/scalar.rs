@@ -19,6 +19,7 @@
 //! split-complex GEMM panels are described at [`crate::gemm_c64_4x4_on`].
 
 use crate::lanes;
+use crate::sparse::SparseRows;
 
 // ---------------------------------------------------------------------------
 // Elementwise, real coefficients (componentwise-safe for complex data)
@@ -60,6 +61,24 @@ pub(crate) fn shift_scale_sub(s: f64, c: f64, t: f64, y: &[f64], xprev: &[f64], 
     }
 }
 
+/// `dst[to..to + len] = src[from..from + len]` for every `(to, from)` of
+/// `rows`, each followed by its periodic images: the row's last `wrap`
+/// components before `to`, its first `wrap` after `to + len`.
+pub(crate) fn copy_rows(
+    len: usize,
+    wrap: usize,
+    rows: &[(usize, usize)],
+    src: &[f64],
+    dst: &mut [f64],
+) {
+    for &(to, from) in rows {
+        let row = &src[from..from + len];
+        dst[to..to + len].copy_from_slice(row);
+        dst[to - wrap..to].copy_from_slice(&row[len - wrap..]);
+        dst[to + len..to + len + wrap].copy_from_slice(&row[..wrap]);
+    }
+}
+
 /// Uniform-offset stencil sweep over a halo'd source volume: row `rix`
 /// (slab `rix / rows_per_slab`, row-in-slab `rix % rows_per_slab`) starts
 /// at `origin + slab·slab_stride + row·row_stride` in `src`, and each of
@@ -98,6 +117,40 @@ pub(crate) fn stencil_rows(
                 acc = w.mul_add(src[(p + off) as usize], acc);
             }
             *oi = acc;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sparse rows against dense vectors of `cs` components per element
+// ---------------------------------------------------------------------------
+
+/// `y += Σ_r γ_r p_r (p_rᵀx)` over the rows `p_r` of `rows`, row after row
+/// and per component: the dot is one chain from zero in stored order, then
+/// `c = γ_r·dot`, then `y[i] += c·p_r[i]` over the same entries — a plain
+/// multiply and a plain add per entry throughout. The dots are independent
+/// of one another (and of `y`), so a backend may interleave them; the
+/// additions into `y` happen in row order.
+pub(crate) fn sparse_projector_add(
+    cs: usize,
+    rows: &SparseRows,
+    gamma: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    for (r, &g) in gamma.iter().enumerate() {
+        let (idx, val) = rows.row(r);
+        let mut c = [0.0_f64; 2];
+        for (&i, &p) in idx.iter().zip(val) {
+            for k in 0..cs {
+                c[k] += x[cs * i as usize + k] * p;
+            }
+        }
+        c.iter_mut().for_each(|c| *c *= g);
+        for (&i, &p) in idx.iter().zip(val) {
+            for k in 0..cs {
+                y[cs * i as usize + k] += c[k] * p;
+            }
         }
     }
 }

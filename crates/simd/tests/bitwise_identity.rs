@@ -293,6 +293,62 @@ proptest! {
             assert_same_bits(d, "stencil_rows", &got, &want);
         }
     }
+    /// The non-local projector term: random sparse rows (an empty one among
+    /// them), even and odd row counts around the vector path's pairs, real
+    /// and complex elements, every path against the scalar twin bit for
+    /// bit, and the twin against the plain loops it is written as.
+    #[test]
+    fn sparse_projector_add_bitwise_identical(
+        cols in 1usize..60,
+        fill in 0.05f64..0.9,
+        seed in 1u64..u64::MAX,
+    ) {
+        let mut rng = Rng::new(seed);
+        for nrows in [0usize, 1, 2, 3, 4, 5, 8, 9] {
+            let mut lists: Vec<(Vec<u32>, Vec<f64>)> = (0..nrows)
+                .map(|_| {
+                    let idx: Vec<u32> =
+                        (0..cols as u32).filter(|_| rng.next_f64() + 0.5 < fill).collect();
+                    let val = rng.vec(idx.len());
+                    (idx, val)
+                })
+                .collect();
+            if nrows >= 3 {
+                lists[1] = (Vec::new(), Vec::new());
+            }
+            let rows = mbrpa_simd::SparseRows::from_rows(
+                cols,
+                lists.iter().map(|(i, v)| (i.as_slice(), v.as_slice())),
+            );
+            let gamma = rng.vec(nrows);
+            for cs in [1usize, 2] {
+                let x = rng.vec(cs * cols);
+                let y0 = rng.vec(cs * cols);
+                let mut want = y0.clone();
+                mbrpa_simd::sparse_projector_add_on(Dispatch::Scalar, cs, &rows, &gamma, &x, &mut want);
+                for d in vector_paths() {
+                    let mut got = y0.clone();
+                    mbrpa_simd::sparse_projector_add_on(d, cs, &rows, &gamma, &x, &mut got);
+                    assert_same_bits(d, "sparse_projector_add", &got, &want);
+                }
+                let mut plain = y0.clone();
+                for ((idx, val), &g) in lists.iter().zip(&gamma) {
+                    for k in 0..cs {
+                        let mut dot = 0.0;
+                        for (&i, &p) in idx.iter().zip(val) {
+                            dot += x[cs * i as usize + k] * p;
+                        }
+                        let c = dot * g;
+                        for (&i, &p) in idx.iter().zip(val) {
+                            plain[cs * i as usize + k] += c * p;
+                        }
+                    }
+                }
+                assert_same_bits(Dispatch::Scalar, "sparse_projector_add vs plain loops", &want, &plain);
+            }
+        }
+    }
+
     /// The thin-block kernels: every block width, odd and even row
     /// counts, every vector path against the scalar twin bit for bit, and
     /// the twin against plain complex loops.
@@ -413,6 +469,107 @@ proptest! {
                     prop_assert!((want[at] - re).abs() <= 1e-14 && (want[at + 1] - im).abs() <= 1e-14);
                 }
             }
+        }
+    }
+}
+
+/// The stencil sweep at every row length 1..=40 — no 16-wide block, one,
+/// two, each with every remainder block of one to four vectors, masked and
+/// not — over ragged slabs, every path against the scalar twin.
+#[test]
+fn stencil_remainder_block_at_every_row_length() {
+    let mut rng = Rng::new(0x57e9c11);
+    for n in 1usize..=40 {
+        for (nrow, nslab) in [(1usize, 1usize), (3, 2), (2, 3)] {
+            let r = 2;
+            let row = n + 2 * r;
+            let slab = row * (nrow + 2 * r) + 3;
+            let src = rng.vec(slab * (nslab + 2 * r));
+            let origin = r * slab + r * row + r;
+            let mut terms: Vec<(f64, isize)> = vec![(rng.next_f64(), 0)];
+            for stride in [1, row, slab] {
+                for t in 1..=r {
+                    let off = (t * stride) as isize;
+                    terms.extend([(rng.next_f64(), off), (rng.next_f64(), -off)]);
+                }
+            }
+            let mut want = vec![f64::NAN; nslab * nrow * n];
+            mbrpa_simd::stencil_rows_on(
+                Dispatch::Scalar,
+                &terms,
+                &src,
+                origin,
+                row,
+                slab,
+                nrow,
+                n,
+                &mut want,
+            );
+            assert!(want.iter().all(|w| w.is_finite()));
+            for d in vector_paths() {
+                let mut got = vec![f64::NAN; nslab * nrow * n];
+                mbrpa_simd::stencil_rows_on(d, &terms, &src, origin, row, slab, nrow, n, &mut got);
+                assert_same_bits(
+                    d,
+                    &format!("stencil_rows n={n} {nrow}x{nslab}"),
+                    &got,
+                    &want,
+                );
+            }
+        }
+    }
+}
+
+/// The halo fill at every row length up to past its register-move limit and
+/// every wrap width up to past its own: every path writes the bytes the
+/// scalar twin writes, the twin the bytes plain slice copies write, and
+/// nothing else is touched.
+#[test]
+fn copy_rows_moves_exactly_its_rows_on_every_path() {
+    let mut rng = Rng::new(0xc09f);
+    for len in 1usize..=40 {
+        for wrap in 0..=len.min(6) {
+            let nrows = 5;
+            let src = rng.vec(nrows * len + 7);
+            let pitch = len + 2 * wrap + 3;
+            // rows out of order in the source, ascending in the destination
+            let rows: Vec<(usize, usize)> = (0..nrows)
+                .map(|i| (2 + wrap + i * pitch, ((i * 3) % nrows) * len + i))
+                .collect();
+            let blank = vec![f64::NAN; nrows * pitch + 4];
+            let mut plain = blank.clone();
+            for &(to, from) in &rows {
+                plain[to..to + len].copy_from_slice(&src[from..from + len]);
+                plain[to - wrap..to].copy_from_slice(&src[from + len - wrap..from + len]);
+                plain[to + len..to + len + wrap].copy_from_slice(&src[from..from + wrap]);
+            }
+            for &d in available() {
+                let mut got = blank.clone();
+                mbrpa_simd::copy_rows_on(d, len, wrap, &rows, &src, &mut got);
+                assert_same_bits(d, &format!("copy_rows len={len} wrap={wrap}"), &got, &plain);
+            }
+        }
+    }
+}
+
+/// A row or an image that leaves either slice is refused on every path
+/// before anything outside is touched.
+#[test]
+fn copy_rows_refuses_rows_that_leave_their_slices() {
+    let src = vec![1.0; 16];
+    for &d in available() {
+        for (len, wrap, row, dst_len) in [
+            (8usize, 0usize, (0usize, 9usize), 16usize), // source overrun
+            (8, 0, (9, 0), 16),                          // destination overrun
+            (8, 2, (1, 0), 16),                          // left image underruns
+            (8, 2, (7, 0), 16),                          // right image overruns
+            (40, 0, (0, 0), 64),                         // row longer than the source
+        ] {
+            let refused = std::panic::catch_unwind(|| {
+                let mut dst = vec![0.0; dst_len];
+                mbrpa_simd::copy_rows_on(d, len, wrap, &[row], &src, &mut dst);
+            });
+            assert!(refused.is_err(), "{d:?}: len={len} wrap={wrap} row={row:?}");
         }
     }
 }
