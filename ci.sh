@@ -101,6 +101,21 @@ if grep -n 'from_millis(25)' crates/serve/src/router.rs; then
     exit 1
 fi
 
+# Derive, don't store twice: nothing on the serve path rewrites a whole
+# collection per request. Cache recency is the entry files' mtime, a route
+# is one record beside its body, job ids come from a counter seeded by the
+# one listing JobStore::open does.
+for f in crates/serve/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'persist_lru|route-table\.json'; then
+        echo "ci: a recency journal or a route-table.json is back in $f — recency is the entry mtime, a route is jobs/<rid>.route.json"
+        exit 1
+    fi
+done
+if sed -n '/pub fn allocate/,/^    }$/p' crates/serve/src/store.rs | grep -n 'read_dir'; then
+    echo "ci: JobStore::allocate lists the jobs directory — ids come from the counter JobStore::open seeds"
+    exit 1
+fi
+
 # Sanitizer legs: Miri (UB in the unsafe SIMD/linalg kernels) and
 # ThreadSanitizer (data races in the serve executor pool). Both need a
 # nightly toolchain with specific components; when unavailable the legs
@@ -228,7 +243,7 @@ done
 # through the router; then the job's owner is SIGKILLed mid-fleet and
 # the router must hand a fresh submission to the survivor (worker loss
 # handling, exercised at full depth by tests/router_failover.rs). The
-# persisted route table is schema-validated by the router's own
+# persisted route records are schema-validated by the router's own
 # --validate mode.
 FLEET_ROOT="target/router_smoke"
 rm -rf "$FLEET_ROOT"
@@ -259,11 +274,11 @@ ROUTER_ADDR="$(cat "$FLEET_ROOT/r.txt")"
 "$RPACLIENT" -addr "$ROUTER_ADDR" wait rjob-000001
 "$RPACLIENT" -addr "$ROUTER_ADDR" health | grep -q '"router":' \
     || { echo "ci: router health lacks the router block"; exit 1; }
-target/release/rparouter -validate route-table "$FLEET_ROOT/router/route-table.json"
+ROUTE_RECORD="$FLEET_ROOT/router/jobs/rjob-000001.route.json"
+target/release/rparouter -validate route-table "$ROUTE_RECORD"
 # worker loss: kill the job's owner, submit a *different* job, and the
 # router must route it to the survivor
-OWNER_ADDR="$(grep -o '"worker":"[^"]*"' "$FLEET_ROOT/router/route-table.json" \
-    | head -n1 | cut -d'"' -f4)"
+OWNER_ADDR="$(grep -o '"worker":"[^"]*"' "$ROUTE_RECORD" | head -n1 | cut -d'"' -f4)"
 if [ "$OWNER_ADDR" = "$(cat "$FLEET_ROOT/a.txt")" ]; then
     kill -9 "$WORKER_A"
 else
@@ -274,7 +289,7 @@ grep -q 'SYSTEM_SEED: 11' "$FLEET_ROOT/variant.rpa" \
     || { echo "ci: variant input was not rewritten"; exit 1; }
 "$RPACLIENT" -addr "$ROUTER_ADDR" submit "$FLEET_ROOT/variant.rpa" -name ci-fleet-failover
 "$RPACLIENT" -addr "$ROUTER_ADDR" wait rjob-000002
-target/release/rparouter -validate route-table "$FLEET_ROOT/router/route-table.json"
+target/release/rparouter -validate route-table "$FLEET_ROOT/router/jobs/rjob-000002.route.json"
 "$RPACLIENT" -addr "$ROUTER_ADDR" shutdown
 wait "$ROUTER_PID"
 kill "$WORKER_A" "$WORKER_B" 2>/dev/null || true

@@ -191,12 +191,13 @@ pub fn valid_namespace_id(id: &str) -> bool {
 
 /// Write `bytes` to `path` atomically and durably — the one
 /// implementation of the discipline every on-disk document in the
-/// workspace relies on (checkpoint slots, job state, cache entries, the
-/// LRU journal, the route table): temp file in the same directory,
-/// `fsync`, rename over the target, `fsync` the directory. A reader (or a
-/// restarted process) sees either the old contents or the new, never a
-/// torn write. The temp name is dot-prefixed (`.<name>.tmp`), so a crash
-/// mid-write leaves only a dotfile that directory scans discard.
+/// workspace relies on (checkpoint slots, job documents and state, cache
+/// entries, the router's bodies and route records): temp file in the
+/// same directory, `fsync`, rename over the target, `fsync` the
+/// directory. A reader (or a restarted process) sees either the old
+/// contents or the new, never a torn write. The temp name is dot-prefixed
+/// (`.<name>.tmp`), so a crash mid-write leaves only a dotfile that
+/// directory scans discard.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let dir = path
         .parent()

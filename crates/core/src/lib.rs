@@ -59,6 +59,7 @@ pub use direct::{
     dielectric_spectrum, direct_rpa_energy, exact_trace_term, full_spectrum, DirectRpaResult,
 };
 pub use io::{parse_rpa_input, ParseError, RpaInput};
+pub use mbrpa_solver::BlockPolicy;
 pub use quadrature::{frequency_quadrature, gauss_legendre, FrequencyPoint};
 pub use rpa::{
     quadrature_of, random_orthonormal_block, KsSolver, OmegaReport, PartialRun, RpaResult,

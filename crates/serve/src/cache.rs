@@ -30,6 +30,8 @@
 //! * **LRU byte budget** — the store tracks per-entry sizes and evicts
 //!   least-recently-used entries once the total exceeds the budget, so
 //!   the cache directory cannot grow without bound under heavy traffic.
+//!   Across restarts recency is the entry file's mtime, stamped by every
+//!   insert and hit without an `fsync`: a hit writes nothing durable.
 //!
 //! The store is not internally synchronized; the daemon wraps it in a
 //! `Mutex` (like the queue), and all counters are plain integers mutated
@@ -39,19 +41,13 @@ use crate::job::{validate_cache_entry_doc, CACHE_ENTRY_SCHEMA};
 use crate::json::{self, obj, s, JsonValue};
 use mbrpa_ckpt::write_atomic;
 use mbrpa_core::is_fingerprint_hex;
-use std::fs;
+use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::SystemTime;
+use std::time::{Duration, SystemTime};
 
 /// Default byte budget (64 MiB — thousands of result documents).
 pub const DEFAULT_BUDGET: u64 = 64 * 1024 * 1024;
-
-/// Sidecar recency journal: one fingerprint per line, coldest first.
-/// Without it a restarted daemon would only know entry *write* times
-/// (lookup hits never touch the files), so post-restart eviction would
-/// drop recently-hit entries while keeping cold ones.
-const LRU_FILE: &str = "lru";
 
 /// Monotonic counters the daemon exposes through `health/1` and the
 /// cache admin endpoint.
@@ -88,25 +84,30 @@ pub struct CacheStore {
     entries: Vec<Entry>,
     total_bytes: u64,
     counters: CacheCounters,
+    /// The last recency stamp handed out (or found on disk by `open`).
+    /// Every stamp comes from [`CacheStore::touch`], never from the
+    /// kernel, which assigns mtimes from the tick clock, up to a tick
+    /// behind `SystemTime::now()`: mixing the two would reorder touches.
+    clock: SystemTime,
 }
 
 impl CacheStore {
     /// Open (creating if needed) the cache under `dir` with the given
     /// byte budget. Scans the directory: leftover temp dotfiles and any
     /// file that fails full validation are deleted; surviving entries
-    /// enter the LRU in the order the recency journal recorded before
-    /// the restart (falling back to modification time for files the
-    /// journal does not know), and the budget is enforced immediately.
+    /// enter the LRU by modification time — the stamp of their last
+    /// insert or hit — with the fingerprint breaking ties, and the
+    /// budget is enforced immediately.
     pub fn open(dir: impl Into<PathBuf>, budget: u64) -> io::Result<CacheStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let journal = read_lru_journal(&dir);
         let mut store = CacheStore {
             dir,
             budget,
             entries: Vec::new(),
             total_bytes: 0,
             counters: CacheCounters::default(),
+            clock: SystemTime::UNIX_EPOCH,
         };
         let mut found: Vec<(SystemTime, Entry)> = Vec::new();
         for entry in fs::read_dir(&store.dir)? {
@@ -115,24 +116,14 @@ impl CacheStore {
             if !entry.file_type()?.is_file() {
                 continue;
             }
+            // crash leftovers (`.<fp>.json.tmp`) and anything else that
+            // is not a valid `<32-hex>.json` is junk — delete, never serve
             let name = entry.file_name();
-            let Some(name) = name.to_str() else {
-                store.drop_file(&path);
-                continue;
-            };
-            // the recency journal (and its atomic-write temp) is ours,
-            // not a cache entry
-            if name == LRU_FILE || name == ".lru.tmp" {
-                continue;
-            }
-            // crash leftovers (`.<fp>.json.tmp`) and anything that is not
-            // `<32-hex>.json` is junk — delete rather than serve
-            let fingerprint = name.strip_suffix(".json").unwrap_or("");
-            if !is_fingerprint_hex(fingerprint) {
-                store.drop_file(&path);
-                continue;
-            }
-            if store.load_validated(&path, fingerprint).is_none() {
+            let fingerprint = name.to_str().and_then(|name| name.strip_suffix(".json"));
+            let fingerprint = fingerprint.unwrap_or("");
+            if !is_fingerprint_hex(fingerprint)
+                || store.load_validated(&path, fingerprint).is_none()
+            {
                 store.drop_file(&path);
                 continue;
             }
@@ -146,21 +137,13 @@ impl CacheStore {
                 },
             ));
         }
-        // LRU order, coldest first: files the journal never saw (dropped
-        // in externally, or written in the instant before a crash beat
-        // the journal update) have unknown recency and are conservatively
-        // treated as coldest, ordered among themselves by mtime; then the
-        // journaled entries in their recorded order
-        found.sort_by_key(
-            |(modified, e)| match journal.iter().position(|j| j == &e.fingerprint) {
-                Some(rank) => (1u8, rank, *modified),
-                None => (0u8, 0, *modified),
-            },
-        );
+        // LRU order, coldest first; later stamps must sort after these
+        // even if the wall clock has stepped back since they were made
+        found.sort_by(|a, b| (a.0, &a.1.fingerprint).cmp(&(b.0, &b.1.fingerprint)));
+        store.clock = found.last().map_or(store.clock, |(modified, _)| *modified);
         store.total_bytes = found.iter().map(|(_, e)| e.bytes).sum();
         store.entries = found.into_iter().map(|(_, e)| e).collect();
         store.evict_to_budget();
-        store.persist_lru();
         Ok(store)
     }
 
@@ -204,17 +187,16 @@ impl CacheStore {
         self.counters.corrupt_dropped += 1;
     }
 
-    /// Persist the current LRU order (coldest first) to the sidecar
-    /// journal, atomically. Best-effort: a failed write costs recency
-    /// fidelity across the *next* restart, never correctness — eviction
-    /// order is the journal's only consumer.
-    fn persist_lru(&self) {
-        let mut text = String::with_capacity(self.entries.len() * 33);
-        for entry in &self.entries {
-            text.push_str(&entry.fingerprint);
-            text.push('\n');
-        }
-        let _ = write_atomic(&self.dir.join(LRU_FILE), text.as_bytes());
+    /// Stamp an entry file as the most recently used. Best-effort and not
+    /// `fsync`ed: a lost stamp costs recency fidelity across the *next*
+    /// restart, never correctness — `open`'s eviction order is its only
+    /// consumer, and the in-memory order rules while the daemon runs.
+    fn touch(&mut self, path: &Path) {
+        self.clock = SystemTime::now().max(self.clock + Duration::from_nanos(1));
+        let _ = File::options()
+            .write(true)
+            .open(path)
+            .and_then(|file| file.set_modified(self.clock));
     }
 
     /// Read and fully validate one entry file; returns the embedded
@@ -244,21 +226,19 @@ impl CacheStore {
             return None;
         };
         let path = self.entry_path(fingerprint);
+        let entry = self.entries.remove(index);
         match self.load_validated(&path, fingerprint) {
             Some(result) => {
                 // LRU touch: move to the hot end
-                let entry = self.entries.remove(index);
                 self.entries.push(entry);
                 self.counters.hits += 1;
-                self.persist_lru();
+                self.touch(&path);
                 Some(result)
             }
             None => {
-                let entry = self.entries.remove(index);
                 self.total_bytes = self.total_bytes.saturating_sub(entry.bytes);
                 self.drop_file(&path);
                 self.counters.misses += 1;
-                self.persist_lru();
                 None
             }
         }
@@ -285,7 +265,9 @@ impl CacheStore {
         if size > self.budget {
             return Ok(false);
         }
-        write_atomic(&self.entry_path(fingerprint), &bytes)?;
+        let path = self.entry_path(fingerprint);
+        write_atomic(&path, &bytes)?;
+        self.touch(&path);
         if let Some(index) = self
             .entries
             .iter()
@@ -301,7 +283,6 @@ impl CacheStore {
         self.total_bytes += size;
         self.counters.insertions += 1;
         self.evict_to_budget();
-        self.persist_lru();
         Ok(true)
     }
 
@@ -325,24 +306,8 @@ impl CacheStore {
         }
         self.total_bytes = 0;
         self.counters.flushes += 1;
-        self.persist_lru();
         flushed
     }
-}
-
-/// Read the recency journal left by the previous incarnation: one
-/// fingerprint per line, coldest first. Unparseable lines (and a missing
-/// or torn file) degrade to "no recorded recency", never to an error —
-/// the scan's mtime fallback covers those entries.
-fn read_lru_journal(dir: &Path) -> Vec<String> {
-    let Ok(text) = fs::read_to_string(dir.join(LRU_FILE)) else {
-        return Vec::new();
-    };
-    text.lines()
-        .map(str::trim)
-        .filter(|line| is_fingerprint_hex(line))
-        .map(String::from)
-        .collect()
 }
 
 #[cfg(test)]
@@ -350,12 +315,7 @@ mod tests {
     use super::*;
     use crate::job::RESULT_SCHEMA;
     use crate::json::u;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mbrpa_cache_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::test_dir;
 
     fn result_value(energy: f64) -> JsonValue {
         obj(vec![
@@ -376,13 +336,22 @@ mod tests {
         ])
     }
 
+    /// What one `result_value` entry takes on disk; leaves `dir` empty.
+    fn entry_bytes(dir: &Path) -> u64 {
+        let mut cache = CacheStore::open(dir, DEFAULT_BUDGET).unwrap();
+        cache.insert(&fp(9), &result_value(-1.0)).unwrap();
+        let one = cache.total_bytes();
+        cache.flush();
+        one
+    }
+
     fn fp(n: u8) -> String {
         format!("{:032x}", u128::from(n))
     }
 
     #[test]
     fn insert_then_lookup_roundtrips_exact_bits() {
-        let dir = tmp_dir("roundtrip");
+        let dir = test_dir("roundtrip");
         let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
         let energy = -0.123_456_789_012_345_67;
         assert!(cache.insert(&fp(1), &result_value(energy)).unwrap());
@@ -399,7 +368,7 @@ mod tests {
 
     #[test]
     fn reopen_recovers_entries_and_drops_junk() {
-        let dir = tmp_dir("reopen");
+        let dir = test_dir("reopen");
         {
             let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
             cache.insert(&fp(1), &result_value(-1.5)).unwrap();
@@ -409,9 +378,11 @@ mod tests {
         fs::write(dir.join(format!(".{}.json.tmp", fp(3))), b"{\"sch").unwrap();
         // … a torn entry (truncated JSON) …
         fs::write(dir.join(format!("{}.json", fp(4))), b"{\"schema\":\"mbr").unwrap();
-        // … and a well-formed entry whose fingerprint member lies
+        // … a well-formed entry whose fingerprint member lies …
         let alias = fs::read_to_string(dir.join(format!("{}.json", fp(1)))).unwrap();
         fs::write(dir.join(format!("{}.json", fp(5))), &alias).unwrap();
+        // … and the recency journal a pre-mtime daemon kept beside the entries
+        fs::write(dir.join("lru"), format!("{}\n{}\n", fp(2), fp(1))).unwrap();
 
         let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
         assert_eq!(cache.len(), 2);
@@ -419,14 +390,15 @@ mod tests {
         assert!(cache.lookup(&fp(2)).is_some());
         assert!(cache.lookup(&fp(4)).is_none(), "torn entry must miss");
         assert!(cache.lookup(&fp(5)).is_none(), "aliased entry must miss");
-        assert!(cache.counters().corrupt_dropped >= 3);
+        assert!(cache.counters().corrupt_dropped >= 4);
         assert!(!dir.join(format!(".{}.json.tmp", fp(3))).exists());
+        assert!(!dir.join("lru").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_entry_discovered_at_lookup_is_a_miss() {
-        let dir = tmp_dir("corrupt_lookup");
+        let dir = test_dir("corrupt_lookup");
         let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
         cache.insert(&fp(1), &result_value(-1.5)).unwrap();
         // corrupt it behind the store's back (disk damage)
@@ -439,13 +411,8 @@ mod tests {
 
     #[test]
     fn lru_budget_evicts_coldest_first() {
-        let dir = tmp_dir("lru");
-        let one = CacheStore::open(tmp_dir("lru_size"), DEFAULT_BUDGET)
-            .and_then(|mut c| {
-                c.insert(&fp(9), &result_value(-1.0))?;
-                Ok(c.total_bytes())
-            })
-            .unwrap();
+        let dir = test_dir("lru");
+        let one = entry_bytes(&dir);
         // room for two entries, not three
         let mut cache = CacheStore::open(&dir, one * 2 + one / 2).unwrap();
         cache.insert(&fp(1), &result_value(-1.0)).unwrap();
@@ -462,18 +429,13 @@ mod tests {
 
     /// The restart-mid-sequence regression for the recency bug: insert
     /// 1 then 2 (so 2 is *younger on disk*), then hit 1 so 2 is the LRU
-    /// coldest, restart, and force one eviction. The mtime-ordered scan
-    /// used to forget the hit and evict the recently-used entry 1; the
-    /// journal must make the reopened store drop 2 instead.
+    /// coldest, restart, and force one eviction. A scan ordered by write
+    /// time would forget the hit and evict the recently-used entry 1; the
+    /// hit's stamp must make the reopened store drop 2 instead.
     #[test]
     fn lru_recency_survives_restart() {
-        let dir = tmp_dir("lru_restart");
-        let one = CacheStore::open(tmp_dir("lru_restart_size"), DEFAULT_BUDGET)
-            .and_then(|mut c| {
-                c.insert(&fp(9), &result_value(-1.0))?;
-                Ok(c.total_bytes())
-            })
-            .unwrap();
+        let dir = test_dir("lru_restart");
+        let one = entry_bytes(&dir);
         {
             let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
             cache.insert(&fp(1), &result_value(-1.0)).unwrap();
@@ -493,41 +455,104 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Entries the journal never saw (e.g. dropped into the directory by
-    /// hand) are treated as coldest and evicted before journaled ones.
+    /// A hit writes nothing: after 64 inserts, a lookup leaves every file
+    /// in the cache directory with the name, length and bytes it had and
+    /// creates none — only the hit entry's mtime may move.
     #[test]
-    fn unjournaled_entry_ranks_coldest_after_restart() {
-        let dir = tmp_dir("lru_unjournaled");
-        let one = CacheStore::open(tmp_dir("lru_unjournaled_size"), DEFAULT_BUDGET)
-            .and_then(|mut c| {
-                c.insert(&fp(9), &result_value(-1.0))?;
-                Ok(c.total_bytes())
-            })
-            .unwrap();
-        {
-            let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
-            cache.insert(&fp(1), &result_value(-1.0)).unwrap();
-            cache.insert(&fp(2), &result_value(-2.0)).unwrap();
+    fn a_hit_rewrites_no_file() {
+        let dir = test_dir("hit_writes_nothing");
+        let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
+        for k in 0..64 {
+            cache.insert(&fp(k), &result_value(-1.0)).unwrap();
         }
-        // an alien-but-valid entry appears behind the journal's back
-        let donor = fs::read_to_string(dir.join(format!("{}.json", fp(1)))).unwrap();
-        let forged = donor.replace(&fp(1), &fp(7));
-        fs::write(dir.join(format!("{}.json", fp(7))), forged).unwrap();
-
-        let mut cache = CacheStore::open(&dir, one * 2 + one / 2).unwrap();
-        assert_eq!(cache.counters().evictions, 1);
-        assert!(
-            cache.lookup(&fp(7)).is_none(),
-            "the unjournaled entry must be evicted first"
-        );
-        assert!(cache.lookup(&fp(1)).is_some());
-        assert!(cache.lookup(&fp(2)).is_some());
+        let before = crate::files_in(&dir);
+        assert_eq!(before.len(), 64, "one file per entry, nothing else");
+        // not the hottest entry, so the recency order really changes
+        assert!(cache.lookup(&fp(7)).is_some());
+        assert_eq!(crate::files_in(&dir), before);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Recency across restarts against an in-memory LRU model: random
+    /// insert / hit / reopen sequences, a reopen leaving room for `n`
+    /// entries. Only the entry files' mtimes carry recency over, so after
+    /// every reopen the files on disk must be the entries the model keeps.
+    mod recency_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        #[derive(Clone, Debug)]
+        enum Op {
+            Insert(u8),
+            Hit(u8),
+            Reopen(u64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                4 => (0u8..8).prop_map(Op::Insert),
+                4 => (0u8..8).prop_map(Op::Hit),
+                1 => (1u64..=8).prop_map(Op::Reopen),
+            ]
+        }
+
+        /// Evict the model's coldest keys down to `room` (never the last).
+        fn evict(model: &mut Vec<u8>, room: u64) {
+            while model.len() as u64 > room && model.len() > 1 {
+                model.remove(0);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn recency_survives_every_reopen(ops in proptest::collection::vec(op(), 1..60)) {
+                let dir = test_dir("recency_model");
+                // keys coldest first; every entry is `one` bytes long
+                let (one, mut model, mut room) = (entry_bytes(&dir), Vec::new(), 8);
+                let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
+                for op in ops {
+                    match op {
+                        Op::Insert(key) => {
+                            prop_assert!(cache.insert(&fp(key), &result_value(-1.0)).unwrap());
+                            model.retain(|k| *k != key);
+                            model.push(key);
+                            evict(&mut model, room);
+                        }
+                        Op::Hit(key) => {
+                            let held = model.contains(&key);
+                            prop_assert_eq!(cache.lookup(&fp(key)).is_some(), held);
+                            if held {
+                                model.retain(|k| *k != key);
+                                model.push(key);
+                            }
+                        }
+                        Op::Reopen(entries) => {
+                            room = entries;
+                            cache = CacheStore::open(&dir, one * room + one / 2).unwrap();
+                            evict(&mut model, room);
+                            let mut on_disk: Vec<String> = fs::read_dir(&dir)
+                                .unwrap()
+                                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                                .collect();
+                            on_disk.sort();
+                            let mut kept: Vec<String> =
+                                model.iter().map(|k| format!("{}.json", fp(*k))).collect();
+                            kept.sort();
+                            prop_assert_eq!(on_disk, kept);
+                        }
+                    }
+                    prop_assert_eq!(cache.len(), model.len());
+                }
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]
     fn oversized_entry_is_refused() {
-        let dir = tmp_dir("oversized");
+        let dir = test_dir("oversized");
         let mut cache = CacheStore::open(&dir, 10).unwrap();
         assert!(!cache.insert(&fp(1), &result_value(-1.0)).unwrap());
         assert_eq!(cache.len(), 0);
@@ -537,7 +562,7 @@ mod tests {
 
     #[test]
     fn flush_empties_the_store() {
-        let dir = tmp_dir("flush");
+        let dir = test_dir("flush");
         let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
         cache.insert(&fp(1), &result_value(-1.0)).unwrap();
         cache.insert(&fp(2), &result_value(-2.0)).unwrap();
@@ -553,7 +578,7 @@ mod tests {
 
     #[test]
     fn bad_fingerprint_is_rejected() {
-        let dir = tmp_dir("badfp");
+        let dir = test_dir("badfp");
         let mut cache = CacheStore::open(&dir, DEFAULT_BUDGET).unwrap();
         assert!(cache.insert("not-hex", &result_value(-1.0)).is_err());
         let _ = fs::remove_dir_all(&dir);

@@ -22,7 +22,7 @@ use crate::store::{ERROR_FILE, PARTIAL_FILE, PROFILE_FILE, REPORT_FILE, RESULT_F
 use mbrpa_ckpt::CheckpointStore;
 use mbrpa_core::io::parse_rpa_input;
 use mbrpa_core::{
-    report, ResumableOutcome, ResumePolicy, RpaInput, RpaResult, RpaSetup, RunOptions,
+    report, BlockPolicy, ResumableOutcome, ResumePolicy, RpaInput, RpaResult, RpaSetup, RunOptions,
 };
 use mbrpa_grid::par::outer_scope;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -257,8 +257,11 @@ fn complete(
     }
 
     // populate the exact result cache — only here, on full completion:
-    // cancelled, partial, and failed runs never enter it
-    if let Some(cache) = shared.cache.as_ref() {
+    // cancelled, partial, and failed runs never enter it, nor does a run
+    // whose block sizes came from wall-clock noise, not from its input
+    if input.config.block_policy == BlockPolicy::DynamicTimed {
+        (shared.log)(&format!("{}: BLOCK_POLICY dynamic; not cached", job.id));
+    } else if let Some(cache) = shared.cache.as_ref() {
         let fingerprint = mbrpa_core::fingerprint_hex(input);
         match lock(cache).insert(&fingerprint, &result_doc) {
             Ok(true) => mbrpa_obs::add("serve.cache.insert", 1),

@@ -19,6 +19,7 @@
 use crate::json::{obj, require_num, require_str, require_uint, s, u, JsonValue};
 use mbrpa_core::io::{parse_rpa_input, RpaInput};
 use mbrpa_core::{PartialRun, RpaResult};
+use std::path::Path;
 
 /// Schema tag of a job submission body.
 pub const JOB_SCHEMA: &str = mbrpa_schema::JOB;
@@ -306,13 +307,18 @@ pub fn partial_doc(id: &str, partial: &PartialRun) -> JsonValue {
     ])
 }
 
+/// The `schema` member of `v` must be exactly `tag`.
+fn require_schema(v: &JsonValue, tag: &str) -> Result<(), String> {
+    match require_str(v, "schema")? {
+        schema if schema == tag => Ok(()),
+        schema => Err(format!("schema is `{schema}`, need `{tag}`")),
+    }
+}
+
 /// Validate a `mbrpa.result/1` document, including that
 /// `total_energy_bits` decodes to exactly the bits of `total_energy`.
 pub fn validate_result_doc(v: &JsonValue) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != RESULT_SCHEMA {
-        return Err(format!("schema is `{schema}`, need `{RESULT_SCHEMA}`"));
-    }
+    require_schema(v, RESULT_SCHEMA)?;
     let id = require_str(v, "id")?;
     if !valid_label(id) {
         return Err(format!("`id` `{id}` is not a valid job id"));
@@ -354,10 +360,7 @@ pub fn validate_result_doc(v: &JsonValue) -> Result<(), String> {
 /// (including its bit-pattern cross-check — a cache must never replay a
 /// result whose stored bits disagree with its decimal rendering).
 pub fn validate_cache_entry_doc(v: &JsonValue) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != CACHE_ENTRY_SCHEMA {
-        return Err(format!("schema is `{schema}`, need `{CACHE_ENTRY_SCHEMA}`"));
-    }
+    require_schema(v, CACHE_ENTRY_SCHEMA)?;
     let fingerprint = require_str(v, "fingerprint")?;
     if !mbrpa_core::is_fingerprint_hex(fingerprint) {
         return Err(format!(
@@ -370,10 +373,7 @@ pub fn validate_cache_entry_doc(v: &JsonValue) -> Result<(), String> {
 
 /// Validate a `mbrpa.job-status/1` document.
 pub fn validate_status_doc(v: &JsonValue) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != STATUS_SCHEMA {
-        return Err(format!("schema is `{schema}`, need `{STATUS_SCHEMA}`"));
-    }
+    require_schema(v, STATUS_SCHEMA)?;
     require_str(v, "id")?;
     let state = require_str(v, "state")?;
     if JobState::parse(state).is_none() {
@@ -390,10 +390,7 @@ pub fn validate_status_doc(v: &JsonValue) -> Result<(), String> {
 
 /// Validate a `mbrpa.health/1` document.
 pub fn validate_health_doc(v: &JsonValue) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != HEALTH_SCHEMA {
-        return Err(format!("schema is `{schema}`, need `{HEALTH_SCHEMA}`"));
-    }
+    require_schema(v, HEALTH_SCHEMA)?;
     for key in ["queued", "running", "backlog_limit", "executors"] {
         require_uint(v, key)?;
     }
@@ -448,10 +445,7 @@ pub fn validate_health_doc(v: &JsonValue) -> Result<(), String> {
 /// Validate a `mbrpa.worker/1` document: one worker's liveness and
 /// occupancy as the router tracks it.
 pub fn validate_worker_doc(v: &JsonValue) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != WORKER_SCHEMA {
-        return Err(format!("schema is `{schema}`, need `{WORKER_SCHEMA}`"));
-    }
+    require_schema(v, WORKER_SCHEMA)?;
     if require_str(v, "addr")?.is_empty() {
         return Err("`addr` must not be empty".to_string());
     }
@@ -471,10 +465,7 @@ pub fn validate_worker_doc(v: &JsonValue) -> Result<(), String> {
 /// the optional `stale` list names superseded claims the router still
 /// owes a cancel (see `crate::router`).
 pub fn validate_route_table_doc(v: &JsonValue) -> Result<(), String> {
-    let schema = require_str(v, "schema")?;
-    if schema != ROUTE_TABLE_SCHEMA {
-        return Err(format!("schema is `{schema}`, need `{ROUTE_TABLE_SCHEMA}`"));
-    }
+    require_schema(v, ROUTE_TABLE_SCHEMA)?;
     require_uint(v, "next_id")?;
     let routes = v
         .get("routes")
@@ -563,6 +554,29 @@ pub fn validate_profile_doc(v: &JsonValue) -> Result<(), String> {
             .ok_or_else(|| format!("counter `{name}` must be an integer"))?;
     }
     Ok(())
+}
+
+/// Read the JSON file at `path` and check it against the document kind
+/// named `kind` — the `-validate <kind> <file>` mode of `rpaserved` and
+/// `rparouter`, and how the router loads its route records. Returns the
+/// document; the error is the line to print.
+pub fn validate_file(kind: &str, path: impl AsRef<Path>) -> Result<JsonValue, String> {
+    let validate: fn(&JsonValue) -> Result<(), String> = match kind {
+        "job" => |v| JobSpec::from_json(v).map(|_| ()),
+        "status" => validate_status_doc,
+        "result" => validate_result_doc,
+        "health" => validate_health_doc,
+        "profile" => validate_profile_doc,
+        "cache-entry" => validate_cache_entry_doc,
+        "worker" => validate_worker_doc,
+        "route-table" => validate_route_table_doc,
+        other => return Err(format!("unknown document kind `{other}`")),
+    };
+    let shown = path.as_ref().display();
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read {shown}: {e}"))?;
+    let doc = crate::json::parse(&text).map_err(|e| format!("{shown}: not valid JSON: {e}"))?;
+    validate(&doc).map_err(|e| format!("{shown}: invalid {kind} document: {e}"))?;
+    Ok(doc)
 }
 
 #[cfg(test)]

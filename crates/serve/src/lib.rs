@@ -63,3 +63,23 @@ pub use job::{JobSpec, JobState};
 pub use queue::{CancelOutcome, JobQueue, SubmitError};
 pub use router::{Router, RouterConfig};
 pub use store::JobStore;
+
+/// A scratch directory for one unit test, cleared of an earlier run's files.
+#[cfg(test)]
+pub(crate) fn test_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("mbrpa-serve-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Every file directly under `dir`, by path, with its bytes.
+#[cfg(test)]
+pub(crate) fn files_in(
+    dir: &std::path::Path,
+) -> std::collections::BTreeMap<std::path::PathBuf, Vec<u8>> {
+    let paths = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+    let files = paths.filter(|path| path.is_file());
+    files
+        .map(|path| (path.clone(), std::fs::read(&path).unwrap()))
+        .collect()
+}

@@ -23,18 +23,21 @@
 //!   per-probe timeout. Consecutive failures beyond a threshold mark the
 //!   worker dead; dead workers are re-probed under exponential backoff
 //!   so a flapping host cannot monopolize the poll loop.
-//! * **Ownership handoff.** Every accepted submission is recorded in a
-//!   route table (`mbrpa.route-table/1`, persisted atomically) binding
-//!   the router-assigned id to the fingerprint, the owning worker, and
-//!   the worker-local job id; the submission body itself is kept on
-//!   disk. When a worker dies with routes open, the poller re-homes each
-//!   orphan: rendezvous over the *surviving* workers picks the adopter,
-//!   the stored body is resubmitted there, and — because fleet workers
-//!   share a fingerprint-keyed `-ckpt-root` — the adopter resumes from
-//!   the dead worker's last completed frequency, reproducing the
-//!   uninterrupted energy bit for bit. The superseded claim is parked on
-//!   a `stale` list and cancelled if the old worker ever comes back, so
-//!   the namespace regains a single writer.
+//! * **Ownership handoff.** Every accepted submission is recorded as a
+//!   route binding the router-assigned id to the fingerprint, the owning
+//!   worker, and the worker-local job id. A route is one record on disk,
+//!   `jobs/<rid>.route.json` beside the verbatim submission body
+//!   `jobs/<rid>.json` — a one-route `mbrpa.route-table/1` document,
+//!   written at submit and again only when that route changes; start-up
+//!   merges the records. When a worker dies with routes open, the
+//!   poller re-homes each orphan: rendezvous over the *surviving*
+//!   workers picks the adopter, the stored body is resubmitted there,
+//!   and — because fleet workers share a fingerprint-keyed `-ckpt-root`
+//!   — the adopter resumes from the dead worker's last completed
+//!   frequency, reproducing the uninterrupted energy bit for bit. The
+//!   superseded claim stays with
+//!   its route (the document's `stale` list) and is cancelled if the old
+//!   worker ever comes back, so the namespace regains a single writer.
 //!
 //! Result, profile, and report bodies are proxied byte-verbatim (their
 //! `id` member names the executing worker's job): re-serializing a
@@ -49,10 +52,11 @@ use crate::job::{
 };
 use crate::json::{self, obj, s, u, JsonValue};
 use mbrpa_ckpt::write_atomic;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -66,13 +70,11 @@ pub const DEFAULT_POLL_INTERVAL: Duration = Duration::from_millis(500);
 pub const DEFAULT_PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 /// Longest backoff between probes of a dead worker.
 const MAX_BACKOFF: Duration = Duration::from_secs(5);
-/// The persisted route table, under the router root.
-const ROUTE_TABLE_FILE: &str = "route-table.json";
 
 /// Router configuration.
 #[derive(Clone)]
 pub struct RouterConfig {
-    /// Router state directory: the route table and stored submission
+    /// Router state directory: the route records and stored submission
     /// bodies live here (created if absent).
     pub root: PathBuf,
     /// Bind address, e.g. `127.0.0.1:0` for an ephemeral port.
@@ -154,8 +156,9 @@ impl WorkerState {
     }
 }
 
-/// One routed job: the router id, its input fingerprint, and the
-/// current owner.
+/// One routed job — what one `jobs/<rid>.route.json` record holds: the
+/// router id, its input fingerprint, the current owner, and the claims
+/// earlier owners still hold.
 #[derive(Clone, Debug)]
 struct Route {
     /// Router-assigned id (`rjob-NNNNNN`), the one clients see.
@@ -171,60 +174,65 @@ struct Route {
     /// True once the router holds the result locally (a failover
     /// resubmission answered from the adopter's cache).
     done: bool,
+    /// Superseded claims this route still owes a cancel.
+    stale: Vec<StaleClaim>,
 }
 
 /// A superseded claim: a job id on a worker that lost ownership. If
 /// that worker ever returns, the claim is cancelled so the shared
 /// checkpoint namespace regains a single writer.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct StaleClaim {
     worker: String,
     worker_job: String,
 }
 
-/// The mutable route table (under one lock).
+/// The mutable route table (under one lock): the routes by id — ids
+/// zero-pad, so map order is submission order. Handlers take an `Arc` of
+/// the route they serve and talk to its worker with the lock released.
 #[derive(Debug, Default)]
 struct RouteTable {
     next_id: u64,
-    routes: Vec<Route>,
-    stale: Vec<StaleClaim>,
+    routes: BTreeMap<String, Arc<Route>>,
+}
+
+/// The `mbrpa.route-table/1` document of `routes`: the whole table for
+/// `GET /v1/routes`, one route for its on-disk record. A record's
+/// `next_id` is past its own id, so the largest over all records is free.
+fn table_doc<'a>(next_id: u64, routes: impl IntoIterator<Item = &'a Route>) -> JsonValue {
+    let (mut rows, mut stale) = (Vec::new(), Vec::new());
+    for r in routes {
+        rows.push(obj(vec![
+            ("id", s(&r.id)),
+            ("fingerprint", s(&r.fingerprint)),
+            ("worker", s(&r.worker)),
+            ("worker_job", s(&r.worker_job)),
+            ("state", s(if r.done { "done" } else { "routed" })),
+            ("failovers", u(r.failovers as usize)),
+        ]));
+        stale.extend(r.stale.iter().map(|c| {
+            obj(vec![
+                ("worker", s(&c.worker)),
+                ("worker_job", s(&c.worker_job)),
+            ])
+        }));
+    }
+    obj(vec![
+        ("schema", s(ROUTE_TABLE_SCHEMA)),
+        ("next_id", u(next_id as usize)),
+        ("routes", JsonValue::Arr(rows)),
+        ("stale", JsonValue::Arr(stale)),
+    ])
 }
 
 impl RouteTable {
     fn to_doc(&self) -> JsonValue {
-        let routes = self
-            .routes
-            .iter()
-            .map(|r| {
-                obj(vec![
-                    ("id", s(&r.id)),
-                    ("fingerprint", s(&r.fingerprint)),
-                    ("worker", s(&r.worker)),
-                    ("worker_job", s(&r.worker_job)),
-                    ("state", s(if r.done { "done" } else { "routed" })),
-                    ("failovers", u(r.failovers as usize)),
-                ])
-            })
-            .collect();
-        let stale = self
-            .stale
-            .iter()
-            .map(|c| {
-                obj(vec![
-                    ("worker", s(&c.worker)),
-                    ("worker_job", s(&c.worker_job)),
-                ])
-            })
-            .collect();
-        obj(vec![
-            ("schema", s(ROUTE_TABLE_SCHEMA)),
-            ("next_id", u(self.next_id as usize)),
-            ("routes", JsonValue::Arr(routes)),
-            ("stale", JsonValue::Arr(stale)),
-        ])
+        table_doc(self.next_id, self.routes.values().map(Arc::as_ref))
     }
 
-    /// Rebuild from a persisted (already schema-validated) document.
+    /// Rebuild from a persisted (already schema-validated) document. The
+    /// document does not say which route a `stale` claim belongs to; a
+    /// record holds one route, so the first route takes them all.
     fn from_doc(v: &JsonValue) -> RouteTable {
         let get_str = |r: &JsonValue, k: &str| {
             r.get(k)
@@ -232,38 +240,30 @@ impl RouteTable {
                 .unwrap_or_default()
                 .to_string()
         };
-        let routes = v
-            .get("routes")
-            .and_then(JsonValue::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .map(|r| Route {
-                        id: get_str(r, "id"),
-                        fingerprint: get_str(r, "fingerprint"),
-                        worker: get_str(r, "worker"),
-                        worker_job: get_str(r, "worker_job"),
-                        failovers: r.get("failovers").and_then(JsonValue::as_u64).unwrap_or(0),
-                        done: r.get("state").and_then(JsonValue::as_str) == Some("done"),
-                    })
-                    .collect()
+        let rows = |k: &str| v.get(k).and_then(JsonValue::as_arr).into_iter().flatten();
+        let mut stale = rows("stale")
+            .map(|c| StaleClaim {
+                worker: get_str(c, "worker"),
+                worker_job: get_str(c, "worker_job"),
             })
-            .unwrap_or_default();
-        let stale = v
-            .get("stale")
-            .and_then(JsonValue::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .map(|c| StaleClaim {
-                        worker: get_str(c, "worker"),
-                        worker_job: get_str(c, "worker_job"),
-                    })
-                    .collect()
+            .collect();
+        let routes = rows("routes")
+            .map(|r| {
+                let route = Route {
+                    id: get_str(r, "id"),
+                    fingerprint: get_str(r, "fingerprint"),
+                    worker: get_str(r, "worker"),
+                    worker_job: get_str(r, "worker_job"),
+                    failovers: r.get("failovers").and_then(JsonValue::as_u64).unwrap_or(0),
+                    done: r.get("state").and_then(JsonValue::as_str) == Some("done"),
+                    stale: std::mem::take(&mut stale),
+                };
+                (route.id.clone(), Arc::new(route))
             })
-            .unwrap_or_default();
+            .collect();
         RouteTable {
             next_id: v.get("next_id").and_then(JsonValue::as_u64).unwrap_or(1),
             routes,
-            stale,
         }
     }
 }
@@ -347,11 +347,10 @@ impl Router {
                 "a router needs at least one worker address",
             ));
         }
-        fs::create_dir_all(config.root.join("jobs"))?;
-        let table = load_route_table(&config.root, &config.log);
+        let table = load_routes(&config.root, &config.log)?;
         if !table.routes.is_empty() {
             (config.log)(&format!(
-                "recovered {} route(s) from the persisted route table",
+                "recovered {} route(s) from their records",
                 table.routes.len()
             ));
         }
@@ -402,7 +401,7 @@ impl Router {
     }
 
     /// Stop polling and serving. Workers (and their jobs) are left
-    /// running: a drained router restarts from its route table.
+    /// running: a drained router restarts from its route records.
     pub fn drain(&mut self) {
         self.shared.begin_drain();
         if let Some(handle) = self.poller.take() {
@@ -418,43 +417,55 @@ impl Drop for Router {
     }
 }
 
-/// Load the persisted route table; a missing or invalid file means a
-/// fresh table (losing the table costs re-routing, not results).
-fn load_route_table(root: &std::path::Path, log: &Logger) -> RouteTable {
-    let path = root.join(ROUTE_TABLE_FILE);
-    let Ok(text) = fs::read_to_string(&path) else {
-        return RouteTable {
-            next_id: 1,
-            ..RouteTable::default()
-        };
+/// Rebuild the route table from the records under `<root>/jobs`: each
+/// `<rid>.route.json` is validated as a route table and merged, and the
+/// next id continues after the largest any record saw. An invalid record
+/// is skipped (losing a route costs re-routing, not results); a body
+/// without a record is a submit that was never acknowledged.
+fn load_routes(root: &Path, log: &Logger) -> io::Result<RouteTable> {
+    let dir = root.join("jobs");
+    fs::create_dir_all(&dir)?;
+    let mut table = RouteTable {
+        next_id: 1,
+        ..RouteTable::default()
     };
-    match json::parse(&text)
-        .map_err(|e| e.to_string())
-        .and_then(|doc| {
-            job::validate_route_table_doc(&doc)?;
-            Ok(RouteTable::from_doc(&doc))
-        }) {
-        Ok(table) => table,
-        Err(e) => {
-            log(&format!(
-                "route table {} is invalid ({e}); starting fresh",
-                path.display()
-            ));
-            RouteTable {
-                next_id: 1,
-                ..RouteTable::default()
+    for entry in fs::read_dir(&dir)? {
+        let path = entry?.path();
+        if !path.to_string_lossy().ends_with(RECORD) {
+            continue;
+        }
+        match job::validate_file("route-table", &path) {
+            Ok(doc) => {
+                let record = RouteTable::from_doc(&doc);
+                table.next_id = table.next_id.max(record.next_id);
+                table.routes.extend(record.routes);
             }
+            Err(e) => log(&format!("route record skipped: {e}")),
         }
     }
+    Ok(table)
 }
 
-/// Snapshot the route table document under the lock, write it outside:
-/// the table file is a recovery aid and must not hold the lock across
-/// disk IO.
-fn persist_routes(shared: &RouterShared) {
-    let doc = lock(&shared.routes).to_doc().to_json();
-    if let Err(e) = write_atomic(&shared.root.join(ROUTE_TABLE_FILE), doc.as_bytes()) {
-        (shared.log)(&format!("cannot persist the route table: {e}"));
+/// Change one route in the table and rewrite its record: the document is
+/// built under the table lock, the write happens outside it. The change
+/// stands whether or not the write lands — a failure is logged and costs
+/// that change at the next restart.
+fn update_route(shared: &RouterShared, rid: &str, change: impl FnOnce(&mut Route)) {
+    let doc = {
+        let mut table = lock(&shared.routes);
+        let next_id = table.next_id;
+        let Some(route) = table.routes.get_mut(rid) else {
+            return;
+        };
+        let route = Arc::make_mut(route);
+        change(route);
+        table_doc(next_id, [&*route])
+    };
+    if let Err(e) = write_atomic(
+        &job_file(&shared.root, rid, RECORD),
+        doc.to_json().as_bytes(),
+    ) {
+        (shared.log)(&format!("{rid}: cannot persist the route record: {e}"));
     }
 }
 
@@ -579,17 +590,16 @@ fn adopt_orphans(shared: &Arc<RouterShared>) {
     if dead.is_empty() {
         return;
     }
-    let orphans: Vec<Route> = lock(&shared.routes)
+    let orphans: Vec<Arc<Route>> = lock(&shared.routes)
         .routes
-        .iter()
+        .values()
         .filter(|r| !r.done && dead.contains(&r.worker))
         .cloned()
         .collect();
-    let mut moved = false;
     for orphan in orphans {
         let candidates: Vec<&str> = live.iter().map(String::as_str).collect();
         let order = rendezvous_order(&orphan.fingerprint, &candidates);
-        let Ok(body) = fs::read_to_string(job_body_path(&shared.root, &orphan.id)) else {
+        let Ok(body) = fs::read_to_string(job_file(&shared.root, &orphan.id, BODY)) else {
             (shared.log)(&format!(
                 "{}: stored submission body is missing; cannot fail over",
                 orphan.id
@@ -620,14 +630,13 @@ fn adopt_orphans(shared: &Arc<RouterShared>) {
                         "{}: handed off {} → {adopter} (resumes from the shared checkpoint namespace)",
                         orphan.id, orphan.worker
                     ));
-                    moved = true;
                     break;
                 }
                 Ok(reply) if reply.status == 200 => {
                     // the adopter's result cache already holds this
                     // fingerprint: store the (bit-exact) body locally and
                     // close the route
-                    let path = result_body_path(&shared.root, &orphan.id);
+                    let path = job_file(&shared.root, &orphan.id, RESULT);
                     if let Err(e) = write_atomic(&path, reply.body.as_bytes()) {
                         (shared.log)(&format!("{}: cannot store adopted result: {e}", orphan.id));
                         continue;
@@ -637,7 +646,6 @@ fn adopt_orphans(shared: &Arc<RouterShared>) {
                         "{}: adopted from {adopter}'s result cache",
                         orphan.id
                     ));
-                    moved = true;
                     break;
                 }
                 Ok(reply) => {
@@ -661,9 +669,6 @@ fn adopt_orphans(shared: &Arc<RouterShared>) {
             }
         }
     }
-    if moved {
-        persist_routes(shared);
-    }
 }
 
 /// Update one route after a successful handoff and park the superseded
@@ -677,17 +682,16 @@ fn apply_failover(
 ) {
     mbrpa_obs::add("serve.router.failover", 1);
     shared.counters.failovers.fetch_add(1, Ordering::Relaxed); // ord: Relaxed — monotonic counter, no ordering needed
-    let mut table = lock(&shared.routes);
-    table.stale.push(StaleClaim {
-        worker: orphan.worker.clone(),
-        worker_job: orphan.worker_job.clone(),
-    });
-    if let Some(route) = table.routes.iter_mut().find(|r| r.id == orphan.id) {
+    update_route(shared, &orphan.id, |route| {
+        route.stale.push(StaleClaim {
+            worker: orphan.worker.clone(),
+            worker_job: orphan.worker_job.clone(),
+        });
         route.worker = adopter.to_string();
         route.worker_job = worker_job.to_string();
         route.failovers += 1;
         route.done = done;
-    }
+    });
 }
 
 /// Cancel superseded claims on workers that came back: a revived worker
@@ -696,17 +700,13 @@ fn apply_failover(
 /// namespace.
 fn cancel_stale_claims(shared: &Arc<RouterShared>) {
     let live = live_workers(shared);
-    let claims: Vec<StaleClaim> = lock(&shared.routes)
-        .stale
-        .iter()
-        .filter(|c| live.contains(&c.worker))
-        .cloned()
+    let claims: Vec<(String, StaleClaim)> = lock(&shared.routes)
+        .routes
+        .values()
+        .flat_map(|r| r.stale.iter().map(|c| (r.id.clone(), c.clone())))
+        .filter(|(_, c)| live.contains(&c.worker))
         .collect();
-    if claims.is_empty() {
-        return;
-    }
-    let mut settled: Vec<(String, String)> = Vec::new();
-    for claim in claims {
+    for (rid, claim) in claims {
         let path = format!("/v1/jobs/{}/cancel", claim.worker_job);
         match exchange(&claim.worker, "POST", &path, None, shared.probe_timeout) {
             // 2xx = cancelled (or already terminal); 404 = the worker
@@ -716,28 +716,24 @@ fn cancel_stale_claims(shared: &Arc<RouterShared>) {
                     "cancelled superseded job {} on revived worker {}",
                     claim.worker_job, claim.worker
                 ));
-                settled.push((claim.worker, claim.worker_job));
+                update_route(shared, &rid, |route| route.stale.retain(|c| *c != claim));
             }
             _ => {}
         }
-    }
-    if !settled.is_empty() {
-        lock(&shared.routes)
-            .stale
-            .retain(|c| !settled.contains(&(c.worker.clone(), c.worker_job.clone())));
-        persist_routes(shared);
     }
 }
 
 // ---------------------------------------------------------------------
 // the HTTP handler (client → router)
 
-fn job_body_path(root: &std::path::Path, rid: &str) -> PathBuf {
-    root.join("jobs").join(format!("{rid}.json"))
-}
+/// The files of route `rid` under the router root: the verbatim
+/// submission body, the route's record, and an adopted result.
+const BODY: &str = ".json";
+const RECORD: &str = ".route.json";
+const RESULT: &str = ".result.json";
 
-fn result_body_path(root: &std::path::Path, rid: &str) -> PathBuf {
-    root.join("jobs").join(format!("{rid}.result.json"))
+fn job_file(root: &Path, rid: &str, suffix: &str) -> PathBuf {
+    root.join("jobs").join(format!("{rid}{suffix}"))
 }
 
 /// Build the request handler the HTTP server dispatches to.
@@ -897,27 +893,36 @@ fn record_route(
     body: &str,
     reply_body: &str,
 ) -> Response {
-    let rid = {
+    let number = {
         let mut table = lock(&shared.routes);
-        let rid = format!("rjob-{:06}", table.next_id);
         table.next_id += 1;
-        table.routes.push(Route {
-            id: rid.clone(),
-            fingerprint: fingerprint.to_string(),
-            worker: owner.to_string(),
-            worker_job: worker_job.to_string(),
-            failovers: 0,
-            done: false,
-        });
-        rid
+        table.next_id - 1
     };
-    if let Err(e) = write_atomic(&job_body_path(&shared.root, &rid), body.as_bytes()) {
-        // without the stored body a failover could not re-submit; refuse
-        // rather than accept a job the router cannot protect
-        lock(&shared.routes).routes.retain(|r| r.id != rid);
+    let rid = format!("rjob-{number:06}");
+    let route = Route {
+        id: rid.clone(),
+        fingerprint: fingerprint.to_string(),
+        worker: owner.to_string(),
+        worker_job: worker_job.to_string(),
+        failovers: 0,
+        done: false,
+        stale: Vec::new(),
+    };
+    // body first, record second, table last: a crash in between leaves a
+    // body without a record, which start-up ignores, and the poller cannot
+    // move a route whose record is not on disk yet
+    let record = table_doc(number + 1, [&route]).to_json();
+    if let Err(e) = write_atomic(&job_file(&shared.root, &rid, BODY), body.as_bytes())
+        .and_then(|()| write_atomic(&job_file(&shared.root, &rid, RECORD), record.as_bytes()))
+    {
+        // without the stored body a failover could not re-submit, without
+        // the record a restart forgets the id; refuse rather than accept a
+        // job the router cannot protect
         return Response::error(500, &format!("cannot persist the submission: {e}"));
     }
-    persist_routes(shared);
+    lock(&shared.routes)
+        .routes
+        .insert(rid.clone(), Arc::new(route));
     mbrpa_obs::add("serve.router.route", 1);
     shared.counters.routed.fetch_add(1, Ordering::Relaxed); // ord: Relaxed — monotonic counter, no ordering needed
     (shared.log)(&format!(
@@ -945,7 +950,7 @@ fn rewrite_id(body: &str, rid: &str) -> Option<String> {
 
 /// The stored submission spec of a route (for synthesized statuses).
 fn stored_spec(shared: &RouterShared, rid: &str) -> Option<JobSpec> {
-    let text = fs::read_to_string(job_body_path(&shared.root, rid)).ok()?;
+    let text = fs::read_to_string(job_file(&shared.root, rid, BODY)).ok()?;
     JobSpec::from_json(&json::parse(&text).ok()?).ok()
 }
 
@@ -984,12 +989,8 @@ fn error_body(message: &str) -> String {
     obj(vec![("error", s(message))]).to_json()
 }
 
-fn find_route(shared: &RouterShared, rid: &str) -> Option<Route> {
-    lock(&shared.routes)
-        .routes
-        .iter()
-        .find(|r| r.id == rid)
-        .cloned()
+fn find_route(shared: &RouterShared, rid: &str) -> Option<Arc<Route>> {
+    lock(&shared.routes).routes.get(rid).cloned()
 }
 
 fn status(shared: &Arc<RouterShared>, rid: &str) -> Response {
@@ -1003,7 +1004,7 @@ fn status(shared: &Arc<RouterShared>, rid: &str) -> Response {
 }
 
 fn list(shared: &Arc<RouterShared>) -> Response {
-    let routes: Vec<Route> = lock(&shared.routes).routes.clone();
+    let routes: Vec<Arc<Route>> = lock(&shared.routes).routes.values().cloned().collect();
     let jobs: Vec<JsonValue> = routes
         .iter()
         .filter_map(|route| {
@@ -1025,7 +1026,7 @@ fn passthrough(shared: &Arc<RouterShared>, rid: &str, what: &str) -> Response {
         return Response::error(404, "no such job");
     };
     if route.done && what == "result" {
-        if let Ok(text) = fs::read_to_string(result_body_path(&shared.root, rid)) {
+        if let Ok(text) = fs::read_to_string(job_file(&shared.root, rid, RESULT)) {
             return Response::raw_json(200, &text);
         }
     }
@@ -1065,6 +1066,7 @@ fn shutdown(shared: &Arc<RouterShared>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_dir;
 
     fn fp(n: u8) -> String {
         format!("{:032x}", u128::from(n))
@@ -1131,16 +1133,110 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drain_cuts_a_long_poll_interval_short() {
-        let root = std::env::temp_dir().join(format!("mbrpa-router-drain-{}", std::process::id()));
-        let mut router = Router::start(RouterConfig {
-            root: root.clone(),
-            workers: vec!["127.0.0.1:9".to_string()], // refuses at once
+    /// A router over `root` whose one worker refuses every connection and
+    /// whose poller sleeps through the test after its first round.
+    fn quiet_router(root: &Path) -> Router {
+        Router::start(RouterConfig {
+            root: root.to_path_buf(),
+            workers: vec!["127.0.0.1:9".to_string()],
             poll_interval: Duration::from_secs(60),
             ..RouterConfig::default()
         })
-        .unwrap();
+        .unwrap()
+    }
+
+    /// Record route number `n` as `submit` does once a worker answered 201.
+    fn record(router: &Router, n: u8) -> String {
+        let reply = r#"{"schema":"mbrpa.job-status/1","id":"job-000001","state":"queued"}"#;
+        let (shared, owner) = (router.shared(), "127.0.0.1:9");
+        let response = record_route(shared, &fp(n), owner, "job-000001", "{}", reply);
+        assert_eq!(response.status, 201);
+        format!("rjob-{n:06}")
+    }
+
+    /// Every file of a router root, with its bytes.
+    fn files_under(root: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = crate::files_in(root);
+        files.extend(crate::files_in(&root.join("jobs")));
+        files
+    }
+
+    fn served_routes(router: &Router) -> JsonValue {
+        let addr = router.local_addr().to_string();
+        let reply = exchange(&addr, "GET", "/v1/routes", None, DEFAULT_PROBE_TIMEOUT).unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let doc = json::parse(&reply.body).unwrap();
+        job::validate_route_table_doc(&doc).unwrap();
+        doc
+    }
+
+    /// A route is one record: a submit writes its own two files however
+    /// many routes the router holds, and a restarted router serves the
+    /// routes, the owed claims and the next id from the records alone.
+    #[test]
+    fn a_route_is_one_record_written_alone_and_recovered_at_restart() {
+        let root = test_dir("router_records");
+        let router = quiet_router(&root);
+        let mut n = 0;
+        for held in [1, 200] {
+            while n < held {
+                n += 1;
+                record(&router, n);
+            }
+            let before = files_under(&root);
+            n += 1;
+            let rid = record(&router, n);
+            let after = files_under(&root);
+            assert!(
+                before
+                    .iter()
+                    .all(|(path, bytes)| after.get(path) == Some(bytes)),
+                "a file of another route was touched"
+            );
+            for own in [BODY, RECORD] {
+                assert!(after.contains_key(&job_file(&root, &rid, own)));
+            }
+            assert_eq!(after.len(), before.len() + 2);
+        }
+
+        // route 2 fails over and its first owner never answers, so the
+        // superseded claim stays owed; route 3 is adopted from a cache
+        let orphan = find_route(router.shared(), "rjob-000002").unwrap();
+        apply_failover(router.shared(), &orphan, "127.0.0.1:7", "job-000009", false);
+        let orphan = find_route(router.shared(), "rjob-000003").unwrap();
+        apply_failover(router.shared(), &orphan, "127.0.0.1:7", "job-000001", true);
+        let before = served_routes(&router);
+        drop(router);
+        // a table file left by a router from before the records is not read
+        let old = r#"{"schema":"mbrpa.route-table/1","next_id":900,"routes":[],"stale":[]}"#;
+        fs::write(root.join("route-table.json"), old).unwrap();
+
+        let router = quiet_router(&root);
+        let after = served_routes(&router);
+        assert_eq!(after, before);
+        let rows = after.get("routes").unwrap().as_arr().unwrap();
+        assert_eq!(rows.len(), 201);
+        let moved = |n: u8, job: &str, state: &str| {
+            format!(
+                r#"{{"id":"rjob-{n:06}","fingerprint":"{}","worker":"127.0.0.1:7","worker_job":"{job}","state":"{state}","failovers":1}}"#,
+                fp(n)
+            )
+        };
+        assert_eq!(rows[1].to_json(), moved(2, "job-000009", "routed"));
+        assert_eq!(rows[2].to_json(), moved(3, "job-000001", "done"));
+        let owed = r#"{"worker":"127.0.0.1:9","worker_job":"job-000001"}"#;
+        let stale = after.get("stale").unwrap().to_json();
+        assert_eq!(stale, format!("[{owed},{owed}]"));
+        assert_eq!(after.get("next_id").unwrap().as_u64(), Some(202));
+        assert_eq!(record(&router, 202), "rjob-000202");
+        drop(router);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn drain_cuts_a_long_poll_interval_short() {
+        let root = test_dir("router_drain");
+        let mut router = quiet_router(&root);
         let started = Instant::now();
         router.drain();
         assert!(started.elapsed() < Duration::from_secs(1));
@@ -1162,48 +1258,6 @@ mod tests {
                 "worker {slot} owns only {count} of 96 keys: {histogram:?}"
             );
         }
-    }
-
-    #[test]
-    fn route_table_roundtrips_through_its_document() {
-        let table = RouteTable {
-            next_id: 7,
-            routes: vec![
-                Route {
-                    id: "rjob-000001".to_string(),
-                    fingerprint: fp(1),
-                    worker: "127.0.0.1:9001".to_string(),
-                    worker_job: "job-000001".to_string(),
-                    failovers: 2,
-                    done: false,
-                },
-                Route {
-                    id: "rjob-000002".to_string(),
-                    fingerprint: fp(2),
-                    worker: "127.0.0.1:9002".to_string(),
-                    worker_job: "job-000005".to_string(),
-                    failovers: 0,
-                    done: true,
-                },
-            ],
-            stale: vec![StaleClaim {
-                worker: "127.0.0.1:9003".to_string(),
-                worker_job: "job-000002".to_string(),
-            }],
-        };
-        let doc = table.to_doc();
-        job::validate_route_table_doc(&doc).unwrap();
-        let reparsed = json::parse(&doc.to_json()).unwrap();
-        job::validate_route_table_doc(&reparsed).unwrap();
-        let recovered = RouteTable::from_doc(&reparsed);
-        assert_eq!(recovered.next_id, 7);
-        assert_eq!(recovered.routes.len(), 2);
-        assert_eq!(recovered.routes[0].fingerprint, fp(1));
-        assert_eq!(recovered.routes[0].failovers, 2);
-        assert!(!recovered.routes[0].done);
-        assert!(recovered.routes[1].done);
-        assert_eq!(recovered.stale.len(), 1);
-        assert_eq!(recovered.stale[0].worker_job, "job-000002");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Layout under the daemon root:
 //!
 //! ```text
-//! <root>/jobs/<id>/job.json     # the mbrpa.job/1 submission, verbatim
+//! <root>/jobs/<id>/job.json     # the mbrpa.job/1 submission, re-serialised
 //! <root>/jobs/<id>/state       # single word: queued|running|…
 //! <root>/jobs/<id>/result.json # mbrpa.result/1, completed jobs only
 //! <root>/jobs/<id>/profile.json# mbrpa-obs profile, when enabled
@@ -30,6 +30,8 @@ use mbrpa_ckpt::write_atomic;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// File holding the submission body.
 pub const JOB_FILE: &str = "job.json";
@@ -61,15 +63,32 @@ pub struct ScannedJob {
 #[derive(Debug, Clone)]
 pub struct JobStore {
     root: PathBuf,
+    /// The job number [`JobStore::allocate`] tries next, shared by clones.
+    next: Arc<AtomicU64>,
 }
 
 impl JobStore {
-    /// Open (creating if needed) the store under `root`.
+    /// Open (creating if needed) the store under `root`. Lists `jobs/`
+    /// once: ids continue after the highest `job-<n>` already there.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
         fs::create_dir_all(root.join("jobs"))?;
         fs::create_dir_all(root.join("ckpt"))?;
-        Ok(Self { root })
+        let mut max = 0u64;
+        for entry in fs::read_dir(root.join("jobs"))? {
+            let name = entry?.file_name();
+            if let Some(n) = name
+                .to_str()
+                .and_then(|name| name.strip_prefix("job-"))
+                .and_then(|n| n.parse::<u64>().ok())
+            {
+                max = max.max(n);
+            }
+        }
+        Ok(Self {
+            root,
+            next: Arc::new(AtomicU64::new(max + 1)),
+        })
     }
 
     /// The daemon root directory.
@@ -99,32 +118,25 @@ impl JobStore {
     /// Not internally synchronized — the daemon calls this under its
     /// queue lock.
     pub fn allocate(&self, spec: &JobSpec) -> io::Result<String> {
-        let next = self.next_job_number()?;
-        let id = format!("job-{next:06}");
-        let dir = self.job_dir(&id);
-        fs::create_dir_all(&dir)?;
+        let (id, dir) = loop {
+            // ord: Relaxed — an id counter; it publishes no other data
+            let next = self.next.fetch_add(1, Ordering::Relaxed);
+            let id = format!("job-{next:06}");
+            let dir = self.job_dir(&id);
+            match fs::create_dir(&dir) {
+                Ok(()) => break (id, dir),
+                // a second writer on this root took the id since `open`
+                // listed the directory: its job is not ours to share
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
+                Err(e) => return Err(e),
+            }
+        };
         write_atomic(
             &dir.join(JOB_FILE),
             spec.to_json_value().to_json().as_bytes(),
         )?;
         write_atomic(&dir.join(STATE_FILE), JobState::Queued.as_str().as_bytes())?;
         Ok(id)
-    }
-
-    fn next_job_number(&self) -> io::Result<u64> {
-        let mut max = 0u64;
-        for entry in fs::read_dir(self.jobs_dir())? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(n) = name
-                .strip_prefix("job-")
-                .and_then(|n| n.parse::<u64>().ok())
-            {
-                max = max.max(n);
-            }
-        }
-        Ok(max + 1)
     }
 
     /// Atomically rewrite a job's `state` file.
@@ -193,13 +205,7 @@ impl JobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mbrpa_serve_store_{tag}_{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::test_dir;
 
     fn spec(priority: u8) -> JobSpec {
         JobSpec {
@@ -211,7 +217,7 @@ mod tests {
 
     #[test]
     fn allocate_assigns_sequential_ids_and_queued_state() {
-        let root = tmp_root("alloc");
+        let root = test_dir("store_alloc");
         let store = JobStore::open(&root).unwrap();
         let a = store.allocate(&spec(4)).unwrap();
         let b = store.allocate(&spec(5)).unwrap();
@@ -219,12 +225,21 @@ mod tests {
         assert_eq!(b, "job-000002");
         assert_eq!(store.read_state(&a), Some(JobState::Queued));
         assert_eq!(store.load_spec(&b).unwrap().priority, 5);
+
+        // a second writer on the root takes the next id after `open`
+        // listed the directory: its job is skipped and left as found
+        let theirs = store.job_dir("job-000003");
+        fs::create_dir(&theirs).unwrap();
+        fs::write(theirs.join(JOB_FILE), b"theirs").unwrap();
+        assert_eq!(store.allocate(&spec(4)).unwrap(), "job-000004");
+        assert_eq!(fs::read(theirs.join(JOB_FILE)).unwrap(), b"theirs");
+        assert_eq!(fs::read_dir(&theirs).unwrap().count(), 1);
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn scan_rebuilds_jobs_and_survives_junk() {
-        let root = tmp_root("scan");
+        let root = test_dir("store_scan");
         let store = JobStore::open(&root).unwrap();
         let a = store.allocate(&spec(4)).unwrap();
         let b = store.allocate(&spec(9)).unwrap();
@@ -241,15 +256,16 @@ mod tests {
         assert_eq!(scanned[1].id, b);
         assert_eq!(scanned[1].state, JobState::Running);
 
-        // id allocation continues after the junk-numbered dir
-        let c = store.allocate(&spec(1)).unwrap();
-        assert_eq!(c, "job-000100");
+        // a store opened over these continues after the highest number
+        // there, junk included
+        let reopened = JobStore::open(&root).unwrap();
+        assert_eq!(reopened.allocate(&spec(1)).unwrap(), "job-000100");
         let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
     fn state_transitions_persist() {
-        let root = tmp_root("state");
+        let root = test_dir("store_state");
         let store = JobStore::open(&root).unwrap();
         let id = store.allocate(&spec(4)).unwrap();
         for state in [
@@ -268,7 +284,7 @@ mod tests {
 
     #[test]
     fn docs_roundtrip() {
-        let root = tmp_root("docs");
+        let root = test_dir("store_docs");
         let store = JobStore::open(&root).unwrap();
         let id = store.allocate(&spec(4)).unwrap();
         assert!(store.read_doc(&id, RESULT_FILE).is_none());

@@ -41,23 +41,6 @@ n_omega: 2
 n_nuchi_eigs: 4
 ";
 
-/// A genuinely different calculation (three frequencies, not two).
-const OTHER_INPUT: &str = "\
-N_NUCHI_EIGS: 4
-N_OMEGA: 3
-TOL_EIG: 1e-2
-TOL_STERN_RES: 1e-2
-MAXIT_FILTERING: 4
-CHEB_DEGREE_RPA: 2
-BOUNDARY: DIRICHLET
-CELLS_Z: 1
-POINTS_PER_CELL: 5
-MESH: 0.69
-PERTURBATION: 0.02
-SYSTEM_SEED: 7
-NP: 1
-";
-
 fn start_with(tag: &str, executors: usize, config: DaemonConfig) -> (Daemon, SocketAddr, PathBuf) {
     common::start(
         tag,
@@ -168,6 +151,15 @@ fn semantically_identical_resubmission_replays_the_exact_bits() {
     let block = health.get("cache").expect("health must report the cache");
     assert_eq!(block.get("hits").unwrap().as_u64(), Some(1));
 
+    // `BLOCK_POLICY: dynamic` sizes COCG blocks by wall clock, so its
+    // energy is not a function of the fingerprinted input: served, never
+    // cached, and a resubmission runs again
+    let timed = format!("{TINY_INPUT}BLOCK_POLICY: dynamic\n");
+    for _ in 0..2 {
+        wait_completed(addr, &submit_miss(addr, &timed));
+    }
+    assert_eq!(cache_stat(addr, "insertions"), 1);
+
     drop(daemon);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -222,15 +214,17 @@ fn lru_eviction_drops_the_coldest_entry_first() {
         },
     );
 
+    // a genuinely different calculation: three frequencies, not two
+    let other_input = TINY_INPUT.replace("N_OMEGA: 2", "N_OMEGA: 3");
     let id = submit_miss(addr, TINY_INPUT);
     wait_completed(addr, &id);
-    let id2 = submit_miss(addr, OTHER_INPUT);
+    let id2 = submit_miss(addr, &other_input);
     wait_completed(addr, &id2);
 
     // inserting the second result pushed the first (coldest) out
     assert_eq!(cache_stat(addr, "entries"), 1);
     assert_eq!(cache_stat(addr, "evictions"), 1);
-    submit_hit(addr, OTHER_INPUT); // the survivor still hits
+    submit_hit(addr, &other_input); // the survivor still hits
     let id3 = submit_miss(addr, TINY_INPUT); // the evicted one misses
     wait_completed(addr, &id3);
 

@@ -5,7 +5,7 @@
 //! rparouter -root router.d -worker 127.0.0.1:8377 -worker 127.0.0.1:8378
 //! rparouter -root router.d -addr 127.0.0.1:0 -port-file addr.txt \
 //!           -worker 127.0.0.1:8377 -worker 127.0.0.1:8378
-//! rparouter -validate route-table router.d/route-table.json
+//! rparouter -validate route-table router.d/jobs/rjob-000001.route.json
 //! ```
 //!
 //! The router speaks the same `mbrpa.job/1` API as a single worker and
@@ -16,9 +16,9 @@
 //! survivors, which resume bit-for-bit from the shared `-ckpt-root`
 //! every worker in the fleet must be started with.
 
-use mbrpa::serve::job::{validate_route_table_doc, validate_worker_doc};
+use mbrpa::serve::job::validate_file;
 use mbrpa::serve::router::{Router, RouterConfig};
-use mbrpa::serve::{json, signal};
+use mbrpa::serve::signal;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -28,55 +28,21 @@ fn usage() -> ExitCode {
     eprintln!("usage: rparouter -worker <ip:port> [-worker <ip:port> ...]");
     eprintln!("                 [-root <dir>] [-addr <ip:port>] [-port-file <path>]");
     eprintln!("                 [-poll-ms N] [-probe-timeout-ms N] [-fail-threshold N]");
-    eprintln!("       rparouter -validate <worker|route-table> <file.json>");
+    eprintln!("       rparouter -validate <kind> <file.json>");
     eprintln!("  -worker <ip:port>    a worker's rpaserved address (repeatable; required).");
     eprintln!("                       workers in one fleet must share a -ckpt-root so a");
     eprintln!("                       failover resumes the dead worker's slices bit-for-bit");
-    eprintln!("  -root <dir>          router state directory: the route table and stored");
-    eprintln!("                       submission bodies (default mbrpa-router-data)");
+    eprintln!("  -root <dir>          router state directory: per job, the stored submission");
+    eprintln!("                       body and its route record (default mbrpa-router-data)");
     eprintln!("  -addr <ip:port>      bind address (default 127.0.0.1:8380; port 0 = ephemeral)");
     eprintln!("  -port-file <path>    write the bound address to <path> after startup");
     eprintln!("  -poll-ms N           health-poll cadence in ms (default 500)");
     eprintln!("  -probe-timeout-ms N  per-probe timeout in ms (default 2000)");
     eprintln!("  -fail-threshold N    consecutive probe failures before a worker is");
     eprintln!("                       declared dead and its jobs re-homed (default 3)");
-    eprintln!("  -validate K F        check file F against schema kind K, exit nonzero if invalid");
+    eprintln!("  -validate K F        exit nonzero unless file F is a valid document of kind K:");
+    eprintln!("                       job, status, result, health, profile, cache-entry, worker, route-table");
     ExitCode::FAILURE
-}
-
-fn run_validate(kind: &str, path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{path}: not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let verdict = match kind {
-        "worker" => validate_worker_doc(&value),
-        "route-table" => validate_route_table_doc(&value),
-        other => {
-            eprintln!("unknown document kind `{other}`");
-            return usage();
-        }
-    };
-    match verdict {
-        Ok(()) => {
-            println!("{path}: valid {kind} document");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: invalid {kind} document: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -97,7 +63,16 @@ fn main() -> ExitCode {
                     eprintln!("-validate needs a kind and a file");
                     return usage();
                 };
-                return run_validate(kind, path);
+                return match validate_file(kind, path) {
+                    Ok(_) => {
+                        println!("{path}: valid {kind} document");
+                        ExitCode::SUCCESS
+                    }
+                    Err(e) => {
+                        eprintln!("{e}");
+                        ExitCode::FAILURE
+                    }
+                };
             }
             "-worker" | "--worker" => {
                 let Some(v) = it.next() else {

@@ -15,11 +15,8 @@
 //! its schema and exits nonzero on violations (CI uses it).
 
 use mbrpa::serve::daemon::{Daemon, DaemonConfig};
-use mbrpa::serve::job::{
-    validate_cache_entry_doc, validate_health_doc, validate_profile_doc, validate_result_doc,
-    validate_status_doc, JobSpec,
-};
-use mbrpa::serve::{json, signal};
+use mbrpa::serve::job::validate_file;
+use mbrpa::serve::signal;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -30,9 +27,7 @@ fn usage() -> ExitCode {
     eprintln!("                 [-executors N] [-backlog N] [-threads N] [-profile]");
     eprintln!("                 [-cache-dir <dir>] [-cache-budget BYTES] [-no-cache]");
     eprintln!("                 [-ckpt-root <dir>] [-simd auto|scalar|avx2|neon]");
-    eprintln!(
-        "       rpaserved -validate <job|status|result|health|profile|cache-entry> <file.json>"
-    );
+    eprintln!("       rpaserved -validate <kind> <file.json>");
     eprintln!("  -root <dir>       job store directory (default mbrpa-serve-data)");
     eprintln!("  -addr <ip:port>   bind address (default 127.0.0.1:8377; port 0 = ephemeral)");
     eprintln!("  -port-file <path> write the bound address to <path> after startup");
@@ -49,47 +44,9 @@ fn usage() -> ExitCode {
     eprintln!("  -simd <path>      force the SIMD dispatch path (default: auto-detect; the");
     eprintln!("                    MBRPA_SIMD env var sets the same override). All paths are");
     eprintln!("                    bit-identical; the active one is reported in GET /v1/health");
-    eprintln!("  -validate K F     check file F against schema kind K, exit nonzero if invalid");
+    eprintln!("  -validate K F     exit nonzero unless file F is a valid document of kind K:");
+    eprintln!("                    job, status, result, health, profile, cache-entry, worker, route-table");
     ExitCode::FAILURE
-}
-
-fn run_validate(kind: &str, path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let value = match json::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("{path}: not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let verdict = match kind {
-        "job" => JobSpec::from_json(&value).map(|_| ()),
-        "status" => validate_status_doc(&value),
-        "result" => validate_result_doc(&value),
-        "health" => validate_health_doc(&value),
-        "profile" => validate_profile_doc(&value),
-        "cache-entry" => validate_cache_entry_doc(&value),
-        other => {
-            eprintln!("unknown document kind `{other}`");
-            return usage();
-        }
-    };
-    match verdict {
-        Ok(()) => {
-            println!("{path}: valid {kind} document");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{path}: invalid {kind} document: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -115,7 +72,16 @@ fn main() -> ExitCode {
                     eprintln!("-validate needs a kind and a file");
                     return usage();
                 };
-                return run_validate(kind, path);
+                return match validate_file(kind, path) {
+                    Ok(_) => {
+                        println!("{path}: valid {kind} document");
+                        ExitCode::SUCCESS
+                    }
+                    Err(e) => {
+                        eprintln!("{e}");
+                        ExitCode::FAILURE
+                    }
+                };
             }
             "-root" | "--root" => {
                 let Some(v) = it.next() else {

@@ -9,27 +9,11 @@
 
 mod common;
 
-use common::{doc, http, read_addr, spawn_daemon, submit_body};
+use common::{
+    doc, http, read_addr, scratch, shut_down, spawn_daemon, submit_body, tiny_input, wait_completed,
+};
 use mbrpa::serve::json::JsonValue;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-/// Two cheap frequencies: completes in seconds.
-const JOB_INPUT: &str = "\
-N_NUCHI_EIGS: 4
-N_OMEGA: 2
-TOL_EIG: 1e-2
-TOL_STERN_RES: 1e-2
-MAXIT_FILTERING: 4
-CHEB_DEGREE_RPA: 2
-BOUNDARY: DIRICHLET
-CELLS_Z: 1
-POINTS_PER_CELL: 5
-MESH: 0.69
-PERTURBATION: 0.02
-SYSTEM_SEED: 7
-NP: 1
-";
 
 /// The same calculation rendered differently (lowercase, reordered,
 /// aliases, float respellings): byte-different, fingerprint-identical.
@@ -54,22 +38,6 @@ fn submit(addr: &str, input: &str) -> (u16, JsonValue) {
     (status, doc(&body))
 }
 
-fn wait_completed(addr: &str, id: &str) {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let (status, body) = http(addr, "GET", &format!("/v1/jobs/{id}"), None);
-        assert_eq!(status, 200, "{body}");
-        let status_doc = doc(&body);
-        let state = status_doc.get("state").unwrap().as_str().unwrap();
-        if state == "completed" {
-            return;
-        }
-        assert_ne!(state, "failed", "{body}");
-        assert!(Instant::now() < deadline, "job never finished: {body}");
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
 fn result_bits(addr: &str, id: &str) -> String {
     let (status, body) = http(addr, "GET", &format!("/v1/jobs/{id}/result"), None);
     assert_eq!(status, 200, "{body}");
@@ -83,9 +51,9 @@ fn result_bits(addr: &str, id: &str) -> String {
 
 #[test]
 fn torn_cache_writes_never_produce_a_false_hit() {
-    let scratch = std::env::temp_dir().join(format!("mbrpa-cache-crash-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).unwrap();
+    let scratch = scratch("cache-crash");
+    // two cheap frequencies: completes in seconds
+    let job_input = tiny_input(4, 2, 4);
     let root: PathBuf = scratch.join("store");
     let port_file = scratch.join("addr.txt");
     let cache_dir = root.join("cache");
@@ -93,14 +61,14 @@ fn torn_cache_writes_never_produce_a_false_hit() {
     // daemon 1: complete one job, populating the cache
     let mut child = spawn_daemon(&root, &port_file);
     let addr = read_addr(&port_file, &mut child, "rpaserved");
-    let (status, doc) = submit(&addr, JOB_INPUT);
+    let (status, doc) = submit(&addr, &job_input);
     assert_eq!(status, 201, "{}", doc.to_json());
     let id = doc.get("id").unwrap().as_str().unwrap().to_string();
     wait_completed(&addr, &id);
     let reference_bits = result_bits(&addr, &id);
 
     // the entry must be on disk under its canonical fingerprint
-    let input = mbrpa::core::parse_rpa_input(JOB_INPUT).unwrap();
+    let input = mbrpa::core::parse_rpa_input(&job_input).unwrap();
     let fingerprint = mbrpa::core::fingerprint_hex(&input);
     let entry_path = cache_dir.join(format!("{fingerprint}.json"));
     assert!(entry_path.is_file(), "missing {}", entry_path.display());
@@ -141,7 +109,7 @@ fn torn_cache_writes_never_produce_a_false_hit() {
 
     // ...and repopulated the cache: a third submission now hits, again
     // with the exact same bits
-    let (status, doc) = submit(&addr, JOB_INPUT);
+    let (status, doc) = submit(&addr, &job_input);
     assert_eq!(status, 200, "{}", doc.to_json());
     assert_eq!(doc.get("cached").and_then(JsonValue::as_bool), Some(true));
     assert_eq!(
@@ -153,10 +121,6 @@ fn torn_cache_writes_never_produce_a_false_hit() {
         reference_bits
     );
 
-    // graceful exit
-    let (status, _) = http(&addr, "POST", "/v1/shutdown", None);
-    assert_eq!(status, 202);
-    let exit = child.wait().unwrap();
-    assert!(exit.success(), "daemon exited {exit}");
+    shut_down(&addr, child, "daemon");
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -1,14 +1,14 @@
-//! CLI contract tests: `rpaserved -validate` exit codes for every
-//! document kind (including the new `cache-entry`), and the `rpaclient`
-//! example's error reporting — any non-2xx must exit nonzero and
-//! surface the server's JSON `error` member (plus the Retry-After
-//! header when one is sent) on stderr, not just a bare status code.
+//! CLI contract tests: `-validate` exit codes of both daemons over the
+//! one kind table they share, and the `rpaclient` example's error
+//! reporting — any non-2xx must exit nonzero and surface the server's
+//! JSON `error` member (plus the Retry-After header when one is sent) on
+//! stderr, not just a bare status code.
 
 #![allow(clippy::unwrap_used)]
 
 mod common;
 
-use common::{read_addr, spawn};
+use common::{read_addr, scratch, spawn, tiny_input};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -16,40 +16,21 @@ use std::process::{Command, Output};
 /// (`total_energy_bits` is the exact bit pattern of `total_energy`).
 const VALID_RESULT: &str = r#"{"schema":"mbrpa.result/1","id":"job-000001","n_d":125,"n_s":4,"n_atoms":4,"n_omega":2,"n_restored":0,"total_energy":-1.25,"total_energy_bits":"bff4000000000000","energy_per_atom":-0.3125,"wall_s":1.5}"#;
 
-const TINY_INPUT: &str = "\
-N_NUCHI_EIGS: 4
-N_OMEGA: 2
-TOL_EIG: 1e-2
-TOL_STERN_RES: 1e-2
-MAXIT_FILTERING: 4
-CHEB_DEGREE_RPA: 2
-BOUNDARY: DIRICHLET
-CELLS_Z: 1
-POINTS_PER_CELL: 5
-MESH: 0.69
-PERTURBATION: 0.02
-SYSTEM_SEED: 7
-NP: 1
-";
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbrpa-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn validate(kind: &str, path: &Path) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_rpaserved"))
+fn validate_with(binary: &str, kind: &str, path: &Path) -> Output {
+    Command::new(binary)
         .args(["-validate", kind])
         .arg(path)
         .output()
         .unwrap()
 }
 
+fn validate(kind: &str, path: &Path) -> Output {
+    validate_with(env!("CARGO_BIN_EXE_rpaserved"), kind, path)
+}
+
 #[test]
 fn validate_mode_exit_codes_cover_every_kind() {
-    let dir = scratch("validate");
+    let dir = scratch("cli-validate");
 
     let result_path = dir.join("result.json");
     std::fs::write(&result_path, VALID_RESULT).unwrap();
@@ -92,6 +73,20 @@ fn validate_mode_exit_codes_cover_every_kind() {
     assert!(!validate("cache-entry", &result_path).status.success());
     assert!(!validate("result", &entry_path).status.success());
 
+    // one kind table under both daemons: the worker takes the router's
+    // documents and the router the worker's
+    let route_path = dir.join("route.json");
+    std::fs::write(
+        &route_path,
+        r#"{"schema":"mbrpa.route-table/1","next_id":2,"routes":[{"id":"rjob-000001","fingerprint":"000102030405060708090a0b0c0d0e0f","worker":"127.0.0.1:8377","worker_job":"job-000001","state":"routed","failovers":0}],"stale":[]}"#,
+    )
+    .unwrap();
+    assert!(validate("route-table", &route_path).status.success());
+    assert!(!validate("worker", &route_path).status.success());
+    let router = |kind, path| validate_with(env!("CARGO_BIN_EXE_rparouter"), kind, path).status;
+    assert!(router("result", &result_path).success());
+    assert!(!router("result", &route_path).success());
+
     // unknown kinds and unreadable files → nonzero
     assert!(!validate("nonsense", &result_path).status.success());
     assert!(!validate("result", &dir.join("missing.json"))
@@ -132,9 +127,9 @@ fn rpaclient_surfaces_retry_after_on_backpressure() {
         return;
     }
 
-    let dir = scratch("client");
+    let dir = scratch("cli-client");
     let input_path = dir.join("tiny.rpa");
-    std::fs::write(&input_path, TINY_INPUT).unwrap();
+    std::fs::write(&input_path, tiny_input(4, 2, 4)).unwrap();
     let port_file = dir.join("addr.txt");
 
     // zero executors + backlog 1: the second submission always 429s

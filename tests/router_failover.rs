@@ -8,30 +8,14 @@
 
 mod common;
 
-use common::{doc, http, read_addr, spawn, submit_body};
+use common::{
+    doc, http, read_addr, scratch, shut_down, spawn, submit_body, tiny_input, wait_completed,
+    wait_mid_run,
+};
 use mbrpa::prelude::*;
 use mbrpa::serve::json::{require_str, require_uint, JsonValue};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
-use std::time::{Duration, Instant};
-
-/// Several cheap frequencies, so the kill usually lands mid-run and the
-/// adopting worker has checkpoints to restore and work left to do.
-const JOB_INPUT: &str = "\
-N_NUCHI_EIGS: 6
-N_OMEGA: 8
-TOL_EIG: 1e-2
-TOL_STERN_RES: 1e-2
-MAXIT_FILTERING: 6
-CHEB_DEGREE_RPA: 2
-BOUNDARY: DIRICHLET
-CELLS_Z: 1
-POINTS_PER_CELL: 5
-MESH: 0.69
-PERTURBATION: 0.02
-SYSTEM_SEED: 7
-NP: 1
-";
 
 fn spawn_worker(root: &Path, ckpt_root: &Path, port_file: &Path) -> Child {
     let ckpt_root = ckpt_root.to_str().unwrap();
@@ -70,13 +54,15 @@ fn only_route(routes: &str) -> JsonValue {
 
 #[test]
 fn worker_loss_hands_the_job_off_bit_for_bit() {
-    let scratch = std::env::temp_dir().join(format!("mbrpa-router-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).unwrap();
+    let scratch = scratch("router-e2e");
     let ckpt_root: PathBuf = scratch.join("ckpt");
 
+    // several cheap frequencies, so the kill usually lands mid-run and the
+    // adopting worker has checkpoints to restore and work left to do
+    let job_input = tiny_input(6, 8, 6);
+
     // reference: an uninterrupted in-process run of the same input
-    let input = mbrpa::core::parse_rpa_input(JOB_INPUT).unwrap();
+    let input = mbrpa::core::parse_rpa_input(&job_input).unwrap();
     let setup = RpaSetup::from_input(&input).unwrap();
     let reference = setup.run(&input.config).unwrap();
     let reference_bits = format!("{:016x}", reference.total_energy.to_bits());
@@ -92,7 +78,7 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
     let mut router = spawn_router(&scratch.join("router"), &[&addr_a, &addr_b], &port_r);
     let router_addr = read_addr(&port_r, &mut router, "rparouter");
 
-    let submit = submit_body(JOB_INPUT);
+    let submit = submit_body(&job_input);
     let (status, body) = http(&router_addr, "POST", "/v1/jobs", Some(&submit));
     assert_eq!(status, 201, "{body}");
     let rid = require_str(&doc(&body), "id").unwrap().to_string();
@@ -101,9 +87,12 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
         "router must re-key the id: {body}"
     );
 
-    // which worker owns the job? (rendezvous picks either)
-    let (status, routes) = http(&router_addr, "GET", "/v1/routes", None);
-    assert_eq!(status, 200, "{routes}");
+    // which worker owns the job? (rendezvous picks either) — the route's
+    // record is on disk before the submit is acknowledged
+    let record = scratch
+        .join("router/jobs")
+        .join(format!("{rid}.route.json"));
+    let routes = std::fs::read_to_string(&record).unwrap();
     let owner = require_str(&only_route(&routes), "worker")
         .unwrap()
         .to_string();
@@ -113,33 +102,10 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
     );
 
     // wait until at least one frequency is checkpointed, so the adopter
-    // has prior state to restore
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let mut finished_before_kill = false;
-    loop {
-        let (status, body) = http(&router_addr, "GET", &format!("/v1/jobs/{rid}"), None);
-        assert_eq!(status, 200, "{body}");
-        let status_doc = doc(&body);
-        assert_eq!(
-            require_str(&status_doc, "id"),
-            Ok(rid.as_str()),
-            "proxied status must carry the router id: {body}"
-        );
-        let state = require_str(&status_doc, "state").unwrap();
-        if state == "completed" {
-            // machine too fast: the job finished before we could kill its
-            // owner; the bit-identity assertion below still applies
-            finished_before_kill = true;
-            break;
-        }
-        assert_ne!(state, "failed", "{body}");
-        let completed = require_uint(&status_doc, "completed").unwrap_or(0);
-        if state == "running" && completed >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "no progress before the kill");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // has prior state to restore (a machine too fast finishes the job
+    // before its owner can be killed; the bit-identity assertion below
+    // still applies). Every proxied status must carry the router id.
+    let finished_before_kill = !wait_mid_run(&router_addr, &rid);
 
     eprintln!(
         "failover path: {}",
@@ -164,19 +130,7 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
 
         // the router must detect the loss, hand the job to the survivor,
         // and the survivor must finish it from the shared checkpoints
-        let deadline = Instant::now() + Duration::from_secs(180);
-        loop {
-            let (status, body) = http(&router_addr, "GET", &format!("/v1/jobs/{rid}"), None);
-            assert_eq!(status, 200, "{body}");
-            let status_doc = doc(&body);
-            let state = require_str(&status_doc, "state").unwrap();
-            if state == "completed" {
-                break;
-            }
-            assert_ne!(state, "failed", "{body}");
-            assert!(Instant::now() < deadline, "adopted job never finished");
-            std::thread::sleep(Duration::from_millis(100));
-        }
+        wait_completed(&router_addr, &rid);
 
         // the route must have moved off the dead worker and count the
         // failover
@@ -211,32 +165,25 @@ fn worker_loss_hands_the_job_off_bit_for_bit() {
         );
     }
 
-    // the persisted route table must validate against its schema
-    let table = scratch.join("router").join("route-table.json");
+    // the persisted route record must validate against its schema
     let out = Command::new(env!("CARGO_BIN_EXE_rparouter"))
         .args(["-validate", "route-table"])
-        .arg(&table)
+        .arg(&record)
         .output()
         .unwrap();
     assert!(
         out.status.success(),
-        "route table invalid: {}",
+        "route record invalid: {}",
         String::from_utf8_lossy(&out.stderr)
     );
 
     // graceful exits: router first, then the surviving worker(s)
-    let (status, _) = http(&router_addr, "POST", "/v1/shutdown", None);
-    assert_eq!(status, 202);
-    let exit = router.wait().unwrap();
-    assert!(exit.success(), "router exited {exit}");
+    shut_down(&router_addr, router, "router");
     for (addr, mut worker) in [(addr_a, worker_a), (addr_b, worker_b)] {
-        if let Ok(Some(_)) = worker.try_wait() {
-            continue; // the one we killed
+        // not the one we killed
+        if !matches!(worker.try_wait(), Ok(Some(_))) {
+            shut_down(&addr, worker, "worker");
         }
-        let (status, _) = http(&addr, "POST", "/v1/shutdown", None);
-        assert_eq!(status, 202);
-        let exit = worker.wait().unwrap();
-        assert!(exit.success(), "worker exited {exit}");
     }
     let _ = std::fs::remove_dir_all(&scratch);
 }

@@ -7,40 +7,26 @@
 
 mod common;
 
-use common::{doc, http, read_addr, spawn_daemon, submit_body};
+use common::{
+    doc, http, read_addr, scratch, shut_down, spawn_daemon, submit_body, tiny_input,
+    wait_completed, wait_mid_run,
+};
 use mbrpa::prelude::*;
 use mbrpa::serve::json::{require_str, require_uint};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
-
-/// Several cheap frequencies, so a kill usually lands mid-run and the
-/// resume has work left to do.
-const JOB_INPUT: &str = "\
-N_NUCHI_EIGS: 6
-N_OMEGA: 6
-TOL_EIG: 1e-2
-TOL_STERN_RES: 1e-2
-MAXIT_FILTERING: 6
-CHEB_DEGREE_RPA: 2
-BOUNDARY: DIRICHLET
-CELLS_Z: 1
-POINTS_PER_CELL: 5
-MESH: 0.69
-PERTURBATION: 0.02
-SYSTEM_SEED: 7
-NP: 1
-";
 
 #[test]
 fn kill_dash_nine_resumes_bit_for_bit() {
-    let scratch = std::env::temp_dir().join(format!("mbrpa-serve-e2e-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&scratch);
-    std::fs::create_dir_all(&scratch).unwrap();
+    let scratch = scratch("serve-e2e");
     let root: PathBuf = scratch.join("store");
     let port_file = scratch.join("addr.txt");
 
+    // several cheap frequencies, so a kill usually lands mid-run and the
+    // resume has work left to do
+    let job_input = tiny_input(6, 6, 6);
+
     // reference: an uninterrupted in-process run of the same input
-    let input = mbrpa::core::parse_rpa_input(JOB_INPUT).unwrap();
+    let input = mbrpa::core::parse_rpa_input(&job_input).unwrap();
     let setup = RpaSetup::from_input(&input).unwrap();
     let reference = setup.run(&input.config).unwrap();
     let reference_bits = format!("{:016x}", reference.total_energy.to_bits());
@@ -48,34 +34,15 @@ fn kill_dash_nine_resumes_bit_for_bit() {
     // first daemon: submit, wait for per-frequency progress, kill -9
     let mut child = spawn_daemon(&root, &port_file);
     let addr = read_addr(&port_file, &mut child, "rpaserved");
-    let submit = submit_body(JOB_INPUT);
+    let submit = submit_body(&job_input);
     let (status, body) = http(&addr, "POST", "/v1/jobs", Some(&submit));
     assert_eq!(status, 201, "{body}");
     let id = require_str(&doc(&body), "id").unwrap().to_string();
 
     // wait until at least one frequency is checkpointed, so the resume
-    // actually has prior state to load
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let mut finished_before_kill = false;
-    loop {
-        let (status, body) = http(&addr, "GET", &format!("/v1/jobs/{id}"), None);
-        assert_eq!(status, 200, "{body}");
-        let status_doc = doc(&body);
-        let state = require_str(&status_doc, "state").unwrap();
-        if state == "completed" {
-            // machine too fast: the job finished before we could kill it;
-            // the bit-identity assertion below still applies
-            finished_before_kill = true;
-            break;
-        }
-        assert_ne!(state, "failed", "{body}");
-        let completed = require_uint(&status_doc, "completed").unwrap_or(0);
-        if state == "running" && completed >= 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "no progress before the kill");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // actually has prior state to load (a machine too fast finishes the
+    // job first; the bit-identity assertion below still applies)
+    let finished_before_kill = !wait_mid_run(&addr, &id);
 
     let mut killed_mid_run = false;
     if !finished_before_kill {
@@ -91,19 +58,7 @@ fn kill_dash_nine_resumes_bit_for_bit() {
         // second daemon on the same store: recovery requeues and resumes
         child = spawn_daemon(&root, &port_file);
         let addr2 = read_addr(&port_file, &mut child, "rpaserved");
-        let deadline = Instant::now() + Duration::from_secs(180);
-        loop {
-            let (status, body) = http(&addr2, "GET", &format!("/v1/jobs/{id}"), None);
-            assert_eq!(status, 200, "{body}");
-            let status_doc = doc(&body);
-            let state = require_str(&status_doc, "state").unwrap();
-            if state == "completed" {
-                break;
-            }
-            assert_ne!(state, "failed", "{body}");
-            assert!(Instant::now() < deadline, "resumed job never finished");
-            std::thread::sleep(Duration::from_millis(100));
-        }
+        wait_completed(&addr2, &id);
     }
 
     // the served result must be bit-identical to the uninterrupted run
@@ -124,10 +79,6 @@ fn kill_dash_nine_resumes_bit_for_bit() {
         assert!(n_restored >= 1, "resume restored nothing: {body}");
     }
 
-    // graceful exit
-    let (status, _) = http(&addr, "POST", "/v1/shutdown", None);
-    assert_eq!(status, 202);
-    let exit = child.wait().unwrap();
-    assert!(exit.success(), "daemon exited {exit}");
+    shut_down(&addr, child, "daemon");
     let _ = std::fs::remove_dir_all(&scratch);
 }
