@@ -320,3 +320,25 @@ for WORKLOAD in si8_solve finegrid_solve cluster_ckpt_solve serve_mix; do
     CARGO_TARGET_DIR=target/e2e_smoke bash crates/e2e/run.sh --workload "$WORKLOAD" --smoke \
         || { echo "ci: e2e smoke failed on $WORKLOAD"; exit 1; }
 done
+
+# Work counters of the three solve workloads (ROADMAP 5(b)): wall time
+# cannot gate on this machine, these repeat exactly. A traced smoke run
+# (seed 2024) must read the committed counts — `solver.solves`,
+# `solver.cocg_iterations`, `solver.matvecs`, `core.filter_rounds`, recorded
+# at the parent of ISSUE 23 and unchanged by it. A change that moves one
+# changed the iterates: say so and re-record, or find the bug.
+while read -r WORKLOAD SOLVES ITERATIONS MATVECS ROUNDS; do
+    CARGO_TARGET_DIR=target/e2e_smoke bash crates/e2e/run.sh --workload "$WORKLOAD" --smoke \
+        --trace 1 --seed 2024 --out "target/e2e_smoke/$WORKLOAD.counters.json" \
+        >"target/e2e_smoke/$WORKLOAD.counters.txt" \
+        || { echo "ci: traced e2e smoke failed on $WORKLOAD"; exit 1; }
+    GOT=$(awk '$1 == "solver.solves" || $1 == "solver.cocg_iterations" || $1 == "solver.matvecs" \
+        || $1 == "core.filter_rounds" { printf "%s=%d ", $1, $2 }' "target/e2e_smoke/$WORKLOAD.counters.txt")
+    WANT="core.filter_rounds=$ROUNDS solver.solves=$SOLVES solver.cocg_iterations=$ITERATIONS solver.matvecs=$MATVECS "
+    [ "$GOT" = "$WANT" ] \
+        || { echo "ci: $WORKLOAD work counters moved: got $GOT, committed $WANT"; exit 1; }
+done <<'COUNTERS'
+si8_solve 12288 93887 125884 15
+finegrid_solve 4096 29471 43350 10
+cluster_ckpt_solve 11520 23461 105364 11
+COUNTERS

@@ -25,7 +25,7 @@ use mbrpa_dft::{Hamiltonian, PotentialParams, SiliconSpec, SternheimerLinOp, Ste
 use mbrpa_grid::{Boundary, Grid3, Laplacian};
 use mbrpa_linalg::{matmul_hn_into, matmul_into, vecops, Mat, Scalar, C64};
 use mbrpa_schema::json::{self, obj, require_num, require_str, s, u, JsonValue};
-use mbrpa_solver::{block_cocg_ws, CocgOptions, LinearOperator, Workspace};
+use mbrpa_solver::{block_cocg_ws, shifted_lanczos_pair, CocgOptions, LinearOperator, Workspace};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -317,6 +317,56 @@ fn cocg_iter_cases(reps: usize, cases: &mut Vec<Case>) {
     }
 }
 
+/// One step of the real-arithmetic Sternheimer solve (one complex apply of
+/// `H − λ` on two real vectors plus the two paired passes) on the grids of
+/// the `s = 1` workloads, timed the way [`cocg_iter_cases`] times Alg. 3.
+/// `secs` is per right-hand side and iteration, the unit of
+/// `cocg_iter_c64_s1_*`: a `pair` step serves two, a `lone` step (second
+/// slot idle, what an unpaired column runs) one.
+fn lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
+    const ITERS: usize = 24;
+    for (ppc, lanes) in [(7usize, 2usize), (14, 2), (14, 1)] {
+        let crystal = SiliconSpec {
+            points_per_cell: ppc,
+            ..SiliconSpec::default()
+        }
+        .build();
+        let ham = Hamiltonian::new(&crystal, 2, &PotentialParams::default());
+        let (lambda, omega) = (-0.2, 0.5);
+        let op = SternheimerLinOp::new(SternheimerOperator::new(&ham, lambda, omega));
+        let n = ham.dim();
+        let b = filled::<f64>(n, lanes, 0xc0c6 + 1);
+        let opts = CocgOptions {
+            tol: 0.0,
+            max_iters: ITERS,
+            ..CocgOptions::default()
+        };
+        let mut ws = Workspace::new();
+        let mut iterations = 0;
+        let secs = time_best(reps, &mut || {
+            let reports =
+                shifted_lanczos_pair(&op, &b, None, 0, lanes, &opts, &mut ws, &mut |_, x, _| {
+                    black_box(x);
+                });
+            iterations = reports[0].iterations;
+        });
+        assert_eq!(
+            iterations, ITERS,
+            "the timed solve must run its full length"
+        );
+        // real flops per right-hand side: half a complex apply, then 5 (first
+        // pass) + 18 (second pass) per grid point
+        let flops = (op.apply_flops() / 2 + 23 * n) as f64;
+        let kind = if lanes == 2 { "pair" } else { "lone" };
+        cases.push(Case::new(
+            format!("lanczos_{kind}_iter_n{n}"),
+            format!("grid={ppc}x{ppc}x{ppc} radius=2 rhs={lanes} lambda={lambda} omega={omega} iters={ITERS}"),
+            secs / (ITERS * lanes) as f64,
+            flops,
+        ));
+    }
+}
+
 /// One Sternheimer `A·v` and its non-local projector term alone, on the
 /// grids of the end-to-end workloads. `secs` is per apply (a batch of
 /// applies divided by its length); `nnz/n_d` in the shape is what the
@@ -497,6 +547,7 @@ fn main() {
         reduce_cases(smoke, &mut cases);
         cocg_update_cases(stencil_reps, &mut cases);
         cocg_iter_cases(stencil_reps, &mut cases);
+        lanczos_iter_cases(stencil_reps, &mut cases);
         apply_cases(stencil_reps, &mut cases);
         cases
     };

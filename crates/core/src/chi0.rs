@@ -5,9 +5,11 @@
 //!
 //! 1. `V ← ν½V` (spectral Poisson machinery; no communication),
 //! 2. for each occupied orbital `j`: solve the complex-symmetric block
-//!    system `(H − λ_j I + iω I) Y_j = −V ⊙ Ψ_j` with block COCG under the
-//!    dynamic block-size policy (Algorithms 3 + 4), seeded by the Galerkin
-//!    guess of Eq. 13,
+//!    system `(H − λ_j I + iω I) Y_j = −V ⊙ Ψ_j` under the dynamic
+//!    block-size policy (Algorithms 3 + 4), seeded by the Galerkin guess of
+//!    Eq. 13 — the right-hand sides are real and only `Re Y_j` is wanted,
+//!    so width-1 chunks run as real Lanczos on `H − λ_j`
+//!    (`mbrpa_solver::shifted_lanczos`) and wider ones as block COCG,
 //! 3. accumulate `χ⁰V = 4 Re Σ_j Ψ_j ⊙ Y_j` (Eq. 5),
 //! 4. `V ← ν½V`.
 //!
@@ -22,8 +24,8 @@ use mbrpa_dft::{
 use mbrpa_grid::CoulombOperator;
 use mbrpa_linalg::{Mat, C64};
 use mbrpa_solver::{
-    galerkin_guess, solve_multi_rhs_pre, BlockPolicy, CocgOptions, LinearOperator, Preconditioner,
-    WorkerStats,
+    galerkin_guess_real, solve_shifted_real_rhs, BlockPolicy, CocgOptions, LinearOperator,
+    Preconditioner, WorkerStats,
 };
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -318,14 +320,19 @@ impl<'a> DielectricOperator<'a> {
     /// (one line of Eq. 6 plus its share of Eq. 5): solves
     /// `(H − λ_j + iω) Y_j = −V ⊙ Ψ_j` and adds
     /// `2·g_σ·Re(Ψ_j ⊙ Y_j)` (with `g_σ = 2` this is the paper's `4·Re`)
-    /// to `acc`. `b` is the caller's right-hand-side buffer, the shape of
-    /// `v`, overwritten here and reused from orbital to orbital.
+    /// to `acc`, each column straight from the iterate of the chunk that
+    /// solved it. `b` (the shape of `v`) and `guess` (twice as wide,
+    /// `[Re Y₀ | Im Y₀]`) are the caller's buffers, overwritten here and
+    /// reused from orbital to orbital; a warm call allocates nothing as
+    /// long as its chunks are one column wide (`tests/chi0_alloc.rs`).
+    #[allow(clippy::too_many_arguments)]
     fn orbital_contribution(
         &self,
         channel: usize,
         j: usize,
         v: &Mat<f64>,
-        b: &mut Mat<C64>,
+        b: &mut Mat<f64>,
+        guess: &mut Mat<f64>,
         acc: &mut Mat<f64>,
         stats: &mut WorkerStats,
     ) {
@@ -337,8 +344,6 @@ impl<'a> DielectricOperator<'a> {
             return;
         }
         let ch = &self.channels[channel];
-        let n = self.ham.dim();
-        let w = v.cols();
         let n_s = ch.energies.len();
         let cocg_opts = CocgOptions {
             tol: self.settings.tol,
@@ -347,21 +352,14 @@ impl<'a> DielectricOperator<'a> {
         };
         let psi_j = ch.psi.col(j);
         // B = −V ⊙ Ψ_j
-        for c in 0..w {
-            let vc = v.col(c);
-            let bc = b.col_mut(c);
-            for i in 0..n {
-                bc[i] = C64::new(-vc[i] * psi_j[i], 0.0);
+        for c in 0..v.cols() {
+            for ((bi, &vi), &pi) in b.col_mut(c).iter_mut().zip(v.col(c)).zip(psi_j) {
+                *bi = -vi * pi;
             }
         }
         let guess = if self.settings.use_galerkin_guess {
-            Some(galerkin_guess(
-                ch.psi,
-                ch.energies,
-                ch.energies[j],
-                self.omega,
-                b,
-            ))
+            galerkin_guess_real(ch.psi, ch.energies, ch.energies[j], self.omega, b, guess);
+            Some(&*guess)
         } else {
             None
         };
@@ -381,14 +379,25 @@ impl<'a> DielectricOperator<'a> {
             None
         };
         let it_before = stats.iterations;
-        let out = solve_multi_rhs_pre(
+        // 2·g_σ·Re(Ψ_j ⊙ Y_j): the ± iω conjugate-pair combination gives
+        // the 2, the channel degeneracy the g_σ (= 4·Re for closed shells)
+        let factor = 2.0 * ch.degeneracy;
+        solve_shifted_real_rhs(
             &stern,
             b,
-            guess.as_ref(),
+            guess,
             &cocg_opts,
             self.settings.policy,
             precond.as_ref().map(|p| p as &dyn Preconditioner),
             stats,
+            &mut |col, y: &[C64], slot| {
+                let terms = acc.col_mut(col).iter_mut().zip(psi_j).zip(y);
+                if slot == 0 {
+                    terms.for_each(|((a, &p), yi)| *a += factor * p * yi.re);
+                } else {
+                    terms.for_each(|((a, &p), yi)| *a += factor * p * yi.im);
+                }
+            },
         );
         if mbrpa_obs::enabled() {
             // per-occupied-orbital solve effort, labelled by the worker's
@@ -398,16 +407,6 @@ impl<'a> DielectricOperator<'a> {
                 (stats.iterations - it_before) as f64,
             );
             mbrpa_obs::add_ctx("sternheimer.solves", 1);
-        }
-        // 2·g_σ·Re(Ψ_j ⊙ Y_j): the ± iω conjugate-pair combination gives
-        // the 2, the channel degeneracy the g_σ (= 4·Re for closed shells)
-        let factor = 2.0 * ch.degeneracy;
-        for c in 0..w {
-            let yc = out.solution.col(c);
-            let ac = acc.col_mut(c);
-            for i in 0..n {
-                ac[i] += factor * psi_j[i] * yc[i].re;
-            }
         }
     }
 
@@ -506,9 +505,12 @@ impl<'a> DielectricOperator<'a> {
             let mut stats = WorkerStats::new();
             let local = &locals[task.chunk];
             let mut acc = Mat::zeros(n, local.cols());
-            let mut b = Mat::<C64>::zeros(n, local.cols());
+            let mut b = Mat::zeros(n, local.cols());
+            let mut guess = Mat::zeros(n, 2 * local.cols());
             for &(sigma, j) in &orbitals[task.orbitals.clone()] {
-                self.orbital_contribution(sigma, j, local, &mut b, &mut acc, &mut stats);
+                self.orbital_contribution(
+                    sigma, j, local, &mut b, &mut guess, &mut acc, &mut stats,
+                );
             }
             if obs_on {
                 mbrpa_obs::clear_context();
@@ -847,6 +849,94 @@ mod tests {
             .zip(b.as_slice())
             .all(|(x, y)| x.to_bits() == y.to_bits());
         assert!(same, "max difference {}", a.max_abs_diff(&b));
+    }
+
+    /// `χ⁰V` rebuilt from the complex pieces — `galerkin_guess`, then
+    /// `solve_multi_rhs` (Alg. 3 on every chunk) — over the same column
+    /// partition, with the statistics those solves report.
+    fn rebuilt_from_complex_pieces(
+        f: &Fixture,
+        v: &Mat<f64>,
+        omega: f64,
+        settings: SternheimerSettings,
+        workers: usize,
+    ) -> (Mat<f64>, WorkerStats) {
+        use mbrpa_solver::{galerkin_guess, solve_multi_rhs};
+        let n = f.ham.dim();
+        let opts = CocgOptions {
+            tol: settings.tol,
+            max_iters: settings.max_iters,
+            ..CocgOptions::default()
+        };
+        let mut out = Mat::zeros(n, v.cols());
+        let mut stats = WorkerStats::new();
+        for range in partition_columns(v.cols(), workers) {
+            let local = v.columns(range.start, range.count);
+            for (j, &lambda) in f.energies.iter().enumerate() {
+                let psi_j = f.psi.col(j);
+                let b = Mat::from_fn(n, range.count, |i, c| {
+                    C64::new(-local[(i, c)] * psi_j[i], 0.0)
+                });
+                let guess = galerkin_guess(&f.psi, &f.energies, lambda, omega, &b);
+                let stern = SternheimerLinOp::new(SternheimerOperator::new(&f.ham, lambda, omega));
+                let y =
+                    solve_multi_rhs(&stern, &b, Some(&guess), &opts, settings.policy, &mut stats);
+                for c in 0..range.count {
+                    for i in 0..n {
+                        out[(i, range.start + c)] += 4.0 * psi_j[i] * y.solution[(i, c)].re;
+                    }
+                }
+            }
+        }
+        (out, stats)
+    }
+
+    #[test]
+    fn apply_equals_the_one_rebuilt_from_complex_solves_with_the_same_counts() {
+        // width-1 chunks run as paired real Lanczos, the rest as block COCG
+        // on buffers rebuilt from the real ones: same iterates either way,
+        // so the same χ⁰V to rounding and the same Table IV, with pairs
+        // (Fixed(1)), none (Fixed(2) but for its odd tail) and Alg. 4's mix
+        let f = fixture();
+        let n = f.ham.dim();
+        let v = Mat::from_fn(n, 7, |i, j| ((i * 5 + j * 11) % 27) as f64 * 0.03 - 0.4);
+        for policy in [
+            BlockPolicy::Fixed(1),
+            BlockPolicy::Fixed(2),
+            BlockPolicy::DynamicCostModel,
+        ] {
+            for (workers, tol) in [(1, 1e-2), (2, 1e-2), (2, 1e-6)] {
+                let settings = SternheimerSettings {
+                    tol,
+                    policy,
+                    ..SternheimerSettings::default()
+                };
+                let d = DielectricOperator::new(
+                    &f.ham,
+                    &f.psi,
+                    &f.energies,
+                    &f.coulomb,
+                    0.35,
+                    settings,
+                    workers,
+                );
+                let got = d.apply_chi0_block(&v);
+                let (want, stats) = rebuilt_from_complex_pieces(&f, &v, 0.35, settings, workers);
+                let what = format!("{policy:?}, {workers} workers, tol {tol:e}");
+                assert!(
+                    got.max_abs_diff(&want) < 1e-9 * want.max_abs().max(1.0),
+                    "{what}: {}",
+                    got.max_abs_diff(&want)
+                );
+                let s = d.stats_snapshot();
+                assert_eq!(s.block_sizes, stats.block_sizes, "{what}");
+                assert_eq!(
+                    (s.iterations, s.matvecs, s.unconverged),
+                    (stats.iterations, stats.matvecs, stats.unconverged),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use mbrpa_linalg::{
     generalized_sym_eig, matmul, matmul_tn, orthonormalize_columns, symmetric_eig, LinalgError,
     Mat, C64,
 };
-use mbrpa_solver::{chebyshev_filter, LinearOperator};
+use mbrpa_solver::{chebyshev_filter, LinearOperator, RealShifted};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,6 +69,18 @@ impl LinearOperator<C64> for SternheimerLinOp<'_> {
     }
     fn apply_flops(&self) -> usize {
         self.op.apply_flops()
+    }
+}
+
+impl RealShifted for SternheimerLinOp<'_> {
+    fn omega(&self) -> f64 {
+        self.op.omega
+    }
+    /// `H − λ_j` on the `re` and `im` slots at once: every coefficient of
+    /// `H` is real, so the complex apply with a zero imaginary shift never
+    /// mixes the two.
+    fn apply_real_pair(&self, x: &[C64], y: &mut [C64]) {
+        SternheimerOperator::new(self.op.hamiltonian(), self.op.lambda, 0.0).apply(x, y);
     }
 }
 

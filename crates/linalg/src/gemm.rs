@@ -625,8 +625,8 @@ fn gram_chunk_simd<T: Scalar>(
 /// per-element product, e.g. the real×complex embedding), written
 /// (overwriting) into `out`. Full 4×4 tiles of output dots share their
 /// operand streams; edge tiles fall back to plain dots. Used only by the
-/// real×complex Galerkin-guess product, which sits outside the solver
-/// steady-state loop.
+/// Galerkin-guess products (real×complex and its real twin), which sit
+/// outside the solver steady-state loop.
 fn gram_chunk_mixed<SA: Scalar, T: Scalar>(
     a: &Mat<SA>,
     b: &Mat<T>,
@@ -781,6 +781,22 @@ pub fn matmul_tn_rc(a: &Mat<f64>, b: &Mat<Complex64>) -> Mat<Complex64> {
         &mut c,
     );
     c
+}
+
+/// `C = Aᵀ · B` for real `A` and `B`, into a caller-owned matrix, summed
+/// the way [`matmul_tn_rc`] sums: one plain chain per entry in row order.
+/// With `B` the real part of a complex block whose imaginary part is zero
+/// the two agree bit for bit, which [`matmul_tn_into`]'s lane-split tiles
+/// do not; the real Galerkin guess relies on it.
+pub fn matmul_tn_rowsum_into(a: &Mat<f64>, b: &Mat<f64>, c: &mut Mat<f64>) {
+    gram_checks(a, b, c);
+    gram_driver(
+        a.rows(),
+        a.cols(),
+        b.cols(),
+        |row0, h, buf| gram_chunk_mixed(a, b, |x, y: f64| y * x, row0, h, buf),
+        c,
+    );
 }
 
 /// `y = A · x` for a single vector.

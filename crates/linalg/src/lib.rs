@@ -41,7 +41,7 @@ pub use error::LinalgError;
 pub use fcmp::{approx_eq, exactly_zero};
 pub use gemm::{
     mat_vec, matmul, matmul_hn, matmul_hn_into, matmul_into, matmul_nt, matmul_rc, matmul_tn,
-    matmul_tn_into, matmul_tn_rc,
+    matmul_tn_into, matmul_tn_rc, matmul_tn_rowsum_into,
 };
 pub use lu::{inverse, solve, Lu};
 pub use qr::{orthonormalize_columns, thin_qr, ThinQr};

@@ -1281,3 +1281,122 @@ pub(crate) unsafe fn cocg_direction_c64(
         _ => crate::scalar::cocg_direction_c64(rows, s, z, beta, p),
     }
 }
+
+// ---------------------------------------------------------------------------
+// Paired real Lanczos step
+// ---------------------------------------------------------------------------
+
+/// `[k[0], k[1], k[0], k[1]]`: one coefficient per slot of two interleaved
+/// pairs.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; no memory access.
+unsafe fn pair_coef(k: [f64; 2]) -> __m256d {
+    _mm256_set_pd(k[1], k[0], k[1], k[0])
+}
+
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; `dispatch_thin!` only routes here when `available()` reported
+// it. The safe wrapper checked that `v_prev`, `v` and `y` have one length;
+// every raw access below is at `p..p + 4` with `p + 8 <= len` or
+// `p + 4 <= len`.
+pub(crate) unsafe fn lanczos_pair_project(
+    s: [f64; 2],
+    c: [f64; 2],
+    v_prev: &[f64],
+    v: &[f64],
+    y: &mut [f64],
+) -> [f64; 2] {
+    let len = y.len();
+    let (sv, cv) = (pair_coef(s), pair_coef(c));
+    let (mut acc0, mut acc1) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+    let (pp, vp, yp) = (v_prev.as_ptr(), v.as_ptr(), y.as_mut_ptr());
+    let whole = len - len % lanes::PAIR_LANES;
+    let mut p = 0;
+    while p < whole {
+        // SAFETY: p + 8 <= len (see the function contract).
+        let u0 = _mm256_fnmadd_pd(
+            cv,
+            _mm256_loadu_pd(pp.add(p)),
+            _mm256_mul_pd(_mm256_loadu_pd(yp.add(p)), sv),
+        );
+        let u1 = _mm256_fnmadd_pd(
+            cv,
+            _mm256_loadu_pd(pp.add(p + 4)),
+            _mm256_mul_pd(_mm256_loadu_pd(yp.add(p + 4)), sv),
+        );
+        _mm256_storeu_pd(yp.add(p), u0);
+        _mm256_storeu_pd(yp.add(p + 4), u1);
+        acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(vp.add(p)), u0, acc0);
+        acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(vp.add(p + 4)), u1, acc1);
+        p += lanes::PAIR_LANES;
+    }
+    let mut state = [0.0_f64; lanes::PAIR_LANES];
+    // SAFETY: `state` holds exactly 8 f64s.
+    _mm256_storeu_pd(state.as_mut_ptr(), acc0);
+    _mm256_storeu_pd(state.as_mut_ptr().add(4), acc1);
+    crate::scalar::lanczos_pair_project_span(whole..len, s, c, v_prev, v, y, &mut state);
+    lanes::fold_pair(&state)
+}
+
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; `dispatch_thin!` only routes here when `available()` reported
+// it. The safe wrapper checked that all five vectors have one length;
+// every raw access below is at `p..p + 4` with `p + 4 <= len`.
+pub(crate) unsafe fn lanczos_pair_advance(
+    k: &crate::PairStep,
+    v: &[f64],
+    u: &mut [f64],
+    d_re: &mut [f64],
+    d_im: &mut [f64],
+    x: &mut [f64],
+) -> [f64; 2] {
+    let len = u.len();
+    let (a, t_re, t_im) = (pair_coef(k.a), pair_coef(k.t_re), pair_coef(k.t_im));
+    let (g_re, g_im) = (pair_coef(k.g_re), pair_coef(k.g_im));
+    let (z_re, z_im) = (pair_coef(k.z_re), pair_coef(k.z_im));
+    let mut acc = [_mm256_setzero_pd(); 2];
+    let vp = v.as_ptr();
+    let (up, rp, ip, xp) = (
+        u.as_mut_ptr(),
+        d_re.as_mut_ptr(),
+        d_im.as_mut_ptr(),
+        x.as_mut_ptr(),
+    );
+    let whole = len - len % lanes::PAIR_LANES;
+    let mut p = 0;
+    while p < whole {
+        for h in 0..2 {
+            // SAFETY: p + 4·h + 4 <= len (see the function contract).
+            let o = p + 4 * h;
+            let vv = _mm256_loadu_pd(vp.add(o));
+            let next = _mm256_fnmadd_pd(a, vv, _mm256_loadu_pd(up.add(o)));
+            _mm256_storeu_pd(up.add(o), next);
+            acc[h] = _mm256_fmadd_pd(next, next, acc[h]);
+            let (dr, di) = (_mm256_loadu_pd(rp.add(o)), _mm256_loadu_pd(ip.add(o)));
+            let nr = _mm256_fnmadd_pd(g_re, dr, _mm256_fmadd_pd(g_im, di, _mm256_mul_pd(t_re, vv)));
+            let ni = _mm256_fnmadd_pd(
+                g_re,
+                di,
+                _mm256_fnmadd_pd(g_im, dr, _mm256_mul_pd(t_im, vv)),
+            );
+            _mm256_storeu_pd(rp.add(o), nr);
+            _mm256_storeu_pd(ip.add(o), ni);
+            let xv = _mm256_loadu_pd(xp.add(o));
+            _mm256_storeu_pd(
+                xp.add(o),
+                _mm256_fnmadd_pd(z_im, ni, _mm256_fmadd_pd(z_re, nr, xv)),
+            );
+        }
+        p += lanes::PAIR_LANES;
+    }
+    let mut state = [0.0_f64; lanes::PAIR_LANES];
+    // SAFETY: `state` holds exactly 8 f64s.
+    _mm256_storeu_pd(state.as_mut_ptr(), acc[0]);
+    _mm256_storeu_pd(state.as_mut_ptr().add(4), acc[1]);
+    crate::scalar::lanczos_pair_advance_span(whole..len, k, v, u, d_re, d_im, x, &mut state);
+    lanes::fold_pair(&state)
+}

@@ -140,3 +140,21 @@ pub(crate) fn finish_cocg_gram(
         w_sq[j] = fold(&ps[thin_pair(j, j)]);
     }
 }
+
+/// f64 lanes of the paired-Lanczos reductions (`lanczos_pair_project`,
+/// `lanczos_pair_advance`): component `p` of a lane-interleaved vector
+/// lands in lane `p mod PAIR_LANES`, so the even lanes belong to the
+/// right-hand side riding in the `re` slots and the odd lanes to the one
+/// in the `im` slots.
+pub(crate) const PAIR_LANES: usize = 8;
+
+/// The two sums of a paired reduction: even lanes, odd lanes, each folded
+/// sequentially in lane order.
+#[inline]
+pub(crate) fn fold_pair(state: &[f64; PAIR_LANES]) -> [f64; 2] {
+    let mut out = [0.0; 2];
+    for (l, &v) in state.iter().enumerate() {
+        out[l % 2] += v;
+    }
+    out
+}

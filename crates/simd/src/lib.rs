@@ -716,6 +716,104 @@ pub fn sparse_projector_add_on(
     dispatch_thin!(d, sparse_projector_add(cs, rows, gamma, x, y))
 }
 
+// ---------------------------------------------------------------------------
+// The paired real Lanczos step of mbrpa-solver's real-arithmetic
+// Sternheimer solve. Two right-hand sides share every vector: component
+// `2i` belongs to the one in the `re` slots, `2i + 1` to the one in the `im`
+// slots, and a coefficient `k: [f64; 2]` is `k[0]` for the first and `k[1]`
+// for the second. One step is the operator apply `y = R·v` and these two
+// passes; the arithmetic of the two slots never mixes.
+// ---------------------------------------------------------------------------
+
+/// First pass of a paired Lanczos step, on the given path: `y` holds
+/// `R·v` on entry and `u = s·y − c·v_prev` on exit; returns `Σ v·u` per
+/// slot. With `v = β_k q_k`, `v_prev = β_{k−1} q_{k−1}`, `s = 1/β_k` and
+/// `c = β_k/β_{k−1}` that is `u = R q_k − β_k q_{k−1}` and `β_k α_k`.
+#[inline]
+pub fn lanczos_pair_project_on(
+    d: Dispatch,
+    s: [f64; 2],
+    c: [f64; 2],
+    v_prev: &[f64],
+    v: &[f64],
+    y: &mut [f64],
+) -> [f64; 2] {
+    assert_eq!(y.len() % 2, 0, "two slots per element");
+    assert_eq!(v_prev.len(), y.len(), "v_prev and y differ in length");
+    assert_eq!(v.len(), y.len(), "v and y differ in length");
+    dispatch_thin!(d, lanczos_pair_project(s, c, v_prev, v, y))
+}
+
+/// First pass of a paired Lanczos step on the active path.
+#[inline]
+pub fn lanczos_pair_project(
+    s: [f64; 2],
+    c: [f64; 2],
+    v_prev: &[f64],
+    v: &[f64],
+    y: &mut [f64],
+) -> [f64; 2] {
+    lanczos_pair_project_on(active(), s, c, v_prev, v, y)
+}
+
+/// Per-slot coefficients of [`lanczos_pair_advance_on`].
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct PairStep {
+    /// `α_k/β_k`: `u ← u − a·v` is the next unnormalised Lanczos vector.
+    pub a: [f64; 2],
+    /// `Re`, `Im` of `1/(δ_k β_k)`, the weight of `v` in the new direction.
+    pub t_re: [f64; 2],
+    /// See [`PairStep::t_re`].
+    pub t_im: [f64; 2],
+    /// `Re`, `Im` of `β_k/δ_k`, the weight of the old direction.
+    pub g_re: [f64; 2],
+    /// See [`PairStep::g_re`].
+    pub g_im: [f64; 2],
+    /// `Re`, `Im` of `ζ_k`, the step along the new direction.
+    pub z_re: [f64; 2],
+    /// See [`PairStep::z_re`].
+    pub z_im: [f64; 2],
+}
+
+/// Second pass of a paired Lanczos step, on the given path, everything
+/// that needs `α_k` in one sweep: `u ← u − a·v` (returned: its squared
+/// norm per slot, `β²_{k+1}`), the complex direction
+/// `d ← t·v − g·d` held as `d_re`, `d_im`, and `x += Re(ζ·d)`.
+#[inline]
+pub fn lanczos_pair_advance_on(
+    d: Dispatch,
+    k: &PairStep,
+    v: &[f64],
+    u: &mut [f64],
+    d_re: &mut [f64],
+    d_im: &mut [f64],
+    x: &mut [f64],
+) -> [f64; 2] {
+    assert_eq!(u.len() % 2, 0, "two slots per element");
+    for (what, len) in [
+        ("v", v.len()),
+        ("d_re", d_re.len()),
+        ("d_im", d_im.len()),
+        ("x", x.len()),
+    ] {
+        assert_eq!(len, u.len(), "{what} and u differ in length");
+    }
+    dispatch_thin!(d, lanczos_pair_advance(k, v, u, d_re, d_im, x))
+}
+
+/// Second pass of a paired Lanczos step on the active path.
+#[inline]
+pub fn lanczos_pair_advance(
+    k: &PairStep,
+    v: &[f64],
+    u: &mut [f64],
+    d_re: &mut [f64],
+    d_im: &mut [f64],
+    x: &mut [f64],
+) -> [f64; 2] {
+    lanczos_pair_advance_on(active(), k, v, u, d_re, d_im, x)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

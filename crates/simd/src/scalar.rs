@@ -537,3 +537,78 @@ pub(crate) fn thin_gram_c64(
     }
     lanes::finish_thin_gram(k, n, &ps, &qs, out);
 }
+
+// ---------------------------------------------------------------------------
+// Paired real Lanczos step: two right-hand sides in the re/im slots of one
+// interleaved vector, coefficient `k[p % 2]` for component `p`
+// ---------------------------------------------------------------------------
+
+/// Components `span` of [`lanczos_pair_project`], sums into `state`.
+pub(crate) fn lanczos_pair_project_span(
+    span: core::ops::Range<usize>,
+    s: [f64; 2],
+    c: [f64; 2],
+    v_prev: &[f64],
+    v: &[f64],
+    y: &mut [f64],
+    state: &mut [f64; lanes::PAIR_LANES],
+) {
+    for p in span {
+        let u = (-c[p % 2]).mul_add(v_prev[p], y[p] * s[p % 2]);
+        y[p] = u;
+        let acc = &mut state[p % lanes::PAIR_LANES];
+        *acc = v[p].mul_add(u, *acc);
+    }
+}
+
+pub(crate) fn lanczos_pair_project(
+    s: [f64; 2],
+    c: [f64; 2],
+    v_prev: &[f64],
+    v: &[f64],
+    y: &mut [f64],
+) -> [f64; 2] {
+    let mut state = [0.0; lanes::PAIR_LANES];
+    lanczos_pair_project_span(0..y.len(), s, c, v_prev, v, y, &mut state);
+    lanes::fold_pair(&state)
+}
+
+/// Components `span` of [`lanczos_pair_advance`], sums into `state`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn lanczos_pair_advance_span(
+    span: core::ops::Range<usize>,
+    k: &crate::PairStep,
+    v: &[f64],
+    u: &mut [f64],
+    d_re: &mut [f64],
+    d_im: &mut [f64],
+    x: &mut [f64],
+    state: &mut [f64; lanes::PAIR_LANES],
+) {
+    for p in span {
+        let l = p % 2;
+        let next = (-k.a[l]).mul_add(v[p], u[p]);
+        u[p] = next;
+        let acc = &mut state[p % lanes::PAIR_LANES];
+        *acc = next.mul_add(next, *acc);
+        let (dr, di) = (d_re[p], d_im[p]);
+        let nr = (-k.g_re[l]).mul_add(dr, k.g_im[l].mul_add(di, k.t_re[l] * v[p]));
+        let ni = (-k.g_re[l]).mul_add(di, (-k.g_im[l]).mul_add(dr, k.t_im[l] * v[p]));
+        d_re[p] = nr;
+        d_im[p] = ni;
+        x[p] = (-k.z_im[l]).mul_add(ni, k.z_re[l].mul_add(nr, x[p]));
+    }
+}
+
+pub(crate) fn lanczos_pair_advance(
+    k: &crate::PairStep,
+    v: &[f64],
+    u: &mut [f64],
+    d_re: &mut [f64],
+    d_im: &mut [f64],
+    x: &mut [f64],
+) -> [f64; 2] {
+    let mut state = [0.0; lanes::PAIR_LANES];
+    lanczos_pair_advance_span(0..u.len(), k, v, u, d_re, d_im, x, &mut state);
+    lanes::fold_pair(&state)
+}

@@ -471,6 +471,80 @@ proptest! {
             }
         }
     }
+
+    /// The two passes of a paired Lanczos step: odd and even element
+    /// counts around the 8-component blocks, every vector path against
+    /// the scalar twin bit for bit, and the twin against plain loops, slot
+    /// by slot (the two slots never mix).
+    #[test]
+    fn lanczos_pair_passes_bitwise_identical(
+        n in 0usize..45,
+        seed in 1u64..u64::MAX,
+    ) {
+        let mut rng = Rng::new(seed);
+        let sc = Dispatch::Scalar;
+        let pair = |rng: &mut Rng| [rng.next_f64() * 3.0, rng.next_f64() * 3.0];
+        let (s, c) = (pair(&mut rng), pair(&mut rng));
+        let (v_prev, v, y) = (rng.vec(2 * n), rng.vec(2 * n), rng.vec(2 * n));
+
+        let mut u = y.clone();
+        let dots = mbrpa_simd::lanczos_pair_project_on(sc, s, c, &v_prev, &v, &mut u);
+        for d in vector_paths() {
+            let mut got = y.clone();
+            let got_dots = mbrpa_simd::lanczos_pair_project_on(d, s, c, &v_prev, &v, &mut got);
+            assert_same_bits(d, "lanczos_pair_project u", &got, &u);
+            assert_same_bits(d, "lanczos_pair_project dots", &got_dots, &dots);
+        }
+        let mut plain_dots = [0.0; 2];
+        for p in 0..2 * n {
+            let want = y[p] * s[p % 2] - c[p % 2] * v_prev[p];
+            prop_assert!((u[p] - want).abs() <= 1e-14);
+            plain_dots[p % 2] += v[p] * want;
+        }
+        for (got, plain) in dots.iter().zip(plain_dots) {
+            prop_assert!((got - plain).abs() <= 1e-12);
+        }
+
+        let k = mbrpa_simd::PairStep {
+            a: pair(&mut rng),
+            t_re: pair(&mut rng),
+            t_im: pair(&mut rng),
+            g_re: pair(&mut rng),
+            g_im: pair(&mut rng),
+            z_re: pair(&mut rng),
+            z_im: pair(&mut rng),
+        };
+        let (d_re, d_im, x) = (rng.vec(2 * n), rng.vec(2 * n), rng.vec(2 * n));
+        let run = |d: Dispatch| {
+            let (mut next, mut dr, mut di, mut xx) = (u.clone(), d_re.clone(), d_im.clone(), x.clone());
+            let sq = mbrpa_simd::lanczos_pair_advance_on(d, &k, &v, &mut next, &mut dr, &mut di, &mut xx);
+            (next, dr, di, xx, sq)
+        };
+        let want = run(sc);
+        for d in vector_paths() {
+            let got = run(d);
+            assert_same_bits(d, "lanczos_pair_advance v_next", &got.0, &want.0);
+            assert_same_bits(d, "lanczos_pair_advance d_re", &got.1, &want.1);
+            assert_same_bits(d, "lanczos_pair_advance d_im", &got.2, &want.2);
+            assert_same_bits(d, "lanczos_pair_advance x", &got.3, &want.3);
+            assert_same_bits(d, "lanczos_pair_advance norms", &got.4, &want.4);
+        }
+        let mut plain_sq = [0.0; 2];
+        for p in 0..2 * n {
+            let l = p % 2;
+            let next = u[p] - k.a[l] * v[p];
+            let dr = k.t_re[l] * v[p] - (k.g_re[l] * d_re[p] - k.g_im[l] * d_im[p]);
+            let di = k.t_im[l] * v[p] - (k.g_re[l] * d_im[p] + k.g_im[l] * d_re[p]);
+            let xx = x[p] + (k.z_re[l] * dr - k.z_im[l] * di);
+            plain_sq[l] += next * next;
+            prop_assert!((want.0[p] - next).abs() <= 1e-13);
+            prop_assert!((want.1[p] - dr).abs() <= 1e-13 && (want.2[p] - di).abs() <= 1e-13);
+            prop_assert!((want.3[p] - xx).abs() <= 1e-13);
+        }
+        for (got, plain) in want.4.iter().zip(plain_sq) {
+            prop_assert!((got - plain).abs() <= 1e-11);
+        }
+    }
 }
 
 /// The stencil sweep at every row length 1..=40 — no 16-wide block, one,

@@ -13,10 +13,11 @@
 use crate::block_cocg::{block_cocg_ws, CocgOptions};
 use crate::operator::LinearOperator;
 use crate::precond::Preconditioner;
+use crate::shifted_lanczos::{shifted_lanczos_pair, ReSink, RealShifted};
 use crate::stats::{SolveReport, WorkerStats};
-use crate::workspace::with_thread_workspace;
+use crate::workspace::{with_thread_workspace, Workspace};
 use mbrpa_linalg::{Mat, C64};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How a worker chooses its COCG block size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +43,7 @@ pub enum BlockPolicy {
 /// operator by that factor. The constants are the ones Alg. 4's choices
 /// were validated with; re-fitting them changes block sizes and is a
 /// change of its own.
-fn model_cost(op: &dyn LinearOperator<C64>, s: usize, report: &SolveReport) -> f64 {
+fn model_cost<O: LinearOperator<C64> + ?Sized>(op: &O, s: usize, report: &SolveReport) -> f64 {
     let n = op.dim() as f64;
     let sf = s as f64;
     let per_iter = op.apply_flops() as f64 * sf + 10.0 * n * sf * sf + 4.0 * sf * sf * sf;
@@ -85,78 +86,84 @@ pub fn solve_multi_rhs_pre(
     precond: Option<&dyn Preconditioner>,
     stats: &mut WorkerStats,
 ) -> MultiRhsOutcome {
-    let nrhs = b.cols();
-    let n = b.rows();
-    let mut solution = Mat::zeros(n, nrhs);
-    let mut all_converged = true;
-
-    let solve_chunk = |start: usize,
-                       width: usize,
-                       solution: &mut Mat<C64>,
-                       stats: &mut WorkerStats|
-     -> (f64, bool) {
-        let chunk_b = b.columns(start, width);
-        let chunk_g = guess.map(|g| g.columns(start, width));
-        let t0 = Instant::now();
-        let (x, report) = with_thread_workspace(|ws| {
-            block_cocg_ws(op, &chunk_b, chunk_g.as_ref(), opts, precond, ws)
+    let mut solution = Mat::zeros(b.rows(), b.cols());
+    let (final_block_size, all_converged) =
+        schedule_chunks(b.cols(), policy, false, &mut |start, width, _| {
+            let chunk_b = b.columns(start, width);
+            let chunk_g = guess.map(|g| g.columns(start, width));
+            let t0 = Instant::now();
+            let (x, report) = with_thread_workspace(|ws| {
+                block_cocg_ws(op, &chunk_b, chunk_g.as_ref(), opts, precond, ws)
+            });
+            let elapsed = t0.elapsed();
+            solution.set_columns(start, &x);
+            stats.absorb(width, width, &report, elapsed);
+            (
+                chunk_cost(policy, op, width, &report, elapsed),
+                report.converged,
+            )
         });
-        let elapsed = t0.elapsed();
-        solution.set_columns(start, &x);
-        let cost = match policy {
-            BlockPolicy::DynamicCostModel => model_cost(op, width, &report),
-            _ => elapsed.as_secs_f64(),
-        };
-        let ok = report.converged;
-        stats.absorb(width, width, &report, elapsed);
-        (cost, ok)
-    };
+    MultiRhsOutcome {
+        solution,
+        final_block_size,
+        all_converged,
+    }
+}
 
+/// What Alg. 4 compares: the model's cost or the wall clock's.
+fn chunk_cost<O: LinearOperator<C64> + ?Sized>(
+    policy: BlockPolicy,
+    op: &O,
+    width: usize,
+    report: &SolveReport,
+    elapsed: Duration,
+) -> f64 {
     match policy {
-        BlockPolicy::Fixed(s) => {
-            let s = s.max(1);
-            let mut start = 0;
-            while start < nrhs {
-                let width = s.min(nrhs - start);
-                let (_, ok) = solve_chunk(start, width, &mut solution, stats);
-                all_converged &= ok;
-                start += width;
-            }
-            MultiRhsOutcome {
-                solution,
-                final_block_size: s,
-                all_converged,
-            }
-        }
+        BlockPolicy::DynamicCostModel => model_cost(op, width, report),
+        _ => elapsed.as_secs_f64(),
+    }
+}
+
+/// The chunk schedule of `policy` over `nrhs` columns — Algorithm 4, or
+/// its line 13 alone for a fixed size. `solve(start, width, chunks)`
+/// solves `chunks` chunks of `width` columns each from column `start` on
+/// and returns the cost of one (read for probes only) and whether all
+/// converged. `chunks` is 2 only where `pair_singles` lets two width-1
+/// chunks past the probes share a call. Returns the block size in effect
+/// at the last chunk and whether every chunk converged.
+fn schedule_chunks(
+    nrhs: usize,
+    policy: BlockPolicy,
+    pair_singles: bool,
+    solve: &mut dyn FnMut(usize, usize, usize) -> (f64, bool),
+) -> (usize, bool) {
+    let mut all_converged = true;
+    let mut start = 0;
+    let s = match policy {
+        BlockPolicy::Fixed(s) => s.max(1),
         BlockPolicy::DynamicTimed | BlockPolicy::DynamicCostModel => {
-            // Algorithm 4. Lines 1–2: probe s = 1 then s = 2.
-            let mut start = 0;
+            // Lines 1–2: probe s = 1 then s = 2.
             let mut s = 1usize;
-            let (mut t_old, ok) = solve_chunk(start, 1.min(nrhs), &mut solution, stats);
+            let (mut t_old, ok) = solve(start, 1.min(nrhs), 1);
             all_converged &= ok;
             start += 1;
             if start >= nrhs {
-                return MultiRhsOutcome {
-                    solution,
-                    final_block_size: s,
-                    all_converged,
-                };
+                return (s, all_converged);
             }
             s = 2;
             let width = s.min(nrhs - start);
-            let (mut t_new, ok) = solve_chunk(start, width, &mut solution, stats);
+            let (mut t_new, ok) = solve(start, width, 1);
             all_converged &= ok;
             start += width;
-            let probe_was_full = width == s;
 
             // Lines 3–12: double while the bigger block is worth it.
-            if probe_was_full {
+            if width == s {
                 while start < nrhs {
                     if t_new <= 2.0 * t_old {
                         s *= 2;
                         t_old = t_new;
                         let width = s.min(nrhs - start);
-                        let (t, ok) = solve_chunk(start, width, &mut solution, stats);
+                        let (t, ok) = solve(start, width, 1);
                         all_converged &= ok;
                         start += width;
                         if width < s {
@@ -171,24 +178,93 @@ pub fn solve_multi_rhs_pre(
                     }
                 }
             } else {
-                s = width.max(1);
+                s = width;
             }
-            let s = s.max(1);
-
-            // Line 13: solve the remainder at the selected size.
-            while start < nrhs {
-                let width = s.min(nrhs - start);
-                let (_, ok) = solve_chunk(start, width, &mut solution, stats);
-                all_converged &= ok;
-                start += width;
-            }
-            MultiRhsOutcome {
-                solution,
-                final_block_size: s,
-                all_converged,
-            }
+            s.max(1)
         }
+    };
+    // Line 13: the remainder at the selected size.
+    while start < nrhs {
+        let width = s.min(nrhs - start);
+        let chunks = if pair_singles && width == 1 && nrhs - start >= 2 {
+            2
+        } else {
+            1
+        };
+        let (_, ok) = solve(start, width, chunks);
+        all_converged &= ok;
+        start += width * chunks;
     }
+    (s, all_converged)
+}
+
+/// [`solve_multi_rhs_pre`] for `A = R + iω` and a real block `b`, wanting
+/// only `Re X`: the Sternheimer solves of `χ⁰`. Same schedule, same
+/// statistics. A width-1 chunk without a preconditioner runs in real
+/// arithmetic ([`shifted_lanczos_pair`], two of them per call past the
+/// probes); every other chunk is the complex block [`block_cocg_ws`]
+/// solves, built from the real buffers in pooled storage. `guess` is
+/// `[Re X₀ | Im X₀]` as [`galerkin_guess_real`](crate::galerkin_guess_real)
+/// leaves it. Nothing the width of `b` is allocated: each column's `Re x`
+/// goes to `sink` from the chunk's own iterate. Returns whether every
+/// chunk converged.
+#[allow(clippy::too_many_arguments)]
+pub fn solve_shifted_real_rhs<O: RealShifted>(
+    op: &O,
+    b: &Mat<f64>,
+    guess: Option<&Mat<f64>>,
+    opts: &CocgOptions,
+    policy: BlockPolicy,
+    precond: Option<&dyn Preconditioner>,
+    stats: &mut WorkerStats,
+    sink: &mut ReSink<'_>,
+) -> bool {
+    let (n, w) = b.shape();
+    schedule_chunks(w, policy, precond.is_none(), &mut |start, width, chunks| {
+        let t0 = Instant::now();
+        if width == 1 && precond.is_none() {
+            let reports = with_thread_workspace(|ws| {
+                shifted_lanczos_pair(op, b, guess, start, chunks, opts, ws, sink)
+            });
+            let elapsed = t0.elapsed() / chunks as u32;
+            for report in &reports[..chunks] {
+                stats.absorb(1, 1, report, elapsed);
+            }
+            let ok = reports[..chunks].iter().all(|r| r.converged);
+            return (chunk_cost(policy, op, 1, &reports[0], elapsed), ok);
+        }
+        let (x, report) = with_thread_workspace(|ws: &mut Workspace<C64>| {
+            let mut cb = ws.take_scratch(n, width);
+            let mut cg = guess.map(|_| ws.take_scratch(n, width));
+            for c in 0..width {
+                for (z, &re) in cb.col_mut(c).iter_mut().zip(b.col(start + c)) {
+                    *z = C64::new(re, 0.0);
+                }
+                if let (Some(cg), Some(g)) = (cg.as_mut(), guess) {
+                    let parts = g.col(start + c).iter().zip(g.col(w + start + c));
+                    for (z, (&re, &im)) in cg.col_mut(c).iter_mut().zip(parts) {
+                        *z = C64::new(re, im);
+                    }
+                }
+            }
+            let solved = block_cocg_ws(op, &cb, cg.as_ref(), opts, precond, ws);
+            ws.give(cb);
+            if let Some(cg) = cg {
+                ws.give(cg);
+            }
+            solved
+        });
+        let elapsed = t0.elapsed();
+        for c in 0..width {
+            sink(start + c, x.col(c), 0);
+        }
+        stats.absorb(width, width, &report, elapsed);
+        (
+            chunk_cost(policy, op, width, &report, elapsed),
+            report.converged,
+        )
+    })
+    .1
 }
 
 #[cfg(test)]
@@ -196,6 +272,40 @@ mod tests {
     use super::*;
     use crate::block_cocg::true_relative_residual;
     use crate::test_util::{rand_rhs, test_operator};
+
+    #[test]
+    fn singles_pair_up_past_the_probes_only() {
+        // the calls the schedule makes, with a chunk of width w costing cost(w)
+        let calls = |policy, nrhs, pair, cost: fn(usize) -> f64| {
+            let mut seen = Vec::new();
+            let out = schedule_chunks(nrhs, policy, pair, &mut |start, width, chunks| {
+                seen.push((start, width, chunks));
+                (cost(width), true)
+            });
+            (seen, out.0)
+        };
+        let flat = |_| 1.0;
+        assert_eq!(
+            calls(BlockPolicy::Fixed(1), 5, true, flat).0,
+            [(0, 1, 2), (2, 1, 2), (4, 1, 1)]
+        );
+        assert_eq!(calls(BlockPolicy::Fixed(1), 3, false, flat).0.len(), 3);
+        // only width-1 chunks pair: the odd tail of a wider size runs alone
+        assert_eq!(
+            calls(BlockPolicy::Fixed(2), 5, true, flat).0,
+            [(0, 2, 1), (2, 2, 1), (4, 1, 1)]
+        );
+        // Alg. 4 settling on s = 1: both probes run alone, the rest in pairs
+        let (seen, s) = calls(BlockPolicy::DynamicCostModel, 6, true, |w| {
+            (w * w * w) as f64
+        });
+        assert_eq!(seen, [(0, 1, 1), (1, 2, 1), (3, 1, 2), (5, 1, 1)]);
+        assert_eq!(s, 1);
+        // and growing: no width-1 chunk is left to pair
+        let (seen, s) = calls(BlockPolicy::DynamicCostModel, 9, true, flat);
+        assert_eq!(seen, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (7, 2, 1)]);
+        assert_eq!(s, 2);
+    }
 
     #[test]
     fn fixed_policy_solves_all_columns() {

@@ -13,7 +13,8 @@
 //! deflates the most problematic (most negative real part) eigendirections
 //! from the initial residual, taming the hard `(j≈n_s, k=ℓ)` index pairs.
 
-use mbrpa_linalg::{matmul_rc, matmul_tn_rc, Mat, C64};
+use crate::workspace::with_thread_workspace;
+use mbrpa_linalg::{matmul_into, matmul_rc, matmul_tn_rc, matmul_tn_rowsum_into, Mat, C64};
 
 /// Build the Galerkin initial guess `Y₀` for `A Y = B` with
 /// `A = H − λ I + iω I`, given the known eigenpairs `(energies, psi)`.
@@ -38,6 +39,41 @@ pub fn galerkin_guess(
     }
     // Y₀ = Ψ C
     matmul_rc(psi, &c)
+}
+
+/// [`galerkin_guess`] for real right-hand sides, in real arithmetic and
+/// without allocating once the thread's pool is warm: `guess` is
+/// `n × 2w` and receives `[Re Y₀ | Im Y₀]`. The products sum in the order
+/// the complex ones do, so `guess` equals `galerkin_guess` of the same
+/// `b` bit for bit (`real_guess_equals_the_complex_one_bit_for_bit`).
+pub fn galerkin_guess_real(
+    psi: &Mat<f64>,
+    energies: &[f64],
+    lambda: f64,
+    omega: f64,
+    b: &Mat<f64>,
+    guess: &mut Mat<f64>,
+) {
+    let (n_s, w) = (energies.len(), b.cols());
+    assert_eq!(psi.cols(), n_s, "eigenpair count mismatch");
+    assert_eq!(psi.rows(), b.rows(), "grid dimension mismatch");
+    assert_eq!(guess.shape(), (b.rows(), 2 * w), "guess is not [Re | Im]");
+    with_thread_workspace(|ws| {
+        // C = ΨᵀB, then each row over (λ_m − λ + iω): [Re C | Im C]
+        let mut c = ws.take_scratch(n_s, w);
+        matmul_tn_rowsum_into(psi, b, &mut c);
+        let mut scaled = ws.take_scratch(n_s, 2 * w);
+        for j in 0..w {
+            for m in 0..n_s {
+                let z = C64::new(c[(m, j)], 0.0) / C64::new(energies[m] - lambda, omega);
+                scaled[(m, j)] = z.re;
+                scaled[(m, w + j)] = z.im;
+            }
+        }
+        matmul_into(1.0, psi, &scaled, 0.0, guess);
+        ws.give(scaled);
+        ws.give(c);
+    });
 }
 
 #[cfg(test)]

@@ -5,6 +5,8 @@
 //! * **Block COCG** ([`block_cocg`]) — the paper's short-term-recurrence
 //!   block solver (Algorithm 3),
 //! * **Dynamic block size selection** ([`dynamic_block`]) — Algorithm 4,
+//! * **Real-arithmetic shifted solves** ([`shifted_lanczos`]) — the `s = 1`
+//!   Sternheimer systems as real Lanczos on `H − λ_j`, two per apply,
 //! * **Restarted GMRES** ([`gmres`]) — the long-recurrence baseline,
 //! * **Scaled Chebyshev filters** ([`chebyshev`]) — subspace iteration
 //!   acceleration shared by CheFSI and the RPA dielectric eigensolver,
@@ -29,6 +31,7 @@ pub mod gmres;
 pub mod initial_guess;
 pub mod operator;
 pub mod precond;
+pub mod shifted_lanczos;
 pub mod stats;
 #[cfg(test)]
 mod test_util;
@@ -38,10 +41,13 @@ pub use block_cocg::{
     block_cocg, block_cocg_ws, cocg, true_relative_residual, CocgOptions, MAX_BREAKDOWNS,
 };
 pub use chebyshev::{chebyshev_filter, chebyshev_filter_ws};
-pub use dynamic_block::{solve_multi_rhs, solve_multi_rhs_pre, BlockPolicy, MultiRhsOutcome};
+pub use dynamic_block::{
+    solve_multi_rhs, solve_multi_rhs_pre, solve_shifted_real_rhs, BlockPolicy, MultiRhsOutcome,
+};
 pub use gmres::{gmres, gmres_block, GmresOptions};
-pub use initial_guess::galerkin_guess;
+pub use initial_guess::{galerkin_guess, galerkin_guess_real};
 pub use operator::{DenseOperator, LinearOperator};
 pub use precond::{IdentityPreconditioner, Preconditioner};
+pub use shifted_lanczos::{shifted_lanczos_pair, ReSink, RealShifted};
 pub use stats::{BlockSizeHistogram, SolveReport, WorkerStats};
 pub use workspace::{with_thread_workspace, Workspace};

@@ -120,47 +120,61 @@ impl<T: Scalar> Workspace<T> {
             self.free.push(v);
         }
     }
+}
 
-    /// Merge another pool's buffers (and its allocation count) into this
-    /// one; used when a temporarily checked-out thread workspace returns.
-    fn absorb(&mut self, mut other: Workspace<T>) {
-        self.free.append(&mut other.free);
-        self.fresh_allocs += other.fresh_allocs;
-    }
+/// A thread's pools of one scalar type, one per nesting depth of
+/// [`with_thread_workspace`], and how many of them are checked out.
+struct Parked<T: Scalar> {
+    depth: usize,
+    pools: Vec<Workspace<T>>,
 }
 
 thread_local! {
-    /// One `Workspace<T>` per scalar type per thread, keyed by `TypeId`.
+    /// One [`Parked<T>`] per scalar type per thread, keyed by `TypeId`.
     static WS_POOL: RefCell<BTreeMap<TypeId, Box<dyn Any>>> = RefCell::new(BTreeMap::new());
+}
+
+/// `f` on this thread's [`Parked<T>`].
+fn with_parked<T: Scalar, R>(f: impl FnOnce(&mut Parked<T>) -> R) -> R {
+    WS_POOL.with(|pool| {
+        let mut map = pool.borrow_mut();
+        let slot = map.entry(TypeId::of::<T>()).or_insert_with(|| {
+            Box::new(Parked::<T> {
+                depth: 0,
+                pools: Vec::new(),
+            }) as Box<dyn Any>
+        });
+        let parked = slot
+            .downcast_mut::<Parked<T>>()
+            // lint: allow(unwrap) — slot is keyed by TypeId::of::<T>, so the
+            // downcast to Parked<T> cannot fail
+            .expect("workspace slot type");
+        f(parked)
+    })
 }
 
 /// Run `f` with this thread's persistent [`Workspace<T>`].
 ///
 /// The pool is checked out (moved) for the duration of `f`, so reentrant
-/// calls are safe: an inner call simply starts from an empty pool and its
-/// buffers are merged back afterwards. Buffers survive across calls, which
-/// is what makes repeated per-frequency solves allocation-free.
+/// calls are safe: a call made while another holds its pool (a Galerkin
+/// guess under the Chebyshev filter of `ν½χ⁰ν½`) gets the pool of its own
+/// nesting depth. Every depth keeps its buffers across calls, which is
+/// what makes repeated per-frequency solves allocation-free — and what
+/// keeps a nested call from refilling, once per outer call, a pool the
+/// outer call then carries off.
 pub fn with_thread_workspace<T: Scalar, R>(f: impl FnOnce(&mut Workspace<T>) -> R) -> R {
-    let mut ws: Workspace<T> = WS_POOL.with(|pool| {
-        let mut map = pool.borrow_mut();
-        let slot = map
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Box::new(Workspace::<T>::new()) as Box<dyn Any>);
-        std::mem::take(
-            slot.downcast_mut::<Workspace<T>>()
-                // lint: allow(unwrap) — slot is keyed by TypeId::of::<T>, so the
-                // downcast to Workspace<T> cannot fail
-                .expect("workspace slot type"),
-        )
+    let (depth, mut ws) = with_parked(|parked: &mut Parked<T>| {
+        let depth = parked.depth;
+        parked.depth += 1;
+        if parked.pools.len() <= depth {
+            parked.pools.push(Workspace::new());
+        }
+        (depth, std::mem::take(&mut parked.pools[depth]))
     });
     let out = f(&mut ws);
-    WS_POOL.with(|pool| {
-        let mut map = pool.borrow_mut();
-        if let Some(slot) = map.get_mut(&TypeId::of::<T>()) {
-            if let Some(parked) = slot.downcast_mut::<Workspace<T>>() {
-                parked.absorb(ws);
-            }
-        }
+    with_parked(|parked: &mut Parked<T>| {
+        parked.depth = depth;
+        parked.pools[depth] = ws;
     });
     out
 }
@@ -259,17 +273,27 @@ mod tests {
     }
 
     #[test]
-    fn reentrant_checkout_is_safe_and_merges_back() {
-        with_thread_workspace(|outer: &mut Workspace<f64>| {
-            let held = outer.take_zeroed(6, 6);
-            let inner_pooled = with_thread_workspace(|inner: &mut Workspace<f64>| {
-                // the outer pool is checked out: inner starts empty
-                let m = inner.take_zeroed(4, 4);
-                inner.give(m);
-                inner.pooled()
-            });
-            assert_eq!(inner_pooled, 1);
-            outer.give(held);
-        });
+    fn reentrant_checkout_keeps_one_pool_per_depth() {
+        // a call under a held pool gets its own, and gets the same one back
+        // on the next round: neither pool grows with the number of rounds
+        // (merged into one, the inner buffers were carried off by every
+        // outer checkout and allocated again by the next inner call)
+        let round = || {
+            with_thread_workspace(|outer: &mut Workspace<C64>| {
+                let held = outer.take_zeroed(6, 6);
+                let inner = with_thread_workspace(|inner: &mut Workspace<C64>| {
+                    let m = inner.take_zeroed(4, 4);
+                    inner.give(m);
+                    (inner.pooled(), inner.fresh_allocs())
+                });
+                outer.give(held);
+                (inner, outer.pooled(), outer.fresh_allocs())
+            })
+        };
+        let first = round();
+        assert_eq!(first, ((1, 1), 1, 1));
+        for _ in 0..5 {
+            assert_eq!(round(), first);
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Property-based tests for the Krylov solvers on random well-conditioned
 //! complex-symmetric systems of the Sternheimer shape.
 
-use mbrpa_linalg::{matmul, Mat, C64};
+use mbrpa_linalg::{matmul, symmetric_eig, Mat, C64};
 use mbrpa_solver::{
-    block_cocg, block_cocg_ws, cocg, gmres, true_relative_residual, CocgOptions, DenseOperator,
-    GmresOptions, IdentityPreconditioner, LinearOperator, Preconditioner, Workspace,
+    block_cocg, block_cocg_ws, cocg, galerkin_guess, galerkin_guess_real, gmres,
+    shifted_lanczos_pair, true_relative_residual, CocgOptions, DenseOperator, GmresOptions,
+    IdentityPreconditioner, LinearOperator, Preconditioner, RealShifted, SolveReport, Workspace,
     MAX_BREAKDOWNS,
 };
 use proptest::prelude::*;
@@ -64,6 +65,284 @@ fn rhs_strategy(n: usize, s: usize) -> impl Strategy<Value = Mat<C64>> {
             v.into_iter().map(|(re, im)| C64::new(re, im)).collect(),
         )
     })
+}
+
+/// `R + iω` with a dense real symmetric `R`: Alg. 3 sees the complex
+/// matrix, the real-arithmetic solve sees `R` and `ω`.
+struct ShiftedDense {
+    r: Mat<f64>,
+    omega: f64,
+    complex: DenseOperator<C64>,
+    /// Eigenpairs of `R` (Galerkin guesses, conditioning, planted
+    /// right-hand sides).
+    eig: mbrpa_linalg::SymEig,
+}
+
+impl ShiftedDense {
+    /// `S − μ` with `μ` placed by `kind`: well below the spectrum of `S`
+    /// (definite), or on its `at`-th eigenvalue (indefinite, singular but
+    /// for `iω`).
+    fn new(s: Mat<f64>, definite: bool, at: usize, omega: f64) -> Self {
+        let n = s.rows();
+        let spec = symmetric_eig(&s).expect("symmetric input");
+        let mu = if definite {
+            spec.values[0] - 1.0
+        } else {
+            spec.values[at % n]
+        };
+        let r = Mat::from_fn(n, n, |i, j| s[(i, j)] - if i == j { mu } else { 0.0 });
+        let complex = DenseOperator::new(Mat::from_fn(n, n, |i, j| {
+            C64::new(r[(i, j)], if i == j { omega } else { 0.0 })
+        }));
+        let eig = symmetric_eig(&r).expect("symmetric input");
+        Self {
+            r,
+            omega,
+            complex,
+            eig,
+        }
+    }
+
+    /// `σ_min(R + iω) = min_i |λ_i + iω|`.
+    fn sigma_min(&self) -> f64 {
+        let lam = self
+            .eig
+            .values
+            .iter()
+            .fold(f64::INFINITY, |m, l| m.min(l.abs()));
+        lam.hypot(self.omega)
+    }
+}
+
+impl LinearOperator<C64> for ShiftedDense {
+    fn dim(&self) -> usize {
+        self.r.rows()
+    }
+    fn apply(&self, x: &[C64], y: &mut [C64]) {
+        self.complex.apply(x, y);
+    }
+}
+
+impl RealShifted for ShiftedDense {
+    fn omega(&self) -> f64 {
+        self.omega
+    }
+    fn apply_real_pair(&self, x: &[C64], y: &mut [C64]) {
+        for (i, yi) in y.iter_mut().enumerate() {
+            let (mut re, mut im) = (0.0, 0.0);
+            for (j, xj) in x.iter().enumerate() {
+                re += self.r[(i, j)] * xj.re;
+                im += self.r[(i, j)] * xj.im;
+            }
+            *yi = C64::new(re, im);
+        }
+    }
+}
+
+fn symmetric_strategy(n: usize) -> impl Strategy<Value = Mat<f64>> {
+    proptest::collection::vec(-0.5f64..0.5, n * n).prop_map(move |entries| {
+        let g = Mat::from_col_major(n, n, entries);
+        Mat::from_fn(n, n, |i, j| 0.5 * (g[(i, j)] + g[(j, i)]))
+    })
+}
+
+/// The `lanes` columns of `b` from `start` through the real-arithmetic
+/// solve: `Re x` per column and the reports.
+fn real_solve(
+    op: &ShiftedDense,
+    b: &Mat<f64>,
+    guess: Option<&Mat<f64>>,
+    start: usize,
+    lanes: usize,
+    opts: &CocgOptions,
+) -> (Vec<Vec<f64>>, [SolveReport; 2]) {
+    let mut out = vec![Vec::new(); lanes];
+    let mut ws = Workspace::new();
+    let reports = shifted_lanczos_pair(
+        op,
+        b,
+        guess,
+        start,
+        lanes,
+        opts,
+        &mut ws,
+        &mut |col, x, slot| {
+            out[col - start] = x
+                .iter()
+                .map(|z| if slot == 0 { z.re } else { z.im })
+                .collect();
+        },
+    );
+    (out, reports)
+}
+
+fn norm(x: &[f64]) -> f64 {
+    x.iter().map(|v| v * v).sum::<f64>().sqrt()
+}
+
+fn max_diff(a: &[f64], b: impl Iterator<Item = f64>) -> f64 {
+    a.iter().zip(b).fold(0.0, |m, (x, y)| m.max((x - y).abs()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// "Same iterates": single and paired real solves stop at the
+    /// iteration Alg. 3 stops at, with its matvec count, and land on its
+    /// `Re x` — definite and singular-but-for-`iω` `R`, `n` not a multiple
+    /// of 4, with and without the Galerkin guess, a zero right-hand side
+    /// in one slot, and slots that converge many steps apart (one
+    /// right-hand side two eigenvectors wide, the other random).
+    #[test]
+    fn real_solves_stop_where_cocg_stops(
+        n in prop_oneof![Just(33usize), Just(46), Just(61), Just(75)],
+        entries in proptest::collection::vec(-0.5f64..0.5, 75 * 75),
+        definite in any::<bool>(),
+        at in 0usize..75,
+        log_omega in -3.0f64..0.0,
+        tight in any::<bool>(),
+        with_guess in any::<bool>(),
+        scenario in 0usize..3,
+        rhs in proptest::collection::vec(-1.0f64..1.0, 2 * 75),
+    ) {
+        let g = Mat::from_col_major(n, n, entries[..n * n].to_vec());
+        let s = Mat::from_fn(n, n, |i, j| 0.5 * (g[(i, j)] + g[(j, i)]));
+        let op = ShiftedDense::new(s, definite, at, 10f64.powf(log_omega));
+        let opts = CocgOptions {
+            tol: if tight { 1e-4 } else { 1e-2 },
+            max_iters: 200,
+            ..CocgOptions::default()
+        };
+        let mut b = Mat::from_fn(n, 2, |i, c| rhs[c * n + i]);
+        match scenario {
+            1 => b.col_mut(0).fill(0.0),
+            2 => {
+                // two eigenvectors: done in two steps, long before slot 1
+                let (p, q) = (op.eig.vectors.col(1).to_vec(), op.eig.vectors.col(n - 2).to_vec());
+                for (i, bi) in b.col_mut(0).iter_mut().enumerate() {
+                    *bi = 0.7 * p[i] - 0.4 * q[i];
+                }
+            }
+            _ => {}
+        }
+        // the guess projects on a third of the spectrum, bottom up
+        let k = n / 3;
+        let psi = op.eig.vectors.columns(0, k);
+        let bc = Mat::from_fn(n, 2, |i, c| C64::new(b[(i, c)], 0.0));
+        let (guess_c, guess_r) = if with_guess {
+            let mut gr = Mat::zeros(n, 4);
+            galerkin_guess_real(&psi, &op.eig.values[..k], 0.0, op.omega, &b, &mut gr);
+            (Some(galerkin_guess(&psi, &op.eig.values[..k], 0.0, op.omega, &bc)), Some(gr))
+        } else {
+            (None, None)
+        };
+        let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
+
+        let (pair_x, pair_rep) = real_solve(&op, &b, guess_r.as_ref(), 0, 2, &opts);
+        let mut ws = Workspace::new();
+        for c in 0..2 {
+            let gc = guess_c.as_ref().map(|g| g.columns(c, 1));
+            let (x, want) = block_cocg_ws(&op, &bc.columns(c, 1), gc.as_ref(), &opts, None, &mut ws);
+            // short solves, and clear of the end of the Krylov space, where
+            // what is left of either residual is rounding. A Galerkin guess
+            // leaves rounding-sized components along the deflated
+            // eigenvectors in the start vector, and either recurrence grows
+            // them several-fold per step once it nears their eigenvalues
+            // (measured here: 1e-12 at 12 steps, 1e-8 at 20): two correct
+            // solvers drift apart, so only short deflated solves compare
+            // digit for digit — the regime of the Sternheimer workloads.
+            let cap = if with_guess { 12 } else { 30 };
+            prop_assume!(want.converged && want.iterations <= cap && 2 * want.iterations <= n - k);
+            let (lone_x, lone_rep) = real_solve(&op, &b, guess_r.as_ref(), c, 1, &opts);
+            let x_norm = x.fro_norm();
+            let solves = [("pair", &pair_x[c], &pair_rep[c]), ("lone", &lone_x[0], &lone_rep[0])];
+            for (what, got_x, got) in solves {
+                prop_assert!(got.converged, "{what} slot {c}: {got:?} vs {want:?}");
+                prop_assert_eq!(got.iterations, want.iterations, "{} slot {}: iterations", what, c);
+                prop_assert_eq!(got.matvecs, want.matvecs, "{} slot {}: matvecs", what, c);
+                // rounding separates the two recurrences in proportion to
+                // the conditioning: 1e-10·‖x‖ up to κ = 10, κ-fold beyond
+                let r_norm = op.eig.values.iter().fold(op.omega, |m, l| m.max(l.abs()));
+                let kappa = r_norm / op.sigma_min();
+                let d = max_diff(got_x, x.col(0).iter().map(|z| z.re));
+                prop_assert!(
+                    d <= 1e-11 * kappa.max(10.0) * x_norm,
+                    "{what} slot {c}: Re x off Alg. 3's by {d:e} (‖x‖ {x_norm:e}, κ {kappa:e}, \
+                     {} iterations)",
+                    want.iterations
+                );
+                // and both are the solution, to what the tolerance buys
+                let err = max_diff(got_x, exact.col(c).iter().map(|z| z.re));
+                let bound = 2.0 * opts.tol * norm(b.col(c)) / op.sigma_min();
+                prop_assert!(
+                    err <= bound + 1e-12,
+                    "{what} slot {c}: {err:e} from the dense solve, bound {bound:e}"
+                );
+            }
+        }
+    }
+
+    /// Long solves (an indefinite `R` with small `ω`, a tight tolerance):
+    /// rounding moves the two recurrences apart, so the counts may differ
+    /// by a few; what must hold is the answer.
+    #[test]
+    fn long_real_solves_reach_the_dense_solution(
+        s in symmetric_strategy(120),
+        at in 30usize..90,
+        rhs in proptest::collection::vec(-1.0f64..1.0, 240),
+    ) {
+        let n = 120;
+        let op = ShiftedDense::new(s, false, at, 2e-3);
+        let opts = CocgOptions { tol: 1e-8, max_iters: 3000, ..CocgOptions::default() };
+        let b = Mat::from_col_major(n, 2, rhs);
+        let bc = Mat::from_fn(n, 2, |i, c| C64::new(b[(i, c)], 0.0));
+        let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
+        let (xs, reports) = real_solve(&op, &b, None, 0, 2, &opts);
+        for c in 0..2 {
+            prop_assert!(reports[c].converged, "{:?}", reports[c]);
+            prop_assert!(reports[c].iterations > 60, "not a long solve: {:?}", reports[c]);
+            let err = max_diff(&xs[c], exact.col(c).iter().map(|z| z.re));
+            let bound = 10.0 * opts.tol * norm(b.col(c)) / op.sigma_min();
+            prop_assert!(err <= bound, "slot {c}: {err:e} from the dense solve, bound {bound:e}");
+        }
+    }
+}
+
+/// The real Galerkin guess is the complex one, bit for bit: a chunk
+/// Alg. 3 solves starts from the guess it always started from.
+#[test]
+fn real_guess_equals_the_complex_one_bit_for_bit() {
+    // 1100 rows: the Gram product sums in row panels
+    for (n, k, w) in [(37usize, 5usize, 3usize), (1100, 9, 6), (64, 16, 48)] {
+        let mut state = 0x9e37u64 + n as u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state as f64 / u64::MAX as f64) - 0.5
+        };
+        let psi = Mat::from_fn(n, k, |_, _| next());
+        let energies: Vec<f64> = (0..k).map(|m| -1.0 + 0.3 * m as f64).collect();
+        let b = Mat::from_fn(n, w, |_, _| next());
+        let bc = Mat::from_fn(n, w, |i, c| C64::new(b[(i, c)], 0.0));
+        let want = galerkin_guess(&psi, &energies, -0.4, 0.07, &bc);
+        let mut got = Mat::from_fn(n, 2 * w, |_, _| f64::NAN);
+        galerkin_guess_real(&psi, &energies, -0.4, 0.07, &b, &mut got);
+        for c in 0..w {
+            for i in 0..n {
+                assert_eq!(
+                    got[(i, c)].to_bits(),
+                    want[(i, c)].re.to_bits(),
+                    "Re ({i}, {c}) of {n}×{w}"
+                );
+                assert_eq!(
+                    got[(i, w + c)].to_bits(),
+                    want[(i, c)].im.to_bits(),
+                    "Im ({i}, {c}) of {n}×{w}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
