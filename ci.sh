@@ -116,6 +116,15 @@ if sed -n '/pub fn allocate/,/^    }$/p' crates/serve/src/store.rs | grep -n 're
     exit 1
 fi
 
+# One Sternheimer solve, unpreconditioned: the §V inverse-Laplacian path
+# lost on every solve workload (EXPERIMENTS.md) and is gone — no trait, no
+# `Z = M·W` branch in block COCG, no complex Kronecker kernel, no `.rpa` key.
+if grep -rnE --include='*.rs' 'Preconditioner|refresh_z|apply_function_complex|"PRECOND" =>' \
+    crates/solver/src crates/dft/src crates/grid/src crates/core/src; then
+    echo "ci: a preconditioned Sternheimer path is back — every system is R + iω with real R, solved as is"
+    exit 1
+fi
+
 # Sanitizer legs: Miri (UB in the unsafe SIMD/linalg kernels) and
 # ThreadSanitizer (data races in the serve executor pool). Both need a
 # nightly toolchain with specific components; when unavailable the legs

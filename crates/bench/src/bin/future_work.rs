@@ -4,16 +4,13 @@
 //!    (embarrassingly parallel over probes, no `n_eig` truncation),
 //! 2. **manager-worker work distribution** replacing the static column
 //!    partition (removes slowest-worker load imbalance),
-//! 3. **inverse shifted-Laplacian preconditioning**, applied dynamically
-//!    to the difficult Sternheimer systems only,
-//! 4. plus the **seed-projection method** of §II as the rejected-design
+//! 3. plus the **seed-projection method** of §II as the rejected-design
 //!    baseline for block COCG.
 
 use mbrpa_bench::seed::seed_cocg;
 use mbrpa_bench::{ladder_config, prepare_ladder_system, print_table, HarnessOptions};
 use mbrpa_core::{
-    compute_rpa_energy_lanczos, frequency_quadrature, PrecondPolicy, TraceEstimatorOptions,
-    WorkDistribution,
+    compute_rpa_energy_lanczos, frequency_quadrature, TraceEstimatorOptions, WorkDistribution,
 };
 use mbrpa_dft::{SternheimerLinOp, SternheimerOperator};
 use mbrpa_linalg::{Mat, C64};
@@ -98,37 +95,7 @@ fn main() {
     }
     print_table(&["distribution", "E_RPA (Ha)", "time (s)"], &rows);
 
-    // -------- 3. dynamic preconditioning --------
-    println!("\n§V.3: inverse shifted-Laplacian preconditioning\n");
-    let mut rows = Vec::new();
-    for (label, policy) in [
-        ("unpreconditioned (paper)", PrecondPolicy::Never),
-        (
-            "hard systems only",
-            PrecondPolicy::HardOnly {
-                omega_max: 0.5,
-                top_orbital_frac: 0.25,
-            },
-        ),
-        ("always", PrecondPolicy::Always),
-    ] {
-        let mut c = config.clone();
-        c.precondition = policy;
-        eprintln!("{label}…");
-        let r = setup.run(&c).expect("rpa");
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.6}", r.total_energy),
-            format!("{}", r.solver_stats.iterations),
-            format!("{:.2}", r.wall_time.as_secs_f64()),
-        ]);
-    }
-    print_table(
-        &["preconditioning", "E_RPA (Ha)", "COCG iters", "time (s)"],
-        &rows,
-    );
-
-    // -------- 4. seed method vs block COCG (§II baseline) --------
+    // -------- 3. seed method vs block COCG (§II baseline) --------
     println!("\n§II baseline: seed projection vs block COCG on a hard system\n");
     let n = setup.ham.dim();
     let n_s = setup.ks.n_occupied;

@@ -298,7 +298,7 @@ fn cocg_iter_cases(reps: usize, cases: &mut Vec<Case>) {
         let mut ws = Workspace::new();
         let mut iterations = 0;
         let secs = time_best(reps, &mut || {
-            let (x, rep) = block_cocg_ws(&op, &b, None, &opts, None, &mut ws);
+            let (x, rep) = block_cocg_ws(&op, &b, None, &opts, &mut ws);
             iterations = rep.iterations;
             black_box(x);
         });

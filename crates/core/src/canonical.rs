@@ -162,18 +162,9 @@ fn encode_config(config: &RpaConfig, e: &mut Encoder) {
     }
     e.uint(TAG_N_WORKERS, config.n_workers as u64);
     e.uint(TAG_COCG_MAX_ITERS, config.cocg_max_iters as u64);
-    match config.precondition {
-        crate::chi0::PrecondPolicy::Never => e.uint(TAG_PRECONDITION, 1),
-        crate::chi0::PrecondPolicy::Always => e.uint(TAG_PRECONDITION, 2),
-        crate::chi0::PrecondPolicy::HardOnly {
-            omega_max,
-            top_orbital_frac,
-        } => {
-            e.uint(TAG_PRECONDITION, 3);
-            e.0.extend_from_slice(&norm_bits(omega_max).to_le_bytes());
-            e.0.extend_from_slice(&norm_bits(top_orbital_frac).to_le_bytes());
-        }
-    }
+    // the retired `PRECOND: never` byte: kept so every fingerprint, cache
+    // entry and checkpoint made before the key left keeps its value
+    e.uint(TAG_PRECONDITION, 1);
     match config.distribution {
         crate::chi0::WorkDistribution::StaticColumns => e.uint(TAG_DISTRIBUTION, 1),
         crate::chi0::WorkDistribution::WorkStealing { chunk_width } => {
@@ -307,7 +298,7 @@ NP: 2
     #[test]
     fn every_config_field_moves_both_fingerprints() {
         use crate::checkpoint::config_fingerprint;
-        use crate::chi0::{PrecondPolicy, WorkDistribution};
+        use crate::chi0::WorkDistribution;
         let base = parse_rpa_input(BASE).unwrap();
         let with = |config: RpaConfig| RpaInput {
             config,
@@ -327,7 +318,6 @@ NP: 2
             ("block_policy", RpaConfig { block_policy: BlockPolicy::Fixed(2), ..c() }),
             ("n_workers", RpaConfig { n_workers: 3, ..c() }),
             ("cocg_max_iters", RpaConfig { cocg_max_iters: 601, ..c() }),
-            ("precondition", RpaConfig { precondition: PrecondPolicy::Always, ..c() }),
             ("distribution", RpaConfig { distribution: WorkDistribution::WorkStealing { chunk_width: 4 }, ..c() }),
             ("seed", RpaConfig { seed: 2025, ..c() }),
         ];

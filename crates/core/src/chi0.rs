@@ -18,14 +18,12 @@
 
 use crate::cancel::CancelToken;
 use crate::workers::{partition_columns, ColumnRange};
-use mbrpa_dft::{
-    Hamiltonian, ShiftedLaplacianPreconditioner, SternheimerLinOp, SternheimerOperator,
-};
+use mbrpa_dft::{Hamiltonian, SternheimerLinOp, SternheimerOperator};
 use mbrpa_grid::CoulombOperator;
 use mbrpa_linalg::{Mat, C64};
 use mbrpa_solver::{
     galerkin_guess_real, solve_shifted_real_rhs, BlockPolicy, CocgOptions, LinearOperator,
-    Preconditioner, WorkerStats,
+    WorkerStats,
 };
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -73,41 +71,17 @@ fn map_tasks<T: Sync, R: Send>(
     }
 }
 
-/// When to apply the inverse shifted-Laplacian preconditioner (the
-/// paper's §V: "such a preconditioner … should be dynamically applied
-/// only in those cases" — the difficult Sternheimer systems).
+/// Type of the `precondition` fields of [`SternheimerSettings`] and
+/// `RpaConfig`. Every Sternheimer solve is unpreconditioned (the paper's
+/// evaluated configuration; EXPERIMENTS.md has the measurement that
+/// retired the §V preconditioner), so the fields select nothing. They
+/// exist only because the frozen `crates/e2e/src/layers.rs` copies one
+/// into the other in a struct literal; the `benchmark` issue that drops
+/// that line drops this type with it (ROADMAP 2(c)).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PrecondPolicy {
-    /// Plain block COCG everywhere (the paper's evaluated configuration).
+    /// Plain block COCG / real Lanczos everywhere.
     Never,
-    /// Precondition every Sternheimer solve.
-    Always,
-    /// Precondition only difficult `(j, k)` pairs: `ω ≤ omega_max` and the
-    /// orbital index within the top `top_orbital_frac` of the occupied
-    /// spectrum (the near-singular, highly indefinite regime of Eq. 9).
-    HardOnly {
-        /// Largest frequency still considered "difficult".
-        omega_max: f64,
-        /// Fraction of top occupied orbitals considered "difficult".
-        top_orbital_frac: f64,
-    },
-}
-
-impl PrecondPolicy {
-    /// Should the `(j, ω)` system be preconditioned?
-    pub fn applies(&self, orbital_index: usize, n_occupied: usize, omega: f64) -> bool {
-        match *self {
-            PrecondPolicy::Never => false,
-            PrecondPolicy::Always => true,
-            PrecondPolicy::HardOnly {
-                omega_max,
-                top_orbital_frac,
-            } => {
-                let cutoff = ((1.0 - top_orbital_frac) * n_occupied as f64).floor() as usize;
-                omega <= omega_max && orbital_index >= cutoff
-            }
-        }
-    }
 }
 
 /// How Sternheimer work is distributed over the thread pool.
@@ -137,7 +111,7 @@ pub struct SternheimerSettings {
     pub policy: BlockPolicy,
     /// Use the Galerkin initial guess (Eq. 13).
     pub use_galerkin_guess: bool,
-    /// Inverse shifted-Laplacian preconditioning policy (§V).
+    /// Selects nothing; see [`PrecondPolicy`].
     pub precondition: PrecondPolicy,
     /// Work distribution strategy (§III-D static vs §V manager-worker).
     pub distribution: WorkDistribution,
@@ -344,7 +318,6 @@ impl<'a> DielectricOperator<'a> {
             return;
         }
         let ch = &self.channels[channel];
-        let n_s = ch.energies.len();
         let cocg_opts = CocgOptions {
             tol: self.settings.tol,
             max_iters: self.settings.max_iters,
@@ -368,16 +341,6 @@ impl<'a> DielectricOperator<'a> {
             ch.energies[j],
             self.omega,
         ));
-        let precond = if self.settings.precondition.applies(j, n_s, self.omega) {
-            Some(ShiftedLaplacianPreconditioner::for_sternheimer(
-                self.ham,
-                self.coulomb.spectral().clone(),
-                ch.energies[j],
-                self.omega,
-            ))
-        } else {
-            None
-        };
         let it_before = stats.iterations;
         // 2·g_σ·Re(Ψ_j ⊙ Y_j): the ± iω conjugate-pair combination gives
         // the 2, the channel degeneracy the g_σ (= 4·Re for closed shells)
@@ -388,7 +351,6 @@ impl<'a> DielectricOperator<'a> {
             guess,
             &cocg_opts,
             self.settings.policy,
-            precond.as_ref().map(|p| p as &dyn Preconditioner),
             stats,
             &mut |col, y: &[C64], slot| {
                 let terms = acc.col_mut(col).iter_mut().zip(psi_j).zip(y);
@@ -940,39 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn preconditioned_apply_matches_plain() {
-        let f = fixture();
-        let n = f.ham.dim();
-        let v = Mat::from_fn(n, 2, |i, j| ((i * 7 + j * 13) % 19) as f64 * 0.05 - 0.45);
-        let make = |policy: PrecondPolicy| {
-            DielectricOperator::new(
-                &f.ham,
-                &f.psi,
-                &f.energies,
-                &f.coulomb,
-                0.4,
-                SternheimerSettings {
-                    tol: 1e-9,
-                    precondition: policy,
-                    ..SternheimerSettings::default()
-                },
-                1,
-            )
-        };
-        let plain = make(PrecondPolicy::Never);
-        let pre = make(PrecondPolicy::Always);
-        let hard = make(PrecondPolicy::HardOnly {
-            omega_max: 1.0,
-            top_orbital_frac: 0.5,
-        });
-        let a = plain.apply_chi0_block(&v);
-        let b = pre.apply_chi0_block(&v);
-        let c = hard.apply_chi0_block(&v);
-        assert!(a.max_abs_diff(&b) < 1e-6 * a.max_abs().max(1.0));
-        assert!(a.max_abs_diff(&c) < 1e-6 * a.max_abs().max(1.0));
-    }
-
-    #[test]
     fn two_identical_channels_equal_one_restricted_channel() {
         // spin-polarized with two identical g=1 channels must reproduce the
         // spin-restricted g=2 single-channel result exactly
@@ -1027,22 +956,6 @@ mod tests {
             SternheimerSettings::default(),
             1,
         );
-    }
-
-    #[test]
-    fn precond_policy_predicate() {
-        let hard = PrecondPolicy::HardOnly {
-            omega_max: 0.5,
-            top_orbital_frac: 0.25,
-        };
-        // 16 orbitals, top quarter = indices >= 12
-        assert!(!hard.applies(0, 16, 0.1));
-        assert!(!hard.applies(11, 16, 0.1));
-        assert!(hard.applies(12, 16, 0.1));
-        assert!(hard.applies(15, 16, 0.5));
-        assert!(!hard.applies(15, 16, 0.6), "large omega is easy");
-        assert!(PrecondPolicy::Always.applies(0, 16, 99.0));
-        assert!(!PrecondPolicy::Never.applies(15, 16, 0.001));
     }
 
     #[test]

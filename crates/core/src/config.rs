@@ -38,8 +38,7 @@ pub struct RpaConfig {
     pub n_workers: usize,
     /// Iteration cap of each COCG solve.
     pub cocg_max_iters: usize,
-    /// Inverse shifted-Laplacian preconditioning policy (§V extension;
-    /// the paper's evaluation runs unpreconditioned).
+    /// Selects nothing; see [`PrecondPolicy`].
     pub precondition: PrecondPolicy,
     /// Work distribution: the paper's static column partition (§III-D) or
     /// the §V manager-worker fine-grained tasks.
@@ -89,21 +88,42 @@ impl RpaConfig {
             .expect("tol_eig must be non-empty")
     }
 
-    /// Validate against a system size; panics on unsatisfiable settings.
-    pub fn validate(&self, n_d: usize) {
-        assert!(self.n_eig >= 1, "need at least one eigenvalue");
-        assert!(
-            self.n_eig <= n_d,
-            "n_eig = {} exceeds grid dimension {n_d}",
-            self.n_eig
-        );
-        assert!(self.n_omega >= 1, "need at least one quadrature point");
-        assert!(!self.tol_eig.is_empty(), "tol_eig must be non-empty");
-        assert!(self.tol_sternheimer > 0.0, "tolerance must be positive");
-        assert!(self.n_workers >= 1, "need at least one worker");
+    /// Can these settings run on a grid of `n_d` points? The message names
+    /// the `.rpa` key at fault.
+    pub fn check(&self, n_d: usize) -> Result<(), String> {
+        if self.n_eig < 1 {
+            return Err("N_NUCHI_EIGS must be at least 1".to_string());
+        }
+        if self.n_eig > n_d {
+            return Err(format!(
+                "N_NUCHI_EIGS: n_eig = {} exceeds grid dimension n_d = {n_d}",
+                self.n_eig
+            ));
+        }
+        if self.n_omega < 1 {
+            return Err("N_OMEGA must be at least 1".to_string());
+        }
+        if self.tol_eig.is_empty() {
+            return Err("TOL_EIG must be non-empty".to_string());
+        }
+        if !(self.tol_sternheimer.is_finite() && self.tol_sternheimer > 0.0) {
+            return Err("TOL_STERN_RES must be positive".to_string());
+        }
+        if self.n_workers < 1 {
+            return Err("NP: need at least one worker".to_string());
+        }
         // p > n_eig is allowed: partition_columns clamps so the surplus
         // workers simply idle (§III-D's p <= n_eig is a load-balance
         // guideline, not a hard precondition)
+        Ok(())
+    }
+
+    /// [`check`](Self::check) for library callers, to whom unsatisfiable
+    /// settings are a programming error: panics with its message.
+    pub fn validate(&self, n_d: usize) {
+        if let Err(e) = self.check(n_d) {
+            panic!("unsatisfiable RpaConfig: {e}");
+        }
     }
 }
 

@@ -18,7 +18,7 @@
 //! instead; see DESIGN.md): `CELLS_Z`, `POINTS_PER_CELL`, `MESH`,
 //! `PERTURBATION`, `SEED`, `NP`, `BLOCK_POLICY`, `VACANCY`, `BOUNDARY`.
 
-use crate::chi0::{PrecondPolicy, WorkDistribution};
+use crate::chi0::WorkDistribution;
 use crate::config::RpaConfig;
 use mbrpa_dft::SiliconSpec;
 use mbrpa_grid::Boundary;
@@ -37,6 +37,34 @@ pub struct RpaInput {
     /// Keys that were recognized but intentionally ignored (artifact
     /// compatibility, e.g. `FLAG_PQ_OPERATOR`).
     pub ignored_keys: Vec<String>,
+}
+
+impl RpaInput {
+    /// Can this input run? What a front end asks right after the parse, so
+    /// an unsatisfiable input costs nothing and panics nowhere: the system
+    /// rules, [`RpaConfig::check`] against the grid it asks for, and the
+    /// vacancy site.
+    pub fn check(&self) -> Result<(), String> {
+        let spec = &self.system;
+        if spec.cells_z < 1 {
+            return Err("CELLS_Z must be at least 1".to_string());
+        }
+        if spec.points_per_cell < 5 {
+            return Err("POINTS_PER_CELL must be at least 5".to_string());
+        }
+        if !(spec.mesh.is_finite() && spec.mesh > 0.0) {
+            return Err("MESH must be a positive number".to_string());
+        }
+        self.config
+            .check(spec.points_per_cell.pow(3) * spec.cells_z)?;
+        match self.vacancy {
+            Some(site) if site >= 8 * spec.cells_z => Err(format!(
+                "VACANCY site {site} is out of range (the system has {} sites)",
+                8 * spec.cells_z
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Parse error with line information.
@@ -129,22 +157,6 @@ pub fn parse_rpa_input(text: &str) -> Result<RpaInput, ParseError> {
                                 ))
                             }
                         }
-                    }
-                }
-            }
-            "PRECOND" => {
-                config.precondition = match value.to_ascii_lowercase().as_str() {
-                    "never" | "0" => PrecondPolicy::Never,
-                    "always" | "1" => PrecondPolicy::Always,
-                    "hard" | "hard_only" => PrecondPolicy::HardOnly {
-                        omega_max: 0.5,
-                        top_orbital_frac: 0.25,
-                    },
-                    other => {
-                        return Err(err(
-                            lineno,
-                            format!("`PRECOND` expects never | always | hard, got `{other}`"),
-                        ))
                     }
                 }
             }
@@ -280,30 +292,14 @@ BLOCK_POLICY: fixed_2
     }
 
     #[test]
-    fn precond_and_distribution_keys() {
-        let input = parse_rpa_input(
-            "PRECOND: hard
-DISTRIBUTION: work_stealing_8
-",
-        )
-        .unwrap();
-        assert!(matches!(
-            input.config.precondition,
-            PrecondPolicy::HardOnly { .. }
-        ));
+    fn distribution_key_variants() {
+        let input = parse_rpa_input("DISTRIBUTION: work_stealing_8\n").unwrap();
         assert_eq!(
             input.config.distribution,
             WorkDistribution::WorkStealing { chunk_width: 8 }
         );
-        let input = parse_rpa_input(
-            "PRECOND: never
-DISTRIBUTION: static
-",
-        )
-        .unwrap();
-        assert_eq!(input.config.precondition, PrecondPolicy::Never);
+        let input = parse_rpa_input("DISTRIBUTION: static\n").unwrap();
         assert_eq!(input.config.distribution, WorkDistribution::StaticColumns);
-        assert!(parse_rpa_input("PRECOND: maybe").is_err());
         assert!(parse_rpa_input("DISTRIBUTION: chaotic").is_err());
     }
 
@@ -332,10 +328,15 @@ TOL_STERN_RES: 5e-3
 
     #[test]
     fn unknown_key_is_an_error_with_line_number() {
-        let text = "N_OMEGA: 8\nTYPO_KEY: 3\n";
-        let e = parse_rpa_input(text).unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("TYPO_KEY"));
+        // a retired key (`PRECOND`) is a typo like any other
+        for (text, key) in [
+            ("N_OMEGA: 8\nTYPO_KEY: 3\n", "TYPO_KEY"),
+            ("N_OMEGA: 8\nPRECOND: hard\n", "PRECOND"),
+        ] {
+            let e = parse_rpa_input(text).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert!(e.message.contains("unknown key") && e.message.contains(key));
+        }
     }
 
     #[test]

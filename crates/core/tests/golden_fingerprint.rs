@@ -19,8 +19,8 @@ use mbrpa_core::{fingerprint_hex, is_fingerprint_hex, CANONICAL_VERSION};
 
 /// (file, pinned fingerprint) — values produced by the v2 encoding.
 const GOLDEN: [(&str, &str); 3] = [
-    ("Si8.rpa", "622d8c176499d3df792a8841619c92bb"),
-    ("Si7_vacancy.rpa", "f5327317ac14edd89d244a7eb516cafe"),
+    ("Si8.rpa", "6f6f5dcccd8cadd02aa73f7443a01744"),
+    ("Si7_vacancy.rpa", "0af5ca0c6601ca7f8aad331a26576125"),
     ("cluster_smoke.rpa", "5be8f3f52b2d1feedf88445221b91f55"),
 ];
 

@@ -36,7 +36,6 @@ struct Semantic {
     system_seed: u64,
     dirichlet: bool,
     vacancy: Option<usize>,
-    precond: u8,
     dist: u8,
 }
 
@@ -68,14 +67,13 @@ fn semantic() -> impl Strategy<Value = Semantic> {
             0u64..=6,                        // system seed
             any::<bool>(),                   // dirichlet
             proptest::option::of(0usize..8), // vacancy
-            0u8..=1,                         // precond (never/always; hard is not spellable twice)
             0u8..=2,                         // distribution
         ),
     )
         .prop_map(
             |(
                 (n_eig, n_omega, tols, stern, maxit, cheb, galerkin, block, fixed_n, np),
-                (seed, cells_z, ppc, mesh, pert, system_seed, dirichlet, vacancy, precond, dist),
+                (seed, cells_z, ppc, mesh, pert, system_seed, dirichlet, vacancy, dist),
             )| Semantic {
                 n_eig,
                 n_omega,
@@ -95,7 +93,6 @@ fn semantic() -> impl Strategy<Value = Semantic> {
                 system_seed,
                 dirichlet,
                 vacancy,
-                precond,
                 dist,
             },
         )
@@ -201,13 +198,6 @@ fn render(s: &Semantic, style_bytes: &[u8], order: &[usize]) -> String {
     lines.push(style.line(np_key, &v));
     let v = style.int(s.seed as usize);
     lines.push(style.line("SEED", &v));
-    let precond = match (s.precond, style.next() % 2) {
-        (0, 0) => "never",
-        (0, _) => "0",
-        (_, 0) => "always",
-        (_, _) => "1",
-    };
-    lines.push(style.line("PRECOND", precond));
     let dist = match (s.dist, style.next() % 2) {
         (0, 0) => "static".to_string(),
         (0, _) => "static_columns".to_string(),

@@ -26,7 +26,6 @@ pub mod hamiltonian;
 pub mod occupations;
 pub mod orbital_io;
 pub mod potential;
-pub mod precond;
 pub mod system;
 
 pub use eigensolve::{
@@ -39,5 +38,4 @@ pub use occupations::{
 };
 pub use orbital_io::{load_orbitals, save_orbitals, OrbitalIoError};
 pub use potential::{local_potential, NonlocalProjectors, PotentialParams, Projector};
-pub use precond::ShiftedLaplacianPreconditioner;
 pub use system::{silicon_ladder, Atom, Crystal, SiliconSpec, DIAMOND_CUBIC_FRACTIONS};

@@ -24,11 +24,6 @@ impl CoulombOperator {
         Self { spectral }
     }
 
-    /// Access the underlying spectral Laplacian.
-    pub fn spectral(&self) -> &SpectralLaplacian {
-        &self.spectral
-    }
-
     /// `out = ν v = 4π(−∇²)⁻¹ v` (zero mode → 0).
     pub fn apply_nu(&self, v: &[f64], out: &mut [f64]) {
         self.spectral.apply_function(

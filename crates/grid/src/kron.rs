@@ -133,56 +133,6 @@ impl SpectralLaplacian {
         }
     }
 
-    /// `f64` scratch values per grid point [`apply_function_complex`]
-    /// needs: real/imaginary inputs, their coefficients, one transform
-    /// buffer.
-    ///
-    /// [`apply_function_complex`]: Self::apply_function_complex
-    pub const COMPLEX_SCRATCH_PER_POINT: usize = 5;
-
-    /// Apply a complex-valued spectral function `f(∇²)` to a complex
-    /// vector: real and imaginary parts are transformed with the (real)
-    /// Kronecker eigenbasis, mixed by the complex multiplier in
-    /// coefficient space, and transformed back. This powers the inverse
-    /// shifted-Laplacian preconditioner `(−½∇² + σ)⁻¹` of the paper's §V.
-    ///
-    /// `scratch` is caller-owned working memory of exactly
-    /// [`COMPLEX_SCRATCH_PER_POINT`](Self::COMPLEX_SCRATCH_PER_POINT)` · n`
-    /// values (contents ignored), so a solver loop calling this once per
-    /// column per iteration does not touch the allocator.
-    pub fn apply_function_complex(
-        &self,
-        f: &dyn Fn(f64) -> num_complex::Complex64,
-        v: &[num_complex::Complex64],
-        out: &mut [num_complex::Complex64],
-        scratch: &mut [f64],
-    ) {
-        let n = self.grid.len();
-        assert_eq!(v.len(), n);
-        assert_eq!(out.len(), n);
-        assert_eq!(scratch.len(), Self::COMPLEX_SCRATCH_PER_POINT * n);
-        let (re, rest) = scratch.split_at_mut(n);
-        let (im, rest) = rest.split_at_mut(n);
-        let (c_re, rest) = rest.split_at_mut(n);
-        let (c_im, buf) = rest.split_at_mut(n);
-        for ((r, i), z) in re.iter_mut().zip(im.iter_mut()).zip(v.iter()) {
-            *r = z.re;
-            *i = z.im;
-        }
-        self.forward(re, c_re, buf);
-        self.forward(im, c_im, buf);
-        // complex multiply in coefficient space
-        for ((r, i), lam) in c_re.iter_mut().zip(c_im.iter_mut()).zip(self.eigenvalues()) {
-            let m = f(lam);
-            (*r, *i) = (m.re * *r - m.im * *i, m.re * *i + m.im * *r);
-        }
-        self.backward(c_re, buf);
-        self.backward(c_im, buf);
-        for ((o, &r), &i) in out.iter_mut().zip(c_re.iter()).zip(c_im.iter()) {
-            *o = num_complex::Complex64::new(r, i);
-        }
-    }
-
     /// Forward Kronecker transform: `out = (Qzᵀ⊗Qyᵀ⊗Qxᵀ) v`.
     fn forward(&self, v: &[f64], out: &mut [f64], buf: &mut [f64]) {
         let (nx, ny, nz) = (self.grid.nx, self.grid.ny, self.grid.nz);
@@ -322,68 +272,6 @@ mod tests {
         spec.apply_function(&|lam| if lam == 0.0 { 0.0 } else { 1.0 }, &v, &mut out);
         for o in &out {
             assert!(o.abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn complex_apply_matches_real_parts_for_real_function() {
-        use num_complex::Complex64;
-        let g = Grid3::cubic(6, 0.7, Boundary::Periodic);
-        let spec = SpectralLaplacian::new(g, 2).unwrap();
-        let n = g.len();
-        let re = test_vec(n, 3);
-        let im = test_vec(n, 4);
-        let vc: Vec<Complex64> = re
-            .iter()
-            .zip(im.iter())
-            .map(|(&a, &b)| Complex64::new(a, b))
-            .collect();
-        let f_real = |lam: f64| if lam == 0.0 { 0.0 } else { 1.0 / (-lam) };
-        let mut oc = vec![Complex64::new(0.0, 0.0); n];
-        let mut scratch = vec![0.0; SpectralLaplacian::COMPLEX_SCRATCH_PER_POINT * n];
-        spec.apply_function_complex(
-            &|lam| Complex64::new(f_real(lam), 0.0),
-            &vc,
-            &mut oc,
-            &mut scratch,
-        );
-        let mut or_ = vec![0.0; n];
-        let mut oi = vec![0.0; n];
-        spec.apply_function(&f_real, &re, &mut or_);
-        spec.apply_function(&f_real, &im, &mut oi);
-        for i in 0..n {
-            assert!((oc[i].re - or_[i]).abs() < 1e-11);
-            assert!((oc[i].im - oi[i]).abs() < 1e-11);
-        }
-    }
-
-    #[test]
-    fn complex_shifted_inverse_roundtrip() {
-        use num_complex::Complex64;
-        // (−½∇² + σ)⁻¹ then (−½∇² + σ) must round-trip
-        let g = Grid3::cubic(6, 0.7, Boundary::Periodic);
-        let spec = SpectralLaplacian::new(g, 2).unwrap();
-        let lap = Laplacian::new(g, 2);
-        let n = g.len();
-        let sigma = Complex64::new(0.8, 0.3);
-        let v: Vec<Complex64> = test_vec(n, 9)
-            .iter()
-            .zip(test_vec(n, 10).iter())
-            .map(|(&a, &b)| Complex64::new(a, b))
-            .collect();
-        let mut u = vec![Complex64::new(0.0, 0.0); n];
-        spec.apply_function_complex(
-            &|lam| Complex64::new(1.0, 0.0) / (Complex64::new(-0.5 * lam, 0.0) + sigma),
-            &v,
-            &mut u,
-            &mut vec![0.0; SpectralLaplacian::COMPLEX_SCRATCH_PER_POINT * n],
-        );
-        // apply (−½∇² + σ) with the stencil
-        let mut lu = vec![Complex64::new(0.0, 0.0); n];
-        lap.apply(&u, &mut lu);
-        for i in 0..n {
-            let back = Complex64::new(-0.5, 0.0) * lu[i] + sigma * u[i];
-            assert!((back - v[i]).norm() < 1e-9, "{back} vs {}", v[i]);
         }
     }
 

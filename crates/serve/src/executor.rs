@@ -152,7 +152,7 @@ fn execute(shared: &Arc<ServeShared>, spec: &JobSpec, job: &RunningJob) -> Finis
         Ok(i) => i,
         Err(e) => return Finish::Failed(format!("invalid `.rpa` input: {e}")),
     };
-    if let Err(e) = job::precheck(&input) {
+    if let Err(e) = input.check() {
         return Finish::Failed(e);
     }
 

@@ -108,7 +108,7 @@ impl JobSpec {
         // full parse up front: a job that cannot run is rejected at the
         // door, not discovered minutes later by an executor
         let parsed = parse_rpa_input(input).map_err(|e| format!("invalid `.rpa` input: {e}"))?;
-        precheck(&parsed)?;
+        parsed.check()?;
         Ok(JobSpec {
             name,
             priority: priority.min(MAX_PRIORITY),
@@ -132,55 +132,6 @@ impl JobSpec {
     pub fn parsed(&self) -> Result<RpaInput, String> {
         parse_rpa_input(&self.input).map_err(|e| format!("invalid `.rpa` input: {e}"))
     }
-}
-
-/// Cross-check the solver configuration against the system it will run
-/// on. `RpaConfig::validate` treats violations as programmer errors and
-/// panics; a daemon must instead refuse them at submission so a bad job
-/// can never take down (or wedge) an executor.
-pub fn precheck(input: &RpaInput) -> Result<(), String> {
-    let spec = &input.system;
-    if spec.cells_z < 1 {
-        return Err("CELLS_Z must be at least 1".to_string());
-    }
-    if spec.points_per_cell < 5 {
-        return Err("POINTS_PER_CELL must be at least 5".to_string());
-    }
-    if !(spec.mesh.is_finite() && spec.mesh > 0.0) {
-        return Err("MESH must be a positive number".to_string());
-    }
-    let n_d = spec.points_per_cell * spec.points_per_cell * spec.points_per_cell * spec.cells_z;
-    let config = &input.config;
-    if config.n_eig < 1 {
-        return Err("N_NUCHI_EIGS must be at least 1".to_string());
-    }
-    if config.n_eig > n_d {
-        return Err(format!(
-            "N_NUCHI_EIGS = {} exceeds the grid dimension n_d = {n_d}",
-            config.n_eig
-        ));
-    }
-    if config.n_omega < 1 {
-        return Err("N_OMEGA must be at least 1".to_string());
-    }
-    if config.tol_eig.is_empty() {
-        return Err("TOL_EIG must be non-empty".to_string());
-    }
-    if !(config.tol_sternheimer.is_finite() && config.tol_sternheimer > 0.0) {
-        return Err("TOL_STERN_RES must be positive".to_string());
-    }
-    if config.n_workers < 1 {
-        return Err("NP must be at least 1".to_string());
-    }
-    if let Some(site) = input.vacancy {
-        if site >= 8 * spec.cells_z {
-            return Err(format!(
-                "VACANCY site {site} is out of range (the system has {} sites)",
-                8 * spec.cells_z
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// `[A-Za-z0-9._-]{1,64}`, no leading dot — the same shape as job ids.
@@ -636,9 +587,9 @@ mod tests {
     }
 
     #[test]
-    fn precheck_rejects_configs_that_cannot_run() {
-        // n_d = 5³ = 125, so 200 eigenpairs are impossible; without the
-        // precheck this would panic inside an executor thread
+    fn submission_rejects_inputs_that_cannot_run() {
+        // n_d = 5³ = 125, so 200 eigenpairs are impossible; without
+        // `RpaInput::check` this would panic inside an executor thread
         let body = r#"{"schema":"mbrpa.job/1","input":"POINTS_PER_CELL: 5\nN_NUCHI_EIGS: 200"}"#;
         let e = JobSpec::from_json(&parse(body).unwrap()).unwrap_err();
         assert!(e.contains("N_NUCHI_EIGS"), "got `{e}`");

@@ -22,16 +22,8 @@
 //! buffer pool, so repeated per-frequency solves touch the allocator only
 //! while warming the pool. [`block_cocg`] uses the calling thread's
 //! persistent pool; [`block_cocg_ws`] accepts an explicit one.
-//!
-//! The same loop runs preconditioned (the paper's §V inverse-Laplacian
-//! idea): COCG admits any *complex-symmetric* `M ≈ A⁻¹` (a real SPD
-//! operator qualifies) by iterating on `Z = M·W` with the bilinear Gram
-//! matrix `ρ = WᵀZ`, which keeps the short-term recurrence and the
-//! `O(n·s²)` per-iteration cost. Without a preconditioner no `Z` buffer
-//! exists and `W` stands in for it, operation for operation.
 
 use crate::operator::LinearOperator;
-use crate::precond::Preconditioner;
 use crate::stats::SolveReport;
 use crate::workspace::{with_thread_workspace, Workspace};
 use mbrpa_linalg::{exactly_zero, matmul_into, matmul_tn_into, Mat, Scalar, C64};
@@ -250,13 +242,18 @@ pub fn block_cocg(
     x0: Option<&Mat<C64>>,
     opts: &CocgOptions,
 ) -> (Mat<C64>, SolveReport) {
-    with_thread_workspace(|ws| block_cocg_ws(op, b, x0, opts, None, ws))
+    with_thread_workspace(|ws| block_cocg_ws(op, b, x0, opts, ws))
 }
 
-/// `Z = M·W` into the pooled `Z` buffer, when the solve is preconditioned.
-fn refresh_z(precond: Option<&dyn Preconditioner>, w: &Mat<C64>, z: &mut Option<Mat<C64>>) {
-    if let (Some(m), Some(z)) = (precond, z.as_mut()) {
-        m.apply_block_into(w, z);
+/// One solve's own tallies into the `solver.cocg.*` counters.
+fn count_solve(report: &SolveReport) {
+    if mbrpa_obs::enabled() {
+        mbrpa_obs::add("solver.cocg.solves", 1);
+        mbrpa_obs::add("solver.cocg.iterations", report.iterations as u64);
+        mbrpa_obs::add("solver.cocg.matvecs", report.matvecs as u64);
+        if report.breakdowns > 0 {
+            mbrpa_obs::add("solver.cocg.breakdowns", report.breakdowns as u64);
+        }
     }
 }
 
@@ -278,9 +275,7 @@ fn comps_mut(m: &mut Mat<C64>) -> &mut [f64] {
     C64::as_components_mut(m.as_mut_slice())
 }
 
-/// [`block_cocg`] with an explicit [`Workspace`] buffer pool and an
-/// optional preconditioner `M ≈ A⁻¹` (`Z = M·W`, `ρ = WᵀZ`; with `M = I`
-/// the iterates equal the unpreconditioned ones bit for bit).
+/// [`block_cocg`] with an explicit [`Workspace`] buffer pool.
 ///
 /// All per-iteration temporaries are taken from (and returned to) `ws`;
 /// the pool is left balanced on exit, holding every buffer the solve
@@ -291,7 +286,7 @@ fn comps_mut(m: &mut Mat<C64>) -> &mut [f64] {
 ///
 /// An iteration is three sweeps over `n × s` data: `U = A·P` with
 /// `μ = UᵀP` taken while `U` is hot; lines 9–11 (`X += P·α`, `W −= U·α`,
-/// `ρ₊ = WᵀW`, `‖w_j‖²`); and `P ← Z + P·β`. At `s ≤ 4` — every block the
+/// `ρ₊ = WᵀW`, `‖w_j‖²`); and `P ← W + P·β`. At `s ≤ 4` — every block the
 /// drivers solve — the last two are single fused `mbrpa-simd` kernels;
 /// wider blocks run the same steps as packed GEMMs and Gram products.
 /// The residual norm and the blow-up guard both read
@@ -303,25 +298,18 @@ pub fn block_cocg_ws(
     b: &Mat<C64>,
     x0: Option<&Mat<C64>>,
     opts: &CocgOptions,
-    precond: Option<&dyn Preconditioner>,
     ws: &mut Workspace<C64>,
 ) -> (Mat<C64>, SolveReport) {
     let n = op.dim();
     let s = b.cols();
     assert_eq!(b.rows(), n, "rhs dimension mismatch");
-    if let Some(m) = precond {
-        assert_eq!(m.dim(), n, "preconditioner dimension mismatch");
-    }
     let mut report = SolveReport::new();
 
-    // Telemetry: counters fire at the point of occurrence (the recursive
-    // half-split path counts through its own sub-calls), and the per-solve
-    // residual descent goes to a bounded trace — deliberately separate from
-    // `report.residual_history`, which stays opt-in via `track_residuals`.
+    // Telemetry: the `solver.cocg.*` counters take this solve's report at
+    // exit (`count_solve`), and the per-solve residual descent goes to a
+    // bounded trace — deliberately separate from `report.residual_history`,
+    // which stays opt-in via `track_residuals`.
     let obs_on = mbrpa_obs::enabled();
-    if obs_on {
-        mbrpa_obs::add("solver.cocg.solves", 1);
-    }
     let mut obs_hist: Vec<f64> = if obs_on {
         Vec::with_capacity(opts.max_iters + 2)
     } else {
@@ -332,6 +320,7 @@ pub fn block_cocg_ws(
     if exactly_zero(b_fro) || s == 0 {
         report.converged = true;
         report.relative_residual = 0.0;
+        count_solve(&report);
         return (x0.cloned().unwrap_or_else(|| Mat::zeros(n, s)), report);
     }
     // The iterate, updated in place and returned.
@@ -356,20 +345,15 @@ pub fn block_cocg_ws(
         let mut ax = ws.take_scratch(n, s);
         op.apply_block(&x, &mut ax);
         report.matvecs += s;
-        if obs_on {
-            mbrpa_obs::add("solver.cocg.matvecs", s as u64);
-        }
         w.axpy(-one, &ax);
         ws.give(ax);
     }
     col_norms_sq(&w, &mut w_sq);
 
-    let mut z = precond.map(|_| ws.take_scratch(n, s));
-    refresh_z(precond, &w, &mut z);
     let mut rho = ws.take_scratch(s, s);
-    matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho);
+    matmul_tn_into(&w, &w, &mut rho);
     let mut p: Mat<C64> = Mat::zeros(n, 0);
-    let mut restart = true; // first iteration: P = Z
+    let mut restart = true; // first iteration: P = W
     let thin = s <= mbrpa_simd::THIN_MAX;
     let mut blown_up = false;
 
@@ -397,10 +381,10 @@ pub fn block_cocg_ws(
             break;
         }
 
-        // Line 5 after a restart: P = Z (otherwise `p` already holds
-        // `Z + P·β` from the end of the previous iteration).
+        // Line 5 after a restart: P = W (otherwise `p` already holds
+        // `W + P·β` from the end of the previous iteration).
         if restart {
-            let p_new = ws.take_copy(z.as_ref().unwrap_or(&w));
+            let p_new = ws.take_copy(&w);
             ws.give(std::mem::replace(&mut p, p_new));
             restart = false;
         }
@@ -409,9 +393,6 @@ pub fn block_cocg_ws(
         let mut u = ws.take_scratch(n, s);
         op.apply_block(&p, &mut u);
         report.matvecs += s;
-        if obs_on {
-            mbrpa_obs::add("solver.cocg.matvecs", s as u64);
-        }
         let mut mu = ws.take_scratch(s, s);
         matmul_tn_into(&u, &p, &mut mu);
         if mu.has_bad_values() {
@@ -420,9 +401,6 @@ pub fn block_cocg_ws(
             ws.give(u);
             blown_up = true;
             report.iterations += 1;
-            if obs_on {
-                mbrpa_obs::add("solver.cocg.iterations", 1);
-            }
             break;
         }
 
@@ -436,10 +414,6 @@ pub fn block_cocg_ws(
             ws.give(u);
             report.breakdowns += 1;
             report.iterations += 1;
-            if obs_on {
-                mbrpa_obs::add("solver.cocg.breakdowns", 1);
-                mbrpa_obs::add("solver.cocg.iterations", 1);
-            }
             if report.breakdowns > MAX_BREAKDOWNS {
                 break;
             }
@@ -447,22 +421,18 @@ pub fn block_cocg_ws(
             let mut ax = ws.take_scratch(n, s);
             op.apply_block(&x, &mut ax);
             report.matvecs += s;
-            if obs_on {
-                mbrpa_obs::add("solver.cocg.matvecs", s as u64);
-            }
             w.as_mut_slice().copy_from_slice(b.as_slice());
             w.axpy(-one, &ax);
             ws.give(ax);
             col_norms_sq(&w, &mut w_sq);
-            refresh_z(precond, &w, &mut z);
-            matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho);
+            matmul_tn_into(&w, &w, &mut rho);
             restart = true;
             continue;
         }
 
-        // Lines 9–11: X += P·α, W −= U·α, ρ₊ = WᵀZ and the column norms
-        // of the new residual. Thin blocks do it in one fused sweep (which
-        // yields WᵀW, i.e. ρ₊ when Z = W); wide blocks as separate products.
+        // Lines 9–11: X += P·α, W −= U·α, ρ₊ = WᵀW and the column norms
+        // of the new residual. Thin blocks do it in one fused sweep; wide
+        // blocks as separate products.
         let mut rho_next = ws.take_scratch(s, s);
         if thin {
             mbrpa_simd::cocg_update_c64(
@@ -484,23 +454,15 @@ pub fn block_cocg_ws(
             matmul_into(one, &p, &alpha, one, &mut x);
             matmul_into(-one, &u, &alpha, one, &mut w);
             col_norms_sq(&w, &mut w_sq);
+            matmul_tn_into(&w, &w, &mut rho_next);
         }
         ws.give(alpha);
         ws.give(u);
-        let mut finite = w_sq.iter().all(|v| v.is_finite());
-        if finite && !(thin && precond.is_none()) {
-            refresh_z(precond, &w, &mut z);
-            matmul_tn_into(&w, z.as_ref().unwrap_or(&w), &mut rho_next);
-        }
-        finite = finite && !rho_next.has_bad_values();
-        if !finite {
+        if !w_sq.iter().all(|v| v.is_finite()) || rho_next.has_bad_values() {
             // numerical blow-up: surface as non-convergence
             ws.give(rho_next);
             blown_up = true;
             report.iterations += 1;
-            if obs_on {
-                mbrpa_obs::add("solver.cocg.iterations", 1);
-            }
             break;
         }
 
@@ -515,31 +477,24 @@ pub fn block_cocg_ws(
             &mut beta,
         );
         if beta_ok {
-            // P ← Z + P·β
-            let zw = z.as_ref().unwrap_or(&w);
+            // P ← W + P·β
             if thin {
-                mbrpa_simd::cocg_direction_c64(n, s, comps(zw), comps(&beta), comps_mut(&mut p));
+                mbrpa_simd::cocg_direction_c64(n, s, comps(&w), comps(&beta), comps_mut(&mut p));
                 if obs_on {
                     mbrpa_obs::add("linalg.gemm_flops", (8 * n * s * s) as u64);
                 }
             } else {
                 let mut p_next = ws.take_scratch(n, s);
                 matmul_into(one, &p, &beta, zero, &mut p_next);
-                p_next.axpy(one, zw);
+                p_next.axpy(one, &w);
                 ws.give(std::mem::replace(&mut p, p_next));
             }
             ws.give(beta);
         } else {
             ws.give(beta);
             report.breakdowns += 1;
-            if obs_on {
-                mbrpa_obs::add("solver.cocg.breakdowns", 1);
-            }
             if report.breakdowns > MAX_BREAKDOWNS {
                 report.iterations += 1;
-                if obs_on {
-                    mbrpa_obs::add("solver.cocg.iterations", 1);
-                }
                 ws.give(rho_next);
                 break;
             }
@@ -547,9 +502,6 @@ pub fn block_cocg_ws(
         }
         ws.give(std::mem::replace(&mut rho, rho_next));
         report.iterations += 1;
-        if obs_on {
-            mbrpa_obs::add("solver.cocg.iterations", 1);
-        }
     }
 
     // The one scan of the iterate: X can overflow while W stays finite,
@@ -560,11 +512,10 @@ pub fn block_cocg_ws(
     }
 
     ws.give(w);
-    if let Some(z) = z {
-        ws.give(z);
-    }
     ws.give(p);
     ws.give(rho);
+    // before the half-split merges its sub-solves, which count themselves
+    count_solve(&report);
 
     // Persistent breakdowns with s > 1 mean the block residuals became
     // linearly dependent faster than the recurrence could use them: split
@@ -584,7 +535,7 @@ pub fn block_cocg_ws(
             for (start, count) in [(0, half), (half, s - half)] {
                 let b_sub = b.columns(start, count);
                 let g_sub = x.columns(start, count);
-                let (x_sub, rep) = block_cocg_ws(op, &b_sub, Some(&g_sub), &sub_opts, precond, ws);
+                let (x_sub, rep) = block_cocg_ws(op, &b_sub, Some(&g_sub), &sub_opts, ws);
                 x.set_columns(start, &x_sub);
                 report.iterations += rep.iterations;
                 report.matvecs += rep.matvecs;
@@ -895,11 +846,11 @@ mod tests {
         let b = rand_rhs(40, 4, 32);
         let opts = CocgOptions::with_tol(1e-10);
         let mut ws = Workspace::new();
-        let (_, r1) = block_cocg_ws(&op, &b, None, &opts, None, &mut ws);
+        let (_, r1) = block_cocg_ws(&op, &b, None, &opts, &mut ws);
         assert!(r1.converged);
         let warm = ws.fresh_allocs();
         assert!(warm > 0);
-        let (x, r2) = block_cocg_ws(&op, &b, None, &opts, None, &mut ws);
+        let (x, r2) = block_cocg_ws(&op, &b, None, &opts, &mut ws);
         assert!(r2.converged);
         assert_eq!(
             ws.fresh_allocs(),

@@ -12,7 +12,6 @@
 
 use crate::block_cocg::{block_cocg_ws, CocgOptions};
 use crate::operator::LinearOperator;
-use crate::precond::Preconditioner;
 use crate::shifted_lanczos::{shifted_lanczos_pair, ReSink, RealShifted};
 use crate::stats::{SolveReport, WorkerStats};
 use crate::workspace::{with_thread_workspace, Workspace};
@@ -71,30 +70,14 @@ pub fn solve_multi_rhs(
     policy: BlockPolicy,
     stats: &mut WorkerStats,
 ) -> MultiRhsOutcome {
-    solve_multi_rhs_pre(op, b, guess, opts, policy, None, stats)
-}
-
-/// [`solve_multi_rhs`] with an optional preconditioner (the §V
-/// "dynamically applied" inverse-Laplacian path); `None` runs plain block
-/// COCG.
-pub fn solve_multi_rhs_pre(
-    op: &dyn LinearOperator<C64>,
-    b: &Mat<C64>,
-    guess: Option<&Mat<C64>>,
-    opts: &CocgOptions,
-    policy: BlockPolicy,
-    precond: Option<&dyn Preconditioner>,
-    stats: &mut WorkerStats,
-) -> MultiRhsOutcome {
     let mut solution = Mat::zeros(b.rows(), b.cols());
     let (final_block_size, all_converged) =
         schedule_chunks(b.cols(), policy, false, &mut |start, width, _| {
             let chunk_b = b.columns(start, width);
             let chunk_g = guess.map(|g| g.columns(start, width));
             let t0 = Instant::now();
-            let (x, report) = with_thread_workspace(|ws| {
-                block_cocg_ws(op, &chunk_b, chunk_g.as_ref(), opts, precond, ws)
-            });
+            let (x, report) =
+                with_thread_workspace(|ws| block_cocg_ws(op, &chunk_b, chunk_g.as_ref(), opts, ws));
             let elapsed = t0.elapsed();
             solution.set_columns(start, &x);
             stats.absorb(width, width, &report, elapsed);
@@ -198,31 +181,29 @@ fn schedule_chunks(
     (s, all_converged)
 }
 
-/// [`solve_multi_rhs_pre`] for `A = R + iω` and a real block `b`, wanting
+/// [`solve_multi_rhs`] for `A = R + iω` and a real block `b`, wanting
 /// only `Re X`: the Sternheimer solves of `χ⁰`. Same schedule, same
-/// statistics. A width-1 chunk without a preconditioner runs in real
-/// arithmetic ([`shifted_lanczos_pair`], two of them per call past the
-/// probes); every other chunk is the complex block [`block_cocg_ws`]
-/// solves, built from the real buffers in pooled storage. `guess` is
+/// statistics. A width-1 chunk runs in real arithmetic
+/// ([`shifted_lanczos_pair`], two of them per call past the probes);
+/// every wider chunk is the complex block [`block_cocg_ws`] solves, built
+/// from the real buffers in pooled storage. `guess` is
 /// `[Re X₀ | Im X₀]` as [`galerkin_guess_real`](crate::galerkin_guess_real)
 /// leaves it. Nothing the width of `b` is allocated: each column's `Re x`
 /// goes to `sink` from the chunk's own iterate. Returns whether every
 /// chunk converged.
-#[allow(clippy::too_many_arguments)]
 pub fn solve_shifted_real_rhs<O: RealShifted>(
     op: &O,
     b: &Mat<f64>,
     guess: Option<&Mat<f64>>,
     opts: &CocgOptions,
     policy: BlockPolicy,
-    precond: Option<&dyn Preconditioner>,
     stats: &mut WorkerStats,
     sink: &mut ReSink<'_>,
 ) -> bool {
     let (n, w) = b.shape();
-    schedule_chunks(w, policy, precond.is_none(), &mut |start, width, chunks| {
+    schedule_chunks(w, policy, true, &mut |start, width, chunks| {
         let t0 = Instant::now();
-        if width == 1 && precond.is_none() {
+        if width == 1 {
             let reports = with_thread_workspace(|ws| {
                 shifted_lanczos_pair(op, b, guess, start, chunks, opts, ws, sink)
             });
@@ -247,7 +228,7 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
                     }
                 }
             }
-            let solved = block_cocg_ws(op, &cb, cg.as_ref(), opts, precond, ws);
+            let solved = block_cocg_ws(op, &cb, cg.as_ref(), opts, ws);
             ws.give(cb);
             if let Some(cg) = cg {
                 ws.give(cg);

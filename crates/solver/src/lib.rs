@@ -30,7 +30,6 @@ pub mod dynamic_block;
 pub mod gmres;
 pub mod initial_guess;
 pub mod operator;
-pub mod precond;
 pub mod shifted_lanczos;
 pub mod stats;
 #[cfg(test)]
@@ -41,13 +40,10 @@ pub use block_cocg::{
     block_cocg, block_cocg_ws, cocg, true_relative_residual, CocgOptions, MAX_BREAKDOWNS,
 };
 pub use chebyshev::{chebyshev_filter, chebyshev_filter_ws};
-pub use dynamic_block::{
-    solve_multi_rhs, solve_multi_rhs_pre, solve_shifted_real_rhs, BlockPolicy, MultiRhsOutcome,
-};
+pub use dynamic_block::{solve_multi_rhs, solve_shifted_real_rhs, BlockPolicy, MultiRhsOutcome};
 pub use gmres::{gmres, gmres_block, GmresOptions};
 pub use initial_guess::{galerkin_guess, galerkin_guess_real};
 pub use operator::{DenseOperator, LinearOperator};
-pub use precond::{IdentityPreconditioner, Preconditioner};
 pub use shifted_lanczos::{shifted_lanczos_pair, ReSink, RealShifted};
 pub use stats::{BlockSizeHistogram, SolveReport, WorkerStats};
 pub use workspace::{with_thread_workspace, Workspace};

@@ -2,19 +2,16 @@
 //! state: with a warmed [`Workspace`] pool (and warmed thread-local GEMM
 //! pack arena), a 40-iteration solve performs exactly as many heap
 //! allocations as a 4-iteration solve — every per-iteration temporary is
-//! pooled, so iteration count no longer touches the allocator. The same
-//! holds with a preconditioner: `Z = M·W` lands in a pooled buffer. Per
-//! solve the count does not depend on the block width either: the iterate
-//! is the one matrix allocated, whatever `s` is.
+//! pooled, so iteration count no longer touches the allocator. Per solve
+//! the count does not depend on the block width either: the iterate is
+//! the one matrix allocated, whatever `s` is.
 //!
 //! This file intentionally holds a single `#[test]`: the counting global
 //! allocator tallies the whole process, so concurrent tests in the same
 //! binary would race the counter.
 
 use mbrpa_linalg::{Mat, C64};
-use mbrpa_solver::{
-    block_cocg_ws, CocgOptions, DenseOperator, LinearOperator, Preconditioner, Workspace,
-};
+use mbrpa_solver::{block_cocg_ws, CocgOptions, DenseOperator, Workspace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -95,30 +92,13 @@ fn rand_rhs(n: usize, s: usize, seed: u64) -> Mat<C64> {
     })
 }
 
-/// Dense complex-symmetric `M` applied by the same allocation-free
-/// column sweep as the operator (any such matrix keeps the recurrence
-/// well-defined; it does not have to approximate `A⁻¹` here).
-struct DensePreconditioner(DenseOperator<C64>);
-
-impl Preconditioner for DensePreconditioner {
-    fn dim(&self) -> usize {
-        self.0.dim()
-    }
-    fn apply_block_into(&self, w: &Mat<C64>, z: &mut Mat<C64>) {
-        self.0.apply_block(w, z);
-    }
-}
-
 #[test]
 fn iteration_count_does_not_change_allocation_count() {
     let n = 400;
     let s = 8;
     let op = test_operator(n, 7);
     let b = rand_rhs(n, s, 11);
-    let dense_m = DensePreconditioner(test_operator(n, 13));
-    for precond in [None, Some(&dense_m as &dyn Preconditioner)] {
-        check(&op, &b, precond);
-    }
+    check(&op, &b);
     assert_eq!(
         warm_solve_allocs(&op, &b.columns(0, 2)),
         warm_solve_allocs(&op, &b),
@@ -130,11 +110,11 @@ fn iteration_count_does_not_change_allocation_count() {
 fn warm_solve_allocs(op: &DenseOperator<C64>, b: &Mat<C64>) -> u64 {
     let opts = CocgOptions::with_tol(1e-10);
     let mut ws = Workspace::new();
-    let (_, warm) = block_cocg_ws(op, b, None, &opts, None, &mut ws);
+    let (_, warm) = block_cocg_ws(op, b, None, &opts, &mut ws);
     assert!(warm.converged && warm.breakdowns == 0, "report: {warm:?}");
     // ord: Relaxed — the measured solve runs on this thread; program order suffices
     let before = ALLOCS.load(Ordering::Relaxed);
-    let (x, rep) = block_cocg_ws(op, b, None, &opts, None, &mut ws);
+    let (x, rep) = block_cocg_ws(op, b, None, &opts, &mut ws);
     // ord: Relaxed — see `before` above
     let count = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(rep.iterations, warm.iterations);
@@ -142,7 +122,7 @@ fn warm_solve_allocs(op: &DenseOperator<C64>, b: &Mat<C64>) -> u64 {
     count
 }
 
-fn check(op: &DenseOperator<C64>, b: &Mat<C64>, precond: Option<&dyn Preconditioner>) {
+fn check(op: &DenseOperator<C64>, b: &Mat<C64>) {
     // unreachable tolerance: both runs execute exactly `max_iters`
     // iterations of the steady-state loop
     let opts = |iters: usize| CocgOptions {
@@ -154,14 +134,14 @@ fn check(op: &DenseOperator<C64>, b: &Mat<C64>, precond: Option<&dyn Preconditio
     let mut ws = Workspace::new();
     // Warm-up: populates the workspace free list and the thread-local GEMM
     // pack arena, the two places first-touch allocation is allowed.
-    let (_, warm) = block_cocg_ws(op, b, None, &opts(40), precond, &mut ws);
+    let (_, warm) = block_cocg_ws(op, b, None, &opts(40), &mut ws);
     assert!(!warm.converged && warm.iterations == 40, "report: {warm:?}");
     assert_eq!(warm.breakdowns, 0, "breakdowns would skew the comparison");
 
     let measure = |iters: usize, ws: &mut Workspace<C64>| -> (u64, usize) {
         // ord: Relaxed — the measured solve runs on this thread; program order suffices
         let before = ALLOCS.load(Ordering::Relaxed);
-        let (x, rep) = block_cocg_ws(op, b, None, &opts(iters), precond, ws);
+        let (x, rep) = block_cocg_ws(op, b, None, &opts(iters), ws);
         // ord: Relaxed — see `before` above
         let count = ALLOCS.load(Ordering::Relaxed) - before;
         assert_eq!(rep.iterations, iters);
@@ -184,7 +164,7 @@ fn check(op: &DenseOperator<C64>, b: &Mat<C64>, precond: Option<&dyn Preconditio
         ws.fresh_allocs(),
         {
             let mut probe = Workspace::<C64>::new();
-            let _ = block_cocg_ws(op, b, None, &opts(40), precond, &mut probe);
+            let _ = block_cocg_ws(op, b, None, &opts(40), &mut probe);
             probe.fresh_allocs()
         },
         "warm pool must serve every take without fresh buffers beyond warm-up"

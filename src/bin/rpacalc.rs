@@ -209,6 +209,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = input.check() {
+        eprintln!("{input_path}: {e}");
+        return ExitCode::from(2);
+    }
     for key in &input.ignored_keys {
         eprintln!("note: ignoring artifact key `{key}` (not needed by this formulation)");
     }

@@ -153,3 +153,29 @@ fn dirichlet_and_periodic_grids_refuse_undersized_stencils() {
     });
     assert!(result.is_err(), "4 points cannot host a radius-3 stencil");
 }
+
+#[test]
+fn rpacalc_refuses_an_unsatisfiable_input_before_the_ks_stage() {
+    // each of these used to panic: the first inside `run_with`, after the
+    // KS stage had been paid for; the second in the grid builder
+    let dir = std::env::temp_dir().join(format!("mbrpa-unsat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (text, needle) in [
+        ("N_NUCHI_EIGS: 100000\n", "N_NUCHI_EIGS"),
+        ("POINTS_PER_CELL: 2\n", "POINTS_PER_CELL"),
+    ] {
+        std::fs::write(dir.join("bad.rpa"), text).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_rpacalc"))
+            .args(["-name", "bad", "-stdout"])
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{text:?}: {stderr}");
+        assert!(stderr.contains(needle), "{text:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{text:?}: {stderr}");
+        // the KS stage announces the system it solved
+        assert!(!stderr.contains("n_s ="), "{text:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
