@@ -385,13 +385,15 @@ fn lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
 /// grids of the end-to-end workloads. `secs` is per apply (a batch of
 /// applies divided by its length); `nnz/n_d` in the shape is what the
 /// projector term costs per grid point — it scales with atoms, not with
-/// the grid.
+/// the grid — and `projectors=` the form (and so the kernel) it runs in:
+/// dense on 7³ and the 5³ serve shape, sparse on 14³ and 8³ Dirichlet.
 fn apply_cases(reps: usize, cases: &mut Vec<Case>) {
     const BATCH: usize = 64;
-    for (ppc, boundary, projector_row) in [
+    for (ppc, boundary, stern_row) in [
         (7usize, Boundary::Periodic, true),
         (14, Boundary::Periodic, true),
-        (8, Boundary::Dirichlet, false),
+        (8, Boundary::Dirichlet, true),
+        (5, Boundary::Dirichlet, false),
     ] {
         let crystal = SiliconSpec {
             points_per_cell: ppc,
@@ -405,35 +407,36 @@ fn apply_cases(reps: usize, cases: &mut Vec<Case>) {
         let n = ham.dim();
         let nl = ham.nonlocal().expect("the model has a projector term");
         let shape = format!(
-            "grid={ppc}x{ppc}x{ppc} radius=2 nnz/n_d={:.2}",
-            nl.nnz() as f64 / n as f64
+            "grid={ppc}x{ppc}x{ppc} radius=2 nnz/n_d={:.2} projectors={}",
+            nl.nnz_per_point(),
+            nl.form().name()
         );
         let v = filled::<C64>(n, 1, 0xa9917 + ppc as u64);
         let mut out = Mat::<C64>::zeros(n, 1);
-        let secs = time_best(reps, &mut || {
-            for _ in 0..BATCH {
-                op.apply_raw(black_box(v.col(0)), out.col_mut(0));
-            }
-        });
-        cases.push(Case::new(
-            format!("stern_apply_c64_n{n}"),
-            format!("{shape} lambda={lambda} omega={omega}"),
-            secs / BATCH as f64,
-            op.apply_flops() as f64,
-        ));
-        if projector_row {
+        if stern_row {
             let secs = time_best(reps, &mut || {
                 for _ in 0..BATCH {
-                    nl.apply_add(black_box(v.col(0)), out.col_mut(0));
+                    op.apply_raw(black_box(v.col(0)), out.col_mut(0));
                 }
             });
             cases.push(Case::new(
-                format!("projector_apply_c64_n{n}"),
-                shape,
+                format!("stern_apply_c64_n{n}"),
+                format!("{shape} lambda={lambda} omega={omega}"),
                 secs / BATCH as f64,
-                8.0 * nl.nnz() as f64,
+                op.apply_flops() as f64,
             ));
         }
+        let secs = time_best(reps, &mut || {
+            for _ in 0..BATCH {
+                nl.apply_add(black_box(v.col(0)), out.col_mut(0));
+            }
+        });
+        cases.push(Case::new(
+            format!("projector_apply_c64_n{n}"),
+            shape,
+            secs / BATCH as f64,
+            8.0 * nl.nnz() as f64,
+        ));
     }
 }
 

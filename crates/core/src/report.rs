@@ -4,14 +4,31 @@
 
 use crate::config::RpaConfig;
 use crate::rpa::{PartialRun, RpaResult};
+use mbrpa_dft::Hamiltonian;
 use std::fmt::Write as _;
 
 const RULE: &str =
     "***************************************************************************************";
 
+/// What the `SYSTEM:` line states about the non-local term: the form its
+/// projectors are held in (which kernel every apply runs) and their
+/// support points per grid point, or `none`.
+pub fn projector_note(ham: &Hamiltonian) -> String {
+    ham.nonlocal().map_or_else(
+        || "none".to_string(),
+        |nl| format!("{} (nnz/n_d = {:.2})", nl.form().name(), nl.nnz_per_point()),
+    )
+}
+
 /// The preamble block echoing the run parameters (the paper's output files
-/// begin with the same information).
-pub fn preamble(config: &RpaConfig, n_d: usize, n_s: usize, n_atoms: usize) -> String {
+/// begin with the same information); `projectors` is [`projector_note`].
+pub fn preamble(
+    config: &RpaConfig,
+    n_d: usize,
+    n_s: usize,
+    n_atoms: usize,
+    projectors: &str,
+) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{RULE}");
     let _ = writeln!(s, "                    RPA Parallelization");
@@ -31,7 +48,10 @@ pub fn preamble(config: &RpaConfig, n_d: usize, n_s: usize, n_atoms: usize) -> S
         "FLAG_COCGINITIAL: {}",
         u8::from(config.use_galerkin_guess)
     );
-    let _ = writeln!(s, "SYSTEM: n_d = {n_d}, n_s = {n_s}, atoms = {n_atoms}");
+    let _ = writeln!(
+        s,
+        "SYSTEM: n_d = {n_d}, n_s = {n_s}, atoms = {n_atoms}, projectors = {projectors}"
+    );
     s
 }
 
@@ -155,7 +175,13 @@ pub fn worker_load_table(result: &RpaResult) -> String {
 
 /// The complete output document.
 pub fn full_report(config: &RpaConfig, result: &RpaResult) -> String {
-    let mut s = preamble(config, result.n_d, result.n_s, result.n_atoms);
+    let mut s = preamble(
+        config,
+        result.n_d,
+        result.n_s,
+        result.n_atoms,
+        &result.projectors,
+    );
     s.push_str(&omega_tables(result));
     s.push_str(&energy_summary(result));
     s.push_str(&block_size_table(result));
@@ -172,8 +198,9 @@ pub fn partial_report(
     n_d: usize,
     n_s: usize,
     n_atoms: usize,
+    projectors: &str,
 ) -> String {
-    let mut s = preamble(config, n_d, n_s, n_atoms);
+    let mut s = preamble(config, n_d, n_s, n_atoms, projectors);
     let _ = writeln!(s, "{RULE}");
     let _ = writeln!(
         s,
@@ -235,6 +262,7 @@ mod tests {
             n_s: 16,
             n_eig: 768,
             n_atoms: 8,
+            projectors: "dense (nnz/n_d = 5.55)".to_string(),
             n_restored: 0,
         }
     }
@@ -242,7 +270,8 @@ mod tests {
     #[test]
     fn preamble_echoes_parameters() {
         let config = crate::config::RpaConfig::for_system(8, 96);
-        let s = preamble(&config, 3375, 16, 8);
+        let s = preamble(&config, 3375, 16, 8, "sparse (nnz/n_d = 4.53)");
+        assert!(s.contains("SYSTEM: n_d = 3375, n_s = 16, atoms = 8, projectors = sparse"));
         assert!(s.contains("N_NUCHI_EIGS: 768"));
         assert!(s.contains("N_OMEGA: 8"));
         assert!(s.contains("TOL_STERN_RES: 1e-2"));
@@ -300,7 +329,7 @@ mod tests {
             accumulated_energy: -5.93784e-4,
             per_omega: r.per_omega.clone(),
         };
-        let doc = partial_report(&config, &partial, 3375, 16, 8);
+        let doc = partial_report(&config, &partial, 3375, 16, 8, "none");
         assert!(doc.contains("RUN CANCELLED after 1 of 8"));
         assert!(doc.contains("PARTIAL, not the final energy"));
         assert!(doc.contains("omega 1: -5.93784E-4,"));

@@ -80,6 +80,9 @@ pub struct RpaResult {
     pub n_eig: usize,
     /// Atom count.
     pub n_atoms: usize,
+    /// The form and fill of the non-local projectors
+    /// ([`crate::report::projector_note`]), for the report's system line.
+    pub projectors: String,
     /// Frequencies restored from a checkpoint rather than computed in
     /// this process (0 for a fresh, uninterrupted run).
     pub n_restored: usize,
@@ -414,6 +417,7 @@ impl RpaSetup {
             n_s: self.ks.n_occupied,
             n_eig: config.n_eig,
             n_atoms,
+            projectors: crate::report::projector_note(&self.ham),
             n_restored,
         })))
     }

@@ -10,7 +10,8 @@ use mbrpa_linalg::{exactly_zero, Mat, Scalar, C64};
 ///
 /// The operator is partially matrix-free: the kinetic term is the radius-`r`
 /// stencil (never assembled), the local potential is a diagonal, and the
-/// non-local term is the sparse outer product the paper calls `𝒳𝒳ᴴ`.
+/// non-local term is the outer product the paper calls `𝒳𝒳ᴴ`, held
+/// sparse or dense by its fill ([`NonlocalProjectors`]).
 #[derive(Clone, Debug)]
 pub struct Hamiltonian {
     lap: Laplacian,
@@ -69,8 +70,8 @@ impl Hamiltonian {
     }
 
     /// Finish `H v` given `out = ∇² v`: one pass over the grid scales by
-    /// −½ while adding the diagonal term, then the sparse non-local
-    /// projector term follows. `diag(V_loc[i], v[i])` is the diagonal
+    /// −½ while adding the diagonal term, then the non-local projector
+    /// term follows. `diag(V_loc[i], v[i])` is the diagonal
     /// term: `V_loc ⊙ v` for `H` itself, and `((V_loc − λ) + iω) ⊙ v` for
     /// the Sternheimer operator, whose shift so costs no second pass.
     fn apply_tail<T: Scalar>(&self, v: &[T], out: &mut [T], diag: impl Fn(f64, T) -> T) {
@@ -340,6 +341,54 @@ mod tests {
         assert!(h.apply_flops() > h.dim() * 10);
         let op = SternheimerOperator::new(&h, 0.0, 0.1);
         assert!(op.apply_flops() > h.apply_flops());
+    }
+
+    /// The form `𝒳` takes on every shape the repo runs, and the same work
+    /// read by the cost model under either form: `nnz` and both
+    /// `apply_flops` price Algorithm 4's chunks, so a form that moved them
+    /// would move block sizes, and with them bits. (`inputs/` are read
+    /// through the real parser in `mbrpa-core`'s `projector_form` test.)
+    #[test]
+    fn each_shape_takes_its_projector_form_at_the_same_cost() {
+        use crate::potential::ProjectorForm::{Dense, Sparse};
+        use mbrpa_grid::Boundary::{Dirichlet, Periodic};
+        // (shape, points per cell, boundary, system seed, vacancy, form)
+        let shapes = [
+            ("Si8.rpa, si8_solve", 7, Periodic, 7, None, Dense),
+            ("Si7_vacancy.rpa", 7, Periodic, 7, Some(4), Dense),
+            ("cluster_smoke.rpa", 5, Dirichlet, 7, None, Dense),
+            ("serve_mix, another geometry", 5, Dirichlet, 11, None, Dense),
+            ("cluster_ckpt_solve", 8, Dirichlet, 7, None, Sparse),
+            ("finegrid_solve", 14, Periodic, 7, None, Sparse),
+            ("finegrid_solve --smoke", 11, Periodic, 7, None, Sparse),
+            ("paper scale", 15, Periodic, 7, None, Sparse),
+        ];
+        for (what, ppc, boundary, seed, vacancy, form) in shapes {
+            let spec = SiliconSpec {
+                points_per_cell: ppc,
+                boundary,
+                seed,
+                ..SiliconSpec::default()
+            };
+            let crystal = vacancy.map_or_else(|| spec.build(), |v| spec.build_with_vacancy(v));
+            let h = Hamiltonian::new(&crystal, 2, &PotentialParams::default());
+            let nl = h.nonlocal().expect("the model has a projector term");
+            let fill = nl.nnz() as f64 / (nl.len() * nl.dim()) as f64;
+            assert_eq!(nl.form(), form, "{what}: fill {fill:.3}");
+            let other = Hamiltonian {
+                nonlocal: Some(nl.in_the_other_form()),
+                ..h.clone()
+            };
+            let nl_other = other.nonlocal().expect("the same term");
+            assert_ne!(nl_other.form(), form, "{what}");
+            assert_eq!(nl_other.nnz(), nl.nnz(), "{what}: nnz");
+            assert_eq!(other.apply_flops(), h.apply_flops(), "{what}: H flops");
+            let (a, b) = (
+                SternheimerOperator::new(&h, -0.2, 0.5),
+                SternheimerOperator::new(&other, -0.2, 0.5),
+            );
+            assert_eq!(a.apply_flops(), b.apply_flops(), "{what}: A flops");
+        }
     }
 
     #[test]

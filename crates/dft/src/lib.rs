@@ -33,5 +33,7 @@ pub use eigensolve::{
 };
 pub use hamiltonian::{Hamiltonian, SternheimerOperator};
 pub use orbital_io::{load_orbitals, save_orbitals, OrbitalIoError};
-pub use potential::{local_potential, NonlocalProjectors, PotentialParams, Projector};
+pub use potential::{
+    local_potential, NonlocalProjectors, PotentialParams, Projector, ProjectorForm,
+};
 pub use system::{silicon_ladder, Atom, Crystal, SiliconSpec, DIAMOND_CUBIC_FRACTIONS};

@@ -8,12 +8,12 @@
 //! a local potential of attractive Gaussians at the (perturbed) atom sites
 //! and an optional low-rank non-local term built from localized projector
 //! functions. Both pieces exercise exactly the kernels the paper analyzes
-//! (stencil + diagonal + sparse outer product `𝒳𝒳ᴴ`).
+//! (stencil + diagonal + the outer product `𝒳𝒳ᴴ`, sparse or dense by fill).
 
 use crate::system::Crystal;
 use mbrpa_grid::Grid3;
 use mbrpa_linalg::Scalar;
-use mbrpa_simd::SparseRows;
+use mbrpa_simd::{DenseRows, SparseRows};
 
 /// Shape parameters of the model pseudopotential.
 #[derive(Clone, Copy, Debug)]
@@ -90,11 +90,45 @@ pub struct Projector {
     pub strength: f64,
 }
 
-/// The non-local term `V_nl = Σ_a γ_a |p_a⟩⟨p_a| = 𝒳 Γ 𝒳ᵀ` with sparse,
-/// atom-centered columns of `𝒳`, held projector-major: row `a` of the
-/// sparse matrix is `p_a` over the grid points of its support.
+/// How [`NonlocalProjectors`] holds `𝒳`: picked once from its fill.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ProjectorForm {
+    /// Each channel's support points and values
+    /// ([`mbrpa_simd::sparse_projector_add_on`]).
+    Sparse,
+    /// Every channel over every grid point, zero off its support
+    /// ([`mbrpa_simd::dense_projector_add_on`]).
+    Dense,
+}
+
+impl ProjectorForm {
+    /// Lowercase name, as the report's system line prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ProjectorForm::Sparse => "sparse",
+            ProjectorForm::Dense => "dense",
+        }
+    }
+}
+
+/// `𝒳ᵀ` in the one form [`NonlocalProjectors`] picked for it.
+#[derive(Clone, Debug)]
+enum Rows {
+    Sparse(SparseRows),
+    Dense(DenseRows),
+}
+
+/// The non-local term `V_nl = Σ_a γ_a |p_a⟩⟨p_a| = 𝒳 Γ 𝒳ᵀ` with
+/// atom-centered columns of `𝒳`, held projector-major: row `a` is `p_a`.
 ///
-/// **Invariant the unchecked kernel rests on:** every stored grid index is
+/// The rows are stored in one of two forms, picked when they are built
+/// with no knob: sparse (the support points of each row) while the
+/// supports cover less than half of `rows × n_d`, dense (every point, zero
+/// off the support) from there on — where a dense pass over the grid costs
+/// less than a gather and a scatter over most of it. Both kernels return
+/// the same bits on every input, so the choice moves no result.
+///
+/// **Invariant the unchecked kernels rest on:** every stored grid index is
 /// `< dim` and each projector's indices are strictly ascending.
 /// [`from_projectors`](Self::from_projectors) is the only constructor and
 /// asserts it in every build profile (through [`SparseRows::from_rows`]),
@@ -103,60 +137,118 @@ pub struct Projector {
 #[derive(Clone, Debug)]
 pub struct NonlocalProjectors {
     /// `𝒳ᵀ`, one row per channel.
-    projectors: SparseRows,
+    rows: Rows,
     /// Channel strengths `γ_a`.
     strengths: Vec<f64>,
+}
+
+/// One projector per atom of `crystal`: its grid points within the cutoff,
+/// Gaussian values normalized to unit l₂ norm.
+fn atom_channels(crystal: &Crystal, params: &PotentialParams) -> Vec<Projector> {
+    let grid = &crystal.grid;
+    let inv_two_sigma2 = 1.0 / (2.0 * params.nonlocal_sigma * params.nonlocal_sigma);
+    let cutoff2 = params.nonlocal_cutoff * params.nonlocal_cutoff;
+    let mut projectors = Vec::with_capacity(crystal.atoms.len());
+    for atom in &crystal.atoms {
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        for idx in 0..grid.len() {
+            let (i, j, k) = grid.coords(idx);
+            let p = grid.position(i, j, k);
+            let dx = grid.min_image(p.0 - atom.position.0, grid.lengths().0);
+            let dy = grid.min_image(p.1 - atom.position.1, grid.lengths().1);
+            let dz = grid.min_image(p.2 - atom.position.2, grid.lengths().2);
+            let r2 = dx * dx + dy * dy + dz * dz;
+            if r2 <= cutoff2 {
+                indices.push(idx as u32);
+                values.push((-r2 * inv_two_sigma2).exp());
+            }
+        }
+        // normalize to unit l2 norm so γ directly sets the channel scale
+        let norm: f64 = values.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm > 0.0 {
+            values.iter_mut().for_each(|x| *x /= norm);
+        }
+        projectors.push(Projector {
+            indices,
+            values,
+            strength: params.nonlocal_strength,
+        });
+    }
+    projectors
 }
 
 impl NonlocalProjectors {
     /// Build one projector per atom.
     pub fn build(crystal: &Crystal, params: &PotentialParams) -> Self {
-        let grid = &crystal.grid;
-        let inv_two_sigma2 = 1.0 / (2.0 * params.nonlocal_sigma * params.nonlocal_sigma);
-        let cutoff2 = params.nonlocal_cutoff * params.nonlocal_cutoff;
-        let mut projectors = Vec::with_capacity(crystal.atoms.len());
-        for atom in &crystal.atoms {
-            let mut indices = Vec::new();
-            let mut values = Vec::new();
-            for idx in 0..grid.len() {
-                let (i, j, k) = grid.coords(idx);
-                let p = grid.position(i, j, k);
-                let dx = grid.min_image(p.0 - atom.position.0, grid.lengths().0);
-                let dy = grid.min_image(p.1 - atom.position.1, grid.lengths().1);
-                let dz = grid.min_image(p.2 - atom.position.2, grid.lengths().2);
-                let r2 = dx * dx + dy * dy + dz * dz;
-                if r2 <= cutoff2 {
-                    indices.push(idx as u32);
-                    values.push((-r2 * inv_two_sigma2).exp());
-                }
-            }
-            // normalize to unit l2 norm so γ directly sets the channel scale
-            let norm: f64 = values.iter().map(|x| x * x).sum::<f64>().sqrt();
-            if norm > 0.0 {
-                values.iter_mut().for_each(|x| *x /= norm);
-            }
-            projectors.push(Projector {
-                indices,
-                values,
-                strength: params.nonlocal_strength,
-            });
-        }
-        Self::from_projectors(grid.len(), &projectors)
+        let built = Self::from_projectors(crystal.grid.len(), &atom_channels(crystal, params));
+        // a profile shows which kernel the applies ran, and at what fill
+        let form = match built.form() {
+            ProjectorForm::Sparse => "dft.projector_form.sparse",
+            ProjectorForm::Dense => "dft.projector_form.dense",
+        };
+        mbrpa_obs::add(form, 1);
+        mbrpa_obs::record("dft.projector_nnz_per_point", built.nnz_per_point());
+        built
     }
 
-    /// Explicit channels on a grid of `dim` points.
+    /// Explicit channels on a grid of `dim` points, held dense when they
+    /// store at least half of `channels × dim` entries (and no value `±0`,
+    /// which the dense form could not tell from an absent entry), sparse
+    /// otherwise.
     ///
     /// # Panics
     /// If a channel's index and value lists differ in length, its indices
     /// are not strictly ascending, or one is `≥ dim` (the type-level
     /// invariant).
     pub fn from_projectors(dim: usize, projectors: &[Projector]) -> Self {
-        let rows = projectors
-            .iter()
-            .map(|p| (p.indices.as_slice(), p.values.as_slice()));
+        let sparse = SparseRows::from_rows(
+            dim,
+            projectors
+                .iter()
+                .map(|p| (p.indices.as_slice(), p.values.as_slice())),
+        );
+        let dense = if 2 * sparse.nnz() >= sparse.rows() * dim {
+            DenseRows::from_sparse(&sparse)
+        } else {
+            None
+        };
         Self {
-            projectors: SparseRows::from_rows(dim, rows),
+            rows: dense.map_or(Rows::Sparse(sparse), Rows::Dense),
             strengths: projectors.iter().map(|p| p.strength).collect(),
+        }
+    }
+
+    /// The form `𝒳` is held in.
+    pub fn form(&self) -> ProjectorForm {
+        match self.rows {
+            Rows::Sparse(_) => ProjectorForm::Sparse,
+            Rows::Dense(_) => ProjectorForm::Dense,
+        }
+    }
+
+    /// The same channels in the form the rule did not pick, for tests that
+    /// hold the two forms against each other.
+    #[cfg(test)]
+    pub(crate) fn in_the_other_form(&self) -> Self {
+        let rows = match &self.rows {
+            Rows::Sparse(m) => Rows::Dense(DenseRows::from_sparse(m).expect("no stored zero")),
+            Rows::Dense(m) => {
+                let lists: Vec<(Vec<u32>, Vec<f64>)> = (0..m.rows())
+                    .map(|r| {
+                        (0..m.cols())
+                            .filter(|&j| m.get(r, j) != 0.0)
+                            .map(|j| (j as u32, m.get(r, j)))
+                            .unzip()
+                    })
+                    .collect();
+                let lists = lists.iter().map(|(i, v)| (i.as_slice(), v.as_slice()));
+                Rows::Sparse(SparseRows::from_rows(m.cols(), lists))
+            }
+        };
+        Self {
+            rows,
+            strengths: self.strengths.clone(),
         }
     }
 
@@ -172,12 +264,25 @@ impl NonlocalProjectors {
 
     /// Grid dimension the projectors act on.
     pub fn dim(&self) -> usize {
-        self.projectors.cols()
+        match &self.rows {
+            Rows::Sparse(m) => m.cols(),
+            Rows::Dense(m) => m.cols(),
+        }
     }
 
-    /// Total stored non-zeros across channels.
+    /// Total support points across channels — the entries of the sparse
+    /// form, whichever form holds them, so that the cost model reads the
+    /// same work under both.
     pub fn nnz(&self) -> usize {
-        self.projectors.nnz()
+        match &self.rows {
+            Rows::Sparse(m) => m.nnz(),
+            Rows::Dense(m) => m.nnz(),
+        }
+    }
+
+    /// `nnz / n_d`: the projector work per grid point of one apply.
+    pub fn nnz_per_point(&self) -> f64 {
+        self.nnz() as f64 / self.dim().max(1) as f64
     }
 
     /// Sum of channel strengths `Σ γ_a`: an upper bound on `λ_max(V_nl)`
@@ -186,18 +291,16 @@ impl NonlocalProjectors {
         self.strengths.iter().map(|g| g.max(0.0)).sum()
     }
 
-    /// `y += Σ_a γ_a p_a (p_aᵀ x)` for one vector: per channel a sparse dot
-    /// over its support, then a sparse update of `y` over the same points
-    /// ([`mbrpa_simd::sparse_projector_add_on`]).
+    /// `y += Σ_a γ_a p_a (p_aᵀ x)` for one vector: per channel a dot over
+    /// its support, then an update of `y` over the same points, through
+    /// the kernel of the form `𝒳` is held in (the same bits either way).
     pub fn apply_add<T: Scalar>(&self, x: &[T], y: &mut [T]) {
-        mbrpa_simd::sparse_projector_add_on(
-            mbrpa_simd::active(),
-            T::COMPONENTS,
-            &self.projectors,
-            &self.strengths,
-            T::as_components(x),
-            T::as_components_mut(y),
-        );
+        let (d, cs) = (mbrpa_simd::active(), T::COMPONENTS);
+        let (x, y) = (T::as_components(x), T::as_components_mut(y));
+        match &self.rows {
+            Rows::Sparse(m) => mbrpa_simd::sparse_projector_add_on(d, cs, m, &self.strengths, x, y),
+            Rows::Dense(m) => mbrpa_simd::dense_projector_add_on(d, cs, m, &self.strengths, x, y),
+        }
     }
 }
 
@@ -253,12 +356,13 @@ mod tests {
     #[test]
     fn projectors_are_sparse_and_normalized() {
         let c = small_crystal();
-        let nl = NonlocalProjectors::build(&c, &PotentialParams::default());
+        let channels = atom_channels(&c, &PotentialParams::default());
+        let nl = NonlocalProjectors::from_projectors(c.n_grid(), &channels);
         assert_eq!(nl.len(), 8);
         assert!(nl.nnz() > 0);
         assert!(nl.nnz() < 8 * c.n_grid(), "projectors must be localized");
-        for p in 0..nl.len() {
-            let norm: f64 = nl.projectors.row(p).1.iter().map(|x| x * x).sum();
+        for p in &channels {
+            let norm: f64 = p.values.iter().map(|x| x * x).sum();
             assert!((norm - 1.0).abs() < 1e-12);
         }
     }
@@ -362,8 +466,10 @@ mod tests {
         }
     }
 
-    /// `apply_add` and the kernel on every dispatch path against the plain
-    /// loops, from a non-zero `y`.
+    /// `apply_add`, and the sparse and the dense kernel on every dispatch
+    /// path, against the plain loops from a non-zero `y`. Where the data
+    /// hold NaN a NaN need only meet a NaN: Rust leaves the sign and payload
+    /// of a NaN result unspecified.
     fn assert_matches_plain_loops<T: Scalar>(list: &[Projector], x: &[T], y0: &[T], what: &str) {
         let nl = NonlocalProjectors::from_projectors(x.len(), list);
         let mut want = y0.to_vec();
@@ -373,23 +479,29 @@ mod tests {
             let at = got
                 .iter()
                 .zip(want)
-                .position(|(g, w)| g.to_bits() != w.to_bits());
+                .position(|(g, w)| g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()));
             assert_eq!(at, None, "{what}, {path}: first differing component");
         };
         let mut got = y0.to_vec();
         nl.apply_add(x, &mut got);
-        same(&got, "apply_add");
+        same(&got, nl.form().name());
+        let sparse = SparseRows::from_rows(
+            x.len(),
+            list.iter()
+                .map(|p| (p.indices.as_slice(), p.values.as_slice())),
+        );
+        let dense = DenseRows::from_sparse(&sparse).expect("no stored zero");
+        let gamma: Vec<f64> = list.iter().map(|p| p.strength).collect();
+        let (cs, xs) = (T::COMPONENTS, T::as_components(x));
         for &d in mbrpa_simd::available() {
             let mut got = y0.to_vec();
-            mbrpa_simd::sparse_projector_add_on(
-                d,
-                T::COMPONENTS,
-                &nl.projectors,
-                &nl.strengths,
-                T::as_components(x),
-                T::as_components_mut(&mut got),
-            );
-            same(&got, d.name());
+            let ys = T::as_components_mut(&mut got);
+            mbrpa_simd::sparse_projector_add_on(d, cs, &sparse, &gamma, xs, ys);
+            same(&got, &format!("sparse {}", d.name()));
+            let mut got = y0.to_vec();
+            let ys = T::as_components_mut(&mut got);
+            mbrpa_simd::dense_projector_add_on(d, cs, &dense, &gamma, xs, ys);
+            same(&got, &format!("dense {}", d.name()));
         }
     }
 
@@ -416,21 +528,12 @@ mod tests {
             }
             .build();
             let n = crystal.n_grid();
-            let built = NonlocalProjectors::build(&crystal, &PotentialParams::default());
-            let channels: Vec<Projector> = (0..built.len())
-                .map(|a| {
-                    let (indices, values) = built.projectors.row(a);
-                    Projector {
-                        indices: indices.to_vec(),
-                        values: values.to_vec(),
-                        strength: built.strengths[a],
-                    }
-                })
-                .collect();
+            let channels = atom_channels(&crystal, &PotentialParams::default());
             assert_eq!(channels.len(), 8);
-            // even and odd counts around the kernel's pairs; the ninth
-            // channel is the first again
-            for count in [0, 1, 3, 4, 5, 8, 9] {
+            // around the sparse kernel's pairs and the dense kernel's groups
+            // of eight; 7 is the vacancy, and from the ninth channel on the
+            // list starts over
+            for count in [0, 1, 3, 4, 5, 7, 8, 9, 16] {
                 let mut list: Vec<Projector> =
                     channels.iter().cycle().take(count).cloned().collect();
                 for (a, p) in list.iter_mut().enumerate() {
@@ -441,13 +544,39 @@ mod tests {
                     list[1].indices.clear();
                     list[1].values.clear();
                 }
-                let what = format!("{boundary:?} {ppc}³, {count} channels");
-                let (x, y): (Vec<f64>, Vec<f64>) = (0..n).map(|_| (next(), next())).unzip();
-                assert_matches_plain_loops(&list, &x, &y, &what);
-                let (x, y): (Vec<C64>, Vec<C64>) = (0..n)
-                    .map(|_| (C64::new(next(), next()), C64::new(next(), next())))
-                    .unzip();
-                assert_matches_plain_loops(&list, &x, &y, &what);
+                // plain data; exact zeros in x and y with −0 in y (most of
+                // it off every support on the Dirichlet grids); then ±∞ and
+                // NaN in x as well; and (complex) an idle imaginary slot,
+                // `+0` in x and `−0` in y, as a lone real Lanczos column
+                for inputs in ["plain", "zeros", "non-finite", "idle"] {
+                    let what = format!("{boundary:?} {ppc}³, {count} channels, {inputs}");
+                    let special = |i: usize, v: f64, y: bool| match (inputs, i % 7) {
+                        ("plain" | "idle", _) => v,
+                        (_, 0) if y => -0.0,
+                        (_, 3) => 0.0,
+                        ("non-finite", 1) if !y => {
+                            [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][(i / 7) % 3]
+                        }
+                        _ => v,
+                    };
+                    let (x, y): (Vec<f64>, Vec<f64>) = (0..n)
+                        .map(|i| (special(i, next(), false), special(i, next(), true)))
+                        .unzip();
+                    assert_matches_plain_loops(&list, &x, &y, &what);
+                    let idle = inputs == "idle";
+                    let (x, y): (Vec<C64>, Vec<C64>) = (0..n)
+                        .map(|i| {
+                            let x = C64::new(special(i, next(), false), next());
+                            let y = C64::new(next(), special(i, next(), true));
+                            if idle {
+                                (C64::new(x.re, 0.0), C64::new(y.re, -0.0))
+                            } else {
+                                (x, y)
+                            }
+                        })
+                        .unzip();
+                    assert_matches_plain_loops(&list, &x, &y, &what);
+                }
             }
         }
     }

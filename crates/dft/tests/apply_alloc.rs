@@ -11,7 +11,7 @@
 //! the rayon pool that the first block apply sizes itself against spins up
 //! its workers — which allocate — whenever the scheduler gets to them.
 
-use mbrpa_dft::{Hamiltonian, PotentialParams, SiliconSpec, SternheimerOperator};
+use mbrpa_dft::{Hamiltonian, PotentialParams, ProjectorForm, SiliconSpec, SternheimerOperator};
 use mbrpa_grid::Boundary;
 use mbrpa_linalg::{Mat, C64};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -79,8 +79,12 @@ fn warm_applies_do_not_allocate() {
     // that called it.
     let _chi0_tasks = mbrpa_grid::par::outer_scope(1 << 16);
     // the periodic Si8 grid and the Dirichlet cluster: wrapped and zeroed
-    // halos take different branches of the fill
-    for (ppc, boundary) in [(7, Boundary::Periodic), (8, Boundary::Dirichlet)] {
+    // halos take different branches of the fill, and the projectors the
+    // dense and the sparse kernel
+    for (ppc, boundary, form) in [
+        (7, Boundary::Periodic, ProjectorForm::Dense),
+        (8, Boundary::Dirichlet, ProjectorForm::Sparse),
+    ] {
         let crystal = SiliconSpec {
             points_per_cell: ppc,
             boundary,
@@ -88,7 +92,8 @@ fn warm_applies_do_not_allocate() {
         }
         .build();
         let ham = Hamiltonian::new(&crystal, 2, &PotentialParams::default());
-        assert!(ham.nonlocal().is_some(), "the projector term must run");
+        let nl = ham.nonlocal().expect("the projector term must run");
+        assert_eq!(nl.form(), form, "{boundary:?} {ppc}³");
         let op = SternheimerOperator::new(&ham, -0.2, 0.5);
         let n = ham.dim();
         // the block widths of every solve the drivers run

@@ -210,6 +210,7 @@ fn execute(shared: &Arc<ServeShared>, spec: &JobSpec, job: &RunningJob) -> Finis
                     setup.crystal.n_grid(),
                     setup.crystal.n_occupied(),
                     setup.crystal.atoms.len(),
+                    &report::projector_note(&setup.ham),
                 );
                 write_or_log(shared, &job.id, REPORT_FILE, &doc);
                 return Finish::Cancelled;

@@ -19,13 +19,17 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::lanes;
-use crate::sparse::SparseRows;
+use crate::scalar::{dense_coefficients, exact_add, DENSE_GROUP};
+use crate::sparse::{DenseRows, SparseRows};
 use core::arch::x86_64::{
-    __m128d, __m256d, __m256i, _mm256_broadcast_sd, _mm256_castpd_si256, _mm256_cmp_pd,
-    _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd, _mm256_maskstore_pd,
-    _mm256_mul_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setzero_pd,
-    _mm256_storeu_pd, _mm_add_pd, _mm_load_sd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd,
-    _mm_setzero_pd, _mm_store_sd, _mm_storeu_pd, _CMP_LT_OQ,
+    __m128d, __m256d, __m256i, _mm256_add_pd, _mm256_blend_pd, _mm256_blendv_pd,
+    _mm256_broadcast_pd, _mm256_broadcast_sd, _mm256_castpd_si256, _mm256_castsi256_pd,
+    _mm256_cmp_pd, _mm256_cmpeq_epi64, _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd,
+    _mm256_maskload_pd, _mm256_maskstore_pd, _mm256_movemask_pd, _mm256_mul_pd,
+    _mm256_permute4x64_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setr_pd,
+    _mm256_setzero_pd, _mm256_setzero_si256, _mm256_storeu_pd, _mm256_unpackhi_pd,
+    _mm256_unpacklo_pd, _mm_add_pd, _mm_load_sd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd,
+    _mm_setzero_pd, _mm_store_sd, _mm_storeu_pd, _CMP_EQ_UQ, _CMP_LT_OQ, _CMP_NEQ_UQ,
 };
 
 /// Swap re/im within each complex pair: `[a, b, c, d] → [b, a, d, c]`.
@@ -532,6 +536,206 @@ pub(crate) unsafe fn sparse_projector_add(
         sparse_projector_add_cs::<1>(rows, gamma, x, y)
     } else {
         sparse_projector_add_cs::<2>(rows, gamma, x, y)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The same sum over a `DenseRows`, which keeps the sparse kernel's bits for
+// the reasons `scalar::dense_projector_add` gives
+//
+// A group of up to `DENSE_GROUP` rows is `NP` row pairs. The dots run over
+// the columns with rows × components as lanes, one register per pair and
+// each lane one chain from `+0` in ascending column order. The update runs
+// with the columns as lanes, each element taking the group's rows in
+// ascending order; a vector holding `−0` or NaN adds only the terms of
+// stored entries (a blend on `p ≠ 0`), as does every vector of a group with
+// a non-finite coefficient.
+// ---------------------------------------------------------------------------
+
+/// True when a lane of `v` is `−0` or a NaN (`scalar::needs_exact`): one
+/// compare finds the lanes that are zero or NaN, which are rare, and only
+/// then a second one tells `+0` (bits all clear) from the others.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — reached from `dense_group` only, which
+// carries the same features. Register operations only.
+unsafe fn needs_exact(v: __m256d) -> bool {
+    let zero_or_nan = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_UQ>(v, _mm256_setzero_pd()));
+    zero_or_nan != 0 && {
+        let bits = _mm256_castpd_si256(v);
+        let plus_zero = _mm256_cmpeq_epi64(bits, _mm256_setzero_si256());
+        zero_or_nan & !_mm256_movemask_pd(_mm256_castsi256_pd(plus_zero)) != 0
+    }
+}
+
+/// One group of `NP` row pairs from row `g0` (even): dots, coefficients,
+/// update.
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — see `dense_projector_add`, which also
+// guarantees that the group's pairs lie inside the table.
+unsafe fn dense_group<const CS: usize, const NP: usize>(
+    m: &DenseRows,
+    g0: usize,
+    gamma: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    let cols = m.cols();
+    let nr = (m.rows() - g0).min(2 * NP);
+    // pair `q` of the group: `2·cols` values, two rows interleaved
+    // SAFETY (every access through `pairs`, `xp` and `y`'s pointers
+    // below): pair `g0/2 + q` lies in the table (caller), and each read of
+    // a pair stays inside its `2·cols` values — the dots read `2j..2j + 2`
+    // for `j < cols`, the update `2j..2j + 4` while `j + 2 ≤ cols` or
+    // `2j..2j + 8` while `j + 4 ≤ cols`. `x` and `y` hold `CS·cols` values
+    // (wrapper); the update loads and stores `y[CS·j..CS·j + 4]` under the
+    // same loop bounds.
+    let pairs: [*const f64; NP] =
+        core::array::from_fn(|q| m.table().as_ptr().add(cols * g0 + 2 * cols * q));
+    let xp = x.as_ptr();
+    let mut c = [[0.0_f64; 2]; DENSE_GROUP];
+    if CS == 2 {
+        // lanes `[a re, b re, a im, b im]` for the pair's rows `a`, `b`
+        let mut acc = [_mm256_setzero_pd(); NP];
+        for j in 0..cols {
+            let xv = _mm256_blend_pd::<0b1100>(
+                _mm256_broadcast_sd(&*xp.add(2 * j)),
+                _mm256_broadcast_sd(&*xp.add(2 * j + 1)),
+            );
+            for q in 0..NP {
+                let pv = _mm256_broadcast_pd(&*(pairs[q].add(2 * j) as *const __m128d));
+                acc[q] = _mm256_add_pd(acc[q], _mm256_mul_pd(pv, xv));
+            }
+        }
+        for q in 0..NP {
+            let mut d = [0.0_f64; 4];
+            _mm256_storeu_pd(d.as_mut_ptr(), acc[q]);
+            c[2 * q] = [d[0], d[2]];
+            c[2 * q + 1] = [d[1], d[3]];
+        }
+    } else {
+        // lanes `[a, b]`
+        let mut acc = [_mm_setzero_pd(); NP];
+        for j in 0..cols {
+            let xv = _mm_set1_pd(*xp.add(j));
+            for q in 0..NP {
+                acc[q] = _mm_add_pd(acc[q], _mm_mul_pd(_mm_loadu_pd(pairs[q].add(2 * j)), xv));
+            }
+        }
+        for q in 0..NP {
+            let mut d = [0.0_f64; 2];
+            _mm_storeu_pd(d.as_mut_ptr(), acc[q]);
+            c[2 * q][0] = d[0];
+            c[2 * q + 1][0] = d[1];
+        }
+    }
+    // an odd group's last pair holds a row of zeros: its coefficient is 0,
+    // so its terms are `+0` and change no element the vector body updates
+    c[nr..].fill([0.0; 2]);
+    let finite = dense_coefficients(CS, m, g0, nr, gamma, x, &mut c);
+    // `y + c·p` in every lane, or — for a vector holding `−0` or NaN, and
+    // for every vector when a coefficient is not finite — only in the lanes
+    // where `p` holds an entry: the sparse update, lane by lane
+    let sum = |y: __m256d, c: __m256d, p: __m256d| _mm256_add_pd(y, _mm256_mul_pd(c, p));
+    let masked = |y: __m256d, c: __m256d, p: __m256d| {
+        let stored = _mm256_cmp_pd::<_CMP_NEQ_UQ>(p, _mm256_setzero_pd());
+        _mm256_blendv_pd(y, sum(y, c, p), stored)
+    };
+    let mut j = 0;
+    if CS == 2 {
+        let cv: [__m256d; DENSE_GROUP] =
+            core::array::from_fn(|r| _mm256_setr_pd(c[r][0], c[r][1], c[r][0], c[r][1]));
+        // rows `a`, `b` of pair `q` at columns `j`, `j + 1`, each spread
+        // over both components: `[p_j, p_j, p_j+1, p_j+1]`
+        let rows = |q: usize, j: usize| {
+            let pv = _mm256_loadu_pd(pairs[q].add(2 * j));
+            (
+                _mm256_permute_pd::<0b0000>(pv),
+                _mm256_permute_pd::<0b1111>(pv),
+            )
+        };
+        // two columns `j`, `j + 1` a step: `[re, im, re, im]`
+        while j + 2 <= cols {
+            let mut yv = _mm256_loadu_pd(y.as_ptr().add(2 * j));
+            if finite && !needs_exact(yv) {
+                for q in 0..NP {
+                    let (a, b) = rows(q, j);
+                    yv = sum(sum(yv, cv[2 * q], a), cv[2 * q + 1], b);
+                }
+            } else {
+                for q in 0..NP {
+                    let (a, b) = rows(q, j);
+                    yv = masked(masked(yv, cv[2 * q], a), cv[2 * q + 1], b);
+                }
+            }
+            _mm256_storeu_pd(y.as_mut_ptr().add(2 * j), yv);
+            j += 2;
+        }
+    } else {
+        let cv: [__m256d; DENSE_GROUP] = core::array::from_fn(|r| _mm256_set1_pd(c[r][0]));
+        // rows `a`, `b` of pair `q` at four columns from `j`, in the order
+        // `j, j + 2, j + 1, j + 3` that unpacking two pair loads yields
+        let rows = |q: usize, j: usize| {
+            let lo = _mm256_loadu_pd(pairs[q].add(2 * j));
+            let hi = _mm256_loadu_pd(pairs[q].add(2 * j + 4));
+            (_mm256_unpacklo_pd(lo, hi), _mm256_unpackhi_pd(lo, hi))
+        };
+        const SWAP_MIDDLE: i32 = 0b11_01_10_00;
+        while j + 4 <= cols {
+            let y0 = _mm256_loadu_pd(y.as_ptr().add(j));
+            let mut yv = _mm256_permute4x64_pd::<SWAP_MIDDLE>(y0);
+            if finite && !needs_exact(y0) {
+                for q in 0..NP {
+                    let (a, b) = rows(q, j);
+                    yv = sum(sum(yv, cv[2 * q], a), cv[2 * q + 1], b);
+                }
+            } else {
+                for q in 0..NP {
+                    let (a, b) = rows(q, j);
+                    yv = masked(masked(yv, cv[2 * q], a), cv[2 * q + 1], b);
+                }
+            }
+            _mm256_storeu_pd(
+                y.as_mut_ptr().add(j),
+                _mm256_permute4x64_pd::<SWAP_MIDDLE>(yv),
+            );
+            j += 4;
+        }
+    }
+    // the last columns, one element at a time over the entries
+    for j in j..cols {
+        for k in 0..CS {
+            y[CS * j + k] = exact_add(m, g0, nr, &c, k, j, y[CS * j + k]);
+        }
+    }
+}
+
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; `dispatch_on!` only routes here when `available()` reported
+// it. The wrapper checks `cs ∈ {1, 2}`, `gamma.len() = m.rows()` and
+// `x.len() = y.len() = cs·m.cols()`; `DenseRows` holds `2·cols` values
+// for each of its `⌈rows/2⌉` pairs, and a group from row `g0` reads the
+// pairs `g0/2 .. ⌈(g0 + nr)/2⌉` only.
+pub(crate) unsafe fn dense_projector_add(
+    cs: usize,
+    m: &DenseRows,
+    gamma: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    for g0 in (0..m.rows()).step_by(DENSE_GROUP) {
+        let pairs = (m.rows() - g0).min(DENSE_GROUP).div_ceil(2);
+        match (cs, pairs) {
+            (1, 1) => dense_group::<1, 1>(m, g0, gamma, x, y),
+            (1, 2) => dense_group::<1, 2>(m, g0, gamma, x, y),
+            (1, 3) => dense_group::<1, 3>(m, g0, gamma, x, y),
+            (1, _) => dense_group::<1, 4>(m, g0, gamma, x, y),
+            (_, 1) => dense_group::<2, 1>(m, g0, gamma, x, y),
+            (_, 2) => dense_group::<2, 2>(m, g0, gamma, x, y),
+            (_, 3) => dense_group::<2, 3>(m, g0, gamma, x, y),
+            _ => dense_group::<2, 4>(m, g0, gamma, x, y),
+        }
     }
 }
 

@@ -6,8 +6,8 @@
 //! axpy variants, Chebyshev shift/scale updates, complex axpy/axpby,
 //! lane-split dot products and norms, BLIS-style GEMM microkernels,
 //! Gram tiles, the pack-free thin-block kernels of block COCG, and the
-//! three pieces of `H·v` (halo fill, stencil sweep, sparse projector term)
-//! — and picks the fastest available backend at runtime:
+//! three pieces of `H·v` (halo fill, stencil sweep, sparse or dense
+//! projector term) — and picks the fastest available backend at runtime:
 //!
 //! | path     | arch     | selected when                                  |
 //! |----------|----------|------------------------------------------------|
@@ -44,7 +44,7 @@ mod sparse;
 mod avx2;
 
 pub use lanes::{C64_LANES, F64_LANES, GRAM_C64_LANES, GRAM_F64_LANES, THIN_MAX};
-pub use sparse::SparseRows;
+pub use sparse::{DenseRows, SparseRows};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -631,7 +631,7 @@ pub fn cocg_direction_c64(rows: usize, s: usize, z: &[f64], beta: &[f64], p: &mu
 // The two pieces of `H·v` around the stencil sweep that are not dense
 // streams: filling the halo'd volume row by row, and the non-local
 // projector term over a [`SparseRows`] whose indices were checked when it
-// was built.
+// was built, or over its [`DenseRows`] form where most entries are stored.
 // ---------------------------------------------------------------------------
 
 /// The halo fill of the stencil, on the given path:
@@ -687,6 +687,40 @@ pub fn sparse_projector_add_on(
     assert_eq!(x.len(), cs * rows.cols(), "x is not one element per column");
     assert_eq!(y.len(), cs * rows.cols(), "y is not one element per column");
     dispatch_on!(d, sparse_projector_add(cs, rows, gamma, x, y))
+}
+
+/// [`sparse_projector_add_on`] over the dense form of the rows, with the
+/// same arguments and the same bits on every input (inside a NaN, whose
+/// sign and payload Rust leaves unspecified, only NaN-ness is kept):
+/// `y += Σ_r γ_r p_r (p_rᵀx)`.
+///
+/// The dots take one pass over the columns with rows × components as
+/// lanes, each dot still one chain from `+0` in ascending column order;
+/// the update takes one pass with the columns as lanes, each element still
+/// taking its rows in ascending order. The terms of absent entries are
+/// `±0`, which change nothing for finite data except `+0` added to a `−0`
+/// element and `∞·0` in a dot: a non-finite dot is redone over the row's
+/// entries, and a vector of elements holding `−0` or NaN (or every
+/// vector, when a coefficient is not finite) adds each row's term only
+/// where the row has an entry. Rows go in groups of eight, a pass over `x`
+/// and one over `y` each.
+#[inline]
+pub fn dense_projector_add_on(
+    d: Dispatch,
+    cs: usize,
+    rows: &DenseRows,
+    gamma: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    assert!(
+        cs == 1 || cs == 2,
+        "{cs} components per element (1 = real, 2 = interleaved complex)"
+    );
+    assert_eq!(gamma.len(), rows.rows(), "one strength per row");
+    assert_eq!(x.len(), cs * rows.cols(), "x is not one element per column");
+    assert_eq!(y.len(), cs * rows.cols(), "y is not one element per column");
+    dispatch_on!(d, dense_projector_add(cs, rows, gamma, x, y))
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@
 //! split-complex GEMM panels are described at [`crate::gemm_c64_4x4_on`].
 
 use crate::lanes;
-use crate::sparse::SparseRows;
+use crate::sparse::{DenseRows, SparseRows};
 
 // ---------------------------------------------------------------------------
 // Elementwise, real coefficients (componentwise-safe for complex data)
@@ -153,6 +153,125 @@ pub(crate) fn sparse_projector_add(
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The same sum over the dense form of the rows
+// ---------------------------------------------------------------------------
+
+/// Rows per pass of the dense projector kernel: a group's dots take one
+/// pass over `x`, then its update one pass over `y`. A later group's rows
+/// reach every element of `y` after an earlier group's, so each element
+/// still takes its terms in ascending row order.
+pub(crate) const DENSE_GROUP: usize = 8;
+
+/// `y += Σ_r γ_r p_r (p_rᵀx)` over a [`DenseRows`]: the sum
+/// [`sparse_projector_add`] takes over the rows it was built from, bit for
+/// bit, on every input (but for the sign and payload of a NaN, which Rust
+/// leaves unspecified).
+///
+/// A dense dot takes every column, so it is the sparse chain with a term
+/// `x_j·0 = ±0` wherever the row holds no entry. A chain from `+0` never
+/// holds `−0`, and adding `±0` to anything but `−0` changes no bit; only a
+/// non-finite `x_j` at an absent entry (`∞·0 = NaN`) tells the two apart,
+/// and then the dot is not finite, so every non-finite dot is redone over
+/// the row's entries ([`dense_coefficients`]). The update likewise adds
+/// `c_r·0 = ±0` to the elements outside row `r`. That changes no bit
+/// unless the element is `−0` (`−0 + +0 = +0`) or a signalling NaN, or
+/// `c_r` is not finite: elements holding `−0` or NaN ([`needs_exact`]),
+/// and every element of a group with a non-finite coefficient, take the
+/// entries only ([`exact_add`]).
+pub(crate) fn dense_projector_add(
+    cs: usize,
+    m: &DenseRows,
+    gamma: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+) {
+    let cols = m.cols();
+    for g0 in (0..m.rows()).step_by(DENSE_GROUP) {
+        let nr = (m.rows() - g0).min(DENSE_GROUP);
+        // the group's row pairs, `[a_j, b_j]` at `2j`
+        let pairs = m.table()[cols * g0..]
+            .chunks_exact(2 * cols)
+            .take(nr.div_ceil(2));
+        let mut c = [[0.0_f64; 2]; DENSE_GROUP];
+        for j in 0..cols {
+            for (q, t) in pairs.clone().enumerate() {
+                for k in 0..cs {
+                    c[2 * q][k] += x[cs * j + k] * t[2 * j];
+                    c[2 * q + 1][k] += x[cs * j + k] * t[2 * j + 1];
+                }
+            }
+        }
+        // an odd group's last pair holds a row of zeros: its coefficient
+        // is 0, so its terms are `+0`
+        c[nr..].fill([0.0; 2]);
+        let finite = dense_coefficients(cs, m, g0, nr, gamma, x, &mut c);
+        for j in 0..cols {
+            for k in 0..cs {
+                let v = y[cs * j + k];
+                y[cs * j + k] = if finite && !needs_exact(v) {
+                    pairs.clone().enumerate().fold(v, |acc, (q, t)| {
+                        (acc + c[2 * q][k] * t[2 * j]) + c[2 * q + 1][k] * t[2 * j + 1]
+                    })
+                } else {
+                    exact_add(m, g0, nr, &c, k, j, v)
+                };
+            }
+        }
+    }
+}
+
+/// Turn the dense dots `c[r][k]` of rows `g0..g0 + nr` into the
+/// coefficients `γ_r·(p_rᵀx)`, first redoing every non-finite dot over its
+/// row's entries alone (the sparse chain); true when every coefficient is
+/// finite.
+pub(crate) fn dense_coefficients(
+    cs: usize,
+    m: &DenseRows,
+    g0: usize,
+    nr: usize,
+    gamma: &[f64],
+    x: &[f64],
+    c: &mut [[f64; 2]; DENSE_GROUP],
+) -> bool {
+    let mut finite = true;
+    for (r, cr) in c.iter_mut().enumerate().take(nr) {
+        for (k, ck) in cr.iter_mut().enumerate().take(cs) {
+            if !ck.is_finite() {
+                *ck = (0..m.cols())
+                    .filter_map(|j| Some((j, m.stored(g0 + r, j)?)))
+                    .fold(0.0, |acc, (j, p)| acc + x[cs * j + k] * p);
+            }
+            *ck *= gamma[g0 + r];
+            finite &= ck.is_finite();
+        }
+    }
+    finite
+}
+
+/// An element of `y` that a `±0` term can change: `−0` or a NaN. (A `+0`
+/// stays `+0` under any zero term, and a sum from it is never `−0`.)
+#[inline]
+pub(crate) fn needs_exact(v: f64) -> bool {
+    v.is_nan() || v.to_bits() == (-0.0_f64).to_bits()
+}
+
+/// `v + Σ_r c[r][k]·p_{g0+r}[j]` over the rows `r < nr` that hold an entry
+/// at column `j`, in ascending row order: one element's sparse update.
+pub(crate) fn exact_add(
+    m: &DenseRows,
+    g0: usize,
+    nr: usize,
+    c: &[[f64; 2]; DENSE_GROUP],
+    k: usize,
+    j: usize,
+    v: f64,
+) -> f64 {
+    (0..nr)
+        .filter_map(|r| Some((r, m.stored(g0 + r, j)?)))
+        .fold(v, |acc, (r, p)| acc + c[r][k] * p)
 }
 
 // ---------------------------------------------------------------------------

@@ -378,6 +378,103 @@ fn sparse_projector_add_bitwise_identical() {
     });
 }
 
+/// The dense form of the projector term against the sparse kernel it
+/// replaces: row counts around the groups of eight and the pairs within
+/// them (0, 1, 7, 8, 9, 16), real and complex elements, and inputs holding
+/// exact zeros, `−0` in `y` (also where no row has an entry), `±∞`/NaN in
+/// `x`, an infinite strength, or a whole idle component. Every path's dense kernel, the scalar twin
+/// included, must return the sparse scalar kernel's bits — except inside a
+/// NaN: Rust leaves the sign and payload of a NaN result unspecified (two
+/// NaNs meeting in one add may give either), so a NaN need only meet a NaN.
+#[test]
+fn dense_projector_add_matches_the_sparse_kernel() {
+    check(48, |rng| {
+        let cols = rng.random_range(1usize..60);
+        let fill = rng.random_range(0.05f64..1.0);
+        // 0: plain data; 1: zeros and −0 in x and y; 2: also ±∞/NaN in x
+        // and one infinite strength; 3: an idle second slot (every odd
+        // component of x `+0`, of y `±0`), as a lone real Lanczos column
+        let mode = rng.random_range(0usize..4);
+        let seed = rng.random_range(1..usize::MAX) as u64;
+        let mut rng = Rng::new(seed);
+        let special = |v: &mut [f64], table: &[f64], rate: f64, rng: &mut Rng| {
+            for e in v.iter_mut() {
+                if rng.next_f64() + 0.5 < rate {
+                    *e = table[(rng.0 % table.len() as u64) as usize];
+                }
+            }
+        };
+        for nrows in [0usize, 1, 7, 8, 9, 16] {
+            let lists: Vec<(Vec<u32>, Vec<f64>)> = (0..nrows)
+                .map(|_| {
+                    let idx: Vec<u32> = (0..cols as u32)
+                        .filter(|_| rng.next_f64() + 0.5 < fill)
+                        .collect();
+                    // a stored zero has no dense form
+                    let val = rng
+                        .vec(idx.len())
+                        .into_iter()
+                        .map(|v| if v == 0.0 { 0.25 } else { v })
+                        .collect();
+                    (idx, val)
+                })
+                .collect();
+            let sparse = mbrpa_simd::SparseRows::from_rows(
+                cols,
+                lists.iter().map(|(i, v)| (i.as_slice(), v.as_slice())),
+            );
+            let dense = mbrpa_simd::DenseRows::from_sparse(&sparse).expect("no stored zero");
+            assert_eq!(dense.nnz(), sparse.nnz());
+            let mut gamma = rng.vec(nrows);
+            if mode == 2 && nrows > 0 {
+                gamma[(rng.0 % nrows as u64) as usize] = f64::INFINITY;
+            }
+            for cs in [1usize, 2] {
+                let mut x = rng.vec(cs * cols);
+                let mut y0 = rng.vec(cs * cols);
+                if mode >= 1 {
+                    special(&mut x, &[0.0, -0.0], 0.2, &mut rng);
+                    special(&mut y0, &[0.0, -0.0, -0.0], 0.3, &mut rng);
+                }
+                if mode == 2 {
+                    let odd = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+                    special(&mut x, &odd, 0.05, &mut rng);
+                }
+                if mode == 3 {
+                    for (i, (x, y)) in x.iter_mut().zip(&mut y0).enumerate().skip(1).step_by(2) {
+                        *x = 0.0;
+                        *y = if i % 3 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                let mut want = y0.clone();
+                mbrpa_simd::sparse_projector_add_on(
+                    Dispatch::Scalar,
+                    cs,
+                    &sparse,
+                    &gamma,
+                    &x,
+                    &mut want,
+                );
+                for &d in available() {
+                    let mut got = y0.clone();
+                    mbrpa_simd::dense_projector_add_on(d, cs, &dense, &gamma, &x, &mut got);
+                    let nan_blind = |v: &[f64]| -> Vec<f64> {
+                        v.iter()
+                            .map(|&e| if e.is_nan() { f64::NAN } else { e })
+                            .collect()
+                    };
+                    assert_same_bits(
+                        d,
+                        "dense_projector_add vs sparse",
+                        &nan_blind(&got),
+                        &nan_blind(&want),
+                    );
+                }
+            }
+        }
+    });
+}
+
 /// The thin-block kernels: every block width, odd and even row
 /// counts, every vector path against the scalar twin bit for bit, and
 /// the twin against plain complex loops.

@@ -81,6 +81,7 @@ fn finish_partial(
         setup.crystal.n_grid(),
         setup.crystal.n_occupied(),
         setup.crystal.atoms.len(),
+        &report::projector_note(&setup.ham),
     );
     if let Some(p) = profile_path {
         if !emit_profile(p, Some(&mut doc)) {
