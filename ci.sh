@@ -182,13 +182,31 @@ if [ "$(grep -c 'map_tasks(' <<<"$PARTITIONED")" != 1 ] \
     echo "ci: partitioned_apply must be one map_tasks call with ν½ inside each task"
     exit 1
 fi
+# One Gaussian elimination: block COCG's `s × s` solves run `Lu`'s
+# in-place form, so a partial-pivot elimination (its pivot search or a
+# permutation swap) lives in `crates/linalg/src/lu.rs` alone.
+if grep -rlE --include='*.rs' 'perm\.swap\(|best_abs' crates/*/src | grep -v '^crates/linalg/src/lu\.rs$'; then
+    echo "ci: a second partial-pivot elimination is back — factor with mbrpa_linalg::Lu"
+    exit 1
+fi
+# One frequency loop in mbrpa-core: `rpa.rs`'s. The §V Lanczos-quadrature
+# driver lives in mbrpa-bench beside its one caller.
+while IFS= read -r f; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//|fn frequency_quadrature\(' \
+        | grep -nF 'frequency_quadrature('; then
+        echo "ci: $f walks the frequency quadrature outside #[cfg(test)] — the RPA driver in rpa.rs is core's one frequency loop"
+        exit 1
+    fi
+done < <(find crates/core/src -name '*.rs' ! -name rpa.rs)
 leg grep-gates ran "one-copy and removed-path source gates"
 
-# Less library: the fractional-occupation layer and the public items only
+# Less library: the fractional-occupation layer, the SVD module, the
+# Hermitian Gram path, the `axpby` kernels and the public items only
 # their own unit tests called are gone. The paper's χ⁰ is closed-shell
 # (Eq. 5); a new caller writes what it needs, with its reason, in its place.
-if [ -e crates/dft/src/occupations.rs ] \
-    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)' \
+if [ -e crates/dft/src/occupations.rs ] || [ -e crates/linalg/src/svd.rs ] \
+    || [ -e crates/core/src/rpa_lanczos.rs ] \
+    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)' \
         crates/*/src src; then
     echo "ci: a deleted library item is back — nothing outside its own tests called it"
     exit 1

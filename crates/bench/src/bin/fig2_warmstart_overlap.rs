@@ -5,7 +5,7 @@
 
 use mbrpa_bench::{prepare_ladder_system, HarnessOptions};
 use mbrpa_core::{dielectric_eigenpairs, frequency_quadrature, full_spectrum};
-use mbrpa_linalg::matmul_tn;
+use mbrpa_linalg::{matmul_tn, symmetric_eig};
 
 fn main() {
     let opts = HarnessOptions::from_args();
@@ -51,9 +51,15 @@ fn main() {
         }
     }
     let capture = overlap.fro_norm().powi(2) / m as f64;
-    // principal angles between the two spans (SVD of the overlap)
-    let cosines = mbrpa_linalg::principal_cosines(&v7, &v8).unwrap_or_default();
-    let min_cos = cosines.last().copied().unwrap_or(0.0);
+    // principal angles between the two spans: the cosines are the
+    // singular values of the overlap, √eig(OᵀO)
+    let min_cos = match symmetric_eig(&matmul_tn(&overlap, &overlap)) {
+        Ok(eig) => eig.values.first().map_or(0.0, |&l| l.max(0.0).sqrt()),
+        Err(e) => {
+            eprintln!("fig2: principal cosines failed: {e}");
+            std::process::exit(1);
+        }
+    };
     eprintln!();
     eprintln!("omega_7 = {w7:.3}, omega_8 = {w8:.3} over the lowest {m} eigenvectors:");
     eprintln!("  per-vector: {diag_hi}/{m} diagonal entries above 0.5 (paper's Fig. 2 view)");

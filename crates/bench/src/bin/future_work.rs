@@ -5,9 +5,10 @@
 //! 2. plus the **seed-projection method** of §II as the rejected-design
 //!    baseline for block COCG.
 
+use mbrpa_bench::rpa_lanczos::compute_rpa_energy_lanczos;
 use mbrpa_bench::seed::seed_cocg;
 use mbrpa_bench::{ladder_config, prepare_ladder_system, print_table, HarnessOptions};
-use mbrpa_core::{compute_rpa_energy_lanczos, frequency_quadrature, TraceEstimatorOptions};
+use mbrpa_core::{frequency_quadrature, TraceEstimatorOptions};
 use mbrpa_dft::{SternheimerLinOp, SternheimerOperator};
 use mbrpa_linalg::{Mat, C64};
 use mbrpa_solver::{block_cocg, CocgOptions};

@@ -24,7 +24,7 @@
 
 use mbrpa_dft::{Hamiltonian, PotentialParams, SiliconSpec, SternheimerLinOp, SternheimerOperator};
 use mbrpa_grid::{Boundary, CoulombOperator, Grid3, Laplacian, SpectralLaplacian};
-use mbrpa_linalg::{matmul_hn_into, matmul_into, vecops, Mat, Scalar, C64};
+use mbrpa_linalg::{matmul_into, vecops, Mat, Scalar, C64};
 use mbrpa_schema::json::{self, obj, require_num, require_str, s, u, JsonValue};
 use mbrpa_solver::{block_cocg_ws, shifted_lanczos_pair, CocgOptions, LinearOperator, Workspace};
 use std::hint::black_box;
@@ -158,26 +158,16 @@ fn gemm_cases(smoke: bool, reps: usize, cases: &mut Vec<Case>) {
     let mut cc = Mat::zeros(m, n);
     let secs = time_best(reps, &mut || matmul_into(one, &ac, &bc, zero, &mut cc));
     cases.push(Case::new(
-        "gemm_nn_c64_rayleigh_ritz",
-        shape.clone(),
+        "gemm_nn_c64",
+        shape,
         secs,
         8.0 * (m * k * n) as f64,
     ));
-
-    // The Gram benchmark squares a block against itself (`VᴴV`), the
-    // orthonormality-check shape.
-    let mut gram = Mat::zeros(k, n);
-    let secs = time_best(reps, &mut || matmul_hn_into(&ac, &ac, &mut gram));
-    cases.push(Case::new(
-        "gram_hn_c64",
-        shape,
-        secs,
-        8.0 * (m * k * k) as f64,
-    ));
 }
 
-/// The reduction suite: lane-split dispatched dot/norm/axpy/axpby — the
-/// vector kernels inside COCG's recurrences and residual checks.
+/// The reduction suite: lane-split dispatched dot/norm/axpy on single
+/// vectors. Block COCG calls none of them: its recurrences are the fused
+/// thin-block kernels (`cocg_update_cases`).
 fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
     let n = if smoke { 1 << 14 } else { 1 << 21 };
     let reps = if smoke { 11 } else { 31 };
@@ -198,14 +188,14 @@ fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
     ));
 
     let xc = filled::<C64>(n / 2, 1, 0x13);
-    let mut yc = filled::<C64>(n / 2, 1, 0x14);
+    let yc = filled::<C64>(n / 2, 1, 0x14);
     let xcs = xc.col(0);
     let secs = time_best(reps, &mut || {
         black_box(vecops::dot_h(black_box(xcs), black_box(yc.col(0))));
     });
     cases.push(Case::new(
         "reduce_dot_h_c64",
-        shape_c.clone(),
+        shape_c,
         secs,
         8.0 * (n / 2) as f64,
     ));
@@ -225,24 +215,6 @@ fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
         vecops::axpy(black_box(0.5), black_box(xs), y.col_mut(0));
     });
     cases.push(Case::new("reduce_axpy_f64", shape, secs, 2.0 * n as f64));
-
-    // the xpay-style update inside COCG's recurrences
-    let alpha = C64::new(0.3, -0.2);
-    let beta = C64::new(0.5, 0.1);
-    let secs = time_best(reps, &mut || {
-        vecops::axpby(
-            black_box(alpha),
-            black_box(xcs),
-            black_box(beta),
-            yc.col_mut(0),
-        );
-    });
-    cases.push(Case::new(
-        "reduce_axpby_c64",
-        shape_c,
-        secs,
-        14.0 * (n / 2) as f64,
-    ));
 }
 
 /// The fused update sweep of block COCG (lines 9–11 of Alg. 3: `X += P·α`,

@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod qmr;
+pub mod rpa_lanczos;
 pub mod seed;
 
 use mbrpa_core::{KsSolver, RpaConfig, RpaSetup};

@@ -10,11 +10,14 @@
 //! governed by the probe count (statistical) and Lanczos steps
 //! (quadrature), not by an `n_eig` truncation — the estimator sees the
 //! whole spectrum, so it needs no eigenvalue-count parameter at all.
+//!
+//! The `future_work` harness runs it beside the subspace-iteration driver
+//! of `mbrpa-core`, whose trace estimators it calls.
 
-use crate::chi0::{DielectricOperator, SternheimerSettings};
-use crate::config::RpaConfig;
-use crate::quadrature::frequency_quadrature;
-use crate::trace_est::{lanczos_trace, TraceEstimatorOptions};
+use mbrpa_core::{
+    frequency_quadrature, lanczos_trace, DielectricOperator, RpaConfig, SternheimerSettings,
+    TraceEstimatorOptions,
+};
 use mbrpa_dft::{Crystal, Hamiltonian, KsSolution};
 use mbrpa_grid::CoulombOperator;
 use mbrpa_linalg::LinalgError;
@@ -120,8 +123,7 @@ pub fn compute_rpa_energy_lanczos(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::direct::direct_rpa_energy;
-    use crate::rpa::{KsSolver, RpaSetup};
+    use mbrpa_core::{direct_rpa_energy, KsSolver, RpaSetup};
     use mbrpa_dft::{PotentialParams, SiliconSpec};
 
     fn tiny_setup() -> RpaSetup {

@@ -39,7 +39,6 @@ pub mod io;
 pub mod quadrature;
 pub mod report;
 pub mod rpa;
-pub mod rpa_lanczos;
 pub mod subspace;
 pub mod trace_est;
 pub mod workers;
@@ -63,7 +62,6 @@ pub use rpa::{
     quadrature_of, random_orthonormal_block, KsSolver, OmegaReport, PartialRun, RpaResult,
     RpaSetup, RunOptions,
 };
-pub use rpa_lanczos::{compute_rpa_energy_lanczos, LanczosOmegaReport, LanczosRpaResult};
 pub use subspace::{
     subspace_iteration, trace_term, SubspaceIterRecord, SubspaceOutcome, SubspaceTimings,
 };

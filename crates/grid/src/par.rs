@@ -11,7 +11,7 @@
 //! [`apply_columns`] is the one driver that acts on that decision: every
 //! block apply is its own single-vector kernel handed to it.
 
-pub use mbrpa_linalg::par::{inner_slots, outer_active, outer_scope, OuterScope};
+pub use mbrpa_linalg::par::{inner_slots, outer_scope, OuterScope};
 use mbrpa_linalg::{Mat, Scalar};
 use rayon::prelude::*;
 

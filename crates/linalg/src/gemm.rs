@@ -406,13 +406,6 @@ pub fn matmul_tn<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
     c
 }
 
-/// `C = Aᴴ · B` (conjugated; Rayleigh–Ritz projections).
-pub fn matmul_hn<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
-    let mut c = Mat::zeros(a.cols(), b.cols());
-    matmul_hn_into(a, b, &mut c);
-    c
-}
-
 /// `C = Aᵀ · B` written into a caller-owned matrix (overwrites `C`; the
 /// allocation-free form for solver steady-state loops). Complex products
 /// with at most four columns on each side (block COCG's `μ = UᵀP`,
@@ -439,20 +432,7 @@ pub fn matmul_tn_into<T: Scalar>(a: &Mat<T>, b: &Mat<T>, c: &mut Mat<T>) {
         a.rows(),
         a.cols(),
         b.cols(),
-        |row0, h, buf| gram_chunk_simd(d, a, b, false, row0, h, buf),
-        c,
-    );
-}
-
-/// `C = Aᴴ · B` written into a caller-owned matrix (overwrites `C`).
-pub fn matmul_hn_into<T: Scalar>(a: &Mat<T>, b: &Mat<T>, c: &mut Mat<T>) {
-    gram_checks(a, b, c);
-    let d = mbrpa_simd::active();
-    gram_driver(
-        a.rows(),
-        a.cols(),
-        b.cols(),
-        |row0, h, buf| gram_chunk_simd(d, a, b, true, row0, h, buf),
+        |row0, h, buf| gram_chunk_simd(d, a, b, row0, h, buf),
         c,
     );
 }
@@ -531,7 +511,6 @@ fn gram_chunk_simd<T: Scalar>(
     d: Dispatch,
     a: &Mat<T>,
     b: &Mat<T>,
-    conj: bool,
     row0: usize,
     h: usize,
     out: &mut [T],
@@ -587,15 +566,7 @@ fn gram_chunk_simd<T: Scalar>(
                 let ni = (kc - i0).min(2);
                 if ni == 2 && nj == 2 {
                     let mut t = [0.0; 8];
-                    mbrpa_simd::gram2_c64_on(
-                        d,
-                        conj,
-                        ac(i0),
-                        ac(i0 + 1),
-                        bc(j0),
-                        bc(j0 + 1),
-                        &mut t,
-                    );
+                    mbrpa_simd::gram2_c64_on(d, ac(i0), ac(i0 + 1), bc(j0), bc(j0 + 1), &mut t);
                     for jj in 0..2 {
                         for ii in 0..2 {
                             let o = 2 * (2 * jj + ii);
@@ -605,11 +576,7 @@ fn gram_chunk_simd<T: Scalar>(
                 } else {
                     for jj in 0..nj {
                         for ii in 0..ni {
-                            let (re, im) = if conj {
-                                mbrpa_simd::dot_h_c64_on(d, ac(i0 + ii), bc(j0 + jj))
-                            } else {
-                                mbrpa_simd::dot_t_c64_on(d, ac(i0 + ii), bc(j0 + jj))
-                            };
+                            let (re, im) = mbrpa_simd::dot_t_c64_on(d, ac(i0 + ii), bc(j0 + jj));
                             out[(j0 + jj) * kc + i0 + ii] = T::from_components(re, im);
                         }
                     }
@@ -869,15 +836,15 @@ mod tests {
     }
 
     #[test]
-    fn gram_hn_conjugates_complex() {
+    fn gram_tn_leaves_complex_unconjugated() {
         let a = Mat::from_fn(30, 2, |i, j| Complex64::new(i as f64 * 0.1, (j + 1) as f64));
         let b = Mat::from_fn(30, 3, |i, j| Complex64::new((j + i) as f64 * 0.05, -1.0));
-        let c_h = matmul_hn(&a, &b);
         let c_t = matmul_tn(&a, &b);
-        // Check against explicit conj-transpose product
-        let expect = matmul(&a.conj_transpose(), &b);
-        assert!(c_h.max_abs_diff(&expect) < 1e-12);
-        // And that the unconjugated version differs (imaginary parts present)
+        // Check against the explicit plain-transpose product
+        let expect = matmul(&a.transpose(), &b);
+        assert!(c_t.max_abs_diff(&expect) < 1e-12);
+        // And that it differs from the conjugated one (imaginary parts present)
+        let c_h = matmul(&a.conj_transpose(), &b);
         assert!(c_h.max_abs_diff(&c_t) > 1e-8);
     }
 

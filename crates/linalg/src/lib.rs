@@ -31,7 +31,6 @@ pub mod lu;
 pub mod par;
 pub mod qr;
 pub mod scalar;
-pub mod svd;
 pub mod symeig;
 pub mod vecops;
 
@@ -40,14 +39,13 @@ pub use dense::Mat;
 pub use error::LinalgError;
 pub use fcmp::{approx_eq, exactly_zero};
 pub use gemm::{
-    mat_vec, matmul, matmul_hn, matmul_hn_into, matmul_into, matmul_nt, matmul_rc, matmul_tn,
-    matmul_tn_into, matmul_tn_rc, matmul_tn_rowsum_into,
+    mat_vec, matmul, matmul_into, matmul_nt, matmul_rc, matmul_tn, matmul_tn_into, matmul_tn_rc,
+    matmul_tn_rowsum_into,
 };
-pub use lu::{inverse, solve, Lu};
+pub use lu::{solve, Lu};
 pub use qr::{orthonormalize_columns, thin_qr, ThinQr};
 pub use scalar::Scalar;
-pub use svd::{principal_cosines, thin_svd, Svd};
-pub use symeig::{eig_residual, generalized_sym_eig, symmetric_eig, SymEig};
+pub use symeig::{generalized_sym_eig, symmetric_eig, SymEig};
 
 /// Complex double-precision scalar used across the workspace.
 pub type C64 = num_complex::Complex64;

@@ -1,9 +1,12 @@
 //! LU factorization with partial pivoting, generic over real/complex scalars.
 //!
-//! Used for the `s × s` complex-symmetric solves inside block COCG
-//! (`α = μ⁻¹ρ`, `β = ρ⁻¹ρ₊`) and for small auxiliary systems. Sizes are
-//! small (the block size), so a straightforward right-looking factorization
-//! is appropriate; no blocking or parallelism is needed here.
+//! Block COCG's two `s × s` complex-symmetric solves per iteration
+//! (`α = μ⁻¹ρ`, `β = ρ⁻¹ρ₊`) factor a pooled buffer with
+//! [`Lu::factor_in_place`] and solve with [`Lu::solve_in_place`];
+//! [`Lu::factor`] and [`Lu::solve_mat`] are owning wrappers over the same
+//! code for one-off systems. Sizes are small (the block size), so a
+//! straightforward right-looking factorization is appropriate; no blocking
+//! or parallelism is needed here.
 
 use crate::dense::Mat;
 use crate::error::LinalgError;
@@ -15,18 +18,33 @@ use crate::scalar::Scalar;
 pub struct Lu<T: Scalar> {
     /// Packed L (unit lower, below diagonal) and U (upper incl. diagonal).
     lu: Mat<T>,
-    /// Row permutation: row `i` of `PA` is row `perm[i]` of `A`.
-    perm: Vec<usize>,
-    /// Smallest pivot modulus met during elimination.
-    min_pivot: f64,
-    /// Largest pivot modulus met during elimination.
-    max_pivot: f64,
+    /// Row interchanges: step `k` swapped rows `k` and `piv[k]`.
+    piv: Vec<usize>,
+    /// `min|pivot| / max|pivot|` over the elimination.
+    pivot_ratio: f64,
 }
 
 impl<T: Scalar> Lu<T> {
     /// Factor a square matrix. Fails with [`LinalgError::Singular`] when a
     /// pivot column is exactly zero.
     pub fn factor(a: &Mat<T>) -> Result<Self, LinalgError> {
+        let mut lu = a.clone();
+        let mut piv = Vec::new();
+        let pivot_ratio = Self::factor_in_place(&mut lu, &mut piv)?;
+        Ok(Self {
+            lu,
+            piv,
+            pivot_ratio,
+        })
+    }
+
+    /// Factor the square matrix `a` in place into packed L and U, writing
+    /// the row interchanges into `piv` (cleared first, so one vector serves
+    /// every call). Returns the pivot ratio `min|pivot| / max|pivot|`, a
+    /// crude reciprocal-condition estimate (0 for an empty matrix). Fails
+    /// with [`LinalgError::Singular`] when a pivot column is exactly zero,
+    /// leaving `a` and `piv` partly eliminated.
+    pub fn factor_in_place(a: &mut Mat<T>, piv: &mut Vec<usize>) -> Result<f64, LinalgError> {
         let (n, m) = a.shape();
         if n != m {
             return Err(LinalgError::DimensionMismatch {
@@ -34,17 +52,16 @@ impl<T: Scalar> Lu<T> {
                 got: format!("{n}x{m}"),
             });
         }
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        piv.clear();
         let mut min_pivot = f64::INFINITY;
         let mut max_pivot: f64 = 0.0;
 
         for kcol in 0..n {
             // pivot search in column kcol, rows kcol..
             let mut best = kcol;
-            let mut best_abs = lu[(kcol, kcol)].abs();
+            let mut best_abs = a[(kcol, kcol)].abs();
             for i in kcol + 1..n {
-                let v = lu[(i, kcol)].abs();
+                let v = a[(i, kcol)].abs();
                 if v > best_abs {
                     best = i;
                     best_abs = v;
@@ -55,61 +72,47 @@ impl<T: Scalar> Lu<T> {
             }
             min_pivot = min_pivot.min(best_abs);
             max_pivot = max_pivot.max(best_abs);
+            piv.push(best);
             if best != kcol {
-                perm.swap(kcol, best);
                 for j in 0..n {
-                    let tmp = lu[(kcol, j)];
-                    lu[(kcol, j)] = lu[(best, j)];
-                    lu[(best, j)] = tmp;
+                    let tmp = a[(kcol, j)];
+                    a[(kcol, j)] = a[(best, j)];
+                    a[(best, j)] = tmp;
                 }
             }
-            let pivot = lu[(kcol, kcol)];
+            let pivot = a[(kcol, kcol)];
             for i in kcol + 1..n {
-                let lik = lu[(i, kcol)] / pivot;
-                lu[(i, kcol)] = lik;
+                let lik = a[(i, kcol)] / pivot;
+                a[(i, kcol)] = lik;
                 if lik != T::zero() {
                     for j in kcol + 1..n {
-                        let ukj = lu[(kcol, j)];
-                        lu[(i, j)] -= lik * ukj;
+                        let ukj = a[(kcol, j)];
+                        a[(i, j)] -= lik * ukj;
                     }
                 }
             }
         }
 
-        Ok(Self {
-            lu,
-            perm,
-            min_pivot,
-            max_pivot,
+        Ok(if exactly_zero(max_pivot) {
+            0.0
+        } else {
+            min_pivot / max_pivot
         })
     }
 
-    /// Order of the factored matrix.
-    pub fn order(&self) -> usize {
-        self.lu.rows()
-    }
-
-    /// Crude reciprocal-condition estimate `min|pivot| / max|pivot|`; used to
-    /// detect near-breakdown of the COCG block Gram matrices.
-    pub fn rcond_estimate(&self) -> f64 {
-        if exactly_zero(self.max_pivot) {
-            0.0
-        } else {
-            self.min_pivot / self.max_pivot
+    /// Overwrite `x` with the solution of `A x = b`, where `x` holds `b` on
+    /// entry and `lu`/`piv` are what [`Lu::factor_in_place`] left of `A`.
+    pub fn solve_in_place(lu: &Mat<T>, piv: &[usize], x: &mut [T]) {
+        let n = lu.rows();
+        assert_eq!(x.len(), n);
+        for (k, &p) in piv.iter().enumerate() {
+            x.swap(k, p);
         }
-    }
-
-    /// Solve `A x = b` for a single right-hand side, in place.
-    pub fn solve_vec(&self, b: &[T]) -> Vec<T> {
-        let n = self.order();
-        assert_eq!(b.len(), n);
-        // apply permutation
-        let mut x: Vec<T> = (0..n).map(|i| b[self.perm[i]]).collect();
         // forward substitution with unit lower L
         for i in 1..n {
             let mut acc = x[i];
             for j in 0..i {
-                acc -= self.lu[(i, j)] * x[j];
+                acc -= lu[(i, j)] * x[j];
             }
             x[i] = acc;
         }
@@ -117,20 +120,35 @@ impl<T: Scalar> Lu<T> {
         for i in (0..n).rev() {
             let mut acc = x[i];
             for j in i + 1..n {
-                acc -= self.lu[(i, j)] * x[j];
+                acc -= lu[(i, j)] * x[j];
             }
-            x[i] = acc / self.lu[(i, i)];
+            x[i] = acc / lu[(i, i)];
         }
-        x
+    }
+
+    /// Order of the factored matrix.
+    pub fn order(&self) -> usize {
+        self.lu.rows()
+    }
+
+    /// Crude reciprocal-condition estimate `min|pivot| / max|pivot|` (the
+    /// ratio [`Lu::factor_in_place`] returns).
+    pub fn rcond_estimate(&self) -> f64 {
+        self.pivot_ratio
+    }
+
+    /// Solve `A x = b` for a single right-hand side, in place: `x` holds
+    /// `b` on entry and the solution on return.
+    pub fn solve_vec(&self, x: &mut [T]) {
+        Self::solve_in_place(&self.lu, &self.piv, x);
     }
 
     /// Solve `A X = B` for a block of right-hand sides.
     pub fn solve_mat(&self, b: &Mat<T>) -> Mat<T> {
         assert_eq!(b.rows(), self.order());
-        let mut x = Mat::zeros(b.rows(), b.cols());
-        for j in 0..b.cols() {
-            let xj = self.solve_vec(b.col(j));
-            x.col_mut(j).copy_from_slice(&xj);
+        let mut x = b.clone();
+        for j in 0..x.cols() {
+            self.solve_vec(x.col_mut(j));
         }
         x
     }
@@ -139,12 +157,6 @@ impl<T: Scalar> Lu<T> {
 /// Convenience: solve `A X = B` with a one-shot factorization.
 pub fn solve<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Result<Mat<T>, LinalgError> {
     Ok(Lu::factor(a)?.solve_mat(b))
-}
-
-/// Explicit inverse (for small matrices only, e.g. the Galerkin guess core).
-pub fn inverse<T: Scalar>(a: &Mat<T>) -> Result<Mat<T>, LinalgError> {
-    let n = a.rows();
-    solve(a, &Mat::identity(n))
 }
 
 #[cfg(test)]
@@ -212,7 +224,7 @@ mod tests {
     #[test]
     fn inverse_of_identity_like() {
         let a = Mat::from_col_major(2, 2, vec![2.0, 0.0, 0.0, 4.0]);
-        let inv = inverse(&a).unwrap();
+        let inv = solve(&a, &Mat::identity(2)).unwrap();
         assert!((inv[(0, 0)] - 0.5).abs() < 1e-14);
         assert!((inv[(1, 1)] - 0.25).abs() < 1e-14);
     }

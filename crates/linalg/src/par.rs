@@ -41,12 +41,6 @@ pub fn outer_scope(tasks: usize) -> OuterScope {
     OuterScope { tasks }
 }
 
-/// True if any outer parallel region is currently registered.
-pub fn outer_active() -> bool {
-    // ord: Relaxed — advisory snapshot of the sizing hint; no ordering needed
-    OUTER.load(Ordering::Relaxed) > 0
-}
-
 /// How many threads an inner kernel may use without oversubscribing the
 /// pool: all of them when no outer region is active, otherwise the fair
 /// share of threads left idle by the outer partition (at least 1).
@@ -79,7 +73,6 @@ mod tests {
             let _g = outer_scope(3);
             // ord: Relaxed — advisory snapshot (see `before` above)
             assert!(OUTER.load(Ordering::Relaxed) >= before + 3);
-            assert!(outer_active());
         }
         // ord: Relaxed — advisory snapshot (see `before` above)
         assert!(OUTER.load(Ordering::Relaxed) <= before + 3);

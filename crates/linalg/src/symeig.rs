@@ -12,7 +12,6 @@ use crate::chol::Cholesky;
 use crate::dense::Mat;
 use crate::error::LinalgError;
 use crate::fcmp::exactly_zero;
-use crate::gemm::matmul;
 
 /// Maximum QL sweeps per eigenvalue before declaring non-convergence.
 const MAX_QL_SWEEPS: usize = 60;
@@ -259,25 +258,25 @@ pub fn generalized_sym_eig(a: &Mat<f64>, b: &Mat<f64>) -> Result<SymEig, LinalgE
     })
 }
 
-/// Residual `‖A q − λ q‖ / ‖A‖_F`-style check used by tests and debug
-/// assertions.
-pub fn eig_residual(a: &Mat<f64>, eig: &SymEig) -> f64 {
-    let av = matmul(a, &eig.vectors);
-    let mut worst: f64 = 0.0;
-    for (j, &lam) in eig.values.iter().enumerate() {
-        let mut r = 0.0;
-        for i in 0..a.rows() {
-            let d = av[(i, j)] - lam * eig.vectors[(i, j)];
-            r += d * d;
-        }
-        worst = worst.max(r.sqrt());
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::matmul;
+
+    /// Largest eigenpair residual `‖A q − λ q‖`.
+    fn eig_residual(a: &Mat<f64>, eig: &SymEig) -> f64 {
+        let av = matmul(a, &eig.vectors);
+        let mut worst: f64 = 0.0;
+        for (j, &lam) in eig.values.iter().enumerate() {
+            let mut r = 0.0;
+            for i in 0..a.rows() {
+                let d = av[(i, j)] - lam * eig.vectors[(i, j)];
+                r += d * d;
+            }
+            worst = worst.max(r.sqrt());
+        }
+        worst
+    }
 
     fn random_symmetric(n: usize, seed: u64) -> Mat<f64> {
         let mut state = seed | 1;

@@ -75,21 +75,6 @@ pub fn axpy<T: Scalar>(alpha: T, x: &[T], y: &mut [T]) {
     axpy_uncounted(alpha, x, y);
 }
 
-/// `y = alpha * x + beta * y`.
-#[inline]
-pub fn axpby<T: Scalar>(alpha: T, x: &[T], beta: T, y: &mut [T]) {
-    debug_assert_eq!(x.len(), y.len());
-    let xc = T::as_components(x);
-    let yc = T::as_components_mut(y);
-    if T::COMPONENTS == 1 {
-        count_reduce(3 * xc.len());
-        mbrpa_simd::axpby(alpha.re(), beta.re(), xc, yc);
-    } else {
-        count_reduce(7 * xc.len());
-        mbrpa_simd::axpby_c64(alpha.re(), alpha.im(), beta.re(), beta.im(), xc, yc);
-    }
-}
-
 /// `x *= alpha`.
 #[inline]
 pub fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
@@ -127,14 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn axpy_axpby_scal() {
+    fn axpy_and_scal() {
         let x = [1.0, -1.0];
         let mut y = [10.0, 10.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 8.0]);
-        axpby(1.0, &x, 0.5, &mut y);
-        assert_eq!(y, [7.0, 3.0]);
-        scal(2.0, &mut y);
-        assert_eq!(y, [14.0, 6.0]);
+        scal(0.5, &mut y);
+        assert_eq!(y, [6.0, 4.0]);
     }
 }

@@ -39,7 +39,7 @@
 //! }
 //! let report = mbrpa_obs::report();
 //! assert_eq!(report.counter("kernel.calls"), 1);
-//! assert!(report.span_total("work/kernel") <= report.span_total("work"));
+//! assert!(report.sum_leaf("kernel") <= report.sum_leaf("work"));
 //! mbrpa_obs::set_enabled(false);
 //! ```
 
@@ -538,15 +538,6 @@ pub fn report_tagged(job: &str) -> Report {
 }
 
 impl Report {
-    /// Total seconds recorded under the exact span path `path` (0 if absent).
-    pub fn span_total(&self, path: &str) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| s.path == path)
-            .map(|s| s.total_s)
-            .sum()
-    }
-
     /// Total seconds over every span whose **last** path segment equals
     /// `leaf` — e.g. `sum_leaf("apply")` aggregates the apply kernel across
     /// all frequencies and parents.

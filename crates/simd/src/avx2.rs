@@ -344,30 +344,6 @@ unsafe fn stencil_block<const NV: usize, const MASKED: bool>(
 // SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
 // support; `dispatch_on!` only routes here when `available()` reported
 // it. All memory access goes through safe slices.
-pub(crate) unsafe fn axpby(a: f64, b: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n = y.len();
-    let n4 = n - n % 4;
-    let va = _mm256_set1_pd(a);
-    let vb = _mm256_set1_pd(b);
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-    let mut i = 0;
-    while i < n4 {
-        // SAFETY: i + 4 <= n and both slices have length n.
-        let by = _mm256_mul_pd(vb, _mm256_loadu_pd(yp.add(i)));
-        let xv = _mm256_loadu_pd(xp.add(i));
-        _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(va, xv, by));
-        i += 4;
-    }
-    for r in n4..n {
-        y[r] = a.mul_add(x[r], b * y[r]);
-    }
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
 pub(crate) unsafe fn shift_scale(s: f64, c: f64, x: &[f64], v: &mut [f64]) {
     debug_assert_eq!(x.len(), v.len());
     let n = v.len();
@@ -776,40 +752,6 @@ pub(crate) unsafe fn axpy_c64(ar: f64, ai: f64, x: &[f64], y: &mut [f64]) {
 // SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
 // support; `dispatch_on!` only routes here when `available()` reported
 // it. All memory access goes through safe slices.
-pub(crate) unsafe fn axpby_c64(ar: f64, ai: f64, br: f64, bi: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len() % 2, 0);
-    let n = y.len();
-    let n4 = n - n % 4;
-    let var = _mm256_set1_pd(ar);
-    let vas = _mm256_set_pd(ai, -ai, ai, -ai);
-    let vbr = _mm256_set1_pd(br);
-    let vbs = _mm256_set_pd(bi, -bi, bi, -bi);
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-    let mut i = 0;
-    while i < n4 {
-        // SAFETY: i + 4 <= n and both slices have length n.
-        let xv = _mm256_loadu_pd(xp.add(i));
-        let yv = _mm256_loadu_pd(yp.add(i));
-        let ax = _mm256_fmadd_pd(vas, swap_pairs(xv), _mm256_mul_pd(var, xv));
-        let t = _mm256_fmadd_pd(vbs, swap_pairs(yv), ax);
-        _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(vbr, yv, t));
-        i += 4;
-    }
-    if n4 < n {
-        let (xr, xi) = (x[n4], x[n4 + 1]);
-        let (yr, yi) = (y[n4], y[n4 + 1]);
-        let axr = (-ai).mul_add(xi, ar * xr);
-        let axi = ai.mul_add(xr, ar * xi);
-        y[n4] = br.mul_add(yr, (-bi).mul_add(yi, axr));
-        y[n4 + 1] = br.mul_add(yi, bi.mul_add(yr, axi));
-    }
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
 pub(crate) unsafe fn scal_c64(ar: f64, ai: f64, x: &mut [f64]) {
     debug_assert_eq!(x.len() % 2, 0);
     let n = x.len();
@@ -1136,14 +1078,7 @@ pub(crate) unsafe fn gram2x4_f64(
 // SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
 // support; `dispatch_on!` only routes here when `available()` reported
 // it. All memory access goes through safe slices.
-pub(crate) unsafe fn gram2_c64(
-    conj: bool,
-    a0: &[f64],
-    a1: &[f64],
-    b0: &[f64],
-    b1: &[f64],
-    out: &mut [f64; 8],
-) {
+pub(crate) unsafe fn gram2_c64(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64], out: &mut [f64; 8]) {
     let n = a0.len();
     debug_assert_eq!(n % 2, 0);
     debug_assert!(a1.len() == n && b0.len() == n && b1.len() == n);
@@ -1194,11 +1129,7 @@ pub(crate) unsafe fn gram2_c64(
         }
     }
     for idx in 0..4 {
-        let (re, im) = if conj {
-            lanes::combine_h(&ps[idx], &qs[idx])
-        } else {
-            lanes::combine_t(&ps[idx], &qs[idx])
-        };
+        let (re, im) = lanes::combine_t(&ps[idx], &qs[idx]);
         out[2 * idx] = re;
         out[2 * idx + 1] = im;
     }

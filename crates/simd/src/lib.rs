@@ -3,7 +3,7 @@
 //! This crate is the only place in the workspace allowed to touch
 //! `core::arch` intrinsics (enforced by the mbrpa-lint `arch_intrinsics`
 //! rule). It exposes a *safe* slice-level API — scaled copies, fused
-//! axpy variants, Chebyshev shift/scale updates, complex axpy/axpby,
+//! axpy variants, Chebyshev shift/scale updates, complex axpy and scale,
 //! lane-split dot products and norms, BLIS-style GEMM microkernels,
 //! Gram tiles, the pack-free thin-block kernels of block COCG, and the
 //! three pieces of `H·v` (halo fill, stencil sweep, sparse or dense
@@ -248,19 +248,6 @@ pub fn scal(c: f64, x: &mut [f64]) {
     scal_on(active(), c, x)
 }
 
-/// `y[i] = a · x[i] + b · y[i]` (fused multiply for the `a` term) on the
-/// given path.
-#[inline]
-pub fn axpby_on(d: Dispatch, a: f64, b: f64, x: &[f64], y: &mut [f64]) {
-    dispatch_on!(d, axpby(a, b, x, y))
-}
-
-/// `y[i] = a · x[i] + b · y[i]` on the active path.
-#[inline]
-pub fn axpby(a: f64, b: f64, x: &[f64], y: &mut [f64]) {
-    axpby_on(active(), a, b, x, y)
-}
-
 /// Chebyshev recurrence step `v[i] = s · (v[i] − c · x[i])` on the given
 /// path.
 #[inline]
@@ -371,18 +358,6 @@ pub fn axpy_c64(ar: f64, ai: f64, x: &[f64], y: &mut [f64]) {
     axpy_c64_on(active(), ar, ai, x, y)
 }
 
-/// Complex `y = a·x + b·y` on interleaved slices, on the given path.
-#[inline]
-pub fn axpby_c64_on(d: Dispatch, ar: f64, ai: f64, br: f64, bi: f64, x: &[f64], y: &mut [f64]) {
-    dispatch_on!(d, axpby_c64(ar, ai, br, bi, x, y))
-}
-
-/// Complex `y = a·x + b·y` on interleaved slices, active path.
-#[inline]
-pub fn axpby_c64(ar: f64, ai: f64, br: f64, bi: f64, x: &[f64], y: &mut [f64]) {
-    axpby_c64_on(active(), ar, ai, br, bi, x, y)
-}
-
 /// Complex `x *= (ar + i·ai)` on an interleaved slice, on the given path.
 #[inline]
 pub fn scal_c64_on(d: Dispatch, ar: f64, ai: f64, x: &mut [f64]) {
@@ -482,20 +457,19 @@ pub fn gram2x4_f64_on(
 }
 
 /// 2×2 complex Gram tile on interleaved columns: `out` holds the four
-/// complex results `(i, j)` at `out[2·(2j + i)..][..2]`, computing
-/// `a_iᵀ b_j` (`conj = false`) or `a_iᴴ b_j` (`conj = true`) with the
-/// canonical 2-complex-lane depth split, on the given path.
+/// complex results `(i, j)` at `out[2·(2j + i)..][..2]`, computing the
+/// unconjugated `a_iᵀ b_j` with the canonical 2-complex-lane depth split,
+/// on the given path.
 #[inline]
 pub fn gram2_c64_on(
     d: Dispatch,
-    conj: bool,
     a0: &[f64],
     a1: &[f64],
     b0: &[f64],
     b1: &[f64],
     out: &mut [f64; 8],
 ) {
-    dispatch_on!(d, gram2_c64(conj, a0, a1, b0, b1, out))
+    dispatch_on!(d, gram2_c64(a0, a1, b0, b1, out))
 }
 
 // ---------------------------------------------------------------------------
@@ -898,8 +872,6 @@ mod tests {
             assert_eq!(o, [2.5, -5.0, 7.5]);
             scal_on(d, 2.0, &mut o);
             assert_eq!(o, [5.0, -10.0, 15.0]);
-            axpby_on(d, 1.0, 0.0, &x, &mut o);
-            assert_eq!(o, x);
             let mut v = [10.0, 20.0];
             shift_scale_on(d, 2.0, 3.0, &[1.0, 2.0], &mut v);
             assert_eq!(v, [14.0, 28.0]); // 2·(v − 3x)
@@ -960,10 +932,6 @@ mod tests {
             let mut z = [3.0, -1.0];
             scal_c64_on(d, 1.0, 2.0, &mut z);
             assert_eq!(z, [5.0, 5.0]);
-            // y = a·x + b·y with a = i, b = 2: i·(3 − i) + 2·(5 + 5i) = 11 + 13i
-            let mut w = [5.0, 5.0];
-            axpby_c64_on(d, 0.0, 1.0, 2.0, 0.0, &x, &mut w);
-            assert_eq!(w, [11.0, 13.0]);
         }
     }
 
@@ -1033,23 +1001,18 @@ mod tests {
         // Complex tile, k must be even in f64 length.
         let zcols: Vec<Vec<f64>> = (0..4).map(|s| pseudo_random(2 * k + 2, 20 + s)).collect();
         for &d in available() {
-            for conj in [false, true] {
-                let mut out = [0.0_f64; 8];
-                gram2_c64_on(
-                    d, conj, &zcols[0], &zcols[1], &zcols[2], &zcols[3], &mut out,
-                );
-                for j in 0..2 {
-                    for i in 0..2 {
-                        let (mut re, mut im) = (0.0_f64, 0.0_f64);
-                        for (xc, yc) in zcols[i].chunks_exact(2).zip(zcols[2 + j].chunks_exact(2)) {
-                            let (xr, xi) = (xc[0], if conj { -xc[1] } else { xc[1] });
-                            re += xr * yc[0] - xi * yc[1];
-                            im += xr * yc[1] + xi * yc[0];
-                        }
-                        let idx = 2 * (2 * j + i);
-                        assert!((out[idx] - re).abs() < 1e-11, "{d:?} conj={conj}");
-                        assert!((out[idx + 1] - im).abs() < 1e-11, "{d:?} conj={conj}");
+            let mut out = [0.0_f64; 8];
+            gram2_c64_on(d, &zcols[0], &zcols[1], &zcols[2], &zcols[3], &mut out);
+            for j in 0..2 {
+                for i in 0..2 {
+                    let (mut re, mut im) = (0.0_f64, 0.0_f64);
+                    for (xc, yc) in zcols[i].chunks_exact(2).zip(zcols[2 + j].chunks_exact(2)) {
+                        re += xc[0] * yc[0] - xc[1] * yc[1];
+                        im += xc[0] * yc[1] + xc[1] * yc[0];
                     }
+                    let idx = 2 * (2 * j + i);
+                    assert!((out[idx] - re).abs() < 1e-11, "{d:?}");
+                    assert!((out[idx + 1] - im).abs() < 1e-11, "{d:?}");
                 }
             }
         }

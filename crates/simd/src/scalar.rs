@@ -38,13 +38,6 @@ pub(crate) fn scal(c: f64, x: &mut [f64]) {
     }
 }
 
-pub(crate) fn axpby(a: f64, b: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = a.mul_add(xi, b * *yi);
-    }
-}
-
 pub(crate) fn shift_scale(s: f64, c: f64, x: &[f64], v: &mut [f64]) {
     debug_assert_eq!(x.len(), v.len());
     for (vi, &xi) in v.iter_mut().zip(x) {
@@ -287,18 +280,6 @@ pub(crate) fn axpy_c64(ar: f64, ai: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-pub(crate) fn axpby_c64(ar: f64, ai: f64, br: f64, bi: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yp, xp) in y.chunks_exact_mut(2).zip(x.chunks_exact(2)) {
-        let (xr, xi) = (xp[0], xp[1]);
-        let (yr, yi) = (yp[0], yp[1]);
-        let axr = (-ai).mul_add(xi, ar * xr);
-        let axi = ai.mul_add(xr, ar * xi);
-        yp[0] = br.mul_add(yr, (-bi).mul_add(yi, axr));
-        yp[1] = br.mul_add(yi, bi.mul_add(yr, axi));
-    }
-}
-
 pub(crate) fn scal_c64(ar: f64, ai: f64, x: &mut [f64]) {
     for xp in x.chunks_exact_mut(2) {
         let (xr, xi) = (xp[0], xp[1]);
@@ -434,14 +415,7 @@ pub(crate) fn gram2x4_f64(
     }
 }
 
-pub(crate) fn gram2_c64(
-    conj: bool,
-    a0: &[f64],
-    a1: &[f64],
-    b0: &[f64],
-    b1: &[f64],
-    out: &mut [f64; 8],
-) {
+pub(crate) fn gram2_c64(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64], out: &mut [f64; 8]) {
     let kc = a0.len() / 2;
     debug_assert!(a0.len().is_multiple_of(2));
     debug_assert!(a1.len() == a0.len() && b0.len() == a0.len() && b1.len() == a0.len());
@@ -466,11 +440,7 @@ pub(crate) fn gram2_c64(
         }
     }
     for idx in 0..4 {
-        let (re, im) = if conj {
-            lanes::combine_h(&ps[idx], &qs[idx])
-        } else {
-            lanes::combine_t(&ps[idx], &qs[idx])
-        };
+        let (re, im) = lanes::combine_t(&ps[idx], &qs[idx]);
         out[2 * idx] = re;
         out[2 * idx + 1] = im;
     }

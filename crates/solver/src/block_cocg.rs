@@ -26,7 +26,7 @@
 use crate::operator::LinearOperator;
 use crate::stats::SolveReport;
 use crate::workspace::{with_thread_workspace, Workspace};
-use mbrpa_linalg::{exactly_zero, matmul_into, matmul_tn_into, Mat, Scalar, C64};
+use mbrpa_linalg::{exactly_zero, matmul_into, matmul_tn_into, Lu, Mat, Scalar, C64};
 
 /// Options for [`block_cocg`].
 #[derive(Clone, Copy, Debug)]
@@ -68,23 +68,6 @@ const BREAKDOWN_RCOND: f64 = 1e-13;
 /// (and, for `s > 1`, splits it in half).
 pub const MAX_BREAKDOWNS: usize = 4;
 
-/// Reusable non-`C64` scratch for the in-place equilibrated `s × s`
-/// solves: equilibration factors and the pivot permutation. Allocated
-/// once per solve call, reused every iteration.
-struct GaussScratch {
-    scale: Vec<f64>,
-    perm: Vec<usize>,
-}
-
-impl GaussScratch {
-    fn with_capacity(s: usize) -> Self {
-        Self {
-            scale: Vec::with_capacity(s),
-            perm: Vec::with_capacity(s),
-        }
-    }
-}
-
 /// Solve the `s×s` system `G X = R` after symmetric diagonal equilibration
 /// `G̃ = S G S` with `S = diag(1/√|g_jj|)`: block residual columns converge
 /// at different rates, so raw Gram matrices are badly scaled long before
@@ -92,26 +75,22 @@ impl GaussScratch {
 /// (exactly-zero pivot or pivot ratio at/below `rcond_floor`), leaving
 /// `out` unspecified.
 ///
-/// The factorization is a partial-pivoting Gauss elimination performed in
-/// a pooled buffer, arithmetic-for-arithmetic identical to
-/// `Lu::factor` + `solve_mat` (same pivot choices, same physical row
-/// swaps, same update order) so results match the allocating path
-/// bitwise — without the per-iteration `Mat` and permutation allocations.
+/// `G̃` is factored by [`Lu::factor_in_place`] in a pooled buffer; `scale`
+/// and `piv` are the caller's, reused every iteration.
 fn equilibrated_solve_into(
     g: &Mat<C64>,
     r: &Mat<C64>,
     rcond_floor: f64,
     ws: &mut Workspace<C64>,
-    scratch: &mut GaussScratch,
+    scale: &mut Vec<f64>,
+    piv: &mut Vec<usize>,
     out: &mut Mat<C64>,
 ) -> bool {
     let s = g.rows();
     debug_assert_eq!(g.cols(), s);
     debug_assert_eq!(r.rows(), s);
     debug_assert_eq!(out.shape(), (s, r.cols()));
-    let zero = C64::new(0.0, 0.0);
 
-    let scale = &mut scratch.scale;
     scale.clear();
     scale.resize(s, 1.0);
     for (j, sc) in scale.iter_mut().enumerate() {
@@ -120,90 +99,24 @@ fn equilibrated_solve_into(
             *sc = 1.0 / d.sqrt();
         }
     }
-
-    // G̃ = S G S, built and factored in one pooled buffer.
     let mut lu = ws.take_scratch(s, s);
     for j in 0..s {
         for i in 0..s {
             lu[(i, j)] = g[(i, j)].scale(scale[i] * scale[j]);
         }
     }
-    let perm = &mut scratch.perm;
-    perm.clear();
-    perm.extend(0..s);
-    let mut min_pivot = f64::INFINITY;
-    let mut max_pivot: f64 = 0.0;
-    let mut ok = true;
-    for kcol in 0..s {
-        // pivot search in column kcol, rows kcol..
-        let mut best = kcol;
-        let mut best_abs = lu[(kcol, kcol)].norm();
-        for i in kcol + 1..s {
-            let v = lu[(i, kcol)].norm();
-            if v > best_abs {
-                best = i;
-                best_abs = v;
-            }
-        }
-        if exactly_zero(best_abs) {
-            ok = false;
-            break;
-        }
-        min_pivot = min_pivot.min(best_abs);
-        max_pivot = max_pivot.max(best_abs);
-        if best != kcol {
-            perm.swap(kcol, best);
-            for j in 0..s {
-                let tmp = lu[(kcol, j)];
-                lu[(kcol, j)] = lu[(best, j)];
-                lu[(best, j)] = tmp;
-            }
-        }
-        let pivot = lu[(kcol, kcol)];
-        for i in kcol + 1..s {
-            let lik = lu[(i, kcol)] / pivot;
-            lu[(i, kcol)] = lik;
-            if lik != zero {
-                for j in kcol + 1..s {
-                    let ukj = lu[(kcol, j)];
-                    lu[(i, j)] -= lik * ukj;
-                }
-            }
-        }
-    }
-    let rcond = if exactly_zero(max_pivot) {
-        0.0
-    } else {
-        min_pivot / max_pivot
-    };
-    if ok && rcond <= rcond_floor {
-        ok = false;
-    }
-
+    // A NaN ratio is no breakdown: the values behind it end the solve as
+    // a blow-up instead.
+    let ok =
+        Lu::factor_in_place(&mut lu, piv).is_ok_and(|ratio| ratio > rcond_floor || ratio.is_nan());
     if ok {
-        // X = S · G̃⁻¹ · P · (S R), column by column into `out`.
+        // X = S · G̃⁻¹ · (S R), column by column in `out`.
         for j in 0..r.cols() {
             let col = out.col_mut(j);
             for (i, v) in col.iter_mut().enumerate() {
-                let src = perm[i];
-                *v = r[(src, j)].scale(scale[src]);
+                *v = r[(i, j)].scale(scale[i]);
             }
-            // forward substitution with unit lower L
-            for i in 1..s {
-                let mut acc = col[i];
-                for k in 0..i {
-                    acc -= lu[(i, k)] * col[k];
-                }
-                col[i] = acc;
-            }
-            // back substitution with U
-            for i in (0..s).rev() {
-                let mut acc = col[i];
-                for k in i + 1..s {
-                    acc -= lu[(i, k)] * col[k];
-                }
-                col[i] = acc / lu[(i, i)];
-            }
+            Lu::solve_in_place(&lu, piv, col);
             for (i, v) in col.iter_mut().enumerate() {
                 *v = v.scale(scale[i]);
             }
@@ -333,7 +246,9 @@ pub fn block_cocg_ws(
     };
     // ‖w_j‖² of every column, refreshed by each residual update.
     let mut w_sq: Vec<f64> = Vec::with_capacity(s);
-    let mut scratch = GaussScratch::with_capacity(s);
+    // Equilibration factors and LU pivots of the `s × s` solves.
+    let mut scale: Vec<f64> = Vec::with_capacity(s);
+    let mut piv: Vec<usize> = Vec::with_capacity(s);
 
     let one = C64::new(1.0, 0.0);
     let zero = C64::new(0.0, 0.0);
@@ -406,8 +321,15 @@ pub fn block_cocg_ws(
 
         // Line 8: α = μ⁻¹ρ, guarded against breakdown.
         let mut alpha = ws.take_scratch(s, s);
-        let alpha_ok =
-            equilibrated_solve_into(&mu, &rho, BREAKDOWN_RCOND, ws, &mut scratch, &mut alpha);
+        let alpha_ok = equilibrated_solve_into(
+            &mu,
+            &rho,
+            BREAKDOWN_RCOND,
+            ws,
+            &mut scale,
+            &mut piv,
+            &mut alpha,
+        );
         ws.give(mu);
         if !alpha_ok {
             ws.give(alpha);
@@ -473,7 +395,8 @@ pub fn block_cocg_ws(
             &rho_next,
             BREAKDOWN_RCOND,
             ws,
-            &mut scratch,
+            &mut scale,
+            &mut piv,
             &mut beta,
         );
         if beta_ok {
@@ -586,7 +509,6 @@ pub fn true_relative_residual(op: &dyn LinearOperator<C64>, b: &Mat<C64>, x: &Ma
 mod tests {
     use super::*;
     use crate::test_util::{rand_rhs, test_operator};
-    use mbrpa_linalg::Lu;
 
     #[test]
     fn solves_well_conditioned_block() {
@@ -725,90 +647,18 @@ mod tests {
         );
     }
 
-    /// The pooled in-place Gauss solve must reproduce the allocating
-    /// `Lu::factor` + `solve_mat` path bitwise (same pivoting, same
-    /// arithmetic order), including the equilibration wrapper.
-    #[test]
-    fn inplace_gauss_matches_lu_bitwise() {
-        for seed in [3u64, 19, 71, 205] {
-            let mut state = seed | 1;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state as f64 / u64::MAX as f64) - 0.5
-            };
-            let s = 6;
-            let g0 = Mat::from_fn(s, s, |_, _| C64::new(next(), next()));
-            // complex-symmetric with a spread of diagonal magnitudes, so
-            // equilibration and pivoting both do real work
-            let g = Mat::from_fn(s, s, |i, j| {
-                let sym = (g0[(i, j)] + g0[(j, i)]).scale(0.5);
-                if i == j {
-                    sym + C64::new(10.0_f64.powi(i as i32 - 3), 0.4)
-                } else {
-                    sym
-                }
-            });
-            let r = Mat::from_fn(s, s, |_, _| C64::new(next(), next()));
-
-            // reference: the original allocating implementation
-            let mut scale = vec![1.0f64; s];
-            for (j, sc) in scale.iter_mut().enumerate() {
-                let d = g[(j, j)].norm();
-                if d > 0.0 {
-                    *sc = 1.0 / d.sqrt();
-                }
-            }
-            let g_tilde = Mat::from_fn(s, s, |i, j| g[(i, j)].scale(scale[i] * scale[j]));
-            let lu = Lu::factor(&g_tilde).unwrap();
-            assert!(lu.rcond_estimate() > 1e-13);
-            let mut sr = r.clone();
-            for j in 0..sr.cols() {
-                for (i, v) in sr.col_mut(j).iter_mut().enumerate() {
-                    *v = v.scale(scale[i]);
-                }
-            }
-            let mut expect = lu.solve_mat(&sr);
-            for j in 0..expect.cols() {
-                for (i, v) in expect.col_mut(j).iter_mut().enumerate() {
-                    *v = v.scale(scale[i]);
-                }
-            }
-
-            let mut ws = Workspace::new();
-            let mut scratch = GaussScratch::with_capacity(s);
-            let mut got = ws.take_zeroed(s, s);
-            assert!(equilibrated_solve_into(
-                &g,
-                &r,
-                1e-13,
-                &mut ws,
-                &mut scratch,
-                &mut got
-            ));
-            assert_eq!(got, expect, "seed {seed}");
-            ws.give(got);
-        }
-    }
-
-    /// Singular and near-singular Gram matrices must be rejected exactly
-    /// like the `Lu`-based path: zero pivot or tiny pivot ratio.
+    /// Singular and near-singular Gram matrices must be rejected: zero
+    /// pivot or tiny pivot ratio.
     #[test]
     fn inplace_gauss_flags_breakdown() {
         let mut ws = Workspace::new();
-        let mut scratch = GaussScratch::with_capacity(3);
+        let (mut scale, mut piv) = (Vec::new(), Vec::new());
         let mut out = ws.take_zeroed(3, 1);
         // rank-1: exactly singular
         let g = Mat::from_fn(3, 3, |i, j| C64::new(((i + 1) * (j + 1)) as f64, 0.0));
         let r = Mat::from_fn(3, 1, |i, _| C64::new(i as f64, 0.0));
         assert!(!equilibrated_solve_into(
-            &g,
-            &r,
-            1e-13,
-            &mut ws,
-            &mut scratch,
-            &mut out
+            &g, &r, 1e-13, &mut ws, &mut scale, &mut piv, &mut out
         ));
         // well-conditioned but rejected by an aggressive rcond floor
         let id = Mat::from_fn(3, 3, |i, j| {
@@ -819,20 +669,10 @@ mod tests {
             }
         });
         assert!(!equilibrated_solve_into(
-            &id,
-            &r,
-            1.0,
-            &mut ws,
-            &mut scratch,
-            &mut out
+            &id, &r, 1.0, &mut ws, &mut scale, &mut piv, &mut out
         ));
         assert!(equilibrated_solve_into(
-            &id,
-            &r,
-            1e-13,
-            &mut ws,
-            &mut scratch,
-            &mut out
+            &id, &r, 1e-13, &mut ws, &mut scale, &mut piv, &mut out
         ));
         assert_eq!(out, r);
         ws.give(out);
