@@ -198,15 +198,23 @@ while IFS= read -r f; do
         exit 1
     fi
 done < <(find crates/core/src -name '*.rs' ! -name rpa.rs)
+# No orbital files: the KS stage runs in-process on every run, so rpacalc
+# has no flag that writes or reads a `.orb` file.
+if grep -rnE -- '-save-ks|-load-ks' src/bin; then
+    echo "ci: an orbital-file flag is back in src/bin — the KS stage runs in-process every run"
+    exit 1
+fi
 leg grep-gates ran "one-copy and removed-path source gates"
 
 # Less library: the fractional-occupation layer, the SVD module, the
-# Hermitian Gram path, the `axpby` kernels and the public items only
-# their own unit tests called are gone. The paper's χ⁰ is closed-shell
-# (Eq. 5); a new caller writes what it needs, with its reason, in its place.
+# Hermitian Gram path, the `axpby` kernels, the `.orb` orbital format, the
+# real×complex GEMMs, the conjugated complex dot kernel and the public
+# items only their own unit tests called are gone. The paper's χ⁰ is
+# closed-shell (Eq. 5); a new caller writes what it needs, with its
+# reason, in its place.
 if [ -e crates/dft/src/occupations.rs ] || [ -e crates/linalg/src/svd.rs ] \
-    || [ -e crates/core/src/rpa_lanczos.rs ] \
-    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)' \
+    || [ -e crates/core/src/rpa_lanczos.rs ] || [ -e crates/dft/src/orbital_io.rs ] \
+    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)|orbital_io|save_orbitals|load_orbitals|OrbitalIoError|matmul_rc|matmul_tn_rc|dot_h_c64|dot_h_c64_on|combine_h|mat_vec' \
         crates/*/src src; then
     echo "ci: a deleted library item is back — nothing outside its own tests called it"
     exit 1

@@ -172,7 +172,6 @@ fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
     let n = if smoke { 1 << 14 } else { 1 << 21 };
     let reps = if smoke { 11 } else { 31 };
     let shape = format!("n={n}");
-    let shape_c = format!("n={}", n / 2);
 
     let x = filled::<f64>(n, 1, 0x11);
     let mut y = filled::<f64>(n, 1, 0x12);
@@ -185,19 +184,6 @@ fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
         shape.clone(),
         secs,
         2.0 * n as f64,
-    ));
-
-    let xc = filled::<C64>(n / 2, 1, 0x13);
-    let yc = filled::<C64>(n / 2, 1, 0x14);
-    let xcs = xc.col(0);
-    let secs = time_best(reps, &mut || {
-        black_box(vecops::dot_h(black_box(xcs), black_box(yc.col(0))));
-    });
-    cases.push(Case::new(
-        "reduce_dot_h_c64",
-        shape_c,
-        secs,
-        8.0 * (n / 2) as f64,
     ));
 
     let secs = time_best(reps, &mut || {

@@ -13,18 +13,21 @@
 //! journal ([`persist`], [`restore`]), the run-compatibility fingerprint
 //! that guards it, and the policy/outcome/error types of a run.
 //!
-//! A [config fingerprint](config_fingerprint) guards the resume: grid
-//! dimension, eigencount, quadrature order, tolerances, seed, worker
-//! count, and every solver policy are hashed into the snapshot, and a
-//! mismatch aborts rather than silently mixing incompatible state.
+//! A [run fingerprint](config_fingerprint) guards the resume: the setup
+//! key (grid, atoms, potential, stencil, KS solver), eigencount,
+//! quadrature order, tolerances, seed, worker count, and every solver
+//! policy are hashed into the snapshot, and a mismatch aborts rather than
+//! silently mixing incompatible state.
 //! (`n_workers` is included deliberately: the dynamic block-size policy
 //! partitions work per worker, so a different worker count can change the
 //! floating-point summation order and break bit-reproducibility.)
 
 use crate::config::RpaConfig;
-use crate::rpa::{OmegaReport, PartialRun, RpaResult};
+use crate::rpa::{KsSolver, OmegaReport, PartialRun, RpaResult};
 use crate::subspace::{SubspaceIterRecord, SubspaceTimings};
 use mbrpa_ckpt::{CheckpointStore, CkptError, IterRow, OmegaSummary, Snapshot};
+use mbrpa_dft::{Atom, ChefsiOptions, Crystal, PotentialParams};
+use mbrpa_grid::{Boundary, Grid3};
 use mbrpa_linalg::LinalgError;
 use std::fmt;
 use std::time::Duration;
@@ -37,8 +40,8 @@ pub enum RpaRunError {
     Linalg(LinalgError),
     /// Reading or writing the checkpoint store failed.
     Checkpoint(CkptError),
-    /// The snapshot was written by a run with a different configuration;
-    /// resuming it would not be bit-for-bit reproducible.
+    /// The snapshot was written by a run with a different configuration
+    /// or system; resuming it would not be bit-for-bit reproducible.
     ConfigMismatch {
         /// Fingerprint stored in the snapshot.
         saved: u64,
@@ -60,8 +63,8 @@ impl fmt::Display for RpaRunError {
             RpaRunError::Checkpoint(e) => write!(f, "{e}"),
             RpaRunError::ConfigMismatch { saved, current } => write!(
                 f,
-                "checkpoint belongs to a different run configuration \
-                 (saved fingerprint {saved:#018x}, current {current:#018x}); \
+                "checkpoint belongs to a different run: its configuration or system \
+                 differs (saved fingerprint {saved:#018x}, current {current:#018x}); \
                  start a fresh checkpoint directory or restore the original settings"
             ),
             RpaRunError::IncompatibleSnapshot { reason } => {
@@ -140,8 +143,8 @@ pub enum ResumableOutcome {
     Cancelled(PartialRun),
 }
 
-/// FNV-1a hash of the schema number, the grid dimension and every
-/// configuration field that affects the numerical trajectory of the run
+/// FNV-1a hash of the schema number, the setup's key (`setup_key`) and
+/// every configuration field that affects the numerical trajectory of the run
 /// (the config half of the canonical encoding, so the two fingerprints
 /// cannot disagree about which fields exist). Two runs with equal
 /// fingerprints walk identical floating-point paths frequency by
@@ -153,10 +156,10 @@ pub enum ResumableOutcome {
 /// 128 bits over the full canonical encoding of a parsed `.rpa` input,
 /// system definition included — lives in [`crate::canonical`] and keys
 /// the exact-result cache of `mbrpa-serve`.
-pub fn config_fingerprint(config: &RpaConfig, n_d: usize) -> u64 {
+pub fn config_fingerprint(config: &RpaConfig, setup_key: u64) -> u64 {
     let mut bytes = Vec::with_capacity(208);
     bytes.extend_from_slice(&FINGERPRINT_SCHEMA.to_le_bytes());
-    bytes.extend_from_slice(&(n_d as u64).to_le_bytes());
+    bytes.extend_from_slice(&setup_key.to_le_bytes());
     bytes.extend_from_slice(&crate::canonical::config_bytes(config));
     crate::fnv1a64(&bytes)
 }
@@ -164,7 +167,77 @@ pub fn config_fingerprint(config: &RpaConfig, n_d: usize) -> u64 {
 /// Bump when the fingerprint's field set or encoding changes, so stale
 /// snapshots from older builds are rejected instead of misread. 2: the
 /// fields are the config half of [`crate::canonical::canonical_bytes`].
-const FINGERPRINT_SCHEMA: u64 = 2;
+/// 3: the grid dimension became the whole setup key (`setup_key`).
+const FINGERPRINT_SCHEMA: u64 = 3;
+
+/// FNV-1a key of everything [`RpaSetup::prepare`](crate::rpa::RpaSetup::prepare)
+/// builds a setup from: the grid's shape, spacing and boundary, every
+/// atom's position and valence, the potential, the stencil radius and the
+/// KS solver. Equal keys mean the same Hamiltonian and orbitals, bit for
+/// bit. The structs are destructured whole, so a field added to any of
+/// them does not compile until it is keyed here.
+pub(crate) fn setup_key(
+    crystal: &Crystal,
+    potential: &PotentialParams,
+    stencil_radius: usize,
+    ks_solver: &KsSolver,
+) -> u64 {
+    let Grid3 {
+        nx,
+        ny,
+        nz,
+        hx,
+        hy,
+        hz,
+        bc,
+    } = crystal.grid;
+    let boundary = match bc {
+        Boundary::Periodic => 1,
+        Boundary::Dirichlet => 2,
+    };
+    let mut words = vec![nx as u64, ny as u64, nz as u64];
+    words.extend([hx, hy, hz].map(f64::to_bits));
+    words.extend([boundary, crystal.atoms.len() as u64]);
+    for &Atom { position, valence } in &crystal.atoms {
+        words.extend([position.0, position.1, position.2].map(f64::to_bits));
+        words.push(valence as u64);
+    }
+    let PotentialParams {
+        depth,
+        sigma,
+        nonlocal_strength,
+        nonlocal_sigma,
+        nonlocal_cutoff,
+    } = *potential;
+    let wells = [
+        depth,
+        sigma,
+        nonlocal_strength,
+        nonlocal_sigma,
+        nonlocal_cutoff,
+    ];
+    words.extend(wells.map(f64::to_bits));
+    words.push(stencil_radius as u64);
+    match *ks_solver {
+        KsSolver::Dense { extra } => words.extend([1, extra as u64]),
+        KsSolver::Chefsi(ChefsiOptions {
+            degree,
+            tol,
+            max_iters,
+            extra,
+            seed,
+        }) => words.extend([
+            2,
+            degree as u64,
+            tol.to_bits(),
+            max_iters as u64,
+            extra as u64,
+            seed,
+        ]),
+    }
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    crate::fnv1a64(&bytes)
+}
 
 /// Serialize one frequency's report into its snapshot form. Timings are
 /// stored as seconds; everything numerical keeps exact bits.
@@ -334,6 +407,8 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_the_grid_dimension() {
+        // the grid is part of the setup key (a setup that differs in
+        // seed or mesh alone is refused in tests/checkpoint_restart.rs);
         // the config fields are covered, for both fingerprints, by
         // `canonical::tests::every_config_field_moves_both_fingerprints`
         let reference = config_fingerprint(&base_config(), 125);

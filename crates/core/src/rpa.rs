@@ -7,7 +7,7 @@
 
 use crate::cancel::CancelToken;
 use crate::checkpoint::{
-    config_fingerprint, persist, restore, ResumableOutcome, ResumePolicy, RpaRunError,
+    config_fingerprint, persist, restore, setup_key, ResumableOutcome, ResumePolicy, RpaRunError,
 };
 use crate::chi0::{DielectricOperator, SternheimerSettings};
 use crate::config::RpaConfig;
@@ -166,6 +166,9 @@ pub struct RpaSetup {
     pub ks: KsSolution,
     /// The Coulomb operator (ν, ν½).
     pub coulomb: CoulombOperator,
+    /// `setup_key` of what this setup was prepared from; it joins the
+    /// config in the checkpoint fingerprint.
+    setup_key: u64,
 }
 
 impl RpaSetup {
@@ -177,6 +180,7 @@ impl RpaSetup {
         stencil_radius: usize,
         ks_solver: KsSolver,
     ) -> Result<Self, LinalgError> {
+        let setup_key = setup_key(&crystal, potential, stencil_radius, &ks_solver);
         let ham = Hamiltonian::new(&crystal, stencil_radius, potential);
         let n_s = crystal.n_occupied();
         let ks = match ks_solver {
@@ -189,6 +193,7 @@ impl RpaSetup {
             ham,
             ks,
             coulomb: CoulombOperator::new(spectral),
+            setup_key,
         })
     }
 
@@ -265,7 +270,7 @@ impl RpaSetup {
         } = options;
         let n_d = self.ham.dim();
         config.validate(n_d);
-        let fingerprint = config_fingerprint(config, n_d);
+        let fingerprint = config_fingerprint(config, self.setup_key);
         let restored = match &checkpoint {
             Some((store, policy)) if policy.resume => restore(store, fingerprint, config, n_d)?,
             _ => None,

@@ -526,7 +526,9 @@ mod tests {
         let z: Vec<f64> = (0..12)
             .map(|_| if rng.random::<bool>() { 1.0 } else { -1.0 })
             .collect();
-        let az = mbrpa_linalg::mat_vec(&a, &z);
+        let az: Vec<f64> = (0..12)
+            .map(|i| (0..12).map(|l| a[(i, l)] * z[l]).sum())
+            .collect();
         let expect = vecops::dot_t(&z, &az);
         assert!((est.trace - expect).abs() < 1e-10);
     }

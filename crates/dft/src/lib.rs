@@ -23,7 +23,6 @@
 
 pub mod eigensolve;
 pub mod hamiltonian;
-pub mod orbital_io;
 pub mod potential;
 pub mod system;
 
@@ -32,7 +31,6 @@ pub use eigensolve::{
     SternheimerLinOp,
 };
 pub use hamiltonian::{Hamiltonian, SternheimerOperator};
-pub use orbital_io::{load_orbitals, save_orbitals, OrbitalIoError};
 pub use potential::{
     local_potential, NonlocalProjectors, PotentialParams, Projector, ProjectorForm,
 };

@@ -35,7 +35,6 @@ use crate::par;
 use crate::scalar::Scalar;
 use crate::vecops;
 use mbrpa_simd::Dispatch;
-use num_complex::Complex64;
 use rayon::prelude::*;
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -102,11 +101,10 @@ fn put_buf<T: Scalar>(slot: u8, v: Vec<T>) {
 
 /// Pack `mc` rows of `A` starting at `row0` into row panels of height `MR`
 /// as flat `f64` components: panel `ip` holds, for each depth index `l`,
-/// the `MR` consecutive (converted) row entries — `f64` directly, complex
-/// split as `[re×MR | im×MR]` — zero-padded past the matrix edge.
-fn pack_a<SA: Scalar, T: Scalar, const MR: usize>(
-    a: &Mat<SA>,
-    conv: fn(SA) -> T,
+/// the `MR` consecutive row entries — `f64` directly, complex split as
+/// `[re×MR | im×MR]` — zero-padded past the matrix edge.
+fn pack_a<T: Scalar, const MR: usize>(
+    a: &Mat<T>,
     row0: usize,
     mc: usize,
     k: usize,
@@ -124,13 +122,12 @@ fn pack_a<SA: Scalar, T: Scalar, const MR: usize>(
             dst.fill(0.0);
             if cs == 1 {
                 for ii in 0..mre {
-                    dst[ii] = conv(src[ii]).re();
+                    dst[ii] = src[ii].re();
                 }
             } else {
                 for ii in 0..mre {
-                    let t = conv(src[ii]);
-                    dst[ii] = t.re();
-                    dst[MR + ii] = t.im();
+                    dst[ii] = src[ii].re();
+                    dst[MR + ii] = src[ii].im();
                 }
             }
         }
@@ -211,10 +208,9 @@ fn store_acc_col<T: Scalar>(dst: &mut [T], acc: &[f64], beta: T) {
 /// where the strip's output lives (whole matrix or a borrowed strip
 /// segment).
 #[allow(clippy::too_many_arguments)]
-fn strip_gemm<SA: Scalar, T: Scalar, const MR: usize, const NR: usize>(
+fn strip_gemm<T: Scalar, const MR: usize, const NR: usize>(
     d: Dispatch,
-    a: &Mat<SA>,
-    conv: fn(SA) -> T,
+    a: &Mat<T>,
     bpack: &[f64],
     r0: usize,
     h: usize,
@@ -231,7 +227,7 @@ fn strip_gemm<SA: Scalar, T: Scalar, const MR: usize, const NR: usize>(
     let mut off = 0;
     while off < h {
         let mc = mc_max.min(h - off);
-        pack_a::<SA, T, MR>(a, conv, r0 + off, mc, k, &mut a_buf);
+        pack_a::<T, MR>(a, r0 + off, mc, k, &mut a_buf);
         let n_row_panels = mc.div_ceil(MR);
         for jp in 0..n_col_panels {
             let nre = NR.min(n - jp * NR);
@@ -253,13 +249,10 @@ fn strip_gemm<SA: Scalar, T: Scalar, const MR: usize, const NR: usize>(
     put_buf(SLOT_PACK_A, a_buf);
 }
 
-/// Packed register-blocked `C = alpha·conv(A)·B + beta·C`. `conv` embeds
-/// `A`'s scalar field into `C`'s at pack time (identity for uniform
-/// products, `from_re` for the real×complex variants).
-fn gemm_driver<SA: Scalar, T: Scalar, const MR: usize, const NR: usize>(
+/// Packed register-blocked `C = alpha·A·B + beta·C`.
+fn gemm_driver<T: Scalar, const MR: usize, const NR: usize>(
     alpha: T,
-    a: &Mat<SA>,
-    conv: fn(SA) -> T,
+    a: &Mat<T>,
     b: &Mat<T>,
     beta: T,
     c: &mut Mat<T>,
@@ -300,7 +293,7 @@ fn gemm_driver<SA: Scalar, T: Scalar, const MR: usize, const NR: usize>(
 
     if p == 1 {
         let c_data = c.as_mut_slice();
-        strip_gemm::<SA, T, MR, NR>(d, a, conv, &b_buf, 0, m, k, n, |i0, j0, acc, mre, nre| {
+        strip_gemm::<T, MR, NR>(d, a, &b_buf, 0, m, k, n, |i0, j0, acc, mre, nre| {
             for jj in 0..nre {
                 let col = &mut c_data[(j0 + jj) * m + i0..(j0 + jj) * m + i0 + mre];
                 store_acc_col(col, &acc[8 * jj..], beta);
@@ -333,7 +326,7 @@ fn gemm_driver<SA: Scalar, T: Scalar, const MR: usize, const NR: usize>(
         .par_iter()
         .zip(col_segs.into_par_iter())
         .for_each(|(&(r0, h), mut segs)| {
-            strip_gemm::<SA, T, MR, NR>(d, a, conv, b_ref, r0, h, k, n, |i0, j0, acc, mre, nre| {
+            strip_gemm::<T, MR, NR>(d, a, b_ref, r0, h, k, n, |i0, j0, acc, mre, nre| {
                 for jj in 0..nre {
                     let col = &mut segs[j0 + jj][i0..i0 + mre];
                     store_acc_col(col, &acc[8 * jj..], beta);
@@ -345,26 +338,19 @@ fn gemm_driver<SA: Scalar, T: Scalar, const MR: usize, const NR: usize>(
 
 /// Dispatch on the register-tile shape: 8×4 for 1-component scalars (f64),
 /// 4×4 for 2-component scalars (Complex64).
-fn packed_gemm<SA: Scalar, T: Scalar>(
-    alpha: T,
-    a: &Mat<SA>,
-    conv: fn(SA) -> T,
-    b: &Mat<T>,
-    beta: T,
-    c: &mut Mat<T>,
-) {
+fn packed_gemm<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
     if T::COMPONENTS >= 2 {
-        gemm_driver::<SA, T, 4, 4>(alpha, a, conv, b, beta, c);
+        gemm_driver::<T, 4, 4>(alpha, a, b, beta, c);
     } else {
-        gemm_driver::<SA, T, 8, 4>(alpha, a, conv, b, beta, c);
+        gemm_driver::<T, 8, 4>(alpha, a, b, beta, c);
     }
 }
 
-fn count_gemm<SA: Scalar, T: Scalar>(m: usize, k: usize, n: usize) {
+fn count_gemm<T: Scalar>(m: usize, k: usize, n: usize) {
     mbrpa_obs::add("linalg.gemm_calls", 1);
     mbrpa_obs::add(
         "linalg.gemm_flops",
-        (2 * m * k * n * SA::COMPONENTS * T::COMPONENTS) as u64,
+        (2 * m * k * n * T::COMPONENTS * T::COMPONENTS) as u64,
     );
 }
 
@@ -395,8 +381,8 @@ pub fn matmul_into<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut
     if m == 0 || n == 0 {
         return;
     }
-    count_gemm::<T, T>(m, k, n);
-    packed_gemm(alpha, a, |x| x, b, beta, c);
+    count_gemm::<T>(m, k, n);
+    packed_gemm(alpha, a, b, beta, c);
 }
 
 /// `C = Aᵀ · B` (no conjugation; the COCG bilinear Gram product).
@@ -437,7 +423,7 @@ pub fn matmul_tn_into<T: Scalar>(a: &Mat<T>, b: &Mat<T>, c: &mut Mat<T>) {
     );
 }
 
-fn gram_checks<SA: Scalar, T: Scalar>(a: &Mat<SA>, b: &Mat<T>, c: &Mat<T>) {
+fn gram_checks<T: Scalar>(a: &Mat<T>, b: &Mat<T>, c: &Mat<T>) {
     let (m, k) = a.shape();
     let (mb, n) = b.shape();
     assert_eq!(m, mb, "row dimension mismatch: {m} vs {mb}");
@@ -450,7 +436,7 @@ fn gram_checks<SA: Scalar, T: Scalar>(a: &Mat<SA>, b: &Mat<T>, c: &Mat<T>) {
     // counter in the reduce family.
     mbrpa_obs::add(
         "solver.reduce.gram_flops",
-        (2 * m * k * n * SA::COMPONENTS * T::COMPONENTS) as u64,
+        (2 * m * k * n * T::COMPONENTS * T::COMPONENTS) as u64,
     );
 }
 
@@ -588,20 +574,11 @@ fn gram_chunk_simd<T: Scalar>(
     }
 }
 
-/// One row chunk of a mixed-field Gram product (`mul` supplies the
-/// per-element product, e.g. the real×complex embedding), written
-/// (overwriting) into `out`. Full 4×4 tiles of output dots share their
-/// operand streams; edge tiles fall back to plain dots. Used only by the
-/// Galerkin-guess products (real×complex and its real twin), which sit
-/// outside the solver steady-state loop.
-fn gram_chunk_mixed<SA: Scalar, T: Scalar>(
-    a: &Mat<SA>,
-    b: &Mat<T>,
-    mul: impl Fn(SA, T) -> T + Copy,
-    row0: usize,
-    h: usize,
-    out: &mut [T],
-) {
+/// One row chunk of [`matmul_tn_rowsum_into`], written (overwriting)
+/// into `out`: every entry is one plain chain `Σ_r b[r]·a[r]` in row
+/// order. Full 4×4 tiles of output dots share their operand streams; edge
+/// tiles fall back to plain dots.
+fn gram_chunk_rowsum(a: &Mat<f64>, b: &Mat<f64>, row0: usize, h: usize, out: &mut [f64]) {
     let kc = a.cols();
     let n = b.cols();
     let mut j0 = 0;
@@ -623,13 +600,13 @@ fn gram_chunk_mixed<SA: Scalar, T: Scalar>(
                     &b.col(j0 + 2)[row0..row0 + h],
                     &b.col(j0 + 3)[row0..row0 + h],
                 ];
-                let mut acc = [[T::zero(); 4]; 4];
+                let mut acc = [[0.0; 4]; 4];
                 for r in 0..h {
                     let av = [ac[0][r], ac[1][r], ac[2][r], ac[3][r]];
                     let bv = [bc[0][r], bc[1][r], bc[2][r], bc[3][r]];
                     for jj in 0..4 {
                         for ii in 0..4 {
-                            acc[jj][ii] += mul(av[ii], bv[jj]);
+                            acc[jj][ii] += bv[jj] * av[ii];
                         }
                     }
                 }
@@ -643,9 +620,9 @@ fn gram_chunk_mixed<SA: Scalar, T: Scalar>(
                     let bj = &b.col(j0 + jj)[row0..row0 + h];
                     for ii in 0..ni {
                         let ai = &a.col(i0 + ii)[row0..row0 + h];
-                        let mut acc = T::zero();
+                        let mut acc = 0.0;
                         for r in 0..h {
-                            acc += mul(ai[r], bj[r]);
+                            acc += bj[r] * ai[r];
                         }
                         out[(j0 + jj) * kc + i0 + ii] = acc;
                     }
@@ -681,69 +658,20 @@ pub fn matmul_nt<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
     c
 }
 
-/// Mixed-field product `C = A · B` with real `A` and complex `B`
-/// (the Galerkin initial guess `Y₀ = Ψ(E − λI + iωI)⁻¹ΨᴴB` multiplies the
-/// real orbital block into complex coefficient matrices). Routed through the
-/// packed microkernel; `A` is embedded into the complex field at pack time.
-pub fn matmul_rc(a: &Mat<f64>, b: &Mat<Complex64>) -> Mat<Complex64> {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(k, kb, "inner dimension mismatch: {k} vs {kb}");
-    count_gemm::<f64, Complex64>(m, k, n);
-    let mut c = Mat::zeros(m, n);
-    gemm_driver::<f64, Complex64, 4, 4>(
-        Complex64::new(1.0, 0.0),
-        a,
-        |x| Complex64::new(x, 0.0),
-        b,
-        Complex64::new(0.0, 0.0),
-        &mut c,
-    );
-    c
-}
-
-/// Mixed-field Gram product `C = Aᵀ · B` with real `A` and complex `B`.
-pub fn matmul_tn_rc(a: &Mat<f64>, b: &Mat<Complex64>) -> Mat<Complex64> {
-    let mut c = Mat::zeros(a.cols(), b.cols());
-    gram_checks(a, b, &c);
-    gram_driver(
-        a.rows(),
-        a.cols(),
-        b.cols(),
-        |row0, h, buf| gram_chunk_mixed(a, b, |x, y: Complex64| y.scale(x), row0, h, buf),
-        &mut c,
-    );
-    c
-}
-
-/// `C = Aᵀ · B` for real `A` and `B`, into a caller-owned matrix, summed
-/// the way [`matmul_tn_rc`] sums: one plain chain per entry in row order.
-/// With `B` the real part of a complex block whose imaginary part is zero
-/// the two agree bit for bit, which [`matmul_tn_into`]'s lane-split tiles
-/// do not; the real Galerkin guess relies on it.
+/// `C = Aᵀ · B` for real `A` and `B`, into a caller-owned matrix, with
+/// every entry one plain chain in row order (row panels folded in index
+/// order past `2·PANEL` rows). That is the order the Galerkin guess
+/// `ΨᵀB` has always summed in, and the pinned energies depend on it;
+/// [`matmul_tn_into`]'s lane-split tiles sum in another.
 pub fn matmul_tn_rowsum_into(a: &Mat<f64>, b: &Mat<f64>, c: &mut Mat<f64>) {
     gram_checks(a, b, c);
     gram_driver(
         a.rows(),
         a.cols(),
         b.cols(),
-        |row0, h, buf| gram_chunk_mixed(a, b, |x, y: f64| y * x, row0, h, buf),
+        |row0, h, buf| gram_chunk_rowsum(a, b, row0, h, buf),
         c,
     );
-}
-
-/// `y = A · x` for a single vector.
-pub fn mat_vec<T: Scalar>(a: &Mat<T>, x: &[T]) -> Vec<T> {
-    let (m, k) = a.shape();
-    assert_eq!(k, x.len(), "dimension mismatch");
-    let mut y = vec![T::zero(); m];
-    for l in 0..k {
-        if x[l] == T::zero() {
-            continue;
-        }
-        vecops::axpy(x[l], a.col(l), &mut y);
-    }
-    y
 }
 
 #[cfg(test)]
@@ -864,34 +792,6 @@ mod tests {
         let c = matmul_nt(&a, &b);
         let expect = naive_matmul(&a, &b.transpose());
         assert!(c.max_abs_diff(&expect) < 1e-13);
-    }
-
-    #[test]
-    fn mat_vec_matches_naive() {
-        let a = pseudo_random(6, 4, 12);
-        let x = vec![1.0, -2.0, 0.5, 3.0];
-        let y = mat_vec(&a, &x);
-        for i in 0..6 {
-            let expect: f64 = (0..4).map(|l| a[(i, l)] * x[l]).sum();
-            assert!((y[i] - expect).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn mixed_real_complex_products() {
-        let a = pseudo_random(12, 4, 20);
-        let b = Mat::from_fn(4, 3, |i, j| Complex64::new(i as f64 - 1.0, j as f64 + 0.5));
-        let ac = a.map(|x| Complex64::new(x, 0.0));
-        let fast = matmul_rc(&a, &b);
-        let slow = matmul(&ac, &b);
-        assert!(fast.max_abs_diff(&slow) < 1e-13);
-
-        let b2 = Mat::from_fn(12, 3, |i, j| {
-            Complex64::new(0.1 * i as f64, -0.2 * j as f64)
-        });
-        let fast2 = matmul_tn_rc(&a, &b2);
-        let slow2 = matmul(&ac.conj_transpose(), &b2);
-        assert!(fast2.max_abs_diff(&slow2) < 1e-12);
     }
 
     #[test]

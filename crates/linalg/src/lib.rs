@@ -38,10 +38,7 @@ pub use chol::Cholesky;
 pub use dense::Mat;
 pub use error::LinalgError;
 pub use fcmp::{approx_eq, exactly_zero};
-pub use gemm::{
-    mat_vec, matmul, matmul_into, matmul_nt, matmul_rc, matmul_tn, matmul_tn_into, matmul_tn_rc,
-    matmul_tn_rowsum_into,
-};
+pub use gemm::{matmul, matmul_into, matmul_nt, matmul_tn, matmul_tn_into, matmul_tn_rowsum_into};
 pub use lu::{solve, Lu};
 pub use qr::{orthonormalize_columns, thin_qr, ThinQr};
 pub use scalar::Scalar;

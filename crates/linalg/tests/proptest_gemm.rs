@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use mbrpa_check::{check, Rng as _};
-use mbrpa_linalg::{matmul_into, matmul_rc, matmul_tn_into, matmul_tn_rc, Mat, Scalar, C64};
+use mbrpa_linalg::{matmul_into, matmul_tn_into, Mat, Scalar, C64};
 
 /// Shape menu concentrating on microkernel edges: empty, single, odd,
 /// sub-tile, exactly-one-tile, and just-past-one-tile extents.
@@ -168,48 +168,6 @@ fn thin_gram_matches_oracle_and_blocked_path() {
         let seed = rng.random_range(1..usize::MAX) as u64;
         if let Err(e) = check_thin_gram(m, k, n, seed) {
             panic!("{e}");
-        }
-    });
-}
-
-#[test]
-fn mixed_real_complex_matches_oracle() {
-    check(48, |rng| {
-        let mi = rng.random_range(0usize..10);
-        let ki = rng.random_range(0usize..10);
-        let ni = rng.random_range(0usize..10);
-        let seed = rng.random_range(1..usize::MAX) as u64;
-        let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
-        let mut rng = Rng(seed | 1);
-        let a: Mat<f64> = filled(m, k, &mut rng);
-        let b: Mat<C64> = filled(k, n, &mut rng);
-        let c = matmul_rc(&a, &b);
-        for j in 0..n {
-            for i in 0..m {
-                let mut acc = C64::new(0.0, 0.0);
-                for l in 0..k {
-                    acc += b[(l, j)].scale(a[(i, l)]);
-                }
-                assert!(
-                    (c[(i, j)] - acc).norm() <= 1e-13 * (k as f64).max(1.0),
-                    "matmul_rc mismatch at ({i},{j}), m={m} k={k} n={n}"
-                );
-            }
-        }
-
-        let g: Mat<C64> = filled(m, n, &mut rng);
-        let t = matmul_tn_rc(&a, &g);
-        for j in 0..n {
-            for i in 0..k {
-                let mut acc = C64::new(0.0, 0.0);
-                for r in 0..m {
-                    acc += g[(r, j)].scale(a[(r, i)]);
-                }
-                assert!(
-                    (t[(i, j)] - acc).norm() <= 1e-13 * (m as f64).max(1.0),
-                    "matmul_tn_rc mismatch at ({i},{j}), m={m} k={k} n={n}"
-                );
-            }
         }
     });
 }

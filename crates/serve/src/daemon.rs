@@ -40,9 +40,9 @@ pub struct DaemonConfig {
     pub executors: usize,
     /// Maximum queued (not yet running) jobs before submissions get 429.
     pub backlog: usize,
-    /// Emit per-job `profile.json` telemetry. Only honored with a single
-    /// executor: the telemetry sink is process-global, so two concurrent
-    /// jobs would blend their spans.
+    /// Emit per-job `profile.json` telemetry. Needs at most one executor:
+    /// the telemetry sink is process-global, so two concurrent jobs would
+    /// blend their spans, and [`Daemon::start`] refuses the pair.
     pub profile: bool,
     /// HTTP worker threads serving the API.
     pub http_workers: usize,
@@ -184,6 +184,16 @@ impl Daemon {
     /// Start a daemon: recover jobs from `config.root`, bind
     /// `config.addr`, spawn the pool.
     pub fn start(config: DaemonConfig) -> io::Result<Daemon> {
+        if config.profile && config.executors > 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                format!(
+                    "-profile needs a single executor, not -executors {}: \
+                     concurrent jobs would blend their telemetry",
+                    config.executors
+                ),
+            ));
+        }
         let store = JobStore::open(config.root.clone())?;
         let mut queue = JobQueue::new(config.backlog);
         let mut recovered = 0usize;

@@ -140,9 +140,9 @@ fn finalize(shared: &Arc<ServeShared>, id: &str, finish: Finish) {
 /// Run one job to an end state. Writes result/report/profile documents
 /// but leaves the queue/state transition to [`finalize`].
 fn execute(shared: &Arc<ServeShared>, spec: &JobSpec, job: &RunningJob) -> Finish {
-    // per-job telemetry is only sound when a single executor owns the
-    // process-global sink
-    let profiled = shared.profile && shared.executors <= 1;
+    // `Daemon::start` refuses a profile with more than one executor, so
+    // this job owns the process-global sink
+    let profiled = shared.profile;
     if profiled {
         mbrpa_obs::reset();
         mbrpa_obs::set_enabled(true);

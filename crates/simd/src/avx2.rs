@@ -901,15 +901,6 @@ pub(crate) unsafe fn dot_t_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
     lanes::combine_t(&p, &q)
 }
 
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-pub(crate) unsafe fn dot_h_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
-    let (p, q) = dot_c64_states(x, y);
-    lanes::combine_h(&p, &q)
-}
-
 // ---------------------------------------------------------------------------
 // GEMM microkernels
 // ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@
 /// scalar oracle keeps an `[f64; 8]`.
 pub const F64_LANES: usize = 8;
 
-/// Number of complex accumulation lanes in every complex reduction
-/// (`dot_t_c64`, `dot_h_c64`). Each complex lane spans two adjacent f64
+/// Number of complex accumulation lanes in the complex reduction
+/// (`dot_t_c64`). Each complex lane spans two adjacent f64
 /// lanes (re, im), so the f64 lane state is `2 * C64_LANES` wide.
 pub const C64_LANES: usize = 4;
 
@@ -60,22 +60,6 @@ pub fn combine_t(p: &[f64], q: &[f64]) -> (f64, f64) {
         l += 2;
     }
     (pr - pi, qr + qi)
-}
-
-/// Combine the same lane states as [`combine_t`] into the **conjugated**
-/// complex dot `xᴴy`: `re = Σp_even + Σp_odd`, `im = Σq_even − Σq_odd`.
-#[inline]
-pub fn combine_h(p: &[f64], q: &[f64]) -> (f64, f64) {
-    let (mut pr, mut pi, mut qr, mut qi) = (0.0_f64, 0.0_f64, 0.0_f64, 0.0_f64);
-    let mut l = 0;
-    while l < p.len() {
-        pr += p[l];
-        pi += p[l + 1];
-        qr += q[l];
-        qi += q[l + 1];
-        l += 2;
-    }
-    (pr + pi, qr - qi)
 }
 
 /// Widest block the thin-block kernels (`thin_gram_c64`,

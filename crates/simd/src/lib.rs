@@ -408,19 +408,6 @@ pub fn dot_t_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
     dot_t_c64_on(active(), x, y)
 }
 
-/// Conjugated complex dot `xᴴy` on interleaved slices, given path.
-/// Returns `(re, im)`.
-#[inline]
-pub fn dot_h_c64_on(d: Dispatch, x: &[f64], y: &[f64]) -> (f64, f64) {
-    dispatch_on!(d, dot_h_c64(x, y))
-}
-
-/// Conjugated complex dot `xᴴy` on the active path.
-#[inline]
-pub fn dot_h_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
-    dot_h_c64_on(active(), x, y)
-}
-
 /// 8×4 f64 GEMM microkernel: `acc[8j + i] += Σ_p ap[8p + i] · bp[4p + j]`
 /// over packed panels, on the given path. `acc` is column-major
 /// (column `j` at `acc[8j..8j + 8]`) and carries across k-blocks.
@@ -854,12 +841,11 @@ mod tests {
 
     #[test]
     fn complex_dots_match_reference() {
-        // x = [i, 2], y = [i, 1 + i]: xᵀy = 1 + 2i, xᴴy = 3 + 2i.
+        // x = [i, 2], y = [i, 1 + i]: xᵀy = 1 + 2i.
         let x = [0.0, 1.0, 2.0, 0.0];
         let y = [0.0, 1.0, 1.0, 1.0];
         for &d in available() {
             assert_eq!(dot_t_c64_on(d, &x, &y), (1.0, 2.0), "{d:?}");
-            assert_eq!(dot_h_c64_on(d, &x, &y), (3.0, 2.0), "{d:?}");
         }
     }
 

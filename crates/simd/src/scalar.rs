@@ -335,11 +335,6 @@ pub(crate) fn dot_t_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
     lanes::combine_t(&p, &q)
 }
 
-pub(crate) fn dot_h_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
-    let (p, q) = dot_c64_states(x, y);
-    lanes::combine_h(&p, &q)
-}
-
 // ---------------------------------------------------------------------------
 // GEMM microkernels on packed panels
 // ---------------------------------------------------------------------------

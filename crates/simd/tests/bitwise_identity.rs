@@ -135,10 +135,6 @@ fn reductions_bitwise_identical() {
             let (wr, wi) = mbrpa_simd::dot_t_c64_on(s, &x, &y);
             let (gr, gi) = mbrpa_simd::dot_t_c64_on(d, &x, &y);
             assert_same_bits(d, "dot_t_c64", &[gr, gi], &[wr, wi]);
-
-            let (wr, wi) = mbrpa_simd::dot_h_c64_on(s, &x, &y);
-            let (gr, gi) = mbrpa_simd::dot_h_c64_on(d, &x, &y);
-            assert_same_bits(d, "dot_h_c64", &[gr, gi], &[wr, wi]);
         }
     });
 }
@@ -163,14 +159,14 @@ fn scalar_oracle_matches_plain_loops() {
         let sq: f64 = x.iter().map(|a| a * a).sum();
         assert!((mbrpa_simd::nrm2_sq_on(s, &x) - sq).abs() <= tol);
 
-        // xᴴy = Σ conj(x)·y over interleaved (re, im) pairs
-        let (mut hr, mut hi) = (0.0, 0.0);
+        // xᵀy = Σ x·y (unconjugated) over interleaved (re, im) pairs
+        let (mut tr, mut ti) = (0.0, 0.0);
         for (a, b) in x.chunks_exact(2).zip(y.chunks_exact(2)) {
-            hr += a[0] * b[0] + a[1] * b[1];
-            hi += a[0] * b[1] - a[1] * b[0];
+            tr += a[0] * b[0] - a[1] * b[1];
+            ti += a[0] * b[1] + a[1] * b[0];
         }
-        let (gr, gi) = mbrpa_simd::dot_h_c64_on(s, &x, &y);
-        assert!((gr - hr).abs() <= tol && (gi - hi).abs() <= tol);
+        let (gr, gi) = mbrpa_simd::dot_t_c64_on(s, &x, &y);
+        assert!((gr - tr).abs() <= tol && (gi - ti).abs() <= tol);
 
         let mut got = y.clone();
         mbrpa_simd::axpy_on(s, 0.5, &x, &mut got);

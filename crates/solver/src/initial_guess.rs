@@ -14,10 +14,13 @@
 //! from the initial residual, taming the hard `(j≈n_s, k=ℓ)` index pairs.
 
 use crate::workspace::with_thread_workspace;
-use mbrpa_linalg::{matmul_into, matmul_rc, matmul_tn_rc, matmul_tn_rowsum_into, Mat, C64};
+use mbrpa_linalg::{exactly_zero, matmul_into, matmul_tn_rowsum_into, Mat, C64};
 
 /// Build the Galerkin initial guess `Y₀` for `A Y = B` with
 /// `A = H − λ I + iω I`, given the known eigenpairs `(energies, psi)`.
+/// `Y₀` is linear in `B`: it is [`galerkin_guess_real`] of `Re B` plus
+/// `i·` that of `Im B`, and the second term is skipped when `Im B` is
+/// zero, so a real-valued `B` gets the real guess's bits.
 pub fn galerkin_guess(
     psi: &Mat<f64>,
     energies: &[f64],
@@ -25,27 +28,41 @@ pub fn galerkin_guess(
     omega: f64,
     b: &Mat<C64>,
 ) -> Mat<C64> {
-    assert_eq!(psi.cols(), energies.len(), "eigenpair count mismatch");
-    assert_eq!(psi.rows(), b.rows(), "grid dimension mismatch");
-    // C = ΨᵀB  (n_s × s)
-    let mut c = matmul_tn_rc(psi, b);
-    // scale each row by (λ_m − λ + iω)⁻¹
-    for j in 0..c.cols() {
-        let col = c.col_mut(j);
-        for (m, v) in col.iter_mut().enumerate() {
-            let denom = C64::new(energies[m] - lambda, omega);
-            *v /= denom;
+    let (n, w) = b.shape();
+    with_thread_workspace(|ws| {
+        let mut part = ws.take_scratch(n, w);
+        let mut g = ws.take_scratch(n, 2 * w);
+        let mut has_im = false;
+        for (p, z) in part.as_mut_slice().iter_mut().zip(b.as_slice()) {
+            *p = z.re;
+            has_im |= !exactly_zero(z.im);
         }
-    }
-    // Y₀ = Ψ C
-    matmul_rc(psi, &c)
+        galerkin_guess_real(psi, energies, lambda, omega, &part, &mut g);
+        let (re, im) = g.as_slice().split_at(n * w);
+        let y = re.iter().zip(im).map(|(&r, &i)| C64::new(r, i)).collect();
+        let mut y = Mat::from_col_major(n, w, y);
+        if has_im {
+            for (p, z) in part.as_mut_slice().iter_mut().zip(b.as_slice()) {
+                *p = z.im;
+            }
+            galerkin_guess_real(psi, energies, lambda, omega, &part, &mut g);
+            // i·(p + iq) = −q + ip
+            let (re, im) = g.as_slice().split_at(n * w);
+            for ((v, &r), &i) in y.as_mut_slice().iter_mut().zip(re).zip(im) {
+                *v += C64::new(-i, r);
+            }
+        }
+        ws.give(g);
+        ws.give(part);
+        y
+    })
 }
 
 /// [`galerkin_guess`] for real right-hand sides, in real arithmetic and
 /// without allocating once the thread's pool is warm: `guess` is
-/// `n × 2w` and receives `[Re Y₀ | Im Y₀]`. The products sum in the order
-/// the complex ones do, so `guess` equals `galerkin_guess` of the same
-/// `b` bit for bit (`real_guess_equals_the_complex_one_bit_for_bit`).
+/// `n × 2w` and receives `[Re Y₀ | Im Y₀]`. `ΨᵀB` sums each entry in row
+/// order ([`matmul_tn_rowsum_into`]), the order the guess has always
+/// summed in, so the pinned energies keep their bits.
 pub fn galerkin_guess_real(
     psi: &Mat<f64>,
     energies: &[f64],
@@ -80,7 +97,7 @@ pub fn galerkin_guess_real(
 mod tests {
     use super::*;
     use crate::test_util::rand_rhs;
-    use mbrpa_linalg::{matmul, symmetric_eig};
+    use mbrpa_linalg::{matmul, matmul_tn, symmetric_eig};
 
     fn random_symmetric(n: usize, seed: u64) -> Mat<f64> {
         let mut state = seed | 1;
@@ -161,12 +178,14 @@ mod tests {
         let mut r = matmul(&a, &y0);
         r.axpy(-C64::new(1.0, 0.0), &b);
         r.scale_assign(C64::new(-1.0, 0.0));
-        let proj = matmul_tn_rc(&psi, &r);
-        assert!(
-            proj.max_abs() < 1e-10,
-            "residual must be deflated: {}",
-            proj.max_abs()
-        );
+        for part in [r.map(|z| z.re), r.map(|z| z.im)] {
+            let proj = matmul_tn(&psi, &part);
+            assert!(
+                proj.max_abs() < 1e-10,
+                "residual must be deflated: {}",
+                proj.max_abs()
+            );
+        }
     }
 
     #[test]

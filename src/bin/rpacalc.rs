@@ -15,18 +15,15 @@ use mbrpa::core::{
     io as rpaio, report, CancelToken, PartialRun, ResumableOutcome, ResumePolicy, RpaConfig,
     RpaSetup, RunOptions,
 };
-use mbrpa::dft::{load_orbitals, save_orbitals};
 use mbrpa::serve::signal;
 use std::path::Path;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: rpacalc -name <basename> [-stdout] [-threads N] [-save-ks] [-load-ks]");
+    eprintln!("usage: rpacalc -name <basename> [-stdout] [-threads N]");
     eprintln!("               [-checkpoint <dir>] [-resume] [-checkpoint-every K]");
     eprintln!("               [-profile <out.json>] [-simd auto|scalar|avx2]");
     eprintln!("  reads <basename>.rpa and writes <basename>.out");
-    eprintln!("  -save-ks / -load-ks persist the KS orbitals as <basename>.orb");
-    eprintln!("  (mirrors the artifact workflow of reading precomputed SPARC outputs)");
     eprintln!("  -checkpoint <dir>    journal per-frequency state into <dir> (two-slot)");
     eprintln!("  -resume              continue from the newest valid snapshot in <dir>");
     eprintln!("  -checkpoint-every K  snapshot every K-th frequency (default 1)");
@@ -106,8 +103,6 @@ fn main() -> ExitCode {
     let mut name: Option<String> = None;
     let mut to_stdout = false;
     let mut threads: Option<usize> = None;
-    let mut save_ks = false;
-    let mut load_ks = false;
     let mut checkpoint_dir: Option<String> = None;
     let mut resume = false;
     let mut checkpoint_every: usize = 1;
@@ -135,8 +130,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "-save-ks" | "--save-ks" => save_ks = true,
-            "-load-ks" | "--load-ks" => load_ks = true,
             "-checkpoint" | "--checkpoint" => {
                 let Some(dir) = it.next() else {
                     eprintln!("-checkpoint needs a directory");
@@ -218,12 +211,9 @@ fn main() -> ExitCode {
         eprintln!("note: ignoring artifact key `{key}` (not needed by this formulation)");
     }
 
-    // KS stage: dense for small grids, CheFSI beyond; `-load-ks` then
-    // swaps in the orbitals of a prior run (mirroring the artifact's
-    // precomputed-SPARC-output workflow)
+    // KS stage: dense for small grids, CheFSI beyond
     let mut setup_span = Some(mbrpa_obs::span("setup"));
-    let orb_path = format!("{name}.orb");
-    let mut setup = match RpaSetup::from_input(&input) {
+    let setup = match RpaSetup::from_input(&input) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("KS stage failed: {e}");
@@ -236,31 +226,6 @@ fn main() -> ExitCode {
         setup.crystal.n_grid(),
         setup.crystal.n_occupied()
     );
-    if load_ks {
-        match load_orbitals(Path::new(&orb_path)) {
-            Ok(ks) => {
-                if ks.orbitals.rows() != setup.ham.dim()
-                    || ks.n_occupied != setup.crystal.n_occupied()
-                {
-                    eprintln!("{orb_path}: dimensions do not match the input system");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("loaded KS orbitals from {orb_path}");
-                setup.ks = ks;
-            }
-            Err(e) => {
-                eprintln!("cannot load {orb_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if save_ks {
-        if let Err(e) = save_orbitals(Path::new(&orb_path), &setup.ks) {
-            eprintln!("cannot save {orb_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("saved KS orbitals to {orb_path}");
-    }
     drop(setup_span.take());
 
     // Ctrl-C / SIGTERM cancel cooperatively: the run stops at its next

@@ -163,10 +163,6 @@ fn main() -> ExitCode {
         }
     }
 
-    if profile && executors > 1 {
-        eprintln!("note: -profile needs a single executor; profiles will not be emitted");
-    }
-
     // install before spawning anything (the rayon pool included) so every
     // thread inherits it
     signal::install_termination_handler();
@@ -193,6 +189,10 @@ fn main() -> ExitCode {
     };
     let mut daemon = match Daemon::start(config) {
         Ok(d) => d,
+        Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
         Err(e) => {
             eprintln!("cannot start the daemon: {e}");
             return ExitCode::FAILURE;

@@ -369,6 +369,45 @@ fn config_change_is_rejected_instead_of_mixing_state() {
 }
 
 #[test]
+fn another_system_on_the_same_grid_is_rejected() {
+    // the system seed moves the atoms and the mesh the spacing, neither
+    // the grid dimension: the setup key still tells them from the saved run
+    let setup = tiny_setup();
+    let config = tiny_config();
+    let dir = scratch_dir("system");
+    run_prefix(&setup, &config, &dir, 1);
+
+    let spec = SiliconSpec {
+        points_per_cell: 5,
+        perturbation: 0.03,
+        seed: 11,
+        ..SiliconSpec::default()
+    };
+    for (label, other) in [
+        ("SYSTEM_SEED", SiliconSpec { seed: 12, ..spec }),
+        ("MESH", SiliconSpec { mesh: 0.75, ..spec }),
+    ] {
+        let other = RpaSetup::prepare(
+            other.build(),
+            &PotentialParams::default(),
+            2,
+            KsSolver::Dense { extra: 2 },
+        )
+        .unwrap();
+        assert_eq!(other.ham.dim(), setup.ham.dim(), "{label}");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        match other.run_resumable(&config, &mut store, &ResumePolicy::default()) {
+            Err(RpaRunError::ConfigMismatch { saved, current }) => {
+                assert_ne!(saved, current, "{label}")
+            }
+            Err(e) => panic!("{label}: expected ConfigMismatch, got {e}"),
+            Ok(_) => panic!("{label}: resumed another system's checkpoint"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn fresh_start_ignores_checkpoints_when_resume_is_off() {
     let setup = tiny_setup();
     let config = tiny_config();

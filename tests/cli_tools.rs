@@ -1,6 +1,8 @@
 //! CLI contract tests: `-validate` exit codes of both daemons over the
 //! one kind table they share, `rpacalc`'s refusal of an unknown SIMD
-//! dispatch name, and the `rpaclient` example's error
+//! dispatch name, of another system's checkpoint and of retired flags,
+//! `rpaserved`'s refusal of `-profile` over several executors, and the
+//! `rpaclient` example's error
 //! reporting — any non-2xx must exit nonzero and surface the server's
 //! JSON `error` member (plus the Retry-After header when one is sent) on
 //! stderr, not just a bare status code.
@@ -124,6 +126,80 @@ fn rpacalc_refuses_an_unknown_dispatch_before_any_ks_work() {
         // the KS stage announces the system it solved
         assert!(!stderr.contains("n_s ="), "{stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rpacalc_resume_refuses_another_systems_checkpoint() {
+    // B has A's grid but other atoms and spacing: resuming A's journal
+    // would print A's energy as B's
+    let dir = scratch("cli-resume");
+    let a = tiny_input(4, 2, 4);
+    let b = a
+        .replace("SYSTEM_SEED: 7", "SYSTEM_SEED: 11")
+        .replace("MESH: 0.69", "MESH: 0.75");
+    assert_ne!(a, b);
+    std::fs::write(dir.join("a.rpa"), a).unwrap();
+    std::fs::write(dir.join("b.rpa"), b).unwrap();
+    let rpacalc = |name: &str, resume: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_rpacalc"))
+            .args(["-name", name, "-stdout", "-checkpoint", "ck"])
+            .args(resume)
+            .current_dir(&dir)
+            .output()
+            .unwrap()
+    };
+    let first = rpacalc("a", &[]);
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let second = rpacalc("b", &["-resume"]);
+    let stderr = String::from_utf8_lossy(&second.stderr);
+    assert!(!second.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("checkpoint belongs to a different run"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("resumed from checkpoint"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rpacalc_has_no_orbital_file_flags() {
+    for flag in ["-save-ks", "-load-ks"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rpacalc"))
+            .args(["-name", "tiny", flag])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument `{flag}`")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn rpaserved_refuses_a_profile_over_several_executors() {
+    // the telemetry sink is process-global: two executors would blend
+    // their jobs' spans, so the pair is refused before anything starts
+    let dir = scratch("cli-profile");
+    let out = Command::new(env!("CARGO_BIN_EXE_rpaserved"))
+        .arg("-root")
+        .arg(dir.join("store"))
+        .args(["-addr", "127.0.0.1:0", "-profile", "-executors", "2"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("-profile") && stderr.contains("-executors 2"),
+        "{stderr}"
+    );
+    assert!(!dir.join("store").exists(), "nothing may start");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

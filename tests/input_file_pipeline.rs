@@ -60,23 +60,3 @@ fn vacancy_input_builds_the_smaller_system() {
     assert_eq!(crystal.label, "Si7");
     assert_eq!(crystal.n_occupied(), 14);
 }
-
-#[test]
-fn orbital_roundtrip_through_the_pipeline() {
-    // KS once, save, load, and verify the RPA energy is identical
-    let input = parse_rpa_input(INPUT).expect("parse");
-    let setup = RpaSetup::from_input(&input).expect("KS stage");
-
-    let mut path = std::env::temp_dir();
-    path.push(format!("mbrpa_pipeline_{}.orb", std::process::id()));
-    mbrpa::dft::save_orbitals(&path, &setup.ks).expect("save");
-    let loaded = mbrpa::dft::load_orbitals(&path).expect("load");
-    std::fs::remove_file(&path).ok();
-
-    let mut setup2 = RpaSetup::from_input(&input).expect("KS stage 2");
-    setup2.ks = loaded;
-
-    let e1 = setup.run(&input.config).expect("run 1").total_energy;
-    let e2 = setup2.run(&input.config).expect("run 2").total_energy;
-    assert_eq!(e1, e2, "orbital files must round-trip exactly");
-}
