@@ -476,4 +476,31 @@ cluster_ckpt_solve 11520 23461 105364 11
 COUNTERS
 leg work-counters ran "traced smoke counters of the three solve workloads"
 
+# No lone Lanczos solve under Alg. 4: the `s = 1` probe carries each block's
+# last column in its idle slot, and the chunk that reaches the column is
+# served from it. A profiled Si8.rpa run must count no Lanczos call with an
+# idle slot, and its block-size table (Table IV) must read what it read
+# before the probe carried anything: the carry changes no chunk.
+CARRY_DIR="target/ci_carry"
+rm -rf "$CARRY_DIR"
+mkdir -p "$CARRY_DIR"
+cp inputs/Si8.rpa "$CARRY_DIR/"
+(cd "$CARRY_DIR" && ../release/rpacalc -name Si8 -profile profile.json >run.log)
+LONE="$(grep -o '"solver.lanczos.lone_solves":[0-9]*' "$CARRY_DIR/profile.json" | cut -d: -f2)"
+[ "$LONE" = 0 ] \
+    || { echo "ci: Si8.rpa ran ${LONE:-an uncounted number of} lone Lanczos solves, want 0"; exit 1; }
+GOT_TABLE="$(sed -n '/^Block size | Count | Fraction$/,/^Worker /p' "$CARRY_DIR/Si8.out" | sed '$d')"
+WANT_TABLE="$(cat <<'TABLE'
+Block size | Count | Fraction
+         1 |  70414 |  81.862%
+         2 |  13568 |  15.774%
+         4 |   1740 |   2.023%
+         8 |    168 |   0.195%
+         9 |    126 |   0.146%
+TABLE
+)"
+[ "$GOT_TABLE" = "$WANT_TABLE" ] \
+    || { echo "ci: Si8.rpa block-size table moved:"; echo "$GOT_TABLE"; exit 1; }
+leg lanczos-carry ran "Si8.rpa: no lone Lanczos solve, block-size table as committed"
+
 cat "$LEGS"

@@ -2,8 +2,8 @@
 //! runtime-dispatched SIMD stencil block applies (beside the all-columns-
 //! per-point layout §III-C argues against), the packed GEMM
 //! microkernels, the lane-split reduction suite, the fused block-COCG
-//! update, one whole block-COCG iteration and one Sternheimer apply at the
-//! shapes the drivers solve, emitting a schema-versioned
+//! update, one whole block-COCG iteration, one Sternheimer apply and one
+//! Galerkin guess at the shapes the drivers solve, emitting a schema-versioned
 //! `BENCH_kernels.json`. The committed document is the baseline a later run
 //! is compared against; there is no in-tree copy of older kernels (their
 //! correctness oracles live in the crates' tests).
@@ -26,7 +26,10 @@ use mbrpa_dft::{Hamiltonian, PotentialParams, SiliconSpec, SternheimerLinOp, Ste
 use mbrpa_grid::{Boundary, CoulombOperator, Grid3, Laplacian, SpectralLaplacian};
 use mbrpa_linalg::{matmul_into, vecops, Mat, Scalar, C64};
 use mbrpa_schema::json::{self, obj, require_num, require_str, s, u, JsonValue};
-use mbrpa_solver::{block_cocg_ws, shifted_lanczos_pair, CocgOptions, LinearOperator, Workspace};
+use mbrpa_solver::{
+    block_cocg_ws, galerkin_guess_real, shifted_lanczos_pair, CocgOptions, LinearOperator,
+    Workspace,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -316,10 +319,17 @@ fn lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
         let mut ws = Workspace::new();
         let mut iterations = 0;
         let secs = time_best(reps, &mut || {
-            let reports =
-                shifted_lanczos_pair(&op, &b, None, 0, lanes, &opts, &mut ws, &mut |_, x, _| {
+            let reports = shifted_lanczos_pair(
+                &op,
+                &b,
+                None,
+                &[0, 1][..lanes],
+                &opts,
+                &mut ws,
+                &mut |_, x, _| {
                     black_box(x);
-                });
+                },
+            );
             iterations = reports[0].iterations;
         });
         assert_eq!(
@@ -415,6 +425,30 @@ fn nu_sqrt_cases(reps: usize, cases: &mut Vec<Case>) {
         let flops = cols * g.len() * (12 * ppc + 1);
         let shape = format!("grid={ppc}x{ppc}x{ppc} periodic cols={cols}");
         let name = format!("nu_sqrt_block_n{}_c{cols}", g.len());
+        cases.push(Case::new(name, shape, secs, flops as f64));
+    }
+}
+
+/// The Galerkin guess of Eq. 13 (what every orbital of a `χ⁰` apply runs
+/// before its solves) at the shapes of the `ν½` rows: 16 occupied
+/// orbitals on the `si8_solve` and `finegrid_solve` grids. `secs` is per
+/// guess.
+fn galerkin_cases(reps: usize, cases: &mut Vec<Case>) {
+    const N_S: usize = 16;
+    for (ppc, cols) in [(7usize, 48usize), (14, 8)] {
+        let n = ppc * ppc * ppc;
+        let psi = filled::<f64>(n, N_S, 0x6a1e + ppc as u64);
+        let energies: Vec<f64> = (0..N_S).map(|m| -0.5 + 0.05 * m as f64).collect();
+        let b = filled::<f64>(n, cols, 0x6a1f + ppc as u64);
+        let mut guess = Mat::zeros(n, 2 * cols);
+        let secs = time_best(reps, &mut || {
+            galerkin_guess_real(&psi, &energies, -0.2, 0.5, &b, &mut guess);
+            black_box(&guess);
+        });
+        // ΨᵀB, then Ψ times the scaled [Re | Im] coefficients
+        let flops = 6 * n * N_S * cols;
+        let shape = format!("n={n} orbitals={N_S} cols={cols}");
+        let name = format!("galerkin_guess_n{n}_c{cols}");
         cases.push(Case::new(name, shape, secs, flops as f64));
     }
 }
@@ -545,6 +579,7 @@ fn main() {
     lanczos_iter_cases(stencil_reps, &mut cases);
     apply_cases(stencil_reps, &mut cases);
     nu_sqrt_cases(stencil_reps, &mut cases);
+    galerkin_cases(stencil_reps, &mut cases);
 
     let rows: Vec<Vec<String>> = cases
         .iter()

@@ -717,6 +717,55 @@ mod tests {
     }
 
     #[test]
+    fn a_column_solves_the_same_beside_any_partner_on_the_hamiltonian() {
+        // what lets Alg. 4's probe carry the last column: the slots of a
+        // real Lanczos call never mix through the Sternheimer apply
+        // (stencil and non-local projectors), so `Re x` and the counts of
+        // a column are the same bits lone and beside any other column
+        use mbrpa_solver::{shifted_lanczos_pair, Workspace};
+        let f = fixture();
+        // the form whose kernel takes a masked path for a vector with `−0`s
+        assert_eq!(f.ham.nonlocal().map(|nl| nl.form().name()), Some("dense"));
+        let n = f.ham.dim();
+        let v = Mat::from_fn(n, 4, |i, j| ((i * 5 + j * 11) % 27) as f64 * 0.03 - 0.4);
+        let j = f.energies.len() - 1;
+        let lambda = f.energies[j];
+        let b = Mat::from_fn(n, 4, |i, c| -v[(i, c)] * f.psi[(i, j)]);
+        let mut guess = Mat::zeros(n, 8);
+        galerkin_guess_real(&f.psi, &f.energies, lambda, 0.35, &b, &mut guess);
+        let op = SternheimerLinOp::new(SternheimerOperator::new(&f.ham, lambda, 0.35));
+        let opts = CocgOptions::with_tol(1e-6);
+        let solve = |cols: &[usize], slot: usize| {
+            let mut x = Vec::new();
+            let reports = shifted_lanczos_pair(
+                &op,
+                &b,
+                Some(&guess),
+                cols,
+                &opts,
+                &mut Workspace::new(),
+                &mut |c, y, s| {
+                    if c == cols[slot] {
+                        x = y
+                            .iter()
+                            .map(|z| if s == 0 { z.re } else { z.im }.to_bits())
+                            .collect();
+                    }
+                },
+            );
+            (x, reports[slot].iterations, reports[slot].matvecs)
+        };
+        for c in 0..4 {
+            let lone = solve(&[c], 0);
+            assert!(lone.1 > 3, "column {c} takes {} steps", lone.1);
+            for d in (0..4).filter(|&d| d != c) {
+                assert!(solve(&[c, d], 0) == lone, "column {c} beside {d}");
+                assert!(solve(&[d, c], 1) == lone, "column {c} after {d}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "ω must be positive")]
     fn rejects_zero_omega() {
         let f = fixture();

@@ -63,7 +63,8 @@ pub use rpa::{
     RpaSetup, RunOptions,
 };
 pub use subspace::{
-    subspace_iteration, trace_term, SubspaceIterRecord, SubspaceOutcome, SubspaceTimings,
+    positive_ritz, subspace_iteration, trace_term, SubspaceIterRecord, SubspaceOutcome,
+    SubspaceTimings,
 };
 pub use trace_est::{
     block_lanczos_trace, lanczos_trace, BlockTraceOptions, TraceEstimate, TraceEstimatorOptions,

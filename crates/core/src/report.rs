@@ -4,6 +4,7 @@
 
 use crate::config::RpaConfig;
 use crate::rpa::{PartialRun, RpaResult};
+use crate::subspace::{positive_ritz, POSITIVE_RITZ_FLOOR};
 use mbrpa_dft::Hamiltonian;
 use std::fmt::Write as _;
 
@@ -56,8 +57,11 @@ pub fn preamble(
 }
 
 /// Full per-frequency report (the `ncheb | ErpaTerm | eigs | error |
-/// timing` tables of the sample output).
-pub fn omega_tables(result: &RpaResult) -> String {
+/// timing` tables of the sample output). Under a table whose last error
+/// missed `TOL_EIG` stands a `not converged` line, and under one with
+/// Ritz values above the noise floor of [`positive_ritz`] a line naming
+/// what `ErpaTerm` clamped to zero.
+pub fn omega_tables(config: &RpaConfig, result: &RpaResult) -> String {
     let mut s = String::new();
     for (k, rep) in result.per_omega.iter().enumerate() {
         let _ = writeln!(s, "{RULE}");
@@ -87,6 +91,22 @@ pub fn omega_tables(result: &RpaResult) -> String {
                 row.elapsed.as_secs_f64(),
             );
         }
+        if !rep.converged {
+            let _ = writeln!(
+                s,
+                "  not converged: eig Error {:.3E} above TOL_EIG {:.0e} after {} filter rounds",
+                rep.error,
+                config.tol_eig_at(k),
+                rep.filter_rounds,
+            );
+        }
+        if let Some((count, largest)) = positive_ritz(&rep.eigenvalues) {
+            let _ = writeln!(
+                s,
+                "  positive Ritz values: {count} above the noise floor {POSITIVE_RITZ_FLOOR:.0e}·|mu_min|, \
+                 largest {largest:.5}, taken as 0 in ErpaTerm",
+            );
+        }
     }
     s
 }
@@ -104,6 +124,14 @@ pub fn energy_summary(result: &RpaResult) -> String {
         "Total RPA correlation energy: {:.5E} (Ha), {:.5E} (Ha/atom)",
         result.total_energy, result.energy_per_atom
     );
+    let missed = result.per_omega.iter().filter(|rep| !rep.converged).count();
+    if missed > 0 {
+        let _ = writeln!(
+            s,
+            "Not converged: {missed} of {} frequencies missed TOL_EIG, so the energy is not converged",
+            result.per_omega.len()
+        );
+    }
     if result.n_restored > 0 {
         let _ = writeln!(
             s,
@@ -182,7 +210,7 @@ pub fn full_report(config: &RpaConfig, result: &RpaResult) -> String {
         result.n_atoms,
         &result.projectors,
     );
-    s.push_str(&omega_tables(result));
+    s.push_str(&omega_tables(config, result));
     s.push_str(&energy_summary(result));
     s.push_str(&block_size_table(result));
     s.push_str(&worker_load_table(result));
@@ -282,7 +310,7 @@ mod tests {
     #[test]
     fn tables_and_summary_render() {
         let r = fake_result();
-        let t = omega_tables(&r);
+        let t = omega_tables(&crate::config::RpaConfig::for_system(8, 96), &r);
         assert!(t.contains("omega 1"));
         assert!(t.contains("ncheb"));
         let e = energy_summary(&r);

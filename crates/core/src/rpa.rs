@@ -13,7 +13,9 @@ use crate::chi0::{DielectricOperator, SternheimerSettings};
 use crate::config::RpaConfig;
 use crate::io::RpaInput;
 use crate::quadrature::{frequency_quadrature, FrequencyPoint};
-use crate::subspace::{subspace_iteration, trace_term, SubspaceIterRecord, SubspaceTimings};
+use crate::subspace::{
+    positive_ritz, subspace_iteration, trace_term, SubspaceIterRecord, SubspaceTimings,
+};
 use mbrpa_ckpt::CheckpointStore;
 use mbrpa_dft::{
     solve_occupied_chefsi, solve_occupied_dense, ChefsiOptions, Crystal, Hamiltonian, KsSolution,
@@ -367,6 +369,9 @@ impl RpaSetup {
                     op.applications() as u64,
                 );
                 mbrpa_obs::record("subspace.filter_rounds", out.filter_rounds as f64);
+                // Ritz values `trace_term` clamps from above the noise floor
+                let clamped = positive_ritz(&out.eigenvalues).map_or(0, |(count, _)| count);
+                mbrpa_obs::add("core.positive_ritz", clamped as u64);
             }
             let e_k = trace_term(&out.eigenvalues);
             let contribution = pt.weight * e_k / (2.0 * std::f64::consts::PI);

@@ -86,16 +86,34 @@ pub struct SubspaceOutcome {
 }
 
 /// The RPA trace approximation over the computed Ritz values:
-/// `Σ_j ln(1 − μ_j) + μ_j` (§III-A).
+/// `Σ_j ln(1 − μ_j) + μ_j` (§III-A). `νχ⁰` is negative semidefinite, so
+/// every `μ > 0` is clamped to 0: noise of the inexact applies, or — above
+/// the floor of [`positive_ritz`] — a filter the inexact applies led
+/// astray, which the report names.
 pub fn trace_term(eigenvalues: &[f64]) -> f64 {
     eigenvalues
         .iter()
         .map(|&mu| {
-            // μ ≤ 0 analytically; clamp tiny positive noise
             let mu = mu.min(0.0);
             (1.0 - mu).ln() + mu
         })
         .sum()
+}
+
+/// Noise floor of a positive Ritz value, relative to `|μ_min|`: the end of
+/// the filter's damped interval (`b_up` in [`subspace_iteration`]). A
+/// positive `μ` below it is what a solve at `TOL_STERN_RES` leaves behind;
+/// one above it was amplified by the filter like a wanted one.
+pub const POSITIVE_RITZ_FLOOR: f64 = 1e-3;
+
+/// The Ritz values [`trace_term`] clamps although they stand above
+/// `POSITIVE_RITZ_FLOOR·|μ_min|`: their count and the largest, or `None`.
+pub fn positive_ritz(eigenvalues: &[f64]) -> Option<(usize, f64)> {
+    let mu_min = eigenvalues.iter().fold(0.0f64, |m, &mu| m.min(mu));
+    let floor = POSITIVE_RITZ_FLOOR * mu_min.abs();
+    let above = eigenvalues.iter().filter(|&&mu| mu > floor);
+    let count = above.clone().count();
+    (count > 0).then(|| (count, above.fold(f64::NEG_INFINITY, |m, &mu| m.max(mu))))
 }
 
 struct RitzStep {

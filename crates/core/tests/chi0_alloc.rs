@@ -6,14 +6,22 @@
 //! right-hand sides, the Galerkin guess, the six Lanczos vectors and the
 //! accumulation into `acc` all live in buffers that outlast the orbital.
 //!
+//! Under Alg. 4 (`DynamicCostModel`) the same holds for everything but
+//! block COCG: a warm apply allocates, per orbital, what its one `s = 2`
+//! block solve allocates and nothing for the probe pair that carries the
+//! last column or for the held vector.
+//!
 //! This file holds a single `#[test]`; the tally is per thread, and the
 //! apply is small enough to stay on the calling thread.
 
 use mbrpa_core::{DielectricOperator, SternheimerSettings};
-use mbrpa_dft::{solve_occupied_dense, Hamiltonian, PotentialParams, SiliconSpec};
+use mbrpa_dft::{
+    solve_occupied_dense, Hamiltonian, PotentialParams, SiliconSpec, SternheimerLinOp,
+    SternheimerOperator,
+};
 use mbrpa_grid::{CoulombOperator, SpectralLaplacian};
-use mbrpa_linalg::Mat;
-use mbrpa_solver::BlockPolicy;
+use mbrpa_linalg::{Mat, C64};
+use mbrpa_solver::{block_cocg_ws, with_thread_workspace, BlockPolicy, CocgOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -118,5 +126,58 @@ fn warm_orbital_contributions_do_not_allocate() {
     assert!(
         counts.iter().all(|&c| c == counts[0]),
         "allocations of a warm apply over 5, 6, 7, 8 orbitals: {counts:?}"
+    );
+    // Alg. 4 on four columns runs, per orbital, the `s = 1` probe (column
+    // 0, column 3 carried in its idle slot), the `s = 2` probe (columns 1
+    // and 2, block COCG) and column 3 from the carry, whatever the costs.
+    // Block COCG's iterate and its `s`-long scalars are its own, so each
+    // orbital allocates exactly what one warm `s = 2` block solve does:
+    // the carried vector, the probe pair and the served column add nothing
+    let v = Mat::from_fn(n, 4, |i, j| ((i * 7 + j * 3) % 19) as f64 * 0.05 - 0.45);
+    let settings = SternheimerSettings {
+        policy: BlockPolicy::DynamicCostModel,
+        ..SternheimerSettings::default()
+    };
+    let counts: Vec<u64> = (5..=8)
+        .map(|n_s| {
+            let psi = ks.orbitals.columns(0, n_s);
+            let d = DielectricOperator::new(
+                &ham,
+                &psi,
+                &ks.energies[..n_s],
+                &coulomb,
+                0.4,
+                settings,
+                1,
+            );
+            let warm = d.apply_chi0_block(&v);
+            assert!(!warm.has_bad_values());
+            let counted = allocations(|| {
+                std::hint::black_box(d.apply_chi0_block(&v));
+            });
+            let stats = d.stats_snapshot();
+            assert_eq!(stats.block_sizes.count(2), 2 * 2 * n_s);
+            assert_eq!(stats.lanczos.carried, 2 * n_s);
+            assert_eq!(stats.lanczos.lone_solves + stats.lanczos.carried_dropped, 0);
+            counted
+        })
+        .collect();
+    let lambda = ks.energies[0];
+    let op = SternheimerLinOp::new(SternheimerOperator::new(&ham, lambda, 0.4));
+    let pair = Mat::from_fn(n, 2, |i, j| {
+        C64::new(v[(i, j + 1)] * ks.orbitals[(i, 0)], 0.0)
+    });
+    let opts = CocgOptions::with_tol(1e-2);
+    let block_solve = || {
+        with_thread_workspace(|ws| {
+            std::hint::black_box(block_cocg_ws(&op, &pair, None, &opts, ws))
+        });
+    };
+    block_solve();
+    let per_block_solve = allocations(block_solve);
+    assert!(
+        counts.windows(2).all(|d| d[1] - d[0] == per_block_solve),
+        "allocations of a warm cost-model apply over 5, 6, 7, 8 orbitals: {counts:?}, \
+         {per_block_solve} per s = 2 block solve"
     );
 }

@@ -159,7 +159,7 @@ pub fn block_cocg(
 }
 
 /// One solve's own tallies into the `solver.cocg.*` counters.
-fn count_solve(report: &SolveReport) {
+pub(crate) fn count_solve(report: &SolveReport) {
     if mbrpa_obs::enabled() {
         mbrpa_obs::add("solver.cocg.solves", 1);
         mbrpa_obs::add("solver.cocg.iterations", report.iterations as u64);

@@ -10,12 +10,13 @@
 //! Two cost oracles are provided: wall-clock timing (the paper's method)
 //! and a deterministic FLOP model (for reproducible tests and CI).
 
-use crate::block_cocg::{block_cocg_ws, CocgOptions};
+use crate::block_cocg::{block_cocg_ws, count_solve, CocgOptions};
 use crate::operator::LinearOperator;
 use crate::shifted_lanczos::{shifted_lanczos_pair, ReSink, RealShifted};
 use crate::stats::{SolveReport, WorkerStats};
 use crate::workspace::{with_thread_workspace, Workspace};
 use mbrpa_linalg::{Mat, C64};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// How a worker chooses its COCG block size.
@@ -181,6 +182,31 @@ fn schedule_chunks(
     (s, all_converged)
 }
 
+/// Column `w − 1`'s solve, run in the idle slot of Alg. 4's `s = 1`
+/// probe and held until the schedule reaches the column.
+struct Carried {
+    col: usize,
+    /// The probe's iterate, `Re x` of the column in its `im` slot.
+    x: Vec<C64>,
+    report: SolveReport,
+    elapsed: Duration,
+}
+
+std::thread_local! {
+    /// The vector a carried column waits in, one per thread and outside
+    /// the workspace pools: a seventh vector in the complex pool reshuffles
+    /// which buffers the Lanczos vectors land in, which moves a 14³ solve
+    /// by ±10 %, and raised the peak RSS at 14³ by about 0.5 MiB.
+    static HELD: Cell<Vec<C64>> = const { Cell::new(Vec::new()) };
+}
+
+/// One real-arithmetic column's report into both ledgers of solver work,
+/// `stats` and the `solver.cocg.*` counters, at the point it is used.
+fn absorb_column(stats: &mut WorkerStats, report: &SolveReport, elapsed: Duration) {
+    stats.absorb(1, 1, report, elapsed);
+    count_solve(report);
+}
+
 /// [`solve_multi_rhs`] for `A = R + iω` and a real block `b`, wanting
 /// only `Re X`: the Sternheimer solves of `χ⁰`. Same schedule, same
 /// statistics. A width-1 chunk runs in real arithmetic
@@ -189,8 +215,18 @@ fn schedule_chunks(
 /// from the real buffers in pooled storage. `guess` is
 /// `[Re X₀ | Im X₀]` as [`galerkin_guess_real`](crate::galerkin_guess_real)
 /// leaves it. Nothing the width of `b` is allocated: each column's `Re x`
-/// goes to `sink` from the chunk's own iterate. Returns whether every
-/// chunk converged.
+/// goes to `sink` from the chunk's own iterate, once per column. Returns
+/// whether every chunk converged.
+///
+/// No Lanczos call need leave its second slot idle for the probe: under
+/// Alg. 4 with `w ≥ 4` the `s = 1` probe solves column 0 and, beside it,
+/// column `w − 1`, whose `Re x` waits in a vector of the thread. Only column 0's
+/// report prices the probe, so Alg. 4 chooses what it chose without the
+/// passenger. A width-1 chunk that reaches column `w − 1` is served from
+/// the held solve; if a wider chunk covers it instead, the held solve is
+/// dropped and counted as such (`stats.lanczos`). The slots never mix, so
+/// every column's `Re x`, iterations and matvecs are the ones a lone
+/// solve gives.
 pub fn solve_shifted_real_rhs<O: RealShifted>(
     op: &O,
     b: &Mat<f64>,
@@ -201,18 +237,84 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
     sink: &mut ReSink<'_>,
 ) -> bool {
     let (n, w) = b.shape();
-    schedule_chunks(w, policy, true, &mut |start, width, chunks| {
+    let carries = w >= 4 && !matches!(policy, BlockPolicy::Fixed(_));
+    let mut carried: Option<Carried> = None;
+    let obs_on = mbrpa_obs::enabled();
+    let all_converged = schedule_chunks(w, policy, true, &mut |start, width, chunks| {
         let t0 = Instant::now();
         if width == 1 {
-            let reports = with_thread_workspace(|ws| {
-                shifted_lanczos_pair(op, b, guess, start, chunks, opts, ws, sink)
-            });
-            let elapsed = t0.elapsed() / chunks as u32;
-            for report in &reports[..chunks] {
-                stats.absorb(1, 1, report, elapsed);
+            let cover = start..start + chunks;
+            let held = carried.take_if(|h| cover.contains(&h.col));
+            let mut cols = [0; 2];
+            let mut k = 0;
+            for c in cover.filter(|&c| held.as_ref().is_none_or(|h| h.col != c)) {
+                cols[k] = c;
+                k += 1;
             }
-            let ok = reports[..chunks].iter().all(|r| r.converged);
-            return (chunk_cost(policy, op, 1, &reports[0], elapsed), ok);
+            // Alg. 4's `s = 1` probe takes the last column into its idle slot
+            let probe = carries && start == 0;
+            if probe {
+                cols[1] = w - 1;
+            }
+            let lanes = if probe { 2 } else { k };
+            let mut ok = true;
+            let mut price = None;
+            if lanes > 0 {
+                let mut keep = probe.then(|| HELD.take());
+                let reports = with_thread_workspace(|ws: &mut Workspace<C64>| {
+                    shifted_lanczos_pair(
+                        op,
+                        b,
+                        guess,
+                        &cols[..lanes],
+                        opts,
+                        ws,
+                        &mut |c, x, slot| match keep.as_mut() {
+                            Some(keep) if c == w - 1 => {
+                                keep.clear();
+                                keep.extend_from_slice(x);
+                            }
+                            _ => sink(c, x, slot),
+                        },
+                    )
+                });
+                let total = t0.elapsed();
+                let elapsed = total / lanes as u32;
+                for report in &reports[..k] {
+                    absorb_column(stats, report, elapsed);
+                    ok &= report.converged;
+                }
+                stats.lanczos.lone_solves += usize::from(lanes == 1);
+                stats.lanczos.carried += usize::from(probe);
+                if obs_on {
+                    mbrpa_obs::add("solver.lanczos.lone_solves", u64::from(lanes == 1));
+                    mbrpa_obs::add("solver.lanczos.carried", u64::from(probe));
+                }
+                // the probe is priced by column 0 alone: its report, and
+                // its share of the steps the call ran
+                let steps = reports[0].iterations.max(reports[1].iterations).max(1);
+                let own = total.mul_f64(reports[0].iterations.max(1) as f64 / steps as f64);
+                let priced = if probe { own } else { elapsed };
+                price = Some(chunk_cost(policy, op, 1, &reports[0], priced));
+                if let Some(x) = keep {
+                    let report = reports[1].clone();
+                    carried = Some(Carried {
+                        col: w - 1,
+                        x,
+                        report,
+                        elapsed,
+                    });
+                }
+            }
+            if let Some(h) = held {
+                sink(h.col, &h.x, 1);
+                absorb_column(stats, &h.report, h.elapsed);
+                ok &= h.report.converged;
+                price.get_or_insert_with(|| chunk_cost(policy, op, 1, &h.report, h.elapsed));
+                HELD.set(h.x);
+            }
+            // lint: allow(unwrap) — a width-1 call covers at least one column
+            return (price.expect("a column was solved"), ok);
         }
         let (x, report) = with_thread_workspace(|ws: &mut Workspace<C64>| {
             let mut cb = ws.take_scratch(n, width);
@@ -245,13 +347,29 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
             report.converged,
         )
     })
-    .1
+    .1;
+    // a wider chunk solved the held column again
+    if let Some(h) = carried {
+        stats.lanczos.carried_dropped += 1;
+        stats.lanczos.carried_dropped_matvecs += h.report.matvecs;
+        stats.solve_time += h.elapsed;
+        if obs_on {
+            mbrpa_obs::add("solver.lanczos.carried_dropped", 1);
+            mbrpa_obs::add(
+                "solver.lanczos.carried_dropped_matvecs",
+                h.report.matvecs as u64,
+            );
+        }
+        HELD.set(h.x);
+    }
+    all_converged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block_cocg::true_relative_residual;
+    use crate::block_cocg::{block_cocg, true_relative_residual};
+    use crate::stats::{BlockSizeHistogram, LanczosSlots};
     use crate::test_util::{rand_rhs, test_operator};
 
     #[test]
@@ -286,6 +404,141 @@ mod tests {
         let (seen, s) = calls(BlockPolicy::DynamicCostModel, 9, true, flat);
         assert_eq!(seen, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (7, 2, 1)]);
         assert_eq!(s, 2);
+    }
+
+    /// `R + iω` with a diagonal `R`: the real and the complex solves on
+    /// one operator.
+    struct DiagShifted {
+        d: Vec<f64>,
+        omega: f64,
+    }
+
+    impl LinearOperator<C64> for DiagShifted {
+        fn dim(&self) -> usize {
+            self.d.len()
+        }
+        fn apply(&self, x: &[C64], y: &mut [C64]) {
+            for ((yi, &xi), &di) in y.iter_mut().zip(x).zip(&self.d) {
+                *yi = xi * C64::new(di, self.omega);
+            }
+        }
+    }
+
+    impl RealShifted for DiagShifted {
+        fn omega(&self) -> f64 {
+            self.omega
+        }
+        fn apply_real_pair(&self, x: &[C64], y: &mut [C64]) {
+            for ((yi, &xi), &di) in y.iter_mut().zip(x).zip(&self.d) {
+                *yi = xi.scale(di);
+            }
+        }
+    }
+
+    #[test]
+    fn the_probe_carries_the_last_column_to_its_width_one_chunk() {
+        // For w = 1..=12 under fixed and cost-model policies: the chunks the
+        // schedule makes without a carry (every width-1 chunk its own Alg. 3
+        // solve, which is what the real path ran before the probe carried),
+        // then the real path itself: the same histogram, every column sunk
+        // once with its solution, and Lanczos calls left lone only where the
+        // held column could not serve them.
+        let (mut served, mut dropped) = (0, 0);
+        for w in 1..=12 {
+            for policy in [
+                BlockPolicy::Fixed(1),
+                BlockPolicy::Fixed(2),
+                BlockPolicy::Fixed(3),
+                BlockPolicy::DynamicCostModel,
+            ] {
+                let n = 40;
+                let op = DiagShifted {
+                    d: (0..n)
+                        .map(|i| 0.5 + 0.37 * i as f64 + 0.01 * w as f64)
+                        .collect(),
+                    omega: 0.3,
+                };
+                let bc = rand_rhs(n, w, 31 + w as u64);
+                let b = bc.map(|z| z.re);
+                let opts = CocgOptions::with_tol(1e-7);
+                let mut chunks_seen = Vec::new();
+                let mut want = Mat::zeros(n, w);
+                let mut want_hist = BlockSizeHistogram::new();
+                schedule_chunks(w, policy, true, &mut |start, width, chunks| {
+                    chunks_seen.push((start, width, chunks));
+                    let mut first = None;
+                    for k in 0..chunks {
+                        let c0 = start + k * width;
+                        let rhs = b.columns(c0, width).map(|x| C64::new(x, 0.0));
+                        let (x, report) = block_cocg(&op, &rhs, None, &opts);
+                        want.set_columns(c0, &x);
+                        want_hist.record(width, width);
+                        first.get_or_insert(report);
+                    }
+                    let report = first.unwrap();
+                    (model_cost(&op, width, &report), report.converged)
+                });
+                let carries = w >= 4 && policy == BlockPolicy::DynamicCostModel;
+                let mut lone = chunks_seen
+                    .iter()
+                    .filter(|&&(_, width, chunks)| width == 1 && chunks == 1)
+                    .count();
+                let mut want_slots = LanczosSlots::default();
+                if carries {
+                    want_slots.carried = 1;
+                    lone -= 1; // the probe runs as a pair
+                    let last = chunks_seen
+                        .iter()
+                        .find(|&&(start, width, chunks)| {
+                            (start..start + width * chunks).contains(&(w - 1))
+                        })
+                        .copied()
+                        .unwrap();
+                    match last {
+                        (_, 1, 1) => lone -= 1, // served: no call at all
+                        (_, 1, _) => lone += 1, // its partner runs alone
+                        _ => want_slots.carried_dropped = 1,
+                    }
+                }
+                want_slots.lone_solves = lone;
+
+                let mut stats = WorkerStats::new();
+                let mut sunk = vec![0; w];
+                let ok = solve_shifted_real_rhs(
+                    &op,
+                    &b,
+                    None,
+                    &opts,
+                    policy,
+                    &mut stats,
+                    &mut |c, x, slot| {
+                        sunk[c] += 1;
+                        let got = x.iter().map(|z| if slot == 0 { z.re } else { z.im });
+                        let err = got
+                            .zip(want.col(c))
+                            .fold(0.0f64, |m, (g, z)| m.max((g - z.re).abs()));
+                        assert!(err < 1e-9, "w {w}, {policy:?}: column {c} off by {err:e}");
+                    },
+                );
+                let what = format!("w {w}, {policy:?}, chunks {chunks_seen:?}");
+                assert!(ok, "{what}");
+                assert!(sunk.iter().all(|&k| k == 1), "{what}: sunk {sunk:?}");
+                assert_eq!(stats.block_sizes, want_hist, "{what}");
+                let mut slots = stats.lanczos;
+                if slots.carried_dropped > 0 {
+                    assert!(slots.carried_dropped_matvecs > 0, "{what}");
+                    slots.carried_dropped_matvecs = 0;
+                    dropped += 1;
+                } else if carries {
+                    served += 1;
+                }
+                assert_eq!(slots, want_slots, "{what}");
+            }
+        }
+        assert!(
+            served > 0 && dropped > 0,
+            "served {served}, dropped {dropped}"
+        );
     }
 
     #[test]

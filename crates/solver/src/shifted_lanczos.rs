@@ -135,24 +135,27 @@ fn comps_mut(m: &mut Mat<C64>) -> &mut [f64] {
     C64::as_components_mut(m.as_mut_slice())
 }
 
-/// Solve `(R + iω) x = b_c` for the `lanes` (1 or 2) columns `c = start,
-/// start + 1` of the real block `b` and hand `Re x` of each to `sink`.
+/// Solve `(R + iω) x = b_c` for the columns `c` of the real block `b`
+/// named in `cols` (one or two, any two, slot `l` taking `cols[l]`) and
+/// hand `Re x` of each to `sink`.
 ///
-/// `guess`, when given, is `[Re X₀ | Im X₀]` (`n × 2·b.cols()`); the
-/// solve starts from the real part of its residual,
-/// `b − R·Re X₀ + ω·Im X₀`, and drops the imaginary part
-/// `−(R·Im X₀ + ω·Re X₀)` — zero for the Galerkin guess of Eq. 13 up to
-/// the Kohn–Sham eigen-residual. The six work vectors come from `ws` and
-/// go back to it. Reports count as Alg. 3's do: one matvec per slot for
-/// the residual of a guess and one per iteration a slot was still
-/// iterating; a slot that converged rides along idle.
-#[allow(clippy::too_many_arguments)]
+/// The slots never mix: a column's `Re x`, iterations and matvecs are
+/// the same lone, beside its neighbour or beside any other column
+/// (`tests/proptest_solver.rs`), as long as both stay finite — a
+/// non-finite value in either stops both. `guess`, when given, is
+/// `[Re X₀ | Im X₀]` (`n × 2·b.cols()`); the solve starts from the real
+/// part of its residual, `b − R·Re X₀ + ω·Im X₀`, and drops the imaginary
+/// part `−(R·Im X₀ + ω·Re X₀)` — zero for the Galerkin guess of Eq. 13 up
+/// to the Kohn–Sham eigen-residual. The six work vectors come from `ws`
+/// and go back to it. Reports count as Alg. 3's do: one matvec per slot
+/// for the residual of a guess and one per iteration a slot was still
+/// iterating; a slot that converged rides along idle. The caller counts
+/// them into `solver.cocg.*` as it uses them.
 pub fn shifted_lanczos_pair(
     op: &dyn RealShifted,
     b: &Mat<f64>,
     guess: Option<&Mat<f64>>,
-    start: usize,
-    lanes: usize,
+    cols: &[usize],
     opts: &CocgOptions,
     ws: &mut Workspace<C64>,
     sink: &mut ReSink<'_>,
@@ -161,14 +164,13 @@ pub fn shifted_lanczos_pair(
     let w = b.cols();
     assert_eq!(b.rows(), n, "rhs dimension mismatch");
     assert!(
-        (1..=2).contains(&lanes) && start + lanes <= w,
+        (1..=2).contains(&cols.len()) && cols.iter().all(|&c| c < w),
         "no such columns"
     );
     if let Some(g) = guess {
         assert_eq!(g.shape(), (n, 2 * w), "guess is not [Re | Im]");
     }
     let omega = op.omega();
-    let obs_on = mbrpa_obs::enabled();
 
     let mut x = ws.take_zeroed(n, 1);
     let mut y = ws.take_scratch(n, 1);
@@ -180,8 +182,8 @@ pub fn shifted_lanczos_pair(
     // v = b − R·Re X₀ + ω·Im X₀ and x = Re X₀, slot by slot
     if let Some(g) = guess {
         let xs = comps_mut(&mut x);
-        for l in 0..lanes {
-            for (xi, &gi) in xs[l..].iter_mut().step_by(2).zip(g.col(start + l)) {
+        for (l, &c) in cols.iter().enumerate() {
+            for (xi, &gi) in xs[l..].iter_mut().step_by(2).zip(g.col(c)) {
                 *xi = gi;
             }
         }
@@ -190,10 +192,10 @@ pub fn shifted_lanczos_pair(
     let mut b_sq = [0.0; 2];
     {
         let (vs, ys) = (comps_mut(&mut v), comps(&y));
-        for l in 0..lanes {
-            let bc = b.col(start + l);
+        for (l, &c) in cols.iter().enumerate() {
+            let bc = b.col(c);
             b_sq[l] = mbrpa_simd::nrm2_sq(bc);
-            let im = guess.map(|g| g.col(w + start + l));
+            let im = guess.map(|g| g.col(w + c));
             for (i, (vi, &bi)) in vs[l..].iter_mut().step_by(2).zip(bc).enumerate() {
                 *vi = im.map_or(bi, |im| (bi - ys[2 * i + l]) + omega * im[i]);
             }
@@ -270,19 +272,11 @@ pub fn shifted_lanczos_pair(
         std::mem::swap(&mut v, &mut y);
     }
 
-    for l in 0..lanes {
-        sink(start + l, x.col(0), l);
+    for (l, &c) in cols.iter().enumerate() {
+        sink(c, x.col(0), l);
     }
     for m in [x, y, v, v_prev, d_re, d_im] {
         ws.give(m);
     }
-    let reports = lane.map(|st| st.report);
-    if obs_on {
-        let sum =
-            |f: fn(&SolveReport) -> usize| reports[..lanes].iter().map(f).sum::<usize>() as u64;
-        mbrpa_obs::add("solver.cocg.solves", lanes as u64);
-        mbrpa_obs::add("solver.cocg.iterations", sum(|r| r.iterations));
-        mbrpa_obs::add("solver.cocg.matvecs", sum(|r| r.matvecs));
-    }
-    reports
+    lane.map(|st| st.report)
 }

@@ -96,6 +96,30 @@ impl BlockSizeHistogram {
     }
 }
 
+/// How the real-arithmetic solves used their two slots
+/// ([`solve_shifted_real_rhs`](crate::solve_shifted_real_rhs)).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LanczosSlots {
+    /// Lanczos calls that solved one column with the other slot idle.
+    pub lone_solves: usize,
+    /// Last columns Alg. 4's `s = 1` probe solved in its idle slot.
+    pub carried: usize,
+    /// Carried columns a wider chunk solved again; their work is in no
+    /// other field.
+    pub carried_dropped: usize,
+    /// Matvecs of the dropped carried columns.
+    pub carried_dropped_matvecs: usize,
+}
+
+impl LanczosSlots {
+    fn merge(&mut self, other: &LanczosSlots) {
+        self.lone_solves += other.lone_solves;
+        self.carried += other.carried;
+        self.carried_dropped += other.carried_dropped;
+        self.carried_dropped_matvecs += other.carried_dropped_matvecs;
+    }
+}
+
 /// Accumulated statistics of all Sternheimer solves done by one worker.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerStats {
@@ -109,6 +133,8 @@ pub struct WorkerStats {
     pub solve_time: Duration,
     /// Systems that failed to reach tolerance.
     pub unconverged: usize,
+    /// Slot use of the real-arithmetic solves.
+    pub lanczos: LanczosSlots,
 }
 
 impl WorkerStats {
@@ -124,6 +150,7 @@ impl WorkerStats {
         self.matvecs += other.matvecs;
         self.solve_time += other.solve_time;
         self.unconverged += other.unconverged;
+        self.lanczos.merge(&other.lanczos);
     }
 
     /// Fold in one solve report at block size `s` covering `systems`

@@ -133,33 +133,24 @@ fn symmetric_strategy(rng: &mut StdRng, n: usize) -> Mat<f64> {
     Mat::from_fn(n, n, |i, j| 0.5 * (g[(i, j)] + g[(j, i)]))
 }
 
-/// The `lanes` columns of `b` from `start` through the real-arithmetic
-/// solve: `Re x` per column and the reports.
+/// The columns `cols` of `b` (one per slot) through the real-arithmetic
+/// solve: `Re x` per column, in the order of `cols`, and the reports.
 fn real_solve(
     op: &ShiftedDense,
     b: &Mat<f64>,
     guess: Option<&Mat<f64>>,
-    start: usize,
-    lanes: usize,
+    cols: &[usize],
     opts: &CocgOptions,
 ) -> (Vec<Vec<f64>>, [SolveReport; 2]) {
-    let mut out = vec![Vec::new(); lanes];
+    let mut out = vec![Vec::new(); cols.len()];
     let mut ws = Workspace::new();
-    let reports = shifted_lanczos_pair(
-        op,
-        b,
-        guess,
-        start,
-        lanes,
-        opts,
-        &mut ws,
-        &mut |col, x, slot| {
-            out[col - start] = x
-                .iter()
-                .map(|z| if slot == 0 { z.re } else { z.im })
-                .collect();
-        },
-    );
+    let reports = shifted_lanczos_pair(op, b, guess, cols, opts, &mut ws, &mut |col, x, slot| {
+        assert_eq!(cols[slot], col, "slot {slot} holds column {}", cols[slot]);
+        out[slot] = x
+            .iter()
+            .map(|z| if slot == 0 { z.re } else { z.im })
+            .collect();
+    });
     (out, reports)
 }
 
@@ -238,7 +229,7 @@ fn real_solves_stop_where_cocg_stops() {
         };
         let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
 
-        let (pair_x, pair_rep) = real_solve(&op, &b, guess_r.as_ref(), 0, 2, &opts);
+        let (pair_x, pair_rep) = real_solve(&op, &b, guess_r.as_ref(), &[0, 1], &opts);
         let mut ws = Workspace::new();
         for c in 0..2 {
             let gc = guess_c.as_ref().map(|g| g.columns(c, 1));
@@ -253,7 +244,7 @@ fn real_solves_stop_where_cocg_stops() {
             // digit for digit — the regime of the Sternheimer workloads.
             let cap = if with_guess { 12 } else { 30 };
             assume(want.converged && want.iterations <= cap && 2 * want.iterations <= n - k);
-            let (lone_x, lone_rep) = real_solve(&op, &b, guess_r.as_ref(), c, 1, &opts);
+            let (lone_x, lone_rep) = real_solve(&op, &b, guess_r.as_ref(), &[c], &opts);
             let x_norm = x.fro_norm();
             let solves = [
                 ("pair", &pair_x[c], &pair_rep[c]),
@@ -311,7 +302,7 @@ fn long_real_solves_reach_the_dense_solution() {
         let b = Mat::from_col_major(n, 2, rhs);
         let bc = Mat::from_fn(n, 2, |i, c| C64::new(b[(i, c)], 0.0));
         let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
-        let (xs, reports) = real_solve(&op, &b, None, 0, 2, &opts);
+        let (xs, reports) = real_solve(&op, &b, None, &[0, 1], &opts);
         for c in 0..2 {
             assert!(reports[c].converged, "{:?}", reports[c]);
             assert!(
@@ -325,6 +316,68 @@ fn long_real_solves_reach_the_dense_solution() {
                 err <= bound,
                 "slot {c}: {err:e} from the dense solve, bound {bound:e}"
             );
+        }
+    });
+}
+
+/// The slots never mix: a column's `Re x`, iterations and matvecs are the
+/// same bits lone, beside its neighbour, and in either slot beside any
+/// other column of the block — what lets Alg. 4's probe carry the last
+/// column. With and without the Galerkin guess, a zero right-hand side,
+/// a column that converges in two steps beside ones that take many, and
+/// a tolerance no column meets (every slot runs to the cap).
+#[test]
+fn a_column_solves_the_same_beside_any_partner() {
+    check(48, |rng| {
+        let n = [29, 40, 53][rng.random_range(0..3)];
+        let s = symmetric_strategy(rng, n);
+        let definite = rng.random::<bool>();
+        let at = rng.random_range(0..n);
+        let op = ShiftedDense::new(s, definite, at, rng.random_range(0.01..0.5));
+        let w = 5;
+        let mut b = Mat::from_fn(n, w, |_, _| rng.random_range(-1.0f64..1.0));
+        b.col_mut(rng.random_range(0..w)).fill(0.0);
+        let fast = rng.random_range(0..w);
+        let (p, q) = (
+            op.eig.vectors.col(2).to_vec(),
+            op.eig.vectors.col(n - 3).to_vec(),
+        );
+        for (i, bi) in b.col_mut(fast).iter_mut().enumerate() {
+            *bi = 0.6 * p[i] + 0.3 * q[i];
+        }
+        let opts = CocgOptions {
+            tol: [1e-2, 1e-6, 0.0][rng.random_range(0..3)],
+            max_iters: 40,
+            ..CocgOptions::default()
+        };
+        let guess = rng.random::<bool>().then(|| {
+            let k = n / 4;
+            let psi = op.eig.vectors.columns(0, k);
+            let mut g = Mat::zeros(n, 2 * w);
+            galerkin_guess_real(&psi, &op.eig.values[..k], 0.0, op.omega, &b, &mut g);
+            g
+        });
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for c in 0..w {
+            let (lone_x, lone) = real_solve(&op, &b, guess.as_ref(), &[c], &opts);
+            let want = (bits(&lone_x[0]), lone[0].iterations, lone[0].matvecs);
+            for d in (0..w).filter(|&d| d != c) {
+                for (cols, slot) in [([c, d], 0), ([d, c], 1)] {
+                    let (x, rep) = real_solve(&op, &b, guess.as_ref(), &cols, &opts);
+                    let got = (bits(&x[slot]), rep[slot].iterations, rep[slot].matvecs);
+                    assert!(
+                        got == want,
+                        "column {c} in slot {slot} beside {d}: {} iterations, {} matvecs \
+                         against {} and {} lone, Re x equal: {}",
+                        got.1,
+                        got.2,
+                        want.1,
+                        want.2,
+                        got.0 == want.0
+                    );
+                    assert_eq!(rep[slot].converged, lone[0].converged);
+                }
+            }
         }
     });
 }
