@@ -110,9 +110,9 @@ for f in crates/dft/src/*.rs; do
         exit 1
     fi
 done
-if sed -n '/pub fn apply_raw/,/^    }$/p' crates/grid/src/stencil.rs \
+if sed -n '/pub fn apply</,/^    }$/p' crates/grid/src/stencil.rs \
     | grep -nE 'wrap_tab|\.collect\(|vec!|Vec::'; then
-    echo "ci: Laplacian::apply_raw builds a table per call — it belongs to the SweepPlan of Laplacian::new"
+    echo "ci: Laplacian::apply builds a table per call — it belongs to the SweepPlan of Laplacian::new"
     exit 1
 fi
 [ "$(grep -c '^#\[test\]' crates/dft/tests/apply_alloc.rs)" = 1 ] \
@@ -204,17 +204,26 @@ if grep -rnE -- '-save-ks|-load-ks' src/bin; then
     echo "ci: an orbital-file flag is back in src/bin — the KS stage runs in-process every run"
     exit 1
 fi
+# One ledger of solver work: the solvers fill `WorkerStats`, and
+# `RpaSetup::run_with` publishes the `solver.cocg.*` / `solver.lanczos.*`
+# counters from the χ⁰ operator's ledger once per frequency. A solver that
+# writes them itself counts the same work twice.
+if grep -rnE --include='*.rs' '"solver\.(cocg|lanczos)\.' crates/solver/src; then
+    echo "ci: a solve counter is written under crates/solver/src — fill WorkerStats; run_with publishes it"
+    exit 1
+fi
 leg grep-gates ran "one-copy and removed-path source gates"
 
 # Less library: the fractional-occupation layer, the SVD module, the
 # Hermitian Gram path, the `axpby` kernels, the `.orb` orbital format, the
-# real×complex GEMMs, the conjugated complex dot kernel and the public
-# items only their own unit tests called are gone. The paper's χ⁰ is
+# real×complex GEMMs, the conjugated complex dot kernel, the public items
+# only their own unit tests called, the solvers' own solve counters, obs's
+# context labels and the telemetry-free `apply_raw` twins are gone. The paper's χ⁰ is
 # closed-shell (Eq. 5); a new caller writes what it needs, with its
 # reason, in its place.
 if [ -e crates/dft/src/occupations.rs ] || [ -e crates/linalg/src/svd.rs ] \
     || [ -e crates/core/src/rpa_lanczos.rs ] || [ -e crates/dft/src/orbital_io.rs ] \
-    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)|orbital_io|save_orbitals|load_orbitals|OrbitalIoError|matmul_rc|matmul_tn_rc|dot_h_c64|dot_h_c64_on|combine_h|mat_vec' \
+    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)|orbital_io|save_orbitals|load_orbitals|OrbitalIoError|matmul_rc|matmul_tn_rc|dot_h_c64|dot_h_c64_on|combine_h|mat_vec|count_solve|absorb_column|set_context|clear_context|context_label|add_ctx|record_ctx|apply_raw' \
         crates/*/src src; then
     echo "ci: a deleted library item is back — nothing outside its own tests called it"
     exit 1

@@ -384,7 +384,7 @@ fn apply_cases(reps: usize, cases: &mut Vec<Case>) {
         if stern_row {
             let secs = time_best(reps, &mut || {
                 for _ in 0..BATCH {
-                    op.apply_raw(black_box(v.col(0)), out.col_mut(0));
+                    op.apply(black_box(v.col(0)), out.col_mut(0));
                 }
             });
             cases.push(Case::new(

@@ -27,8 +27,7 @@ use mbrpa_solver::{
     WorkerStats,
 };
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Least Sternheimer work (grid points × columns × occupied orbitals) one
@@ -110,6 +109,32 @@ impl Default for SternheimerSettings {
     }
 }
 
+/// The one record of the Sternheimer work a [`DielectricOperator`] has
+/// done, filled by the merge after each apply.
+#[derive(Clone, Debug)]
+pub(crate) struct Ledger {
+    /// Statistics per worker slot; their solve times are the per-rank
+    /// load profile behind the paper's load-imbalance discussion (§III-D,
+    /// §V).
+    pub(crate) workers: Vec<WorkerStats>,
+    /// Columns applied.
+    pub(crate) applications: usize,
+    /// Krylov iterations per occupied orbital, over every worker and
+    /// apply.
+    pub(crate) orbital_iterations: Vec<usize>,
+}
+
+impl Ledger {
+    /// The worker slots' statistics merged.
+    pub(crate) fn stats(&self) -> WorkerStats {
+        let mut all = WorkerStats::new();
+        for w in &self.workers {
+            all.merge(w);
+        }
+        all
+    }
+}
+
 /// Matrix-free `ν½χ⁰(iω)ν½` at one quadrature frequency.
 pub struct DielectricOperator<'a> {
     ham: &'a Hamiltonian,
@@ -121,12 +146,7 @@ pub struct DielectricOperator<'a> {
     omega: f64,
     settings: SternheimerSettings,
     n_workers: usize,
-    stats: Mutex<WorkerStats>,
-    applications: AtomicUsize,
-    /// Cumulative Sternheimer solve time per logical worker: the per-rank
-    /// load profile behind the paper's load-imbalance discussion (§III-D,
-    /// §V).
-    worker_load: Mutex<Vec<Duration>>,
+    ledger: Mutex<Ledger>,
     /// Cooperative cancellation, observed between per-orbital Sternheimer
     /// solves. A cancelled application returns a truncated (garbage)
     /// block; this is sound because every caller that could observe it
@@ -159,9 +179,11 @@ impl<'a> DielectricOperator<'a> {
             omega,
             settings,
             n_workers,
-            stats: Mutex::new(WorkerStats::new()),
-            applications: AtomicUsize::new(0),
-            worker_load: Mutex::new(vec![Duration::ZERO; n_workers]),
+            ledger: Mutex::new(Ledger {
+                workers: vec![WorkerStats::new(); n_workers],
+                applications: 0,
+                orbital_iterations: vec![0; energies.len()],
+            }),
             cancel: None,
         }
     }
@@ -180,26 +202,31 @@ impl<'a> DielectricOperator<'a> {
         self.omega
     }
 
+    fn lock_ledger(&self) -> MutexGuard<'_, Ledger> {
+        // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
+        self.ledger.lock().expect("ledger mutex poisoned")
+    }
+
+    /// Snapshot of the ledger.
+    pub(crate) fn ledger(&self) -> Ledger {
+        self.lock_ledger().clone()
+    }
+
     /// Snapshot of the merged worker statistics accumulated so far.
     pub fn stats_snapshot(&self) -> WorkerStats {
-        // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
-        self.stats.lock().expect("stats mutex poisoned").clone()
+        self.lock_ledger().stats()
     }
 
     /// Total single-column operator applications so far.
     pub fn applications(&self) -> usize {
-        // ord: Relaxed — monotonic telemetry counter; readers need a count, not a happens-before edge
-        self.applications.load(Ordering::Relaxed)
+        self.lock_ledger().applications
     }
 
     /// Cumulative Sternheimer solve time per logical worker (the §III-D
     /// load-imbalance profile).
     pub fn worker_load_snapshot(&self) -> Vec<Duration> {
-        self.worker_load
-            .lock()
-            // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
-            .expect("load mutex poisoned")
-            .clone()
+        let ledger = self.lock_ledger();
+        ledger.workers.iter().map(|w| w.solve_time).collect()
     }
 
     /// Has the attached [`CancelToken`] (if any) been set? The operator
@@ -252,7 +279,6 @@ impl<'a> DielectricOperator<'a> {
             None
         };
         let stern = SternheimerLinOp::new(SternheimerOperator::new(self.ham, lambda, self.omega));
-        let it_before = stats.iterations;
         // 4·Re(Ψ_j ⊙ Y_j): the ± iω conjugate-pair combination gives a 2,
         // the double occupancy of a closed shell the other 2
         solve_shifted_real_rhs(
@@ -271,15 +297,6 @@ impl<'a> DielectricOperator<'a> {
                 }
             },
         );
-        if mbrpa_obs::enabled() {
-            // per-occupied-orbital solve effort, labelled by the worker's
-            // frequency context (set in `partitioned_apply`)
-            mbrpa_obs::record_ctx(
-                "sternheimer.orbital_iterations",
-                (stats.iterations - it_before) as f64,
-            );
-            mbrpa_obs::add_ctx("sternheimer.solves", 1);
-        }
     }
 
     /// `χ⁰V` over the worker partition (no `ν½` factors). Used by the
@@ -299,17 +316,8 @@ impl<'a> DielectricOperator<'a> {
         let cols = v.cols();
         // The span lives on the calling thread (nested under the filter or
         // projection that requested the product); worker-side metrics are
-        // flat counters/series flushed per closure.
+        // flat counters flushed per closure.
         let _stern_span = mbrpa_obs::span("sternheimer");
-        let obs_on = mbrpa_obs::enabled();
-        let ctx_label = if obs_on {
-            format!("omega={:.4}", self.omega)
-        } else {
-            String::new()
-        };
-        if obs_on {
-            mbrpa_obs::add("chi0.applications", cols as u64);
-        }
 
         // §III-D: one task per worker range, every orbital
         let ranges = partition_columns(cols, self.n_workers);
@@ -321,51 +329,43 @@ impl<'a> DielectricOperator<'a> {
         // `inner_slots()` budget instead of oversubscribing the pool.
         let _outer = mbrpa_grid::par::outer_scope(slots);
 
-        let pieces: Vec<(Mat<f64>, WorkerStats)> = map_tasks(&ranges, fan_out, |range| {
+        let pieces: Vec<_> = map_tasks(&ranges, fan_out, |range| {
             // Algorithm 7 line 2 on this worker's columns
             let mut local = v.columns(range.start, range.count);
             if with_nu_sqrt {
                 self.coulomb.apply_nu_sqrt_block(&mut local);
             }
-            if obs_on {
-                mbrpa_obs::set_context(&ctx_label);
-            }
             // lines 3–6: every orbital's contribution, in order
             let mut stats = WorkerStats::new();
+            let mut orbital_iterations = vec![0; self.energies.len()];
             let mut acc = Mat::zeros(n, range.count);
             let mut b = Mat::zeros(n, range.count);
             let mut guess = Mat::zeros(n, 2 * range.count);
-            for j in 0..self.energies.len() {
+            for (j, iterations) in orbital_iterations.iter_mut().enumerate() {
+                let before = stats.iterations;
                 self.orbital_contribution(j, &local, &mut b, &mut guess, &mut acc, &mut stats);
+                *iterations = stats.iterations - before;
             }
             // line 7 on the same columns: `ν½` acts column by column, so
             // these are the bits a `ν½` of the merged block would give
             if with_nu_sqrt {
                 self.coulomb.apply_nu_sqrt_block(&mut acc);
             }
-            if obs_on {
-                mbrpa_obs::clear_context();
-                mbrpa_obs::flush_thread();
-            }
-            (acc, stats)
+            mbrpa_obs::flush_thread();
+            (acc, stats, orbital_iterations)
         });
 
         let mut result = Mat::zeros(n, cols);
-        {
-            // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
-            let mut merged = self.stats.lock().expect("stats mutex poisoned");
-            // lint: allow(unwrap) — a poisoned mutex means a worker already crashed; abort loudly
-            let mut load = self.worker_load.lock().expect("load mutex poisoned");
-            for (w, (range, (piece, stats))) in ranges.iter().zip(&pieces).enumerate() {
-                let span = range.start * n..(range.start + range.count) * n;
-                result.as_mut_slice()[span].copy_from_slice(piece.as_slice());
-                merged.merge(stats);
-                load[w] += stats.solve_time;
+        let mut ledger = self.lock_ledger();
+        for (w, (range, (piece, stats, iterations))) in ranges.iter().zip(&pieces).enumerate() {
+            let span = range.start * n..(range.start + range.count) * n;
+            result.as_mut_slice()[span].copy_from_slice(piece.as_slice());
+            ledger.workers[w].merge(stats);
+            for (total, it) in ledger.orbital_iterations.iter_mut().zip(iterations) {
+                *total += it;
             }
         }
-
-        // ord: Relaxed — telemetry counter only; the numeric result flows through `result`, not this atomic
-        self.applications.fetch_add(cols, Ordering::Relaxed);
+        ledger.applications += cols;
         result
     }
 }
@@ -615,17 +615,27 @@ mod tests {
 
     #[test]
     fn stats_and_counters_accumulate() {
+        // the ledger alone, no telemetry: its parts agree after every apply
         let f = fixture();
-        let d = op(&f, 1.2, 2);
         let n = f.ham.dim();
         let v = Mat::from_fn(n, 3, |i, j| ((i + j) % 7) as f64 * 0.1);
-        let _ = d.apply_dielectric_block(&v);
-        assert_eq!(d.applications(), 3);
-        let s = d.stats_snapshot();
-        // n_s block systems per worker, 2 workers
-        assert_eq!(s.block_sizes.total(), 3 * f.energies.len());
-        let _ = d.apply_dielectric_block(&v);
-        assert_eq!(d.applications(), 6);
+        for workers in 1..=3 {
+            let d = op(&f, 1.2, workers);
+            for applies in 1..=2 {
+                let _ = d.apply_dielectric_block(&v);
+                assert_eq!(d.applications(), 3 * applies);
+                let s = d.stats_snapshot();
+                // every column solved once per occupied orbital
+                assert_eq!(s.block_sizes.total(), 3 * applies * f.energies.len());
+                let ledger = d.ledger();
+                assert_eq!(ledger.orbital_iterations.len(), f.energies.len());
+                let per_orbital: usize = ledger.orbital_iterations.iter().sum();
+                assert_eq!(per_orbital, s.iterations, "{workers} workers");
+                let load = d.worker_load_snapshot();
+                assert_eq!(load.len(), workers);
+                assert_eq!(load.iter().sum::<Duration>(), s.solve_time);
+            }
+        }
     }
 
     /// `χ⁰V` rebuilt from the complex pieces — `galerkin_guess`, then

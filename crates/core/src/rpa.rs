@@ -9,7 +9,7 @@ use crate::cancel::CancelToken;
 use crate::checkpoint::{
     config_fingerprint, persist, restore, setup_key, ResumableOutcome, ResumePolicy, RpaRunError,
 };
-use crate::chi0::{DielectricOperator, SternheimerSettings};
+use crate::chi0::{DielectricOperator, Ledger, SternheimerSettings};
 use crate::config::RpaConfig;
 use crate::io::RpaInput;
 use crate::quadrature::{frequency_quadrature, FrequencyPoint};
@@ -357,17 +357,13 @@ impl RpaSetup {
                 // into the accumulated state
                 return cancelled_exit(state, checkpoint, fingerprint);
             }
+            let ledger = op.ledger();
+            let stats = ledger.stats();
             if mbrpa_obs::enabled() {
                 let label = format!("omega[{k}]");
                 let errors: Vec<f64> = out.history.iter().map(|h| h.error).collect();
                 mbrpa_obs::record_trace("subspace.si_error", &label, &errors);
-                mbrpa_obs::add(&format!("{label}/sternheimer.iterations"), {
-                    op.stats_snapshot().iterations as u64
-                });
-                mbrpa_obs::add(
-                    &format!("{label}/chi0.applications"),
-                    op.applications() as u64,
-                );
+                publish_work(&label, &ledger, &stats);
                 mbrpa_obs::record("subspace.filter_rounds", out.filter_rounds as f64);
                 // Ritz values `trace_term` clamps from above the noise floor
                 let clamped = positive_ritz(&out.eigenvalues).map_or(0, |(count, _)| count);
@@ -377,9 +373,9 @@ impl RpaSetup {
             let contribution = pt.weight * e_k / (2.0 * std::f64::consts::PI);
             state.accumulated_energy += contribution;
             timings.merge(&out.timings);
-            solver_stats.merge(&op.stats_snapshot());
-            for (acc, t) in worker_load.iter_mut().zip(op.worker_load_snapshot()) {
-                *acc += t;
+            solver_stats.merge(&stats);
+            for (acc, w) in worker_load.iter_mut().zip(&ledger.workers) {
+                *acc += w.solve_time;
             }
             state.per_omega.push(OmegaReport {
                 omega: pt.omega,
@@ -430,6 +426,47 @@ impl RpaSetup {
             projectors: crate::report::projector_note(&self.ham),
             n_restored,
         })))
+    }
+}
+
+/// One computed frequency's Sternheimer work into the telemetry: its share
+/// of the run totals, and the `label/` per-frequency counters and
+/// per-orbital series. The solvers write no solve counter of their own;
+/// this is the one place their work reaches the profile.
+fn publish_work(label: &str, ledger: &Ledger, stats: &WorkerStats) {
+    use mbrpa_obs::{add, record};
+    let chunks: usize = stats.block_sizes.iter().map(|(s, count)| count / s).sum();
+    add("solver.cocg.solves", chunks as u64);
+    add("solver.cocg.iterations", stats.iterations as u64);
+    add("solver.cocg.matvecs", stats.matvecs as u64);
+    add("solver.cocg.breakdowns", stats.breakdowns as u64);
+    let slots = &stats.lanczos;
+    add("solver.lanczos.lone_solves", slots.lone_solves as u64);
+    add("solver.lanczos.carried", slots.carried as u64);
+    add(
+        "solver.lanczos.carried_dropped",
+        slots.carried_dropped as u64,
+    );
+    add(
+        "solver.lanczos.carried_dropped_matvecs",
+        slots.carried_dropped_matvecs as u64,
+    );
+    add("chi0.applications", ledger.applications as u64);
+    add(
+        &format!("{label}/sternheimer.iterations"),
+        stats.iterations as u64,
+    );
+    add(
+        &format!("{label}/sternheimer.matvecs"),
+        stats.matvecs as u64,
+    );
+    add(
+        &format!("{label}/chi0.applications"),
+        ledger.applications as u64,
+    );
+    let series = format!("{label}/sternheimer.orbital_iterations");
+    for &it in &ledger.orbital_iterations {
+        record(&series, it as f64);
     }
 }
 

@@ -1,7 +1,9 @@
-//! The two ledgers of solver work agree: the `solver.cocg.*` telemetry
-//! counters a profiled run reports and the `WorkerStats` the run returns
-//! are both sums of the same per-solve `SolveReport`s — block COCG chunks,
-//! real Lanczos pairs and half-split sub-solves alike.
+//! One ledger of solver work: the solvers fill `WorkerStats`, the χ⁰
+//! operator merges them with the per-orbital iterations, and
+//! `RpaSetup::run_with` publishes that ledger once per frequency. The
+//! counters of a profiled run are therefore the `RpaResult`'s own stats —
+//! block COCG chunks, real Lanczos pairs and half-split sub-solves alike —
+//! and the per-frequency counters and series add up to them.
 //!
 //! This file holds a single `#[test]`: the telemetry sink is one per
 //! process, so a second test in the binary would add to the counters.
@@ -26,9 +28,50 @@ fn profiled_counters_equal_the_returned_solver_stats() {
 
     let stats = &result.solver_stats;
     assert!(stats.block_sizes.count(1) > 0 && stats.block_sizes.count(2) > 0);
+    let count = |name: &str| profile.counter(name) as usize;
+    let chunks: usize = stats.block_sizes.iter().map(|(s, c)| c / s).sum();
+    assert_eq!(count("solver.cocg.solves"), chunks);
+    assert_eq!(count("solver.cocg.iterations"), stats.iterations);
+    assert_eq!(count("solver.cocg.matvecs"), stats.matvecs);
+    assert_eq!(count("solver.cocg.breakdowns"), stats.breakdowns);
+    let slots = &stats.lanczos;
+    assert_eq!(count("solver.lanczos.lone_solves"), slots.lone_solves);
+    assert_eq!(count("solver.lanczos.carried"), slots.carried);
+    assert!(slots.carried > 0, "the probe carried no column");
     assert_eq!(
-        profile.counter("solver.cocg.iterations"),
-        stats.iterations as u64
+        count("solver.lanczos.carried_dropped"),
+        slots.carried_dropped
     );
-    assert_eq!(profile.counter("solver.cocg.matvecs"), stats.matvecs as u64);
+    assert_eq!(
+        count("solver.lanczos.carried_dropped_matvecs"),
+        slots.carried_dropped_matvecs
+    );
+    // every column applied is solved once per occupied orbital
+    assert_eq!(
+        count("chi0.applications") * result.n_s,
+        stats.block_sizes.total()
+    );
+
+    // the per-frequency ledger adds up to the run's
+    let n_omega = result.per_omega.len();
+    let per_omega = |name: &str| -> usize {
+        (0..n_omega)
+            .map(|k| count(&format!("omega[{k}]/{name}")))
+            .sum()
+    };
+    assert_eq!(per_omega("sternheimer.iterations"), stats.iterations);
+    assert_eq!(per_omega("sternheimer.matvecs"), stats.matvecs);
+    assert_eq!(per_omega("chi0.applications"), count("chi0.applications"));
+    for k in 0..n_omega {
+        let name = format!("omega[{k}]/sternheimer.orbital_iterations");
+        let series = profile.series.iter().find(|s| s.name == name);
+        let values = &series.unwrap_or_else(|| panic!("no {name}")).values;
+        assert_eq!(values.len(), result.n_s, "{name}");
+        let total: f64 = values.iter().sum();
+        assert_eq!(
+            total as usize,
+            count(&format!("omega[{k}]/sternheimer.iterations")),
+            "{name}"
+        );
+    }
 }

@@ -78,9 +78,15 @@ impl RealShifted for SternheimerLinOp<'_> {
     }
     /// `H − λ_j` on the `re` and `im` slots at once: every coefficient of
     /// `H` is real, so the complex apply with a zero imaginary shift never
-    /// mixes the two.
+    /// mixes the two. Counts one complex stencil apply per call.
     fn apply_real_pair(&self, x: &[C64], y: &mut [C64]) {
-        SternheimerOperator::new(self.op.hamiltonian(), self.op.lambda, 0.0).apply(x, y);
+        let ham = self.op.hamiltonian();
+        mbrpa_obs::add("grid.stencil_applies", 1);
+        mbrpa_obs::add(
+            "grid.stencil_flops",
+            ham.laplacian().apply_flops_per_vector() * 2,
+        );
+        SternheimerOperator::new(ham, self.op.lambda, 0.0).apply(x, y);
     }
 }
 

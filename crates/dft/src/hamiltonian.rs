@@ -56,16 +56,10 @@ impl Hamiltonian {
         self.nonlocal.as_ref()
     }
 
-    /// `out = H v` for one vector (real or complex).
+    /// `out = H v` for one vector (real or complex). Records no
+    /// telemetry; [`Hamiltonian::apply_block`] counts its columns.
     pub fn apply<T: Scalar>(&self, v: &[T], out: &mut [T]) {
         self.lap.apply(v, out);
-        self.apply_tail(v, out, |p, x| x.scale(p));
-    }
-
-    /// Telemetry-free single-vector apply; block drivers call this from
-    /// worker tasks and record counters once on the calling thread.
-    pub fn apply_raw<T: Scalar>(&self, v: &[T], out: &mut [T]) {
-        self.lap.apply_raw(v, out);
         self.apply_tail(v, out, |p, x| x.scale(p));
     }
 
@@ -95,7 +89,7 @@ impl Hamiltonian {
             self.lap.apply_flops_per_vector() * (T::COMPONENTS * s) as u64,
         );
         let work_per_col = self.apply_flops() * T::COMPONENTS;
-        mbrpa_grid::par::apply_columns(v, out, work_per_col, |x, y| self.apply_raw(x, y));
+        mbrpa_grid::par::apply_columns(v, out, work_per_col, |x, y| self.apply(x, y));
     }
 
     /// Assemble the dense matrix (test oracle / direct baseline; small
@@ -176,16 +170,10 @@ impl<'a> SternheimerOperator<'a> {
         self.ham
     }
 
-    /// `out = (H − λ + iω) v`.
+    /// `out = (H − λ + iω) v`. Records no telemetry; the block apply and
+    /// the real-pair apply of `SternheimerLinOp` count their vectors.
     pub fn apply(&self, v: &[C64], out: &mut [C64]) {
         self.ham.lap.apply(v, out);
-        self.shifted_tail(v, out);
-    }
-
-    /// Telemetry-free single-vector apply; block drivers call this from
-    /// worker tasks and record counters once on the calling thread.
-    pub fn apply_raw(&self, v: &[C64], out: &mut [C64]) {
-        self.ham.lap.apply_raw(v, out);
         self.shifted_tail(v, out);
     }
 
@@ -210,7 +198,7 @@ impl<'a> SternheimerOperator<'a> {
             self.ham.laplacian().apply_flops_per_vector()
                 * (<C64 as Scalar>::COMPONENTS * s) as u64,
         );
-        mbrpa_grid::par::apply_columns(v, out, self.apply_flops(), |x, y| self.apply_raw(x, y));
+        mbrpa_grid::par::apply_columns(v, out, self.apply_flops(), |x, y| self.apply(x, y));
     }
 
     /// FLOPs of one application to one vector.

@@ -27,7 +27,7 @@ use mbrpa_linalg::{Mat, Scalar};
 const MAX_RADIUS: usize = 10;
 
 std::thread_local! {
-    /// Per-thread halo'd-volume scratch for [`Laplacian::apply_raw`] —
+    /// Per-thread halo'd-volume scratch for [`Laplacian::apply`] —
     /// per **thread** so rayon workers running parallel block applies
     /// never share it.
     static HALO_SCRATCH: std::cell::RefCell<Vec<f64>> =
@@ -233,20 +233,10 @@ impl Laplacian {
         (2 * self.grid.len() * (6 * self.radius + 1)) as u64
     }
 
-    /// `out = ∇² v` for a single vector (the paper's preferred mode).
-    pub fn apply<T: Scalar>(&self, v: &[T], out: &mut [T]) {
-        mbrpa_obs::add("grid.stencil_applies", 1);
-        mbrpa_obs::add(
-            "grid.stencil_flops",
-            self.apply_flops_per_vector() * T::COMPONENTS as u64,
-        );
-        self.apply_raw(v, out);
-    }
-
-    /// Telemetry-free single-vector apply — the fused kernel itself. Block
-    /// drivers (here and in the dft crate) call this from worker tasks and
-    /// record counters once on the calling thread, so telemetry never
-    /// strands in unflushed worker-thread buffers.
+    /// `out = ∇² v` for a single vector (the paper's preferred mode) — the
+    /// fused kernel itself. It records no telemetry: the block drivers
+    /// (here and in the dft crate) count their columns once on the calling
+    /// thread, so no count strands in an unflushed worker-thread buffer.
     ///
     /// Everything that does not depend on the vector — which row feeds
     /// which halo row, the sweep's `6r + 1` uniform terms — was built by
@@ -264,7 +254,7 @@ impl Laplacian {
     /// fixed (diag, then x, y, z by ascending `t` with `+t` before `−t`),
     /// one fused multiply-add per term on every dispatch path, so AVX2
     /// and scalar produce bitwise identical results.
-    pub fn apply_raw<T: Scalar>(&self, v: &[T], out: &mut [T]) {
+    pub fn apply<T: Scalar>(&self, v: &[T], out: &mut [T]) {
         let n = self.grid.len();
         assert_eq!(v.len(), n);
         assert_eq!(out.len(), n);
@@ -317,7 +307,7 @@ impl Laplacian {
             self.apply_flops_per_vector() * (T::COMPONENTS * s) as u64,
         );
         let work_per_col = self.apply_flops_per_vector() as usize * T::COMPONENTS;
-        crate::par::apply_columns(v, out, work_per_col, |x, y| self.apply_raw(x, y));
+        crate::par::apply_columns(v, out, work_per_col, |x, y| self.apply(x, y));
     }
 
     /// Deliberately "simultaneous" multi-vector application: iterates grid

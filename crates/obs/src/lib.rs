@@ -11,7 +11,7 @@
 //! * **Series** — bounded append-only lists of scalar samples
 //!   (per-orbital Sternheimer iteration counts).
 //! * **Traces** — bounded sets of per-iteration histories
-//!   (block-COCG residual descent per solve, subspace-iteration error).
+//!   (subspace-iteration error per frequency).
 //!
 //! All sinks are **thread-aware**: each thread accumulates into a
 //! thread-local buffer which is merged into the global sink when the
@@ -20,10 +20,6 @@
 //! span). When telemetry is disabled — the default — every entry point is
 //! a single relaxed atomic load and an early return, so instrumented hot
 //! paths cost nothing measurable.
-//!
-//! A worker thread can label its flat metrics with a *context*
-//! ([`set_context`], e.g. `omega[3]`) so that per-frequency data recorded
-//! deep inside the thread pool stays attributable to its frequency.
 //!
 //! [`report`] snapshots everything into a [`Report`], which serialises to
 //! versioned JSON ([`Report::to_json`], schema documented in DESIGN.md)
@@ -131,7 +127,6 @@ struct Trace {
 #[derive(Default)]
 struct Local {
     stack: Vec<String>,
-    context: Option<String>,
     sink: Sink,
 }
 
@@ -209,7 +204,6 @@ pub fn reset() {
         let mut l = l.borrow_mut();
         l.sink = Sink::default();
         l.stack.clear();
-        l.context = None;
     });
     let mut guard = GLOBAL.lock().unwrap_or_else(|p| p.into_inner());
     *guard = Some(Global {
@@ -291,31 +285,6 @@ pub fn flush_thread() {
     });
 }
 
-/// Label subsequently recorded *contextual* metrics ([`add_ctx`],
-/// [`record_ctx`]) on this thread with `label`, e.g. `omega[3]`.
-pub fn set_context(label: &str) {
-    if !enabled() {
-        return;
-    }
-    LOCAL.with(|l| l.borrow_mut().context = Some(label.to_string()));
-}
-
-/// Clear the context label set by [`set_context`].
-pub fn clear_context() {
-    if !enabled() {
-        return;
-    }
-    LOCAL.with(|l| l.borrow_mut().context = None);
-}
-
-/// The current thread's context label, if any.
-pub fn context_label() -> Option<String> {
-    if !enabled() {
-        return None;
-    }
-    LOCAL.with(|l| l.borrow().context.clone())
-}
-
 /// Increment counter `name` by `n`.
 pub fn add(name: &str, n: u64) {
     if !enabled() {
@@ -327,47 +296,14 @@ pub fn add(name: &str, n: u64) {
     });
 }
 
-/// Increment counter `name` by `n`, prefixing the thread's context label
-/// (`ctx/name`) when one is set, so per-frequency totals stay separable.
-pub fn add_ctx(name: &str, n: u64) {
-    if !enabled() {
-        return;
-    }
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        let key = match &l.context {
-            Some(c) => format!("{c}/{name}"),
-            None => name.to_string(),
-        };
-        *l.sink.counters.entry(key).or_default() += n;
-    });
-}
-
 /// Append sample `value` to the bounded series `name`.
 pub fn record(name: &str, value: f64) {
     if !enabled() {
         return;
     }
-    record_key(name.to_string(), value);
-}
-
-/// Append sample `value` to series `name`, prefixing the thread's context
-/// label when one is set.
-pub fn record_ctx(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    let key = LOCAL.with(|l| match &l.borrow().context {
-        Some(c) => format!("{c}/{name}"),
-        None => name.to_string(),
-    });
-    record_key(key, value);
-}
-
-fn record_key(key: String, value: f64) {
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
-        let s = l.sink.series.entry(key).or_default();
+        let s = l.sink.series.entry(name.to_string()).or_default();
         if s.values.len() < SERIES_CAP {
             s.values.push(value);
         } else {
@@ -418,7 +354,7 @@ pub struct SpanEntry {
 /// A bounded scalar series in a [`Report`].
 #[derive(Clone, Debug)]
 pub struct SeriesEntry {
-    /// Series name, context-prefixed when recorded via [`record_ctx`].
+    /// Series name, e.g. `omega[3]/sternheimer.orbital_iterations`.
     pub name: String,
     /// Retained samples (at most [`SERIES_CAP`]).
     pub values: Vec<f64>,
@@ -429,7 +365,7 @@ pub struct SeriesEntry {
 /// One recorded per-iteration history in a [`Report`].
 #[derive(Clone, Debug)]
 pub struct TraceEntry {
-    /// Trace name shared by related histories, e.g. `cocg.residual`.
+    /// Trace name shared by related histories, e.g. `subspace.si_error`.
     pub name: String,
     /// Caller-supplied label distinguishing this history, e.g. `omega[3]`.
     pub label: String,
@@ -757,30 +693,22 @@ mod tests {
     }
 
     #[test]
-    fn counters_series_and_context_prefixing() {
+    fn counters_and_series_accumulate() {
         let _g = exclusive();
         reset();
         set_enabled(true);
         {
-            let _root = span("ctx");
+            let _root = span("root");
             add("plain", 2);
             add("plain", 3);
-            set_context("omega[7]");
-            add_ctx("iters", 4);
-            record_ctx("per_orbital", 11.0);
-            clear_context();
-            add_ctx("iters", 1);
             record("flat_series", 9.0);
+            record("flat_series", 11.0);
         }
         let r = report();
         set_enabled(false);
         assert_eq!(r.counter("plain"), 5);
-        assert_eq!(r.counter("omega[7]/iters"), 4);
-        assert_eq!(r.counter("iters"), 1);
-        let s = r.series.iter().find(|s| s.name == "omega[7]/per_orbital");
-        assert_eq!(s.unwrap().values, vec![11.0]);
         let f = r.series.iter().find(|s| s.name == "flat_series").unwrap();
-        assert_eq!(f.values, vec![9.0]);
+        assert_eq!(f.values, vec![9.0, 11.0]);
     }
 
     #[test]

@@ -158,18 +158,6 @@ pub fn block_cocg(
     with_thread_workspace(|ws| block_cocg_ws(op, b, x0, opts, ws))
 }
 
-/// One solve's own tallies into the `solver.cocg.*` counters.
-pub(crate) fn count_solve(report: &SolveReport) {
-    if mbrpa_obs::enabled() {
-        mbrpa_obs::add("solver.cocg.solves", 1);
-        mbrpa_obs::add("solver.cocg.iterations", report.iterations as u64);
-        mbrpa_obs::add("solver.cocg.matvecs", report.matvecs as u64);
-        if report.breakdowns > 0 {
-            mbrpa_obs::add("solver.cocg.breakdowns", report.breakdowns as u64);
-        }
-    }
-}
-
 /// `out[j] = ‖w_j‖²` (the dispatched lane-split reduction per column).
 fn col_norms_sq(w: &Mat<C64>, out: &mut Vec<f64>) {
     out.clear();
@@ -218,22 +206,12 @@ pub fn block_cocg_ws(
     assert_eq!(b.rows(), n, "rhs dimension mismatch");
     let mut report = SolveReport::new();
 
-    // Telemetry: the `solver.cocg.*` counters take this solve's report at
-    // exit (`count_solve`), and the per-solve residual descent goes to a
-    // bounded trace — deliberately separate from `report.residual_history`,
-    // which stays opt-in via `track_residuals`.
     let obs_on = mbrpa_obs::enabled();
-    let mut obs_hist: Vec<f64> = if obs_on {
-        Vec::with_capacity(opts.max_iters + 2)
-    } else {
-        Vec::new()
-    };
 
     let b_fro = b.fro_norm();
     if exactly_zero(b_fro) || s == 0 {
         report.converged = true;
         report.relative_residual = 0.0;
-        count_solve(&report);
         return (x0.cloned().unwrap_or_else(|| Mat::zeros(n, s)), report);
     }
     // The iterate, updated in place and returned.
@@ -284,9 +262,6 @@ pub fn block_cocg_ws(
         report.relative_residual = res;
         if opts.track_residuals {
             report.residual_history.push(res);
-        }
-        if obs_on {
-            obs_hist.push(res);
         }
         if res <= opts.tol {
             report.converged = true;
@@ -437,8 +412,6 @@ pub fn block_cocg_ws(
     ws.give(w);
     ws.give(p);
     ws.give(rho);
-    // before the half-split merges its sub-solves, which count themselves
-    count_solve(&report);
 
     // Persistent breakdowns with s > 1 mean the block residuals became
     // linearly dependent faster than the recurrence could use them: split
@@ -470,10 +443,6 @@ pub fn block_cocg_ws(
             // sub-solves report per-half relative residuals; keep the worst
             report.relative_residual = worst_res;
         }
-    }
-    if obs_on && !obs_hist.is_empty() {
-        let label = mbrpa_obs::context_label().unwrap_or_default();
-        mbrpa_obs::record_trace("cocg.residual", &label, &obs_hist);
     }
     (x, report)
 }

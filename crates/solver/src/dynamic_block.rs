@@ -10,7 +10,7 @@
 //! Two cost oracles are provided: wall-clock timing (the paper's method)
 //! and a deterministic FLOP model (for reproducible tests and CI).
 
-use crate::block_cocg::{block_cocg_ws, count_solve, CocgOptions};
+use crate::block_cocg::{block_cocg_ws, CocgOptions};
 use crate::operator::LinearOperator;
 use crate::shifted_lanczos::{shifted_lanczos_pair, ReSink, RealShifted};
 use crate::stats::{SolveReport, WorkerStats};
@@ -200,13 +200,6 @@ std::thread_local! {
     static HELD: Cell<Vec<C64>> = const { Cell::new(Vec::new()) };
 }
 
-/// One real-arithmetic column's report into both ledgers of solver work,
-/// `stats` and the `solver.cocg.*` counters, at the point it is used.
-fn absorb_column(stats: &mut WorkerStats, report: &SolveReport, elapsed: Duration) {
-    stats.absorb(1, 1, report, elapsed);
-    count_solve(report);
-}
-
 /// [`solve_multi_rhs`] for `A = R + iω` and a real block `b`, wanting
 /// only `Re X`: the Sternheimer solves of `χ⁰`. Same schedule, same
 /// statistics. A width-1 chunk runs in real arithmetic
@@ -239,7 +232,6 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
     let (n, w) = b.shape();
     let carries = w >= 4 && !matches!(policy, BlockPolicy::Fixed(_));
     let mut carried: Option<Carried> = None;
-    let obs_on = mbrpa_obs::enabled();
     let all_converged = schedule_chunks(w, policy, true, &mut |start, width, chunks| {
         let t0 = Instant::now();
         if width == 1 {
@@ -281,15 +273,11 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
                 let total = t0.elapsed();
                 let elapsed = total / lanes as u32;
                 for report in &reports[..k] {
-                    absorb_column(stats, report, elapsed);
+                    stats.absorb(1, 1, report, elapsed);
                     ok &= report.converged;
                 }
                 stats.lanczos.lone_solves += usize::from(lanes == 1);
                 stats.lanczos.carried += usize::from(probe);
-                if obs_on {
-                    mbrpa_obs::add("solver.lanczos.lone_solves", u64::from(lanes == 1));
-                    mbrpa_obs::add("solver.lanczos.carried", u64::from(probe));
-                }
                 // the probe is priced by column 0 alone: its report, and
                 // its share of the steps the call ran
                 let steps = reports[0].iterations.max(reports[1].iterations).max(1);
@@ -308,7 +296,7 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
             }
             if let Some(h) = held {
                 sink(h.col, &h.x, 1);
-                absorb_column(stats, &h.report, h.elapsed);
+                stats.absorb(1, 1, &h.report, h.elapsed);
                 ok &= h.report.converged;
                 price.get_or_insert_with(|| chunk_cost(policy, op, 1, &h.report, h.elapsed));
                 HELD.set(h.x);
@@ -353,13 +341,6 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
         stats.lanczos.carried_dropped += 1;
         stats.lanczos.carried_dropped_matvecs += h.report.matvecs;
         stats.solve_time += h.elapsed;
-        if obs_on {
-            mbrpa_obs::add("solver.lanczos.carried_dropped", 1);
-            mbrpa_obs::add(
-                "solver.lanczos.carried_dropped_matvecs",
-                h.report.matvecs as u64,
-            );
-        }
         HELD.set(h.x);
     }
     all_converged

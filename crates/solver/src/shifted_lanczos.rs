@@ -149,8 +149,8 @@ fn comps_mut(m: &mut Mat<C64>) -> &mut [f64] {
 /// to the Kohn–Sham eigen-residual. The six work vectors come from `ws`
 /// and go back to it. Reports count as Alg. 3's do: one matvec per slot
 /// for the residual of a guess and one per iteration a slot was still
-/// iterating; a slot that converged rides along idle. The caller counts
-/// them into `solver.cocg.*` as it uses them.
+/// iterating; a slot that converged rides along idle. The caller folds
+/// them into its `WorkerStats` as it uses them.
 pub fn shifted_lanczos_pair(
     op: &dyn RealShifted,
     b: &Mat<f64>,

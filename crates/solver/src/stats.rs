@@ -133,6 +133,8 @@ pub struct WorkerStats {
     pub solve_time: Duration,
     /// Systems that failed to reach tolerance.
     pub unconverged: usize,
+    /// Gram-matrix breakdown restarts, half-split sub-solves included.
+    pub breakdowns: usize,
     /// Slot use of the real-arithmetic solves.
     pub lanczos: LanczosSlots,
 }
@@ -150,6 +152,7 @@ impl WorkerStats {
         self.matvecs += other.matvecs;
         self.solve_time += other.solve_time;
         self.unconverged += other.unconverged;
+        self.breakdowns += other.breakdowns;
         self.lanczos.merge(&other.lanczos);
     }
 
@@ -159,6 +162,7 @@ impl WorkerStats {
         self.block_sizes.record(s, systems);
         self.iterations += report.iterations;
         self.matvecs += report.matvecs;
+        self.breakdowns += report.breakdowns;
         self.solve_time += elapsed;
         if !report.converged {
             self.unconverged += systems;
@@ -199,6 +203,7 @@ mod tests {
         r.iterations = 7;
         r.matvecs = 14;
         r.converged = true;
+        r.breakdowns = 1;
         w.absorb(2, 2, &r, Duration::from_millis(5));
         assert_eq!(w.iterations, 7);
         assert_eq!(w.unconverged, 0);
@@ -214,6 +219,7 @@ mod tests {
         w.merge(&w2);
         assert_eq!(w.iterations, 10);
         assert_eq!(w.matvecs, 17);
+        assert_eq!(w.breakdowns, 1);
         assert_eq!(w.block_sizes.total(), 3);
         assert_eq!(w.solve_time, Duration::from_millis(7));
     }

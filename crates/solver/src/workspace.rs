@@ -74,8 +74,13 @@ impl<T: Scalar> Workspace<T> {
                 self.fresh_allocs += 1;
                 mbrpa_obs::add("solver.workspace.fresh_allocs", 1);
                 match self.free.pop() {
-                    // Grow the largest parked buffer rather than leaving
-                    // it stranded below every future request size.
+                    // Grow the most recently parked buffer (the top of
+                    // the stack), so a pool that keeps missing does not
+                    // keep adding buffers. Which one grows decides where
+                    // the solver's vectors land, and placement alone
+                    // moves a 14³ solve by ±10 % (`HELD` in
+                    // dynamic_block.rs): another pick is a measured
+                    // change of its own.
                     Some(mut buf) => {
                         buf.reserve(len.saturating_sub(buf.len()));
                         buf
@@ -249,6 +254,31 @@ mod tests {
         assert_eq!(ws.fresh_allocs(), 2, "both takes served from the pool");
         ws.give(m);
         ws.give(again);
+    }
+
+    #[test]
+    fn a_miss_grows_the_most_recently_parked_buffer() {
+        let mut ws = Workspace::<f64>::new();
+        let parked: Vec<Mat<f64>> = [4, 16, 8]
+            .iter()
+            .map(|&len| {
+                let mut m = ws.take_zeroed(len, 1);
+                m.fill(len as f64);
+                m
+            })
+            .collect();
+        for m in parked {
+            ws.give(m);
+        }
+        // no parked buffer holds 32: the 8-element one, parked last, grows
+        let grown = ws.take_scratch(32, 1);
+        assert_eq!(grown[(0, 0)], 8.0);
+        assert_eq!(ws.fresh_allocs(), 4);
+        // the 4- and 16-element buffers stay parked
+        assert_eq!(ws.pooled(), 2);
+        assert_eq!(ws.take_scratch(16, 1)[(0, 0)], 16.0);
+        assert_eq!(ws.take_scratch(4, 1)[(0, 0)], 4.0);
+        assert_eq!(ws.fresh_allocs(), 4);
     }
 
     #[test]
