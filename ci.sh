@@ -97,6 +97,45 @@ if grep -nE 'FINGERPRINT_SCHEMA: u64 = 1;' crates/core/src/checkpoint.rs; then
     exit 1
 fi
 
+# Region gates read a function's body, or what follows a call in it, by
+# balancing braces or parentheses — never by indentation, which rustfmt
+# changes when a line grows — and fail when the anchor is missing, never
+# closes, or leaves nothing to check: a gate that reads an empty region
+# checks nothing and must not pass.
+# fn_body FILE ANCHOR: the lines from the first match of the ERE ANCHOR
+# through the one that balances its braces, signature and body included.
+fn_body() {
+    awk -v a="$2" '
+        !on && $0 ~ a { on = 1 }
+        on {
+            print; lines++
+            n = split($0, ch, "")
+            for (i = 1; i <= n; i++) {
+                if (ch[i] == "{") { depth++; opened = 1 }
+                else if (ch[i] == "}") depth--
+            }
+            if (opened && depth == 0) { closed = 1; exit }
+        }
+        END { exit !(closed && lines > 2) }' "$1"
+}
+# after_call TEXT CALL: the lines of TEXT after the call that starts on the
+# first line matching the ERE CALL, from the line that balances its
+# parentheses on.
+after_call() {
+    awk -v c="$2" '
+        closed { print; lines++; next }
+        !on && $0 ~ c { on = 1 }
+        on {
+            n = split($0, ch, "")
+            for (i = 1; i <= n; i++) {
+                if (ch[i] == "(") depth++
+                else if (ch[i] == ")") depth--
+            }
+            if (depth == 0) closed = 1
+        }
+        END { exit !(closed && lines > 0) }' <<<"$1"
+}
+
 # An apply that costs its grid points: one projector path — the plain
 # projector-by-projector loops survive under crates/dft/src only as the
 # `#[cfg(test)]` oracle the kernel is compared with — and nothing about an
@@ -110,8 +149,9 @@ for f in crates/dft/src/*.rs; do
         exit 1
     fi
 done
-if sed -n '/pub fn apply</,/^    }$/p' crates/grid/src/stencil.rs \
-    | grep -nE 'wrap_tab|\.collect\(|vec!|Vec::'; then
+STENCIL_APPLY="$(fn_body crates/grid/src/stencil.rs 'pub fn apply<')" \
+    || { echo "ci: no \`pub fn apply<\` body in crates/grid/src/stencil.rs — the halo-table gate reads nothing"; exit 1; }
+if grep -nE 'wrap_tab|\.collect\(|vec!|Vec::' <<<"$STENCIL_APPLY"; then
     echo "ci: Laplacian::apply builds a table per call — it belongs to the SweepPlan of Laplacian::new"
     exit 1
 fi
@@ -176,10 +216,39 @@ if grep -rnE --include='*.rs' 'gemm_(nn|tn)_slices' crates/*/src; then
     echo "ci: slice GEMMs are back — the Kronecker transform is kron.rs's own kernel"
     exit 1
 fi
-PARTITIONED="$(sed -n '/fn partitioned_apply/,/^    }$/p' crates/core/src/chi0.rs)"
+PARTITIONED="$(fn_body crates/core/src/chi0.rs 'fn partitioned_apply')" \
+    || { echo "ci: no partitioned_apply body in crates/core/src/chi0.rs — the ν½ gate reads nothing"; exit 1; }
+AFTER_TASKS="$(after_call "$PARTITIONED" 'map_tasks\(')" \
+    || { echo "ci: no closed map_tasks call in partitioned_apply — the ν½ gate reads nothing"; exit 1; }
 if [ "$(grep -c 'map_tasks(' <<<"$PARTITIONED")" != 1 ] \
-    || sed '1,/^        });$/d' <<<"$PARTITIONED" | grep -nE 'apply_nu_sqrt|map_tasks'; then
+    || grep -nE 'apply_nu_sqrt|map_tasks' <<<"$AFTER_TASKS"; then
     echo "ci: partitioned_apply must be one map_tasks call with ν½ inside each task"
+    exit 1
+fi
+# The region gates, fed copies they must read the same way and copies they
+# must refuse: every line indented four more spaces (what a longer line
+# that rustfmt wraps, or a move into a module, does to a closing brace)
+# gives the same regions, indentation aside; a copy whose anchor is
+# renamed, and one cut off before the body closes, fail.
+GATE_DIR=target/gate_selftest
+rm -rf "$GATE_DIR"
+mkdir -p "$GATE_DIR"
+for f in crates/grid/src/stencil.rs crates/core/src/chi0.rs; do
+    sed 's/^/    /' "$f" >"$GATE_DIR/indented_$(basename "$f")"
+done
+unindent() { sed 's/^    //'; }
+[ "$(fn_body "$GATE_DIR/indented_stencil.rs" 'pub fn apply<' | unindent)" = "$STENCIL_APPLY" ] \
+    || { echo "ci: gate self-test: the halo-table region moved under re-indentation"; exit 1; }
+INDENTED="$(fn_body "$GATE_DIR/indented_chi0.rs" 'fn partitioned_apply')"
+[ "$(unindent <<<"$INDENTED")" = "$PARTITIONED" ] \
+    && [ "$(after_call "$INDENTED" 'map_tasks\(' | unindent)" = "$AFTER_TASKS" ] \
+    || { echo "ci: gate self-test: the partitioned_apply regions moved under re-indentation"; exit 1; }
+sed 's/pub fn apply</pub fn apply_renamed</' crates/grid/src/stencil.rs >"$GATE_DIR/renamed_stencil.rs"
+grep -m1 -B200 'map_tasks(' crates/core/src/chi0.rs >"$GATE_DIR/cut_chi0.rs"
+if fn_body "$GATE_DIR/renamed_stencil.rs" 'pub fn apply<' >/dev/null \
+    || fn_body "$GATE_DIR/cut_chi0.rs" 'fn partitioned_apply' >/dev/null \
+    || after_call "$(sed 's/map_tasks(/map_all(/' <<<"$PARTITIONED")" 'map_tasks\(' >/dev/null; then
+    echo "ci: gate self-test: a region gate read a missing or unclosed region"
     exit 1
 fi
 # One Gaussian elimination: block COCG's `s × s` solves run `Lu`'s
@@ -345,7 +414,7 @@ leg daemon-smoke ran "served job, stored documents validated, cache hit/flush/mi
 # end-to-end gate of the dense kernel against the sparse one it replaced.
 DISPATCH_MATRIX="scalar"
 grep -q avx2 /proc/cpuinfo 2>/dev/null && DISPATCH_MATRIX="$DISPATCH_MATRIX avx2"
-MATRIX_BITS='"total_energy_bits":"bfc6a7a1a855f58f"'
+MATRIX_BITS='"total_energy_bits":"bfc6a7a1a856899e"'
 for SIMD in $DISPATCH_MATRIX; do
     MBRPA_SIMD="$SIMD" cargo test -q --release --test golden_energy
     ROOT="target/serve_dispatch_$SIMD"

@@ -2,8 +2,9 @@
 //! runtime-dispatched SIMD stencil block applies (beside the all-columns-
 //! per-point layout §III-C argues against), the packed GEMM
 //! microkernels, the lane-split reduction suite, the fused block-COCG
-//! update, one whole block-COCG iteration, one Sternheimer apply and one
-//! Galerkin guess at the shapes the drivers solve, emitting a schema-versioned
+//! update, one whole block-COCG iteration, one step of each real-arithmetic
+//! Sternheimer solve, one Sternheimer apply and one Galerkin guess at the
+//! shapes the drivers solve, emitting a schema-versioned
 //! `BENCH_kernels.json`. The committed document is the baseline a later run
 //! is compared against; there is no in-tree copy of older kernels (their
 //! correctness oracles live in the crates' tests).
@@ -27,8 +28,8 @@ use mbrpa_grid::{Boundary, CoulombOperator, Grid3, Laplacian, SpectralLaplacian}
 use mbrpa_linalg::{matmul_into, vecops, Mat, Scalar, C64};
 use mbrpa_schema::json::{self, obj, require_num, require_str, s, u, JsonValue};
 use mbrpa_solver::{
-    block_cocg_ws, galerkin_guess_real, shifted_lanczos_pair, CocgOptions, LinearOperator,
-    Workspace,
+    block_cocg_ws, galerkin_guess_real, shifted_block_lanczos, shifted_lanczos_pair, CocgOptions,
+    LinearOperator, Workspace,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -349,6 +350,60 @@ fn lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
     }
 }
 
+/// One step of the real block solve (`⌈s/2⌉` complex applies of `H − λ`
+/// on pair-packed columns plus the three block Lanczos sweeps and the
+/// `s × s` recurrence), timed the way [`cocg_iter_cases`] times Alg. 3 at
+/// the same width: `secs` is per iteration of the whole block, the unit of
+/// `cocg_iter_c64_s{s}_*`.
+fn block_lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
+    const ITERS: usize = 24;
+    for (sw, ppc, boundary) in [
+        (2usize, 7usize, Boundary::Periodic),
+        (4, 8, Boundary::Dirichlet),
+        (2, 14, Boundary::Periodic),
+    ] {
+        let crystal = SiliconSpec {
+            points_per_cell: ppc,
+            boundary,
+            ..SiliconSpec::default()
+        }
+        .build();
+        let ham = Hamiltonian::new(&crystal, 2, &PotentialParams::default());
+        let (lambda, omega) = (-0.2, 0.5);
+        let op = SternheimerLinOp::new(SternheimerOperator::new(&ham, lambda, omega));
+        let n = ham.dim();
+        let b = filled::<f64>(n, sw, 0xc0c6 + sw as u64);
+        let opts = CocgOptions {
+            tol: 0.0,
+            max_iters: ITERS,
+            ..CocgOptions::default()
+        };
+        let mut ws = Workspace::new();
+        let mut iterations = 0;
+        let secs = time_best(reps, &mut || {
+            let rep =
+                shifted_block_lanczos(&op, &b, None, 0..sw, &opts, &mut ws, &mut |_, x, _| {
+                    black_box(x);
+                });
+            iterations = rep.iterations;
+        });
+        assert_eq!(
+            iterations, ITERS,
+            "the timed solve must run its full length"
+        );
+        // real flops: half a complex apply per column, then 2·s (first
+        // sweep) + 1.5·s (second) + 9·s (third) multiply-adds per column
+        // and grid point
+        let flops = (sw * op.apply_flops() / 2 + 25 * n * sw * sw) as f64;
+        cases.push(Case::new(
+            format!("block_lanczos_iter_s{sw}_n{n}"),
+            format!("grid={ppc}x{ppc}x{ppc} radius=2 s={sw} lambda={lambda} omega={omega} iters={ITERS}"),
+            secs / ITERS as f64,
+            flops,
+        ));
+    }
+}
+
 /// One Sternheimer `A·v` and its non-local projector term alone, on the
 /// grids of the end-to-end workloads. `secs` is per apply (a batch of
 /// applies divided by its length); `nnz/n_d` in the shape is what the
@@ -577,6 +632,7 @@ fn main() {
     cocg_update_cases(stencil_reps, &mut cases);
     cocg_iter_cases(stencil_reps, &mut cases);
     lanczos_iter_cases(stencil_reps, &mut cases);
+    block_lanczos_iter_cases(stencil_reps, &mut cases);
     apply_cases(stencil_reps, &mut cases);
     nu_sqrt_cases(stencil_reps, &mut cases);
     galerkin_cases(stencil_reps, &mut cases);

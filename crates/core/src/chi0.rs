@@ -8,8 +8,9 @@
 //!    system `(H − λ_j I + iω I) Y_j = −V ⊙ Ψ_j` under the dynamic
 //!    block-size policy (Algorithms 3 + 4), seeded by the Galerkin guess of
 //!    Eq. 13 — the right-hand sides are real and only `Re Y_j` is wanted,
-//!    so width-1 chunks run as real Lanczos on `H − λ_j`
-//!    (`mbrpa_solver::shifted_lanczos`) and wider ones as block COCG,
+//!    so every chunk runs Alg. 3's iterates in real arithmetic on
+//!    `H − λ_j` (`mbrpa_solver::shifted_lanczos`): width-1 chunks as real
+//!    Lanczos pairs, wider ones as real block Lanczos,
 //! 3. accumulate `χ⁰V = 4 Re Σ_j Ψ_j ⊙ Y_j` (Eq. 5),
 //! 4. `V ← ν½V`, still on the worker's own columns; the merge of the
 //!    workers' column ranges is a copy.
@@ -242,8 +243,8 @@ impl<'a> DielectricOperator<'a> {
     /// `acc`, each column straight from the iterate of the chunk that
     /// solved it. `b` (the shape of `v`) and `guess` (twice as wide,
     /// `[Re Y₀ | Im Y₀]`) are the caller's buffers, overwritten here and
-    /// reused from orbital to orbital; a warm call allocates nothing as
-    /// long as its chunks are one column wide (`tests/chi0_alloc.rs`).
+    /// reused from orbital to orbital; a warm call allocates nothing
+    /// (`tests/chi0_alloc.rs`).
     fn orbital_contribution(
         &self,
         j: usize,
@@ -680,10 +681,10 @@ mod tests {
 
     #[test]
     fn apply_equals_the_one_rebuilt_from_complex_solves_with_the_same_counts() {
-        // width-1 chunks run as paired real Lanczos, the rest as block COCG
-        // on buffers rebuilt from the real ones: same iterates either way,
-        // so the same χ⁰V to rounding and the same Table IV, with pairs
-        // (Fixed(1)), none (Fixed(2) but for its odd tail) and Alg. 4's mix
+        // width-1 chunks run as paired real Lanczos, the rest as real block
+        // Lanczos: Alg. 3's iterates either way, so the same χ⁰V to
+        // rounding and the same Table IV as complex block COCG, with pairs
+        // (Fixed(1)), blocks (Fixed(2) but for its odd tail) and Alg. 4's mix
         let f = fixture();
         let n = f.ham.dim();
         let v = Mat::from_fn(n, 7, |i, j| ((i * 5 + j * 11) % 27) as f64 * 0.03 - 0.4);

@@ -2,8 +2,8 @@
 //! operator merges them with the per-orbital iterations, and
 //! `RpaSetup::run_with` publishes that ledger once per frequency. The
 //! counters of a profiled run are therefore the `RpaResult`'s own stats —
-//! block COCG chunks, real Lanczos pairs and half-split sub-solves alike —
-//! and the per-frequency counters and series add up to them.
+//! real block Lanczos chunks, real Lanczos pairs and block COCG hand-offs
+//! alike — and the per-frequency counters and series add up to them.
 //!
 //! This file holds a single `#[test]`: the telemetry sink is one per
 //! process, so a second test in the binary would add to the counters.
@@ -13,7 +13,7 @@ use mbrpa_core::{parse_rpa_input, RpaSetup};
 #[test]
 fn profiled_counters_equal_the_returned_solver_stats() {
     // smoke-sized, two workers; the cost model runs width-1 chunks (real
-    // Lanczos) and wider ones (block COCG) in one run
+    // Lanczos pairs) and wider ones (real block Lanczos) in one run
     let input = parse_rpa_input(
         "N_NUCHI_EIGS: 8\nN_OMEGA: 2\nTOL_EIG: 4e-3\nMAXIT_FILTERING: 4\n\
          POINTS_PER_CELL: 5\nNP: 2\nBLOCK_POLICY: cost_model\n",

@@ -59,8 +59,12 @@ pub const SCHEMA_VERSION: u32 = 2;
 /// `dropped` count so unbounded loops cannot exhaust memory.
 pub const SERIES_CAP: usize = 4096;
 
-/// Maximum number of traces retained per trace name.
-pub const TRACE_CAP: usize = 8;
+/// Maximum number of traces retained per trace name: one per frequency of
+/// the largest quadrature an input may ask for (`N_OMEGA` ≤ 64), so a
+/// per-frequency trace such as `subspace.si_error` is never cut short.
+/// Histories past the cap are counted per name (`dropped_traces` in the
+/// JSON and the summary table).
+pub const TRACE_CAP: usize = 64;
 
 /// Maximum points retained per individual trace (prefix is kept).
 pub const TRACE_LEN_CAP: usize = 512;
@@ -573,6 +577,10 @@ impl Report {
                 ("points", nums(&t.points)),
             ])
         });
+        let dropped = self
+            .trace_names()
+            .into_iter()
+            .map(|(name, _, dropped)| (name.to_string(), Num(dropped as f64)));
         obj(vec![
             ("schema_version", Num(f64::from(self.schema_version))),
             ("job", opt_str(&self.job)),
@@ -582,8 +590,22 @@ impl Report {
             ("counters", JsonValue::Obj(counters.collect())),
             ("series", JsonValue::Arr(series.collect())),
             ("traces", JsonValue::Arr(traces.collect())),
+            ("dropped_traces", JsonValue::Obj(dropped.collect())),
         ])
         .to_json()
+    }
+
+    /// Every trace name with the histories kept and dropped under it, in
+    /// name order.
+    pub fn trace_names(&self) -> Vec<(&str, usize, u64)> {
+        let mut out: Vec<(&str, usize, u64)> = Vec::new();
+        for t in &self.traces {
+            match out.last_mut() {
+                Some(last) if last.0 == t.name => last.1 += 1,
+                _ => out.push((&t.name, 1, t.dropped_traces)),
+            }
+        }
+        out
     }
 
     /// Render an indented plain-text tree of spans with share-of-wall
@@ -626,6 +648,16 @@ impl Report {
             out.push_str(&format!("  {:<44} {:>12}\n", "counter", "total"));
             for (k, v) in &self.counters {
                 out.push_str(&format!("  {k:<44} {v:>12}\n"));
+            }
+        }
+        let names = self.trace_names();
+        if !names.is_empty() {
+            out.push_str(&format!(
+                "  {:<44} {:>12} {:>7}\n",
+                "trace", "kept", "dropped"
+            ));
+            for (name, kept, dropped) in names {
+                out.push_str(&format!("  {name:<44} {kept:>12} {dropped:>7}\n"));
             }
         }
         let rates = self.derived_rates();
@@ -760,6 +792,13 @@ mod tests {
         assert_eq!(kept[0].points.len(), TRACE_LEN_CAP);
         assert_eq!(kept[0].truncated, 50);
         assert_eq!(kept[0].dropped_traces, 3);
+        assert_eq!(r.trace_names(), [("many", TRACE_CAP, 3)]);
+        let json = r.to_json();
+        assert!(json.contains("\"dropped_traces\":{\"many\":3"), "{json}");
+        let table = r.summary_table();
+        let row = table.lines().find(|l| l.trim_start().starts_with("many"));
+        let cells: Vec<&str> = row.expect("a trace row").split_whitespace().collect();
+        assert_eq!(cells, ["many", &TRACE_CAP.to_string(), "3"]);
     }
 
     #[test]

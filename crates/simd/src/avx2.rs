@@ -25,7 +25,7 @@ use core::arch::x86_64::{
     __m128d, __m256d, __m256i, _mm256_add_pd, _mm256_blend_pd, _mm256_blendv_pd,
     _mm256_broadcast_pd, _mm256_broadcast_sd, _mm256_castpd_si256, _mm256_castsi256_pd,
     _mm256_cmp_pd, _mm256_cmpeq_epi64, _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_pd,
-    _mm256_maskload_pd, _mm256_maskstore_pd, _mm256_movemask_pd, _mm256_mul_pd,
+    _mm256_maskload_pd, _mm256_maskstore_pd, _mm256_movedup_pd, _mm256_movemask_pd, _mm256_mul_pd,
     _mm256_permute4x64_pd, _mm256_permute_pd, _mm256_set1_pd, _mm256_set_pd, _mm256_setr_pd,
     _mm256_setzero_pd, _mm256_setzero_si256, _mm256_storeu_pd, _mm256_unpackhi_pd,
     _mm256_unpacklo_pd, _mm_add_pd, _mm_load_sd, _mm_loadu_pd, _mm_mul_pd, _mm_set1_pd,
@@ -1525,4 +1525,342 @@ pub(crate) unsafe fn lanczos_pair_advance(
     _mm256_storeu_pd(state.as_mut_ptr().add(4), acc[1]);
     crate::scalar::lanczos_pair_advance_span(whole..len, k, v, u, d_re, d_im, x, &mut state);
     lanes::fold_pair(&state)
+}
+
+// ---------------------------------------------------------------------------
+// Block Lanczos on pair-packed real blocks
+// ---------------------------------------------------------------------------
+
+/// Broadcast coefficients of an `s × s` matrix padded to `2M` columns:
+/// `[q][j][h]` is `[c(l, 2j), c(l, 2j + 1)]` twice with `l = 2q + h`, the
+/// weight of input column `l` in the two columns of output vector `j`.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; only the kernels below call it. All memory access goes
+// through safe slices.
+unsafe fn pair_coefs<const M: usize>(s: usize, c: &[f64]) -> [[[__m256d; 2]; M]; M] {
+    let mut out = [[[_mm256_setzero_pd(); 2]; M]; M];
+    for q in 0..M {
+        for j in 0..M {
+            for h in 0..2 {
+                let l = 2 * q + h;
+                let a = crate::scalar::pad_coef(s, c, l, 2 * j);
+                let b = crate::scalar::pad_coef(s, c, l, 2 * j + 1);
+                out[q][j][h] = _mm256_setr_pd(a, b, a, b);
+            }
+        }
+    }
+    out
+}
+
+/// Slot 0 and slot 1 of both rows of a pair vector, each copied across
+/// its row: `[a, b, c, d] → [a, a, c, c], [b, b, d, d]`.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; register-only.
+unsafe fn dup_slots(x: __m256d) -> [__m256d; 2] {
+    [_mm256_movedup_pd(x), _mm256_permute_pd::<0b1111>(x)]
+}
+
+/// Both slots of vector `q` of a pair-packed block at rows `i`, `i + 1`,
+/// each copied across its row.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support and that `2·(q·rows + i) + 4` is within the block behind `p`.
+unsafe fn load_dup(p: *const f64, rows: usize, q: usize, i: usize) -> [__m256d; 2] {
+    dup_slots(_mm256_loadu_pd(p.add(2 * (q * rows + i))))
+}
+
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support. The safe wrapper checked that `x`, `y` and `left` hold `M`
+// vectors of `2·rows` f64 and `c`, `out` `s × s` with `2M − 1 ≤ s ≤ 2M`;
+// every raw access below is at `2·(q·rows + i)..+4` with `q < M` and
+// `i + 2 <= rows`.
+unsafe fn block_update_gram_m<const M: usize, const SYM: bool>(
+    rows: usize,
+    s: usize,
+    c: &[f64],
+    x: &[f64],
+    left: Option<&[f64]>,
+    y: &mut [f64],
+    out: &mut [f64],
+) {
+    let cc = pair_coefs::<M>(s, c);
+    let z = _mm256_setzero_pd();
+    let mut gp = [[z; M]; M];
+    let mut gq = [[z; M]; M];
+    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+    let lp = left.map_or(yp as *const f64, |l| l.as_ptr());
+    let even = rows - rows % 2;
+    let mut i = 0;
+    while i < even {
+        let mut xd = [[z; 2]; M];
+        for q in 0..M {
+            // SAFETY: q < M and i + 2 <= rows (see the function contract).
+            xd[q] = load_dup(xp, rows, q, i);
+        }
+        let mut yv = [z; M];
+        for j in 0..M {
+            let o = 2 * (j * rows + i);
+            // SAFETY: j < M and i + 2 <= rows.
+            let mut acc = _mm256_loadu_pd(yp.add(o));
+            for q in 0..M {
+                for h in 0..2 {
+                    acc = _mm256_fnmadd_pd(cc[q][j][h], xd[q][h], acc);
+                }
+            }
+            _mm256_storeu_pd(yp.add(o), acc);
+            yv[j] = acc;
+        }
+        let mut lv = yv;
+        if !SYM {
+            for p in 0..M {
+                // SAFETY: p < M and i + 2 <= rows.
+                lv[p] = _mm256_loadu_pd(lp.add(2 * (p * rows + i)));
+            }
+        }
+        for q in 0..M {
+            let ys = swap_pairs(yv[q]);
+            for p in 0..if SYM { q + 1 } else { M } {
+                gp[p][q] = _mm256_fmadd_pd(lv[p], yv[q], gp[p][q]);
+                gq[p][q] = _mm256_fmadd_pd(lv[p], ys, gq[p][q]);
+            }
+        }
+        i += 2;
+    }
+    if even < rows {
+        crate::scalar::block_sub_row(rows, s, even, c, x, y);
+    }
+    let y: &[f64] = y;
+    for q in 0..M {
+        for p in 0..if SYM { q + 1 } else { M } {
+            let mut st = [[0.0_f64; 4]; 2];
+            // SAFETY: each lane array holds exactly 4 f64s.
+            _mm256_storeu_pd(st[0].as_mut_ptr(), gp[p][q]);
+            _mm256_storeu_pd(st[1].as_mut_ptr(), gq[p][q]);
+            if even < rows {
+                // rows is odd, so the last row index is even: row lane 0
+                crate::scalar::block_gram_row(rows, even, 0, p, q, left.unwrap_or(y), y, &mut st);
+            }
+            lanes::finish_block_pair(s, p, q, SYM, &st, out);
+        }
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; `dispatch_on!` only routes here when `available()` reported
+// it. Slice lengths are checked by the safe wrappers and restated at
+// `block_update_gram_m`.
+pub(crate) unsafe fn block_update_gram(
+    rows: usize,
+    s: usize,
+    c: &[f64],
+    x: &[f64],
+    left: Option<&[f64]>,
+    y: &mut [f64],
+    out: &mut [f64],
+) {
+    match (s.div_ceil(2), left.is_none()) {
+        (1, false) => block_update_gram_m::<1, false>(rows, s, c, x, left, y, out),
+        (2, false) => block_update_gram_m::<2, false>(rows, s, c, x, left, y, out),
+        (3, false) => block_update_gram_m::<3, false>(rows, s, c, x, left, y, out),
+        (4, false) => block_update_gram_m::<4, false>(rows, s, c, x, left, y, out),
+        (5, false) => block_update_gram_m::<5, false>(rows, s, c, x, left, y, out),
+        (1, true) => block_update_gram_m::<1, true>(rows, s, c, x, left, y, out),
+        (2, true) => block_update_gram_m::<2, true>(rows, s, c, x, left, y, out),
+        (3, true) => block_update_gram_m::<3, true>(rows, s, c, x, left, y, out),
+        (4, true) => block_update_gram_m::<4, true>(rows, s, c, x, left, y, out),
+        (5, true) => block_update_gram_m::<5, true>(rows, s, c, x, left, y, out),
+        _ => crate::scalar::block_update_gram(rows, s, c, x, left, y, out),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support. The safe wrapper checked that every block holds `M` vectors
+// of `2·rows` f64 and every coefficient matrix `s × s` with
+// `2M − 1 ≤ s ≤ 2M`; every raw access below is at `2·(q·rows + i)..+4`
+// with `q < M` and `i + 2 <= rows`.
+unsafe fn block_advance_m<const M: usize, const R: usize>(
+    rows: usize,
+    s: usize,
+    k: &crate::BlockStep<'_>,
+    u: &[f64],
+    v: &[f64],
+    d_re: &[f64],
+    d_im: &[f64],
+    v_next: &mut [f64],
+    dn_re: &mut [f64],
+    dn_im: &mut [f64],
+    x: &mut [f64],
+) {
+    let cb = pair_coefs::<M>(s, k.b_inv);
+    let (cer, cei) = (pair_coefs::<M>(s, k.e_re), pair_coefs::<M>(s, k.e_im));
+    let (cgr, cgi) = (pair_coefs::<M>(s, k.g_re), pair_coefs::<M>(s, k.g_im));
+    let (czr, czi) = (pair_coefs::<M>(s, k.z_re), pair_coefs::<M>(s, k.z_im));
+    let z = _mm256_setzero_pd();
+    let (up, vp, rp, ip) = (u.as_ptr(), v.as_ptr(), d_re.as_ptr(), d_im.as_ptr());
+    let (np, nrp, nip, xp) = (
+        v_next.as_mut_ptr(),
+        dn_re.as_mut_ptr(),
+        dn_im.as_mut_ptr(),
+        x.as_mut_ptr(),
+    );
+    let even = rows - rows % 2;
+    let mut i = 0;
+    // `R` two-row steps at a time, input blocks outermost: the output
+    // chains of the `R` steps are independent and interleave, the `3MR`
+    // accumulators stay in registers, and each coefficient is one memory
+    // operand; every output is still one chain over its products in the
+    // scalar twin's order
+    while i + 2 * R <= even {
+        let (mut a, mut re, mut im) = ([[z; M]; R], [[z; M]; R], [[z; M]; R]);
+        for q in 0..M {
+            for r in 0..R {
+                // SAFETY: q < M and i + 2r + 2 <= rows (see the function
+                // contract and the loop bound).
+                let ud = load_dup(up, rows, q, i + 2 * r);
+                for j in 0..M {
+                    for h in 0..2 {
+                        a[r][j] = _mm256_fmadd_pd(cb[q][j][h], ud[h], a[r][j]);
+                    }
+                }
+            }
+        }
+        for q in 0..M {
+            for r in 0..R {
+                // SAFETY: as above.
+                let vd = load_dup(vp, rows, q, i + 2 * r);
+                for j in 0..M {
+                    for h in 0..2 {
+                        re[r][j] = _mm256_fmadd_pd(cer[q][j][h], vd[h], re[r][j]);
+                        im[r][j] = _mm256_fmadd_pd(cei[q][j][h], vd[h], im[r][j]);
+                    }
+                }
+            }
+        }
+        for q in 0..M {
+            for r in 0..R {
+                // SAFETY: as above.
+                let rd = load_dup(rp, rows, q, i + 2 * r);
+                for j in 0..M {
+                    for h in 0..2 {
+                        re[r][j] = _mm256_fnmadd_pd(cgr[q][j][h], rd[h], re[r][j]);
+                        im[r][j] = _mm256_fnmadd_pd(cgi[q][j][h], rd[h], im[r][j]);
+                    }
+                }
+            }
+        }
+        for q in 0..M {
+            for r in 0..R {
+                // SAFETY: as above.
+                let id = load_dup(ip, rows, q, i + 2 * r);
+                for j in 0..M {
+                    for h in 0..2 {
+                        re[r][j] = _mm256_fmadd_pd(cgi[q][j][h], id[h], re[r][j]);
+                        im[r][j] = _mm256_fnmadd_pd(cgr[q][j][h], id[h], im[r][j]);
+                    }
+                }
+            }
+        }
+        let mut xv = [[z; M]; R];
+        for r in 0..R {
+            for j in 0..M {
+                let o = 2 * (j * rows + i + 2 * r);
+                // SAFETY: j < M and i + 2r + 2 <= rows.
+                _mm256_storeu_pd(np.add(o), a[r][j]);
+                _mm256_storeu_pd(nrp.add(o), re[r][j]);
+                _mm256_storeu_pd(nip.add(o), im[r][j]);
+                xv[r][j] = _mm256_loadu_pd(xp.add(o));
+            }
+        }
+        for q in 0..M {
+            for r in 0..R {
+                let rd = dup_slots(re[r][q]);
+                for j in 0..M {
+                    for h in 0..2 {
+                        xv[r][j] = _mm256_fmadd_pd(czr[q][j][h], rd[h], xv[r][j]);
+                    }
+                }
+            }
+        }
+        for q in 0..M {
+            for r in 0..R {
+                let id = dup_slots(im[r][q]);
+                for j in 0..M {
+                    for h in 0..2 {
+                        xv[r][j] = _mm256_fnmadd_pd(czi[q][j][h], id[h], xv[r][j]);
+                    }
+                }
+            }
+        }
+        for r in 0..R {
+            for j in 0..M {
+                // SAFETY: j < M and i + 2r + 2 <= rows.
+                _mm256_storeu_pd(xp.add(2 * (j * rows + i + 2 * r)), xv[r][j]);
+            }
+        }
+        i += 2 * R;
+    }
+    // the two-row steps left over, then the odd row
+    while i < even {
+        crate::scalar::block_advance_row(rows, s, i, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x);
+        crate::scalar::block_advance_row(
+            rows,
+            s,
+            i + 1,
+            k,
+            u,
+            v,
+            d_re,
+            d_im,
+            v_next,
+            dn_re,
+            dn_im,
+            x,
+        );
+        i += 2;
+    }
+    if even < rows {
+        crate::scalar::block_advance_row(
+            rows, s, even, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x,
+        );
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; `dispatch_on!` only routes here when `available()` reported
+// it. Slice lengths are checked by the safe wrapper and restated at
+// `block_advance_m`.
+pub(crate) unsafe fn block_advance(
+    rows: usize,
+    s: usize,
+    k: &crate::BlockStep<'_>,
+    u: &[f64],
+    v: &[f64],
+    d_re: &[f64],
+    d_im: &[f64],
+    v_next: &mut [f64],
+    dn_re: &mut [f64],
+    dn_im: &mut [f64],
+    x: &mut [f64],
+) {
+    match s.div_ceil(2) {
+        1 => block_advance_m::<1, 4>(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
+        2 => block_advance_m::<2, 2>(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
+        3 => block_advance_m::<3, 1>(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
+        4 => block_advance_m::<4, 1>(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
+        5 => block_advance_m::<5, 1>(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
+        _ => crate::scalar::block_advance(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
+    }
 }

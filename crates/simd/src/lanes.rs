@@ -142,3 +142,36 @@ pub(crate) fn fold_pair(state: &[f64; PAIR_LANES]) -> [f64; 2] {
     }
     out
 }
+
+/// Lane state of one pair `(p, q)` of a pair-packed Gram product `LᵀY`
+/// (`block_lanczos_project`, `block_lanczos_orthogonalize`): `[0]` sums
+/// `l_{2p+σ}·y_{2q+σ}`, `[1]` sums `l_{2p+σ}·y_{2q+1−σ}`, row `i` of slot
+/// `σ` in lane `2·(i mod 2) + σ` — the lanes of one vector of two rows.
+pub(crate) type BlockPairState = [[f64; 4]; 2];
+
+/// Write the entries of pair `(p, q)` that fall inside the `s × s` Gram
+/// `out` (column-major): each is its two row lanes summed. With `sym` the
+/// product is `YᵀY`, of which only `p ≤ q` was accumulated, and every
+/// entry is mirrored; inside a diagonal pair the two off-diagonal entries
+/// are the same products in the same order, so `out` is exactly symmetric.
+pub(crate) fn finish_block_pair(
+    s: usize,
+    p: usize,
+    q: usize,
+    sym: bool,
+    st: &BlockPairState,
+    out: &mut [f64],
+) {
+    for sigma in 0..2 {
+        let a = 2 * p + sigma;
+        for (k, b) in [(0, 2 * q + sigma), (1, 2 * q + 1 - sigma)] {
+            if a < s && b < s {
+                let v = st[k][sigma] + st[k][2 + sigma];
+                out[a + s * b] = v;
+                if sym {
+                    out[b + s * a] = v;
+                }
+            }
+        }
+    }
+}

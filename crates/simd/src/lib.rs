@@ -782,6 +782,214 @@ pub fn lanczos_pair_advance(
     lanczos_pair_advance_on(active(), k, v, u, d_re, d_im, x)
 }
 
+// ---------------------------------------------------------------------------
+// The three sweeps of a block Lanczos step on pair-packed real blocks, the
+// `s ≥ 2` Sternheimer solve of mbrpa-solver. A block of `s` real columns
+// of `rows` entries is `⌈s/2⌉` interleaved vectors of `rows` complex
+// entries (`2·rows` f64 each, one after another): column `c` sits in slot
+// `c mod 2` of vector `c / 2`, so one complex apply of a real operator
+// serves two columns. Coefficient matrices are `s × s`, column-major, and
+// read as zero past `s`: for odd `s` the idle slot takes zero weights and
+// gives its inputs none. Every output entry is one chain of `mul_add`s in
+// a fixed order, Gram entries sum two row lanes (row `i` in lane `i mod
+// 2`), and the AVX2 path holds two rows of a vector per register, so every
+// path returns the same bits.
+// ---------------------------------------------------------------------------
+
+/// Panic unless `x` is a pair-packed block of `s` columns of `rows` rows.
+#[inline]
+fn assert_pair_block(what: &str, x: &[f64], rows: usize, s: usize) {
+    assert_eq!(
+        Some(x.len()),
+        rows.checked_mul(2 * s.div_ceil(2)),
+        "{what} is not a pair-packed {rows}×{s} block"
+    );
+}
+
+#[inline]
+fn assert_square(what: &str, c: &[f64], s: usize) {
+    assert_eq!(c.len(), s * s, "{what} is not {s}×{s}");
+}
+
+/// First sweep of a block Lanczos step, on the given path:
+/// `y ← y − v_prev·c` and `alpha = vᵀy` (`s × s`). With `y = R·V_k`,
+/// `v_prev = V_{k−1}` and `c = β_kᵀ` that is `U = R V_k − V_{k−1}β_kᵀ` and
+/// `α_k = V_kᵀU`.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn block_lanczos_project_on(
+    d: Dispatch,
+    rows: usize,
+    s: usize,
+    c: &[f64],
+    v_prev: &[f64],
+    v: &[f64],
+    y: &mut [f64],
+    alpha: &mut [f64],
+) {
+    assert!(s >= 1, "an empty block");
+    assert_square("c", c, s);
+    assert_square("alpha", alpha, s);
+    for (what, x) in [("v_prev", v_prev), ("v", v), ("y", &*y)] {
+        assert_pair_block(what, x, rows, s);
+    }
+    dispatch_on!(d, block_update_gram(rows, s, c, v_prev, Some(v), y, alpha))
+}
+
+/// First sweep of a block Lanczos step on the active path.
+#[inline]
+pub fn block_lanczos_project(
+    rows: usize,
+    s: usize,
+    c: &[f64],
+    v_prev: &[f64],
+    v: &[f64],
+    y: &mut [f64],
+    alpha: &mut [f64],
+) {
+    block_lanczos_project_on(active(), rows, s, c, v_prev, v, y, alpha)
+}
+
+/// Second sweep of a block Lanczos step, on the given path:
+/// `u ← u − v·alpha` and `gram = uᵀu` (`s × s`, exactly symmetric): the
+/// residual block orthogonalised against `V_k` and the Gram matrix its
+/// Cholesky QR factors.
+#[inline]
+pub fn block_lanczos_orthogonalize_on(
+    d: Dispatch,
+    rows: usize,
+    s: usize,
+    alpha: &[f64],
+    v: &[f64],
+    u: &mut [f64],
+    gram: &mut [f64],
+) {
+    assert!(s >= 1, "an empty block");
+    assert_square("alpha", alpha, s);
+    assert_square("gram", gram, s);
+    assert_pair_block("v", v, rows, s);
+    assert_pair_block("u", u, rows, s);
+    dispatch_on!(d, block_update_gram(rows, s, alpha, v, None, u, gram))
+}
+
+/// Second sweep of a block Lanczos step on the active path.
+#[inline]
+pub fn block_lanczos_orthogonalize(
+    rows: usize,
+    s: usize,
+    alpha: &[f64],
+    v: &[f64],
+    u: &mut [f64],
+    gram: &mut [f64],
+) {
+    block_lanczos_orthogonalize_on(active(), rows, s, alpha, v, u, gram)
+}
+
+/// The `s × s` coefficients of [`block_lanczos_advance_on`], each
+/// column-major.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockStep<'a> {
+    /// `β_{k+1}⁻¹`: `v_next = u·b_inv`.
+    pub b_inv: &'a [f64],
+    /// `Re`, `Im` of `Δ_k⁻¹`, the weight of `V_k` in the new direction.
+    pub e_re: &'a [f64],
+    /// See [`BlockStep::e_re`].
+    pub e_im: &'a [f64],
+    /// `Re`, `Im` of `β_kᵀΔ_k⁻¹`, the weight of the old direction.
+    pub g_re: &'a [f64],
+    /// See [`BlockStep::g_re`].
+    pub g_im: &'a [f64],
+    /// `Re`, `Im` of `Z_k`, the step along the new direction.
+    pub z_re: &'a [f64],
+    /// See [`BlockStep::z_re`].
+    pub z_im: &'a [f64],
+}
+
+/// Third sweep of a block Lanczos step, on the given path, everything that
+/// needs `Δ_k⁻¹` and `β_{k+1}` in one pass: `v_next = u·b_inv`, the complex
+/// direction `D_k = (V_k − D_{k−1}β_kᵀ)Δ_k⁻¹` as
+/// `dn_re = v·e_re − d_re·g_re + d_im·g_im` and
+/// `dn_im = v·e_im − d_re·g_im − d_im·g_re`, and `x += Re(D_k·Z_k)`
+/// `= dn_re·z_re − dn_im·z_im`. All blocks are pair-packed `rows × s`;
+/// the outputs are not the inputs.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn block_lanczos_advance_on(
+    d: Dispatch,
+    rows: usize,
+    s: usize,
+    k: &BlockStep<'_>,
+    u: &[f64],
+    v: &[f64],
+    d_re: &[f64],
+    d_im: &[f64],
+    v_next: &mut [f64],
+    dn_re: &mut [f64],
+    dn_im: &mut [f64],
+    x: &mut [f64],
+) {
+    assert!(s >= 1, "an empty block");
+    for (what, c) in [
+        ("b_inv", k.b_inv),
+        ("e_re", k.e_re),
+        ("e_im", k.e_im),
+        ("g_re", k.g_re),
+        ("g_im", k.g_im),
+        ("z_re", k.z_re),
+        ("z_im", k.z_im),
+    ] {
+        assert_square(what, c, s);
+    }
+    for (what, b) in [
+        ("u", u),
+        ("v", v),
+        ("d_re", d_re),
+        ("d_im", d_im),
+        ("v_next", &*v_next),
+        ("dn_re", &*dn_re),
+        ("dn_im", &*dn_im),
+        ("x", &*x),
+    ] {
+        assert_pair_block(what, b, rows, s);
+    }
+    dispatch_on!(
+        d,
+        block_advance(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x)
+    )
+}
+
+/// Third sweep of a block Lanczos step on the active path.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn block_lanczos_advance(
+    rows: usize,
+    s: usize,
+    k: &BlockStep<'_>,
+    u: &[f64],
+    v: &[f64],
+    d_re: &[f64],
+    d_im: &[f64],
+    v_next: &mut [f64],
+    dn_re: &mut [f64],
+    dn_im: &mut [f64],
+    x: &mut [f64],
+) {
+    block_lanczos_advance_on(
+        active(),
+        rows,
+        s,
+        k,
+        u,
+        v,
+        d_re,
+        d_im,
+        v_next,
+        dn_re,
+        dn_im,
+        x,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

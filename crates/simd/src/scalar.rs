@@ -696,3 +696,165 @@ pub(crate) fn lanczos_pair_advance(
     lanczos_pair_advance_span(0..u.len(), k, v, u, d_re, d_im, x, &mut state);
     lanes::fold_pair(&state)
 }
+
+// ---------------------------------------------------------------------------
+// Block Lanczos on pair-packed real blocks: `s` real columns in `⌈s/2⌉`
+// interleaved vectors, column `c` in slot `c mod 2` of vector `c / 2`, and
+// `s × s` coefficients padded with zeros to the even width `2⌈s/2⌉`
+// ---------------------------------------------------------------------------
+
+/// Entry `(l, j)` of the column-major `s × s` matrix `c`, zero outside it.
+#[inline(always)]
+pub(crate) fn pad_coef(s: usize, c: &[f64], l: usize, j: usize) -> f64 {
+    if l < s && j < s {
+        c[l + s * j]
+    } else {
+        0.0
+    }
+}
+
+/// Index of row `i` of column `c` in a pair-packed block of `rows` rows.
+#[inline(always)]
+fn pidx(rows: usize, i: usize, c: usize) -> usize {
+    2 * ((c / 2) * rows + i) + c % 2
+}
+
+/// Row `i` of `y −= x·c`: each entry one chain over the padded columns of
+/// `x` in order.
+pub(crate) fn block_sub_row(rows: usize, s: usize, i: usize, c: &[f64], x: &[f64], y: &mut [f64]) {
+    let w = 2 * s.div_ceil(2);
+    for j in 0..w {
+        let mut acc = y[pidx(rows, i, j)];
+        for l in 0..w {
+            acc = (-pad_coef(s, c, l, j)).mul_add(x[pidx(rows, i, l)], acc);
+        }
+        y[pidx(rows, i, j)] = acc;
+    }
+}
+
+/// Row `i`'s products into row lane `r` of the state of pair `(p, q)` of
+/// `leftᵀ y`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn block_gram_row(
+    rows: usize,
+    i: usize,
+    r: usize,
+    p: usize,
+    q: usize,
+    left: &[f64],
+    y: &[f64],
+    st: &mut lanes::BlockPairState,
+) {
+    for sigma in 0..2 {
+        let a = left[pidx(rows, i, 2 * p + sigma)];
+        let lane = 2 * r + sigma;
+        st[0][lane] = a.mul_add(y[pidx(rows, i, 2 * q + sigma)], st[0][lane]);
+        st[1][lane] = a.mul_add(y[pidx(rows, i, 2 * q + 1 - sigma)], st[1][lane]);
+    }
+}
+
+/// `y −= x·c`, then `out = leftᵀy` (`left = None`: `yᵀy`, exactly
+/// symmetric).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn block_update_gram(
+    rows: usize,
+    s: usize,
+    c: &[f64],
+    x: &[f64],
+    left: Option<&[f64]>,
+    y: &mut [f64],
+    out: &mut [f64],
+) {
+    for i in 0..rows {
+        block_sub_row(rows, s, i, c, x, y);
+    }
+    let y: &[f64] = y;
+    let m = s.div_ceil(2);
+    for q in 0..m {
+        for p in 0..if left.is_some() { m } else { q + 1 } {
+            let mut st = [[0.0; 4]; 2];
+            for i in 0..rows {
+                block_gram_row(rows, i, i % 2, p, q, left.unwrap_or(y), y, &mut st);
+            }
+            lanes::finish_block_pair(s, p, q, left.is_none(), &st, out);
+        }
+    }
+}
+
+/// Row `i` of [`crate::block_lanczos_advance_on`]: every output entry is
+/// one chain from `+0` (or from `x`) over the padded columns, the terms of
+/// each product in column order and the products in the order written.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn block_advance_row(
+    rows: usize,
+    s: usize,
+    i: usize,
+    k: &crate::BlockStep<'_>,
+    u: &[f64],
+    v: &[f64],
+    d_re: &[f64],
+    d_im: &[f64],
+    v_next: &mut [f64],
+    dn_re: &mut [f64],
+    dn_im: &mut [f64],
+    x: &mut [f64],
+) {
+    let w = 2 * s.div_ceil(2);
+    let c = |m: &[f64], l: usize, j: usize| pad_coef(s, m, l, j);
+    for j in 0..w {
+        let (mut a, mut re, mut im) = (0.0_f64, 0.0_f64, 0.0_f64);
+        for l in 0..w {
+            a = c(k.b_inv, l, j).mul_add(u[pidx(rows, i, l)], a);
+        }
+        for l in 0..w {
+            re = c(k.e_re, l, j).mul_add(v[pidx(rows, i, l)], re);
+        }
+        for l in 0..w {
+            re = (-c(k.g_re, l, j)).mul_add(d_re[pidx(rows, i, l)], re);
+        }
+        for l in 0..w {
+            re = c(k.g_im, l, j).mul_add(d_im[pidx(rows, i, l)], re);
+        }
+        for l in 0..w {
+            im = c(k.e_im, l, j).mul_add(v[pidx(rows, i, l)], im);
+        }
+        for l in 0..w {
+            im = (-c(k.g_im, l, j)).mul_add(d_re[pidx(rows, i, l)], im);
+        }
+        for l in 0..w {
+            im = (-c(k.g_re, l, j)).mul_add(d_im[pidx(rows, i, l)], im);
+        }
+        v_next[pidx(rows, i, j)] = a;
+        dn_re[pidx(rows, i, j)] = re;
+        dn_im[pidx(rows, i, j)] = im;
+    }
+    for j in 0..w {
+        let mut acc = x[pidx(rows, i, j)];
+        for l in 0..w {
+            acc = c(k.z_re, l, j).mul_add(dn_re[pidx(rows, i, l)], acc);
+        }
+        for l in 0..w {
+            acc = (-c(k.z_im, l, j)).mul_add(dn_im[pidx(rows, i, l)], acc);
+        }
+        x[pidx(rows, i, j)] = acc;
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn block_advance(
+    rows: usize,
+    s: usize,
+    k: &crate::BlockStep<'_>,
+    u: &[f64],
+    v: &[f64],
+    d_re: &[f64],
+    d_im: &[f64],
+    v_next: &mut [f64],
+    dn_re: &mut [f64],
+    dn_im: &mut [f64],
+    x: &mut [f64],
+) {
+    for i in 0..rows {
+        block_advance_row(rows, s, i, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x);
+    }
+}

@@ -62,7 +62,7 @@ impl CocgOptions {
 
 /// Pivot-ratio threshold at or under which an equilibrated Gram matrix is
 /// declared broken.
-const BREAKDOWN_RCOND: f64 = 1e-13;
+pub(crate) const BREAKDOWN_RCOND: f64 = 1e-13;
 
 /// Breakdown restarts one solve allows before it gives up on the block
 /// (and, for `s > 1`, splits it in half).

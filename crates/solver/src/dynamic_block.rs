@@ -12,7 +12,7 @@
 
 use crate::block_cocg::{block_cocg_ws, CocgOptions};
 use crate::operator::LinearOperator;
-use crate::shifted_lanczos::{shifted_lanczos_pair, ReSink, RealShifted};
+use crate::shifted_lanczos::{shifted_block_lanczos, shifted_lanczos_pair, ReSink, RealShifted};
 use crate::stats::{SolveReport, WorkerStats};
 use crate::workspace::{with_thread_workspace, Workspace};
 use mbrpa_linalg::{Mat, C64};
@@ -41,8 +41,9 @@ pub enum BlockPolicy {
 /// `4·s³` count *complex* operations, each worth about four real ones.
 /// The model therefore under-weights the block algebra against the
 /// operator by that factor. The constants are the ones Alg. 4's choices
-/// were validated with; re-fitting them changes block sizes and is a
-/// change of its own.
+/// were validated with, and they price every width as complex block COCG
+/// although the Sternheimer chunks run in real arithmetic; re-fitting them
+/// changes block sizes and is a change of its own.
 fn model_cost<O: LinearOperator<C64> + ?Sized>(op: &O, s: usize, report: &SolveReport) -> f64 {
     let n = op.dim() as f64;
     let sf = s as f64;
@@ -202,10 +203,9 @@ std::thread_local! {
 
 /// [`solve_multi_rhs`] for `A = R + iω` and a real block `b`, wanting
 /// only `Re X`: the Sternheimer solves of `χ⁰`. Same schedule, same
-/// statistics. A width-1 chunk runs in real arithmetic
-/// ([`shifted_lanczos_pair`], two of them per call past the probes);
-/// every wider chunk is the complex block [`block_cocg_ws`] solves, built
-/// from the real buffers in pooled storage. `guess` is
+/// statistics, every chunk in real arithmetic: a width-1 chunk through
+/// [`shifted_lanczos_pair`] (two of them per call past the probes), a
+/// wider one through [`shifted_block_lanczos`]. `guess` is
 /// `[Re X₀ | Im X₀]` as [`galerkin_guess_real`](crate::galerkin_guess_real)
 /// leaves it. Nothing the width of `b` is allocated: each column's `Re x`
 /// goes to `sink` from the chunk's own iterate, once per column. Returns
@@ -229,7 +229,7 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
     stats: &mut WorkerStats,
     sink: &mut ReSink<'_>,
 ) -> bool {
-    let (n, w) = b.shape();
+    let w = b.cols();
     let carries = w >= 4 && !matches!(policy, BlockPolicy::Fixed(_));
     let mut carried: Option<Carried> = None;
     let all_converged = schedule_chunks(w, policy, true, &mut |start, width, chunks| {
@@ -304,31 +304,10 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
             // lint: allow(unwrap) — a width-1 call covers at least one column
             return (price.expect("a column was solved"), ok);
         }
-        let (x, report) = with_thread_workspace(|ws: &mut Workspace<C64>| {
-            let mut cb = ws.take_scratch(n, width);
-            let mut cg = guess.map(|_| ws.take_scratch(n, width));
-            for c in 0..width {
-                for (z, &re) in cb.col_mut(c).iter_mut().zip(b.col(start + c)) {
-                    *z = C64::new(re, 0.0);
-                }
-                if let (Some(cg), Some(g)) = (cg.as_mut(), guess) {
-                    let parts = g.col(start + c).iter().zip(g.col(w + start + c));
-                    for (z, (&re, &im)) in cg.col_mut(c).iter_mut().zip(parts) {
-                        *z = C64::new(re, im);
-                    }
-                }
-            }
-            let solved = block_cocg_ws(op, &cb, cg.as_ref(), opts, ws);
-            ws.give(cb);
-            if let Some(cg) = cg {
-                ws.give(cg);
-            }
-            solved
+        let report = with_thread_workspace(|ws: &mut Workspace<C64>| {
+            shifted_block_lanczos(op, b, guess, start..start + width, opts, ws, sink)
         });
         let elapsed = t0.elapsed();
-        for c in 0..width {
-            sink(start + c, x.col(c), 0);
-        }
         stats.absorb(width, width, &report, elapsed);
         (
             chunk_cost(policy, op, width, &report, elapsed),
@@ -420,7 +399,8 @@ mod tests {
     fn the_probe_carries_the_last_column_to_its_width_one_chunk() {
         // For w = 1..=12 under fixed and cost-model policies: the chunks the
         // schedule makes without a carry (every width-1 chunk its own Alg. 3
-        // solve, which is what the real path ran before the probe carried),
+        // solve, which is what the real path ran before the probe carried,
+        // and every wider one its own block Lanczos solve),
         // then the real path itself: the same histogram, every column sunk
         // once with its solution, and Lanczos calls left lone only where the
         // held column could not serve them.
@@ -450,9 +430,29 @@ mod tests {
                     let mut first = None;
                     for k in 0..chunks {
                         let c0 = start + k * width;
-                        let rhs = b.columns(c0, width).map(|x| C64::new(x, 0.0));
-                        let (x, report) = block_cocg(&op, &rhs, None, &opts);
-                        want.set_columns(c0, &x);
+                        let report = if width == 1 {
+                            let rhs = b.columns(c0, width).map(|x| C64::new(x, 0.0));
+                            let (x, report) = block_cocg(&op, &rhs, None, &opts);
+                            want.set_columns(c0, &x);
+                            report
+                        } else {
+                            // a wider chunk alone through the solve that runs it
+                            let mut ws = Workspace::new();
+                            let cols = c0..c0 + width;
+                            shifted_block_lanczos(
+                                &op,
+                                &b,
+                                None,
+                                cols,
+                                &opts,
+                                &mut ws,
+                                &mut |c, x, slot| {
+                                    for (z, xi) in want.col_mut(c).iter_mut().zip(x) {
+                                        *z = C64::new(if slot == 0 { xi.re } else { xi.im }, 0.0);
+                                    }
+                                },
+                            )
+                        };
                         want_hist.record(width, width);
                         first.get_or_insert(report);
                     }

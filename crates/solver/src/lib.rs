@@ -5,8 +5,9 @@
 //! * **Block COCG** ([`block_cocg`]) — the paper's short-term-recurrence
 //!   block solver (Algorithm 3),
 //! * **Dynamic block size selection** ([`dynamic_block`]) — Algorithm 4,
-//! * **Real-arithmetic shifted solves** ([`shifted_lanczos`]) — the `s = 1`
-//!   Sternheimer systems as real Lanczos on `H − λ_j`, two per apply,
+//! * **Real-arithmetic shifted solves** ([`shifted_lanczos`]) — the
+//!   Sternheimer systems as real (block) Lanczos on `H − λ_j`, two
+//!   columns per apply,
 //! * **Restarted GMRES** ([`gmres`]) — the long-recurrence baseline,
 //! * **Scaled Chebyshev filters** ([`chebyshev`]) — subspace iteration
 //!   acceleration shared by CheFSI and the RPA dielectric eigensolver,
@@ -44,6 +45,6 @@ pub use dynamic_block::{solve_multi_rhs, solve_shifted_real_rhs, BlockPolicy, Mu
 pub use gmres::{gmres, GmresOptions};
 pub use initial_guess::{galerkin_guess, galerkin_guess_real};
 pub use operator::{DenseOperator, LinearOperator};
-pub use shifted_lanczos::{shifted_lanczos_pair, ReSink, RealShifted};
+pub use shifted_lanczos::{shifted_block_lanczos, shifted_lanczos_pair, ReSink, RealShifted};
 pub use stats::{BlockSizeHistogram, LanczosSlots, SolveReport, WorkerStats};
 pub use workspace::{with_thread_workspace, Workspace};

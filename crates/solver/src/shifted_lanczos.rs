@@ -16,13 +16,20 @@
 //! Two right-hand sides share every vector — one in the `re`, one in the
 //! `im` slot of a `C64` — so one complex apply of `R` serves both and a
 //! step is the apply plus the two `mbrpa-simd` passes.
+//!
+//! A chunk of `s ≥ 2` columns runs the block analogue,
+//! [`shifted_block_lanczos`]: real block Lanczos on `R` with the block
+//! `LU` of `T_k + iω` in `s × s` matrices, block COCG's iterates, the
+//! columns packed two to a `C64` vector the same way.
 
-use crate::block_cocg::CocgOptions;
+use crate::block_cocg::{block_cocg_ws, CocgOptions, BREAKDOWN_RCOND};
 use crate::operator::LinearOperator;
 use crate::stats::SolveReport;
 use crate::workspace::Workspace;
-use mbrpa_linalg::{exactly_zero, Mat, Scalar, C64};
-use mbrpa_simd::PairStep;
+use mbrpa_linalg::{exactly_zero, Lu, Mat, Scalar, C64};
+use mbrpa_simd::{BlockStep, PairStep};
+use std::cell::Cell;
+use std::ops::Range;
 
 /// A complex-symmetric operator that is `R + iω·I` with `R` real
 /// symmetric: what the real-arithmetic solve can take in place of
@@ -279,4 +286,439 @@ pub fn shifted_lanczos_pair(
         ws.give(m);
     }
     lane.map(|st| st.report)
+}
+
+/// `out = op(a)·op(b)` for `s × s` column-major matrices, `op` the
+/// transpose where `ta`/`tb` say so.
+fn mat_mul(s: usize, a: &[f64], ta: bool, b: &[f64], tb: bool, out: &mut [f64]) {
+    let at = |i: usize, l: usize| if ta { a[l + s * i] } else { a[i + s * l] };
+    let bt = |l: usize, j: usize| if tb { b[j + s * l] } else { b[l + s * j] };
+    for j in 0..s {
+        for i in 0..s {
+            out[i + s * j] = (0..s).map(|l| at(i, l) * bt(l, j)).sum();
+        }
+    }
+}
+
+/// Cholesky QR of `U` from its Gram matrix `g = UᵀU`: `beta` upper
+/// triangular with `βᵀβ = g` and `b_inv = β⁻¹`. `false` when `U` is
+/// rank-deficient — a zero column, or a pivot ratio of the equilibrated
+/// `g` at or below [`BREAKDOWN_RCOND`], the test block COCG puts to its own
+/// Gram matrices — leaving both outputs unspecified.
+fn cholesky_qr(s: usize, g: &[f64], beta: &mut [f64], b_inv: &mut [f64]) -> bool {
+    // `g = D g̃ D` with `D = diag(√g_jj)`; `g̃ = R̃ᵀR̃` in `beta` first
+    let d = |j: usize| g[j + s * j].sqrt();
+    if !(0..s).all(|j| d(j) > 0.0) {
+        return false;
+    }
+    beta.fill(0.0);
+    let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+    for j in 0..s {
+        for i in 0..=j {
+            let mut acc = g[i + s * j] / (d(i) * d(j));
+            for l in 0..i {
+                acc -= beta[l + s * i] * beta[l + s * j];
+            }
+            if i == j {
+                // a NaN pivot is no pivot either
+                if acc.is_nan() || acc <= 0.0 {
+                    return false;
+                }
+                (lo, hi) = (lo.min(acc), hi.max(acc));
+                beta[j + s * j] = acc.sqrt();
+            } else {
+                beta[i + s * j] = acc / beta[i + s * i];
+            }
+        }
+    }
+    if lo / hi <= BREAKDOWN_RCOND {
+        return false;
+    }
+    // R̃⁻¹ by back substitution, then β⁻¹ = D⁻¹R̃⁻¹ and β = R̃D
+    b_inv.fill(0.0);
+    for j in 0..s {
+        b_inv[j + s * j] = 1.0 / beta[j + s * j];
+        for i in (0..j).rev() {
+            let acc: f64 = (i + 1..=j)
+                .map(|l| beta[i + s * l] * b_inv[l + s * j])
+                .sum();
+            b_inv[i + s * j] = -acc / beta[i + s * i];
+        }
+    }
+    for j in 0..s {
+        for i in 0..=j {
+            b_inv[i + s * j] /= d(i);
+            beta[i + s * j] *= d(j);
+        }
+    }
+    true
+}
+
+std::thread_local! {
+    /// The row interchanges of a block solve's `Δ_k` factorisations, one
+    /// vector per thread so a warm solve allocates nothing.
+    static PIVOTS: Cell<Vec<usize>> = const { Cell::new(Vec::new()) };
+}
+
+/// `K` disjoint `len`-long pieces of `buf`, in order.
+fn carve<const K: usize>(buf: &mut [f64], len: usize) -> [&mut [f64]; K] {
+    let mut rest = buf;
+    std::array::from_fn(|_| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        head
+    })
+}
+
+/// Solve `(R + iω) X = B` for the columns `cols` of the real block `b` —
+/// two or more; one column is [`shifted_lanczos_pair`]'s — and hand `Re x`
+/// of each to `sink`: block COCG's iterates in real arithmetic.
+///
+/// A real start block `W₀` keeps every block COCG residual in the real
+/// block Krylov space of `R`: `W_k = V_{k+1}Γ_k` with `V` the orthonormal
+/// block Lanczos basis of `R` started from `W₀` and `Γ_k` a complex
+/// `s × s` matrix. The solve runs that recurrence —
+/// `U = R V_k − V_{k−1}β_kᵀ`, `α_k = V_kᵀU`, `U −= V_kα_k`,
+/// `U = V_{k+1}β_{k+1}` by Cholesky QR — carries the block `LU` of
+/// `T_k + iω` (`Δ_k = α_k + iω − β_kΔ_{k−1}⁻¹β_kᵀ`, `Z_{k+1} =
+/// −β_{k+1}Δ_k⁻¹Z_k`, `Z₁ = β₁`) in `s × s` matrices, and accumulates
+/// `Re X` along the complex directions `D_k = (V_k − D_{k−1}β_kᵀ)Δ_k⁻¹`.
+/// Its residual is `‖Z_{k+1}‖_F`, tested against `tol·‖B‖_F` at the step
+/// Alg. 3 tests `‖W_k‖_F`, so iterations and matvecs are block COCG's
+/// (`tests/proptest_solver.rs`). A block is `⌈s/2⌉` vectors with two
+/// columns in the `re`/`im` slots of each, so a step applies `R` through
+/// [`RealShifted::apply_real_pair`] `⌈s/2⌉` times and makes three
+/// `mbrpa-simd` sweeps.
+///
+/// `guess` is `[Re X₀ | Im X₀]` as for [`shifted_lanczos_pair`], and the
+/// start drops the same imaginary part of the residual. Where a QR is
+/// rank-deficient or a `Δ_k` pivot ratio is at or below the breakdown
+/// floor, the solve hands the block to [`block_cocg_ws`] from the current
+/// `Re X` with the iterations left, and counts one breakdown. All work
+/// vectors come from `ws` and go back to it.
+pub fn shifted_block_lanczos(
+    op: &dyn RealShifted,
+    b: &Mat<f64>,
+    guess: Option<&Mat<f64>>,
+    cols: Range<usize>,
+    opts: &CocgOptions,
+    ws: &mut Workspace<C64>,
+    sink: &mut ReSink<'_>,
+) -> SolveReport {
+    let n = op.dim();
+    let w = b.cols();
+    let s = cols.len();
+    assert_eq!(b.rows(), n, "rhs dimension mismatch");
+    assert!(s >= 1 && cols.end <= w, "no such columns");
+    if let Some(g) = guess {
+        assert_eq!(g.shape(), (n, 2 * w), "guess is not [Re | Im]");
+    }
+    let (m, ss) = (s.div_ceil(2), s * s);
+    let omega = op.omega();
+    let obs_on = mbrpa_obs::enabled();
+    let mut report = SolveReport::new();
+
+    let mut x = ws.take_zeroed(n, m);
+    let mut y = ws.take_scratch(n, m);
+    let mut v_prev = ws.take_zeroed(n, m);
+    let mut v = ws.take_zeroed(n, m);
+    let mut d_re = ws.take_zeroed(n, m);
+    let mut d_im = ws.take_zeroed(n, m);
+    let mut dn_re = ws.take_scratch(n, m);
+    let mut dn_im = ws.take_scratch(n, m);
+    let mut small = ws.take_scratch(ss, 9);
+    let [mut beta, mut beta_next, beta_t, b_inv, alpha, gram, ep_re, ep_im, g_re, g_im, z_re, z_im, zero, t, e_re, e_im, m_re, m_im] =
+        carve::<18>(C64::as_components_mut(small.as_mut_slice()), ss);
+    // Δ_k and its LU, and [I | Z_k] solved in place into [E_k | M_k]
+    let mut lu = ws.take_scratch(s, s);
+    let mut rhs = ws.take_scratch(s, 2 * s);
+    let mut piv = PIVOTS.take();
+    zero.fill(0.0);
+
+    // x = Re X₀ and y = W₀ = b − R·Re X₀ + ω·Im X₀, column by column
+    let (mut b_sq, mut w_sq) = (0.0, 0.0);
+    if let Some(g) = guess {
+        let xs = comps_mut(&mut x);
+        for c in 0..s {
+            for (i, &gi) in g.col(cols.start + c).iter().enumerate() {
+                xs[2 * ((c / 2) * n + i) + c % 2] = gi;
+            }
+        }
+    }
+    for c in cols.clone() {
+        b_sq += mbrpa_simd::nrm2_sq(b.col(c));
+    }
+    let b_norm = b_sq.sqrt();
+    let mut blown_up = false;
+    let mut handoff = false;
+    if exactly_zero(b_norm) {
+        // a zero block is solved by its guess, as in Alg. 3
+        report.converged = true;
+        report.relative_residual = 0.0;
+    } else {
+        if guess.is_some() {
+            for q in 0..m {
+                op.apply_real_pair(x.col(q), y.col_mut(q));
+            }
+            report.matvecs += s;
+        }
+        let ys = comps_mut(&mut y);
+        for c in 0..2 * m {
+            let bc = (c < s).then(|| b.col(cols.start + c));
+            let im = guess.filter(|_| c < s).map(|g| g.col(w + cols.start + c));
+            for i in 0..n {
+                let k = 2 * ((c / 2) * n + i) + c % 2;
+                ys[k] = match (bc, im) {
+                    (Some(bc), Some(im)) => (bc[i] - ys[k]) + omega * im[i],
+                    (Some(bc), None) => bc[i],
+                    _ => 0.0,
+                };
+            }
+        }
+        // G₀ = W₀ᵀW₀ (orthogonalised against the empty block), W₀ = V₁β₁,
+        // and step 0 of the recurrence: V₁ with D₀ = 0 and no step taken
+        mbrpa_simd::block_lanczos_orthogonalize(n, s, zero, comps(&v), comps_mut(&mut y), gram);
+        w_sq = (0..s).map(|j| gram[j + s * j]).sum::<f64>();
+        handoff = !cholesky_qr(s, gram, beta, b_inv);
+        if !handoff {
+            let step = BlockStep {
+                b_inv,
+                e_re: zero,
+                e_im: zero,
+                g_re: zero,
+                g_im: zero,
+                z_re: zero,
+                z_im: zero,
+            };
+            mbrpa_simd::block_lanczos_advance(
+                n,
+                s,
+                &step,
+                comps(&y),
+                comps(&v),
+                comps(&d_re),
+                comps(&d_im),
+                comps_mut(&mut v_prev),
+                comps_mut(&mut dn_re),
+                comps_mut(&mut dn_im),
+                comps_mut(&mut x),
+            );
+            std::mem::swap(&mut v_prev, &mut v);
+            std::mem::swap(&mut d_re, &mut dn_re);
+            std::mem::swap(&mut d_im, &mut dn_im);
+            z_re.copy_from_slice(beta);
+            z_im.fill(0.0);
+        }
+    }
+
+    let mut res = w_sq.sqrt();
+    // a non-finite start (the guess or the operator) is no start at all
+    blown_up |= !res.is_finite();
+    while !report.converged && !blown_up {
+        // Eq. 10, where Alg. 3 tests it
+        let rel = res / b_norm;
+        report.relative_residual = rel;
+        if opts.track_residuals {
+            report.residual_history.push(rel);
+        }
+        if rel <= opts.tol {
+            report.converged = true;
+            break;
+        }
+        if report.iterations >= opts.max_iters {
+            handoff = false;
+            break;
+        }
+        if handoff {
+            break;
+        }
+        for q in 0..m {
+            op.apply_real_pair(v.col(q), y.col_mut(q));
+        }
+        report.matvecs += s;
+        report.iterations += 1;
+
+        // U = R V_k − V_{k−1}β_kᵀ, α_k = V_kᵀU (symmetrised), U −= V_kα_k
+        // and its Gram matrix
+        for j in 0..s {
+            for i in 0..s {
+                beta_t[i + s * j] = beta[j + s * i];
+            }
+        }
+        mbrpa_simd::block_lanczos_project(
+            n,
+            s,
+            beta_t,
+            comps(&v_prev),
+            comps(&v),
+            comps_mut(&mut y),
+            alpha,
+        );
+        for j in 0..s {
+            for i in 0..j {
+                let a = 0.5 * (alpha[i + s * j] + alpha[j + s * i]);
+                (alpha[i + s * j], alpha[j + s * i]) = (a, a);
+            }
+        }
+        mbrpa_simd::block_lanczos_orthogonalize(n, s, alpha, comps(&v), comps_mut(&mut y), gram);
+        if !alpha.iter().chain(gram.iter()).all(|a| a.is_finite()) {
+            // the operator returned NaN/Inf: stop before it reaches X
+            blown_up = true;
+            break;
+        }
+
+        // Δ_k = α_k + iω − β_k E_{k−1} β_kᵀ (past the first step), then
+        // E_k = Δ_k⁻¹ and M_k = E_k Z_k
+        if report.iterations > 1 {
+            mat_mul(s, beta, false, ep_re, false, t);
+            mat_mul(s, t, false, beta, true, g_re);
+            mat_mul(s, beta, false, ep_im, false, t);
+            mat_mul(s, t, false, beta, true, g_im);
+        } else {
+            g_re.fill(0.0);
+            g_im.fill(0.0);
+        }
+        for j in 0..s {
+            for i in 0..s {
+                let k = i + s * j;
+                let shift = if i == j { omega } else { 0.0 };
+                lu[(i, j)] = C64::new(alpha[k] - g_re[k], shift - g_im[k]);
+                rhs[(i, j)] = C64::new(if i == j { 1.0 } else { 0.0 }, 0.0);
+                rhs[(i, s + j)] = C64::new(z_re[k], z_im[k]);
+            }
+        }
+        // a NaN ratio is no breakdown: the values behind it end the solve
+        // as a blow-up instead
+        let ratio = Lu::factor_in_place(&mut lu, &mut piv);
+        if !ratio.is_ok_and(|r| r > BREAKDOWN_RCOND || r.is_nan()) {
+            handoff = true;
+            continue;
+        }
+        for j in 0..2 * s {
+            Lu::solve_in_place(&lu, &piv, rhs.col_mut(j));
+        }
+        for j in 0..s {
+            for i in 0..s {
+                let (e, m) = (rhs[(i, j)], rhs[(i, s + j)]);
+                (e_re[i + s * j], e_im[i + s * j]) = (e.re, e.im);
+                (m_re[i + s * j], m_im[i + s * j]) = (m.re, m.im);
+            }
+        }
+        mat_mul(s, beta, true, e_re, false, g_re);
+        mat_mul(s, beta, true, e_im, false, g_im);
+
+        // U = V_{k+1}β_{k+1}; a rank-deficient U still takes this step
+        let deficient = !cholesky_qr(s, gram, beta_next, b_inv);
+        if deficient {
+            b_inv.fill(0.0);
+        }
+        let step = BlockStep {
+            b_inv,
+            e_re,
+            e_im,
+            g_re,
+            g_im,
+            z_re,
+            z_im,
+        };
+        mbrpa_simd::block_lanczos_advance(
+            n,
+            s,
+            &step,
+            comps(&y),
+            comps(&v),
+            comps(&d_re),
+            comps(&d_im),
+            comps_mut(&mut v_prev),
+            comps_mut(&mut dn_re),
+            comps_mut(&mut dn_im),
+            comps_mut(&mut x),
+        );
+        if obs_on {
+            // the eleven block updates of the sweeps and their two Gram
+            // products, real flops
+            mbrpa_obs::add("linalg.gemm_flops", (22 * n * ss) as u64);
+            mbrpa_obs::add("solver.reduce.gram_flops", (4 * n * ss) as u64);
+        }
+        std::mem::swap(&mut v_prev, &mut v);
+        std::mem::swap(&mut d_re, &mut dn_re);
+        std::mem::swap(&mut d_im, &mut dn_im);
+        ep_re.copy_from_slice(e_re);
+        ep_im.copy_from_slice(e_im);
+
+        // ‖W_k‖_F = ‖U M_k‖_F: ‖Z_{k+1}‖_F with Z_{k+1} = −β_{k+1}M_k, or
+        // from the Gram matrix itself when U has no QR
+        let res_sq = if deficient {
+            handoff = true;
+            (0..s)
+                .map(|c| {
+                    let quad = |mm: &[f64]| {
+                        let col = &mm[s * c..s * (c + 1)];
+                        (0..s)
+                            .map(|j| col[j] * (0..s).map(|i| gram[j + s * i] * col[i]).sum::<f64>())
+                            .sum::<f64>()
+                    };
+                    quad(m_re) + quad(m_im)
+                })
+                .sum::<f64>()
+                .max(0.0)
+        } else {
+            mat_mul(s, beta_next, false, m_re, false, z_re);
+            mat_mul(s, beta_next, false, m_im, false, z_im);
+            for z in z_re.iter_mut().chain(z_im.iter_mut()) {
+                *z = -*z;
+            }
+            std::mem::swap(&mut beta, &mut beta_next);
+            z_re.iter().chain(z_im.iter()).map(|z| z * z).sum::<f64>()
+        };
+        res = res_sq.sqrt();
+        if !res.is_finite() {
+            blown_up = true;
+            break;
+        }
+    }
+
+    if handoff && !report.converged && !blown_up {
+        // block COCG from the current Re X, on the iterations left
+        let sub_opts = CocgOptions {
+            max_iters: opts.max_iters.saturating_sub(report.iterations),
+            ..*opts
+        };
+        let mut cb = ws.take_scratch(n, s);
+        let mut cg = ws.take_scratch(n, s);
+        let xs = comps(&x);
+        for c in 0..s {
+            for (i, (zb, zg)) in cb.col_mut(c).iter_mut().zip(cg.col_mut(c)).enumerate() {
+                *zb = C64::new(b[(i, cols.start + c)], 0.0);
+                *zg = C64::new(xs[2 * ((c / 2) * n + i) + c % 2], 0.0);
+            }
+        }
+        let (xc, sub) = block_cocg_ws(op, &cb, Some(&cg), &sub_opts, ws);
+        report.iterations += sub.iterations;
+        report.matvecs += sub.matvecs;
+        report.breakdowns += 1 + sub.breakdowns;
+        report.converged = sub.converged;
+        report.relative_residual = sub.relative_residual;
+        report
+            .residual_history
+            .extend_from_slice(&sub.residual_history);
+        for c in 0..s {
+            sink(cols.start + c, xc.col(c), 0);
+        }
+        ws.give(cb);
+        ws.give(cg);
+    } else {
+        // the one scan of the iterate: a non-finite X is no solution
+        if blown_up || !comps(&x).iter().all(|v| v.is_finite()) {
+            report.converged = false;
+        }
+        for c in 0..s {
+            sink(cols.start + c, x.col(c / 2), c % 2);
+        }
+    }
+    PIVOTS.set(piv);
+    for mat in [x, y, v_prev, v, d_re, d_im, dn_re, dn_im, small, lu, rhs] {
+        ws.give(mat);
+    }
+    report
 }

@@ -5,8 +5,9 @@ use mbrpa_check::{assume, check, Rng, StdRng};
 use mbrpa_linalg::{matmul, symmetric_eig, Mat, C64};
 use mbrpa_solver::{
     block_cocg, block_cocg_ws, cocg, galerkin_guess, galerkin_guess_real, gmres,
-    shifted_lanczos_pair, true_relative_residual, CocgOptions, DenseOperator, GmresOptions,
-    LinearOperator, RealShifted, SolveReport, Workspace, MAX_BREAKDOWNS,
+    shifted_block_lanczos, shifted_lanczos_pair, true_relative_residual, CocgOptions,
+    DenseOperator, GmresOptions, LinearOperator, RealShifted, SolveReport, Workspace,
+    MAX_BREAKDOWNS,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -378,6 +379,155 @@ fn a_column_solves_the_same_beside_any_partner() {
                     assert_eq!(rep[slot].converged, lone[0].converged);
                 }
             }
+        }
+    });
+}
+
+/// The columns `cols` of `b` through the real block solve: `Re X` as a
+/// matrix of the chunk's width, and the report.
+fn real_block_solve(
+    op: &ShiftedDense,
+    b: &Mat<f64>,
+    guess: Option<&Mat<f64>>,
+    cols: std::ops::Range<usize>,
+    opts: &CocgOptions,
+) -> (Mat<f64>, SolveReport) {
+    let start = cols.start;
+    let mut out = Mat::from_fn(b.rows(), cols.len(), |_, _| f64::NAN);
+    let mut ws = Workspace::new();
+    let report = shifted_block_lanczos(op, b, guess, cols, opts, &mut ws, &mut |c, x, slot| {
+        for (o, z) in out.col_mut(c - start).iter_mut().zip(x) {
+            *o = if slot == 0 { z.re } else { z.im };
+        }
+    });
+    (out, report)
+}
+
+/// "Same iterates", block edition: the real block solve stops where block
+/// COCG stops, with its matvecs, and lands on its `Re X` and residual
+/// history — widths 2..=9 (odd ones with an idle slot), definite and
+/// singular-but-for-`iω` `R`, no guess or a complex guess `X₀ = A⁻¹G` for
+/// a real `G` (so `Im W₀ = 0` and both start from the same residual), and
+/// `tol = 0` running both to `max_iters`.
+#[test]
+fn real_block_solves_match_block_cocg() {
+    check(64, |rng| {
+        let n = [83, 120, 150][rng.random_range(0..3)];
+        let s = rng.random_range(2usize..10);
+        let op = ShiftedDense::new(
+            symmetric_strategy(rng, n),
+            rng.random_range(0..4) > 0,
+            rng.random_range(0..n),
+            rng.random_range(0.05..1.0),
+        );
+        let run_out = rng.random_range(0..3) == 0;
+        let opts = CocgOptions {
+            tol: if run_out {
+                0.0
+            } else {
+                [1e-2, 1e-6][rng.random_range(0..2)]
+            },
+            max_iters: if run_out { rng.random_range(1..4) } else { 200 },
+            track_residuals: true,
+        };
+        // the chunk sits inside a wider block, as Alg. 4's chunks do
+        let w = s + 2;
+        let b = Mat::from_fn(n, w, |_, _| rng.random_range(-1.0f64..1.0));
+        let start = rng.random_range(0..3);
+        let cols = start..start + s;
+        let bc = Mat::from_fn(n, s, |i, c| C64::new(b[(i, start + c)], 0.0));
+        let (guess_c, guess_r) = if rng.random::<bool>() {
+            let g = Mat::from_fn(n, s, |i, c| {
+                C64::new(
+                    0.6 * b[(i, start + c)] + rng.random_range(-0.2f64..0.2),
+                    0.0,
+                )
+            });
+            let x0 = mbrpa_linalg::solve(op.complex.matrix(), &g).unwrap();
+            let mut gr = Mat::zeros(n, 2 * w);
+            for c in 0..s {
+                for i in 0..n {
+                    gr[(i, start + c)] = x0[(i, c)].re;
+                    gr[(i, w + start + c)] = x0[(i, c)].im;
+                }
+            }
+            (Some(x0), Some(gr))
+        } else {
+            (None, None)
+        };
+        let mut ws = Workspace::new();
+        let (x, want) = block_cocg_ws(&op, &bc, guess_c.as_ref(), &opts, &mut ws);
+        // short solves, clear of the end of the block Krylov space, where
+        // what is left of either residual is rounding
+        assume(want.breakdowns == 0 && want.iterations <= 25 && 2 * s * want.iterations <= n);
+        let (got_x, got) = real_block_solve(&op, &b, guess_r.as_ref(), cols, &opts);
+        let what = format!(
+            "n {n}, s {s}, tol {:e}, guess {}",
+            opts.tol,
+            guess_r.is_some()
+        );
+        assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+        assert_eq!(got.matvecs, want.matvecs, "{what}: matvecs");
+        assert_eq!(got.converged, want.converged, "{what}: converged");
+        assert_eq!(got.breakdowns, 0, "{what}: breakdowns");
+        assert_eq!(
+            got.residual_history.len(),
+            want.residual_history.len(),
+            "{what}"
+        );
+        for (k, (g, r)) in got
+            .residual_history
+            .iter()
+            .zip(&want.residual_history)
+            .enumerate()
+        {
+            assert!(
+                (g - r).abs() <= 1e-10 * r,
+                "{what}: residual {k} is {g:e}, block COCG's {r:e}"
+            );
+        }
+        let x_norm = x.fro_norm();
+        let d = (0..s)
+            .map(|c| max_diff(got_x.col(c), x.col(c).iter().map(|z| z.re)))
+            .fold(0.0, f64::max);
+        assert!(
+            d <= 1e-10 * x_norm,
+            "{what}: Re X off block COCG's by {d:e} (‖X‖ {x_norm:e})"
+        );
+    });
+}
+
+/// A rank-deficient start block — a repeated column, or a zero one — has
+/// no QR: the real block solve hands it to block COCG, which converges, and
+/// says so in `breakdowns`.
+#[test]
+fn rank_deficient_blocks_hand_off_to_block_cocg() {
+    check(24, |rng| {
+        let n = 40;
+        let s = rng.random_range(2usize..6);
+        let op = ShiftedDense::new(symmetric_strategy(rng, n), true, 0, 0.3);
+        let mut b = Mat::from_fn(n, s, |_, _| rng.random_range(-1.0f64..1.0));
+        let (c, d) = (rng.random_range(0..s), rng.random_range(0..s - 1));
+        let d = if d >= c { d + 1 } else { d };
+        if rng.random::<bool>() {
+            let col = b.col(c).to_vec();
+            b.col_mut(d).copy_from_slice(&col);
+        } else {
+            b.col_mut(c).fill(0.0);
+        }
+        let opts = CocgOptions::with_tol(1e-8);
+        let (x, report) = real_block_solve(&op, &b, None, 0..s, &opts);
+        assert!(report.converged, "{report:?}");
+        assert!(report.breakdowns >= 1, "{report:?}");
+        let bc = Mat::from_fn(n, s, |i, c| C64::new(b[(i, c)], 0.0));
+        let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
+        let bound = 2.0 * opts.tol * b.fro_norm() / op.sigma_min();
+        for c in 0..s {
+            let err = max_diff(x.col(c), exact.col(c).iter().map(|z| z.re));
+            assert!(
+                err <= bound,
+                "column {c}: {err:e} from the dense solve, bound {bound:e}"
+            );
         }
     });
 }
