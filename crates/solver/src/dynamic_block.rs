@@ -399,8 +399,7 @@ mod tests {
     fn the_probe_carries_the_last_column_to_its_width_one_chunk() {
         // For w = 1..=12 under fixed and cost-model policies: the chunks the
         // schedule makes without a carry (every width-1 chunk its own Alg. 3
-        // solve, which is what the real path ran before the probe carried,
-        // and every wider one its own block Lanczos solve),
+        // solve, which is what the real path ran before the probe carried),
         // then the real path itself: the same histogram, every column sunk
         // once with its solution, and Lanczos calls left lone only where the
         // held column could not serve them.
@@ -430,29 +429,9 @@ mod tests {
                     let mut first = None;
                     for k in 0..chunks {
                         let c0 = start + k * width;
-                        let report = if width == 1 {
-                            let rhs = b.columns(c0, width).map(|x| C64::new(x, 0.0));
-                            let (x, report) = block_cocg(&op, &rhs, None, &opts);
-                            want.set_columns(c0, &x);
-                            report
-                        } else {
-                            // a wider chunk alone through the solve that runs it
-                            let mut ws = Workspace::new();
-                            let cols = c0..c0 + width;
-                            shifted_block_lanczos(
-                                &op,
-                                &b,
-                                None,
-                                cols,
-                                &opts,
-                                &mut ws,
-                                &mut |c, x, slot| {
-                                    for (z, xi) in want.col_mut(c).iter_mut().zip(x) {
-                                        *z = C64::new(if slot == 0 { xi.re } else { xi.im }, 0.0);
-                                    }
-                                },
-                            )
-                        };
+                        let rhs = b.columns(c0, width).map(|x| C64::new(x, 0.0));
+                        let (x, report) = block_cocg(&op, &rhs, None, &opts);
+                        want.set_columns(c0, &x);
                         want_hist.record(width, width);
                         first.get_or_insert(report);
                     }

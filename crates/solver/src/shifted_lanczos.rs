@@ -354,6 +354,18 @@ fn cholesky_qr(s: usize, g: &[f64], beta: &mut [f64], b_inv: &mut [f64]) -> bool
     true
 }
 
+/// Where a block Lanczos solve stops for block COCG, and so which
+/// residual the recurrence holds for its `X`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Breakdown {
+    /// `W₀` has no QR: no step taken, `X = X₀`.
+    Start,
+    /// `U` has no QR: `X_k`, with `W_k = −U·Δ_k⁻¹Z_k`.
+    Qr,
+    /// `Δ_k` has no LU: `X_{k−1}` stands, with `W_{k−1} = V_k Z_k`.
+    Delta,
+}
+
 std::thread_local! {
     /// The row interchanges of a block solve's `Δ_k` factorisations, one
     /// vector per thread so a warm solve allocates nothing.
@@ -393,9 +405,18 @@ fn carve<const K: usize>(buf: &mut [f64], len: usize) -> [&mut [f64]; K] {
 /// `guess` is `[Re X₀ | Im X₀]` as for [`shifted_lanczos_pair`], and the
 /// start drops the same imaginary part of the residual. Where a QR is
 /// rank-deficient or a `Δ_k` pivot ratio is at or below the breakdown
-/// floor, the solve hands the block to [`block_cocg_ws`] from the current
-/// `Re X` with the iterations left, and counts one breakdown. All work
-/// vectors come from `ws` and go back to it.
+/// floor, the solve counts one breakdown and hands the block to
+/// [`block_cocg_ws`] from the current complex `X` with the iterations left,
+/// as Alg. 3 restarts from its own breakdowns. `Im X` is not carried: the
+/// hand-off rebuilds it from the real part of the residual `W` the
+/// recurrence holds for `X`, `Re W = B − R·Re X + ω·Im X`, with one apply
+/// of `R`. On a block whose Krylov space runs out that takes block COCG's
+/// iterations, plus two block applies (the rebuild and the fresh
+/// residual; none before a first step without a guess, where the solve is
+/// block COCG's). The residual history is kept as block COCG keeps its
+/// own, one entry per iteration and the start's: block COCG's first entry,
+/// the fresh residual, replaces the one of the iterate it restarts from.
+/// All work vectors come from `ws` and go back to it.
 pub fn shifted_block_lanczos(
     op: &dyn RealShifted,
     b: &Mat<f64>,
@@ -450,7 +471,7 @@ pub fn shifted_block_lanczos(
     }
     let b_norm = b_sq.sqrt();
     let mut blown_up = false;
-    let mut handoff = false;
+    let mut handoff = None;
     if exactly_zero(b_norm) {
         // a zero block is solved by its guess, as in Alg. 3
         report.converged = true;
@@ -479,8 +500,9 @@ pub fn shifted_block_lanczos(
         // and step 0 of the recurrence: V₁ with D₀ = 0 and no step taken
         mbrpa_simd::block_lanczos_orthogonalize(n, s, zero, comps(&v), comps_mut(&mut y), gram);
         w_sq = (0..s).map(|j| gram[j + s * j]).sum::<f64>();
-        handoff = !cholesky_qr(s, gram, beta, b_inv);
-        if !handoff {
+        if !cholesky_qr(s, gram, beta, b_inv) {
+            handoff = Some(Breakdown::Start);
+        } else {
             let step = BlockStep {
                 b_inv,
                 e_re: zero,
@@ -526,10 +548,9 @@ pub fn shifted_block_lanczos(
             break;
         }
         if report.iterations >= opts.max_iters {
-            handoff = false;
             break;
         }
-        if handoff {
+        if handoff.is_some() {
             break;
         }
         for q in 0..m {
@@ -591,8 +612,12 @@ pub fn shifted_block_lanczos(
         // as a blow-up instead
         let ratio = Lu::factor_in_place(&mut lu, &mut piv);
         if !ratio.is_ok_and(|r| r > BREAKDOWN_RCOND || r.is_nan()) {
-            handoff = true;
-            continue;
+            // the step ends where it started: X and its residual stand
+            if opts.track_residuals {
+                report.residual_history.push(rel);
+            }
+            handoff = Some(Breakdown::Delta);
+            break;
         }
         for j in 0..2 * s {
             Lu::solve_in_place(&lu, &piv, rhs.col_mut(j));
@@ -649,7 +674,7 @@ pub fn shifted_block_lanczos(
         // ‖W_k‖_F = ‖U M_k‖_F: ‖Z_{k+1}‖_F with Z_{k+1} = −β_{k+1}M_k, or
         // from the Gram matrix itself when U has no QR
         let res_sq = if deficient {
-            handoff = true;
+            handoff = Some(Breakdown::Qr);
             (0..s)
                 .map(|c| {
                     let quad = |mm: &[f64]| {
@@ -678,30 +703,68 @@ pub fn shifted_block_lanczos(
         }
     }
 
-    if handoff && !report.converged && !blown_up {
-        // block COCG from the current Re X, on the iterations left
+    let broke_down = handoff.filter(|_| !report.converged && !blown_up);
+    report.breakdowns += usize::from(broke_down.is_some());
+    if let Some(stop) = broke_down.filter(|_| report.iterations < opts.max_iters) {
+        // Im X, which the sweeps do not carry: X₀'s before a step, else
+        // from the real part of the residual the recurrence holds for X,
+        // Re W = b − R·Re X + ω·Im X, after one apply of R
+        let at_start = stop == Breakdown::Start || exactly_zero(omega);
+        let at = |c: usize, i: usize| 2 * ((c / 2) * n + i) + c % 2;
+        if !at_start {
+            let (basis, coef, sign) = match stop {
+                Breakdown::Qr => (&y, &*m_re, -1.0),
+                _ => (&v, &*z_re, 1.0),
+            };
+            let (us, re_w) = (comps(basis), comps_mut(&mut dn_re));
+            for c in 0..s {
+                for i in 0..n {
+                    re_w[at(c, i)] =
+                        sign * (0..s).map(|l| us[at(l, i)] * coef[l + s * c]).sum::<f64>();
+                }
+            }
+            for q in 0..m {
+                op.apply_real_pair(x.col(q), dn_im.col_mut(q));
+            }
+            report.matvecs += s;
+        }
+        // block COCG from the current X, on the iterations left, as Alg. 3
+        // restarts after its own breakdowns: from a fresh residual, whose
+        // norm replaces the last one the history holds
         let sub_opts = CocgOptions {
-            max_iters: opts.max_iters.saturating_sub(report.iterations),
+            max_iters: opts.max_iters - report.iterations,
             ..*opts
         };
         let mut cb = ws.take_scratch(n, s);
         let mut cg = ws.take_scratch(n, s);
-        let xs = comps(&x);
+        let (xs, re_w, r_x) = (comps(&x), comps(&dn_re), comps(&dn_im));
         for c in 0..s {
+            let im0 = guess.map(|g| g.col(w + cols.start + c));
             for (i, (zb, zg)) in cb.col_mut(c).iter_mut().zip(cg.col_mut(c)).enumerate() {
-                *zb = C64::new(b[(i, cols.start + c)], 0.0);
-                *zg = C64::new(xs[2 * ((c / 2) * n + i) + c % 2], 0.0);
+                let (k, bi) = (at(c, i), b[(i, cols.start + c)]);
+                let im = if at_start {
+                    im0.map_or(0.0, |g| g[i])
+                } else {
+                    (r_x[k] - bi + re_w[k]) / omega
+                };
+                *zb = C64::new(bi, 0.0);
+                *zg = C64::new(xs[k], im);
             }
         }
-        let (xc, sub) = block_cocg_ws(op, &cb, Some(&cg), &sub_opts, ws);
+        // no step and no guess leave X = 0, block COCG's own start
+        let x0 = (stop != Breakdown::Start || guess.is_some()).then_some(&cg);
+        let (xc, sub) = block_cocg_ws(op, &cb, x0, &sub_opts, ws);
         report.iterations += sub.iterations;
         report.matvecs += sub.matvecs;
-        report.breakdowns += 1 + sub.breakdowns;
+        report.breakdowns += sub.breakdowns;
         report.converged = sub.converged;
         report.relative_residual = sub.relative_residual;
-        report
-            .residual_history
-            .extend_from_slice(&sub.residual_history);
+        if opts.track_residuals {
+            report.residual_history.pop();
+            report
+                .residual_history
+                .extend_from_slice(&sub.residual_history);
+        }
         for c in 0..s {
             sink(cols.start + c, xc.col(c), 0);
         }

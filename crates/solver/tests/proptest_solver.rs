@@ -498,8 +498,9 @@ fn real_block_solves_match_block_cocg() {
 }
 
 /// A rank-deficient start block — a repeated column, or a zero one — has
-/// no QR: the real block solve hands it to block COCG, which converges, and
-/// says so in `breakdowns`.
+/// no QR: the real block solve hands it to block COCG before a step, so
+/// the solve is block COCG's — iterations, matvecs, residual history and
+/// `Re X` to the bit — with the hand-off counted in `breakdowns`.
 #[test]
 fn rank_deficient_blocks_hand_off_to_block_cocg() {
     check(24, |rng| {
@@ -515,11 +516,101 @@ fn rank_deficient_blocks_hand_off_to_block_cocg() {
         } else {
             b.col_mut(c).fill(0.0);
         }
-        let opts = CocgOptions::with_tol(1e-8);
+        let opts = CocgOptions {
+            track_residuals: true,
+            ..CocgOptions::with_tol(1e-8)
+        };
         let (x, report) = real_block_solve(&op, &b, None, 0..s, &opts);
         assert!(report.converged, "{report:?}");
-        assert!(report.breakdowns >= 1, "{report:?}");
         let bc = Mat::from_fn(n, s, |i, c| C64::new(b[(i, c)], 0.0));
+        let (xc, want) = block_cocg_ws(&op, &bc, None, &opts, &mut Workspace::new());
+        assert_eq!(report.breakdowns, want.breakdowns + 1, "{report:?}");
+        assert_eq!(
+            (report.iterations, report.matvecs, report.converged),
+            (want.iterations, want.matvecs, want.converged)
+        );
+        assert_eq!(report.residual_history, want.residual_history);
+        let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
+        let bound = 2.0 * opts.tol * b.fro_norm() / op.sigma_min();
+        for c in 0..s {
+            let bits = |v: &mut dyn Iterator<Item = f64>| v.map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&mut x.col(c).iter().copied()),
+                bits(&mut xc.col(c).iter().map(|z| z.re)),
+                "column {c}"
+            );
+            let err = max_diff(x.col(c), exact.col(c).iter().map(|z| z.re));
+            assert!(
+                err <= bound,
+                "column {c}: {err:e} from the dense solve, bound {bound:e}"
+            );
+        }
+    });
+}
+
+/// A block whose Krylov space runs out mid-solve — every column in the
+/// span of a few eigenvectors, more of them than one block holds — loses
+/// its QR part-way and hands off from its complex iterate, `Im X` rebuilt
+/// from the recurrence's residual; with no guess or a complex one. Block
+/// COCG breaks down at the same step
+/// and restarts from the same iterate, so the two take the same
+/// iterations, the hand-off costing two block applies (`R·Re X` and the
+/// fresh residual) and one breakdown more, and keep residual histories of
+/// one length.
+#[test]
+fn exhausted_krylov_spaces_hand_off_mid_solve() {
+    check(128, |rng| {
+        let n = 40;
+        let s = rng.random_range(2usize..6);
+        let k = s + rng.random_range(1..s);
+        let op = ShiftedDense::new(symmetric_strategy(rng, n), true, 0, 0.3);
+        let mut picked: Vec<usize> = (0..n).collect();
+        for l in 0..k {
+            picked.swap(l, rng.random_range(l..n));
+        }
+        let coef = Mat::from_fn(k, s, |_, _| rng.random_range(-1.0f64..1.0));
+        let b = Mat::from_fn(n, s, |i, c| {
+            (0..k)
+                .map(|l| coef[(l, c)] * op.eig.vectors[(i, picked[l])])
+                .sum()
+        });
+        let opts = CocgOptions {
+            track_residuals: true,
+            ..CocgOptions::with_tol(1e-10)
+        };
+        let bc = Mat::from_fn(n, s, |i, c| C64::new(b[(i, c)], 0.0));
+        // or from X₀ = A⁻¹(0.6·B), complex, whose residual stays in the span
+        let x0 = rng
+            .random::<bool>()
+            .then(|| mbrpa_linalg::solve(op.complex.matrix(), &bc.map(|z| z.scale(0.6))).unwrap());
+        let guess = x0.as_ref().map(|x0| {
+            Mat::from_fn(n, 2 * s, |i, c| {
+                let z = x0[(i, c % s)];
+                if c < s {
+                    z.re
+                } else {
+                    z.im
+                }
+            })
+        });
+        let (x, got) = real_block_solve(&op, &b, guess.as_ref(), 0..s, &opts);
+        let (_, want) = block_cocg_ws(&op, &bc, x0.as_ref(), &opts, &mut Workspace::new());
+        // a column of U that is rounding alone passes the equilibrated rank
+        // test, and the recurrence runs on past it: no hand-off to compare
+        assume(got.breakdowns > 0);
+        let what = format!(
+            "s {s}, {k} eigenvectors, guess {}: {got:?} against {want:?}",
+            x0.is_some()
+        );
+        assert!(got.converged && want.converged, "{what}");
+        assert_eq!(got.iterations, want.iterations, "{what}");
+        assert_eq!(got.matvecs, want.matvecs + 2 * s, "{what}");
+        assert_eq!(got.breakdowns, want.breakdowns + 1, "{what}");
+        assert_eq!(
+            got.residual_history.len(),
+            want.residual_history.len(),
+            "{what}"
+        );
         let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
         let bound = 2.0 * opts.tol * b.fro_norm() / op.sigma_min();
         for c in 0..s {
