@@ -287,12 +287,14 @@ leg grep-gates ran "one-copy and removed-path source gates"
 # Hermitian Gram path, the `axpby` kernels, the `.orb` orbital format, the
 # real×complex GEMMs, the conjugated complex dot kernel, the public items
 # only their own unit tests called, the solvers' own solve counters, obs's
-# context labels and the telemetry-free `apply_raw` twins are gone. The paper's χ⁰ is
+# context labels, the telemetry-free `apply_raw` twins and the thin-block
+# kernel tier of block COCG (fused update, direction and Gram sweeps; block
+# COCG runs the packed GEMM and Gram path at every width) are gone. The paper's χ⁰ is
 # closed-shell (Eq. 5); a new caller writes what it needs, with its
 # reason, in its place.
 if [ -e crates/dft/src/occupations.rs ] || [ -e crates/linalg/src/svd.rs ] \
     || [ -e crates/core/src/rpa_lanczos.rs ] || [ -e crates/dft/src/orbital_io.rs ] \
-    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)|orbital_io|save_orbitals|load_orbitals|OrbitalIoError|matmul_rc|matmul_tn_rc|dot_h_c64|dot_h_c64_on|combine_h|mat_vec|count_solve|absorb_column|set_context|clear_context|context_label|add_ctx|record_ctx|apply_raw' \
+    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)|orbital_io|save_orbitals|load_orbitals|OrbitalIoError|matmul_rc|matmul_tn_rc|dot_h_c64|dot_h_c64_on|combine_h|mat_vec|count_solve|absorb_column|set_context|clear_context|context_label|add_ctx|record_ctx|apply_raw|thin_gram_c64|thin_gram_c64_on|cocg_update_c64|cocg_update_c64_on|cocg_direction_c64|cocg_direction_c64_on|THIN_MAX|ThinPairs|finish_thin_gram|finish_cocg_gram' \
         crates/*/src src; then
     echo "ci: a deleted library item is back — nothing outside its own tests called it"
     exit 1

@@ -170,8 +170,7 @@ fn gemm_cases(smoke: bool, reps: usize, cases: &mut Vec<Case>) {
 }
 
 /// The reduction suite: lane-split dispatched dot/norm/axpy on single
-/// vectors. Block COCG calls none of them: its recurrences are the fused
-/// thin-block kernels (`cocg_update_cases`).
+/// vectors.
 fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
     let n = if smoke { 1 << 14 } else { 1 << 21 };
     let reps = if smoke { 11 } else { 31 };
@@ -207,45 +206,11 @@ fn reduce_cases(smoke: bool, cases: &mut Vec<Case>) {
     cases.push(Case::new("reduce_axpy_f64", shape, secs, 2.0 * n as f64));
 }
 
-/// The fused update sweep of block COCG (lines 9–11 of Alg. 3: `X += P·α`,
-/// `W −= U·α`, `WᵀW` and the column norms in one pass) at the block
-/// widths the solves run at.
-fn cocg_update_cases(reps: usize, cases: &mut Vec<Case>) {
-    let n = 2744;
-    for sw in [1usize, 2, 4] {
-        let block = |seed: u64| filled::<C64>(n, sw, seed + sw as u64).map(|z| z.scale(1e-3));
-        let (p, u) = (block(0x71), block(0x72));
-        let alpha = filled::<C64>(sw, sw, 0x73 + sw as u64).map(|z| z.scale(1e-3));
-        let (mut x, mut w) = (block(0x74), block(0x75));
-        let mut rho = vec![0.0; 2 * sw * sw];
-        let mut w_sq = vec![0.0; sw];
-        let secs = time_best(reps, &mut || {
-            mbrpa_simd::cocg_update_c64(
-                n,
-                sw,
-                C64::as_components(p.as_slice()),
-                C64::as_components(u.as_slice()),
-                C64::as_components(alpha.as_slice()),
-                C64::as_components_mut(x.as_mut_slice()),
-                C64::as_components_mut(w.as_mut_slice()),
-                &mut rho,
-                &mut w_sq,
-            );
-            black_box(&w_sq);
-        });
-        cases.push(Case::new(
-            format!("cocg_update_c64_s{sw}"),
-            format!("n={n} s={sw}"),
-            secs,
-            24.0 * (n * sw * sw) as f64,
-        ));
-    }
-}
-
-/// One whole block-COCG iteration (operator apply, `μ`, the fused update,
-/// the direction update, two `s × s` solves) against the Sternheimer
-/// operator, at the grid sizes and block widths of the end-to-end
-/// workloads. `secs` is per iteration: a fixed-length solve that cannot
+/// One whole block-COCG iteration (operator apply, `μ`, the residual and
+/// iterate updates, the direction update, two `s × s` solves) against the
+/// Sternheimer operator, at the grid sizes and block widths of the
+/// end-to-end workloads: the price of the reference the real solves are
+/// held to. `secs` is per iteration: a fixed-length solve that cannot
 /// converge, divided by its iteration count.
 fn cocg_iter_cases(reps: usize, cases: &mut Vec<Case>) {
     const ITERS: usize = 24;
@@ -620,7 +585,7 @@ fn main() {
 
     let threads = rayon::current_num_threads();
     let reps = if smoke { 3 } else { 9 };
-    // Stencil, COCG-update, COCG-iteration and apply cases run in ~1 ms or
+    // Stencil, COCG-iteration and apply cases run in ~1 ms or
     // less, so a best-of-7 is one scheduler blip away from garbage; they
     // get more samples for the same wall time.
     let stencil_reps = if smoke { 5 } else { 25 };
@@ -629,7 +594,6 @@ fn main() {
     sternheimer_case(smoke, stencil_reps, &mut cases);
     gemm_cases(smoke, reps, &mut cases);
     reduce_cases(smoke, &mut cases);
-    cocg_update_cases(stencil_reps, &mut cases);
     cocg_iter_cases(stencil_reps, &mut cases);
     lanczos_iter_cases(stencil_reps, &mut cases);
     block_lanczos_iter_cases(stencil_reps, &mut cases);

@@ -393,26 +393,9 @@ pub fn matmul_tn<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 }
 
 /// `C = Aᵀ · B` written into a caller-owned matrix (overwrites `C`; the
-/// allocation-free form for solver steady-state loops). Complex products
-/// with at most four columns on each side (block COCG's `μ = UᵀP`,
-/// `ρ = WᵀZ`) are one `mbrpa_simd::thin_gram_c64` sweep that reads every
-/// column once; its lane layout is the one the fused COCG update
-/// accumulates `WᵀW` in, so the two agree bit for bit.
+/// allocation-free form for solver steady-state loops).
 pub fn matmul_tn_into<T: Scalar>(a: &Mat<T>, b: &Mat<T>, c: &mut Mat<T>) {
     gram_checks(a, b, c);
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let thin = 1..=mbrpa_simd::THIN_MAX;
-    if T::COMPONENTS == 2 && thin.contains(&k) && thin.contains(&n) {
-        mbrpa_simd::thin_gram_c64(
-            m,
-            k,
-            n,
-            T::as_components(a.as_slice()),
-            T::as_components(b.as_slice()),
-            T::as_components_mut(c.as_mut_slice()),
-        );
-        return;
-    }
     let d = mbrpa_simd::active();
     gram_driver(
         a.rows(),

@@ -107,12 +107,12 @@ fn check_field<T: Scalar>(m: usize, k: usize, n: usize, sel: u64, seed: u64) -> 
     Ok(())
 }
 
-/// Complex `matmul_tn_into` with at most four columns a side (the
-/// pack-free `thin_gram_c64` sweep) against the naive oracle and against
-/// the blocked Gram driver, which the same product reaches once both
-/// operands are padded to five columns. The output starts NaN-filled: it
-/// must be overwritten, not read. Row counts are ragged on purpose (odd,
-/// and not a multiple of any lane width).
+/// Complex `matmul_tn_into` with at most four columns a side (block
+/// COCG's `μ` and `ρ` at small widths) through the Gram driver,
+/// against the naive oracle and against the same product padded to five
+/// columns, whose tiles split the columns differently. The output starts
+/// NaN-filled: it must be overwritten, not read. Row counts are ragged on
+/// purpose (odd, and not a multiple of any lane width).
 fn check_thin_gram(m: usize, k: usize, n: usize, seed: u64) -> Result<(), String> {
     type T = C64;
     let mut rng = Rng(seed | 1);

@@ -13,7 +13,7 @@
 //! support at runtime.
 
 #![allow(unsafe_op_in_unsafe_fn)]
-// The thin-block kernels index several register arrays with one
+// The register-blocked kernels index several register arrays with one
 // const-generic-bounded loop variable; an iterator over one of them would
 // hide that.
 #![allow(clippy::needless_range_loop)]
@@ -1123,288 +1123,6 @@ pub(crate) unsafe fn gram2_c64(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64], o
         let (re, im) = lanes::combine_t(&ps[idx], &qs[idx]);
         out[2 * idx] = re;
         out[2 * idx + 1] = im;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Thin-block kernels: n×s complex blocks against s×s coefficients, s ≤ 4
-//
-// Two complex rows per vector. Per row pair every operand column is
-// loaded once, all loads precede the first store (so stores to one column
-// never sit in front of loads from another column at the same offset
-// modulo 4 KiB), and the coefficients stay in broadcast registers. The
-// extents are const generics so the `l`/`j` loops unroll into straight
-// FMA chains; an odd last row runs the oracle's own row function.
-// ---------------------------------------------------------------------------
-
-type Coef = [[__m256d; lanes::THIN_MAX]; lanes::THIN_MAX];
-
-/// Broadcast forms of a `k × n` complex coefficient block (column-major,
-/// interleaved): `re[j][l]` holds `Re b_lj` in every lane, `im[j][l]`
-/// holds `[−Im, Im, −Im, Im]`, the multiplier of the pair-swapped operand.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; only the kernels below call it. All memory access goes
-// through safe slices.
-unsafe fn thin_coef(k: usize, n: usize, b: &[f64]) -> (Coef, Coef) {
-    let z = _mm256_setzero_pd();
-    let mut re = [[z; lanes::THIN_MAX]; lanes::THIN_MAX];
-    let mut im = re;
-    for j in 0..n {
-        for l in 0..k {
-            let (br, bi) = (b[2 * (l + k * j)], b[2 * (l + k * j) + 1]);
-            re[j][l] = _mm256_set1_pd(br);
-            im[j][l] = _mm256_set_pd(bi, -bi, bi, -bi);
-        }
-    }
-    (re, im)
-}
-
-/// Expand to a `match (k, n)` over the sixteen thin shapes, calling the
-/// const-generic kernel of each with the parenthesised `$args` and
-/// `$fallback` for anything else.
-macro_rules! by_thin_shape {
-    ($k:expr, $n:expr, $kernel:ident $args:tt, $fallback:expr) => {
-        by_thin_shape!(@arms $k, $n, $kernel $args, $fallback,
-            (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4),
-            (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2), (4, 3), (4, 4))
-    };
-    (@arms $k:expr, $n:expr, $kernel:ident $args:tt, $fallback:expr,
-     $(($kk:literal, $nn:literal)),*) => {
-        match ($k, $n) {
-            $(($kk, $nn) => $kernel::<$kk, $nn> $args,)*
-            _ => $fallback,
-        }
-    };
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support. The safe wrapper checked `a.len() == 2·rows·K` and
-// `b.len() == 2·rows·N`; every raw access below is at
-// `2·(col·rows + r)..+4` with `col` below the block's width and
-// `r + 2 <= rows`.
-unsafe fn thin_gram_kn<const K: usize, const N: usize>(
-    rows: usize,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-) {
-    let z = _mm256_setzero_pd();
-    let mut gp = [[z; K]; N];
-    let mut gq = [[z; K]; N];
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let even = rows - rows % 2;
-    let mut r = 0;
-    while r < even {
-        let mut av = [z; K];
-        for i in 0..K {
-            // SAFETY: i < K and r + 2 <= rows (see the function contract).
-            av[i] = _mm256_loadu_pd(ap.add(2 * (i * rows + r)));
-        }
-        for j in 0..N {
-            // SAFETY: j < N and r + 2 <= rows.
-            let bv = _mm256_loadu_pd(bp.add(2 * (j * rows + r)));
-            let bs = swap_pairs(bv);
-            for i in 0..K {
-                gp[j][i] = _mm256_fmadd_pd(av[i], bv, gp[j][i]);
-                gq[j][i] = _mm256_fmadd_pd(av[i], bs, gq[j][i]);
-            }
-        }
-        r += 2;
-    }
-    let mut ps = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; lanes::THIN_PAIRS];
-    let mut qs = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; lanes::THIN_PAIRS];
-    for j in 0..N {
-        for i in 0..K {
-            // SAFETY: each lane array holds exactly 4 f64s.
-            _mm256_storeu_pd(ps[lanes::thin_pair(i, j)].as_mut_ptr(), gp[j][i]);
-            _mm256_storeu_pd(qs[lanes::thin_pair(i, j)].as_mut_ptr(), gq[j][i]);
-        }
-    }
-    if even < rows {
-        // rows is odd, so the last row index is even: complex lane 0
-        crate::scalar::thin_gram_row(rows, K, N, even, 0, a, b, &mut ps, &mut qs);
-    }
-    lanes::finish_thin_gram(K, N, &ps, &qs, out);
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. Slice lengths are checked by the safe wrapper and restated at
-// `thin_gram_kn`.
-pub(crate) unsafe fn thin_gram_c64(
-    rows: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-) {
-    by_thin_shape!(
-        k,
-        n,
-        thin_gram_kn(rows, a, b, out),
-        crate::scalar::thin_gram_c64(rows, k, n, a, b, out)
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support. The safe wrapper checked that `p`, `u`, `x` and `w` all have
-// length `2·rows·S` and `alpha` has `2·S·S`; every raw access below is at
-// `2·(col·rows + i)..+4` with `col < S` and `i + 2 <= rows`.
-unsafe fn cocg_update_s<const S: usize>(
-    rows: usize,
-    p: &[f64],
-    u: &[f64],
-    alpha: &[f64],
-    x: &mut [f64],
-    w: &mut [f64],
-    rho: &mut [f64],
-    w_sq: &mut [f64],
-) {
-    let (are, aim) = thin_coef(S, S, alpha);
-    let z = _mm256_setzero_pd();
-    let mut gp = [z; lanes::THIN_PAIRS];
-    let mut gq = [z; lanes::THIN_PAIRS];
-    let (pp, up, xp, wp) = (p.as_ptr(), u.as_ptr(), x.as_mut_ptr(), w.as_mut_ptr());
-    let even = rows - rows % 2;
-    let mut i = 0;
-    while i < even {
-        let (mut pv, mut pw, mut uv, mut uw) = ([z; S], [z; S], [z; S], [z; S]);
-        let (mut xv, mut wv) = ([z; S], [z; S]);
-        for l in 0..S {
-            // SAFETY: l < S and i + 2 <= rows (see the function contract).
-            let o = 2 * (l * rows + i);
-            pv[l] = _mm256_loadu_pd(pp.add(o));
-            pw[l] = swap_pairs(pv[l]);
-            uv[l] = _mm256_loadu_pd(up.add(o));
-            uw[l] = swap_pairs(uv[l]);
-            xv[l] = _mm256_loadu_pd(xp.add(o));
-            wv[l] = _mm256_loadu_pd(wp.add(o));
-        }
-        for j in 0..S {
-            for l in 0..S {
-                xv[j] = _mm256_fmadd_pd(aim[j][l], pw[l], _mm256_fmadd_pd(are[j][l], pv[l], xv[j]));
-                wv[j] =
-                    _mm256_fnmadd_pd(aim[j][l], uw[l], _mm256_fnmadd_pd(are[j][l], uv[l], wv[j]));
-            }
-        }
-        for j in 0..S {
-            // SAFETY: j < S and i + 2 <= rows.
-            let o = 2 * (j * rows + i);
-            _mm256_storeu_pd(xp.add(o), xv[j]);
-            _mm256_storeu_pd(wp.add(o), wv[j]);
-        }
-        for j in 0..S {
-            let ws = swap_pairs(wv[j]);
-            for ii in 0..=j {
-                let idx = lanes::thin_pair(ii, j);
-                gp[idx] = _mm256_fmadd_pd(wv[ii], wv[j], gp[idx]);
-                gq[idx] = _mm256_fmadd_pd(wv[ii], ws, gq[idx]);
-            }
-        }
-        i += 2;
-    }
-    let mut ps = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; lanes::THIN_PAIRS];
-    let mut qs = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; lanes::THIN_PAIRS];
-    for idx in 0..lanes::THIN_PAIRS {
-        // SAFETY: each lane array holds exactly 4 f64s.
-        _mm256_storeu_pd(ps[idx].as_mut_ptr(), gp[idx]);
-        _mm256_storeu_pd(qs[idx].as_mut_ptr(), gq[idx]);
-    }
-    if even < rows {
-        // rows is odd, so the last row index is even: complex lane 0
-        crate::scalar::cocg_update_row(rows, S, even, 0, p, u, alpha, x, w, &mut ps, &mut qs);
-    }
-    lanes::finish_cocg_gram(S, &ps, &qs, rho, w_sq);
-}
-
-#[allow(clippy::too_many_arguments)]
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. Slice lengths are checked by the safe wrapper and restated at
-// `cocg_update_s`.
-pub(crate) unsafe fn cocg_update_c64(
-    rows: usize,
-    s: usize,
-    p: &[f64],
-    u: &[f64],
-    alpha: &[f64],
-    x: &mut [f64],
-    w: &mut [f64],
-    rho: &mut [f64],
-    w_sq: &mut [f64],
-) {
-    match s {
-        1 => cocg_update_s::<1>(rows, p, u, alpha, x, w, rho, w_sq),
-        2 => cocg_update_s::<2>(rows, p, u, alpha, x, w, rho, w_sq),
-        3 => cocg_update_s::<3>(rows, p, u, alpha, x, w, rho, w_sq),
-        4 => cocg_update_s::<4>(rows, p, u, alpha, x, w, rho, w_sq),
-        _ => crate::scalar::cocg_update_c64(rows, s, p, u, alpha, x, w, rho, w_sq),
-    }
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support. The safe wrapper checked that `z` and `p` have length
-// `2·rows·S` and `beta` has `2·S·S`; every raw access below is at
-// `2·(col·rows + i)..+4` with `col < S` and `i + 2 <= rows`.
-unsafe fn cocg_direction_s<const S: usize>(rows: usize, z: &[f64], beta: &[f64], p: &mut [f64]) {
-    let (bre, bim) = thin_coef(S, S, beta);
-    let zero = _mm256_setzero_pd();
-    let (zp, pp) = (z.as_ptr(), p.as_mut_ptr());
-    let even = rows - rows % 2;
-    let mut i = 0;
-    while i < even {
-        let (mut pv, mut pw, mut acc) = ([zero; S], [zero; S], [zero; S]);
-        for l in 0..S {
-            // SAFETY: l < S and i + 2 <= rows (see the function contract).
-            let o = 2 * (l * rows + i);
-            pv[l] = _mm256_loadu_pd(pp.add(o));
-            pw[l] = swap_pairs(pv[l]);
-            acc[l] = _mm256_loadu_pd(zp.add(o));
-        }
-        for j in 0..S {
-            for l in 0..S {
-                acc[j] =
-                    _mm256_fmadd_pd(bim[j][l], pw[l], _mm256_fmadd_pd(bre[j][l], pv[l], acc[j]));
-            }
-        }
-        for j in 0..S {
-            // SAFETY: j < S and i + 2 <= rows.
-            _mm256_storeu_pd(pp.add(2 * (j * rows + i)), acc[j]);
-        }
-        i += 2;
-    }
-    if even < rows {
-        crate::scalar::cocg_direction_row(rows, S, even, z, beta, p);
-    }
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. Slice lengths are checked by the safe wrapper and restated at
-// `cocg_direction_s`.
-pub(crate) unsafe fn cocg_direction_c64(
-    rows: usize,
-    s: usize,
-    z: &[f64],
-    beta: &[f64],
-    p: &mut [f64],
-) {
-    match s {
-        1 => cocg_direction_s::<1>(rows, z, beta, p),
-        2 => cocg_direction_s::<2>(rows, z, beta, p),
-        3 => cocg_direction_s::<3>(rows, z, beta, p),
-        4 => cocg_direction_s::<4>(rows, z, beta, p),
-        _ => crate::scalar::cocg_direction_c64(rows, s, z, beta, p),
     }
 }
 

@@ -2,7 +2,8 @@
 //! final reduction results.
 //!
 //! Every reduction in this crate (real and complex dots, squared norms,
-//! Gram tiles) accumulates into a fixed number of independent *lanes*:
+//! Gram tiles, the Gram products of the real Lanczos sweeps) accumulates
+//! into a fixed number of independent *lanes*:
 //! element `i` of the input always lands in lane `i mod LANES`, and each
 //! lane is a pure sequential fused-multiply-add chain. A vector backend
 //! realizes the lanes as SIMD register lanes; the scalar backend keeps
@@ -60,69 +61,6 @@ pub fn combine_t(p: &[f64], q: &[f64]) -> (f64, f64) {
         l += 2;
     }
     (pr - pi, qr + qi)
-}
-
-/// Widest block the thin-block kernels (`thin_gram_c64`,
-/// `cocg_update_c64`, `cocg_direction_c64`) accept: their
-/// `s × s` coefficients and Gram accumulators are sized for the register
-/// file, and `s ≤ 4` is every block COCG solve the drivers run.
-pub const THIN_MAX: usize = 4;
-
-/// Pair accumulators of a thin Gram product: pair `(i, j)` lives at index
-/// [`thin_pair`]`(i, j)`.
-pub(crate) const THIN_PAIRS: usize = THIN_MAX * THIN_MAX;
-
-/// Lane state of every pair of a thin Gram product (the `p` or the `q`
-/// products, see [`combine_t`]).
-pub(crate) type ThinPairs = [[f64; 2 * GRAM_C64_LANES]; THIN_PAIRS];
-
-/// Accumulator index of the pair `(i, j)`.
-#[inline(always)]
-pub(crate) fn thin_pair(i: usize, j: usize) -> usize {
-    debug_assert!(i < THIN_MAX && j < THIN_MAX);
-    i + THIN_MAX * j
-}
-
-/// Turn the pair lane states of `thin_gram_c64` into `out` (`k × n`,
-/// column-major, interleaved) with [`combine_t`].
-pub(crate) fn finish_thin_gram(
-    k: usize,
-    n: usize,
-    ps: &ThinPairs,
-    qs: &ThinPairs,
-    out: &mut [f64],
-) {
-    for j in 0..n {
-        for i in 0..k {
-            let (re, im) = combine_t(&ps[thin_pair(i, j)], &qs[thin_pair(i, j)]);
-            out[2 * (i + k * j)] = re;
-            out[2 * (i + k * j) + 1] = im;
-        }
-    }
-}
-
-/// Outputs of `cocg_update_c64` from the pair states of `WᵀW`, of which
-/// the kernel accumulates the upper triangle `(i ≤ j)` only: `rho` gets
-/// pair `(i, j)` at both `(i, j)` and `(j, i)`, so it is exactly
-/// symmetric — and equal, bit for bit, to `thin_gram(W, W)`, because
-/// swapping the operands of a pair swaps its two `q` lanes and
-/// [`combine_t`] adds them. `w_sq[j] = ‖w_j‖²` is the [`fold`] of the
-/// diagonal pair's `p` state, whose lanes already hold `Σ re²`, `Σ im²`.
-pub(crate) fn finish_cocg_gram(
-    s: usize,
-    ps: &ThinPairs,
-    qs: &ThinPairs,
-    rho: &mut [f64],
-    w_sq: &mut [f64],
-) {
-    finish_thin_gram(s, s, ps, qs, rho);
-    for j in 0..s {
-        for i in 0..j {
-            rho[2 * (j + s * i)] = rho[2 * (i + s * j)];
-            rho[2 * (j + s * i) + 1] = rho[2 * (i + s * j) + 1];
-        }
-        w_sq[j] = fold(&ps[thin_pair(j, j)]);
-    }
 }
 
 /// f64 lanes of the paired-Lanczos reductions (`lanczos_pair_project`,

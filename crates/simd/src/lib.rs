@@ -5,7 +5,7 @@
 //! rule). It exposes a *safe* slice-level API — scaled copies, fused
 //! axpy variants, Chebyshev shift/scale updates, complex axpy and scale,
 //! lane-split dot products and norms, BLIS-style GEMM microkernels,
-//! Gram tiles, the pack-free thin-block kernels of block COCG, and the
+//! Gram tiles, the three sweeps of a real (block) Lanczos step, and the
 //! three pieces of `H·v` (halo fill, stencil sweep, sparse or dense
 //! projector term) — and picks the fastest available backend at runtime:
 //!
@@ -43,7 +43,7 @@ mod sparse;
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
-pub use lanes::{C64_LANES, F64_LANES, GRAM_C64_LANES, GRAM_F64_LANES, THIN_MAX};
+pub use lanes::{C64_LANES, F64_LANES, GRAM_C64_LANES, GRAM_F64_LANES};
 pub use sparse::{DenseRows, SparseRows};
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -457,135 +457,6 @@ pub fn gram2_c64_on(
     out: &mut [f64; 8],
 ) {
     dispatch_on!(d, gram2_c64(a0, a1, b0, b1, out))
-}
-
-// ---------------------------------------------------------------------------
-// Thin-block kernels: `rows × s` complex blocks (column-major, interleaved
-// `[re, im, …]`, columns `rows` apart) against `s × s` coefficients held in
-// registers, `s ≤ THIN_MAX`. They are what block COCG costs per iteration
-// besides the operator, at the block sizes every solve runs at.
-// ---------------------------------------------------------------------------
-
-/// Panic unless `x` is a `rows × cols` interleaved complex block.
-#[inline]
-fn assert_block(what: &str, x: &[f64], rows: usize, cols: usize) {
-    assert_eq!(
-        Some(x.len()),
-        rows.checked_mul(2 * cols),
-        "{what} is not a {rows}×{cols} complex block"
-    );
-}
-
-#[inline]
-fn assert_thin(what: &str, s: usize) {
-    assert!(
-        (1..=THIN_MAX).contains(&s),
-        "{what} = {s} is outside the thin-block range 1..={THIN_MAX}"
-    );
-}
-
-/// Pack-free thin Gram `out = AᵀB` (unconjugated, the COCG bilinear
-/// form) on the given path: `a` is `rows × k`, `b` is `rows × n`, `out`
-/// is `k × n`, `1 ≤ k, n ≤ THIN_MAX`; `out` is overwritten and never
-/// read. Same lane layout as [`cocg_update_c64_on`] (row `i` in complex
-/// lane `i mod 2`), so `thin_gram(W, W)` equals the `rho` that kernel
-/// returns bit for bit.
-#[inline]
-pub fn thin_gram_c64_on(
-    d: Dispatch,
-    rows: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-) {
-    assert_thin("k", k);
-    assert_thin("n", n);
-    assert_block("a", a, rows, k);
-    assert_block("b", b, rows, n);
-    assert_block("out", out, k, n);
-    dispatch_on!(d, thin_gram_c64(rows, k, n, a, b, out))
-}
-
-/// Pack-free thin Gram `out = AᵀB` on the active path.
-#[inline]
-pub fn thin_gram_c64(rows: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-    thin_gram_c64_on(active(), rows, k, n, a, b, out)
-}
-
-/// Lines 9–11 of block COCG (Alg. 3) in one sweep over the rows, on the
-/// given path: `X += P·α`, `W −= U·α`, and on the way out the
-/// complex-symmetric Gram `rho = WᵀW` of the updated residual (`s × s`,
-/// exactly symmetric) together with `w_sq[j] = ‖w_j‖²`. All four blocks
-/// are `rows × s`, `alpha` and `rho` are `s × s`, `1 ≤ s ≤ THIN_MAX`.
-/// The reductions use two complex lanes (row `i` in lane `i mod 2`) and
-/// the shared lane folds, so every path returns the same bits.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn cocg_update_c64_on(
-    d: Dispatch,
-    rows: usize,
-    s: usize,
-    p: &[f64],
-    u: &[f64],
-    alpha: &[f64],
-    x: &mut [f64],
-    w: &mut [f64],
-    rho: &mut [f64],
-    w_sq: &mut [f64],
-) {
-    assert_thin("s", s);
-    assert_block("p", p, rows, s);
-    assert_block("u", u, rows, s);
-    assert_block("x", x, rows, s);
-    assert_block("w", w, rows, s);
-    assert_block("alpha", alpha, s, s);
-    assert_block("rho", rho, s, s);
-    assert_eq!(w_sq.len(), s, "one squared norm per column");
-    dispatch_on!(d, cocg_update_c64(rows, s, p, u, alpha, x, w, rho, w_sq))
-}
-
-/// Fused block COCG update on the active path.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn cocg_update_c64(
-    rows: usize,
-    s: usize,
-    p: &[f64],
-    u: &[f64],
-    alpha: &[f64],
-    x: &mut [f64],
-    w: &mut [f64],
-    rho: &mut [f64],
-    w_sq: &mut [f64],
-) {
-    cocg_update_c64_on(active(), rows, s, p, u, alpha, x, w, rho, w_sq)
-}
-
-/// Line 5 of block COCG in place, on the given path: `P ← Z + P·β` with
-/// `z`, `p` `rows × s` and `beta` `s × s`, `1 ≤ s ≤ THIN_MAX`. Every
-/// `p_l` of a row is read before any is written.
-#[inline]
-pub fn cocg_direction_c64_on(
-    d: Dispatch,
-    rows: usize,
-    s: usize,
-    z: &[f64],
-    beta: &[f64],
-    p: &mut [f64],
-) {
-    assert_thin("s", s);
-    assert_block("z", z, rows, s);
-    assert_block("p", p, rows, s);
-    assert_block("beta", beta, s, s);
-    dispatch_on!(d, cocg_direction_c64(rows, s, z, beta, p))
-}
-
-/// In-place direction update `P ← Z + P·β` on the active path.
-#[inline]
-pub fn cocg_direction_c64(rows: usize, s: usize, z: &[f64], beta: &[f64], p: &mut [f64]) {
-    cocg_direction_c64_on(active(), rows, s, z, beta, p)
 }
 
 // ---------------------------------------------------------------------------

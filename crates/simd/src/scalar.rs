@@ -442,187 +442,6 @@ pub(crate) fn gram2_c64(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64], out: &mu
 }
 
 // ---------------------------------------------------------------------------
-// Thin-block kernels: n×s complex blocks against s×s coefficients, s ≤ 4
-// ---------------------------------------------------------------------------
-
-/// `(re, im)` of entry `idx` of an interleaved complex slice.
-#[inline(always)]
-fn c64_at(x: &[f64], idx: usize) -> (f64, f64) {
-    (x[2 * idx], x[2 * idx + 1])
-}
-
-/// `acc + b·x` with the fused rounding every backend uses: the real
-/// coefficient part first, then the imaginary part.
-#[inline(always)]
-fn cfma(acc: (f64, f64), b: (f64, f64), x: (f64, f64)) -> (f64, f64) {
-    (
-        (-b.1).mul_add(x.1, b.0.mul_add(x.0, acc.0)),
-        b.1.mul_add(x.0, b.0.mul_add(x.1, acc.1)),
-    )
-}
-
-/// `acc − b·x`, the subtracting twin of [`cfma`] (vector `fnmadd`).
-#[inline(always)]
-fn cfms(acc: (f64, f64), b: (f64, f64), x: (f64, f64)) -> (f64, f64) {
-    (
-        b.1.mul_add(x.1, (-b.0).mul_add(x.0, acc.0)),
-        (-b.1).mul_add(x.0, (-b.0).mul_add(x.1, acc.1)),
-    )
-}
-
-/// One row of the fused COCG update on top of the lane state `ps`/`qs`:
-/// `x_j += Σ_l p_l·α_lj`, `w_j −= Σ_l u_l·α_lj`, then the products of the
-/// updated `w` row into complex lane `lane` of every pair `(i ≤ j)`.
-/// Vector backends call this for the odd tail row, so the row's rounding
-/// is defined here once.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cocg_update_row(
-    rows: usize,
-    s: usize,
-    i: usize,
-    lane: usize,
-    p: &[f64],
-    u: &[f64],
-    alpha: &[f64],
-    x: &mut [f64],
-    w: &mut [f64],
-    ps: &mut lanes::ThinPairs,
-    qs: &mut lanes::ThinPairs,
-) {
-    let mut wrow = [(0.0, 0.0); lanes::THIN_MAX];
-    for j in 0..s {
-        let mut xa = c64_at(x, j * rows + i);
-        let mut wa = c64_at(w, j * rows + i);
-        for l in 0..s {
-            let coef = c64_at(alpha, l + s * j);
-            xa = cfma(xa, coef, c64_at(p, l * rows + i));
-            wa = cfms(wa, coef, c64_at(u, l * rows + i));
-        }
-        x[2 * (j * rows + i)] = xa.0;
-        x[2 * (j * rows + i) + 1] = xa.1;
-        w[2 * (j * rows + i)] = wa.0;
-        w[2 * (j * rows + i) + 1] = wa.1;
-        wrow[j] = wa;
-    }
-    let l = 2 * lane;
-    for j in 0..s {
-        let (yr, yi) = wrow[j];
-        for (ii, &(xr, xi)) in wrow[..=j].iter().enumerate() {
-            let idx = lanes::thin_pair(ii, j);
-            ps[idx][l] = xr.mul_add(yr, ps[idx][l]);
-            ps[idx][l + 1] = xi.mul_add(yi, ps[idx][l + 1]);
-            qs[idx][l] = xr.mul_add(yi, qs[idx][l]);
-            qs[idx][l + 1] = xi.mul_add(yr, qs[idx][l + 1]);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cocg_update_c64(
-    rows: usize,
-    s: usize,
-    p: &[f64],
-    u: &[f64],
-    alpha: &[f64],
-    x: &mut [f64],
-    w: &mut [f64],
-    rho: &mut [f64],
-    w_sq: &mut [f64],
-) {
-    let mut ps = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; lanes::THIN_PAIRS];
-    let mut qs = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; lanes::THIN_PAIRS];
-    for i in 0..rows {
-        let lane = i % lanes::GRAM_C64_LANES;
-        cocg_update_row(rows, s, i, lane, p, u, alpha, x, w, &mut ps, &mut qs);
-    }
-    lanes::finish_cocg_gram(s, &ps, &qs, rho, w_sq);
-}
-
-/// One row of `P ← Z + P·β`: every `p_l` of the row is read before any is
-/// overwritten.
-pub(crate) fn cocg_direction_row(
-    rows: usize,
-    s: usize,
-    i: usize,
-    z: &[f64],
-    beta: &[f64],
-    p: &mut [f64],
-) {
-    let mut prow = [(0.0, 0.0); lanes::THIN_MAX];
-    for (l, pl) in prow[..s].iter_mut().enumerate() {
-        *pl = c64_at(p, l * rows + i);
-    }
-    for j in 0..s {
-        let mut acc = c64_at(z, j * rows + i);
-        for (l, &pl) in prow[..s].iter().enumerate() {
-            acc = cfma(acc, c64_at(beta, l + s * j), pl);
-        }
-        p[2 * (j * rows + i)] = acc.0;
-        p[2 * (j * rows + i) + 1] = acc.1;
-    }
-}
-
-pub(crate) fn cocg_direction_c64(rows: usize, s: usize, z: &[f64], beta: &[f64], p: &mut [f64]) {
-    for i in 0..rows {
-        cocg_direction_row(rows, s, i, z, beta, p);
-    }
-}
-
-/// One row of the thin Gram `AᵀB` into complex lane `lane` of every pair
-/// state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn thin_gram_row(
-    rows: usize,
-    k: usize,
-    n: usize,
-    r: usize,
-    lane: usize,
-    a: &[f64],
-    b: &[f64],
-    ps: &mut lanes::ThinPairs,
-    qs: &mut lanes::ThinPairs,
-) {
-    let l = 2 * lane;
-    for j in 0..n {
-        let (yr, yi) = c64_at(b, j * rows + r);
-        for i in 0..k {
-            let (xr, xi) = c64_at(a, i * rows + r);
-            let idx = lanes::thin_pair(i, j);
-            ps[idx][l] = xr.mul_add(yr, ps[idx][l]);
-            ps[idx][l + 1] = xi.mul_add(yi, ps[idx][l + 1]);
-            qs[idx][l] = xr.mul_add(yi, qs[idx][l]);
-            qs[idx][l + 1] = xi.mul_add(yr, qs[idx][l + 1]);
-        }
-    }
-}
-
-pub(crate) fn thin_gram_c64(
-    rows: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-) {
-    let mut ps = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; lanes::THIN_PAIRS];
-    let mut qs = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; lanes::THIN_PAIRS];
-    for r in 0..rows {
-        thin_gram_row(
-            rows,
-            k,
-            n,
-            r,
-            r % lanes::GRAM_C64_LANES,
-            a,
-            b,
-            &mut ps,
-            &mut qs,
-        );
-    }
-    lanes::finish_thin_gram(k, n, &ps, &qs, out);
-}
-
-// ---------------------------------------------------------------------------
 // Paired real Lanczos step: two right-hand sides in the re/im slots of one
 // interleaved vector, coefficient `k[p % 2]` for component `p`
 // ---------------------------------------------------------------------------

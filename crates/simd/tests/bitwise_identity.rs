@@ -445,137 +445,6 @@ fn dense_projector_add_matches_the_sparse_kernel() {
     });
 }
 
-/// The thin-block kernels: every block width, odd and even row
-/// counts, every vector path against the scalar twin bit for bit, and
-/// the twin against plain complex loops.
-#[test]
-fn thin_block_kernels_bitwise_identical() {
-    check(48, |rng| {
-        let rows = rng.random_range(0usize..38);
-        let seed = rng.random_range(1..usize::MAX) as u64;
-        let mut rng = Rng::new(seed);
-        let sc = Dispatch::Scalar;
-        for s in 1..=mbrpa_simd::THIN_MAX {
-            for k in 1..=mbrpa_simd::THIN_MAX {
-                // thin_gram: out = AᵀB over NaN-filled out
-                let a = rng.vec(2 * rows * k);
-                let g = rng.vec(2 * rows * s);
-                let mut want = vec![f64::NAN; 2 * k * s];
-                mbrpa_simd::thin_gram_c64_on(sc, rows, k, s, &a, &g, &mut want);
-                for d in vector_paths() {
-                    let mut got = vec![f64::NAN; 2 * k * s];
-                    mbrpa_simd::thin_gram_c64_on(d, rows, k, s, &a, &g, &mut got);
-                    assert_same_bits(d, "thin_gram_c64", &got, &want);
-                }
-                for j in 0..s {
-                    for i in 0..k {
-                        let (mut re, mut im) = (0.0, 0.0);
-                        for r in 0..rows {
-                            let (ar, ai) = (a[2 * (i * rows + r)], a[2 * (i * rows + r) + 1]);
-                            let (br, bi) = (g[2 * (j * rows + r)], g[2 * (j * rows + r) + 1]);
-                            re += ar * br - ai * bi;
-                            im += ar * bi + ai * br;
-                        }
-                        let at = 2 * (i + k * j);
-                        let tol = 1e-13 * (1 + rows) as f64;
-                        assert!((want[at] - re).abs() <= tol && (want[at + 1] - im).abs() <= tol);
-                    }
-                }
-            }
-
-            // cocg_update: X += P·α, W −= U·α, ρ = WᵀW, ‖w_j‖²
-            let p = rng.vec(2 * rows * s);
-            let u = rng.vec(2 * rows * s);
-            let alpha = rng.vec(2 * s * s);
-            let x0 = rng.vec(2 * rows * s);
-            let w0 = rng.vec(2 * rows * s);
-            let (mut xw, mut ww) = (x0.clone(), w0.clone());
-            let (mut rho_w, mut sq_w) = (vec![f64::NAN; 2 * s * s], vec![f64::NAN; s]);
-            mbrpa_simd::cocg_update_c64_on(
-                sc, rows, s, &p, &u, &alpha, &mut xw, &mut ww, &mut rho_w, &mut sq_w,
-            );
-            for d in vector_paths() {
-                let (mut xg, mut wg) = (x0.clone(), w0.clone());
-                let (mut rho_g, mut sq_g) = (vec![f64::NAN; 2 * s * s], vec![f64::NAN; s]);
-                mbrpa_simd::cocg_update_c64_on(
-                    d, rows, s, &p, &u, &alpha, &mut xg, &mut wg, &mut rho_g, &mut sq_g,
-                );
-                assert_same_bits(d, "cocg_update_c64 x", &xg, &xw);
-                assert_same_bits(d, "cocg_update_c64 w", &wg, &ww);
-                assert_same_bits(d, "cocg_update_c64 rho", &rho_g, &rho_w);
-                assert_same_bits(d, "cocg_update_c64 w_sq", &sq_g, &sq_w);
-            }
-            let tol = 1e-13 * (1 + rows) as f64;
-            for j in 0..s {
-                for i in 0..rows {
-                    let at = 2 * (j * rows + i);
-                    let (mut xr, mut xi, mut wr, mut wi) = (x0[at], x0[at + 1], w0[at], w0[at + 1]);
-                    for l in 0..s {
-                        let (ar, ai) = (alpha[2 * (l + s * j)], alpha[2 * (l + s * j) + 1]);
-                        let (pr, pi) = (p[2 * (l * rows + i)], p[2 * (l * rows + i) + 1]);
-                        let (ur, ui) = (u[2 * (l * rows + i)], u[2 * (l * rows + i) + 1]);
-                        xr += pr * ar - pi * ai;
-                        xi += pr * ai + pi * ar;
-                        wr -= ur * ar - ui * ai;
-                        wi -= ur * ai + ui * ar;
-                    }
-                    assert!((xw[at] - xr).abs() <= 1e-14 && (xw[at + 1] - xi).abs() <= 1e-14);
-                    assert!((ww[at] - wr).abs() <= 1e-14 && (ww[at + 1] - wi).abs() <= 1e-14);
-                }
-                let sq: f64 = ww[2 * j * rows..2 * (j + 1) * rows]
-                    .iter()
-                    .map(|v| v * v)
-                    .sum();
-                assert!((sq_w[j] - sq).abs() <= tol);
-                for i in 0..s {
-                    let (mut re, mut im) = (0.0, 0.0);
-                    for r in 0..rows {
-                        let (ar, ai) = (ww[2 * (i * rows + r)], ww[2 * (i * rows + r) + 1]);
-                        let (br, bi) = (ww[2 * (j * rows + r)], ww[2 * (j * rows + r) + 1]);
-                        re += ar * br - ai * bi;
-                        im += ar * bi + ai * br;
-                    }
-                    let at = 2 * (i + s * j);
-                    assert!((rho_w[at] - re).abs() <= tol && (rho_w[at + 1] - im).abs() <= tol);
-                    // exactly symmetric
-                    let mirror = 2 * (j + s * i);
-                    assert_eq!(rho_w[at].to_bits(), rho_w[mirror].to_bits());
-                    assert_eq!(rho_w[at + 1].to_bits(), rho_w[mirror + 1].to_bits());
-                }
-            }
-
-            // the fused Gram is thin_gram(W, W), bit for bit
-            let mut gram = vec![f64::NAN; 2 * s * s];
-            mbrpa_simd::thin_gram_c64_on(sc, rows, s, s, &ww, &ww, &mut gram);
-            assert_same_bits(sc, "thin_gram(W, W) vs cocg_update rho", &gram, &rho_w);
-
-            // cocg_direction: P ← Z + P·β in place
-            let beta = rng.vec(2 * s * s);
-            let z = rng.vec(2 * rows * s);
-            let mut want = p.clone();
-            mbrpa_simd::cocg_direction_c64_on(sc, rows, s, &z, &beta, &mut want);
-            for d in vector_paths() {
-                let mut got = p.clone();
-                mbrpa_simd::cocg_direction_c64_on(d, rows, s, &z, &beta, &mut got);
-                assert_same_bits(d, "cocg_direction_c64", &got, &want);
-            }
-            for j in 0..s {
-                for i in 0..rows {
-                    let at = 2 * (j * rows + i);
-                    let (mut re, mut im) = (z[at], z[at + 1]);
-                    for l in 0..s {
-                        let (br, bi) = (beta[2 * (l + s * j)], beta[2 * (l + s * j) + 1]);
-                        let (pr, pi) = (p[2 * (l * rows + i)], p[2 * (l * rows + i) + 1]);
-                        re += pr * br - pi * bi;
-                        im += pr * bi + pi * br;
-                    }
-                    assert!((want[at] - re).abs() <= 1e-14 && (want[at + 1] - im).abs() <= 1e-14);
-                }
-            }
-        }
-    });
-}
-
 /// The two passes of a paired Lanczos step: odd and even element
 /// counts around the 8-component blocks, every vector path against
 /// the scalar twin bit for bit, and the twin against plain loops, slot

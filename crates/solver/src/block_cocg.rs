@@ -10,6 +10,13 @@
 //! `O(n·s²)` matrix-matrix products (lines 5, 7, 9, 10, 11), and two
 //! `O(s³)` solves (lines 8, 12), exactly the cost model of §III-B.
 //!
+//! The χ⁰ Sternheimer chunks run in real arithmetic
+//! ([`crate::shifted_block_lanczos`]), so block COCG runs where right-hand
+//! sides are complex ([`crate::solve_multi_rhs`]), as the real block
+//! solve's breakdown hand-off, and as the tests' reference for both real
+//! solves. It has one body at every width: the products are the packed
+//! GEMM and Gram drivers of `mbrpa-linalg`.
+//!
 //! COCG has no optimality property in residual or error norms (§III-B), so
 //! the Gram matrices `μ = PᵀAP` and `ρ = WᵀW` can become numerically
 //! singular ("breakdown"). We detect this through the LU pivot-ratio
@@ -167,15 +174,6 @@ fn col_norms_sq(w: &Mat<C64>, out: &mut Vec<f64>) {
     );
 }
 
-/// Interleaved `[re, im, …]` view of a whole block.
-fn comps(m: &Mat<C64>) -> &[f64] {
-    C64::as_components(m.as_slice())
-}
-
-fn comps_mut(m: &mut Mat<C64>) -> &mut [f64] {
-    C64::as_components_mut(m.as_mut_slice())
-}
-
 /// [`block_cocg`] with an explicit [`Workspace`] buffer pool.
 ///
 /// All per-iteration temporaries are taken from (and returned to) `ws`;
@@ -185,15 +183,16 @@ fn comps_mut(m: &mut Mat<C64>) -> &mut [f64] {
 /// allocated — updated in place and returned — and `W` is the only copy
 /// made of `B`, whatever the block width.
 ///
-/// An iteration is three sweeps over `n × s` data: `U = A·P` with
-/// `μ = UᵀP` taken while `U` is hot; lines 9–11 (`X += P·α`, `W −= U·α`,
-/// `ρ₊ = WᵀW`, `‖w_j‖²`); and `P ← W + P·β`. At `s ≤ 4` — every block the
-/// drivers solve — the last two are single fused `mbrpa-simd` kernels;
-/// wider blocks run the same steps as packed GEMMs and Gram products.
+/// An iteration is `U = A·P`, the Gram product `μ = UᵀP`, the packed
+/// GEMMs `X += P·α` and `W −= U·α`, the column norms `‖w_j‖²` and the
+/// Gram product `ρ₊ = WᵀW`, then `P ← W + P·β`, at every width.
 /// The residual norm and the blow-up guard both read
-/// the `‖w_j‖²` and Gram entries those sweeps produce: a non-finite value
+/// the `‖w_j‖²` and Gram entries those products yield: a non-finite value
 /// there ends the solve with `converged = false`, and the iterate is
 /// scanned once at exit so a non-finite `X` is never reported converged.
+///
+/// With [`CocgOptions::track_residuals`] the history holds one entry per
+/// iteration and the start's, whatever ends the solve.
 pub fn block_cocg_ws(
     op: &dyn LinearOperator<C64>,
     b: &Mat<C64>,
@@ -206,12 +205,13 @@ pub fn block_cocg_ws(
     assert_eq!(b.rows(), n, "rhs dimension mismatch");
     let mut report = SolveReport::new();
 
-    let obs_on = mbrpa_obs::enabled();
-
     let b_fro = b.fro_norm();
     if exactly_zero(b_fro) || s == 0 {
         report.converged = true;
         report.relative_residual = 0.0;
+        if opts.track_residuals {
+            report.residual_history.push(0.0);
+        }
         return (x0.cloned().unwrap_or_else(|| Mat::zeros(n, s)), report);
     }
     // The iterate, updated in place and returned.
@@ -247,7 +247,6 @@ pub fn block_cocg_ws(
     matmul_tn_into(&w, &w, &mut rho);
     let mut p: Mat<C64> = Mat::zeros(n, 0);
     let mut restart = true; // first iteration: P = W
-    let thin = s <= mbrpa_simd::THIN_MAX;
     let mut blown_up = false;
 
     loop {
@@ -328,31 +327,12 @@ pub fn block_cocg_ws(
         }
 
         // Lines 9–11: X += P·α, W −= U·α, ρ₊ = WᵀW and the column norms
-        // of the new residual. Thin blocks do it in one fused sweep; wide
-        // blocks as separate products.
+        // of the new residual.
         let mut rho_next = ws.take_scratch(s, s);
-        if thin {
-            mbrpa_simd::cocg_update_c64(
-                n,
-                s,
-                comps(&p),
-                comps(&u),
-                comps(&alpha),
-                comps_mut(&mut x),
-                comps_mut(&mut w),
-                comps_mut(&mut rho_next),
-                &mut w_sq,
-            );
-            if obs_on {
-                mbrpa_obs::add("linalg.gemm_flops", (16 * n * s * s) as u64);
-                mbrpa_obs::add("solver.reduce.gram_flops", (8 * n * s * s) as u64);
-            }
-        } else {
-            matmul_into(one, &p, &alpha, one, &mut x);
-            matmul_into(-one, &u, &alpha, one, &mut w);
-            col_norms_sq(&w, &mut w_sq);
-            matmul_tn_into(&w, &w, &mut rho_next);
-        }
+        matmul_into(one, &p, &alpha, one, &mut x);
+        matmul_into(-one, &u, &alpha, one, &mut w);
+        col_norms_sq(&w, &mut w_sq);
+        matmul_tn_into(&w, &w, &mut rho_next);
         ws.give(alpha);
         ws.give(u);
         if !w_sq.iter().all(|v| v.is_finite()) || rho_next.has_bad_values() {
@@ -376,17 +356,10 @@ pub fn block_cocg_ws(
         );
         if beta_ok {
             // P ← W + P·β
-            if thin {
-                mbrpa_simd::cocg_direction_c64(n, s, comps(&w), comps(&beta), comps_mut(&mut p));
-                if obs_on {
-                    mbrpa_obs::add("linalg.gemm_flops", (8 * n * s * s) as u64);
-                }
-            } else {
-                let mut p_next = ws.take_scratch(n, s);
-                matmul_into(one, &p, &beta, zero, &mut p_next);
-                p_next.axpy(one, &w);
-                ws.give(std::mem::replace(&mut p, p_next));
-            }
+            let mut p_next = ws.take_scratch(n, s);
+            matmul_into(one, &p, &beta, zero, &mut p_next);
+            p_next.axpy(one, &w);
+            ws.give(std::mem::replace(&mut p, p_next));
             ws.give(beta);
         } else {
             ws.give(beta);
@@ -400,6 +373,13 @@ pub fn block_cocg_ws(
         }
         ws.give(std::mem::replace(&mut rho, rho_next));
         report.iterations += 1;
+    }
+
+    // An iteration that broke off records the residual it left, so the
+    // history keeps one entry per iteration and the start's.
+    if opts.track_residuals && report.residual_history.len() == report.iterations {
+        let res = w_sq.iter().sum::<f64>().sqrt() / b_fro;
+        report.residual_history.push(res);
     }
 
     // The one scan of the iterate: X can overflow while W stays finite,
@@ -426,22 +406,35 @@ pub fn block_cocg_ws(
                 max_iters: remaining,
                 ..*opts
             };
-            let mut converged_all = true;
-            let mut worst_res: f64 = 0.0;
-            for (start, count) in [(0, half), (half, s - half)] {
-                let b_sub = b.columns(start, count);
-                let g_sub = x.columns(start, count);
-                let (x_sub, rep) = block_cocg_ws(op, &b_sub, Some(&g_sub), &sub_opts, ws);
-                x.set_columns(start, &x_sub);
+            let [(norm1, rep1), (norm2, rep2)] =
+                [(0, half), (half, s - half)].map(|(start, count)| {
+                    let b_sub = b.columns(start, count);
+                    let g_sub = x.columns(start, count);
+                    let (x_sub, rep) = block_cocg_ws(op, &b_sub, Some(&g_sub), &sub_opts, ws);
+                    x.set_columns(start, &x_sub);
+                    (b_sub.fro_norm(), rep)
+                });
+            for rep in [&rep1, &rep2] {
                 report.iterations += rep.iterations;
                 report.matvecs += rep.matvecs;
                 report.breakdowns += rep.breakdowns;
-                converged_all &= rep.converged;
-                worst_res = worst_res.max(rep.relative_residual);
             }
-            report.converged = converged_all;
-            // sub-solves report per-half relative residuals; keep the worst
-            report.relative_residual = worst_res;
+            report.converged = rep1.converged && rep2.converged;
+            // The block's ‖W‖_F/‖B‖_F from the halves' absolute residuals.
+            // They run one after the other, so while one iterates the
+            // other's residual is its start (first half) or its end.
+            let whole = |r1: f64, r2: f64| (r1 * norm1).hypot(r2 * norm2) / b_fro;
+            report.relative_residual = whole(rep1.relative_residual, rep2.relative_residual);
+            if opts.track_residuals {
+                let (h1, h2) = (&rep1.residual_history, &rep2.residual_history);
+                let (end1, start2) = (h1[h1.len() - 1], h2[0]);
+                // the halves' fresh start replaces the iterate's recurrence
+                // residual the split began from
+                let hist = &mut report.residual_history;
+                hist.pop();
+                hist.extend(h1.iter().map(|&r1| whole(r1, start2)));
+                hist.extend(h2[1..].iter().map(|&r2| whole(end1, r2)));
+            }
         }
     }
     (x, report)

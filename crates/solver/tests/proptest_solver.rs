@@ -81,6 +81,12 @@ impl ShiftedDense {
             spec.values[at % n]
         };
         let r = Mat::from_fn(n, n, |i, j| s[(i, j)] - if i == j { mu } else { 0.0 });
+        Self::shifted(r, omega)
+    }
+
+    /// `R + iω` for a given real symmetric `R`.
+    fn shifted(r: Mat<f64>, omega: f64) -> Self {
+        let n = r.rows();
         let complex = DenseOperator::new(Mat::from_fn(n, n, |i, j| {
             C64::new(r[(i, j)], if i == j { omega } else { 0.0 })
         }));
@@ -623,6 +629,56 @@ fn exhausted_krylov_spaces_hand_off_mid_solve() {
     });
 }
 
+/// A `Δ_k` with no LU hands off as well. `R = diag(±(1 + 0.1·l))`, the two
+/// signs of each magnitude side by side, and `b₁ = e₀ + e₁` give
+/// `b₁ᵀRb₁ = 0`; with `b₂` kept off `e₀` and `e₁`, `V₁ = [b₁/√2, b₂/‖b₂‖]`
+/// and `α₁ = diag(0, ·)`, so `Δ₁ = α₁ + iω` has a pivot ratio of about
+/// `ω`, under the breakdown floor at `ω = 1e-15`: the first step stops on
+/// it. Block COCG, whose equilibrated `μ = diag(2iω, ·)` is no breakdown,
+/// finishes the solve from the complex iterate.
+#[test]
+fn singular_pivot_blocks_hand_off_to_block_cocg() {
+    check(8, |rng| {
+        let n = 40;
+        let r = Mat::from_fn(n, n, |i, j| {
+            let mag = 1.0 + 0.1 * (i / 2) as f64;
+            match (i == j, i % 2) {
+                (false, _) => 0.0,
+                (true, 0) => mag,
+                (true, _) => -mag,
+            }
+        });
+        let op = ShiftedDense::shifted(r, 1e-15);
+        let b = Mat::from_fn(n, 2, |i, c| match (c, i) {
+            (0, 0 | 1) | (1, 2) => 1.0,
+            (1, 3..) => rng.random_range(-1e-3f64..1e-3),
+            _ => 0.0,
+        });
+        let opts = CocgOptions {
+            track_residuals: true,
+            ..CocgOptions::with_tol(1e-8)
+        };
+        let (x, report) = real_block_solve(&op, &b, None, 0..2, &opts);
+        assert!(report.converged, "{report:?}");
+        assert!(report.breakdowns >= 1, "no hand-off: {report:?}");
+        assert_eq!(
+            report.residual_history.len(),
+            report.iterations + 1,
+            "{report:?}"
+        );
+        let bc = Mat::from_fn(n, 2, |i, c| C64::new(b[(i, c)], 0.0));
+        let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
+        let bound = 2.0 * opts.tol * b.fro_norm() / op.sigma_min();
+        for c in 0..2 {
+            let err = max_diff(x.col(c), exact.col(c).iter().map(|z| z.re));
+            assert!(
+                err <= bound,
+                "column {c}: {err:e} from the dense solve, bound {bound:e}"
+            );
+        }
+    });
+}
+
 /// The real Galerkin guess is the complex one, bit for bit: a chunk
 /// Alg. 3 solves starts from the guess it always started from.
 #[test]
@@ -755,7 +811,8 @@ fn pooled_and_fresh_workspaces_agree() {
 /// An operator that starts returning NaN, Inf or zeros mid-solve ends
 /// the solve flagged unconverged with a finite iterate — no panic (the
 /// debug assertions of a test build included), no NaN handed back —
-/// at every thin block width.
+/// and a residual history of one entry per iteration and the start's,
+/// at widths 1, 2 and 4.
 #[test]
 fn operator_faults_end_unconverged_and_finite() {
     check(24, |rng| {
@@ -778,7 +835,7 @@ fn operator_faults_end_unconverged_and_finite() {
             let opts = CocgOptions {
                 tol: 1e-12,
                 max_iters: 60,
-                ..CocgOptions::default()
+                track_residuals: true,
             };
             let (x, rep) = block_cocg_ws(
                 &faulty,
@@ -790,6 +847,12 @@ fn operator_faults_end_unconverged_and_finite() {
             assert!(!rep.converged, "s={s} kind={kind}: {rep:?}");
             assert!(!x.has_bad_values(), "s={s} kind={kind}: non-finite iterate");
             assert!(rep.iterations <= opts.max_iters + 1);
+            // a solve that breaks off still records where it stopped
+            assert_eq!(
+                rep.residual_history.len(),
+                rep.iterations + 1,
+                "s={s} kind={kind}"
+            );
         }
     });
 }
@@ -807,10 +870,12 @@ fn half_split_recovers_from_dependent_columns() {
         twins.set_columns(2, &b);
         let opts = CocgOptions {
             tol: 1e-9,
+            track_residuals: true,
             ..CocgOptions::default()
         };
         let (x, rep) = block_cocg(&op, &twins, None, &opts);
         assert!(rep.breakdowns > MAX_BREAKDOWNS, "no breakdown: {rep:?}");
+        assert_eq!(rep.residual_history.len(), rep.iterations + 1, "{rep:?}");
         assume(rep.converged);
         assert!(true_relative_residual(&op, &twins, &x) < 1e-7);
     });
