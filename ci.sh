@@ -205,7 +205,7 @@ fi
 # gone, with their `.rpa` key.
 if grep -rnE --include='*.rs' 'WorkStealing|SpinChannel|with_channels|"DISTRIBUTION" =>' \
     crates/core/src crates/bench/src; then
-    echo "ci: a second χ⁰ work layout or a spin-channel axis is back — one task per worker range, every orbital"
+    echo "ci: a second χ⁰ work layout or a spin-channel axis is back — one task per (column range, orbital), folded in orbital order"
     exit 1
 fi
 # One `ν½` kernel: the Kronecker transform in `grid/kron.rs`, no slice
@@ -582,5 +582,39 @@ TABLE
 [ "$GOT_TABLE" = "$WANT_TABLE" ] \
     || { echo "ci: Si8.rpa block-size table moved:"; echo "$GOT_TABLE"; exit 1; }
 leg lanczos-carry ran "Si8.rpa: no lone Lanczos solve, block-size table as committed"
+
+# One χ⁰ result on any thread count: the apply runs one task per (column
+# range, orbital) on whichever thread is free and folds each range's
+# orbitals in orbital order, so Si8.rpa (NP 4) on one thread and on two
+# prints the same energy and error lines and the same block-size table,
+# and profiles to the same traces and solver counters (busy times and
+# workspace growth, which follow the threads, aside).
+INV_DIR="target/ci_threads"
+rm -rf "$INV_DIR"
+for t in 1 2; do
+    mkdir -p "$INV_DIR/t$t"
+    cp inputs/Si8.rpa "$INV_DIR/t$t/"
+    (cd "$INV_DIR/t$t" && ../../release/rpacalc -name Si8 -threads "$t" -profile profile.json >run.log)
+done
+# the ω tables without their timing column, the energy lines, Table IV
+out_lines() {
+    awk '$5 == ";" { $NF = ""; print; next } /^omega [0-9]|^Total RPA/ { print }' "$1/Si8.out"
+    sed -n '/^Block size | Count | Fraction$/,/^Worker /p' "$1/Si8.out" | sed '$d'
+}
+profile_lines() {
+    grep -oE '"(solver\.(cocg|lanczos)\.[a-z_]+|solver\.width\.s[0-9]+\.(columns|steps)|chi0\.applications|omega\[[0-9]+\]/[a-z_.]+)":[0-9]+' \
+        "$1/profile.json" | sort
+    grep -oE '\{"name":"omega\[[0-9]+\]/sternheimer\.orbital_iterations"[^}]*\}' "$1/profile.json"
+    sed -E 's/.*"traces":(.*),"dropped_traces".*/\1/' "$1/profile.json"
+}
+for what in out_lines profile_lines; do
+    ONE="$("$what" "$INV_DIR/t1")"
+    TWO="$("$what" "$INV_DIR/t2")"
+    [ -n "$ONE" ] && [ "$(grep -c . <<<"$ONE")" -gt 8 ] \
+        || { echo "ci: thread-invariance: $what read nothing from the one-thread run"; exit 1; }
+    [ "$ONE" = "$TWO" ] \
+        || { echo "ci: Si8.rpa $what differ between -threads 1 and -threads 2:"; diff <(echo "$ONE") <(echo "$TWO"); exit 1; }
+done
+leg thread-invariance ran "Si8.rpa: same energies, errors, Table IV, traces and solver counters on 1 and 2 threads"
 
 cat "$LEGS"

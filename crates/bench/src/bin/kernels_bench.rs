@@ -319,13 +319,15 @@ fn lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
 /// on pair-packed columns plus the three block Lanczos sweeps and the
 /// `s × s` recurrence), timed the way [`cocg_iter_cases`] times Alg. 3 at
 /// the same width: `secs` is per iteration of the whole block, the unit of
-/// `cocg_iter_c64_s{s}_*`.
+/// `cocg_iter_c64_s{s}_*`. The `s = 16` row is Alg. 4's widest probe on
+/// si8's grid, on the tiled wide sweeps; it stops at 12 steps, inside
+/// the 7³ grid's block Krylov space.
 fn block_lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
-    const ITERS: usize = 24;
-    for (sw, ppc, boundary) in [
-        (2usize, 7usize, Boundary::Periodic),
-        (4, 8, Boundary::Dirichlet),
-        (2, 14, Boundary::Periodic),
+    for (sw, ppc, boundary, iters) in [
+        (2usize, 7usize, Boundary::Periodic, 24usize),
+        (4, 8, Boundary::Dirichlet, 24),
+        (2, 14, Boundary::Periodic, 24),
+        (16, 7, Boundary::Periodic, 12),
     ] {
         let crystal = SiliconSpec {
             points_per_cell: ppc,
@@ -340,21 +342,22 @@ fn block_lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
         let b = filled::<f64>(n, sw, 0xc0c6 + sw as u64);
         let opts = CocgOptions {
             tol: 0.0,
-            max_iters: ITERS,
+            max_iters: iters,
             ..CocgOptions::default()
         };
         let mut ws = Workspace::new();
-        let mut iterations = 0;
+        let mut steps = (0, 0);
         let secs = time_best(reps, &mut || {
             let rep =
                 shifted_block_lanczos(&op, &b, None, 0..sw, &opts, &mut ws, &mut |_, x, _| {
                     black_box(x);
                 });
-            iterations = rep.iterations;
+            steps = (rep.iterations, rep.breakdowns);
         });
         assert_eq!(
-            iterations, ITERS,
-            "the timed solve must run its full length"
+            steps,
+            (iters, 0),
+            "the timed solve must run its full length, all of it block Lanczos"
         );
         // real flops: half a complex apply per column, then 2·s (first
         // sweep) + 1.5·s (second) + 9·s (third) multiply-adds per column
@@ -362,8 +365,8 @@ fn block_lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
         let flops = (sw * op.apply_flops() / 2 + 25 * n * sw * sw) as f64;
         cases.push(Case::new(
             format!("block_lanczos_iter_s{sw}_n{n}"),
-            format!("grid={ppc}x{ppc}x{ppc} radius=2 s={sw} lambda={lambda} omega={omega} iters={ITERS}"),
-            secs / ITERS as f64,
+            format!("grid={ppc}x{ppc}x{ppc} radius=2 s={sw} lambda={lambda} omega={omega} iters={iters}"),
+            secs / iters as f64,
             flops,
         ));
     }

@@ -15,6 +15,17 @@
 //! 4. `V ← ν½V`, still on the worker's own columns; the merge of the
 //!    workers' column ranges is a copy.
 //!
+//! A worker is not a thread. The apply runs one task per (column range,
+//! orbital), orbital-major, on the rayon pool, so whichever thread is free
+//! takes the next orbital of any range and a thread woken late or a range
+//! with costlier columns leaves no core idle. The first task to reach a
+//! range makes its `ν½V` (step 1); each task adds its orbital's term of
+//! step 3 to the range's accumulator in orbital order — straight in when
+//! its orbital is next, else through a side buffer that joins in turn —
+//! and the task that adds the last orbital runs step 4. The ranges, Alg.
+//! 4's chunks, every iterate and the ledger are those of one task per
+//! range running its orbitals in turn, bit for bit, on any thread count.
+//!
 //! The operator is real symmetric negative semi-definite, so the subspace
 //! iteration above it runs entirely in real arithmetic.
 
@@ -28,15 +39,16 @@ use mbrpa_solver::{
     WorkerStats,
 };
 use rayon::prelude::*;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// Least Sternheimer work (grid points × columns × occupied orbitals) one
-/// pool thread must be handed before a `χ⁰` apply fans its tasks out over
-/// rayon; with less, the same tasks run back to back on the calling thread,
-/// in the same order and with the same arithmetic. 2¹⁴ is about 5 ms of
-/// solves. A fan-out pays only once the pool's sleeping helper runs on a
-/// core of its own, and a helper the kernel wakes on the caller's core is
+/// Least Sternheimer work (grid points × columns × occupied orbitals) each
+/// column range must bring before a `χ⁰` apply fans its (range, orbital)
+/// tasks out over rayon; with less, the same tasks run back to back on the
+/// calling thread, in the same order and with the same arithmetic, every
+/// orbital adding straight into its range's accumulator. 2¹⁴ is about 5 ms
+/// of solves. A fan-out pays only once the pool's sleeping helper runs on
+/// a core of its own, and a helper the kernel wakes on the caller's core is
 /// moved off it at a scheduler tick (4 ms at `HZ=250`): a task list shorter
 /// than that ran on one core or on two depending on where the tick fell,
 /// and the same job took 20 or 33 ms from one submission to the next
@@ -114,9 +126,9 @@ impl Default for SternheimerSettings {
 /// done, filled by the merge after each apply.
 #[derive(Clone, Debug)]
 pub(crate) struct Ledger {
-    /// Statistics per worker slot; their solve times are the per-rank
-    /// load profile behind the paper's load-imbalance discussion (§III-D,
-    /// §V).
+    /// Statistics per column range, whichever threads ran its orbitals;
+    /// their solve times are the per-rank load profile behind the
+    /// paper's load-imbalance discussion (§III-D, §V).
     pub(crate) workers: Vec<WorkerStats>,
     /// Columns applied.
     pub(crate) applications: usize,
@@ -240,11 +252,11 @@ impl<'a> DielectricOperator<'a> {
     /// One orbital's contribution to `χ⁰V` for a set of columns
     /// (one line of Eq. 6 plus its share of Eq. 5): solves
     /// `(H − λ_j + iω) Y_j = −V ⊙ Ψ_j` and adds `4·Re(Ψ_j ⊙ Y_j)` to
-    /// `acc`, each column straight from the iterate of the chunk that
-    /// solved it. `b` (the shape of `v`) and `guess` (twice as wide,
-    /// `[Re Y₀ | Im Y₀]`) are the caller's buffers, overwritten here and
-    /// reused from orbital to orbital; a warm call allocates nothing
-    /// (`tests/chi0_alloc.rs`).
+    /// `acc` (the range's accumulator or a side buffer), each column
+    /// straight from the iterate of the chunk that solved it. `b` (the
+    /// shape of `v`) and `guess` (twice as wide, `[Re Y₀ | Im Y₀]`) are
+    /// the range's buffers, overwritten here and handed from orbital to
+    /// orbital; a warm call allocates nothing (`tests/chi0_alloc.rs`).
     fn orbital_contribution(
         &self,
         j: usize,
@@ -315,59 +327,254 @@ impl<'a> DielectricOperator<'a> {
         let n = self.ham.dim();
         assert_eq!(v.rows(), n);
         let cols = v.cols();
+        let n_s = self.energies.len();
         // The span lives on the calling thread (nested under the filter or
         // projection that requested the product); worker-side metrics are
-        // flat counters flushed per closure.
+        // flat counters flushed per task.
         let _stern_span = mbrpa_obs::span("sternheimer");
 
-        // §III-D: one task per worker range, every orbital
+        // §III-D's column ranges; one task per (range, orbital), orbital-major
         let ranges = partition_columns(cols, self.n_workers);
         let slots = ranges.len();
+        let works: Vec<RangeWork> = ranges
+            .iter()
+            .map(|range| RangeWork::new(n, range.count, n_s))
+            .collect();
+        let tasks: Vec<(usize, usize)> = (0..n_s)
+            .flat_map(|j| (0..slots).map(move |r| (r, j)))
+            .collect();
         // whether `slots` concurrent tasks each get enough of this apply
-        let fan_out = n * cols * self.energies.len() >= slots * MIN_FAN_OUT_WORK;
-        // Register the task list with the shared nested-parallelism guard:
-        // inner block applies and GEMMs under these tasks see the reduced
-        // `inner_slots()` budget instead of oversubscribing the pool.
-        let _outer = mbrpa_grid::par::outer_scope(slots);
+        let fan_out = n * cols * n_s >= slots * MIN_FAN_OUT_WORK;
+        // Register the tasks that can run at once with the shared
+        // nested-parallelism guard: inner block applies and GEMMs under
+        // them see the reduced `inner_slots()` budget instead of
+        // oversubscribing the pool.
+        let _outer = mbrpa_grid::par::outer_scope(if fan_out { tasks.len() } else { slots });
 
-        let pieces: Vec<_> = map_tasks(&ranges, fan_out, |range| {
-            // Algorithm 7 line 2 on this worker's columns
-            let mut local = v.columns(range.start, range.count);
-            if with_nu_sqrt {
-                self.coulomb.apply_nu_sqrt_block(&mut local);
+        let spares = Mutex::new(Spares::default());
+        map_tasks(&tasks, fan_out, |&(r, j)| {
+            let (range, work) = (&ranges[r], &works[r]);
+            // Algorithm 7 line 2 on this range's columns, once
+            let local = work.local.get_or_init(|| {
+                let mut local = v.columns(range.start, range.count);
+                if with_nu_sqrt {
+                    self.coulomb.apply_nu_sqrt_block(&mut local);
+                }
+                local
+            });
+            // lines 3–6 for orbital j
+            let mut scratch = lock(&spares).scratch(n, range.count);
+            let mut target = lock(&work.fold).begin(j, &spares);
+            let Scratch { b, guess, stats } = &mut scratch;
+            self.orbital_contribution(j, local, b, guess, &mut target.buf, stats);
+            let mut fold = lock(&work.fold);
+            if fold.finish(j, target, stats, &spares) && with_nu_sqrt {
+                // line 7 on the same columns: `ν½` acts column by column,
+                // so these are the bits a `ν½` of the merged block gives
+                if let Some(acc) = fold.acc.as_mut() {
+                    self.coulomb.apply_nu_sqrt_block(acc);
+                }
             }
-            // lines 3–6: every orbital's contribution, in order
-            let mut stats = WorkerStats::new();
-            let mut orbital_iterations = vec![0; self.energies.len()];
-            let mut acc = Mat::zeros(n, range.count);
-            let mut b = Mat::zeros(n, range.count);
-            let mut guess = Mat::zeros(n, 2 * range.count);
-            for (j, iterations) in orbital_iterations.iter_mut().enumerate() {
-                let before = stats.iterations;
-                self.orbital_contribution(j, &local, &mut b, &mut guess, &mut acc, &mut stats);
-                *iterations = stats.iterations - before;
-            }
-            // line 7 on the same columns: `ν½` acts column by column, so
-            // these are the bits a `ν½` of the merged block would give
-            if with_nu_sqrt {
-                self.coulomb.apply_nu_sqrt_block(&mut acc);
-            }
+            drop(fold);
+            lock(&spares).give(scratch);
             mbrpa_obs::flush_thread();
-            (acc, stats, orbital_iterations)
         });
+        // the solve buffers go before the merge allocates the result
+        drop(spares);
 
         let mut result = Mat::zeros(n, cols);
         let mut ledger = self.lock_ledger();
-        for (w, (range, (piece, stats, iterations))) in ranges.iter().zip(&pieces).enumerate() {
+        for (w, (range, work)) in ranges.iter().zip(works).enumerate() {
+            let fold = work.fold.into_inner().unwrap_or_else(|e| e.into_inner());
             let span = range.start * n..(range.start + range.count) * n;
-            result.as_mut_slice()[span].copy_from_slice(piece.as_slice());
-            ledger.workers[w].merge(stats);
-            for (total, it) in ledger.orbital_iterations.iter_mut().zip(iterations) {
+            // lint: allow(unwrap) — every orbital of the range was folded above
+            let acc = fold.acc.expect("the range's accumulator is home");
+            result.as_mut_slice()[span].copy_from_slice(acc.as_slice());
+            ledger.workers[w].merge(&fold.stats);
+            for (total, it) in ledger
+                .orbital_iterations
+                .iter_mut()
+                .zip(&fold.orbital_iterations)
+            {
                 *total += it;
             }
         }
         ledger.applications += cols;
         result
+    }
+}
+
+/// A mutex of the apply's own, held for a few buffer moves at a time.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // lint: allow(unwrap) — a poisoned mutex means a task already crashed; abort loudly
+    m.lock().expect("χ⁰ task mutex poisoned")
+}
+
+/// One column range's share of an apply: its `ν½V` columns, made by the
+/// first task that reaches the range, and the fold its orbitals' tasks
+/// add to.
+struct RangeWork {
+    local: OnceLock<Mat<f64>>,
+    fold: Mutex<Fold>,
+}
+
+impl RangeWork {
+    fn new(n: usize, count: usize, n_s: usize) -> Self {
+        Self {
+            local: OnceLock::new(),
+            fold: Mutex::new(Fold::new(n, count, n_s)),
+        }
+    }
+}
+
+/// The buffers one orbital's solve works in: the right-hand sides, the
+/// Galerkin guess and the statistics.
+struct Scratch {
+    b: Mat<f64>,
+    guess: Mat<f64>,
+    stats: WorkerStats,
+}
+
+/// `m` as a `rows × cols` block, its storage kept where it is large
+/// enough; the entries are left as they were.
+fn shaped(m: Mat<f64>, rows: usize, cols: usize) -> Mat<f64> {
+    if m.shape() == (rows, cols) {
+        return m;
+    }
+    let mut data = m.into_vec();
+    data.resize(rows * cols, 0.0);
+    Mat::from_col_major(rows, cols, data)
+}
+
+/// The buffers the tasks of one apply hand on to each other: as many
+/// solve buffers as tasks ran at once, and the side buffers of orbitals
+/// that finished out of turn. A warm apply allocates none per orbital
+/// (`tests/chi0_alloc.rs`); on one thread no side buffer is made.
+#[derive(Default)]
+struct Spares {
+    scratch: Vec<Scratch>,
+    sides: Vec<Mat<f64>>,
+}
+
+impl Spares {
+    /// Solve buffers for a range of `cols` columns, empty statistics.
+    fn scratch(&mut self, rows: usize, cols: usize) -> Scratch {
+        match self.scratch.pop() {
+            Some(Scratch { b, guess, stats }) => Scratch {
+                b: shaped(b, rows, cols),
+                guess: shaped(guess, rows, 2 * cols),
+                stats,
+            },
+            None => Scratch {
+                b: Mat::zeros(rows, cols),
+                guess: Mat::zeros(rows, 2 * cols),
+                stats: WorkerStats::new(),
+            },
+        }
+    }
+
+    fn give(&mut self, mut scratch: Scratch) {
+        scratch.stats.clear();
+        self.scratch.push(scratch);
+    }
+
+    /// A zeroed `rows × cols` side buffer.
+    fn side(&mut self, rows: usize, cols: usize) -> Mat<f64> {
+        match self.sides.pop() {
+            Some(side) => {
+                let mut side = shaped(side, rows, cols);
+                side.fill(0.0);
+                side
+            }
+            None => Mat::zeros(rows, cols),
+        }
+    }
+}
+
+/// Where one orbital's `4·Re(Ψ_j ⊙ Y_j)` is added: the range's
+/// accumulator, when the orbital is the next one it takes, or a zeroed
+/// side buffer that joins it in turn.
+struct Target {
+    buf: Mat<f64>,
+    is_acc: bool,
+}
+
+/// The orbital-order fold of one range's contributions. The accumulator
+/// takes orbital `j` only after every orbital before it, so its bits do
+/// not depend on which thread ran which orbital, or when: a side buffer
+/// holds `c = 0 + 4pY` and the accumulator, which starts at `+0` and
+/// never holds `−0`, adds it as `acc + c`, the bits of `acc += 4pY`.
+struct Fold {
+    /// `Σ_{j < next} 4·Re(Ψ_j ⊙ Y_j)`; out (`None`) while orbital
+    /// `next`'s task adds into it straight.
+    acc: Option<Mat<f64>>,
+    /// The accumulator's shape, a side buffer's too.
+    rows: usize,
+    cols: usize,
+    /// The orbital the accumulator takes next.
+    next: usize,
+    /// Later orbitals' contributions that finished first.
+    parked: Vec<(usize, Mat<f64>)>,
+    /// The range's share of the ledger.
+    stats: WorkerStats,
+    orbital_iterations: Vec<usize>,
+}
+
+impl Fold {
+    fn new(n: usize, count: usize, n_s: usize) -> Self {
+        Self {
+            acc: Some(Mat::zeros(n, count)),
+            rows: n,
+            cols: count,
+            next: 0,
+            parked: Vec::new(),
+            stats: WorkerStats::new(),
+            orbital_iterations: vec![0; n_s],
+        }
+    }
+
+    /// Where orbital `j` adds its contribution.
+    fn begin(&mut self, j: usize, spares: &Mutex<Spares>) -> Target {
+        match self.acc.take_if(|_| j == self.next) {
+            Some(buf) => Target { buf, is_acc: true },
+            None => {
+                let buf = lock(spares).side(self.rows, self.cols);
+                Target { buf, is_acc: false }
+            }
+        }
+    }
+
+    /// Take back orbital `j`'s target and statistics: its contribution
+    /// joins the accumulator now if every earlier one has, or waits for
+    /// them. Returns whether the accumulator holds every orbital now.
+    fn finish(
+        &mut self,
+        j: usize,
+        target: Target,
+        stats: &WorkerStats,
+        spares: &Mutex<Spares>,
+    ) -> bool {
+        self.orbital_iterations[j] = stats.iterations;
+        self.stats.merge(stats);
+        if target.is_acc {
+            self.acc = Some(target.buf);
+            self.next += 1;
+        } else {
+            self.parked.push((j, target.buf));
+        }
+        // the orbitals that are next and waiting, in order
+        while let Some(acc) = self.acc.as_mut() {
+            let Some(at) = self.parked.iter().position(|&(k, _)| k == self.next) else {
+                break;
+            };
+            let (_, side) = self.parked.swap_remove(at);
+            for (a, &c) in acc.as_mut_slice().iter_mut().zip(side.as_slice()) {
+                *a += c;
+            }
+            lock(spares).sides.push(side);
+            self.next += 1;
+        }
+        self.next == self.orbital_iterations.len()
     }
 }
 
@@ -772,6 +979,82 @@ mod tests {
             for d in (0..4).filter(|&d| d != c) {
                 assert!(solve(&[c, d], 0) == lone, "column {c} beside {d}");
                 assert!(solve(&[d, c], 1) == lone, "column {c} after {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn orbital_contributions_fold_in_orbital_order_whatever_order_they_finish() {
+        // Orbitals finishing in order, reversed and shuffled, begun just
+        // before they finish or all at once in the pool's claim order: the
+        // accumulator and the per-orbital iteration ledger are the
+        // in-order sum's, bit for bit. The contributions hold `−0`s and
+        // terms whose sum depends on the order they are added in.
+        let (rows, cols, n_s) = (7, 3, 9);
+        let term = |j: usize, k: usize| -> f64 {
+            match (j * 7 + k * 3) % 5 {
+                0 => -0.0,
+                1 => 1e16 * if j.is_multiple_of(2) { 1.0 } else { -1.0 },
+                2 => 1.0 + j as f64 * 0.1,
+                3 => -(k as f64) * 3.7e-9,
+                _ => 0.1 * (j + k) as f64,
+            }
+        };
+        let mut want = vec![0.0_f64; rows * cols];
+        for j in 0..n_s {
+            for (k, a) in want.iter_mut().enumerate() {
+                *a += term(j, k);
+            }
+        }
+        let iterations = |j: usize| 3 * j + 1;
+        let mut shuffled: Vec<usize> = (0..n_s).collect();
+        let mut state = 0x2545_f491_u64;
+        for l in (1..n_s).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.swap(l, state as usize % (l + 1));
+        }
+        let orders = [
+            (0..n_s).collect::<Vec<_>>(),
+            (0..n_s).rev().collect(),
+            shuffled,
+        ];
+        for order in &orders {
+            for all_begun_first in [false, true] {
+                let mut fold = Fold::new(rows, cols, n_s);
+                let spares = Mutex::new(Spares::default());
+                let mut begun: Vec<Option<Target>> = (0..n_s).map(|_| None).collect();
+                if all_begun_first {
+                    for (j, slot) in begun.iter_mut().enumerate() {
+                        *slot = Some(fold.begin(j, &spares));
+                    }
+                }
+                let mut completions = 0;
+                for &j in order {
+                    let mut target = begun[j].take().unwrap_or_else(|| fold.begin(j, &spares));
+                    for (k, a) in target.buf.as_mut_slice().iter_mut().enumerate() {
+                        *a += term(j, k);
+                    }
+                    let stats = WorkerStats {
+                        iterations: iterations(j),
+                        ..WorkerStats::new()
+                    };
+                    completions += usize::from(fold.finish(j, target, &stats, &spares));
+                }
+                let what = format!("finishing in {order:?}, all begun first: {all_begun_first}");
+                assert_eq!(completions, 1, "{what}");
+                assert!(fold.parked.is_empty(), "{what}");
+                let acc = fold.acc.as_ref().expect("the accumulator is home");
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(acc.as_slice()), bits(&want), "{what}");
+                let ledger: Vec<usize> = (0..n_s).map(iterations).collect();
+                assert_eq!(fold.orbital_iterations, ledger, "{what}");
+                assert_eq!(
+                    fold.stats.iterations,
+                    ledger.iter().sum::<usize>(),
+                    "{what}"
+                );
             }
         }
     }

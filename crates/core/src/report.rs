@@ -180,7 +180,9 @@ pub fn block_size_table(result: &RpaResult) -> String {
     s
 }
 
-/// Per-worker Sternheimer load profile (the §III-D imbalance view).
+/// Per-worker Sternheimer load profile (the §III-D imbalance view). A
+/// worker is a column range: its orbitals run on whichever thread is
+/// free, so a row is the solve time of the range, not of a thread.
 pub fn worker_load_table(result: &RpaResult) -> String {
     let mut s = String::new();
     if result.worker_load.len() <= 1 {
@@ -189,7 +191,10 @@ pub fn worker_load_table(result: &RpaResult) -> String {
     let loads: Vec<f64> = result.worker_load.iter().map(|d| d.as_secs_f64()).collect();
     let mean = loads.iter().sum::<f64>() / loads.len() as f64;
     let max = loads.iter().cloned().fold(0.0, f64::max);
-    let _ = writeln!(s, "Worker | Sternheimer time (s)");
+    let _ = writeln!(
+        s,
+        "Worker | Sternheimer time (s) per column range, its orbitals on any thread"
+    );
     for (w, t) in loads.iter().enumerate() {
         let _ = writeln!(s, "{w:>6} | {t:>10.3}");
     }

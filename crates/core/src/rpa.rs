@@ -451,6 +451,16 @@ fn publish_work(label: &str, ledger: &Ledger, stats: &WorkerStats) {
         "solver.lanczos.carried_dropped_matvecs",
         slots.carried_dropped_matvecs as u64,
     );
+    // what each block width cost: the Table IV count, its Krylov steps
+    // and its busy time (the per-width times add up to `solve_time`)
+    for (s, load) in stats.block_sizes.loads() {
+        add(&format!("solver.width.s{s}.columns"), load.columns as u64);
+        add(&format!("solver.width.s{s}.steps"), load.steps as u64);
+        add(
+            &format!("solver.width.s{s}.busy_us"),
+            load.busy.as_micros() as u64,
+        );
+    }
     add("chi0.applications", ledger.applications as u64);
     add(
         &format!("{label}/sternheimer.iterations"),

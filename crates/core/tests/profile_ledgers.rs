@@ -52,6 +52,23 @@ fn profiled_counters_equal_the_returned_solver_stats() {
         stats.block_sizes.total()
     );
 
+    // the per-width ledger: its columns are the block-size table, its
+    // steps the iterations, and its busy times the solve time, each
+    // frequency's rounded down to the microsecond
+    let (mut steps, mut busy_us) = (0, 0);
+    for (s, columns) in stats.block_sizes.iter() {
+        assert_eq!(count(&format!("solver.width.s{s}.columns")), columns);
+        steps += count(&format!("solver.width.s{s}.steps"));
+        busy_us += count(&format!("solver.width.s{s}.busy_us"));
+    }
+    assert_eq!(steps, stats.iterations);
+    let solve_us = stats.solve_time.as_micros() as usize;
+    let publishes = result.per_omega.len() * stats.block_sizes.iter().count();
+    assert!(
+        busy_us <= solve_us && solve_us <= busy_us + publishes,
+        "per-width busy {busy_us} µs against {solve_us} µs of solves"
+    );
+
     // the per-frequency ledger adds up to the run's
     let n_omega = result.per_omega.len();
     let per_omega = |name: &str| -> usize {

@@ -1396,7 +1396,7 @@ pub(crate) unsafe fn block_update_gram(
         (3, true) => block_update_gram_m::<3, true>(rows, s, c, x, left, y, out),
         (4, true) => block_update_gram_m::<4, true>(rows, s, c, x, left, y, out),
         (5, true) => block_update_gram_m::<5, true>(rows, s, c, x, left, y, out),
-        _ => crate::scalar::block_update_gram(rows, s, c, x, left, y, out),
+        _ => block_update_gram_wide(rows, s, c, x, left, y, out),
     }
 }
 
@@ -1579,6 +1579,272 @@ pub(crate) unsafe fn block_advance(
         3 => block_advance_m::<3, 1>(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
         4 => block_advance_m::<4, 1>(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
         5 => block_advance_m::<5, 1>(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
-        _ => crate::scalar::block_advance(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
+        _ => block_advance_wide(rows, s, k, u, v, d_re, d_im, v_next, dn_re, dn_im, x),
+    }
+}
+
+// Wider blocks (`⌈s/2⌉ > 5`), whose coefficients and Gram state do not
+// fit in registers: every sweep is cut into passes over the rows, each on
+// a register-sized tile. An update tile takes up to two output vectors
+// and two input vectors, and each output entry's chain runs over the
+// input tiles in column order, the partial sum parked in the output
+// between passes (a store and a load are exact), so every entry is the
+// scalar twin's chain. A Gram tile holds up to two-by-two pairs, each
+// pair's row-lane state the same as in `block_update_gram_m`.
+
+/// One chain of a wide pass: coefficient matrix, whether its terms are
+/// subtracted, and the block it adds into.
+type Chain<'a> = (&'a [f64], bool, *mut f64);
+
+/// One pass of a wide sweep over the two-row steps: for output vectors
+/// `j0..j0 + J` and input vectors `q0..q0 + Q` of `inp`, chain `k` adds
+/// `±c_k(l, j)·inp_l` over the tile's columns `l` in order to its block.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support and that `inp` and every chain's block hold `⌈s/2⌉ > q0 + Q − 1`
+// and `> j0 + J − 1` vectors of `2·rows` f64, the blocks not overlapping
+// `inp`; every raw access is at `2·(q·rows + i)..+4` with `i + 2 <= rows`.
+unsafe fn wide_chain_tile<const Q: usize, const J: usize, const K: usize>(
+    rows: usize,
+    s: usize,
+    chains: &[Chain<'_>; K],
+    inp: *const f64,
+    q0: usize,
+    j0: usize,
+) {
+    let z = _mm256_setzero_pd();
+    let mut cc = [[[[z; 2]; J]; Q]; K];
+    for (ck, &(m, neg, _)) in cc.iter_mut().zip(chains) {
+        for (qq, cq) in ck.iter_mut().enumerate() {
+            for (jj, cj) in cq.iter_mut().enumerate() {
+                for (h, ch) in cj.iter_mut().enumerate() {
+                    let l = 2 * (q0 + qq) + h;
+                    let coef = |j: usize| {
+                        let c = crate::scalar::pad_coef(s, m, l, j);
+                        if neg {
+                            -c
+                        } else {
+                            c
+                        }
+                    };
+                    let (a, b) = (coef(2 * (j0 + jj)), coef(2 * (j0 + jj) + 1));
+                    *ch = _mm256_setr_pd(a, b, a, b);
+                }
+            }
+        }
+    }
+    let even = rows - rows % 2;
+    let mut i = 0;
+    while i < even {
+        let mut xd = [[z; 2]; Q];
+        for (qq, d) in xd.iter_mut().enumerate() {
+            // SAFETY: q0 + qq < ⌈s/2⌉ and i + 2 <= rows (function contract).
+            *d = load_dup(inp, rows, q0 + qq, i);
+        }
+        for (ck, &(_, _, out)) in cc.iter().zip(chains) {
+            for (jj, _) in ck[0].iter().enumerate() {
+                // SAFETY: j0 + jj < ⌈s/2⌉ and i + 2 <= rows.
+                let o = out.add(2 * ((j0 + jj) * rows + i));
+                let mut acc = _mm256_loadu_pd(o);
+                for (cq, d) in ck.iter().zip(&xd) {
+                    for h in 0..2 {
+                        acc = _mm256_fmadd_pd(cq[jj][h], d[h], acc);
+                    }
+                }
+                _mm256_storeu_pd(o, acc);
+            }
+        }
+        i += 2;
+    }
+}
+
+/// Every pass of one wide update: the chains over all of `inp`, output
+/// tiles of two vectors, input tiles of two in column order.
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — as `wide_chain_tile`, for every tile
+// of the `⌈s/2⌉` vectors.
+unsafe fn wide_chains<const K: usize>(
+    rows: usize,
+    s: usize,
+    chains: &[Chain<'_>; K],
+    inp: *const f64,
+) {
+    let m = s.div_ceil(2);
+    for j0 in (0..m).step_by(2) {
+        let two_out = j0 + 2 <= m;
+        for q0 in (0..m).step_by(2) {
+            match (q0 + 2 <= m, two_out) {
+                (true, true) => wide_chain_tile::<2, 2, K>(rows, s, chains, inp, q0, j0),
+                (true, false) => wide_chain_tile::<2, 1, K>(rows, s, chains, inp, q0, j0),
+                (false, true) => wide_chain_tile::<1, 2, K>(rows, s, chains, inp, q0, j0),
+                (false, false) => wide_chain_tile::<1, 1, K>(rows, s, chains, inp, q0, j0),
+            }
+        }
+    }
+}
+
+/// The Gram pairs `(p0.., q0..)` of a `P × Q` tile of `leftᵀy`, finished
+/// into `out` (with `sym`, only those with `p ≤ q`).
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support and that `y` and `left` hold `⌈s/2⌉ > p0 + P − 1, q0 + Q − 1`
+// vectors of `2·rows` f64; every raw access is at `2·(q·rows + i)..+4`
+// with `i + 2 <= rows`.
+unsafe fn wide_gram_tile<const P: usize, const Q: usize>(
+    rows: usize,
+    s: usize,
+    left: Option<&[f64]>,
+    y: &[f64],
+    p0: usize,
+    q0: usize,
+    out: &mut [f64],
+) {
+    let z = _mm256_setzero_pd();
+    let (mut gp, mut gq) = ([[z; Q]; P], [[z; Q]; P]);
+    let lm = left.unwrap_or(y);
+    let (lp, yp) = (lm.as_ptr(), y.as_ptr());
+    let even = rows - rows % 2;
+    let mut i = 0;
+    while i < even {
+        let (mut yv, mut ys) = ([z; Q], [z; Q]);
+        for qq in 0..Q {
+            // SAFETY: q0 + qq < ⌈s/2⌉ and i + 2 <= rows (function contract).
+            yv[qq] = _mm256_loadu_pd(yp.add(2 * ((q0 + qq) * rows + i)));
+            ys[qq] = swap_pairs(yv[qq]);
+        }
+        for pp in 0..P {
+            // SAFETY: p0 + pp < ⌈s/2⌉ and i + 2 <= rows.
+            let lv = _mm256_loadu_pd(lp.add(2 * ((p0 + pp) * rows + i)));
+            for qq in 0..Q {
+                gp[pp][qq] = _mm256_fmadd_pd(lv, yv[qq], gp[pp][qq]);
+                gq[pp][qq] = _mm256_fmadd_pd(lv, ys[qq], gq[pp][qq]);
+            }
+        }
+        i += 2;
+    }
+    let sym = left.is_none();
+    for pp in 0..P {
+        for qq in 0..Q {
+            let (p, q) = (p0 + pp, q0 + qq);
+            if sym && p > q {
+                continue;
+            }
+            let mut st = [[0.0_f64; 4]; 2];
+            // SAFETY: each lane array holds exactly 4 f64s.
+            _mm256_storeu_pd(st[0].as_mut_ptr(), gp[pp][qq]);
+            _mm256_storeu_pd(st[1].as_mut_ptr(), gq[pp][qq]);
+            if even < rows {
+                // rows is odd, so the last row index is even: row lane 0
+                crate::scalar::block_gram_row(rows, even, 0, p, q, lm, y, &mut st);
+            }
+            lanes::finish_block_pair(s, p, q, sym, &st, out);
+        }
+    }
+}
+
+/// [`block_update_gram`] for `⌈s/2⌉ > 5`: the update's passes, the odd
+/// row, then the Gram tiles (with `left = None` the tiles on or above the
+/// diagonal).
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; the safe wrapper checked that `x`, `y` and `left` hold
+// `⌈s/2⌉` vectors of `2·rows` f64 and `c`, `out` are `s × s`.
+unsafe fn block_update_gram_wide(
+    rows: usize,
+    s: usize,
+    c: &[f64],
+    x: &[f64],
+    left: Option<&[f64]>,
+    y: &mut [f64],
+    out: &mut [f64],
+) {
+    wide_chains::<1>(rows, s, &[(c, true, y.as_mut_ptr())], x.as_ptr());
+    if rows % 2 == 1 {
+        crate::scalar::block_sub_row(rows, s, rows - 1, c, x, y);
+    }
+    let y: &[f64] = y;
+    let m = s.div_ceil(2);
+    for q0 in (0..m).step_by(2) {
+        let two_q = q0 + 2 <= m;
+        let p_end = if left.is_some() { m } else { q0 + 1 };
+        for p0 in (0..p_end).step_by(2) {
+            match (p0 + 2 <= m, two_q) {
+                (true, true) => wide_gram_tile::<2, 2>(rows, s, left, y, p0, q0, out),
+                (true, false) => wide_gram_tile::<2, 1>(rows, s, left, y, p0, q0, out),
+                (false, true) => wide_gram_tile::<1, 2>(rows, s, left, y, p0, q0, out),
+                (false, false) => wide_gram_tile::<1, 1>(rows, s, left, y, p0, q0, out),
+            }
+        }
+    }
+}
+
+/// [`block_advance`] for `⌈s/2⌉ > 5`: each output chain's segments in the
+/// scalar twin's order, one pass set per segment (`v_next` from `u`;
+/// `dn_re`, `dn_im` from `v`, then `d_re`, then `d_im`; `x` from `dn_re`,
+/// then `dn_im`), then the odd row.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx2,fma")]
+// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
+// support; the safe wrapper checked that every block holds `⌈s/2⌉`
+// vectors of `2·rows` f64, every coefficient matrix is `s × s` and the
+// outputs are not the inputs.
+unsafe fn block_advance_wide(
+    rows: usize,
+    s: usize,
+    k: &crate::BlockStep<'_>,
+    u: &[f64],
+    v: &[f64],
+    d_re: &[f64],
+    d_im: &[f64],
+    v_next: &mut [f64],
+    dn_re: &mut [f64],
+    dn_im: &mut [f64],
+    x: &mut [f64],
+) {
+    // the chains that start from `+0`
+    for b in [&mut *v_next, &mut *dn_re, &mut *dn_im] {
+        b.fill(0.0);
+    }
+    let (np, nrp, nip) = (v_next.as_mut_ptr(), dn_re.as_mut_ptr(), dn_im.as_mut_ptr());
+    wide_chains::<1>(rows, s, &[(k.b_inv, false, np)], u.as_ptr());
+    wide_chains::<2>(
+        rows,
+        s,
+        &[(k.e_re, false, nrp), (k.e_im, false, nip)],
+        v.as_ptr(),
+    );
+    wide_chains::<2>(
+        rows,
+        s,
+        &[(k.g_re, true, nrp), (k.g_im, true, nip)],
+        d_re.as_ptr(),
+    );
+    wide_chains::<2>(
+        rows,
+        s,
+        &[(k.g_im, false, nrp), (k.g_re, true, nip)],
+        d_im.as_ptr(),
+    );
+    let xp = x.as_mut_ptr();
+    wide_chains::<1>(rows, s, &[(k.z_re, false, xp)], nrp);
+    wide_chains::<1>(rows, s, &[(k.z_im, true, xp)], nip);
+    if rows % 2 == 1 {
+        crate::scalar::block_advance_row(
+            rows,
+            s,
+            rows - 1,
+            k,
+            u,
+            v,
+            d_re,
+            d_im,
+            v_next,
+            dn_re,
+            dn_im,
+            x,
+        );
     }
 }

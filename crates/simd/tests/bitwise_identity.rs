@@ -524,137 +524,144 @@ fn lanczos_pair_passes_bitwise_identical() {
 }
 
 /// The three block Lanczos sweeps on pair-packed blocks of every width
-/// 1..=12 (odd widths with their idle slot, the widths past the vector
-/// path's range on the scalar twin), even and odd row counts, against the
-/// scalar twin bit for bit and against plain loops over the real columns.
+/// 1..=33 (odd widths with their idle slot; past `s = 10` the vector
+/// path's tiled wide body, every width 11..=33 at odd and even row
+/// counts), against the scalar twin bit for bit and against plain loops
+/// over the real columns.
 #[test]
 fn block_lanczos_sweeps_bitwise_identical() {
     check(64, |rng| {
-        let s = rng.random_range(1usize..13);
+        let s = rng.random_range(1usize..34);
         let rows = rng.random_range(0usize..37);
-        let seed = rng.random_range(1..usize::MAX) as u64;
-        let mut rng = Rng::new(seed);
-        let sc = Dispatch::Scalar;
-        let m = s.div_ceil(2);
-        // a pair-packed block with a zero idle slot, as the solver keeps it
-        let block = |rng: &mut Rng| {
-            let mut b = rng.vec(2 * rows * m);
-            if s % 2 == 1 {
-                for i in 0..rows {
-                    b[2 * ((m - 1) * rows + i) + 1] = 0.0;
-                }
-            }
-            b
-        };
-        let at = |b: &[f64], i: usize, c: usize| b[2 * ((c / 2) * rows + i) + c % 2];
-        let mats: Vec<Vec<f64>> = (0..8).map(|_| rng.vec(s * s)).collect();
-        let (v_prev, v, y) = (block(&mut rng), block(&mut rng), block(&mut rng));
-
-        let run_project = |d: Dispatch| {
-            let (mut u, mut alpha) = (y.clone(), vec![f64::NAN; s * s]);
-            mbrpa_simd::block_lanczos_project_on(
-                d, rows, s, &mats[0], &v_prev, &v, &mut u, &mut alpha,
-            );
-            (u, alpha)
-        };
-        let (u, alpha) = run_project(sc);
-        let run_orth = |d: Dispatch| {
-            let (mut w, mut gram) = (u.clone(), vec![f64::NAN; s * s]);
-            mbrpa_simd::block_lanczos_orthogonalize_on(d, rows, s, &mats[1], &v, &mut w, &mut gram);
-            (w, gram)
-        };
-        let (w, gram) = run_orth(sc);
-        let step = mbrpa_simd::BlockStep {
-            b_inv: &mats[2],
-            e_re: &mats[3],
-            e_im: &mats[4],
-            g_re: &mats[5],
-            g_im: &mats[6],
-            z_re: &mats[7],
-            z_im: &mats[0],
-        };
-        let (d_re, d_im, x) = (block(&mut rng), block(&mut rng), block(&mut rng));
-        let run_advance = |d: Dispatch| {
-            let (mut vn, mut nr, mut ni, mut xx) = (
-                vec![f64::NAN; x.len()],
-                vec![f64::NAN; x.len()],
-                vec![f64::NAN; x.len()],
-                x.clone(),
-            );
-            mbrpa_simd::block_lanczos_advance_on(
-                d, rows, s, &step, &w, &v, &d_re, &d_im, &mut vn, &mut nr, &mut ni, &mut xx,
-            );
-            (vn, nr, ni, xx)
-        };
-        let adv = run_advance(sc);
-        for d in vector_paths() {
-            let got = run_project(d);
-            assert_same_bits(d, "block_lanczos_project y", &got.0, &u);
-            assert_same_bits(d, "block_lanczos_project alpha", &got.1, &alpha);
-            let got = run_orth(d);
-            assert_same_bits(d, "block_lanczos_orthogonalize u", &got.0, &w);
-            assert_same_bits(d, "block_lanczos_orthogonalize gram", &got.1, &gram);
-            let got = run_advance(d);
-            assert_same_bits(d, "block_lanczos_advance v_next", &got.0, &adv.0);
-            assert_same_bits(d, "block_lanczos_advance dn_re", &got.1, &adv.1);
-            assert_same_bits(d, "block_lanczos_advance dn_im", &got.2, &adv.2);
-            assert_same_bits(d, "block_lanczos_advance x", &got.3, &adv.3);
-        }
-
-        // plain loops over the real columns
-        let c = |k: usize, l: usize, j: usize| mats[k][l + s * j];
-        let close = |got: f64, want: f64, what: &str| {
-            assert!(
-                (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
-                "{what}: {got} vs {want}"
-            );
-        };
-        for i in 0..rows {
-            for j in 0..s {
-                let uu = at(&y, i, j) - (0..s).map(|l| at(&v_prev, i, l) * c(0, l, j)).sum::<f64>();
-                close(at(&u, i, j), uu, "project y");
-                let ww = uu - (0..s).map(|l| at(&v, i, l) * c(1, l, j)).sum::<f64>();
-                close(at(&w, i, j), ww, "orthogonalize u");
-            }
-        }
-        for a in 0..s {
-            for b in 0..s {
-                let want: f64 = (0..rows).map(|i| at(&v, i, a) * at(&u, i, b)).sum();
-                close(alpha[a + s * b], want, "alpha");
-                let want: f64 = (0..rows).map(|i| at(&w, i, a) * at(&w, i, b)).sum();
-                close(gram[a + s * b], want, "gram");
-                assert_eq!(
-                    gram[a + s * b].to_bits(),
-                    gram[b + s * a].to_bits(),
-                    "gram symmetric"
-                );
-            }
-        }
-        let dot = |k: usize, blk: &[f64], i: usize, j: usize| {
-            (0..s).map(|l| at(blk, i, l) * c(k, l, j)).sum::<f64>()
-        };
-        for i in 0..rows {
-            for j in 0..s {
-                close(at(&adv.0, i, j), dot(2, &w, i, j), "v_next");
-                let re = dot(3, &v, i, j) - dot(5, &d_re, i, j) + dot(6, &d_im, i, j);
-                let im = dot(4, &v, i, j) - dot(6, &d_re, i, j) - dot(5, &d_im, i, j);
-                close(at(&adv.1, i, j), re, "dn_re");
-                close(at(&adv.2, i, j), im, "dn_im");
-                let xx = at(&x, i, j) + dot(7, &adv.1, i, j) - dot(0, &adv.2, i, j);
-                close(at(&adv.3, i, j), xx, "x");
-            }
-            if s % 2 == 1 {
-                for (what, b) in [
-                    ("v_next", &adv.0),
-                    ("dn_re", &adv.1),
-                    ("dn_im", &adv.2),
-                    ("x", &adv.3),
-                ] {
-                    assert_eq!(at(b, i, s), 0.0, "{what}: the idle slot stays zero");
-                }
-            }
-        }
+        block_lanczos_sweeps_case(s, rows, rng.random_range(1..usize::MAX) as u64);
     });
+    for s in 11..=33 {
+        for rows in [1, 16, 36, 37] {
+            block_lanczos_sweeps_case(s, rows, (1000 * s + rows) as u64);
+        }
+    }
+}
+
+fn block_lanczos_sweeps_case(s: usize, rows: usize, seed: u64) {
+    let mut rng = Rng::new(seed);
+    let sc = Dispatch::Scalar;
+    let m = s.div_ceil(2);
+    // a pair-packed block with a zero idle slot, as the solver keeps it
+    let block = |rng: &mut Rng| {
+        let mut b = rng.vec(2 * rows * m);
+        if s % 2 == 1 {
+            for i in 0..rows {
+                b[2 * ((m - 1) * rows + i) + 1] = 0.0;
+            }
+        }
+        b
+    };
+    let at = |b: &[f64], i: usize, c: usize| b[2 * ((c / 2) * rows + i) + c % 2];
+    let mats: Vec<Vec<f64>> = (0..8).map(|_| rng.vec(s * s)).collect();
+    let (v_prev, v, y) = (block(&mut rng), block(&mut rng), block(&mut rng));
+
+    let run_project = |d: Dispatch| {
+        let (mut u, mut alpha) = (y.clone(), vec![f64::NAN; s * s]);
+        mbrpa_simd::block_lanczos_project_on(d, rows, s, &mats[0], &v_prev, &v, &mut u, &mut alpha);
+        (u, alpha)
+    };
+    let (u, alpha) = run_project(sc);
+    let run_orth = |d: Dispatch| {
+        let (mut w, mut gram) = (u.clone(), vec![f64::NAN; s * s]);
+        mbrpa_simd::block_lanczos_orthogonalize_on(d, rows, s, &mats[1], &v, &mut w, &mut gram);
+        (w, gram)
+    };
+    let (w, gram) = run_orth(sc);
+    let step = mbrpa_simd::BlockStep {
+        b_inv: &mats[2],
+        e_re: &mats[3],
+        e_im: &mats[4],
+        g_re: &mats[5],
+        g_im: &mats[6],
+        z_re: &mats[7],
+        z_im: &mats[0],
+    };
+    let (d_re, d_im, x) = (block(&mut rng), block(&mut rng), block(&mut rng));
+    let run_advance = |d: Dispatch| {
+        let (mut vn, mut nr, mut ni, mut xx) = (
+            vec![f64::NAN; x.len()],
+            vec![f64::NAN; x.len()],
+            vec![f64::NAN; x.len()],
+            x.clone(),
+        );
+        mbrpa_simd::block_lanczos_advance_on(
+            d, rows, s, &step, &w, &v, &d_re, &d_im, &mut vn, &mut nr, &mut ni, &mut xx,
+        );
+        (vn, nr, ni, xx)
+    };
+    let adv = run_advance(sc);
+    for d in vector_paths() {
+        let got = run_project(d);
+        assert_same_bits(d, "block_lanczos_project y", &got.0, &u);
+        assert_same_bits(d, "block_lanczos_project alpha", &got.1, &alpha);
+        let got = run_orth(d);
+        assert_same_bits(d, "block_lanczos_orthogonalize u", &got.0, &w);
+        assert_same_bits(d, "block_lanczos_orthogonalize gram", &got.1, &gram);
+        let got = run_advance(d);
+        assert_same_bits(d, "block_lanczos_advance v_next", &got.0, &adv.0);
+        assert_same_bits(d, "block_lanczos_advance dn_re", &got.1, &adv.1);
+        assert_same_bits(d, "block_lanczos_advance dn_im", &got.2, &adv.2);
+        assert_same_bits(d, "block_lanczos_advance x", &got.3, &adv.3);
+    }
+
+    // plain loops over the real columns
+    let c = |k: usize, l: usize, j: usize| mats[k][l + s * j];
+    let close = |got: f64, want: f64, what: &str| {
+        assert!(
+            (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
+            "{what}: {got} vs {want}"
+        );
+    };
+    for i in 0..rows {
+        for j in 0..s {
+            let uu = at(&y, i, j) - (0..s).map(|l| at(&v_prev, i, l) * c(0, l, j)).sum::<f64>();
+            close(at(&u, i, j), uu, "project y");
+            let ww = uu - (0..s).map(|l| at(&v, i, l) * c(1, l, j)).sum::<f64>();
+            close(at(&w, i, j), ww, "orthogonalize u");
+        }
+    }
+    for a in 0..s {
+        for b in 0..s {
+            let want: f64 = (0..rows).map(|i| at(&v, i, a) * at(&u, i, b)).sum();
+            close(alpha[a + s * b], want, "alpha");
+            let want: f64 = (0..rows).map(|i| at(&w, i, a) * at(&w, i, b)).sum();
+            close(gram[a + s * b], want, "gram");
+            assert_eq!(
+                gram[a + s * b].to_bits(),
+                gram[b + s * a].to_bits(),
+                "gram symmetric"
+            );
+        }
+    }
+    let dot = |k: usize, blk: &[f64], i: usize, j: usize| {
+        (0..s).map(|l| at(blk, i, l) * c(k, l, j)).sum::<f64>()
+    };
+    for i in 0..rows {
+        for j in 0..s {
+            close(at(&adv.0, i, j), dot(2, &w, i, j), "v_next");
+            let re = dot(3, &v, i, j) - dot(5, &d_re, i, j) + dot(6, &d_im, i, j);
+            let im = dot(4, &v, i, j) - dot(6, &d_re, i, j) - dot(5, &d_im, i, j);
+            close(at(&adv.1, i, j), re, "dn_re");
+            close(at(&adv.2, i, j), im, "dn_im");
+            let xx = at(&x, i, j) + dot(7, &adv.1, i, j) - dot(0, &adv.2, i, j);
+            close(at(&adv.3, i, j), xx, "x");
+        }
+        if s % 2 == 1 {
+            for (what, b) in [
+                ("v_next", &adv.0),
+                ("dn_re", &adv.1),
+                ("dn_im", &adv.2),
+                ("x", &adv.3),
+            ] {
+                assert_eq!(at(b, i, s), 0.0, "{what}: the idle slot stays zero");
+            }
+        }
+    }
 }
 
 /// The stencil sweep at every row length 1..=40 — no 16-wide block, one,

@@ -319,7 +319,9 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
     if let Some(h) = carried {
         stats.lanczos.carried_dropped += 1;
         stats.lanczos.carried_dropped_matvecs += h.report.matvecs;
+        // its time is the probe's: width 1, no columns, no steps
         stats.solve_time += h.elapsed;
+        stats.block_sizes.add_load(1, 0, h.elapsed);
         HELD.set(h.x);
     }
     all_converged

@@ -46,5 +46,5 @@ pub use gmres::{gmres, GmresOptions};
 pub use initial_guess::{galerkin_guess, galerkin_guess_real};
 pub use operator::{DenseOperator, LinearOperator};
 pub use shifted_lanczos::{shifted_block_lanczos, shifted_lanczos_pair, ReSink, RealShifted};
-pub use stats::{BlockSizeHistogram, LanczosSlots, SolveReport, WorkerStats};
+pub use stats::{BlockSizeHistogram, LanczosSlots, SolveReport, WidthLoad, WorkerStats};
 pub use workspace::{with_thread_workspace, Workspace};

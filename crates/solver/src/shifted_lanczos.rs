@@ -65,13 +65,16 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(b_norm: f64, r_norm: f64) -> Self {
+    fn new(b_norm: f64, r_norm: f64, opts: &CocgOptions) -> Self {
         let mut report = SolveReport::new();
         // a zero right-hand side is solved by its guess, as in Alg. 3
         let solved = exactly_zero(b_norm);
         if solved {
             report.converged = true;
             report.relative_residual = 0.0;
+            if opts.track_residuals {
+                report.residual_history.push(0.0);
+            }
         }
         Self {
             active: !solved,
@@ -217,7 +220,7 @@ pub fn shifted_lanczos_pair(
         comps(&v),
         comps_mut(&mut y),
     );
-    let mut lane = [0, 1].map(|l| Lane::new(b_sq[l].sqrt(), r_sq[l].sqrt()));
+    let mut lane = [0, 1].map(|l| Lane::new(b_sq[l].sqrt(), r_sq[l].sqrt(), opts));
     if guess.is_some() {
         for st in lane.iter_mut().filter(|st| st.active) {
             st.report.matvecs += 1;
@@ -476,6 +479,9 @@ pub fn shifted_block_lanczos(
         // a zero block is solved by its guess, as in Alg. 3
         report.converged = true;
         report.relative_residual = 0.0;
+        if opts.track_residuals {
+            report.residual_history.push(0.0);
+        }
     } else {
         if guess.is_some() {
             for q in 0..m {

@@ -1,7 +1,6 @@
 //! Solver statistics: iteration counts, operator applications, and the
 //! block-size histogram behind the paper's Table IV.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Outcome of one (block) linear solve.
@@ -45,12 +44,38 @@ impl Default for SolveReport {
     }
 }
 
-/// Frequency table of block sizes chosen by the dynamic selection
-/// (Algorithm 4), accumulated per worker and merged for Table IV.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BlockSizeHistogram {
-    counts: BTreeMap<usize, usize>,
+/// What the solves of one block width did: the paper's Table IV count
+/// and, beside it, the steps and busy time that price the width.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WidthLoad {
+    /// Right-hand sides solved at this width.
+    pub columns: usize,
+    /// Krylov steps of those solves: one per block iteration, one per
+    /// column and iteration of a width-1 solve.
+    pub steps: usize,
+    /// Wall time of those solves.
+    pub busy: Duration,
 }
+
+/// Frequency table of block sizes chosen by the dynamic selection
+/// (Algorithm 4), accumulated per worker and merged for Table IV, with
+/// the steps and busy time of each width. Widths are kept in ascending
+/// order in a vector that [`clear`](BlockSizeHistogram::clear) empties
+/// without freeing, so a pooled table fills again without allocating.
+/// Two tables are equal when they are the same Table IV (the same
+/// columns at every width); steps and busy times take no part.
+#[derive(Clone, Debug, Default)]
+pub struct BlockSizeHistogram {
+    widths: Vec<(usize, WidthLoad)>,
+}
+
+impl PartialEq for BlockSizeHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for BlockSizeHistogram {}
 
 impl BlockSizeHistogram {
     /// Empty histogram.
@@ -58,31 +83,65 @@ impl BlockSizeHistogram {
         Self::default()
     }
 
+    /// The entry of width `s`, made empty where there is none.
+    fn entry(&mut self, s: usize) -> &mut WidthLoad {
+        let at = match self.widths.binary_search_by_key(&s, |&(w, _)| w) {
+            Ok(at) => at,
+            Err(at) => {
+                self.widths.insert(at, (s, WidthLoad::default()));
+                at
+            }
+        };
+        &mut self.widths[at].1
+    }
+
     /// Record that one block system was solved with block size `s`.
     pub fn record(&mut self, s: usize, systems: usize) {
-        *self.counts.entry(s).or_insert(0) += systems;
+        self.entry(s).columns += systems;
+    }
+
+    /// Add `steps` Krylov steps and `busy` wall time to width `s`.
+    pub(crate) fn add_load(&mut self, s: usize, steps: usize, busy: Duration) {
+        let e = self.entry(s);
+        e.steps += steps;
+        e.busy += busy;
     }
 
     /// Merge another histogram (worker reduction).
     pub fn merge(&mut self, other: &BlockSizeHistogram) {
-        for (&s, &c) in &other.counts {
-            *self.counts.entry(s).or_insert(0) += c;
+        for &(s, load) in &other.widths {
+            let e = self.entry(s);
+            e.columns += load.columns;
+            e.steps += load.steps;
+            e.busy += load.busy;
         }
+    }
+
+    /// Empty the table, keeping its storage.
+    fn clear(&mut self) {
+        self.widths.clear();
     }
 
     /// Iterate `(block_size, count)` in ascending block-size order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.counts.iter().map(|(&s, &c)| (s, c))
+        self.widths.iter().map(|&(s, load)| (s, load.columns))
+    }
+
+    /// Iterate `(block_size, load)` in ascending block-size order.
+    pub fn loads(&self) -> impl Iterator<Item = (usize, WidthLoad)> + '_ {
+        self.widths.iter().copied()
     }
 
     /// Count for one block size.
     pub fn count(&self, s: usize) -> usize {
-        self.counts.get(&s).copied().unwrap_or(0)
+        self.widths
+            .binary_search_by_key(&s, |&(w, _)| w)
+            .map_or(0, |at| self.widths[at].1.columns)
     }
 
     /// Total systems recorded.
     pub fn total(&self) -> usize {
-        self.counts.values().sum()
+        self.widths.iter().map(|(_, load)| load.columns).sum()
     }
 
     /// Fraction of systems solved at block size `s`.
@@ -129,7 +188,8 @@ pub struct WorkerStats {
     pub iterations: usize,
     /// Total single-vector operator applications.
     pub matvecs: usize,
-    /// Wall time in the linear solver.
+    /// Wall time in the linear solver; the busy times of
+    /// [`block_sizes`](WorkerStats::block_sizes) add up to it.
     pub solve_time: Duration,
     /// Systems that failed to reach tolerance.
     pub unconverged: usize,
@@ -143,6 +203,16 @@ impl WorkerStats {
     /// Empty statistics.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Back to empty, keeping the block-size table's storage.
+    pub fn clear(&mut self) {
+        let mut block_sizes = std::mem::take(&mut self.block_sizes);
+        block_sizes.clear();
+        *self = Self {
+            block_sizes,
+            ..Self::default()
+        };
     }
 
     /// Merge a peer worker's statistics.
@@ -160,6 +230,7 @@ impl WorkerStats {
     /// right-hand sides.
     pub fn absorb(&mut self, s: usize, systems: usize, report: &SolveReport, elapsed: Duration) {
         self.block_sizes.record(s, systems);
+        self.block_sizes.add_load(s, report.iterations, elapsed);
         self.iterations += report.iterations;
         self.matvecs += report.matvecs;
         self.breakdowns += report.breakdowns;

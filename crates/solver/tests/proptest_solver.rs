@@ -389,6 +389,44 @@ fn a_column_solves_the_same_beside_any_partner() {
     });
 }
 
+/// A zero right-hand side is solved by its guess with no step, as in
+/// Alg. 3, and its history records the start: one entry per iteration
+/// plus the start's, for a pair with one zero column (the zero in either
+/// slot, with or without a guess) and for a zero block, as block COCG
+/// keeps it.
+#[test]
+fn zero_right_hand_sides_record_the_start() {
+    check(24, |rng| {
+        let n = 30;
+        let op = ShiftedDense::new(symmetric_strategy(rng, n), true, 0, 0.3);
+        let mut b = Mat::from_fn(n, 3, |_, _| rng.random_range(-1.0f64..1.0));
+        let zero = rng.random_range(0..2);
+        b.col_mut(zero).fill(0.0);
+        let guess = rng
+            .random::<bool>()
+            .then(|| Mat::from_fn(n, 6, |_, _| rng.random_range(-0.1f64..0.1)));
+        let opts = CocgOptions {
+            track_residuals: true,
+            ..CocgOptions::with_tol(1e-8)
+        };
+        let (_, reports) = real_solve(&op, &b, guess.as_ref(), &[0, 1], &opts);
+        for (slot, rep) in reports.iter().enumerate() {
+            assert_eq!(
+                rep.residual_history.len(),
+                rep.iterations + 1,
+                "slot {slot}: {rep:?}"
+            );
+        }
+        assert_eq!(reports[zero].residual_history, [0.0]);
+        assert!(reports[1 - zero].iterations > 0);
+        let z = Mat::zeros(n, 3);
+        let s = rng.random_range(1..4);
+        let (_, rep) = real_block_solve(&op, &z, None, 0..s, &opts);
+        assert!(rep.converged && rep.iterations == 0, "{rep:?}");
+        assert_eq!(rep.residual_history.len(), rep.iterations + 1, "{rep:?}");
+    });
+}
+
 /// The columns `cols` of `b` through the real block solve: `Re X` as a
 /// matrix of the chunk's width, and the report.
 fn real_block_solve(
