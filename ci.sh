@@ -281,6 +281,23 @@ if grep -rnE --include='*.rs' '"solver\.(cocg|lanczos)\.' crates/solver/src; the
     echo "ci: a solve counter is written under crates/solver/src — fill WorkerStats; run_with publishes it"
     exit 1
 fi
+# One Rayleigh–Ritz round: CheFSI and Algorithm 5 project with
+# mbrpa_solver::rayleigh_ritz, beside the filter they share, so neither
+# crate calls the generalized eigensolve outside #[cfg(test)].
+while IFS= read -r f; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -vE '^\s*//' | grep -nF 'generalized_sym_eig('; then
+        echo "ci: $f calls generalized_sym_eig — project with mbrpa_solver::rayleigh_ritz"
+        exit 1
+    fi
+done < <(find crates/core/src crates/dft/src -name '*.rs')
+# One Eq. 10 stop test: the Sternheimer solvers (and GMRES's inner steps)
+# write their residual history through SolveReport's helpers in stats.rs,
+# which keep its `iterations + 1` entries.
+if grep -rnE --include='*.rs' 'residual_history\.(push|pop|extend)' crates/solver/src \
+    | grep -v '^crates/solver/src/stats\.rs:'; then
+    echo "ci: a solver edits its residual history itself — call SolveReport::test_iteration and its helpers"
+    exit 1
+fi
 leg grep-gates ran "one-copy and removed-path source gates"
 
 # Less library: the fractional-occupation layer, the SVD module, the
@@ -297,6 +314,13 @@ if [ -e crates/dft/src/occupations.rs ] || [ -e crates/linalg/src/svd.rs ] \
     || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)|orbital_io|save_orbitals|load_orbitals|OrbitalIoError|matmul_rc|matmul_tn_rc|dot_h_c64|dot_h_c64_on|combine_h|mat_vec|count_solve|absorb_column|set_context|clear_context|context_label|add_ctx|record_ctx|apply_raw|thin_gram_c64|thin_gram_c64_on|cocg_update_c64|cocg_update_c64_on|cocg_direction_c64|cocg_direction_c64_on|THIN_MAX|ThinPairs|finish_thin_gram|finish_cocg_gram' \
         crates/*/src src; then
     echo "ci: a deleted library item is back — nothing outside its own tests called it"
+    exit 1
+fi
+# One SIMD selector: MBRPA_SIMD. The `-simd` flag of rpacalc/rpaserved and
+# the `force` override it called are gone.
+if grep -rnwE --include='*.rs' 'force' crates/simd/src src/bin \
+    || grep -rnE --include='*.rs' -- '(^|[^[:alnum:]_-])-simd([^[:alnum:]_-]|$)' crates/simd/src src/bin; then
+    echo "ci: a second SIMD selector is back — MBRPA_SIMD is the one"
     exit 1
 fi
 leg uncalled-items ran "deleted library items stay deleted"

@@ -577,7 +577,7 @@ fn main() {
 
     // Resolve (and honor MBRPA_SIMD) before any kernel runs, so the
     // recorded dispatch is exactly what every case measured.
-    let dispatch = match mbrpa::init_runtime(None, threads) {
+    let dispatch = match mbrpa::init_runtime(threads) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("{e}");

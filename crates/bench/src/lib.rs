@@ -117,7 +117,7 @@ impl HarnessOptions {
             return false;
         }
         let threads = self.threads.unwrap_or(1);
-        mbrpa::init_runtime(None, Some(threads)).expect("runtime start-up");
+        mbrpa::init_runtime(Some(threads)).expect("runtime start-up");
         let setup = prepare_ladder_system(self.cells.unwrap_or(1), self.points_per_cell());
         let config = ladder_config(setup.crystal.atoms.len(), self.eig_per_atom(), threads);
         let values: Vec<String> = point(&setup, &config).iter().map(f64::to_string).collect();

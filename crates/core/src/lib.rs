@@ -56,12 +56,9 @@ pub use direct::{
     exact_trace_term, full_spectrum, DirectRpaResult,
 };
 pub use io::{parse_rpa_input, ParseError, RpaInput};
-pub use mbrpa_solver::BlockPolicy;
+pub use mbrpa_solver::{random_orthonormal_block, BlockPolicy};
 pub use quadrature::{frequency_quadrature, gauss_legendre, FrequencyPoint};
-pub use rpa::{
-    quadrature_of, random_orthonormal_block, KsSolver, OmegaReport, PartialRun, RpaResult,
-    RpaSetup, RunOptions,
-};
+pub use rpa::{quadrature_of, KsSolver, OmegaReport, PartialRun, RpaResult, RpaSetup, RunOptions};
 pub use subspace::{
     positive_ritz, subspace_iteration, trace_term, SubspaceIterRecord, SubspaceOutcome,
     SubspaceTimings,

@@ -22,10 +22,8 @@ use mbrpa_dft::{
     PotentialParams,
 };
 use mbrpa_grid::{CoulombOperator, SpectralLaplacian};
-use mbrpa_linalg::{orthonormalize_columns, LinalgError, Mat};
-use mbrpa_solver::WorkerStats;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mbrpa_linalg::{LinalgError, Mat};
+use mbrpa_solver::{random_orthonormal_block, WorkerStats};
 use std::time::{Duration, Instant};
 
 /// Per-quadrature-point record of the iterative calculation.
@@ -136,14 +134,6 @@ fn cancelled_exit(
         persist(store, fingerprint, &state)?;
     }
     Ok(ResumableOutcome::Cancelled(state))
-}
-
-/// Seeded random block with orthonormalized columns (Algorithm 6 line 4).
-pub fn random_orthonormal_block(n: usize, m: usize, seed: u64) -> Mat<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut v = Mat::from_fn(n, m, |_, _| rng.random_range(-1.0..1.0));
-    orthonormalize_columns(&mut v);
-    v
 }
 
 /// How to obtain the occupied orbitals of the prior KS calculation.

@@ -2,9 +2,10 @@
 //! operator — Algorithm 5 of the paper.
 //!
 //! Each iteration applies the degree-`m` Chebyshev filter to the current
-//! block `V`, projects (Rayleigh–Ritz: `H_s = Vᵀ(AV)`, `M_s = VᵀV`,
-//! generalized symmetric eigensolve), rotates, and checks the residual
-//! criterion of Eq. 7. The expensive kernel is the operator application
+//! block `V`, projects and rotates with the Rayleigh–Ritz round CheFSI
+//! runs too ([`mbrpa_solver::rayleigh_ritz`]: `H_s = Vᵀ(AV)`, `M_s = VᵀV`,
+//! generalized symmetric eigensolve), and reduces its per-column residuals
+//! to the criterion of Eq. 7. The expensive kernel is the operator application
 //! inside filtering and projection; the dense algebra mirrors the paper's
 //! ScaLAPACK section and is timed separately (Figure 5 kernels).
 //!
@@ -14,37 +15,10 @@
 //! filtering" behaviour of §III-F falls out naturally.
 
 use crate::chi0::DielectricOperator;
-use mbrpa_linalg::{generalized_sym_eig, matmul, matmul_tn, LinalgError, Mat};
-use mbrpa_solver::chebyshev_filter;
+use mbrpa_linalg::{LinalgError, Mat};
+pub use mbrpa_solver::SubspaceTimings;
+use mbrpa_solver::{chebyshev_filter, rayleigh_ritz};
 use std::time::{Duration, Instant};
-
-/// Wall time of the paper's Figure 5 kernels within one subspace solve.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SubspaceTimings {
-    /// `ν½χ⁰ν½` applications (filtering + projection).
-    pub apply: Duration,
-    /// Dense matrix-matrix products (`VᵀW`, `VᵀV`, `V·Q`, `W·Q`).
-    pub matmult: Duration,
-    /// The generalized symmetric eigensolve.
-    pub eigensolve: Duration,
-    /// Residual evaluation of Eq. 7.
-    pub eval_error: Duration,
-}
-
-impl SubspaceTimings {
-    /// Merge another timing record.
-    pub fn merge(&mut self, other: &SubspaceTimings) {
-        self.apply += other.apply;
-        self.matmult += other.matmult;
-        self.eigensolve += other.eigensolve;
-        self.eval_error += other.eval_error;
-    }
-
-    /// Total across kernels.
-    pub fn total(&self) -> Duration {
-        self.apply + self.matmult + self.eigensolve + self.eval_error
-    }
-}
 
 /// One row of the per-iteration history (the paper's `ncheb | ErpaTerm |
 /// eigs | eig Error | Timing` output lines).
@@ -116,77 +90,31 @@ pub fn positive_ritz(eigenvalues: &[f64]) -> Option<(usize, f64)> {
     (count > 0).then(|| (count, above.fold(f64::NEG_INFINITY, |m, &mu| m.max(mu))))
 }
 
-struct RitzStep {
-    eigenvalues: Vec<f64>,
-    error: f64,
-}
-
-/// Rayleigh–Ritz projection + rotation + Eq. 7 residual, updating `v` in
-/// place and timing each kernel. `w` receives `A·v` rotated along, so the
-/// residual needs no extra operator application.
-fn rayleigh_ritz(
+/// Apply the operator and run the shared Rayleigh–Ritz round on `v`: its
+/// Ritz values and their Eq. 7 residual,
+/// `Σ_j ‖A v_j − D_jj v_j‖₂ / (n_eig √(Σ D²))`.
+fn project(
     op: &DielectricOperator<'_>,
     v: &mut Mat<f64>,
     timings: &mut SubspaceTimings,
-) -> Result<RitzStep, LinalgError> {
+) -> Result<(Vec<f64>, f64), LinalgError> {
     let _rr = mbrpa_obs::span("rayleigh_ritz");
 
-    // operator application
     let t = Instant::now();
-    let w = {
+    let mut w = {
         let _s = mbrpa_obs::span("apply");
         op.apply_dielectric_block(v)
     };
     timings.apply += t.elapsed();
 
-    // projections
-    let t = Instant::now();
-    let (h_s, m_s) = {
-        let _s = mbrpa_obs::span("matmult");
-        (matmul_tn(v, &w), matmul_tn(v, v))
-    };
-    timings.matmult += t.elapsed();
-
-    // small generalized eigensolve
-    let t = Instant::now();
-    let eig = {
-        let _s = mbrpa_obs::span("eigensolve");
-        generalized_sym_eig(&h_s, &m_s)?
-    };
-    timings.eigensolve += t.elapsed();
-
-    // rotations
-    let t = Instant::now();
-    let w_rot = {
-        let _s = mbrpa_obs::span("matmult");
-        *v = matmul(v, &eig.vectors);
-        matmul(&w, &eig.vectors)
-    };
-    timings.matmult += t.elapsed();
-
-    // Eq. 7: Σ_j ‖A v_j − D_jj v_j‖₂ / (n_eig √(Σ D²))
-    let t = Instant::now();
-    let _ee = mbrpa_obs::span("eval_error");
-    let n_eig = v.cols();
+    let round = rayleigh_ritz(v, &mut w, timings)?;
     let mut res_sum = 0.0;
-    for j in 0..n_eig {
-        let lam = eig.values[j];
-        let mut r = 0.0;
-        let (vj, wj) = (v.col(j), w_rot.col(j));
-        for i in 0..v.rows() {
-            let d = wj[i] - lam * vj[i];
-            r += d * d;
-        }
+    for r in &round.residual_sq {
         res_sum += r.sqrt();
     }
-    let scale: f64 = eig.values.iter().map(|d| d * d).sum::<f64>().sqrt();
-    let error = res_sum / (n_eig as f64 * scale.max(1e-300));
-    timings.eval_error += t.elapsed();
-
-    Ok(RitzStep {
-        eigenvalues: eig.values,
-        error,
-    })
+    let scale: f64 = round.values.iter().map(|d| d * d).sum::<f64>().sqrt();
+    let error = res_sum / (v.cols() as f64 * scale.max(1e-300));
+    Ok((round.values, error))
 }
 
 /// Run Algorithm 5 from the initial block `v0` at the operator's frequency.
@@ -206,44 +134,20 @@ pub fn subspace_iteration(
     let mut v = v0;
     let mut timings = SubspaceTimings::default();
     let mut history = Vec::new();
-
-    let cancelled_outcome = |v: Mat<f64>,
-                             timings: SubspaceTimings,
-                             history: Vec<SubspaceIterRecord>,
-                             rounds: usize,
-                             eigenvalues: Vec<f64>,
-                             error: f64| SubspaceOutcome {
-        converged: false,
-        cancelled: true,
-        error,
-        filter_rounds: rounds,
-        eigenvalues,
-        vectors: v,
-        timings,
-        history,
-    };
-
-    if op.cancel_requested() {
-        return Ok(cancelled_outcome(
-            v,
-            timings,
-            history,
-            0,
-            Vec::new(),
-            f64::INFINITY,
-        ));
-    }
-
-    // Lines 2–5: project and check before any filtering.
-    let t_iter = Instant::now();
-    let mut step = rayleigh_ritz(op, &mut v, &mut timings)?;
-    history.push(record(0, &step, t_iter.elapsed()));
-
+    let (mut eigenvalues, mut error) = (Vec::new(), f64::INFINITY);
     let mut rounds = 0;
-    while step.error > tol && rounds < max_rounds {
+    let mut cancelled = op.cancel_requested();
+
+    if !cancelled {
+        // Lines 2–5: project and check before any filtering.
+        let t_iter = Instant::now();
+        (eigenvalues, error) = project(op, &mut v, &mut timings)?;
+        history.push(record(0, &eigenvalues, error, t_iter.elapsed()));
+    }
+    while !cancelled && error > tol && rounds < max_rounds {
         if op.cancel_requested() {
-            let (eigs, err) = (step.eigenvalues, step.error);
-            return Ok(cancelled_outcome(v, timings, history, rounds, eigs, err));
+            cancelled = true;
+            break;
         }
         rounds += 1;
         let t_iter = Instant::now();
@@ -251,10 +155,10 @@ pub fn subspace_iteration(
         // Filter bounds from the running Ritz values (§III-A): damp the
         // unwanted interval between the least-negative kept Ritz value and
         // the (≈ 0) top of the spectrum.
-        let mu_min = step.eigenvalues[0];
+        let mu_min = eigenvalues[0];
         // lint: allow(unwrap) — subspace dimension is validated ≥ 1 before iteration
-        let mu_edge = *step.eigenvalues.last().expect("non-empty spectrum");
-        let b_up = 1e-3 * mu_min.abs().max(1e-12);
+        let mu_edge = *eigenvalues.last().expect("non-empty spectrum");
+        let b_up = POSITIVE_RITZ_FLOOR * mu_min.abs().max(1e-12);
         let a = if mu_edge < b_up { mu_edge } else { 0.5 * b_up };
 
         let t = Instant::now();
@@ -268,38 +172,38 @@ pub fn subspace_iteration(
         // application (see `chi0`); the block is garbage and must not be
         // projected or recorded — bail before the Rayleigh–Ritz step.
         if op.cancel_requested() {
-            let (eigs, err) = (step.eigenvalues, step.error);
-            return Ok(cancelled_outcome(v, timings, history, rounds, eigs, err));
+            cancelled = true;
+            break;
         }
 
-        step = rayleigh_ritz(op, &mut v, &mut timings)?;
-        history.push(record(rounds, &step, t_iter.elapsed()));
+        (eigenvalues, error) = project(op, &mut v, &mut timings)?;
+        history.push(record(rounds, &eigenvalues, error, t_iter.elapsed()));
     }
 
     Ok(SubspaceOutcome {
-        converged: step.error <= tol,
-        cancelled: false,
-        error: step.error,
+        converged: !cancelled && error <= tol,
+        cancelled,
+        error,
         filter_rounds: rounds,
-        eigenvalues: step.eigenvalues,
+        eigenvalues,
         vectors: v,
         timings,
         history,
     })
 }
 
-fn record(ncheb: usize, step: &RitzStep, elapsed: Duration) -> SubspaceIterRecord {
-    let n = step.eigenvalues.len();
+fn record(ncheb: usize, eigenvalues: &[f64], error: f64, elapsed: Duration) -> SubspaceIterRecord {
+    let n = eigenvalues.len();
     let edge = [
-        step.eigenvalues[0],
-        step.eigenvalues[1.min(n - 1)],
-        step.eigenvalues[n.saturating_sub(2)],
-        step.eigenvalues[n - 1],
+        eigenvalues[0],
+        eigenvalues[1.min(n - 1)],
+        eigenvalues[n.saturating_sub(2)],
+        eigenvalues[n - 1],
     ];
     SubspaceIterRecord {
         ncheb,
-        energy_term: trace_term(&step.eigenvalues),
-        error: step.error,
+        energy_term: trace_term(eigenvalues),
+        error,
         edge_eigs: edge,
         elapsed,
     }
@@ -313,9 +217,7 @@ mod tests {
     use crate::direct;
     use mbrpa_dft::{solve_occupied_dense, Hamiltonian, PotentialParams, SiliconSpec};
     use mbrpa_grid::{CoulombOperator, SpectralLaplacian};
-    use mbrpa_linalg::orthonormalize_columns;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use mbrpa_solver::random_orthonormal_block;
 
     struct Fixture {
         ham: Hamiltonian,
@@ -345,13 +247,6 @@ mod tests {
         }
     }
 
-    fn random_block(n: usize, m: usize, seed: u64) -> Mat<f64> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut v = Mat::from_fn(n, m, |_, _| rng.random_range(-1.0..1.0));
-        orthonormalize_columns(&mut v);
-        v
-    }
-
     #[test]
     fn converges_to_exact_lowest_eigenvalues() {
         let f = fixture();
@@ -369,7 +264,7 @@ mod tests {
             1,
         );
         let n_eig = 10;
-        let v0 = random_block(f.ham.dim(), n_eig, 3);
+        let v0 = random_orthonormal_block(f.ham.dim(), n_eig, 3);
         // the Eq. 7 residual floors near the inexact-operator level; the
         // paper runs at τ_SI = 5e-4, we ask for a tighter 1e-4
         let out = subspace_iteration(&op, v0, 1e-4, 40, 4).unwrap();
@@ -397,7 +292,7 @@ mod tests {
         };
         let op1 =
             DielectricOperator::new(&f.ham, &f.psi, &f.energies, &f.coulomb, 0.50, settings, 1);
-        let v0 = random_block(f.ham.dim(), 8, 5);
+        let v0 = random_orthonormal_block(f.ham.dim(), 8, 5);
         let first = subspace_iteration(&op1, v0, 5e-4, 40, 4).unwrap();
         assert!(first.converged);
         // nearby frequency, warm start: expect 0 or very few filter rounds
@@ -437,7 +332,7 @@ mod tests {
             1,
         )
         .with_cancel(cancel);
-        let v0 = random_block(f.ham.dim(), 6, 7);
+        let v0 = random_orthonormal_block(f.ham.dim(), 6, 7);
         let out = subspace_iteration(&op, v0, 1e-5, 15, 3).unwrap();
         assert!(out.cancelled);
         assert!(!out.converged);
@@ -454,7 +349,7 @@ mod tests {
         let f = fixture();
         let settings = SternheimerSettings::default();
         let op = DielectricOperator::new(&f.ham, &f.psi, &f.energies, &f.coulomb, 0.9, settings, 1);
-        let v0 = random_block(f.ham.dim(), 6, 7);
+        let v0 = random_orthonormal_block(f.ham.dim(), 6, 7);
         let plain = subspace_iteration(&op, v0.clone(), 1e-5, 15, 3).unwrap();
         let op2 =
             DielectricOperator::new(&f.ham, &f.psi, &f.energies, &f.coulomb, 0.9, settings, 1)
@@ -477,7 +372,7 @@ mod tests {
             SternheimerSettings::default(),
             1,
         );
-        let v0 = random_block(f.ham.dim(), 6, 7);
+        let v0 = random_orthonormal_block(f.ham.dim(), 6, 7);
         let out = subspace_iteration(&op, v0, 1e-5, 15, 3).unwrap();
         assert_eq!(out.history.len(), out.filter_rounds + 1);
         assert_eq!(out.history[0].ncheb, 0);
@@ -486,6 +381,6 @@ mod tests {
         assert!(out.error < first_err);
         // timing kernels all saw work
         assert!(out.timings.apply > Duration::ZERO);
-        assert!(out.timings.total() > Duration::ZERO);
+        assert!(out.timings.apply > Duration::ZERO);
     }
 }

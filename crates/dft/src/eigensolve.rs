@@ -9,13 +9,11 @@
 //! dielectric eigenproblem.
 
 use crate::hamiltonian::{Hamiltonian, SternheimerOperator};
-use mbrpa_linalg::{
-    generalized_sym_eig, matmul, matmul_tn, orthonormalize_columns, symmetric_eig, LinalgError,
-    Mat, C64,
+use mbrpa_linalg::{orthonormalize_columns, symmetric_eig, LinalgError, Mat, C64};
+use mbrpa_solver::{
+    chebyshev_filter, random_orthonormal_block, rayleigh_ritz, LinearOperator, RealShifted,
+    SubspaceTimings,
 };
-use mbrpa_solver::{chebyshev_filter, LinearOperator, RealShifted};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// [`Hamiltonian`] as a real matrix-free operator.
 pub struct HamiltonianOperator<'a> {
@@ -197,65 +195,42 @@ pub fn solve_occupied_chefsi(
 
     let b_up = filter_upper_bound(ham);
 
-    // random orthonormal start
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut v = Mat::from_fn(n, m, |_, _| rng.random_range(-1.0..1.0));
-    orthonormalize_columns(&mut v);
-
-    let mut energies = vec![0.0; m];
+    let mut v = random_orthonormal_block(n, m, opts.seed);
+    let mut energies = Vec::new();
     let mut last_residual = f64::INFINITY;
+    let mut timings = SubspaceTimings::default();
+    let mut done = false;
 
     for _iter in 0..opts.max_iters {
-        // Rayleigh–Ritz on the current subspace.
+        // Rayleigh–Ritz on the current subspace, the round Algorithm 5 runs.
         let mut w = Mat::zeros(n, m);
         op.apply_block(&v, &mut w);
-        let h_s = matmul_tn(&v, &w);
-        let m_s = matmul_tn(&v, &v);
-        let eig = generalized_sym_eig(&h_s, &m_s)?;
-        v = matmul(&v, &eig.vectors);
-        let w_rot = matmul(&w, &eig.vectors);
-        energies.copy_from_slice(&eig.values);
+        let round = rayleigh_ritz(&mut v, &mut w, &mut timings)?;
+        energies = round.values;
 
         // Residual of the occupied block: ‖H v_j − λ_j v_j‖ relative to the
         // eigenvalue scale (analogous to the paper's Eq. 7).
         let mut res_sq = 0.0;
         let mut scale_sq = 0.0;
-        for j in 0..n_occupied {
-            let lam = energies[j];
-            let mut r = 0.0;
-            for i in 0..n {
-                let d = w_rot[(i, j)] - lam * v[(i, j)];
-                r += d * d;
-            }
+        for (&lam, &r) in energies[..n_occupied].iter().zip(&round.residual_sq) {
             res_sq += r;
             scale_sq += lam * lam;
         }
         last_residual = (res_sq / scale_sq.max(1e-300)).sqrt() / n_occupied as f64;
-        if last_residual <= opts.tol {
-            return Ok(KsSolution {
-                energies,
-                orbitals: v,
-                n_occupied,
-            });
-        }
 
-        // Filter: damp [a, b_up] where a sits just above the kept subspace.
+        // Filter: damp [a, b_up] where a sits just above the kept subspace;
+        // a subspace that reaches the top of the spectrum leaves no room.
         let a = energies[m - 1] + 1e-8 + 1e-8 * energies[m - 1].abs();
-        let a0 = energies[0];
-        if a >= b_up {
-            // subspace reaches the top of the spectrum; no room to filter
-            return Ok(KsSolution {
-                energies,
-                orbitals: v,
-                n_occupied,
-            });
+        if last_residual <= opts.tol || a >= b_up {
+            done = true;
+            break;
         }
-        v = chebyshev_filter(&op, &v, opts.degree, a, b_up, a0);
+        v = chebyshev_filter(&op, &v, opts.degree, a, b_up, energies[0]);
         orthonormalize_columns(&mut v);
     }
 
     // cap hit: report non-convergence only if the residual is meaningless
-    if last_residual.is_finite() && last_residual <= opts.tol * 1e3 {
+    if done || (last_residual.is_finite() && last_residual <= opts.tol * 1e3) {
         Ok(KsSolution {
             energies,
             orbitals: v,
@@ -274,6 +249,7 @@ mod tests {
     use super::*;
     use crate::potential::PotentialParams;
     use crate::system::SiliconSpec;
+    use mbrpa_linalg::matmul_tn;
 
     fn small_ham() -> (usize, Hamiltonian) {
         let c = SiliconSpec {

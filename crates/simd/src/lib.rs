@@ -26,9 +26,8 @@
 //! and the daemon's content-addressed result cache therefore stay exact
 //! no matter which path runs — and CI forces each path to prove it.
 //!
-//! The active path resolves once, lazily, from (in priority order) a
-//! programmatic [`force`] (the `-simd` CLI flag), the `MBRPA_SIMD`
-//! environment variable (`auto`, `scalar`, `avx2`), and CPU
+//! The active path resolves once, lazily, from one selector, the
+//! `MBRPA_SIMD` environment variable (`auto`, `scalar`, `avx2`), and CPU
 //! detection. Requesting a path the CPU cannot run fails loudly rather
 //! than silently degrading.
 
@@ -67,7 +66,7 @@ impl Dispatch {
         }
     }
 
-    /// Parse an `MBRPA_SIMD` / `-simd` value. `Ok(None)` means `auto`
+    /// Parse an `MBRPA_SIMD` value. `Ok(None)` means `auto`
     /// (pick the best available path); unknown names are an error whose
     /// message is the one list of accepted names.
     pub fn parse(s: &str) -> Result<Option<Dispatch>, String> {
@@ -134,8 +133,8 @@ fn resolve_from_env() -> Result<Dispatch, String> {
     }
 }
 
-/// The active dispatch path, resolving it on first use from [`force`],
-/// then `MBRPA_SIMD`, then CPU detection.
+/// The active dispatch path, resolving it on first use from `MBRPA_SIMD`,
+/// then CPU detection.
 ///
 /// # Panics
 /// Panics if `MBRPA_SIMD` names an unknown or unavailable path — a
@@ -171,33 +170,6 @@ pub fn init_from_env() -> Result<Dispatch, String> {
     // lint: allow(unwrap) — the slot now holds a valid nonzero code.
     // ord: Relaxed — re-read of the self-contained code
     Ok(Dispatch::from_code(ACTIVE.load(Ordering::Relaxed)).expect("dispatch slot corrupted"))
-}
-
-/// Force a specific path (`Some`) or best-available (`None`), as the
-/// `-simd` CLI flag does. Fails if the path is unavailable on this CPU
-/// or a *different* path has already been locked in by first use.
-pub fn force(req: Option<Dispatch>) -> Result<Dispatch, String> {
-    let d = match req {
-        None => available()[0],
-        Some(d) if available().contains(&d) => d,
-        Some(d) => {
-            return Err(format!(
-                "SIMD dispatch {:?} is not available on this CPU (supported: {:?})",
-                d.name(),
-                available().iter().map(|a| a.name()).collect::<Vec<_>>()
-            ))
-        }
-    };
-    // ord: Relaxed — self-contained dispatch code (see `active`); CAS only arbitrates ties
-    match ACTIVE.compare_exchange(0, d.code(), Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => Ok(d),
-        Err(prev) if prev == d.code() => Ok(d),
-        Err(prev) => Err(format!(
-            "SIMD dispatch already resolved to {:?}; cannot re-force to {:?}",
-            Dispatch::from_code(prev).map(Dispatch::name).unwrap_or("?"),
-            d.name()
-        )),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -207,11 +207,7 @@ pub fn block_cocg_ws(
 
     let b_fro = b.fro_norm();
     if exactly_zero(b_fro) || s == 0 {
-        report.converged = true;
-        report.relative_residual = 0.0;
-        if opts.track_residuals {
-            report.residual_history.push(0.0);
-        }
+        report.solved_by_guess(opts);
         return (x0.cloned().unwrap_or_else(|| Mat::zeros(n, s)), report);
     }
     // The iterate, updated in place and returned.
@@ -258,15 +254,7 @@ pub fn block_cocg_ws(
              contamination must fail here, not as a wrong correlation energy",
             report.iterations
         );
-        report.relative_residual = res;
-        if opts.track_residuals {
-            report.residual_history.push(res);
-        }
-        if res <= opts.tol {
-            report.converged = true;
-            break;
-        }
-        if report.iterations >= opts.max_iters {
+        if report.test_iteration(res, opts) {
             break;
         }
 
@@ -378,8 +366,7 @@ pub fn block_cocg_ws(
     // An iteration that broke off records the residual it left, so the
     // history keeps one entry per iteration and the start's.
     if opts.track_residuals && report.residual_history.len() == report.iterations {
-        let res = w_sq.iter().sum::<f64>().sqrt() / b_fro;
-        report.residual_history.push(res);
+        report.log_residual(w_sq.iter().sum::<f64>().sqrt() / b_fro, true);
     }
 
     // The one scan of the iterate: X can overflow while W stays finite,
@@ -428,12 +415,11 @@ pub fn block_cocg_ws(
             if opts.track_residuals {
                 let (h1, h2) = (&rep1.residual_history, &rep2.residual_history);
                 let (end1, start2) = (h1[h1.len() - 1], h2[0]);
-                // the halves' fresh start replaces the iterate's recurrence
-                // residual the split began from
-                let hist = &mut report.residual_history;
-                hist.pop();
-                hist.extend(h1.iter().map(|&r1| whole(r1, start2)));
-                hist.extend(h2[1..].iter().map(|&r2| whole(end1, r2)));
+                report.restart_history(
+                    h1.iter()
+                        .map(|&r1| whole(r1, start2))
+                        .chain(h2[1..].iter().map(|&r2| whole(end1, r2))),
+                );
             }
         }
     }

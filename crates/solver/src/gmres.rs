@@ -142,9 +142,7 @@ pub fn gmres(
             k_used = k + 1;
             report.iterations += 1;
             let inner_res = g[k + 1].norm() / b_norm;
-            if opts.track_residuals {
-                report.residual_history.push(inner_res);
-            }
+            report.log_residual(inner_res, opts.track_residuals);
             if inner_res <= opts.tol || report.matvecs >= opts.max_matvecs {
                 break;
             }

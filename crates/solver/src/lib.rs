@@ -9,8 +9,9 @@
 //!   Sternheimer systems as real (block) Lanczos on `H − λ_j`, two
 //!   columns per apply,
 //! * **Restarted GMRES** ([`gmres`]) — the long-recurrence baseline,
-//! * **Scaled Chebyshev filters** ([`chebyshev`]) — subspace iteration
-//!   acceleration shared by CheFSI and the RPA dielectric eigensolver,
+//! * **Chebyshev-filtered subspace iteration** ([`chebyshev`]) — the
+//!   filter, Rayleigh–Ritz round and start block shared by CheFSI and the
+//!   RPA dielectric eigensolver,
 //! * **Galerkin initial guesses** ([`initial_guess`]) — Eq. 13,
 //!
 //! all behind the matrix-free [`LinearOperator`] trait.
@@ -40,7 +41,9 @@ pub mod workspace;
 pub use block_cocg::{
     block_cocg, block_cocg_ws, cocg, true_relative_residual, CocgOptions, MAX_BREAKDOWNS,
 };
-pub use chebyshev::{chebyshev_filter, chebyshev_filter_ws};
+pub use chebyshev::{
+    chebyshev_filter, random_orthonormal_block, rayleigh_ritz, RitzRound, SubspaceTimings,
+};
 pub use dynamic_block::{solve_multi_rhs, solve_shifted_real_rhs, BlockPolicy, MultiRhsOutcome};
 pub use gmres::{gmres, GmresOptions};
 pub use initial_guess::{galerkin_guess, galerkin_guess_real};

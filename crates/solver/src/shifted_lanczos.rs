@@ -67,14 +67,9 @@ struct Lane {
 impl Lane {
     fn new(b_norm: f64, r_norm: f64, opts: &CocgOptions) -> Self {
         let mut report = SolveReport::new();
-        // a zero right-hand side is solved by its guess, as in Alg. 3
         let solved = exactly_zero(b_norm);
         if solved {
-            report.converged = true;
-            report.relative_residual = 0.0;
-            if opts.track_residuals {
-                report.residual_history.push(0.0);
-            }
+            report.solved_by_guess(opts);
         }
         Self {
             active: !solved,
@@ -90,15 +85,7 @@ impl Lane {
 
     /// Eq. 10 for this slot, at the point of the loop Alg. 3 tests it.
     fn check(&mut self, opts: &CocgOptions) {
-        let rel = self.res / self.b_norm;
-        self.report.relative_residual = rel;
-        if opts.track_residuals {
-            self.report.residual_history.push(rel);
-        }
-        if rel <= opts.tol {
-            self.report.converged = true;
-            self.active = false;
-        } else if self.report.iterations >= opts.max_iters {
+        if self.report.test_iteration(self.res / self.b_norm, opts) {
             self.active = false;
         }
     }
@@ -476,12 +463,7 @@ pub fn shifted_block_lanczos(
     let mut blown_up = false;
     let mut handoff = None;
     if exactly_zero(b_norm) {
-        // a zero block is solved by its guess, as in Alg. 3
-        report.converged = true;
-        report.relative_residual = 0.0;
-        if opts.track_residuals {
-            report.residual_history.push(0.0);
-        }
+        report.solved_by_guess(opts);
     } else {
         if guess.is_some() {
             for q in 0..m {
@@ -543,20 +525,9 @@ pub fn shifted_block_lanczos(
     // a non-finite start (the guess or the operator) is no start at all
     blown_up |= !res.is_finite();
     while !report.converged && !blown_up {
-        // Eq. 10, where Alg. 3 tests it
+        // Eq. 10, where Alg. 3 tests it; a breakdown stops after the test
         let rel = res / b_norm;
-        report.relative_residual = rel;
-        if opts.track_residuals {
-            report.residual_history.push(rel);
-        }
-        if rel <= opts.tol {
-            report.converged = true;
-            break;
-        }
-        if report.iterations >= opts.max_iters {
-            break;
-        }
-        if handoff.is_some() {
+        if report.test_iteration(rel, opts) || handoff.is_some() {
             break;
         }
         for q in 0..m {
@@ -619,9 +590,7 @@ pub fn shifted_block_lanczos(
         let ratio = Lu::factor_in_place(&mut lu, &mut piv);
         if !ratio.is_ok_and(|r| r > BREAKDOWN_RCOND || r.is_nan()) {
             // the step ends where it started: X and its residual stand
-            if opts.track_residuals {
-                report.residual_history.push(rel);
-            }
+            report.log_residual(rel, opts.track_residuals);
             handoff = Some(Breakdown::Delta);
             break;
         }
@@ -766,10 +735,7 @@ pub fn shifted_block_lanczos(
         report.converged = sub.converged;
         report.relative_residual = sub.relative_residual;
         if opts.track_residuals {
-            report.residual_history.pop();
-            report
-                .residual_history
-                .extend_from_slice(&sub.residual_history);
+            report.restart_history(sub.residual_history.iter().copied());
         }
         for c in 0..s {
             sink(cols.start + c, xc.col(c), 0);

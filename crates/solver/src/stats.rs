@@ -1,6 +1,7 @@
 //! Solver statistics: iteration counts, operator applications, and the
 //! block-size histogram behind the paper's Table IV.
 
+use crate::block_cocg::CocgOptions;
 use std::time::Duration;
 
 /// Outcome of one (block) linear solve.
@@ -20,7 +21,9 @@ pub struct SolveReport {
     /// Relative residual after every iteration (populated only when
     /// [`crate::CocgOptions::track_residuals`] /
     /// [`crate::GmresOptions::track_residuals`] is set — convergence-curve
-    /// studies only; empty in production runs).
+    /// studies only; empty in production runs). The three Sternheimer
+    /// solvers keep `iterations + 1` entries, the start's first, whatever
+    /// ends the solve; GMRES keeps one per inner step.
     pub residual_history: Vec<f64>,
 }
 
@@ -35,6 +38,50 @@ impl SolveReport {
             breakdowns: 0,
             residual_history: Vec::new(),
         }
+    }
+
+    // The Eq. 10 stop test of the three Sternheimer solvers (block COCG,
+    // the real Lanczos pair lanes, block Lanczos), and the only writers of
+    // `residual_history` in the crate.
+
+    /// A zero right-hand side is solved by its guess, as in Alg. 3:
+    /// converged at residual 0, with the start's history entry.
+    pub(crate) fn solved_by_guess(&mut self, opts: &CocgOptions) {
+        self.converged = true;
+        self.relative_residual = 0.0;
+        self.log_residual(0.0, opts.track_residuals);
+    }
+
+    /// Eq. 10 where Alg. 3 tests it: `rel` becomes the solve's relative
+    /// residual and its next history entry, the solve converges at
+    /// `rel ≤ tol`, and it stops there or at the iteration cap. Returns
+    /// whether it stops.
+    pub(crate) fn test_iteration(&mut self, rel: f64, opts: &CocgOptions) -> bool {
+        self.relative_residual = rel;
+        self.log_residual(rel, opts.track_residuals);
+        if rel <= opts.tol {
+            self.converged = true;
+            return true;
+        }
+        self.iterations >= opts.max_iters
+    }
+
+    /// Push `rel` to the history when `track` is set, testing nothing: the
+    /// entry of an iteration that broke off before the next test (and each
+    /// inner step of GMRES, which keeps its own convention).
+    pub(crate) fn log_residual(&mut self, rel: f64, track: bool) {
+        if track {
+            self.residual_history.push(rel);
+        }
+    }
+
+    /// A restart from the current iterate (a hand-off or a half split):
+    /// the restarted solve's history, which opens with the fresh residual,
+    /// replaces the last entry, the recurrence's residual for the same
+    /// iterate.
+    pub(crate) fn restart_history(&mut self, entries: impl Iterator<Item = f64>) {
+        self.residual_history.pop();
+        self.residual_history.extend(entries);
     }
 }
 

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!("usage: rpacalc -name <basename> [-stdout] [-threads N]");
     eprintln!("               [-checkpoint <dir>] [-resume] [-checkpoint-every K]");
-    eprintln!("               [-profile <out.json>] [-simd auto|scalar|avx2]");
+    eprintln!("               [-profile <out.json>]");
     eprintln!("  reads <basename>.rpa and writes <basename>.out");
     eprintln!("  -checkpoint <dir>    journal per-frequency state into <dir> (two-slot)");
     eprintln!("  -resume              continue from the newest valid snapshot in <dir>");
@@ -30,10 +30,8 @@ fn usage() -> ExitCode {
     eprintln!("  -profile <out.json>  enable telemetry: write a versioned JSON report of");
     eprintln!("                       span timings, counters, and per-frequency residual");
     eprintln!("                       traces, and append a summary table to the run report");
-    eprintln!("  -simd <path>         force the SIMD dispatch path (default: auto-detect;");
-    eprintln!("                       the MBRPA_SIMD env var sets the same override).");
-    eprintln!("                       Every path is bit-identical; this exists for");
-    eprintln!("                       cross-checking and benchmarking, not correctness");
+    eprintln!("  MBRPA_SIMD=auto|scalar|avx2 in the environment picks the SIMD dispatch");
+    eprintln!("  path (default auto); every path is bit-identical");
     ExitCode::FAILURE
 }
 
@@ -107,7 +105,6 @@ fn main() -> ExitCode {
     let mut resume = false;
     let mut checkpoint_every: usize = 1;
     let mut profile_path: Option<String> = None;
-    let mut simd_mode: Option<String> = None;
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -145,13 +142,6 @@ fn main() -> ExitCode {
                 };
                 profile_path = Some(p.clone());
             }
-            "-simd" | "--simd" => {
-                let Some(m) = it.next() else {
-                    eprintln!("-simd needs a value (auto|scalar|avx2)");
-                    return usage();
-                };
-                simd_mode = Some(m.clone());
-            }
             "-checkpoint-every" | "--checkpoint-every" => {
                 let Some(v) = it.next() else {
                     eprintln!("-checkpoint-every needs a value");
@@ -179,7 +169,7 @@ fn main() -> ExitCode {
         eprintln!("-resume requires -checkpoint <dir>");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = mbrpa::init_runtime(simd_mode.as_deref(), threads) {
+    if let Err(e) = mbrpa::init_runtime(threads) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }

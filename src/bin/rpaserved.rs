@@ -26,7 +26,7 @@ fn usage() -> ExitCode {
     eprintln!("usage: rpaserved [-root <dir>] [-addr <ip:port>] [-port-file <path>]");
     eprintln!("                 [-executors N] [-backlog N] [-threads N] [-profile]");
     eprintln!("                 [-cache-dir <dir>] [-cache-budget BYTES] [-no-cache]");
-    eprintln!("                 [-ckpt-root <dir>] [-simd auto|scalar|avx2]");
+    eprintln!("                 [-ckpt-root <dir>]");
     eprintln!("       rpaserved -validate <kind> <file.json>");
     eprintln!("  -root <dir>       job store directory (default mbrpa-serve-data)");
     eprintln!("  -addr <ip:port>   bind address (default 127.0.0.1:8377; port 0 = ephemeral)");
@@ -41,11 +41,10 @@ fn usage() -> ExitCode {
     eprintln!("  -ckpt-root <dir>  shared checkpoint root for multi-worker fleets: namespaces");
     eprintln!("                    are keyed by input fingerprint, so another worker given the");
     eprintln!("                    same dir adopts a dead worker's job and resumes bit-for-bit");
-    eprintln!("  -simd <path>      force the SIMD dispatch path (default: auto-detect; the");
-    eprintln!("                    MBRPA_SIMD env var sets the same override). All paths are");
-    eprintln!("                    bit-identical; the active one is reported in GET /v1/health");
     eprintln!("  -validate K F     exit nonzero unless file F is a valid document of kind K:");
     eprintln!("                    job, status, result, health, profile, cache-entry, worker, route-table");
+    eprintln!("  MBRPA_SIMD=auto|scalar|avx2 in the environment picks the SIMD dispatch path");
+    eprintln!("  (default auto); every path is bit-identical, the active one is in GET /v1/health");
     ExitCode::FAILURE
 }
 
@@ -62,7 +61,6 @@ fn main() -> ExitCode {
     let mut cache_dir: Option<PathBuf> = None;
     let mut cache_budget = mbrpa::serve::cache::DEFAULT_BUDGET;
     let mut ckpt_root: Option<PathBuf> = None;
-    let mut simd_mode: Option<String> = None;
 
     let mut it = args.iter().skip(1);
     while let Some(a) = it.next() {
@@ -148,13 +146,6 @@ fn main() -> ExitCode {
                 };
                 ckpt_root = Some(PathBuf::from(v));
             }
-            "-simd" | "--simd" => {
-                let Some(m) = it.next() else {
-                    eprintln!("-simd needs a value (auto|scalar|avx2)");
-                    return usage();
-                };
-                simd_mode = Some(m.clone());
-            }
             "-h" | "--help" => return usage(),
             other => {
                 eprintln!("unknown argument `{other}`");
@@ -169,7 +160,7 @@ fn main() -> ExitCode {
 
     // before the executors spin up, so every job (and the health
     // document) reports the same resolved dispatch path
-    if let Err(e) = mbrpa::init_runtime(simd_mode.as_deref(), threads) {
+    if let Err(e) = mbrpa::init_runtime(threads) {
         eprintln!("{e}");
         return ExitCode::FAILURE;
     }

@@ -56,21 +56,13 @@ pub use mbrpa_serve as serve;
 pub use mbrpa_solver as solver;
 
 /// Process start-up shared by the binaries: lock the SIMD dispatch path
-/// in before any kernel can resolve it lazily (`simd`, the `-simd` flag,
-/// wins over the `MBRPA_SIMD` environment variable), record it for the
-/// telemetry and health documents, and size the global rayon pool when
-/// `threads` is given. An `Err` is the message to print before exiting
-/// with failure; a pool that cannot be sized is only a warning.
-pub fn init_runtime(
-    simd: Option<&str>,
-    threads: Option<usize>,
-) -> Result<mbrpa_simd::Dispatch, String> {
-    let dispatch = match simd {
-        Some(mode) => mbrpa_simd::Dispatch::parse(mode)
-            .map_err(|e| format!("-simd: {e}"))
-            .and_then(mbrpa_simd::force)?,
-        None => mbrpa_simd::init_from_env()?,
-    };
+/// in from the `MBRPA_SIMD` environment variable before any kernel can
+/// resolve it lazily, record it for the telemetry and health documents,
+/// and size the global rayon pool when `threads` is given. An `Err` is the
+/// message to print before exiting with failure; a pool that cannot be
+/// sized is only a warning.
+pub fn init_runtime(threads: Option<usize>) -> Result<mbrpa_simd::Dispatch, String> {
+    let dispatch = mbrpa_simd::init_from_env()?;
     mbrpa_obs::set_dispatch(dispatch.name());
     if let Some(t) = threads {
         if let Err(e) = rayon::ThreadPoolBuilder::new()

@@ -106,26 +106,22 @@ fn validate_mode_exit_codes_cover_every_kind() {
 
 #[test]
 fn rpacalc_refuses_an_unknown_dispatch_before_any_ks_work() {
-    // `neon` names no backend: by flag or by environment it is the same
-    // unknown-name error as any other word, not an unavailable path
+    // `neon` names no backend: in MBRPA_SIMD, the one selector, it is the
+    // same unknown-name error as any other word, not an unavailable path
     let dir = scratch("cli-simd");
     std::fs::write(dir.join("tiny.rpa"), tiny_input(4, 2, 4)).unwrap();
-    // an empty MBRPA_SIMD means `auto`
-    for (flag, env) in [(&["-simd", "neon"][..], ""), (&[][..], "neon")] {
-        let out = Command::new(env!("CARGO_BIN_EXE_rpacalc"))
-            .args(["-name", "tiny", "-stdout"])
-            .args(flag)
-            .env("MBRPA_SIMD", env)
-            .current_dir(&dir)
-            .output()
-            .unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{stderr}");
-        let unknown = r#"unknown SIMD dispatch "neon" (expected one of auto, scalar, avx2)"#;
-        assert!(stderr.contains(unknown), "{stderr}");
-        // the KS stage announces the system it solved
-        assert!(!stderr.contains("n_s ="), "{stderr}");
-    }
+    let out = Command::new(env!("CARGO_BIN_EXE_rpacalc"))
+        .args(["-name", "tiny", "-stdout"])
+        .env("MBRPA_SIMD", "neon")
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let unknown = r#"unknown SIMD dispatch "neon" (expected one of auto, scalar, avx2)"#;
+    assert!(stderr.contains(unknown), "{stderr}");
+    // the KS stage announces the system it solved
+    assert!(!stderr.contains("n_s ="), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
