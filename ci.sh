@@ -344,6 +344,16 @@ done < <(find crates/*/src src -name '*.rs')
     || { echo "ci: crates/simd/src/lib.rs must define one dispatch macro"; exit 1; }
 leg one-backend ran "no NEON backend or dispatch name, one dispatch macro"
 
+# One command-line reader: the shipped binaries, the bench harnesses and
+# rpaclient take their arguments through mbrpa::cli, so `env::args` is read
+# in src/cli.rs alone. crates/e2e (frozen with the benchmark) and
+# crates/lint (which does not depend on mbrpa) keep their own loops.
+if grep -rn --include='*.rs' 'env::args' src crates/bench/src examples | grep -v '^src/cli\.rs:'; then
+    echo "ci: a front end reads std::env::args itself — parse through mbrpa::cli"
+    exit 1
+fi
+leg one-flag-reader ran "std::env::args only in mbrpa::cli (src/bin, crates/bench/src, examples)"
+
 # Sanitizer legs: Miri (UB in the unsafe SIMD/linalg kernels) and
 # ThreadSanitizer (data races in the serve executor pool). Both need a
 # nightly toolchain with specific components; when unavailable the legs

@@ -19,9 +19,7 @@ use std::time::Instant;
 fn main() {
     let opts = HarnessOptions::from_args();
     let max_cells = opts.cells.unwrap_or(2);
-    let workers = opts
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
+    let workers = opts.max_threads();
 
     let quad = frequency_quadrature(8);
     let mut rows = Vec::new();

@@ -32,15 +32,8 @@ fn main() {
         return;
     }
     let max_cells = opts.cells.unwrap_or(3);
-    let max_threads = opts
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
 
-    let mut thread_counts = vec![1usize];
-    while *thread_counts.last().unwrap() * 2 <= max_threads {
-        let next = thread_counts.last().unwrap() * 2;
-        thread_counts.push(next);
-    }
+    let thread_counts = opts.thread_counts();
 
     println!("Figure 4: strong scaling (time in seconds; speedup vs 1 thread)\n");
     let mut rows = Vec::new();

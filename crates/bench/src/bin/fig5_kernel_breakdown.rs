@@ -32,9 +32,6 @@ fn main() {
         return;
     }
     let cells = opts.cells.unwrap_or(3);
-    let max_threads = opts
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
 
     let crystal = ladder_spec(cells, opts.points_per_cell()).build();
     let atoms = crystal.atoms.len();
@@ -45,14 +42,8 @@ fn main() {
         atoms * opts.eig_per_atom()
     );
 
-    let mut thread_counts = vec![1usize];
-    while *thread_counts.last().unwrap() * 2 <= max_threads {
-        let next = thread_counts.last().unwrap() * 2;
-        thread_counts.push(next);
-    }
-
     let mut rows = Vec::new();
-    for &threads in &thread_counts {
+    for threads in opts.thread_counts() {
         if atoms * opts.eig_per_atom() / threads < 4 {
             continue;
         }

@@ -16,9 +16,7 @@ fn main() {
         return;
     }
     let max_cells = opts.cells.unwrap_or(4);
-    let max_threads = opts
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
+    let max_threads = opts.max_threads();
     let thread_counts = if max_threads >= 4 {
         vec![1usize, max_threads]
     } else {

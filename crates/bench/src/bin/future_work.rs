@@ -16,9 +16,7 @@ use std::time::Instant;
 
 fn main() {
     let opts = HarnessOptions::from_args();
-    let workers = opts
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()));
+    let workers = opts.max_threads();
     let setup = prepare_ladder_system(opts.cells.unwrap_or(1), opts.points_per_cell());
     let atoms = setup.crystal.atoms.len();
     println!(

@@ -9,14 +9,7 @@
 //! is compared against; there is no in-tree copy of older kernels (their
 //! correctness oracles live in the crates' tests).
 //!
-//! Flags:
-//!
-//! * `--smoke` — tiny shapes (seconds, CI-friendly) instead of
-//!   paper-relevant ones,
-//! * `--out PATH` — output path (default `BENCH_kernels.json`),
-//! * `--threads N` — rayon pool size,
-//! * `--validate PATH` — parse PATH and check it against the
-//!   `mbrpa.kernels-bench/3` schema, then exit (no benchmarks run).
+//! Flags: see [`USAGE`].
 //!
 //! The active SIMD dispatch path (settable via `MBRPA_SIMD`) and the
 //! thread count are recorded in the emitted document, and every case
@@ -33,6 +26,14 @@ use mbrpa_solver::{
 };
 use std::hint::black_box;
 use std::time::Instant;
+
+const USAGE: &str = "\
+usage: kernels_bench [--smoke] [--out PATH] [--threads N] [--validate PATH]
+  --smoke          tiny shapes (seconds, CI-friendly) instead of paper-relevant ones
+  --out PATH       output path (default BENCH_kernels.json)
+  --threads N      rayon pool size
+  --validate PATH  check PATH against the kernels-bench schema, then exit
+                   (no benchmarks run)";
 
 /// One benchmark result row.
 struct Case {
@@ -546,26 +547,24 @@ fn validate(text: &str) -> Result<usize, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let mut smoke = false;
     let mut out_path = "BENCH_kernels.json".to_string();
     let mut threads: Option<usize> = None;
     let mut validate_path: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = it.next().cloned().unwrap_or(out_path.clone()),
-            "--threads" => threads = it.next().and_then(|v| v.parse().ok()),
-            "--validate" => validate_path = it.next().cloned(),
-            other => eprintln!("(ignoring unknown flag {other})"),
+    mbrpa::cli::parse_args(USAGE, |flag, args| {
+        match flag {
+            "-smoke" => smoke = true,
+            "-out" => out_path = args.value()?,
+            "-threads" => threads = Some(args.count()?),
+            "-validate" => validate_path = Some(args.value()?),
+            _ => return Err(args.unknown()),
         }
-    }
+        Ok(())
+    });
 
     if let Some(path) = validate_path {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-        match validate(&text) {
+        let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read it: {e}"));
+        match text.and_then(|text| validate(&text)) {
             Ok(n) => println!("{path}: valid {SCHEMA} document ({n} cases)"),
             Err(e) => {
                 eprintln!("{path}: INVALID — {e}");

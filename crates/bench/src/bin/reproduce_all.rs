@@ -2,7 +2,7 @@
 //! and writes their outputs under `results/`.
 //!
 //! ```text
-//! cargo run --release -p mbrpa-bench --bin reproduce_all [-- --cells N --paper-scale]
+//! cargo run --release -p mbrpa-bench --bin reproduce_all [-- --cells N --threads N --paper-scale]
 //! ```
 //!
 //! Each harness is an independent binary; this driver simply shells out to
@@ -30,7 +30,18 @@ const HARNESSES: &[(&str, &[&str])] = &[
 ];
 
 fn main() {
-    let extra: Vec<String> = std::env::args().skip(1).collect();
+    // checked once here, then forwarded to every harness (the ones that
+    // parse no flags ignore them)
+    let mut extra: Vec<String> = Vec::new();
+    mbrpa::cli::parse_args(mbrpa_bench::USAGE, |flag, args| {
+        extra.push(format!("-{flag}"));
+        match flag {
+            "-paper-scale" => {}
+            "-cells" | "-threads" => extra.push(args.count::<usize>()?.to_string()),
+            _ => return Err(args.unknown()),
+        }
+        Ok(())
+    });
     std::fs::create_dir_all("results").expect("create results dir");
     let self_path = std::env::current_exe().expect("own path");
     let bin_dir = self_path.parent().expect("bin dir");

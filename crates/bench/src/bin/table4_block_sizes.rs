@@ -11,7 +11,7 @@ use std::time::Duration;
 fn main() {
     let opts = HarnessOptions::from_args();
     let max_cells = opts.cells.unwrap_or(3);
-    let workers = opts.threads.unwrap_or_else(num_workers);
+    let workers = opts.max_threads();
 
     let mut histograms: Vec<(String, BlockSizeHistogram)> = Vec::new();
     let mut ablation: Vec<(String, Duration, Duration)> = Vec::new();
@@ -70,8 +70,4 @@ fn main() {
         "\n(the paper's Si8/Si16 select s = 2 ~90% of the time and s = 1 dominates as\n\
          systems grow; easy systems make s = 1 optimal since iterations barely drop)"
     );
-}
-
-fn num_workers() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }

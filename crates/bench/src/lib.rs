@@ -24,6 +24,13 @@ use mbrpa_core::{KsSolver, RpaConfig, RpaSetup};
 use mbrpa_dft::{ChefsiOptions, PotentialParams, SiliconSpec};
 use std::process::{Command, Stdio};
 
+/// The options every harness that parses its command line takes.
+pub const USAGE: &str = "\
+usage: <harness> [--paper-scale] [--cells N] [--threads N]
+  --paper-scale  the paper's 15^3 points/cell and 96 eigs/atom (hours)
+  --cells N      ladder depth (default varies per harness)
+  --threads N    rayon worker threads (default: all cores)";
+
 /// Parsed common command-line options.
 #[derive(Clone, Copy, Debug)]
 pub struct HarnessOptions {
@@ -38,30 +45,41 @@ pub struct HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parse from `std::env::args`.
+    /// Parse the process's command line through [`mbrpa::cli`]; a bad
+    /// flag exits 1 with its message and [`USAGE`].
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
         let mut opts = Self {
             paper_scale: false,
             cells: None,
             threads: None,
             child: false,
         };
-        let mut it = args.iter().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--paper-scale" => opts.paper_scale = true,
-                "--cells" => {
-                    opts.cells = it.next().and_then(|v| v.parse().ok());
-                }
-                "--threads" => {
-                    opts.threads = it.next().and_then(|v| v.parse().ok());
-                }
-                "--child" => opts.child = true,
-                other => eprintln!("(ignoring unknown flag {other})"),
+        mbrpa::cli::parse_args(USAGE, |flag, args| {
+            match flag {
+                "-paper-scale" => opts.paper_scale = true,
+                "-cells" => opts.cells = Some(args.count()?),
+                "-threads" => opts.threads = Some(args.count()?),
+                "-child" => opts.child = true,
+                _ => return Err(args.unknown()),
             }
-        }
+            Ok(())
+        });
         opts
+    }
+
+    /// Worker threads for this run: `--threads`, else every core the
+    /// machine offers (4 when it cannot say).
+    pub fn max_threads(&self) -> usize {
+        self.threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
+    }
+
+    /// The doubling thread sweep `1, 2, 4, …` up to [`Self::max_threads`].
+    pub fn thread_counts(&self) -> Vec<usize> {
+        let max = self.max_threads();
+        std::iter::successors(Some(1), |t| Some(t * 2))
+            .take_while(|&t| t <= max)
+            .collect()
     }
 
     /// Grid points per cell for this run.
@@ -244,5 +262,10 @@ mod tests {
         };
         assert_eq!(p.points_per_cell(), 15);
         assert_eq!(p.eig_per_atom(), 96);
+        let six = HarnessOptions {
+            threads: Some(6),
+            ..o
+        };
+        assert_eq!((six.max_threads(), six.thread_counts()), (6, vec![1, 2, 4]));
     }
 }

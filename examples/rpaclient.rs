@@ -14,28 +14,27 @@
 //! — on stderr so scripts see why a request was refused and when to
 //! resubmit.
 
+use mbrpa::cli;
 use mbrpa::serve::http::{self, Reply};
 use mbrpa::serve::json::{self, obj, s, u, JsonValue};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-fn usage() -> ExitCode {
-    eprintln!("usage: rpaclient [-addr <ip:port>] <command> [args]");
-    eprintln!("  submit <file.rpa> [-name L] [-priority 0..9]   submit a job");
-    eprintln!("  status <id>       show queue state and progress");
-    eprintln!("  result <id>       fetch the result document");
-    eprintln!("  profile <id>      fetch the telemetry profile");
-    eprintln!("  report <id>       fetch the human-readable report");
-    eprintln!("  cancel <id>       request cancellation");
-    eprintln!("  wait <id>         poll until the job reaches a terminal state");
-    eprintln!("  list              list all jobs");
-    eprintln!("  health            daemon liveness and queue occupancy");
-    eprintln!("  cache             result-cache statistics");
-    eprintln!("  cache-flush       drop every cached result");
-    eprintln!("  shutdown          request a graceful drain");
-    eprintln!("default address: 127.0.0.1:8377");
-    ExitCode::FAILURE
-}
+const USAGE: &str = "\
+usage: rpaclient [-addr <ip:port>] <command> [args]
+  submit <file.rpa> [-name L] [-priority 0..9]   submit a job
+  status <id>       show queue state and progress
+  result <id>       fetch the result document
+  profile <id>      fetch the telemetry profile
+  report <id>       fetch the human-readable report
+  cancel <id>       request cancellation
+  wait <id>         poll until the job reaches a terminal state
+  list              list all jobs
+  health            daemon liveness and queue occupancy
+  cache             result-cache statistics
+  cache-flush       drop every cached result
+  shutdown          request a graceful drain
+default address: 127.0.0.1:8377";
 
 /// One HTTP exchange, under the client's fixed 30 s timeout.
 fn exchange(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result<Reply, String> {
@@ -78,11 +77,7 @@ fn run(addr: &str, method: &str, path: &str, body: Option<&str>) -> ExitCode {
     }
 }
 
-fn submit(addr: &str, args: &[String]) -> ExitCode {
-    let Some(file) = args.first() else {
-        eprintln!("submit needs a .rpa file");
-        return usage();
-    };
+fn submit(addr: &str, file: &str, name: Option<&str>, priority: Option<usize>) -> ExitCode {
     let input = match std::fs::read_to_string(file) {
         Ok(t) => t,
         Err(e) => {
@@ -90,21 +85,8 @@ fn submit(addr: &str, args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut name: Option<String> = None;
-    let mut priority: Option<usize> = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-name" => name = it.next().cloned(),
-            "-priority" => priority = it.next().and_then(|v| v.parse().ok()),
-            other => {
-                eprintln!("unknown submit option `{other}`");
-                return usage();
-            }
-        }
-    }
     let mut pairs = vec![("schema", s("mbrpa.job/1")), ("input", s(&input))];
-    if let Some(name) = &name {
+    if let Some(name) = name {
         pairs.push(("name", s(name)));
     }
     if let Some(priority) = priority {
@@ -176,57 +158,42 @@ fn wait(addr: &str, id: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:8377".to_string();
-    if args.first().map(String::as_str) == Some("-addr") {
-        if args.len() < 2 {
-            eprintln!("-addr needs an address");
-            return usage();
+    let mut words: Vec<String> = Vec::new();
+    let mut name: Option<String> = None;
+    let mut priority: Option<usize> = None;
+    cli::parse_args(USAGE, |flag, args| {
+        match flag {
+            "-addr" => addr = args.value()?,
+            "-name" => name = Some(args.value()?),
+            "-priority" => priority = Some(args.uint()?),
+            word if !word.starts_with('-') => words.push(word.to_string()),
+            _ => return Err(args.unknown()),
         }
-        addr = args[1].clone();
-        args.drain(..2);
-    }
-    let Some(command) = args.first().cloned() else {
-        return usage();
+        Ok(())
+    });
+    let Some((command, rest)) = words.split_first() else {
+        cli::refuse(USAGE, "no command given")
     };
-    let rest = &args[1..];
-    let id_path = |suffix: &str| -> Option<String> {
-        rest.first().map(|id| format!("/v1/jobs/{id}{suffix}"))
-    };
-    match command.as_str() {
-        "submit" => submit(&addr, rest),
-        "status" => match id_path("") {
-            Some(path) => run(&addr, "GET", &path, None),
-            None => usage(),
-        },
-        "result" => match id_path("/result") {
-            Some(path) => run(&addr, "GET", &path, None),
-            None => usage(),
-        },
-        "profile" => match id_path("/profile") {
-            Some(path) => run(&addr, "GET", &path, None),
-            None => usage(),
-        },
-        "report" => match id_path("/report") {
-            Some(path) => run(&addr, "GET", &path, None),
-            None => usage(),
-        },
-        "cancel" => match id_path("/cancel") {
-            Some(path) => run(&addr, "POST", &path, None),
-            None => usage(),
-        },
-        "wait" => match rest.first() {
-            Some(id) => wait(&addr, id),
-            None => usage(),
-        },
-        "list" => run(&addr, "GET", "/v1/jobs", None),
-        "health" => run(&addr, "GET", "/v1/health", None),
-        "cache" => run(&addr, "GET", "/v1/cache", None),
-        "cache-flush" => run(&addr, "POST", "/v1/cache/flush", None),
-        "shutdown" => run(&addr, "POST", "/v1/shutdown", None),
-        other => {
-            eprintln!("unknown command `{other}`");
-            usage()
-        }
+    if command != "submit" && (name.is_some() || priority.is_some()) {
+        cli::refuse(USAGE, "-name and -priority are options of submit");
     }
+    let arg = || match rest.first() {
+        Some(arg) => arg,
+        None => cli::refuse(USAGE, &format!("{command} needs an argument")),
+    };
+    let (method, path) = match command.as_str() {
+        "submit" => return submit(&addr, arg(), name.as_deref(), priority),
+        "wait" => return wait(&addr, arg()),
+        "status" => ("GET", format!("/v1/jobs/{}", arg())),
+        "result" | "profile" | "report" => ("GET", format!("/v1/jobs/{}/{command}", arg())),
+        "cancel" => ("POST", format!("/v1/jobs/{}/cancel", arg())),
+        "list" => ("GET", "/v1/jobs".to_string()),
+        "health" => ("GET", "/v1/health".to_string()),
+        "cache" => ("GET", "/v1/cache".to_string()),
+        "cache-flush" => ("POST", "/v1/cache/flush".to_string()),
+        "shutdown" => ("POST", "/v1/shutdown".to_string()),
+        other => cli::refuse(USAGE, &format!("unknown command `{other}`")),
+    };
+    run(&addr, method, &path, None)
 }

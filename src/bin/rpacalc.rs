@@ -11,93 +11,71 @@
 //! in `inputs/Si8.rpa`.
 
 use mbrpa::ckpt::CheckpointStore;
+use mbrpa::cli;
 use mbrpa::core::{
-    io as rpaio, report, CancelToken, PartialRun, ResumableOutcome, ResumePolicy, RpaConfig,
-    RpaSetup, RunOptions,
+    io as rpaio, report, CancelToken, ResumableOutcome, ResumePolicy, RpaSetup, RunOptions,
 };
 use mbrpa::serve::signal;
 use std::path::Path;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!("usage: rpacalc -name <basename> [-stdout] [-threads N]");
-    eprintln!("               [-checkpoint <dir>] [-resume] [-checkpoint-every K]");
-    eprintln!("               [-profile <out.json>]");
-    eprintln!("  reads <basename>.rpa and writes <basename>.out");
-    eprintln!("  -checkpoint <dir>    journal per-frequency state into <dir> (two-slot)");
-    eprintln!("  -resume              continue from the newest valid snapshot in <dir>");
-    eprintln!("  -checkpoint-every K  snapshot every K-th frequency (default 1)");
-    eprintln!("  -profile <out.json>  enable telemetry: write a versioned JSON report of");
-    eprintln!("                       span timings, counters, and per-frequency residual");
-    eprintln!("                       traces, and append a summary table to the run report");
-    eprintln!("  MBRPA_SIMD=auto|scalar|avx2 in the environment picks the SIMD dispatch");
-    eprintln!("  path (default auto); every path is bit-identical");
-    ExitCode::FAILURE
-}
+const USAGE: &str = "\
+usage: rpacalc -name <basename> [-stdout] [-threads N]
+               [-checkpoint <dir>] [-resume] [-checkpoint-every K]
+               [-profile <out.json>]
+  reads <basename>.rpa and writes <basename>.out
+  -checkpoint <dir>    journal per-frequency state into <dir> (two-slot)
+  -resume              continue from the newest valid snapshot in <dir>
+  -checkpoint-every K  snapshot every K-th frequency (default 1)
+  -profile <out.json>  enable telemetry: write a versioned JSON report of
+                       span timings, counters, and per-frequency residual
+                       traces, and append a summary table to the run report
+  MBRPA_SIMD=auto|scalar|avx2 in the environment picks the SIMD dispatch
+  path (default auto); every path is bit-identical";
 
-/// Write the telemetry JSON to `path`, and append the human-readable
-/// summary table to `doc` when the run report is still being assembled.
-fn emit_profile(path: &str, doc: Option<&mut String>) -> bool {
-    let report = mbrpa_obs::report();
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("cannot write profile {path}: {e}");
-        return false;
-    }
-    eprintln!(
-        "wrote profile {path} ({} spans, {} counters, instrumented {:.1}% of wall)",
-        report.spans.len(),
-        report.counters.len(),
-        if report.total_wall_s > 0.0 {
-            100.0 * report.top_level_total() / report.total_wall_s
-        } else {
-            0.0
+/// Append the telemetry summary table to `doc` and the JSON report to
+/// `profile_path` when one was asked for, then write `doc` to `<name>.out`
+/// (announced as `wrote {what}<name>.out`) or to stdout.
+fn deliver(
+    mut doc: String,
+    name: &str,
+    to_stdout: bool,
+    profile_path: Option<&str>,
+    what: &str,
+) -> bool {
+    if let Some(path) = profile_path {
+        let report = mbrpa_obs::report();
+        if let Err(e) = std::fs::write(path, report.to_json()) {
+            eprintln!("cannot write profile {path}: {e}");
+            return false;
         }
-    );
-    if let Some(doc) = doc {
+        eprintln!(
+            "wrote profile {path} ({} spans, {} counters, instrumented {:.1}% of wall)",
+            report.spans.len(),
+            report.counters.len(),
+            if report.total_wall_s > 0.0 {
+                100.0 * report.top_level_total() / report.total_wall_s
+            } else {
+                0.0
+            }
+        );
         doc.push('\n');
         doc.push_str(&report.summary_table());
     }
+    if to_stdout {
+        print!("{doc}");
+        return true;
+    }
+    let out_path = format!("{name}.out");
+    if let Err(e) = std::fs::write(&out_path, &doc) {
+        eprintln!("cannot write {out_path}: {e}");
+        return false;
+    }
+    eprintln!("wrote {what}{out_path}");
     true
 }
 
-/// Write the partial report of an interrupted run (to `<name>.out` or
-/// stdout) and exit with the conventional interrupted status (130).
-fn finish_partial(
-    name: &str,
-    to_stdout: bool,
-    config: &RpaConfig,
-    partial: &PartialRun,
-    setup: &RpaSetup,
-    profile_path: Option<&str>,
-) -> ExitCode {
-    let mut doc = report::partial_report(
-        config,
-        partial,
-        setup.crystal.n_grid(),
-        setup.crystal.n_occupied(),
-        setup.crystal.atoms.len(),
-        &report::projector_note(&setup.ham),
-    );
-    if let Some(p) = profile_path {
-        if !emit_profile(p, Some(&mut doc)) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if to_stdout {
-        print!("{doc}");
-    } else {
-        let out_path = format!("{name}.out");
-        if let Err(e) = std::fs::write(&out_path, &doc) {
-            eprintln!("cannot write {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote partial report to {out_path}");
-    }
-    ExitCode::from(130)
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
     let mut name: Option<String> = None;
     let mut to_stdout = false;
     let mut threads: Option<usize> = None;
@@ -105,69 +83,24 @@ fn main() -> ExitCode {
     let mut resume = false;
     let mut checkpoint_every: usize = 1;
     let mut profile_path: Option<String> = None;
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-name" | "--name" => name = it.next().cloned(),
-            "-stdout" | "--stdout" => to_stdout = true,
-            "-threads" | "--threads" => {
-                let Some(v) = it.next() else {
-                    eprintln!("-threads needs a value");
-                    return usage();
-                };
-                match v.parse::<usize>() {
-                    Ok(t) if t >= 1 => threads = Some(t),
-                    Ok(_) => {
-                        eprintln!("-threads must be at least 1");
-                        return ExitCode::FAILURE;
-                    }
-                    Err(_) => {
-                        eprintln!("cannot parse `-threads {v}`: expected a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "-checkpoint" | "--checkpoint" => {
-                let Some(dir) = it.next() else {
-                    eprintln!("-checkpoint needs a directory");
-                    return usage();
-                };
-                checkpoint_dir = Some(dir.clone());
-            }
-            "-resume" | "--resume" => resume = true,
-            "-profile" | "--profile" => {
-                let Some(p) = it.next() else {
-                    eprintln!("-profile needs an output path");
-                    return usage();
-                };
-                profile_path = Some(p.clone());
-            }
-            "-checkpoint-every" | "--checkpoint-every" => {
-                let Some(v) = it.next() else {
-                    eprintln!("-checkpoint-every needs a value");
-                    return usage();
-                };
-                match v.parse::<usize>() {
-                    Ok(k) if k >= 1 => checkpoint_every = k,
-                    _ => {
-                        eprintln!(
-                            "cannot parse `-checkpoint-every {v}`: expected a positive integer"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "-h" | "--help" => return usage(),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
+    cli::parse_args(USAGE, |flag, args| {
+        match flag {
+            "-name" => name = Some(args.value()?),
+            "-stdout" => to_stdout = true,
+            "-threads" => threads = Some(args.count()?),
+            "-checkpoint" => checkpoint_dir = Some(args.value()?),
+            "-resume" => resume = true,
+            "-profile" => profile_path = Some(args.value()?),
+            "-checkpoint-every" => checkpoint_every = args.count()?,
+            _ => return Err(args.unknown()),
         }
-    }
-    let Some(name) = name else { return usage() };
+        Ok(())
+    });
+    let Some(name) = name else {
+        cli::refuse(USAGE, "-name <basename> is required")
+    };
     if resume && checkpoint_dir.is_none() {
-        eprintln!("-resume requires -checkpoint <dir>");
-        return ExitCode::FAILURE;
+        cli::refuse(USAGE, "-resume requires -checkpoint <dir>");
     }
     if let Err(e) = mbrpa::init_runtime(threads) {
         eprintln!("{e}");
@@ -275,14 +208,19 @@ fn main() -> ExitCode {
                 }
             }
             drop(rpa_span.take());
-            return finish_partial(
-                &name,
-                to_stdout,
+            let doc = report::partial_report(
                 &input.config,
                 &partial,
-                &setup,
-                profile_path.as_deref(),
+                setup.crystal.n_grid(),
+                setup.crystal.n_occupied(),
+                setup.crystal.atoms.len(),
+                &report::projector_note(&setup.ham),
             );
+            let profile = profile_path.as_deref();
+            if !deliver(doc, &name, to_stdout, profile, "partial report to ") {
+                return ExitCode::FAILURE;
+            }
+            return ExitCode::from(130);
         }
         Err(e) => {
             eprintln!("RPA stage failed: {e}");
@@ -292,24 +230,12 @@ fn main() -> ExitCode {
 
     drop(rpa_span.take());
 
-    let mut doc = {
+    let doc = {
         let _report_span = mbrpa_obs::span("report");
         report::full_report(&input.config, &result)
     };
-    if let Some(p) = &profile_path {
-        if !emit_profile(p, Some(&mut doc)) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if to_stdout {
-        print!("{doc}");
-    } else {
-        let out_path = format!("{name}.out");
-        if let Err(e) = std::fs::write(&out_path, &doc) {
-            eprintln!("cannot write {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {out_path}");
+    if !deliver(doc, &name, to_stdout, profile_path.as_deref(), "") {
+        return ExitCode::FAILURE;
     }
     eprintln!(
         "Total RPA correlation energy: {:.5E} Ha ({:.5E} Ha/atom) in {:.3} s",

@@ -14,145 +14,62 @@
 //! requeue. The `-validate` mode checks a stored JSON document against
 //! its schema and exits nonzero on violations (CI uses it).
 
+use mbrpa::cli;
 use mbrpa::serve::daemon::{Daemon, DaemonConfig};
-use mbrpa::serve::job::validate_file;
 use mbrpa::serve::signal;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
-fn usage() -> ExitCode {
-    eprintln!("usage: rpaserved [-root <dir>] [-addr <ip:port>] [-port-file <path>]");
-    eprintln!("                 [-executors N] [-backlog N] [-threads N] [-profile]");
-    eprintln!("                 [-cache-dir <dir>] [-cache-budget BYTES] [-no-cache]");
-    eprintln!("                 [-ckpt-root <dir>]");
-    eprintln!("       rpaserved -validate <kind> <file.json>");
-    eprintln!("  -root <dir>       job store directory (default mbrpa-serve-data)");
-    eprintln!("  -addr <ip:port>   bind address (default 127.0.0.1:8377; port 0 = ephemeral)");
-    eprintln!("  -port-file <path> write the bound address to <path> after startup");
-    eprintln!("  -executors N      concurrent job executors (default 1)");
-    eprintln!("  -backlog N        max queued jobs before 429 (default 16)");
-    eprintln!("  -threads N        size the global rayon pool");
-    eprintln!("  -profile          emit per-job profile.json (single executor only)");
-    eprintln!("  -cache-dir <dir>  exact result cache directory (default <root>/cache)");
-    eprintln!("  -cache-budget B   cache byte budget, LRU-evicted above (default 64 MiB)");
-    eprintln!("  -no-cache         disable the exact result cache");
-    eprintln!("  -ckpt-root <dir>  shared checkpoint root for multi-worker fleets: namespaces");
-    eprintln!("                    are keyed by input fingerprint, so another worker given the");
-    eprintln!("                    same dir adopts a dead worker's job and resumes bit-for-bit");
-    eprintln!("  -validate K F     exit nonzero unless file F is a valid document of kind K:");
-    eprintln!("                    job, status, result, health, profile, cache-entry, worker, route-table");
-    eprintln!("  MBRPA_SIMD=auto|scalar|avx2 in the environment picks the SIMD dispatch path");
-    eprintln!("  (default auto); every path is bit-identical, the active one is in GET /v1/health");
-    ExitCode::FAILURE
-}
+const USAGE: &str = "\
+usage: rpaserved [-root <dir>] [-addr <ip:port>] [-port-file <path>]
+                 [-executors N] [-backlog N] [-threads N] [-profile]
+                 [-cache-dir <dir>] [-cache-budget BYTES] [-no-cache]
+                 [-ckpt-root <dir>]
+       rpaserved -validate <kind> <file.json>
+  -root <dir>       job store directory (default mbrpa-serve-data)
+  -addr <ip:port>   bind address (default 127.0.0.1:8377; port 0 = ephemeral)
+  -port-file <path> write the bound address to <path> after startup
+  -executors N      concurrent job executors (default 1)
+  -backlog N        max queued jobs before 429 (default 16)
+  -threads N        size the global rayon pool
+  -profile          emit per-job profile.json (single executor only)
+  -cache-dir <dir>  exact result cache directory (default <root>/cache)
+  -cache-budget B   cache byte budget, LRU-evicted above (default 64 MiB)
+  -no-cache         disable the exact result cache
+  -ckpt-root <dir>  shared checkpoint root for multi-worker fleets: namespaces
+                    are keyed by input fingerprint, so another worker given the
+                    same dir adopts a dead worker's job and resumes bit-for-bit
+  -validate K F     exit nonzero unless file F is a valid document of kind K:
+                    job, status, result, health, profile, cache-entry, worker, route-table
+  MBRPA_SIMD=auto|scalar|avx2 in the environment picks the SIMD dispatch path
+  (default auto); every path is bit-identical, the active one is in GET /v1/health";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let mut root = PathBuf::from("mbrpa-serve-data");
-    let mut addr = "127.0.0.1:8377".to_string();
+    let mut config = DaemonConfig {
+        addr: "127.0.0.1:8377".to_string(),
+        log: Arc::new(|line| eprintln!("rpaserved: {line}")),
+        ..DaemonConfig::default()
+    };
     let mut port_file: Option<String> = None;
-    let mut executors = 1usize;
-    let mut backlog = 16usize;
     let mut threads: Option<usize> = None;
-    let mut profile = false;
-    let mut cache = true;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut cache_budget = mbrpa::serve::cache::DEFAULT_BUDGET;
-    let mut ckpt_root: Option<PathBuf> = None;
-
-    let mut it = args.iter().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-validate" | "--validate" => {
-                let (Some(kind), Some(path)) = (it.next(), it.next()) else {
-                    eprintln!("-validate needs a kind and a file");
-                    return usage();
-                };
-                return match validate_file(kind, path) {
-                    Ok(_) => {
-                        println!("{path}: valid {kind} document");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        ExitCode::FAILURE
-                    }
-                };
-            }
-            "-root" | "--root" => {
-                let Some(v) = it.next() else {
-                    eprintln!("-root needs a directory");
-                    return usage();
-                };
-                root = PathBuf::from(v);
-            }
-            "-addr" | "--addr" => {
-                let Some(v) = it.next() else {
-                    eprintln!("-addr needs an address");
-                    return usage();
-                };
-                addr = v.clone();
-            }
-            "-port-file" | "--port-file" => {
-                let Some(v) = it.next() else {
-                    eprintln!("-port-file needs a path");
-                    return usage();
-                };
-                port_file = Some(v.clone());
-            }
-            "-executors" | "--executors" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) => executors = n,
-                _ => {
-                    eprintln!("-executors needs a non-negative integer");
-                    return usage();
-                }
-            },
-            "-backlog" | "--backlog" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => backlog = n,
-                _ => {
-                    eprintln!("-backlog needs a positive integer");
-                    return usage();
-                }
-            },
-            "-threads" | "--threads" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => threads = Some(n),
-                _ => {
-                    eprintln!("-threads needs a positive integer");
-                    return usage();
-                }
-            },
-            "-profile" | "--profile" => profile = true,
-            "-cache-dir" | "--cache-dir" => {
-                let Some(v) = it.next() else {
-                    eprintln!("-cache-dir needs a directory");
-                    return usage();
-                };
-                cache_dir = Some(PathBuf::from(v));
-            }
-            "-cache-budget" | "--cache-budget" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => cache_budget = n,
-                _ => {
-                    eprintln!("-cache-budget needs a positive byte count");
-                    return usage();
-                }
-            },
-            "-no-cache" | "--no-cache" => cache = false,
-            "-ckpt-root" | "--ckpt-root" => {
-                let Some(v) = it.next() else {
-                    eprintln!("-ckpt-root needs a directory");
-                    return usage();
-                };
-                ckpt_root = Some(PathBuf::from(v));
-            }
-            "-h" | "--help" => return usage(),
-            other => {
-                eprintln!("unknown argument `{other}`");
-                return usage();
-            }
+    cli::parse_args(USAGE, |flag, args| {
+        match flag {
+            "-validate" => cli::validate_and_exit(&args.value()?, &args.value()?),
+            "-root" => config.root = args.value()?.into(),
+            "-addr" => config.addr = args.value()?,
+            "-port-file" => port_file = Some(args.value()?),
+            "-executors" => config.executors = args.uint()?,
+            "-backlog" => config.backlog = args.count()?,
+            "-threads" => threads = Some(args.count()?),
+            "-profile" => config.profile = true,
+            "-cache-dir" => config.cache_dir = Some(args.value()?.into()),
+            "-cache-budget" => config.cache_budget = args.count()?,
+            "-no-cache" => config.cache = false,
+            "-ckpt-root" => config.ckpt_root = Some(args.value()?.into()),
+            _ => return Err(args.unknown()),
         }
-    }
+        Ok(())
+    });
 
     // install before spawning anything (the rayon pool included) so every
     // thread inherits it
@@ -165,20 +82,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let config = DaemonConfig {
-        root,
-        addr,
-        executors,
-        backlog,
-        profile,
-        http_workers: 2,
-        cache,
-        cache_dir,
-        cache_budget,
-        ckpt_root,
-        log: Arc::new(|line| eprintln!("rpaserved: {line}")),
-    };
-    let mut daemon = match Daemon::start(config) {
+    let daemon = match Daemon::start(config) {
         Ok(d) => d,
         Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
             eprintln!("{e}");
@@ -189,23 +93,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let bound = daemon.local_addr();
-    eprintln!("rpaserved: listening on {bound}");
-    if let Some(path) = &port_file {
-        if let Err(e) = std::fs::write(path, bound.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // park until a signal or a client's POST /v1/shutdown requests a drain.
-    // A timed poll, not a condvar wait: the termination flag is set by a
-    // signal handler, which may not notify one. No request waits on this.
-    while !signal::termination_requested() && !daemon.drain_requested() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    eprintln!("rpaserved: draining (running jobs checkpoint and requeue)");
-    daemon.drain();
-    eprintln!("rpaserved: drained");
-    ExitCode::SUCCESS
+    cli::serve_until_drained(
+        daemon,
+        "rpaserved",
+        "",
+        "running jobs checkpoint and requeue",
+        port_file.as_deref(),
+    )
 }

@@ -55,6 +55,8 @@ pub use mbrpa_obs as obs;
 pub use mbrpa_serve as serve;
 pub use mbrpa_solver as solver;
 
+pub mod cli;
+
 /// Process start-up shared by the binaries: lock the SIMD dispatch path
 /// in from the `MBRPA_SIMD` environment variable before any kernel can
 /// resolve it lazily, record it for the telemetry and health documents,

@@ -1,5 +1,6 @@
-//! CLI contract tests: `-validate` exit codes of both daemons over the
-//! one kind table they share, `rpacalc`'s refusal of an unknown SIMD
+//! CLI contract tests: one refusal per bad flag from every front end,
+//! `-validate` exit codes of both daemons over the one kind table they
+//! share, `rpacalc`'s refusal of an unknown SIMD
 //! dispatch name, of another system's checkpoint and of retired flags,
 //! `rpaserved`'s refusal of `-profile` over several executors, and the
 //! `rpaclient` example's error
@@ -196,6 +197,72 @@ fn rpaserved_refuses_a_profile_over_several_executors() {
         "{stderr}"
     );
     assert!(!dir.join("store").exists(), "nothing may start");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_front_end_refuses_a_bad_flag_with_one_message() {
+    // a refusal is exit 1, one line saying what was wrong, then the usage
+    // text; a pinned flag's `--long` spelling is the flag itself, so those
+    // rows get past the parse to the binary's own first failure
+    let dir = scratch("cli-flags");
+    let bins = Path::new(env!("CARGO_BIN_EXE_rpaserved")).parent().unwrap();
+    let (calc, served, router) = ("rpacalc", "rpaserved", "rparouter");
+    let harness = "table3_systems";
+    let store = dir.join("store");
+    let router_root = dir.join("router");
+    let (store, router_root) = (store.to_str().unwrap(), router_root.to_str().unwrap());
+    let w = "127.0.0.1:9";
+    #[rustfmt::skip]
+    let cases: &[(&str, &[&str], i32, &str)] = &[
+        (calc, &["-name", "tiny", "-threads"], 1, "-threads needs a value"),
+        (calc, &["-name", "tiny", "-threads", "two"], 1, "invalid value `two` for -threads: expected a positive integer"),
+        (calc, &["-name", "tiny", "-checkpoint-every", "0"], 1, "invalid value `0` for -checkpoint-every: expected a positive integer"),
+        (calc, &["-name", "tiny", "--thread", "2"], 1, "unknown argument `--thread`"),
+        (calc, &["--threads", "1", "--name", "missing"], 1, "cannot read missing.rpa"),
+        (served, &["-port-file"], 1, "-port-file needs a value"),
+        (served, &["-executors", "x"], 1, "invalid value `x` for -executors: expected a non-negative integer"),
+        (served, &["-backlog", "0"], 1, "invalid value `0` for -backlog: expected a positive integer"),
+        (served, &["-bogus"], 1, "unknown argument `-bogus`"),
+        (served, &["--root", store, "--addr", "127.0.0.1:0", "--profile", "--executors", "2"], 2, "not -executors 2"),
+        (router, &["-worker"], 1, "-worker needs a value"),
+        (router, &["-worker", w, "-poll-ms", "fast"], 1, "invalid value `fast` for -poll-ms: expected a positive integer"),
+        (router, &["-worker", w, "-fail-threshold", "0"], 1, "invalid value `0` for -fail-threshold: expected a positive integer"),
+        (router, &["-worker", w, "-workers", "2"], 1, "unknown argument `-workers`"),
+        (router, &["--worker", w, "--root", router_root, "--addr", "nowhere"], 1, "cannot start the router"),
+        (harness, &["--cells"], 1, "--cells needs a value"),
+        (harness, &["--cells", "two"], 1, "invalid value `two` for --cells: expected a positive integer"),
+        (harness, &["--threads", "0"], 1, "invalid value `0` for --threads: expected a positive integer"),
+        (harness, &["--thread", "2"], 1, "unknown argument `--thread`"),
+        (harness, &["-cells", "two"], 1, "invalid value `two` for -cells: expected a positive integer"),
+    ];
+    for &(bin, args, code, message) in cases {
+        let exe = bins.join(bin);
+        if !exe.is_file() {
+            // the harnesses are another package's binaries: built by a
+            // workspace `cargo test`, not by `-p mbrpa` alone
+            eprintln!("skipping {bin} {args:?}: not built");
+            continue;
+        }
+        let out = Command::new(&exe)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
+        let parsed = message.starts_with("cannot") || code == 2;
+        assert_eq!(
+            stderr.contains("usage:"),
+            !parsed,
+            "{bin} {args:?}: {stderr}"
+        );
+    }
+    assert!(
+        !Path::new(store).exists(),
+        "a refused daemon starts nothing"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
