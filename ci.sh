@@ -482,6 +482,21 @@ for SIMD in $DISPATCH_MATRIX; do
 done
 leg dispatch-matrix ran "golden energy and pinned served bits on: $DISPATCH_MATRIX"
 
+# Dense eigensolver bits: the pin test of `symmetric_eig` and
+# `generalized_sym_eig` under every path of the dispatch matrix above and
+# on one and two pool threads. The eigensolvers call no dispatched kernel,
+# but the Kohn–Sham matrices they are pinned on come from the dispatched
+# Hamiltonian apply, and a split of their work over the pool must not move
+# a bit either.
+for SIMD in $DISPATCH_MATRIX; do
+    for THREADS in 1 2; do
+        MBRPA_SIMD="$SIMD" RAYON_NUM_THREADS="$THREADS" \
+            cargo test -q --release -p mbrpa-dft --test dense_eig_bits \
+            || { echo "ci: dense eigensolver bits moved under $SIMD on $THREADS threads"; exit 1; }
+    done
+done
+leg dense-eig-bits ran "dense_eig_bits on: $DISPATCH_MATRIX x 1 and 2 threads"
+
 # Multi-worker smoke test: two workers on one shared checkpoint root
 # behind an rparouter. One job is routed by rendezvous hash and served
 # through the router; then the job's owner is SIGKILLed mid-fleet and

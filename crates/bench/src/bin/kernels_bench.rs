@@ -3,8 +3,8 @@
 //! per-point layout §III-C argues against), the packed GEMM
 //! microkernels, the lane-split reduction suite, the fused block-COCG
 //! update, one whole block-COCG iteration, one step of each real-arithmetic
-//! Sternheimer solve, one Sternheimer apply and one Galerkin guess at the
-//! shapes the drivers solve, emitting a schema-versioned
+//! Sternheimer solve, one Sternheimer apply, one Galerkin guess and the
+//! dense eigensolvers at the shapes the drivers solve, emitting a schema-versioned
 //! `BENCH_kernels.json`. The committed document is the baseline a later run
 //! is compared against; there is no in-tree copy of older kernels (their
 //! correctness oracles live in the crates' tests).
@@ -18,7 +18,9 @@
 
 use mbrpa_dft::{Hamiltonian, PotentialParams, SiliconSpec, SternheimerLinOp, SternheimerOperator};
 use mbrpa_grid::{Boundary, CoulombOperator, Grid3, Laplacian, SpectralLaplacian};
-use mbrpa_linalg::{matmul_into, vecops, Mat, Scalar, C64};
+use mbrpa_linalg::{
+    generalized_sym_eig, matmul_into, matmul_tn, symmetric_eig, vecops, Mat, Scalar, C64,
+};
 use mbrpa_schema::json::{self, obj, require_num, require_str, s, u, JsonValue};
 use mbrpa_solver::{
     block_cocg_ws, galerkin_guess_real, shifted_block_lanczos, shifted_lanczos_pair, CocgOptions,
@@ -477,6 +479,50 @@ fn galerkin_cases(reps: usize, cases: &mut Vec<Case>) {
     }
 }
 
+/// The dense eigensolvers: `symmetric_eig` on the Kohn–Sham matrix of the
+/// `cluster_ckpt_solve` grid (8³ Dirichlet; the dense KS stage of every
+/// input up to 1000 grid points), and `generalized_sym_eig` on a seeded
+/// symmetric-definite pair at the `si8_solve` Rayleigh–Ritz size (96) and
+/// at the paper's (768). `gflops` counts a nominal `9n³` for the
+/// eigenproblem (the rotation count is data-dependent) and `10n³/3` more
+/// for the Cholesky reduction and back-transform.
+fn dense_eig_cases(smoke: bool, reps: usize, cases: &mut Vec<Case>) {
+    let ppc = if smoke { 5 } else { 8 };
+    let crystal = SiliconSpec {
+        points_per_cell: ppc,
+        boundary: Boundary::Dirichlet,
+        ..SiliconSpec::default()
+    }
+    .build();
+    let h = Hamiltonian::new(&crystal, 2, &PotentialParams::default()).to_dense();
+    let n = h.rows();
+    let secs = time_best(reps, &mut || drop(black_box(symmetric_eig(&h))));
+    let shape = format!("n={n} KS matrix grid={ppc}x{ppc}x{ppc} dirichlet, nominal 9n^3 flops");
+    let flops = 9.0 * (n as f64).powi(3);
+    cases.push(Case::new(format!("symmetric_eig_n{n}"), shape, secs, flops));
+
+    let sizes: &[usize] = if smoke { &[96] } else { &[96, 768] };
+    for &n in sizes {
+        let s = filled::<f64>(n, n, 0xe16 + n as u64);
+        let a = Mat::from_fn(n, n, |i, j| s[(i, j)] + s[(j, i)]);
+        let g = filled::<f64>(n, n, 0xe17 + n as u64);
+        let gtg = matmul_tn(&g, &g);
+        let b = Mat::from_fn(n, n, |i, j| {
+            gtg[(i, j)] / n as f64 + if i == j { 1.0 } else { 0.0 }
+        });
+        let reps = if n > 500 { reps.min(3) } else { reps };
+        let secs = time_best(reps, &mut || drop(black_box(generalized_sym_eig(&a, &b))));
+        let shape = format!("n={n} seeded SPD pair, nominal 9n^3 + 10n^3/3 flops");
+        let flops = (9.0 + 10.0 / 3.0) * (n as f64).powi(3);
+        cases.push(Case::new(
+            format!("generalized_sym_eig_n{n}"),
+            shape,
+            secs,
+            flops,
+        ));
+    }
+}
+
 // ---------------------------------------------------------------------
 // JSON emission + validation (schema `mbrpa_schema::KERNELS_BENCH`)
 // ---------------------------------------------------------------------
@@ -602,6 +648,7 @@ fn main() {
     apply_cases(stencil_reps, &mut cases);
     nu_sqrt_cases(stencil_reps, &mut cases);
     galerkin_cases(stencil_reps, &mut cases);
+    dense_eig_cases(smoke, reps, &mut cases);
 
     let rows: Vec<Vec<String>> = cases
         .iter()

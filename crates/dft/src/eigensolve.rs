@@ -123,7 +123,10 @@ impl KsSolution {
 }
 
 /// Exact dense diagonalization: assembles `H` and keeps the lowest
-/// `n_occupied + extra` eigenpairs.
+/// `n_occupied + extra` eigenpairs. Two `n_d × n_d` matrices are alive at
+/// the peak: `H` and the working matrix that becomes the eigenvectors
+/// ([`symmetric_eig`]); this stage sets the resident-set peak of a small
+/// Dirichlet run.
 pub fn solve_occupied_dense(
     ham: &Hamiltonian,
     n_occupied: usize,

@@ -7,6 +7,15 @@
 //! two-stage dense algorithm: Householder reduction to tridiagonal form with
 //! accumulation of the orthogonal transformation, followed by the implicit
 //! QL iteration with Wilkinson-style shifts.
+//!
+//! Every floating-point chain keeps the operands and the order of the
+//! textbook `tred2`/`tql2` loops, so the bits are theirs; only the memory
+//! order differs, and every inner loop is unit-stride. The reduction keeps
+//! the active block with both triangles (`fl(a·b + c·d)` does not depend on
+//! the order of its two products, so the rank-2 update writes mirror
+//! entries equal bit for bit) and accumulates the transform transposed:
+//! each dot product is then one chain per row, and the chains run side by
+//! side down the columns. A QL rotation walks two contiguous columns.
 
 use crate::chol::Cholesky;
 use crate::dense::Mat;
@@ -39,88 +48,148 @@ fn pythag(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Householder reduction of a symmetric matrix to tridiagonal form.
-/// Returns `(z, d, e)` where `z` accumulates the orthogonal transform,
-/// `d` is the diagonal and `e[1..]` the sub-diagonal.
-fn tridiagonalize(a: &Mat<f64>) -> (Mat<f64>, Vec<f64>, Vec<f64>) {
-    let n = a.rows();
-    let mut z = a.clone();
+/// `y[j] += Σ_k a[j, k]·x[k]` for the rows `j < y.len()` of the
+/// column-major `a` (leading dimension `n`), columns `k < x.len()` swept in
+/// ascending order four at a time: each `y[j]` is one chain, its terms
+/// added in ascending `k`, and the chains run side by side down the
+/// columns.
+fn gemv_columns(a: &[f64], n: usize, x: &[f64], y: &mut [f64]) {
+    let m = y.len();
+    let col = |k: usize| &a[k * n..k * n + m];
+    let quads = x.len() / 4 * 4;
+    for k in (0..quads).step_by(4) {
+        let (x0, x1, x2, x3) = (x[k], x[k + 1], x[k + 2], x[k + 3]);
+        let cols = col(k)
+            .iter()
+            .zip(col(k + 1))
+            .zip(col(k + 2))
+            .zip(col(k + 3));
+        for (yj, (((&a0, &a1), &a2), &a3)) in y.iter_mut().zip(cols) {
+            *yj = *yj + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
+        }
+    }
+    for k in quads..x.len() {
+        let xk = x[k];
+        for (yj, &ajk) in y.iter_mut().zip(col(k)) {
+            *yj += ajk * xk;
+        }
+    }
+}
+
+/// Householder reduction of the symmetric matrix in `z` (both triangles
+/// set, equal bit for bit) to tridiagonal form, with the orthogonal
+/// transform accumulated in `z`. Returns `(d, e)`: `d` is the diagonal and
+/// `e[1..]` the sub-diagonal.
+///
+/// Step `i` holds its Householder vector `u` in column `i` and `u/h` in
+/// row `i`. Since the active block is symmetric bit for bit, `p = A·u`
+/// sums row `j`'s products down the columns. The transform is accumulated
+/// transposed, `Qᵀ` in the leading block, so that `uᵀQ` too is a sweep
+/// down columns, and is transposed in place at the end.
+fn tridiagonalize(z: &mut Mat<f64>) -> (Vec<f64>, Vec<f64>) {
+    let n = z.rows();
+    let a = z.as_mut_slice();
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
+    let mut w = vec![0.0; n];
 
     for i in (1..n).rev() {
         let l = i - 1;
         let mut h = 0.0;
         if l > 0 {
-            let mut scale = 0.0;
-            for k in 0..i {
-                scale += z[(i, k)].abs();
-            }
+            let (block, rest) = a.split_at_mut(i * n);
+            let ui = &mut rest[..i];
+            let scale = ui.iter().fold(0.0, |s, v| s + v.abs());
             if exactly_zero(scale) {
-                e[i] = z[(i, l)];
+                e[i] = ui[l];
             } else {
-                for k in 0..i {
-                    let v = z[(i, k)] / scale;
-                    z[(i, k)] = v;
-                    h += v * v;
+                for v in ui.iter_mut() {
+                    *v /= scale;
+                    h += *v * *v;
                 }
-                let f = z[(i, l)];
+                let f = ui[l];
                 let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
                 e[i] = scale * g;
                 h -= f * g;
-                z[(i, l)] = f - g;
+                ui[l] = f - g;
+                let u = &*ui;
+                for (j, &uj) in u.iter().enumerate() {
+                    block[j * n + i] = uj / h;
+                }
+                // p = A·u / h, then q = p − (uᵀp / 2h)·u, both in e[..i]
+                let p = &mut e[..i];
+                p.fill(0.0);
+                gemv_columns(block, n, u, p);
                 let mut fsum = 0.0;
-                for j in 0..i {
-                    z[(j, i)] = z[(i, j)] / h;
-                    let mut g2 = 0.0;
-                    for k in 0..=j {
-                        g2 += z[(j, k)] * z[(i, k)];
-                    }
-                    for k in j + 1..i {
-                        g2 += z[(k, j)] * z[(i, k)];
-                    }
-                    e[j] = g2 / h;
-                    fsum += e[j] * z[(i, j)];
+                for (pj, &uj) in p.iter_mut().zip(u.iter()) {
+                    *pj /= h;
+                    fsum += *pj * uj;
                 }
                 let hh = fsum / (h + h);
-                for j in 0..i {
-                    let f2 = z[(i, j)];
-                    let g2 = e[j] - hh * f2;
-                    e[j] = g2;
-                    for k in 0..=j {
-                        let delta = f2 * e[k] + g2 * z[(i, k)];
-                        z[(j, k)] -= delta;
+                for (qj, &uj) in p.iter_mut().zip(u.iter()) {
+                    *qj -= hh * uj;
+                }
+                // A −= u·qᵀ + q·uᵀ, whole columns
+                let q = &*p;
+                for k in 0..i {
+                    let (qk, uk) = (q[k], u[k]);
+                    let col = &mut block[k * n..k * n + i];
+                    for ((x, &uj), &qj) in col.iter_mut().zip(u.iter()).zip(q) {
+                        *x -= uj * qk + qj * uk;
                     }
                 }
             }
         } else {
-            e[i] = z[(i, l)];
+            e[i] = a[i * n + l];
         }
         d[i] = h;
     }
     d[0] = 0.0;
     e[0] = 0.0;
+    let mut g = vec![0.0; n];
     for i in 0..n {
         if !exactly_zero(d[i]) {
-            for j in 0..i {
-                let mut g = 0.0;
-                for k in 0..i {
-                    g += z[(i, k)] * z[(k, j)];
-                }
-                for k in 0..i {
-                    let delta = g * z[(k, i)];
-                    z[(k, j)] -= delta;
+            // Q[:, j] −= (u·Q[:, j])·(u/h), on Qᵀ: gᵀ = uᵀQ, then Qᵀ −= g·(u/h)ᵀ
+            let (qt, rest) = a.split_at_mut(i * n);
+            let u = &rest[..i];
+            let w = &mut w[..i];
+            for (k, wk) in w.iter_mut().enumerate() {
+                *wk = qt[k * n + i];
+            }
+            let g = &mut g[..i];
+            g.fill(0.0);
+            gemv_columns(qt, n, u, g);
+            for (k, &wk) in w.iter().enumerate() {
+                let col = &mut qt[k * n..k * n + i];
+                for (x, &gj) in col.iter_mut().zip(g.iter()) {
+                    *x -= gj * wk;
                 }
             }
         }
-        d[i] = z[(i, i)];
-        z[(i, i)] = 1.0;
+        d[i] = a[i * n + i];
+        a[i * n + i] = 1.0;
         for j in 0..i {
-            z[(j, i)] = 0.0;
-            z[(i, j)] = 0.0;
+            a[i * n + j] = 0.0;
+            a[j * n + i] = 0.0;
         }
     }
-    (z, d, e)
+    for j in 0..n {
+        for i in j + 1..n {
+            a.swap(j * n + i, i * n + j);
+        }
+    }
+    (d, e)
+}
+
+/// `(x, y) ← (c·x − s·y, s·x + c·y)` elementwise: one QL rotation of two
+/// columns of `Z`, multiplies and adds in the textbook's order.
+#[inline]
+fn rotate(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    for (xk, yk) in x.iter_mut().zip(y.iter_mut()) {
+        let f = *yk;
+        *yk = s * *xk + c * f;
+        *xk = c * *xk - s * f;
+    }
 }
 
 /// Implicit-shift QL iteration on a symmetric tridiagonal matrix, rotating
@@ -165,7 +234,7 @@ fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut Mat<f64>) -> Result<(), Li
             let mut p = 0.0;
             let mut underflow = false;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = pythag(f, g);
                 e[i + 1] = r;
@@ -182,11 +251,8 @@ fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut Mat<f64>) -> Result<(), Li
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                for k in 0..n {
-                    f = z[(k, i + 1)];
-                    z[(k, i + 1)] = s * z[(k, i)] + c * f;
-                    z[(k, i)] = c * z[(k, i)] - s * f;
-                }
+                let (x, y) = z.cols_mut2(i, i + 1);
+                rotate(x, y, c, s);
             }
             if underflow {
                 continue;
@@ -199,23 +265,44 @@ fn tql_implicit(d: &mut [f64], e: &mut [f64], z: &mut Mat<f64>) -> Result<(), Li
     Ok(())
 }
 
-/// Sort eigenpairs ascending by eigenvalue.
-fn sort_eigenpairs(d: Vec<f64>, z: Mat<f64>) -> SymEig {
+/// Sort eigenpairs ascending by eigenvalue, permuting the columns of `z`
+/// in place.
+fn sort_eigenpairs(d: Vec<f64>, mut z: Mat<f64>) -> SymEig {
     let n = d.len();
     let mut order: Vec<usize> = (0..n).collect();
     // lint: allow(unwrap) — NaN here means the QL sweep diverged; panicking is the contract
     order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).expect("NaN eigenvalue"));
     let values: Vec<f64> = order.iter().map(|&i| d[i]).collect();
-    let mut vectors = Mat::zeros(n, n);
-    for (newj, &oldj) in order.iter().enumerate() {
-        vectors.col_mut(newj).copy_from_slice(z.col(oldj));
+    // column j takes the old column order[j]: walk each cycle of the
+    // permutation with one spare column
+    let mut spare = vec![0.0; n];
+    let mut placed = vec![false; n];
+    let data = z.as_mut_slice();
+    for start in 0..n {
+        if placed[start] {
+            continue;
+        }
+        spare.copy_from_slice(&data[start * n..(start + 1) * n]);
+        let mut j = start;
+        loop {
+            placed[j] = true;
+            let src = order[j];
+            if src == start {
+                data[j * n..(j + 1) * n].copy_from_slice(&spare);
+                break;
+            }
+            data.copy_within(src * n..(src + 1) * n, j * n);
+            j = src;
+        }
     }
-    SymEig { values, vectors }
+    SymEig { values, vectors: z }
 }
 
-/// Full eigen-decomposition of a real symmetric matrix. Only the lower
-/// triangle is required to be meaningful; the matrix is symmetrized first to
-/// guard against roundoff asymmetry from upstream Gram products.
+/// Full eigen-decomposition of a real symmetric matrix. Both triangles are
+/// read: the decomposition is of `½(A + Aᵀ)`, which guards against roundoff
+/// asymmetry from upstream Gram products. Besides `a`, one `n × n` matrix
+/// is alive during the call: the working copy that becomes the
+/// eigenvectors.
 pub fn symmetric_eig(a: &Mat<f64>) -> Result<SymEig, LinalgError> {
     let n = a.rows();
     if n != a.cols() {
@@ -230,15 +317,16 @@ pub fn symmetric_eig(a: &Mat<f64>) -> Result<SymEig, LinalgError> {
             vectors: Mat::zeros(0, 0),
         });
     }
-    let sym = Mat::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
-    let (mut z, mut d, mut e) = tridiagonalize(&sym);
+    let mut z = Mat::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
+    let (mut d, mut e) = tridiagonalize(&mut z);
     tql_implicit(&mut d, &mut e, &mut z)?;
     Ok(sort_eigenpairs(d, z))
 }
 
 /// Generalized symmetric-definite eigenproblem `A Q = B Q D` with `B ≻ 0`,
 /// solved by Cholesky reduction (`B = LLᵀ`, `C = L⁻¹ A L⁻ᵀ`, `Q = L⁻ᵀ Z`).
-/// Eigenvectors are B-orthonormal: `Qᵀ B Q = I`.
+/// Eigenvectors are B-orthonormal: `Qᵀ B Q = I`. All of `A` is read, and
+/// the lower triangle of `B` ([`Cholesky::factor`]).
 pub fn generalized_sym_eig(a: &Mat<f64>, b: &Mat<f64>) -> Result<SymEig, LinalgError> {
     if a.shape() != b.shape() {
         return Err(LinalgError::DimensionMismatch {
@@ -262,6 +350,200 @@ pub fn generalized_sym_eig(a: &Mat<f64>, b: &Mat<f64>) -> Result<SymEig, LinalgE
 mod tests {
     use super::*;
     use crate::gemm::matmul;
+
+    /// The textbook `tred2` + `tql2` + sort, row walks and all: the
+    /// referee the library's loops must match bit for bit.
+    fn referee_eig(a: &Mat<f64>) -> SymEig {
+        let n = a.rows();
+        let mut z = Mat::from_fn(n, n, |i, j| 0.5 * (a[(i, j)] + a[(j, i)]));
+        let mut d = vec![0.0; n];
+        let mut e = vec![0.0; n];
+        for i in (1..n).rev() {
+            let l = i - 1;
+            let mut h = 0.0;
+            if l > 0 {
+                let mut scale = 0.0;
+                for k in 0..i {
+                    scale += z[(i, k)].abs();
+                }
+                if exactly_zero(scale) {
+                    e[i] = z[(i, l)];
+                } else {
+                    for k in 0..i {
+                        let v = z[(i, k)] / scale;
+                        z[(i, k)] = v;
+                        h += v * v;
+                    }
+                    let f = z[(i, l)];
+                    let g = if f >= 0.0 { -h.sqrt() } else { h.sqrt() };
+                    e[i] = scale * g;
+                    h -= f * g;
+                    z[(i, l)] = f - g;
+                    let mut fsum = 0.0;
+                    for j in 0..i {
+                        z[(j, i)] = z[(i, j)] / h;
+                        let mut g2 = 0.0;
+                        for k in 0..=j {
+                            g2 += z[(j, k)] * z[(i, k)];
+                        }
+                        for k in j + 1..i {
+                            g2 += z[(k, j)] * z[(i, k)];
+                        }
+                        e[j] = g2 / h;
+                        fsum += e[j] * z[(i, j)];
+                    }
+                    let hh = fsum / (h + h);
+                    for j in 0..i {
+                        let f2 = z[(i, j)];
+                        let g2 = e[j] - hh * f2;
+                        e[j] = g2;
+                        for k in 0..=j {
+                            let delta = f2 * e[k] + g2 * z[(i, k)];
+                            z[(j, k)] -= delta;
+                        }
+                    }
+                }
+            } else {
+                e[i] = z[(i, l)];
+            }
+            d[i] = h;
+        }
+        d[0] = 0.0;
+        e[0] = 0.0;
+        for i in 0..n {
+            if !exactly_zero(d[i]) {
+                for j in 0..i {
+                    let mut g = 0.0;
+                    for k in 0..i {
+                        g += z[(i, k)] * z[(k, j)];
+                    }
+                    for k in 0..i {
+                        let delta = g * z[(k, i)];
+                        z[(k, j)] -= delta;
+                    }
+                }
+            }
+            d[i] = z[(i, i)];
+            z[(i, i)] = 1.0;
+            for j in 0..i {
+                z[(j, i)] = 0.0;
+                z[(i, j)] = 0.0;
+            }
+        }
+        // tql2 with each rotation applied row by row
+        if n > 0 {
+            for i in 1..n {
+                e[i - 1] = e[i];
+            }
+            e[n - 1] = 0.0;
+        }
+        for l in 0..n {
+            loop {
+                let mut m = l;
+                while m < n - 1 {
+                    if e[m].abs() <= f64::EPSILON * (d[m].abs() + d[m + 1].abs()) {
+                        break;
+                    }
+                    m += 1;
+                }
+                if m == l {
+                    break;
+                }
+                let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+                let mut r = pythag(g, 1.0);
+                let sign_r = if g >= 0.0 { r.abs() } else { -r.abs() };
+                g = d[m] - d[l] + e[l] / (g + sign_r);
+                let (mut s, mut c) = (1.0, 1.0);
+                let mut p = 0.0;
+                let mut underflow = false;
+                for i in (l..m).rev() {
+                    let mut f = s * e[i];
+                    let b = c * e[i];
+                    r = pythag(f, g);
+                    e[i + 1] = r;
+                    if exactly_zero(r) {
+                        d[i + 1] -= p;
+                        e[m] = 0.0;
+                        underflow = true;
+                        break;
+                    }
+                    s = f / r;
+                    c = g / r;
+                    g = d[i + 1] - p;
+                    r = (d[i] - g) * s + 2.0 * c * b;
+                    p = s * r;
+                    d[i + 1] = g + p;
+                    g = c * r - b;
+                    for k in 0..n {
+                        f = z[(k, i + 1)];
+                        z[(k, i + 1)] = s * z[(k, i)] + c * f;
+                        z[(k, i)] = c * z[(k, i)] - s * f;
+                    }
+                }
+                if underflow {
+                    continue;
+                }
+                d[l] -= p;
+                e[l] = g;
+                e[m] = 0.0;
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| d[a].partial_cmp(&d[b]).unwrap());
+        SymEig {
+            values: order.iter().map(|&i| d[i]).collect(),
+            vectors: Mat::from_fn(n, n, |i, j| z[(i, order[j])]),
+        }
+    }
+
+    fn same_bits(x: &[f64], y: &[f64]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    #[test]
+    fn matches_the_textbook_loops_bit_for_bit() {
+        let mut cases: Vec<Mat<f64>> = (1..=37)
+            .map(|n| random_symmetric(n, 1000 + n as u64))
+            .collect();
+        // skewed input, a zero row and column (the `scale == 0` step), a
+        // tridiagonal matrix (nothing to reduce) and repeated eigenvalues
+        let g = random_symmetric(20, 5);
+        cases.push(Mat::from_fn(20, 20, |i, j| {
+            g[(i, j)] + 1e-3 * (i as f64 - j as f64)
+        }));
+        let mut zero_row = random_symmetric(12, 6);
+        for k in 0..12 {
+            zero_row[(7, k)] = 0.0;
+            zero_row[(k, 7)] = 0.0;
+        }
+        cases.push(zero_row);
+        cases.push(Mat::from_fn(15, 15, |i, j| match i.abs_diff(j) {
+            0 => 2.0,
+            1 => -1.0,
+            _ => 0.0,
+        }));
+        cases.push(Mat::from_fn(9, 9, |i, j| {
+            if i == j {
+                1.0 + (i % 3) as f64
+            } else {
+                0.0
+            }
+        }));
+        for a in &cases {
+            let got = symmetric_eig(a).unwrap();
+            let want = referee_eig(a);
+            assert!(
+                same_bits(&got.values, &want.values),
+                "values, n = {}",
+                a.rows()
+            );
+            assert!(
+                same_bits(got.vectors.as_slice(), want.vectors.as_slice()),
+                "vectors, n = {}",
+                a.rows()
+            );
+        }
+    }
 
     /// Largest eigenpair residual `‖A q − λ q‖`.
     fn eig_residual(a: &Mat<f64>, eig: &SymEig) -> f64 {
