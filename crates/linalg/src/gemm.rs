@@ -39,6 +39,7 @@ use rayon::prelude::*;
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Row-panel height for the blocked Gram kernels. 512 rows × 8–16 B scalars
 /// keeps a panel column in L1 while amortizing the loop overhead.
@@ -558,62 +559,65 @@ fn gram_chunk_simd<T: Scalar>(
 }
 
 /// One row chunk of [`matmul_tn_rowsum_into`], written (overwriting)
-/// into `out`: every entry is one plain chain `Σ_r b[r]·a[r]` in row
-/// order. Full 4×4 tiles of output dots share their operand streams; edge
-/// tiles fall back to plain dots.
+/// into `out`: every entry is one plain chain `Σ_r b[r]·a[r]` from `+0` in
+/// row order. The output is cut into tiles of up to 4×4 entries whose
+/// chains run interleaved, sharing their operand streams; a partial tile
+/// at the edge interleaves the chains it has and is not padded.
 fn gram_chunk_rowsum(a: &Mat<f64>, b: &Mat<f64>, row0: usize, h: usize, out: &mut [f64]) {
-    let kc = a.cols();
-    let n = b.cols();
-    let mut j0 = 0;
-    while j0 < n {
-        let nj = (n - j0).min(4);
-        let mut i0 = 0;
-        while i0 < kc {
-            let ni = (kc - i0).min(4);
-            if ni == 4 && nj == 4 {
-                let ac = [
-                    &a.col(i0)[row0..row0 + h],
-                    &a.col(i0 + 1)[row0..row0 + h],
-                    &a.col(i0 + 2)[row0..row0 + h],
-                    &a.col(i0 + 3)[row0..row0 + h],
-                ];
-                let bc = [
-                    &b.col(j0)[row0..row0 + h],
-                    &b.col(j0 + 1)[row0..row0 + h],
-                    &b.col(j0 + 2)[row0..row0 + h],
-                    &b.col(j0 + 3)[row0..row0 + h],
-                ];
-                let mut acc = [[0.0; 4]; 4];
-                for r in 0..h {
-                    let av = [ac[0][r], ac[1][r], ac[2][r], ac[3][r]];
-                    let bv = [bc[0][r], bc[1][r], bc[2][r], bc[3][r]];
-                    for jj in 0..4 {
-                        for ii in 0..4 {
-                            acc[jj][ii] += bv[jj] * av[ii];
-                        }
-                    }
-                }
-                for jj in 0..4 {
-                    for ii in 0..4 {
-                        out[(j0 + jj) * kc + i0 + ii] = acc[jj][ii];
-                    }
-                }
-            } else {
-                for jj in 0..nj {
-                    let bj = &b.col(j0 + jj)[row0..row0 + h];
-                    for ii in 0..ni {
-                        let ai = &a.col(i0 + ii)[row0..row0 + h];
-                        let mut acc = 0.0;
-                        for r in 0..h {
-                            acc += bj[r] * ai[r];
-                        }
-                        out[(j0 + jj) * kc + i0 + ii] = acc;
-                    }
-                }
+    let (kc, n) = (a.cols(), b.cols());
+    for j0 in (0..n).step_by(4) {
+        for i0 in (0..kc).step_by(4) {
+            let (nj, rows) = ((n - j0).min(4), row0..row0 + h);
+            match (kc - i0).min(4) {
+                1 => rowsum_tiles::<1>(nj, a, b, (i0, j0), rows, out),
+                2 => rowsum_tiles::<2>(nj, a, b, (i0, j0), rows, out),
+                3 => rowsum_tiles::<3>(nj, a, b, (i0, j0), rows, out),
+                _ => rowsum_tiles::<4>(nj, a, b, (i0, j0), rows, out),
             }
-            i0 += ni;
         }
-        j0 += nj;
+    }
+}
+
+/// The `NI × nj` tile of [`gram_chunk_rowsum`] whose first entry is `at`.
+fn rowsum_tiles<const NI: usize>(
+    nj: usize,
+    a: &Mat<f64>,
+    b: &Mat<f64>,
+    at: (usize, usize),
+    rows: Range<usize>,
+    out: &mut [f64],
+) {
+    match nj {
+        1 => rowsum_tile::<NI, 1>(a, b, at, rows, out),
+        2 => rowsum_tile::<NI, 2>(a, b, at, rows, out),
+        3 => rowsum_tile::<NI, 3>(a, b, at, rows, out),
+        _ => rowsum_tile::<NI, 4>(a, b, at, rows, out),
+    }
+}
+
+/// The `NI × NJ` tile of [`gram_chunk_rowsum`] whose first entry is
+/// `(i0, j0)`, its chains interleaved row by row.
+fn rowsum_tile<const NI: usize, const NJ: usize>(
+    a: &Mat<f64>,
+    b: &Mat<f64>,
+    (i0, j0): (usize, usize),
+    rows: Range<usize>,
+    out: &mut [f64],
+) {
+    let ac: [&[f64]; NI] = std::array::from_fn(|ii| &a.col(i0 + ii)[rows.clone()]);
+    let bc: [&[f64]; NJ] = std::array::from_fn(|jj| &b.col(j0 + jj)[rows.clone()]);
+    let mut acc = [[0.0; NI]; NJ];
+    for r in 0..rows.len() {
+        let av: [f64; NI] = std::array::from_fn(|ii| ac[ii][r]);
+        for (accj, bj) in acc.iter_mut().zip(&bc) {
+            for (acc, &ai) in accj.iter_mut().zip(&av) {
+                *acc += bj[r] * ai;
+            }
+        }
+    }
+    let kc = a.cols();
+    for (jj, accj) in acc.iter().enumerate() {
+        out[(j0 + jj) * kc + i0..][..NI].copy_from_slice(accj);
     }
 }
 
@@ -661,6 +665,54 @@ pub fn matmul_tn_rowsum_into(a: &Mat<f64>, b: &Mat<f64>, c: &mut Mat<f64>) {
 mod tests {
     use super::*;
     use num_complex::Complex64;
+
+    /// `Σ_r b[r, j]·a[r, i]` over `rows`, one chain from `+0` in row order.
+    fn one_chain(a: &Mat<f64>, b: &Mat<f64>, i: usize, j: usize, rows: Range<usize>) -> f64 {
+        let mut acc = 0.0;
+        for r in rows {
+            acc += b[(r, j)] * a[(r, i)];
+        }
+        acc
+    }
+
+    #[test]
+    fn rowsum_tiles_keep_the_one_chain_bits() {
+        // every partial tile shape beside full ones, on a chunk that starts
+        // past row 0, then the whole product past 2·PANEL rows, where the
+        // panels' chains are folded in index order
+        let m = 2 * PANEL + 37;
+        for (kc, n) in (1..=9).flat_map(|kc| (1..=9).map(move |n| (kc, n))) {
+            let a = pseudo_random(m, kc, (kc * 10 + n) as u64);
+            let b = pseudo_random(m, n, (kc * 10 + n + 100) as u64);
+            let mut out = vec![f64::NAN; kc * n];
+            gram_chunk_rowsum(&a, &b, 3, 125, &mut out);
+            let mut c = Mat::zeros(kc, n);
+            matmul_tn_rowsum_into(&a, &b, &mut c);
+            let split = m * kc * n >= PAR_THRESHOLD;
+            for (i, j) in (0..kc).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                let want = one_chain(&a, &b, i, j, 3..128);
+                assert_eq!(
+                    out[j * kc + i].to_bits(),
+                    want.to_bits(),
+                    "{kc}×{n} ({i}, {j})"
+                );
+                let whole = if split {
+                    (PANEL..m)
+                        .step_by(PANEL)
+                        .fold(one_chain(&a, &b, i, j, 0..PANEL), |s, r| {
+                            s + one_chain(&a, &b, i, j, r..(r + PANEL).min(m))
+                        })
+                } else {
+                    one_chain(&a, &b, i, j, 0..m)
+                };
+                assert_eq!(
+                    c[(i, j)].to_bits(),
+                    whole.to_bits(),
+                    "{kc}×{n} of {m} rows ({i}, {j})"
+                );
+            }
+        }
+    }
 
     fn naive_matmul(a: &Mat<f64>, b: &Mat<f64>) -> Mat<f64> {
         let (m, k) = a.shape();

@@ -4,14 +4,20 @@
 //! allocations as a 4-iteration solve — every per-iteration temporary is
 //! pooled, so iteration count no longer touches the allocator. Per solve
 //! the count does not depend on the block width either: the iterate is
-//! the one matrix allocated, whatever `s` is.
+//! the one matrix allocated, whatever `s` is. The real block Lanczos solve
+//! keeps the same two promises: its vectors and every `s × s` matrix of
+//! its recurrence (the `LU` of `Δ_k` included) come from the pool, once
+//! per chunk.
 //!
 //! This file intentionally holds a single `#[test]`: the counting global
 //! allocator tallies the whole process, so concurrent tests in the same
 //! binary would race the counter.
 
 use mbrpa_linalg::{Mat, C64};
-use mbrpa_solver::{block_cocg_ws, CocgOptions, DenseOperator, Workspace};
+use mbrpa_solver::{
+    block_cocg_ws, shifted_block_lanczos, CocgOptions, DenseOperator, LinearOperator, RealShifted,
+    Workspace,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -92,6 +98,36 @@ fn rand_rhs(n: usize, s: usize, seed: u64) -> Mat<C64> {
     })
 }
 
+/// `R + iω` with `R` the real part of [`test_operator`]'s matrix: the
+/// same system for the real-arithmetic solve.
+struct Shifted {
+    r: Mat<f64>,
+    omega: f64,
+}
+
+impl LinearOperator<C64> for Shifted {
+    fn dim(&self) -> usize {
+        self.r.rows()
+    }
+    fn apply(&self, x: &[C64], y: &mut [C64]) {
+        self.apply_real_pair(x, y);
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += C64::new(-self.omega * xi.im, self.omega * xi.re);
+        }
+    }
+}
+
+impl RealShifted for Shifted {
+    fn omega(&self) -> f64 {
+        self.omega
+    }
+    fn apply_real_pair(&self, x: &[C64], y: &mut [C64]) {
+        for (i, yi) in y.iter_mut().enumerate() {
+            *yi = (0..x.len()).map(|j| x[j].scale(self.r[(i, j)])).sum();
+        }
+    }
+}
+
 #[test]
 fn iteration_count_does_not_change_allocation_count() {
     let n = 400;
@@ -103,6 +139,45 @@ fn iteration_count_does_not_change_allocation_count() {
         warm_solve_allocs(&op, &b.columns(0, 2)),
         warm_solve_allocs(&op, &b),
         "a warm solve must allocate the same number of times at s = 2 and s = 8"
+    );
+
+    // the real block solve on the same system's real part
+    let real = Shifted {
+        r: Mat::from_fn(n, n, |i, j| op.matrix()[(i, j)].re),
+        omega: 1.0,
+    };
+    let b = rand_rhs(n, 16, 13).map(|z| z.re);
+    let real_allocs = |s: usize, tol: f64, iters: usize, ws: &mut Workspace<C64>| {
+        let opts = CocgOptions {
+            tol,
+            max_iters: iters,
+            ..CocgOptions::default()
+        };
+        // ord: Relaxed — the measured solve runs on this thread; program order suffices
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let rep = shifted_block_lanczos(&real, &b, None, 0..s, &opts, ws, &mut |_, x, _| {
+            std::hint::black_box(x);
+        });
+        // ord: Relaxed — see `before` above
+        let count = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(rep.breakdowns, 0, "s = {s}: {rep:?}");
+        assert!(rep.converged || rep.iterations == iters, "s = {s}: {rep:?}");
+        count
+    };
+    let mut ws = Workspace::new();
+    real_allocs(4, 1e-30, 40, &mut ws);
+    assert_eq!(
+        real_allocs(4, 1e-30, 4, &mut ws),
+        real_allocs(4, 1e-30, 40, &mut ws),
+        "a warm block Lanczos solve must allocate as often at 40 iterations as at 4"
+    );
+    let mut ws = Workspace::new();
+    real_allocs(16, 1e-10, 200, &mut ws);
+    real_allocs(2, 1e-10, 200, &mut ws);
+    assert_eq!(
+        real_allocs(2, 1e-10, 200, &mut ws),
+        real_allocs(16, 1e-10, 200, &mut ws),
+        "a warm block Lanczos solve must allocate no more at s = 16 than at s = 2"
     );
 }
 
