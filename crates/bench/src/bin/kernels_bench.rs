@@ -324,10 +324,12 @@ fn lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
 /// the same width: `secs` is per iteration of the whole block, the unit of
 /// `cocg_iter_c64_s{s}_*`. The `s = 16` row is Alg. 4's widest probe on
 /// si8's grid, on the tiled wide sweeps; it stops at 12 steps, inside
-/// the 7³ grid's block Krylov space.
+/// the 7³ grid's block Krylov space. The 5³ Dirichlet row is `serve_mix`'s
+/// shape, where the `s × s` half of a step weighs most.
 fn block_lanczos_iter_cases(reps: usize, cases: &mut Vec<Case>) {
     for (sw, ppc, boundary, iters) in [
-        (2usize, 7usize, Boundary::Periodic, 24usize),
+        (2usize, 5usize, Boundary::Dirichlet, 24usize),
+        (2, 7, Boundary::Periodic, 24),
         (4, 8, Boundary::Dirichlet, 24),
         (2, 14, Boundary::Periodic, 24),
         (16, 7, Boundary::Periodic, 12),
@@ -457,11 +459,11 @@ fn nu_sqrt_cases(reps: usize, cases: &mut Vec<Case>) {
 
 /// The Galerkin guess of Eq. 13 (what every orbital of a `χ⁰` apply runs
 /// before its solves) at the shapes of the `ν½` rows: 16 occupied
-/// orbitals on the `si8_solve` and `finegrid_solve` grids. `secs` is per
-/// guess.
+/// orbitals on the `si8_solve` and `finegrid_solve` grids, and on
+/// `serve_mix`'s 5³ grid at one worker's two columns. `secs` is per guess.
 fn galerkin_cases(reps: usize, cases: &mut Vec<Case>) {
     const N_S: usize = 16;
-    for (ppc, cols) in [(7usize, 48usize), (14, 8)] {
+    for (ppc, cols) in [(7usize, 48usize), (14, 8), (5, 2)] {
         let n = ppc * ppc * ppc;
         let psi = filled::<f64>(n, N_S, 0x6a1e + ppc as u64);
         let energies: Vec<f64> = (0..N_S).map(|m| -0.5 + 0.05 * m as f64).collect();

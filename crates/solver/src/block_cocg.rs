@@ -33,7 +33,9 @@
 use crate::operator::LinearOperator;
 use crate::stats::SolveReport;
 use crate::workspace::{with_thread_workspace, Workspace};
-use mbrpa_linalg::{exactly_zero, matmul_into, matmul_tn_into, Lu, Mat, Scalar, C64};
+use mbrpa_linalg::{
+    exactly_zero, factor_solve_in_place, matmul_into, matmul_tn_into, Mat, Scalar, C64,
+};
 
 /// Options for [`block_cocg`].
 #[derive(Clone, Copy, Debug)]
@@ -82,15 +84,15 @@ pub const MAX_BREAKDOWNS: usize = 4;
 /// (exactly-zero pivot or pivot ratio at/below `rcond_floor`), leaving
 /// `out` unspecified.
 ///
-/// `G̃` is factored by [`Lu::factor_in_place`] in a pooled buffer; `scale`
-/// and `piv` are the caller's, reused every iteration.
+/// `G̃` and the scaled right-hand sides are solved in place by
+/// [`factor_solve_in_place`] in a pooled buffer and in `out`; `scale` is
+/// the caller's, reused every iteration.
 fn equilibrated_solve_into(
     g: &Mat<C64>,
     r: &Mat<C64>,
     rcond_floor: f64,
     ws: &mut Workspace<C64>,
     scale: &mut Vec<f64>,
-    piv: &mut Vec<usize>,
     out: &mut Mat<C64>,
 ) -> bool {
     let s = g.rows();
@@ -112,18 +114,17 @@ fn equilibrated_solve_into(
             lu[(i, j)] = g[(i, j)].scale(scale[i] * scale[j]);
         }
     }
-    // A NaN ratio is no breakdown: the values behind it end the solve as
-    // a blow-up instead.
-    let ok =
-        Lu::factor_in_place(&mut lu, piv).is_ok_and(|ratio| ratio > rcond_floor || ratio.is_nan());
+    // X = S · G̃⁻¹ · (S R), solved in place in `out`. A NaN ratio is no
+    // breakdown: the values behind it end the solve as a blow-up instead.
+    for j in 0..r.cols() {
+        for (i, v) in out.col_mut(j).iter_mut().enumerate() {
+            *v = r[(i, j)].scale(scale[i]);
+        }
+    }
+    let ok = factor_solve_in_place(s, lu.as_mut_slice(), out.as_mut_slice())
+        .is_ok_and(|ratio| ratio > rcond_floor || ratio.is_nan());
     if ok {
-        // X = S · G̃⁻¹ · (S R), column by column in `out`.
-        for j in 0..r.cols() {
-            let col = out.col_mut(j);
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = r[(i, j)].scale(scale[i]);
-            }
-            Lu::solve_in_place(&lu, piv, col);
+        for col in out.as_mut_slice().chunks_exact_mut(s) {
             for (i, v) in col.iter_mut().enumerate() {
                 *v = v.scale(scale[i]);
             }
@@ -220,9 +221,8 @@ pub fn block_cocg_ws(
     };
     // ‖w_j‖² of every column, refreshed by each residual update.
     let mut w_sq: Vec<f64> = Vec::with_capacity(s);
-    // Equilibration factors and LU pivots of the `s × s` solves.
+    // Equilibration factors of the `s × s` solves.
     let mut scale: Vec<f64> = Vec::with_capacity(s);
-    let mut piv: Vec<usize> = Vec::with_capacity(s);
 
     let one = C64::new(1.0, 0.0);
     let zero = C64::new(0.0, 0.0);
@@ -283,15 +283,8 @@ pub fn block_cocg_ws(
 
         // Line 8: α = μ⁻¹ρ, guarded against breakdown.
         let mut alpha = ws.take_scratch(s, s);
-        let alpha_ok = equilibrated_solve_into(
-            &mu,
-            &rho,
-            BREAKDOWN_RCOND,
-            ws,
-            &mut scale,
-            &mut piv,
-            &mut alpha,
-        );
+        let alpha_ok =
+            equilibrated_solve_into(&mu, &rho, BREAKDOWN_RCOND, ws, &mut scale, &mut alpha);
         ws.give(mu);
         if !alpha_ok {
             ws.give(alpha);
@@ -333,15 +326,8 @@ pub fn block_cocg_ws(
 
         // Line 12: β = ρ⁻¹ρ₊, then line 5 for the next round.
         let mut beta = ws.take_scratch(s, s);
-        let beta_ok = equilibrated_solve_into(
-            &rho,
-            &rho_next,
-            BREAKDOWN_RCOND,
-            ws,
-            &mut scale,
-            &mut piv,
-            &mut beta,
-        );
+        let beta_ok =
+            equilibrated_solve_into(&rho, &rho_next, BREAKDOWN_RCOND, ws, &mut scale, &mut beta);
         if beta_ok {
             // P ← W + P·β
             let mut p_next = ws.take_scratch(n, s);
@@ -600,13 +586,13 @@ mod tests {
     #[test]
     fn inplace_gauss_flags_breakdown() {
         let mut ws = Workspace::new();
-        let (mut scale, mut piv) = (Vec::new(), Vec::new());
+        let mut scale = Vec::new();
         let mut out = ws.take_zeroed(3, 1);
         // rank-1: exactly singular
         let g = Mat::from_fn(3, 3, |i, j| C64::new(((i + 1) * (j + 1)) as f64, 0.0));
         let r = Mat::from_fn(3, 1, |i, _| C64::new(i as f64, 0.0));
         assert!(!equilibrated_solve_into(
-            &g, &r, 1e-13, &mut ws, &mut scale, &mut piv, &mut out
+            &g, &r, 1e-13, &mut ws, &mut scale, &mut out
         ));
         // well-conditioned but rejected by an aggressive rcond floor
         let id = Mat::from_fn(3, 3, |i, j| {
@@ -617,10 +603,10 @@ mod tests {
             }
         });
         assert!(!equilibrated_solve_into(
-            &id, &r, 1.0, &mut ws, &mut scale, &mut piv, &mut out
+            &id, &r, 1.0, &mut ws, &mut scale, &mut out
         ));
         assert!(equilibrated_solve_into(
-            &id, &r, 1e-13, &mut ws, &mut scale, &mut piv, &mut out
+            &id, &r, 1e-13, &mut ws, &mut scale, &mut out
         ));
         assert_eq!(out, r);
         ws.give(out);
