@@ -8,15 +8,21 @@
 //! column's `Re x` and of the residual history, and keeps the counts of
 //! each report, on the Sternheimer operators of the benchmark's three grid
 //! shapes, with and without the Galerkin guess, and on one block whose
-//! Krylov space runs out and is handed to block COCG.
+//! Krylov space runs out and is handed to block COCG. Block COCG itself
+//! (Alg. 3: the hand-off's solver and the tests' referee) is pinned the
+//! same way on complex blocks, and so is one `solve_multi_rhs` call under
+//! Alg. 4's cost model.
 
 use mbrpa_dft::{
     solve_occupied_dense, Hamiltonian, KsSolution, PotentialParams, SiliconSpec, SternheimerLinOp,
     SternheimerOperator,
 };
 use mbrpa_grid::Boundary;
-use mbrpa_linalg::Mat;
-use mbrpa_solver::{galerkin_guess_real, shifted_block_lanczos, CocgOptions, Workspace};
+use mbrpa_linalg::{Mat, C64};
+use mbrpa_solver::{
+    block_cocg_ws, galerkin_guess, galerkin_guess_real, shifted_block_lanczos, solve_multi_rhs,
+    BlockPolicy, CocgOptions, LinearOperator, WorkerStats, Workspace,
+};
 
 /// 64-bit FNV-1a over the little-endian bytes of each value's bits.
 fn fnv1a64(values: impl Iterator<Item = f64>) -> u64 {
@@ -227,4 +233,154 @@ fn a_hand_off_to_block_cocg_keeps_its_bits() {
         (0x5277e9fb473904e7, 29, 104, 16, 0x627009b3eed64263),
     ];
     assert_eq!(got, pinned);
+}
+
+/// A seeded complex block: `Re` and `Im` from two seeds.
+fn seeded_c64(rows: usize, cols: usize, seed: u64) -> Mat<C64> {
+    let (re, im) = (seeded(rows, cols, seed), seeded(rows, cols, seed + 1));
+    Mat::from_fn(rows, cols, |i, j| C64::new(re[(i, j)], im[(i, j)]))
+}
+
+/// The hash of a complex block's components, column by column.
+fn hash_c64(x: &Mat<C64>) -> u64 {
+    fnv1a64(x.as_slice().iter().flat_map(|z| [z.re, z.im]))
+}
+
+fn cocg_opts() -> CocgOptions {
+    CocgOptions {
+        track_residuals: true,
+        max_iters: 400,
+        ..CocgOptions::with_tol(1e-7)
+    }
+}
+
+/// `block_cocg_ws` on the first `s` columns of `b`, from the same columns
+/// of `guess` when given.
+fn cocg_pin(op: &dyn LinearOperator<C64>, b: &Mat<C64>, guess: Option<&Mat<C64>>, s: usize) -> Pin {
+    let g = guess.map(|g| g.columns(0, s));
+    let (x, rep) = block_cocg_ws(
+        op,
+        &b.columns(0, s),
+        g.as_ref(),
+        &cocg_opts(),
+        &mut Workspace::new(),
+    );
+    assert!(rep.converged, "s = {s}, guess {}: {rep:?}", guess.is_some());
+    (
+        hash_c64(&x),
+        rep.iterations,
+        rep.matvecs,
+        rep.breakdowns,
+        fnv1a64(rep.residual_history.iter().copied()),
+    )
+}
+
+fn check_cocg(
+    name: &str,
+    op: &dyn LinearOperator<C64>,
+    b: &Mat<C64>,
+    guess: &Mat<C64>,
+    pinned: &[Pin],
+) {
+    let mut got = Vec::new();
+    for s in [1, 2, 4, 8] {
+        for g in [None, Some(guess)] {
+            let p = cocg_pin(op, b, g, s);
+            println!("{name} s = {s} guess {}: {}", g.is_some(), show(&p));
+            got.push(p);
+        }
+    }
+    assert_eq!(got, pinned, "{name}");
+}
+
+#[test]
+fn block_cocg_keeps_its_bits_on_the_si8_shape() {
+    let (ham, ks) = shape(7, Boundary::Periodic, 7);
+    let j = ks.n_occupied - 1;
+    let (lambda, omega) = (ks.energies[j], 0.3);
+    let op = SternheimerLinOp::new(SternheimerOperator::new(&ham, lambda, omega));
+    let b = seeded_c64(ham.dim(), 8, 0xc0c6);
+    let psi = ks.occupied_orbitals();
+    let guess = galerkin_guess(&psi, ks.occupied_energies(), lambda, omega, &b);
+    check_cocg(
+        "7³ periodic",
+        &op,
+        &b,
+        &guess,
+        &[
+            (0x928b1e26bf8a38ec, 97, 97, 0, 0x1067164dbd99f044),
+            (0x4de876e6105567db, 52, 53, 0, 0xb5771598bd3a12c6),
+            (0xa8f98dff308820bb, 73, 146, 0, 0x4b41f5818d63eed7),
+            (0x08e95ad7c104ca08, 43, 88, 0, 0x181eaf17859dcdd0),
+            (0x1918a42a030c095d, 46, 184, 0, 0x4daefd8642df46b0),
+            (0xa24843fe15a0f781, 31, 128, 0, 0xef7ab83df16d1899),
+            (0xcc56bc63fefd14b5, 30, 240, 0, 0x5b7082f997aed019),
+            (0x9e4ffd06ea34ac36, 25, 208, 0, 0xed63829d5ca1ccb5),
+        ],
+    );
+}
+
+#[test]
+fn block_cocg_keeps_its_bits_past_two_gram_panels() {
+    // 8 × 8 × 16 = 1024 points: at s = 8 the Gram products' m·s² reaches
+    // 2¹⁶, so their rows are cut into panels and folded, and on two
+    // threads the GEMMs run in row strips
+    let crystal = SiliconSpec {
+        points_per_cell: 8,
+        cells_z: 2,
+        ..SiliconSpec::default()
+    }
+    .build();
+    let ham = Hamiltonian::new(&crystal, 2, &PotentialParams::default());
+    assert_eq!(ham.dim(), 1024);
+    let op = SternheimerLinOp::new(SternheimerOperator::new(&ham, -0.2, 0.5));
+    let b = seeded_c64(ham.dim(), 8, 0xc0c8);
+    let mut guess = seeded_c64(ham.dim(), 8, 0xc0ca);
+    guess.scale_assign(C64::new(0.05, 0.0));
+    check_cocg(
+        "8²×16 periodic",
+        &op,
+        &b,
+        &guess,
+        &[
+            (0xf1270eebdf612363, 146, 146, 0, 0x91e6115f8336b7cd),
+            (0xe9c87b488bb73206, 146, 147, 0, 0x2696771b63b0214d),
+            (0x76c2462266081acd, 138, 276, 0, 0x44ba48e28e8b3f3a),
+            (0x15428faf7148d283, 145, 292, 0, 0xa15ebc9c310b5a34),
+            (0xc3bb64fc8710b413, 99, 396, 0, 0xa3161801b6413d6b),
+            (0xb4a879a91b88f3f2, 99, 400, 0, 0x4417668647c07e67),
+            (0x8fb5b7008600da50, 68, 544, 0, 0x65bd9b95684904fa),
+            (0x330a710aa9420428, 68, 552, 0, 0x2039c0ad6408fe82),
+        ],
+    );
+}
+
+#[test]
+fn dynamic_cost_model_solve_keeps_its_bits() {
+    let (ham, ks) = shape(7, Boundary::Periodic, 7);
+    let j = ks.n_occupied - 1;
+    let (lambda, omega) = (ks.energies[j], 0.3);
+    let op = SternheimerLinOp::new(SternheimerOperator::new(&ham, lambda, omega));
+    let b = seeded_c64(ham.dim(), 13, 0xd1a4);
+    let psi = ks.occupied_orbitals();
+    let guess = galerkin_guess(&psi, ks.occupied_energies(), lambda, omega, &b);
+    let mut stats = WorkerStats::new();
+    let out = solve_multi_rhs(
+        &op,
+        &b,
+        Some(&guess),
+        &cocg_opts(),
+        BlockPolicy::DynamicCostModel,
+        &mut stats,
+    );
+    assert!(out.all_converged);
+    let got = (
+        hash_c64(&out.solution),
+        out.final_block_size,
+        stats.iterations,
+        stats.matvecs,
+        stats.breakdowns,
+    );
+    println!("{got:#x?}");
+    assert_eq!(got, (0x7521bc7428802d8f, 6, 153, 436, 0));
 }
