@@ -290,9 +290,9 @@ while IFS= read -r f; do
         exit 1
     fi
 done < <(find crates/core/src crates/dft/src -name '*.rs')
-# One Eq. 10 stop test: the Sternheimer solvers (and GMRES's inner steps)
-# write their residual history through SolveReport's helpers in stats.rs,
-# which keep its `iterations + 1` entries.
+# One Eq. 10 stop test: the Sternheimer solvers write their residual
+# history through SolveReport's helpers in stats.rs, which keep its
+# `iterations + 1` entries.
 if grep -rnE --include='*.rs' 'residual_history\.(push|pop|extend)' crates/solver/src \
     | grep -v '^crates/solver/src/stats\.rs:'; then
     echo "ci: a solver edits its residual history itself — call SolveReport::test_iteration and its helpers"
@@ -304,14 +304,15 @@ leg grep-gates ran "one-copy and removed-path source gates"
 # Hermitian Gram path, the `axpby` kernels, the `.orb` orbital format, the
 # real×complex GEMMs, the conjugated complex dot kernel, the public items
 # only their own unit tests called, the solvers' own solve counters, obs's
-# context labels, the telemetry-free `apply_raw` twins and the thin-block
-# kernel tier of block COCG (fused update, direction and Gram sweeps; block
-# COCG runs the packed GEMM and Gram path at every width) are gone. The paper's χ⁰ is
+# context labels, the telemetry-free `apply_raw` twins, the thin-block
+# kernel tier of block COCG (fused update, direction and Gram sweeps) and
+# the complex GEMM and Gram tiles (block COCG's products are plain chains
+# in `linalg/src/gemm.rs`) are gone. The paper's χ⁰ is
 # closed-shell (Eq. 5); a new caller writes what it needs, with its
 # reason, in its place.
 if [ -e crates/dft/src/occupations.rs ] || [ -e crates/linalg/src/svd.rs ] \
     || [ -e crates/core/src/rpa_lanczos.rs ] || [ -e crates/dft/src/orbital_io.rs ] \
-    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)|orbital_io|save_orbitals|load_orbitals|OrbitalIoError|matmul_rc|matmul_tn_rc|dot_h_c64|dot_h_c64_on|combine_h|mat_vec|count_solve|absorb_column|set_context|clear_context|context_label|add_ctx|record_ctx|apply_raw|thin_gram_c64|thin_gram_c64_on|cocg_update_c64|cocg_update_c64_on|cocg_direction_c64|cocg_direction_c64_on|THIN_MAX|ThinPairs|finish_thin_gram|finish_cocg_gram' \
+    || grep -rnwE --include='*.rs' 'Occupations|integer_occupations|fermi_dirac_occupations|electron_density|dense_chi0_occupations|gmres_block|symmetric_eigvals|sym_matrix_function|hadamard|col_norms|from_parts|apply_add_block|time_in_apply|fn (det|dv)|thin_svd|Svd|principal_cosines|matmul_hn|matmul_hn_into|axpby|axpby_on|axpby_c64|axpby_c64_on|outer_active|span_total|GaussScratch|pub fn (inverse|eig_residual)|orbital_io|save_orbitals|load_orbitals|OrbitalIoError|matmul_rc|matmul_tn_rc|dot_h_c64|dot_h_c64_on|combine_h|mat_vec|count_solve|absorb_column|set_context|clear_context|context_label|add_ctx|record_ctx|apply_raw|thin_gram_c64|thin_gram_c64_on|cocg_update_c64|cocg_update_c64_on|cocg_direction_c64|cocg_direction_c64_on|THIN_MAX|ThinPairs|finish_thin_gram|finish_cocg_gram|gemm_c64_4x4|gemm_c64_4x4_on|gram2_c64|gram2_c64_on|GRAM_C64_LANES' \
         crates/*/src src; then
     echo "ci: a deleted library item is back — nothing outside its own tests called it"
     exit 1
@@ -638,7 +639,10 @@ leg work-counters ran "traced smoke counters of the three solve workloads"
 # last column in its idle slot, and the chunk that reaches the column is
 # served from it. A profiled Si8.rpa run must count no Lanczos call with an
 # idle slot, and its block-size table (Table IV) must read what it read
-# before the probe carried anything: the carry changes no chunk.
+# before the probe carried anything: the carry changes no chunk. It must
+# count no breakdown either: block COCG, whose products are plain chains,
+# runs only where a real block solve breaks down and hands off, and a
+# shipped input that reached it would be slow.
 CARRY_DIR="target/ci_carry"
 rm -rf "$CARRY_DIR"
 mkdir -p "$CARRY_DIR"
@@ -647,6 +651,8 @@ cp inputs/Si8.rpa "$CARRY_DIR/"
 LONE="$(grep -o '"solver.lanczos.lone_solves":[0-9]*' "$CARRY_DIR/profile.json" | cut -d: -f2)"
 [ "$LONE" = 0 ] \
     || { echo "ci: Si8.rpa ran ${LONE:-an uncounted number of} lone Lanczos solves, want 0"; exit 1; }
+grep -qE '"solver\.cocg\.breakdowns":0[,}]' "$CARRY_DIR/profile.json" \
+    || { echo "ci: Si8.rpa handed a block to block COCG (solver.cocg.breakdowns is not 0)"; exit 1; }
 GOT_TABLE="$(sed -n '/^Block size | Count | Fraction$/,/^Worker /p' "$CARRY_DIR/Si8.out" | sed '$d')"
 WANT_TABLE="$(cat <<'TABLE'
 Block size | Count | Fraction
@@ -659,7 +665,7 @@ TABLE
 )"
 [ "$GOT_TABLE" = "$WANT_TABLE" ] \
     || { echo "ci: Si8.rpa block-size table moved:"; echo "$GOT_TABLE"; exit 1; }
-leg lanczos-carry ran "Si8.rpa: no lone Lanczos solve, block-size table as committed"
+leg lanczos-carry ran "Si8.rpa: no lone Lanczos solve, no breakdown hand-off to block COCG, block-size table as committed"
 
 # One χ⁰ result on any thread count: the apply runs one task per (column
 # range, orbital) on whichever thread is free and folds each range's

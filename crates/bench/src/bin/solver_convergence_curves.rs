@@ -4,12 +4,13 @@
 //! optimality property vs GMRES's monotone but increasingly expensive
 //! iterations). Prints CSV series suitable for plotting.
 
+use mbrpa_bench::gmres::{gmres, GmresOptions};
 use mbrpa_bench::prepare_ladder_system;
 use mbrpa_bench::qmr::{qmr_sym, QmrOptions};
 use mbrpa_core::frequency_quadrature;
 use mbrpa_dft::{SternheimerLinOp, SternheimerOperator};
 use mbrpa_linalg::{Mat, C64};
-use mbrpa_solver::{block_cocg, gmres, CocgOptions, GmresOptions};
+use mbrpa_solver::{block_cocg, CocgOptions};
 
 fn rhs(n: usize, s: usize, seed: u64) -> Mat<C64> {
     let mut state = seed | 1;

@@ -16,9 +16,12 @@
 
 #![warn(missing_docs)]
 
+pub mod gmres;
 pub mod qmr;
 pub mod rpa_lanczos;
 pub mod seed;
+#[cfg(test)]
+mod test_util;
 
 use mbrpa_core::{KsSolver, RpaConfig, RpaSetup};
 use mbrpa_dft::{ChefsiOptions, PotentialParams, SiliconSpec};

@@ -214,43 +214,9 @@ pub fn qmr_sym(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{rand_c, test_operator};
     use mbrpa_linalg::Mat;
-    use mbrpa_solver::{cocg, CocgOptions, DenseOperator};
-
-    fn test_operator(n: usize, diag: f64, omega: f64, seed: u64) -> DenseOperator<C64> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) - 0.5
-        };
-        let g = Mat::from_fn(n, n, |_, _| next());
-        let a = Mat::from_fn(n, n, |i, j| {
-            let mut z = C64::new(0.5 * (g[(i, j)] + g[(j, i)]), 0.0);
-            if i == j {
-                z += C64::new(diag, omega);
-            }
-            z
-        });
-        DenseOperator::new(a)
-    }
-
-    fn rand_c(n: usize, seed: u64) -> Vec<C64> {
-        let mut state = seed | 1;
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                let re = (state as f64 / u64::MAX as f64) - 0.5;
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                C64::new(re, (state as f64 / u64::MAX as f64) - 0.5)
-            })
-            .collect()
-    }
+    use mbrpa_solver::{cocg, CocgOptions};
 
     #[test]
     fn solves_well_conditioned_system() {

@@ -154,40 +154,8 @@ pub fn seed_cocg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbrpa_solver::{block_cocg, true_relative_residual, DenseOperator};
-
-    fn test_operator(n: usize, diag: f64, omega: f64, seed: u64) -> DenseOperator<C64> {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state as f64 / u64::MAX as f64) - 0.5
-        };
-        let g = Mat::from_fn(n, n, |_, _| next());
-        let a = Mat::from_fn(n, n, |i, j| {
-            let mut z = C64::new(0.5 * (g[(i, j)] + g[(j, i)]), 0.0);
-            if i == j {
-                z += C64::new(diag, omega);
-            }
-            z
-        });
-        DenseOperator::new(a)
-    }
-
-    fn rand_rhs(n: usize, s: usize, seed: u64) -> Mat<C64> {
-        let mut state = seed | 1;
-        Mat::from_fn(n, s, |_, _| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let re = (state as f64 / u64::MAX as f64) - 0.5;
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            C64::new(re, (state as f64 / u64::MAX as f64) - 0.5)
-        })
-    }
+    use crate::test_util::{rand_rhs, test_operator};
+    use mbrpa_solver::{block_cocg, true_relative_residual};
 
     #[test]
     fn solves_all_right_hand_sides() {

@@ -1,7 +1,8 @@
-//! Property tests of the two comparison solvers that live beside their
-//! bench callers (`qmr`, `seed`), on random well-conditioned
+//! Property tests of the three comparison solvers that live beside their
+//! bench callers (`gmres`, `qmr`, `seed`), on random well-conditioned
 //! complex-symmetric systems of the Sternheimer shape.
 
+use mbrpa_bench::gmres::{gmres, GmresOptions};
 use mbrpa_bench::qmr::{qmr_sym, QmrOptions};
 use mbrpa_bench::seed::seed_cocg;
 use mbrpa_check::{assume, check, Rng, StdRng};
@@ -63,5 +64,30 @@ fn seed_method_is_correct() {
         let (x, rep) = seed_cocg(&op, &b, &opts);
         assume(rep.total.converged);
         assert!(true_relative_residual(&op, &b, &x) < 1e-6);
+    });
+}
+
+/// GMRES and COCG agree on complex-symmetric systems.
+#[test]
+fn gmres_cocg_agree() {
+    check(24, |rng| {
+        let op = operator_strategy(rng, 15);
+        let b = rhs_strategy(rng, 15, 1);
+        let (xc, rc) = cocg(&op, b.col(0), None, &CocgOptions::with_tol(1e-11));
+        let (xg, rg) = gmres(
+            &op,
+            b.col(0),
+            None,
+            &GmresOptions {
+                tol: 1e-11,
+                restart: 30,
+                max_matvecs: 3000,
+                track_residuals: false,
+            },
+        );
+        assume(rc.converged && rg.converged);
+        for (a, c) in xg.iter().zip(xc.iter()) {
+            assert!((*a - *c).norm() < 1e-7);
+        }
     });
 }

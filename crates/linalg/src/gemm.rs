@@ -3,20 +3,19 @@
 //! The dominant shapes in the RPA pipeline are tall-and-skinny: `n_d × n_eig`
 //! blocks of grid vectors multiplied by small `n_eig × n_eig` subspace
 //! matrices (`V·Q`, `P·β`), and Gram products `VᵀW` reducing the long grid
-//! dimension. The kernels follow the classic BLIS decomposition: `B` is
+//! dimension. The real kernels follow the classic BLIS decomposition: `B` is
 //! packed once per call into column panels of width `NR` with `alpha` folded
 //! in, `A` is packed per cache block into row panels of height `MR`, and an
-//! `MR×NR` register-tile microkernel streams the packed panels so every
+//! 8×4 register-tile microkernel streams the packed panels so every
 //! element of `A` is read from memory once per `NR` output columns instead
-//! of once per column. Register tiles are 8×4 for `f64` and 4×4 for
-//! `Complex64` (selected by [`Scalar::COMPONENTS`]).
+//! of once per column.
 //!
-//! The microkernels live in `mbrpa-simd` and are runtime-dispatched
-//! (AVX2+FMA / scalar) with a bit-identical scalar twin for every
-//! vector kernel. Panels are packed as flat `f64` component buffers: plain
-//! row/column entries for `f64`, split `[re×MR | im×MR]` per depth step
-//! for `Complex64` — the SoA layout the 4×4 split-complex kernel consumes
-//! without shuffles.
+//! The microkernel and the 2×4 Gram tile live in `mbrpa-simd` and are
+//! runtime-dispatched (AVX2+FMA / scalar) with a bit-identical scalar twin.
+//! Both drivers are real-only. Complex products run only in block COCG
+//! (Alg. 3), which no shipped Sternheimer chunk reaches: there every entry
+//! is one plain chain in a fixed order, the one block COCG's pinned bits
+//! (`solver/tests/block_lanczos_bits.rs`) were recorded in.
 //!
 //! `C` is written in place: the row dimension is split into disjoint
 //! contiguous strips, each strip borrowing its segment of every column via
@@ -27,8 +26,7 @@
 //! Sternheimer split in `core::chi0`).
 //!
 //! Pack buffers live in a thread-local arena keyed by scalar type, so
-//! steady-state GEMM calls (the block-COCG iteration loop) perform no heap
-//! allocation.
+//! steady-state GEMM calls perform no heap allocation.
 
 use crate::dense::Mat;
 use crate::par;
@@ -51,6 +49,10 @@ const PAR_THRESHOLD: usize = 1 << 16;
 
 /// Byte budget for one packed block of `A`; sized to sit comfortably in L2.
 const A_BLOCK_BYTES: usize = 1 << 18;
+
+/// Rows and columns of the register tile of `mbrpa_simd::gemm_f64_8x4_on`.
+const MR: usize = 8;
+const NR: usize = 4;
 
 // ---------------------------------------------------------------------------
 // Thread-local pack-buffer arena
@@ -100,65 +102,33 @@ fn put_buf<T: Scalar>(slot: u8, v: Vec<T>) {
 // Packing
 // ---------------------------------------------------------------------------
 
-/// Pack `mc` rows of `A` starting at `row0` into row panels of height `MR`
-/// as flat `f64` components: panel `ip` holds, for each depth index `l`,
-/// the `MR` consecutive row entries — `f64` directly, complex split as
-/// `[re×MR | im×MR]` — zero-padded past the matrix edge.
-fn pack_a<T: Scalar, const MR: usize>(
-    a: &Mat<T>,
-    row0: usize,
-    mc: usize,
-    k: usize,
-    buf: &mut [f64],
-) {
-    let cs = T::COMPONENTS;
-    let n_panels = mc.div_ceil(MR);
-    for ip in 0..n_panels {
+/// Pack `mc` rows of `A` starting at `row0` into row panels of height `MR`:
+/// panel `ip` holds, for each depth index `l`, the `MR` consecutive row
+/// entries, zero-padded past the matrix edge.
+fn pack_a(a: &Mat<f64>, row0: usize, mc: usize, k: usize, buf: &mut [f64]) {
+    for ip in 0..mc.div_ceil(MR) {
         let i0 = row0 + ip * MR;
         let mre = MR.min(row0 + mc - i0);
-        let panel = &mut buf[ip * MR * cs * k..(ip + 1) * MR * cs * k];
+        let panel = &mut buf[ip * MR * k..(ip + 1) * MR * k];
         for l in 0..k {
-            let src = &a.col(l)[i0..i0 + mre];
-            let dst = &mut panel[l * MR * cs..(l + 1) * MR * cs];
+            let dst = &mut panel[l * MR..(l + 1) * MR];
             dst.fill(0.0);
-            if cs == 1 {
-                for ii in 0..mre {
-                    dst[ii] = src[ii].re();
-                }
-            } else {
-                for ii in 0..mre {
-                    dst[ii] = src[ii].re();
-                    dst[MR + ii] = src[ii].im();
-                }
-            }
+            dst[..mre].copy_from_slice(&a.col(l)[i0..i0 + mre]);
         }
     }
 }
 
 /// Pack all of `B` (k×n) into column panels of width `NR` with `alpha`
-/// folded in, as flat `f64` components: panel `jp` holds, for each depth
-/// index `l`, `NR` consecutive scaled column entries (complex split as
-/// `[re×NR | im×NR]`), zero-padded past the matrix edge.
-fn pack_b<T: Scalar, const NR: usize>(b: &Mat<T>, alpha: T, k: usize, n: usize, buf: &mut [f64]) {
-    let cs = T::COMPONENTS;
-    let n_panels = n.div_ceil(NR);
-    for jp in 0..n_panels {
+/// folded in: panel `jp` holds, for each depth index `l`, `NR` consecutive
+/// scaled column entries, zero-padded past the matrix edge.
+fn pack_b(b: &Mat<f64>, alpha: f64, k: usize, n: usize, buf: &mut [f64]) {
+    for jp in 0..n.div_ceil(NR) {
         let j0 = jp * NR;
-        let nre = NR.min(n - j0);
-        let panel = &mut buf[jp * NR * cs * k..(jp + 1) * NR * cs * k];
+        let panel = &mut buf[jp * NR * k..(jp + 1) * NR * k];
         panel.fill(0.0);
-        for jj in 0..nre {
-            let bj = &b.col(j0 + jj)[..k];
-            if cs == 1 {
-                for l in 0..k {
-                    panel[l * NR + jj] = (alpha * bj[l]).re();
-                }
-            } else {
-                for l in 0..k {
-                    let t = alpha * bj[l];
-                    panel[l * NR * 2 + jj] = t.re();
-                    panel[l * NR * 2 + NR + jj] = t.im();
-                }
+        for jj in 0..NR.min(n - j0) {
+            for (l, &blj) in b.col(j0 + jj)[..k].iter().enumerate() {
+                panel[l * NR + jj] = alpha * blj;
             }
         }
     }
@@ -168,32 +138,24 @@ fn pack_b<T: Scalar, const NR: usize>(b: &Mat<T>, alpha: T, k: usize, n: usize, 
 // Tile stores
 // ---------------------------------------------------------------------------
 
-/// Read element `ii` of one accumulator tile column (`[re×8]` for `f64`,
-/// `[re×4 | im×4]` for complex — both a stride of 8 `f64` per column).
-#[inline(always)]
-fn acc_elem<T: Scalar>(acc: &[f64], ii: usize) -> T {
-    if T::COMPONENTS == 1 {
-        T::from_components(acc[ii], 0.0)
-    } else {
-        T::from_components(acc[ii], acc[4 + ii])
-    }
-}
-
 /// `dst = acc + beta·dst` over one tile column (`beta` pre-dispatched so
-/// the branch sits outside the copy loop).
+/// the branch sits outside the copy loop). The loops index `acc`: written
+/// as `copy_from_slice`, the `β = 0` store compiles to a `memcpy` call per
+/// tile column, which the small GEMMs of si8's solves (Galerkin guess,
+/// Rayleigh–Ritz) paid as ×1.08 of its `solve_s`.
 #[inline(always)]
-fn store_acc_col<T: Scalar>(dst: &mut [T], acc: &[f64], beta: T) {
+fn store_acc_col<T: Scalar>(dst: &mut [T], acc: &[T], beta: T) {
     if beta == T::zero() {
         for (ii, d) in dst.iter_mut().enumerate() {
-            *d = acc_elem::<T>(acc, ii);
+            *d = acc[ii];
         }
     } else if beta == T::one() {
         for (ii, d) in dst.iter_mut().enumerate() {
-            *d += acc_elem::<T>(acc, ii);
+            *d += acc[ii];
         }
     } else {
         for (ii, d) in dst.iter_mut().enumerate() {
-            *d = acc_elem::<T>(acc, ii) + beta * *d;
+            *d = acc[ii] + beta * *d;
         }
     }
 }
@@ -204,14 +166,14 @@ fn store_acc_col<T: Scalar>(dst: &mut [T], acc: &[f64], beta: T) {
 
 /// Compute one row strip `[r0, r0+h)` of `C = (alpha·A)·B + beta·C` from the
 /// shared packed `B`, packing `A` in L2-sized blocks on the way. Accumulator
-/// tiles (column-major, column stride 8 `f64`) are handed to
+/// tiles (column-major, column stride 8) are handed to
 /// `write_tile(i_local, j0, acc, mr_eff, nr_eff)` so the caller decides
 /// where the strip's output lives (whole matrix or a borrowed strip
 /// segment).
 #[allow(clippy::too_many_arguments)]
-fn strip_gemm<T: Scalar, const MR: usize, const NR: usize>(
+fn strip_gemm(
     d: Dispatch,
-    a: &Mat<T>,
+    a: &Mat<f64>,
     bpack: &[f64],
     r0: usize,
     h: usize,
@@ -219,29 +181,24 @@ fn strip_gemm<T: Scalar, const MR: usize, const NR: usize>(
     n: usize,
     mut write_tile: impl FnMut(usize, usize, &[f64; 32], usize, usize),
 ) {
-    let cs = T::COMPONENTS;
-    let mc_elems = (A_BLOCK_BYTES / std::mem::size_of::<T>() / k.max(1)).max(MR);
+    let mc_elems = (A_BLOCK_BYTES / std::mem::size_of::<f64>() / k.max(1)).max(MR);
     let mc_max = (mc_elems / MR * MR).min(h.div_ceil(MR) * MR);
-    let mut a_buf = take_buf::<f64>(SLOT_PACK_A, mc_max * k * cs);
+    let mut a_buf = take_buf::<f64>(SLOT_PACK_A, mc_max * k);
     let n_col_panels = n.div_ceil(NR);
 
     let mut off = 0;
     while off < h {
         let mc = mc_max.min(h - off);
-        pack_a::<T, MR>(a, r0 + off, mc, k, &mut a_buf);
+        pack_a(a, r0 + off, mc, k, &mut a_buf);
         let n_row_panels = mc.div_ceil(MR);
         for jp in 0..n_col_panels {
             let nre = NR.min(n - jp * NR);
-            let bp = &bpack[jp * NR * cs * k..(jp + 1) * NR * cs * k];
+            let bp = &bpack[jp * NR * k..(jp + 1) * NR * k];
             for ip in 0..n_row_panels {
                 let mre = MR.min(mc - ip * MR);
-                let ap = &a_buf[ip * MR * cs * k..(ip + 1) * MR * cs * k];
+                let ap = &a_buf[ip * MR * k..(ip + 1) * MR * k];
                 let mut acc = [0.0f64; 32];
-                if cs == 1 {
-                    mbrpa_simd::gemm_f64_8x4_on(d, k, ap, bp, &mut acc);
-                } else {
-                    mbrpa_simd::gemm_c64_4x4_on(d, k, ap, bp, &mut acc);
-                }
+                mbrpa_simd::gemm_f64_8x4_on(d, k, ap, bp, &mut acc);
                 write_tile(off + ip * MR, jp * NR, &acc, mre, nre);
             }
         }
@@ -250,39 +207,14 @@ fn strip_gemm<T: Scalar, const MR: usize, const NR: usize>(
     put_buf(SLOT_PACK_A, a_buf);
 }
 
-/// Packed register-blocked `C = alpha·A·B + beta·C`.
-fn gemm_driver<T: Scalar, const MR: usize, const NR: usize>(
-    alpha: T,
-    a: &Mat<T>,
-    b: &Mat<T>,
-    beta: T,
-    c: &mut Mat<T>,
-) {
-    debug_assert_eq!(
-        (MR, NR),
-        if T::COMPONENTS == 1 { (8, 4) } else { (4, 4) },
-        "tile shape must match the mbrpa-simd microkernel"
-    );
+/// Packed register-blocked `C = alpha·A·B + beta·C` for `k > 0` and
+/// `alpha ≠ 0`.
+fn gemm_driver(alpha: f64, a: &Mat<f64>, b: &Mat<f64>, beta: f64, c: &mut Mat<f64>) {
     let (m, k) = a.shape();
     let n = b.cols();
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 || alpha == T::zero() {
-        // No product term: C = beta·C.
-        let data = c.as_mut_slice();
-        if beta == T::zero() {
-            data.iter_mut().for_each(|x| *x = T::zero());
-        } else if beta != T::one() {
-            vecops::scal(beta, data);
-        }
-        return;
-    }
-
     let d = mbrpa_simd::active();
-    let cs = T::COMPONENTS;
-    let mut b_buf = take_buf::<f64>(SLOT_PACK_B, n.div_ceil(NR) * NR * k * cs);
-    pack_b::<T, NR>(b, alpha, k, n, &mut b_buf);
+    let mut b_buf = take_buf::<f64>(SLOT_PACK_B, n.div_ceil(NR) * NR * k);
+    pack_b(b, alpha, k, n, &mut b_buf);
 
     let work = m * n * k;
     let slots = par::inner_slots();
@@ -294,7 +226,7 @@ fn gemm_driver<T: Scalar, const MR: usize, const NR: usize>(
 
     if p == 1 {
         let c_data = c.as_mut_slice();
-        strip_gemm::<T, MR, NR>(d, a, &b_buf, 0, m, k, n, |i0, j0, acc, mre, nre| {
+        strip_gemm(d, a, &b_buf, 0, m, k, n, |i0, j0, acc, mre, nre| {
             for jj in 0..nre {
                 let col = &mut c_data[(j0 + jj) * m + i0..(j0 + jj) * m + i0 + mre];
                 store_acc_col(col, &acc[8 * jj..], beta);
@@ -311,7 +243,7 @@ fn gemm_driver<T: Scalar, const MR: usize, const NR: usize>(
     let strips: Vec<(usize, usize)> = (0..m.div_ceil(h_strip))
         .map(|s| (s * h_strip, h_strip.min(m - s * h_strip)))
         .collect();
-    let mut col_segs: Vec<Vec<&mut [T]>> = strips.iter().map(|_| Vec::with_capacity(n)).collect();
+    let mut col_segs: Vec<Vec<&mut [f64]>> = strips.iter().map(|_| Vec::with_capacity(n)).collect();
     let mut rest = c.as_mut_slice();
     for _ in 0..n {
         let (mut col, tail) = rest.split_at_mut(m);
@@ -327,7 +259,7 @@ fn gemm_driver<T: Scalar, const MR: usize, const NR: usize>(
         .par_iter()
         .zip(col_segs.into_par_iter())
         .for_each(|(&(r0, h), mut segs)| {
-            strip_gemm::<T, MR, NR>(d, a, b_ref, r0, h, k, n, |i0, j0, acc, mre, nre| {
+            strip_gemm(d, a, b_ref, r0, h, k, n, |i0, j0, acc, mre, nre| {
                 for jj in 0..nre {
                     let col = &mut segs[j0 + jj][i0..i0 + mre];
                     store_acc_col(col, &acc[8 * jj..], beta);
@@ -337,14 +269,35 @@ fn gemm_driver<T: Scalar, const MR: usize, const NR: usize>(
     put_buf(SLOT_PACK_B, b_buf);
 }
 
-/// Dispatch on the register-tile shape: 8×4 for 1-component scalars (f64),
-/// 4×4 for 2-component scalars (Complex64).
-fn packed_gemm<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
-    if T::COMPONENTS >= 2 {
-        gemm_driver::<T, 4, 4>(alpha, a, b, beta, c);
-    } else {
-        gemm_driver::<T, 8, 4>(alpha, a, b, beta, c);
+/// Complex `C = alpha·A·B + beta·C` for `k > 0` and `alpha ≠ 0`, every
+/// entry one plain chain: with `t = alpha·b_lj`, over `l` in order from
+/// `+0`, `re = (−a_im)·t_im + (a_re·t_re + re)` and
+/// `im = a_im·t_re + (a_re·t_im + im)`, each `·+` one fused rounding; the
+/// store is [`store_acc_col`]'s.
+fn gemm_chains<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut Mat<T>) {
+    let k = a.cols();
+    for j in 0..b.cols() {
+        for i in 0..a.rows() {
+            let (mut re, mut im) = (0.0_f64, 0.0_f64);
+            for l in 0..k {
+                let (x, t) = (a[(i, l)], alpha * b[(l, j)]);
+                re = (-x.im()).mul_add(t.im(), x.re().mul_add(t.re(), re));
+                im = x.im().mul_add(t.re(), x.re().mul_add(t.im(), im));
+            }
+            let acc = [T::from_components(re, im)];
+            store_acc_col(std::slice::from_mut(&mut c[(i, j)]), &acc, beta);
+        }
     }
+}
+
+/// `Some(m)` when `T` is `f64`: the packed drivers are real-only.
+fn real<T: Scalar>(m: &Mat<T>) -> Option<&Mat<f64>> {
+    (m as &dyn Any).downcast_ref()
+}
+
+/// Mutable variant of [`real`].
+fn real_mut<T: Scalar>(m: &mut Mat<T>) -> Option<&mut Mat<f64>> {
+    (m as &mut dyn Any).downcast_mut()
 }
 
 fn count_gemm<T: Scalar>(m: usize, k: usize, n: usize) {
@@ -383,7 +336,21 @@ pub fn matmul_into<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut
         return;
     }
     count_gemm::<T>(m, k, n);
-    packed_gemm(alpha, a, b, beta, c);
+    if k == 0 || alpha == T::zero() {
+        // No product term: C = beta·C.
+        let data = c.as_mut_slice();
+        if beta == T::zero() {
+            data.iter_mut().for_each(|x| *x = T::zero());
+        } else if beta != T::one() {
+            vecops::scal(beta, data);
+        }
+        return;
+    }
+    if let (Some(a), Some(b), Some(c)) = (real(a), real(b), real_mut(c)) {
+        gemm_driver(alpha.re(), a, b, beta.re(), c);
+        return;
+    }
+    gemm_chains(alpha, a, b, beta, c);
 }
 
 /// `C = Aᵀ · B` (no conjugation; the COCG bilinear Gram product).
@@ -397,12 +364,23 @@ pub fn matmul_tn<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Mat<T> {
 /// allocation-free form for solver steady-state loops).
 pub fn matmul_tn_into<T: Scalar>(a: &Mat<T>, b: &Mat<T>, c: &mut Mat<T>) {
     gram_checks(a, b, c);
-    let d = mbrpa_simd::active();
+    let (m, kc, n) = (a.rows(), a.cols(), b.cols());
+    if let (Some(a), Some(b), Some(c)) = (real(a), real(b), real_mut(c)) {
+        let d = mbrpa_simd::active();
+        gram_driver(
+            m,
+            kc,
+            n,
+            |row0, h, buf| gram_chunk_simd(d, a, b, row0, h, buf),
+            c,
+        );
+        return;
+    }
     gram_driver(
-        a.rows(),
-        a.cols(),
-        b.cols(),
-        |row0, h, buf| gram_chunk_simd(d, a, b, row0, h, buf),
+        m,
+        kc,
+        n,
+        |row0, h, buf| gram_chunk_chains(a, b, row0, h, buf),
         c,
     );
 }
@@ -472,90 +450,98 @@ fn gram_driver<T: Scalar>(
     put_buf(SLOT_GRAM, partials);
 }
 
-/// One row chunk of a uniform-field Gram product, written (overwriting)
-/// into `out` (column-major `a.cols() × b.cols()`), routed through the
-/// `mbrpa-simd` Gram tiles: 2×4 `f64` tiles / 2×2 complex tiles share
-/// their operand streams, cutting memory traffic versus dot-per-entry;
-/// edge tiles fall back to the dispatched dot primitives.
-fn gram_chunk_simd<T: Scalar>(
+/// One row chunk of a real Gram product, written (overwriting) into `out`
+/// (column-major `a.cols() × b.cols()`), routed through the `mbrpa-simd`
+/// 2×4 Gram tile, which shares its operand streams and cuts memory traffic
+/// versus dot-per-entry; edge tiles fall back to the dispatched dot.
+fn gram_chunk_simd(
     d: Dispatch,
-    a: &Mat<T>,
-    b: &Mat<T>,
+    a: &Mat<f64>,
+    b: &Mat<f64>,
     row0: usize,
     h: usize,
-    out: &mut [T],
+    out: &mut [f64],
 ) {
     let kc = a.cols();
     let n = b.cols();
-    let ac = |i: usize| T::as_components(&a.col(i)[row0..row0 + h]);
-    let bc = |j: usize| T::as_components(&b.col(j)[row0..row0 + h]);
-    if T::COMPONENTS == 1 {
-        let mut j0 = 0;
-        while j0 < n {
-            let nj = (n - j0).min(4);
-            let mut i0 = 0;
-            while i0 < kc {
-                let ni = (kc - i0).min(2);
-                if ni == 2 && nj == 4 {
-                    let mut t = [0.0; 8];
-                    mbrpa_simd::gram2x4_f64_on(
-                        d,
-                        ac(i0),
-                        ac(i0 + 1),
-                        bc(j0),
-                        bc(j0 + 1),
-                        bc(j0 + 2),
-                        bc(j0 + 3),
-                        &mut t,
-                    );
-                    for jj in 0..4 {
-                        for ii in 0..2 {
-                            out[(j0 + jj) * kc + i0 + ii] = T::from_components(t[2 * jj + ii], 0.0);
-                        }
-                    }
-                } else {
-                    for jj in 0..nj {
-                        for ii in 0..ni {
-                            out[(j0 + jj) * kc + i0 + ii] = T::from_components(
-                                mbrpa_simd::dot_on(d, ac(i0 + ii), bc(j0 + jj)),
-                                0.0,
-                            );
-                        }
+    let ac = |i: usize| &a.col(i)[row0..row0 + h];
+    let bc = |j: usize| &b.col(j)[row0..row0 + h];
+    let mut j0 = 0;
+    while j0 < n {
+        let nj = (n - j0).min(4);
+        let mut i0 = 0;
+        while i0 < kc {
+            let ni = (kc - i0).min(2);
+            if ni == 2 && nj == 4 {
+                let mut t = [0.0; 8];
+                mbrpa_simd::gram2x4_f64_on(
+                    d,
+                    ac(i0),
+                    ac(i0 + 1),
+                    bc(j0),
+                    bc(j0 + 1),
+                    bc(j0 + 2),
+                    bc(j0 + 3),
+                    &mut t,
+                );
+                for jj in 0..4 {
+                    for ii in 0..2 {
+                        out[(j0 + jj) * kc + i0 + ii] = t[2 * jj + ii];
                     }
                 }
-                i0 += ni;
+            } else {
+                for jj in 0..nj {
+                    for ii in 0..ni {
+                        out[(j0 + jj) * kc + i0 + ii] =
+                            mbrpa_simd::dot_on(d, ac(i0 + ii), bc(j0 + jj));
+                    }
+                }
             }
-            j0 += nj;
+            i0 += ni;
         }
-    } else {
-        let mut j0 = 0;
-        while j0 < n {
-            let nj = (n - j0).min(2);
-            let mut i0 = 0;
-            while i0 < kc {
-                let ni = (kc - i0).min(2);
-                if ni == 2 && nj == 2 {
-                    let mut t = [0.0; 8];
-                    mbrpa_simd::gram2_c64_on(d, ac(i0), ac(i0 + 1), bc(j0), bc(j0 + 1), &mut t);
-                    for jj in 0..2 {
-                        for ii in 0..2 {
-                            let o = 2 * (2 * jj + ii);
-                            out[(j0 + jj) * kc + i0 + ii] = T::from_components(t[o], t[o + 1]);
-                        }
-                    }
-                } else {
-                    for jj in 0..nj {
-                        for ii in 0..ni {
-                            let (re, im) = mbrpa_simd::dot_t_c64_on(d, ac(i0 + ii), bc(j0 + jj));
-                            out[(j0 + jj) * kc + i0 + ii] = T::from_components(re, im);
-                        }
-                    }
-                }
-                i0 += ni;
-            }
-            j0 += nj;
+        j0 += nj;
+    }
+}
+
+/// One row chunk of a complex Gram product `AᵀB`, written (overwriting)
+/// into `out`. An entry inside the complete 2×2 tiles (`i < kc − kc mod 2`,
+/// `j < n − n mod 2`) sums in two complex lanes ([`dot_t_two_lanes`]);
+/// every other entry is the dispatched `mbrpa_simd::dot_t_c64`. Block
+/// COCG's pinned bits depend on that split.
+fn gram_chunk_chains<T: Scalar>(a: &Mat<T>, b: &Mat<T>, row0: usize, h: usize, out: &mut [T]) {
+    let (kc, n) = (a.cols(), b.cols());
+    for j in 0..n {
+        for i in 0..kc {
+            let (x, y) = (&a.col(i)[row0..row0 + h], &b.col(j)[row0..row0 + h]);
+            out[j * kc + i] = if i < kc - kc % 2 && j < n - n % 2 {
+                dot_t_two_lanes(x, y)
+            } else {
+                let (re, im) = mbrpa_simd::dot_t_c64(T::as_components(x), T::as_components(y));
+                T::from_components(re, im)
+            };
         }
     }
+}
+
+/// The unconjugated `xᵀy` with row `r` in lane `r mod 2`: per lane, the
+/// fused chains `Σ x_re·y_re`, `Σ x_im·y_im`, `Σ x_re·y_im`, `Σ x_im·y_re`;
+/// each of the four sums is then its two lanes added in order to `+0`, and
+/// `xᵀy = (p_re − p_im) + i·(q_re + q_im)`.
+fn dot_t_two_lanes<T: Scalar>(x: &[T], y: &[T]) -> T {
+    let (mut p, mut q) = ([0.0_f64; 4], [0.0_f64; 4]);
+    for (r, (x, y)) in x.iter().zip(y).enumerate() {
+        let l = 2 * (r % 2);
+        p[l] = x.re().mul_add(y.re(), p[l]);
+        p[l + 1] = x.im().mul_add(y.im(), p[l + 1]);
+        q[l] = x.re().mul_add(y.im(), q[l]);
+        q[l + 1] = x.im().mul_add(y.re(), q[l + 1]);
+    }
+    let lanes = |s: [f64; 4], c: usize| {
+        let mut sum = 0.0;
+        sum += s[c];
+        sum + s[2 + c]
+    };
+    T::from_components(lanes(p, 0) - lanes(p, 1), lanes(q, 0) + lanes(q, 1))
 }
 
 /// One row chunk of [`matmul_tn_rowsum_into`], written (overwriting)

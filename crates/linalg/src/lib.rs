@@ -39,7 +39,7 @@ pub use dense::Mat;
 pub use error::LinalgError;
 pub use fcmp::{approx_eq, exactly_zero};
 pub use gemm::{matmul, matmul_into, matmul_nt, matmul_tn, matmul_tn_into, matmul_tn_rowsum_into};
-pub use lu::{factor_solve_in_place, solve, Lu};
+pub use lu::{factor_solve_in_place, solve};
 pub use qr::{orthonormalize_columns, thin_qr, ThinQr};
 pub use scalar::Scalar;
 pub use symeig::{generalized_sym_eig, symmetric_eig, SymEig};

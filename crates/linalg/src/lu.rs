@@ -3,12 +3,13 @@
 //! Block COCG's two `s × s` complex-symmetric solves per iteration
 //! (`α = μ⁻¹ρ`, `β = ρ⁻¹ρ₊`) and block Lanczos's `[E_k | M_k] =
 //! Δ_k⁻¹[I | Z_k]` factor and solve in one pass with
-//! [`factor_solve_in_place`], on pooled buffers; [`Lu::factor_in_place`]
-//! and [`Lu::solve_in_place`] keep the factors and pivots for later solves
-//! (and referee the fused pass bit for bit), [`Lu::factor`] and
-//! [`Lu::solve_mat`] are owning wrappers over them for one-off systems. Sizes are small (the block size), so a
-//! straightforward right-looking factorization is appropriate; no blocking
-//! or parallelism is needed here.
+//! [`factor_solve_in_place`], on pooled buffers, and [`solve`] runs the
+//! same pass on copies for one-off systems: the library has one Gaussian
+//! elimination. The two-step `Lu` (factors and pivots kept for later
+//! solves) lives in this module's tests, where it referees the fused pass
+//! bit for bit. Sizes are small (the block size), so a straightforward
+//! right-looking factorization is appropriate; no blocking or parallelism
+//! is needed here.
 
 use crate::dense::Mat;
 use crate::error::LinalgError;
@@ -16,6 +17,7 @@ use crate::fcmp::exactly_zero;
 use crate::scalar::Scalar;
 
 /// An LU factorization `P·A = L·U` with partial (row) pivoting.
+#[cfg(test)]
 #[derive(Clone, Debug)]
 pub struct Lu<T: Scalar> {
     /// Packed L (unit lower, below diagonal) and U (upper incl. diagonal).
@@ -26,6 +28,7 @@ pub struct Lu<T: Scalar> {
     pivot_ratio: f64,
 }
 
+#[cfg(test)]
 impl<T: Scalar> Lu<T> {
     /// Factor a square matrix. Fails with [`LinalgError::Singular`] when a
     /// pivot column is exactly zero.
@@ -223,9 +226,21 @@ pub fn factor_solve_in_place<T: Scalar>(
     })
 }
 
-/// Convenience: solve `A X = B` with a one-shot factorization.
+/// Solve `A X = B` by [`factor_solve_in_place`] on copies of `A` and `B`.
+/// Fails with [`LinalgError::DimensionMismatch`] when `A` is not square and
+/// with [`LinalgError::Singular`] when a pivot column is exactly zero.
 pub fn solve<T: Scalar>(a: &Mat<T>, b: &Mat<T>) -> Result<Mat<T>, LinalgError> {
-    Ok(Lu::factor(a)?.solve_mat(b))
+    let (n, m) = a.shape();
+    if n != m {
+        return Err(LinalgError::DimensionMismatch {
+            expected: "square".into(),
+            got: format!("{n}x{m}"),
+        });
+    }
+    assert_eq!(b.rows(), n, "right-hand side rows");
+    let (mut lu, mut x) = (a.clone(), b.clone());
+    factor_solve_in_place(n, lu.as_mut_slice(), x.as_mut_slice())?;
+    Ok(x)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property-based tests for the dense linear algebra substrate.
 
 use mbrpa_check::{assume, check, Rng, StdRng};
-use mbrpa_linalg::{matmul, matmul_tn, symmetric_eig, thin_qr, Cholesky, Lu, Mat, C64};
+use mbrpa_linalg::{matmul, matmul_tn, solve, symmetric_eig, thin_qr, Cholesky, Mat, C64};
 
 fn mat_strategy(rng: &mut StdRng, rows: usize, cols: usize) -> Mat<f64> {
     Mat::from_fn(rows, cols, |_, _| rng.random_range(-10.0..10.0))
@@ -78,7 +78,7 @@ fn lu_solve_residual() {
         for i in 0..n {
             a[(i, i)] += 50.0;
         }
-        let x = Lu::factor(&a).unwrap().solve_mat(&b);
+        let x = solve(&a, &b).unwrap();
         let mut r = matmul(&a, &x);
         r.axpy(-1.0, &b);
         assert!(r.max_abs() < 1e-9);

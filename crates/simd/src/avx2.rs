@@ -902,7 +902,7 @@ pub(crate) unsafe fn dot_t_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM microkernels
+// GEMM microkernel
 // ---------------------------------------------------------------------------
 
 #[target_feature(enable = "avx2,fma")]
@@ -953,60 +953,8 @@ pub(crate) unsafe fn gemm_f64_8x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f
     _mm256_storeu_pd(accp.add(28), c31);
 }
 
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-pub(crate) unsafe fn gemm_c64_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 32]) {
-    debug_assert!(ap.len() >= 8 * k);
-    debug_assert!(bp.len() >= 8 * k);
-    let accp = acc.as_mut_ptr();
-    // SAFETY: `acc` is exactly 32 f64s; column j lives at 8j (re) / 8j+4 (im).
-    let mut cr0 = _mm256_loadu_pd(accp);
-    let mut ci0 = _mm256_loadu_pd(accp.add(4));
-    let mut cr1 = _mm256_loadu_pd(accp.add(8));
-    let mut ci1 = _mm256_loadu_pd(accp.add(12));
-    let mut cr2 = _mm256_loadu_pd(accp.add(16));
-    let mut ci2 = _mm256_loadu_pd(accp.add(20));
-    let mut cr3 = _mm256_loadu_pd(accp.add(24));
-    let mut ci3 = _mm256_loadu_pd(accp.add(28));
-    let app = ap.as_ptr();
-    let bpp = bp.as_ptr();
-    for p in 0..k {
-        // SAFETY: split panels hold [re×4 | im×4] per depth step; bounds
-        // follow from the debug_asserts above.
-        let arv = _mm256_loadu_pd(app.add(8 * p));
-        let aiv = _mm256_loadu_pd(app.add(8 * p + 4));
-        let br0 = _mm256_broadcast_sd(&*bpp.add(8 * p));
-        let bi0 = _mm256_broadcast_sd(&*bpp.add(8 * p + 4));
-        cr0 = _mm256_fnmadd_pd(aiv, bi0, _mm256_fmadd_pd(arv, br0, cr0));
-        ci0 = _mm256_fmadd_pd(aiv, br0, _mm256_fmadd_pd(arv, bi0, ci0));
-        let br1 = _mm256_broadcast_sd(&*bpp.add(8 * p + 1));
-        let bi1 = _mm256_broadcast_sd(&*bpp.add(8 * p + 5));
-        cr1 = _mm256_fnmadd_pd(aiv, bi1, _mm256_fmadd_pd(arv, br1, cr1));
-        ci1 = _mm256_fmadd_pd(aiv, br1, _mm256_fmadd_pd(arv, bi1, ci1));
-        let br2 = _mm256_broadcast_sd(&*bpp.add(8 * p + 2));
-        let bi2 = _mm256_broadcast_sd(&*bpp.add(8 * p + 6));
-        cr2 = _mm256_fnmadd_pd(aiv, bi2, _mm256_fmadd_pd(arv, br2, cr2));
-        ci2 = _mm256_fmadd_pd(aiv, br2, _mm256_fmadd_pd(arv, bi2, ci2));
-        let br3 = _mm256_broadcast_sd(&*bpp.add(8 * p + 3));
-        let bi3 = _mm256_broadcast_sd(&*bpp.add(8 * p + 7));
-        cr3 = _mm256_fnmadd_pd(aiv, bi3, _mm256_fmadd_pd(arv, br3, cr3));
-        ci3 = _mm256_fmadd_pd(aiv, br3, _mm256_fmadd_pd(arv, bi3, ci3));
-    }
-    // SAFETY: same bounds as the loads above.
-    _mm256_storeu_pd(accp, cr0);
-    _mm256_storeu_pd(accp.add(4), ci0);
-    _mm256_storeu_pd(accp.add(8), cr1);
-    _mm256_storeu_pd(accp.add(12), ci1);
-    _mm256_storeu_pd(accp.add(16), cr2);
-    _mm256_storeu_pd(accp.add(20), ci2);
-    _mm256_storeu_pd(accp.add(24), cr3);
-    _mm256_storeu_pd(accp.add(28), ci3);
-}
-
 // ---------------------------------------------------------------------------
-// Gram tiles
+// Gram tile
 // ---------------------------------------------------------------------------
 
 #[allow(clippy::too_many_arguments)]
@@ -1062,67 +1010,6 @@ pub(crate) unsafe fn gram2x4_f64(
     }
     for (o, arr) in out.iter_mut().zip(state.iter()) {
         *o = lanes::fold(arr);
-    }
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-pub(crate) unsafe fn gram2_c64(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64], out: &mut [f64; 8]) {
-    let n = a0.len();
-    debug_assert_eq!(n % 2, 0);
-    debug_assert!(a1.len() == n && b0.len() == n && b1.len() == n);
-    let kc = n / 2;
-    let kc2 = kc - kc % lanes::GRAM_C64_LANES;
-    let mut pv = [_mm256_setzero_pd(); 4];
-    let mut qv = [_mm256_setzero_pd(); 4];
-    let ap = [a0.as_ptr(), a1.as_ptr()];
-    let bp = [b0.as_ptr(), b1.as_ptr()];
-    let mut pc = 0;
-    while pc < kc2 {
-        let f = 2 * pc;
-        // SAFETY: f + 4 <= n and every slice has length n.
-        let av0 = _mm256_loadu_pd(ap[0].add(f));
-        let av1 = _mm256_loadu_pd(ap[1].add(f));
-        for j in 0..2 {
-            let bv = _mm256_loadu_pd(bp[j].add(f));
-            let bs = swap_pairs(bv);
-            pv[2 * j] = _mm256_fmadd_pd(av0, bv, pv[2 * j]);
-            qv[2 * j] = _mm256_fmadd_pd(av0, bs, qv[2 * j]);
-            pv[2 * j + 1] = _mm256_fmadd_pd(av1, bv, pv[2 * j + 1]);
-            qv[2 * j + 1] = _mm256_fmadd_pd(av1, bs, qv[2 * j + 1]);
-        }
-        pc += lanes::GRAM_C64_LANES;
-    }
-    let mut ps = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; 4];
-    let mut qs = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; 4];
-    for idx in 0..4 {
-        // SAFETY: each lane array holds exactly 4 f64s.
-        _mm256_storeu_pd(ps[idx].as_mut_ptr(), pv[idx]);
-        _mm256_storeu_pd(qs[idx].as_mut_ptr(), qv[idx]);
-    }
-    let a = [a0, a1];
-    let b = [b0, b1];
-    for r in kc2..kc {
-        let l = 2 * (r % lanes::GRAM_C64_LANES);
-        for j in 0..2 {
-            let (yr, yi) = (b[j][2 * r], b[j][2 * r + 1]);
-            for i in 0..2 {
-                let (xr, xi) = (a[i][2 * r], a[i][2 * r + 1]);
-                let s = &mut ps[2 * j + i];
-                s[l] = xr.mul_add(yr, s[l]);
-                s[l + 1] = xi.mul_add(yi, s[l + 1]);
-                let t = &mut qs[2 * j + i];
-                t[l] = xr.mul_add(yi, t[l]);
-                t[l + 1] = xi.mul_add(yr, t[l + 1]);
-            }
-        }
-    }
-    for idx in 0..4 {
-        let (re, im) = lanes::combine_t(&ps[idx], &qs[idx]);
-        out[2 * idx] = re;
-        out[2 * idx + 1] = im;
     }
 }
 

@@ -27,10 +27,6 @@ pub const C64_LANES: usize = 4;
 /// depth step `p` lands in lane `p mod GRAM_F64_LANES`.
 pub const GRAM_F64_LANES: usize = 4;
 
-/// Complex lanes per pair accumulator in the complex Gram tile
-/// (`gram2_c64`): complex depth step `p` lands in lane `p mod GRAM_C64_LANES`.
-pub const GRAM_C64_LANES: usize = 2;
-
 /// Canonical lane fold: plain sequential sum in lane order.
 #[inline]
 pub fn fold(lanes: &[f64]) -> f64 {

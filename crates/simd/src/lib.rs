@@ -4,8 +4,8 @@
 //! `core::arch` intrinsics (enforced by the mbrpa-lint `arch_intrinsics`
 //! rule). It exposes a *safe* slice-level API — scaled copies, fused
 //! axpy variants, Chebyshev shift/scale updates, complex axpy and scale,
-//! lane-split dot products and norms, BLIS-style GEMM microkernels,
-//! Gram tiles, the three sweeps of a real (block) Lanczos step, and the
+//! lane-split dot products and norms, a BLIS-style real GEMM microkernel,
+//! a real Gram tile, the three sweeps of a real (block) Lanczos step, and the
 //! three pieces of `H·v` (halo fill, stencil sweep, sparse or dense
 //! projector term) — and picks the fastest available backend at runtime:
 //!
@@ -42,7 +42,7 @@ mod sparse;
 #[cfg(target_arch = "x86_64")]
 mod avx2;
 
-pub use lanes::{C64_LANES, F64_LANES, GRAM_C64_LANES, GRAM_F64_LANES};
+pub use lanes::{C64_LANES, F64_LANES, GRAM_F64_LANES};
 pub use sparse::{DenseRows, SparseRows};
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -388,16 +388,6 @@ pub fn gemm_f64_8x4_on(d: Dispatch, k: usize, ap: &[f64], bp: &[f64], acc: &mut 
     dispatch_on!(d, gemm_f64_8x4(k, ap, bp, acc))
 }
 
-/// 4×4 split-complex GEMM microkernel on packed split panels
-/// (`[re×4 | im×4]` per depth step in both `ap` and `bp`), on the given
-/// path. Column `j` of `acc` holds `[re×4 | im×4]` at `acc[8j..8j + 8]`.
-/// Complex products are realized as real FMAs:
-/// `re += ar·br − ai·bi`, `im += ar·bi + ai·br`, one rounding each.
-#[inline]
-pub fn gemm_c64_4x4_on(d: Dispatch, k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 32]) {
-    dispatch_on!(d, gemm_c64_4x4(k, ap, bp, acc))
-}
-
 /// 2×4 real Gram tile: `out[2j + i] = a_iᵀ b_j` with the canonical
 /// 4-lane depth split, on the given path.
 #[inline]
@@ -413,22 +403,6 @@ pub fn gram2x4_f64_on(
     out: &mut [f64; 8],
 ) {
     dispatch_on!(d, gram2x4_f64(a0, a1, b0, b1, b2, b3, out))
-}
-
-/// 2×2 complex Gram tile on interleaved columns: `out` holds the four
-/// complex results `(i, j)` at `out[2·(2j + i)..][..2]`, computing the
-/// unconjugated `a_iᵀ b_j` with the canonical 2-complex-lane depth split,
-/// on the given path.
-#[inline]
-pub fn gram2_c64_on(
-    d: Dispatch,
-    a0: &[f64],
-    a1: &[f64],
-    b0: &[f64],
-    b1: &[f64],
-    out: &mut [f64; 8],
-) {
-    dispatch_on!(d, gram2_c64(a0, a1, b0, b1, out))
 }
 
 // ---------------------------------------------------------------------------
@@ -995,31 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn gemm_c64_kernel_matches_naive_complex_tile() {
-        let k = 19;
-        let ap = pseudo_random(8 * k, 5);
-        let bp = pseudo_random(8 * k, 6);
-        let mut naive = [0.0_f64; 32];
-        for p in 0..k {
-            for j in 0..4 {
-                let (br, bi) = (bp[8 * p + j], bp[8 * p + 4 + j]);
-                for i in 0..4 {
-                    let (ar, ai) = (ap[8 * p + i], ap[8 * p + 4 + i]);
-                    naive[8 * j + i] += ar * br - ai * bi;
-                    naive[8 * j + 4 + i] += ar * bi + ai * br;
-                }
-            }
-        }
-        for &d in available() {
-            let mut acc = [0.0_f64; 32];
-            gemm_c64_4x4_on(d, k, &ap, &bp, &mut acc);
-            for (g, n) in acc.iter().zip(naive.iter()) {
-                assert!((g - n).abs() < 1e-12, "{d:?}");
-            }
-        }
-    }
-
-    #[test]
     fn gram_tiles_match_dot_products() {
         let k = 53;
         let cols: Vec<Vec<f64>> = (0..6).map(|s| pseudo_random(k, 10 + s)).collect();
@@ -1032,24 +981,6 @@ mod tests {
                 for i in 0..2 {
                     let naive: f64 = cols[i].iter().zip(&cols[2 + j]).map(|(a, b)| a * b).sum();
                     assert!((out[2 * j + i] - naive).abs() < 1e-11, "{d:?}");
-                }
-            }
-        }
-        // Complex tile, k must be even in f64 length.
-        let zcols: Vec<Vec<f64>> = (0..4).map(|s| pseudo_random(2 * k + 2, 20 + s)).collect();
-        for &d in available() {
-            let mut out = [0.0_f64; 8];
-            gram2_c64_on(d, &zcols[0], &zcols[1], &zcols[2], &zcols[3], &mut out);
-            for j in 0..2 {
-                for i in 0..2 {
-                    let (mut re, mut im) = (0.0_f64, 0.0_f64);
-                    for (xc, yc) in zcols[i].chunks_exact(2).zip(zcols[2 + j].chunks_exact(2)) {
-                        re += xc[0] * yc[0] - xc[1] * yc[1];
-                        im += xc[0] * yc[1] + xc[1] * yc[0];
-                    }
-                    let idx = 2 * (2 * j + i);
-                    assert!((out[idx] - re).abs() < 1e-11, "{d:?}");
-                    assert!((out[idx + 1] - im).abs() < 1e-11, "{d:?}");
                 }
             }
         }

@@ -15,8 +15,9 @@
 //!    [`crate::lanes`] (element `i` → lane `i mod LANES`, one FMA chain
 //!    per lane, shared final fold), which both paths realize literally.
 //!
-//! Complex data is interleaved `[re, im, re, im, …]` f64 slices; the
-//! split-complex GEMM panels are described at [`crate::gemm_c64_4x4_on`].
+//! Complex data is interleaved `[re, im, re, im, …]` f64 slices. The GEMM
+//! microkernel and the Gram tile are real-only: complex products live as
+//! plain chains in `mbrpa-linalg`, beside the one solver that calls them.
 
 use crate::lanes;
 use crate::sparse::{DenseRows, SparseRows};
@@ -336,7 +337,7 @@ pub(crate) fn dot_t_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM microkernels on packed panels
+// GEMM microkernel on packed panels
 // ---------------------------------------------------------------------------
 
 pub(crate) fn gemm_f64_8x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 32]) {
@@ -354,28 +355,8 @@ pub(crate) fn gemm_f64_8x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 32]
     }
 }
 
-pub(crate) fn gemm_c64_4x4(k: usize, ap: &[f64], bp: &[f64], acc: &mut [f64; 32]) {
-    debug_assert!(ap.len() >= 8 * k);
-    debug_assert!(bp.len() >= 8 * k);
-    for p in 0..k {
-        let ar = &ap[8 * p..8 * p + 4];
-        let ai = &ap[8 * p + 4..8 * p + 8];
-        let br = &bp[8 * p..8 * p + 4];
-        let bi = &bp[8 * p + 4..8 * p + 8];
-        for j in 0..4 {
-            let (brj, bij) = (br[j], bi[j]);
-            for i in 0..4 {
-                let re = 8 * j + i;
-                let im = 8 * j + 4 + i;
-                acc[re] = (-ai[i]).mul_add(bij, ar[i].mul_add(brj, acc[re]));
-                acc[im] = ai[i].mul_add(brj, ar[i].mul_add(bij, acc[im]));
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Gram tiles (shared-stream column blocks of AᵀB / AᴴB)
+// Gram tile (shared-stream column block of AᵀB)
 // ---------------------------------------------------------------------------
 
 pub(crate) fn gram2x4_f64(
@@ -407,37 +388,6 @@ pub(crate) fn gram2x4_f64(
     }
     for (o, s) in out.iter_mut().zip(state.iter()) {
         *o = lanes::fold(s);
-    }
-}
-
-pub(crate) fn gram2_c64(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64], out: &mut [f64; 8]) {
-    let kc = a0.len() / 2;
-    debug_assert!(a0.len().is_multiple_of(2));
-    debug_assert!(a1.len() == a0.len() && b0.len() == a0.len() && b1.len() == a0.len());
-    let a = [a0, a1];
-    let b = [b0, b1];
-    // Pair (i, j) accumulates p/q states in index 2 * j + i.
-    let mut ps = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; 4];
-    let mut qs = [[0.0_f64; 2 * lanes::GRAM_C64_LANES]; 4];
-    for pc in 0..kc {
-        let l = 2 * (pc % lanes::GRAM_C64_LANES);
-        for j in 0..2 {
-            let (yr, yi) = (b[j][2 * pc], b[j][2 * pc + 1]);
-            for i in 0..2 {
-                let (xr, xi) = (a[i][2 * pc], a[i][2 * pc + 1]);
-                let s = &mut ps[2 * j + i];
-                s[l] = xr.mul_add(yr, s[l]);
-                s[l + 1] = xi.mul_add(yi, s[l + 1]);
-                let t = &mut qs[2 * j + i];
-                t[l] = xr.mul_add(yi, t[l]);
-                t[l + 1] = xi.mul_add(yr, t[l + 1]);
-            }
-        }
-    }
-    for idx in 0..4 {
-        let (re, im) = lanes::combine_t(&ps[idx], &qs[idx]);
-        out[2 * idx] = re;
-        out[2 * idx + 1] = im;
     }
 }
 

@@ -184,7 +184,6 @@ fn gemm_microkernels_bitwise_identical() {
         let mut rng = Rng::new(seed);
         let ap = rng.vec(8 * k);
         let bp_f = rng.vec(4 * k);
-        let bp_c = rng.vec(8 * k);
         let init: Vec<f64> = rng.vec(32);
         let mut acc_init = [0.0f64; 32];
         acc_init.copy_from_slice(&init);
@@ -194,11 +193,6 @@ fn gemm_microkernels_bitwise_identical() {
             mbrpa_simd::gemm_f64_8x4_on(s, k, &ap, &bp_f, &mut want);
             mbrpa_simd::gemm_f64_8x4_on(d, k, &ap, &bp_f, &mut got);
             assert_same_bits(d, "gemm_f64_8x4", &got, &want);
-
-            let (mut want, mut got) = (acc_init, acc_init);
-            mbrpa_simd::gemm_c64_4x4_on(s, k, &ap, &bp_c, &mut want);
-            mbrpa_simd::gemm_c64_4x4_on(d, k, &ap, &bp_c, &mut got);
-            assert_same_bits(d, "gemm_c64_4x4", &got, &want);
         }
     });
 }
@@ -210,10 +204,6 @@ fn gram_tiles_bitwise_identical() {
         let seed = rng.random_range(1..usize::MAX) as u64;
         let mut rng = Rng::new(seed);
         let cols: Vec<Vec<f64>> = (0..6).map(|_| rng.vec(n)).collect();
-        let za = rng.vec(2 * n);
-        let zb = rng.vec(2 * n);
-        let zc = rng.vec(2 * n);
-        let zd = rng.vec(2 * n);
         let s = Dispatch::Scalar;
         for d in vector_paths() {
             let (mut want, mut got) = ([0.0f64; 8], [0.0f64; 8]);
@@ -224,11 +214,6 @@ fn gram_tiles_bitwise_identical() {
                 d, &cols[0], &cols[1], &cols[2], &cols[3], &cols[4], &cols[5], &mut got,
             );
             assert_same_bits(d, "gram2x4_f64", &got, &want);
-
-            let (mut want, mut got) = ([0.0f64; 8], [0.0f64; 8]);
-            mbrpa_simd::gram2_c64_on(s, &za, &zb, &zc, &zd, &mut want);
-            mbrpa_simd::gram2_c64_on(d, &za, &zb, &zc, &zd, &mut got);
-            assert_same_bits(d, "gram2_c64", &got, &want);
         }
     });
 }

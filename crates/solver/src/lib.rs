@@ -8,7 +8,6 @@
 //! * **Real-arithmetic shifted solves** ([`shifted_lanczos`]) — the
 //!   Sternheimer systems as real (block) Lanczos on `H − λ_j`, two
 //!   columns per apply,
-//! * **Restarted GMRES** ([`gmres`]) — the long-recurrence baseline,
 //! * **Chebyshev-filtered subspace iteration** ([`chebyshev`]) — the
 //!   filter, Rayleigh–Ritz round and start block shared by CheFSI and the
 //!   RPA dielectric eigensolver,
@@ -29,7 +28,6 @@
 pub mod block_cocg;
 pub mod chebyshev;
 pub mod dynamic_block;
-pub mod gmres;
 pub mod initial_guess;
 pub mod operator;
 pub mod shifted_lanczos;
@@ -45,7 +43,6 @@ pub use chebyshev::{
     chebyshev_filter, random_orthonormal_block, rayleigh_ritz, RitzRound, SubspaceTimings,
 };
 pub use dynamic_block::{solve_multi_rhs, solve_shifted_real_rhs, BlockPolicy, MultiRhsOutcome};
-pub use gmres::{gmres, GmresOptions};
 pub use initial_guess::{galerkin_guess, galerkin_guess_real};
 pub use operator::{DenseOperator, LinearOperator};
 pub use shifted_lanczos::{shifted_block_lanczos, shifted_lanczos_pair, ReSink, RealShifted};

@@ -19,11 +19,10 @@ pub struct SolveReport {
     /// Gram-matrix breakdown restarts performed.
     pub breakdowns: usize,
     /// Relative residual after every iteration (populated only when
-    /// [`crate::CocgOptions::track_residuals`] /
-    /// [`crate::GmresOptions::track_residuals`] is set — convergence-curve
+    /// [`crate::CocgOptions::track_residuals`] is set — convergence-curve
     /// studies only; empty in production runs). The three Sternheimer
     /// solvers keep `iterations + 1` entries, the start's first, whatever
-    /// ends the solve; GMRES keeps one per inner step.
+    /// ends the solve.
     pub residual_history: Vec<f64>,
 }
 
@@ -67,8 +66,7 @@ impl SolveReport {
     }
 
     /// Push `rel` to the history when `track` is set, testing nothing: the
-    /// entry of an iteration that broke off before the next test (and each
-    /// inner step of GMRES, which keeps its own convention).
+    /// entry of an iteration that broke off before the next test.
     pub(crate) fn log_residual(&mut self, rel: f64, track: bool) {
         if track {
             self.residual_history.push(rel);

@@ -1,10 +1,11 @@
-//! Solver playground: block COCG vs GMRES on Sternheimer systems of
-//! varying difficulty — the §III-B story in one binary.
+//! Solver playground: block COCG on Sternheimer systems of varying
+//! difficulty — the §III-B story in one binary.
 //!
 //! Builds real Sternheimer matrices `H − λ_j I + iω_k I` from a model
 //! crystal and reports iteration counts and matvec counts for
-//! (a) the easy `(j=1, k=1)` pair, (b) the hard `(j=n_s, k=ℓ)` pair,
-//! (c) block sizes 1/2/4, and (d) the GMRES baseline.
+//! (a) the easy `(j=1, k=1)` pair, (b) the hard `(j=n_s, k=ℓ)` pair, at
+//! (c) block sizes 1/2/4. The GMRES and QMR baselines run in
+//! `cargo run -p mbrpa-bench --bin solver_convergence_curves`.
 //!
 //! Run with `cargo run --release --example solver_playground`.
 
@@ -67,29 +68,9 @@ fn main() {
                 rep.iterations, rep.matvecs
             );
         }
-        // GMRES baseline, one right-hand side
-        let b = random_rhs(n, 1, 42);
-        let (xg, repg) = gmres(
-            &stern,
-            b.col(0),
-            None,
-            &GmresOptions {
-                tol: 1e-6,
-                restart: 80,
-                max_matvecs: 20_000,
-                track_residuals: false,
-            },
-        );
-        let xm = Mat::col_vector(xg);
-        let res = true_relative_residual(&stern, &b, &xm);
-        println!(
-            "{label}  {omega:>7.3}  {lambda:>18.4}   GMRES(80)   1  {:>6}  {:>7}  {res:.1e}",
-            repg.iterations, repg.matvecs
-        );
     }
 
     println!();
     println!("takeaways (cf. §III-B): the hard pair needs far more iterations; block");
-    println!("sizes s > 1 cut the iteration count; COCG keeps O(1) memory while GMRES");
-    println!("grows its basis with every iteration.");
+    println!("sizes s > 1 cut the iteration count; COCG keeps O(1) memory per column.");
 }

@@ -38,7 +38,7 @@
 //! | [`linalg`] | dense real/complex kernels (GEMM, LU, Cholesky, QR, symmetric eigensolvers) |
 //! | [`grid`] | finite-difference stencils, Kronecker spectral Laplacian, Coulomb operator `ν`, `ν½` |
 //! | [`dft`] | model Kohn–Sham substrate (crystals, pseudopotential, Hamiltonian, CheFSI) |
-//! | [`solver`] | block COCG, GMRES baseline, Chebyshev filters, dynamic block sizing |
+//! | [`solver`] | block COCG, real shifted Lanczos, Chebyshev filters, dynamic block sizing |
 //! | [`ckpt`] | crash-safe checkpoint codec and two-slot journaled store |
 //! | [`obs`] | zero-dependency telemetry: spans, counters, residual traces, JSON reports |
 //! | [`core`] | quadrature, Sternheimer χ⁰ apply, subspace iteration, RPA driver, direct oracle |
@@ -95,8 +95,7 @@ pub mod prelude {
     pub use mbrpa_linalg::{Mat, C64};
     pub use mbrpa_serve::{Daemon, DaemonConfig};
     pub use mbrpa_solver::{
-        block_cocg, cocg, gmres, solve_multi_rhs, BlockPolicy, CocgOptions, GmresOptions,
-        LinearOperator, WorkerStats,
+        block_cocg, cocg, solve_multi_rhs, BlockPolicy, CocgOptions, LinearOperator, WorkerStats,
     };
 }
 
