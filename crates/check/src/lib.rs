@@ -4,7 +4,8 @@
 //! until the required number of cases pass. Each seed comes from the
 //! property's name and the case index, so every run draws the same cases.
 //! There is no shrinking: a failing case prints the seed that replays it
-//! alone, `PROPERTY_SEED=<seed> cargo test <name>`.
+//! alone, `PROPERTY_SEED=<seed> cargo test <name>`. [`fnv1a64`] is the
+//! hash the bit pins compare.
 
 use rand::SeedableRng;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -51,4 +52,16 @@ pub fn assume(holds: bool) {
     if !holds {
         resume_unwind(Box::new(Rejected));
     }
+}
+
+/// 64-bit FNV-1a over the little-endian bytes of each value's bits.
+pub fn fnv1a64(values: impl Iterator<Item = f64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }

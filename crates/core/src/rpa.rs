@@ -433,14 +433,6 @@ fn publish_work(label: &str, ledger: &Ledger, stats: &WorkerStats) {
     let slots = &stats.lanczos;
     add("solver.lanczos.lone_solves", slots.lone_solves as u64);
     add("solver.lanczos.carried", slots.carried as u64);
-    add(
-        "solver.lanczos.carried_dropped",
-        slots.carried_dropped as u64,
-    );
-    add(
-        "solver.lanczos.carried_dropped_matvecs",
-        slots.carried_dropped_matvecs as u64,
-    );
     // what each block width cost: the Table IV count, its Krylov steps
     // and its busy time (the per-width times add up to `solve_time`)
     for (s, load) in stats.block_sizes.loads() {

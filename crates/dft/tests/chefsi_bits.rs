@@ -5,19 +5,8 @@
 //! This hashes the `to_bits` of every energy and orbital entry it returns on
 //! a small perturbed crystal; the value moves with any such change.
 
+use mbrpa_check::fnv1a64;
 use mbrpa_dft::{solve_occupied_chefsi, ChefsiOptions, Hamiltonian, PotentialParams, SiliconSpec};
-
-/// 64-bit FNV-1a over the little-endian bytes of each value's bits.
-fn fnv1a64(values: impl Iterator<Item = f64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 #[test]
 fn chefsi_energies_and_orbitals_keep_their_bits() {

@@ -7,21 +7,10 @@
 //! the Kohn–Sham matrices of the benchmark's three grid shapes and on two
 //! seeded symmetric-definite pairs; the values move with any such change.
 
+use mbrpa_check::fnv1a64;
 use mbrpa_dft::{Hamiltonian, PotentialParams, SiliconSpec};
 use mbrpa_grid::Boundary;
 use mbrpa_linalg::{generalized_sym_eig, symmetric_eig, Mat, SymEig};
-
-/// 64-bit FNV-1a over the little-endian bytes of each value's bits.
-fn fnv1a64(values: impl Iterator<Item = f64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// `(values, vectors)` hashes of one decomposition.
 fn hashes(eig: &SymEig) -> (u64, u64) {

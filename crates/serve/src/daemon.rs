@@ -44,8 +44,6 @@ pub struct DaemonConfig {
     /// the telemetry sink is process-global, so two concurrent jobs would
     /// blend their spans, and [`Daemon::start`] refuses the pair.
     pub profile: bool,
-    /// HTTP worker threads serving the API.
-    pub http_workers: usize,
     /// Enable the exact result cache (see [`crate::cache`]). On by
     /// default; `rpaserved -no-cache` turns it off.
     pub cache: bool,
@@ -72,7 +70,6 @@ impl Default for DaemonConfig {
             executors: 1,
             backlog: 16,
             profile: false,
-            http_workers: 2,
             cache: true,
             cache_dir: None,
             cache_budget: cache::DEFAULT_BUDGET,
@@ -260,7 +257,7 @@ impl Daemon {
 
         let listener = TcpListener::bind(&config.addr)?;
         let handler = api::handler(Arc::clone(&shared));
-        let http = HttpServer::start(listener, handler, config.http_workers.max(1))?;
+        let http = HttpServer::start(listener, handler)?;
 
         // recovered jobs entered the queue above, before any executor
         // exists to wait: the first claim finds them without a notify

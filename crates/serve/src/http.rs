@@ -31,6 +31,8 @@ pub const MAX_BODY_BYTES: usize = 2 * 1024 * 1024;
 /// one byte at a time — every successful read would reset the clock and
 /// pin a worker thread indefinitely.
 pub const MAX_REQUEST_SECS: u64 = 10;
+/// Handler threads of every server, the daemon's and the router's.
+const WORKERS: usize = 2;
 
 /// A parsed request.
 #[derive(Debug)]
@@ -159,13 +161,13 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Start serving on `listener` with `n_workers` handler threads.
-    pub fn start(listener: TcpListener, handler: Handler, n_workers: usize) -> io::Result<Self> {
+    /// Start serving on `listener` with `WORKERS` (two) handler threads.
+    pub fn start(listener: TcpListener, handler: Handler) -> io::Result<Self> {
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         // the threads own the listener: the port closes when the last exits
         let listener = Arc::new(listener);
-        let workers = (0..n_workers.max(1))
+        let workers = (0..WORKERS)
             .map(|_| {
                 let listener = Arc::clone(&listener);
                 let shutdown = Arc::clone(&shutdown);
@@ -446,7 +448,7 @@ mod tests {
         bind: &str,
         handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
     ) -> HttpServer {
-        HttpServer::start(TcpListener::bind(bind).unwrap(), Arc::new(handler), 2).unwrap()
+        HttpServer::start(TcpListener::bind(bind).unwrap(), Arc::new(handler)).unwrap()
     }
 
     /// A server that replies with the request's body.

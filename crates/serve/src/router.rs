@@ -87,8 +87,6 @@ pub struct RouterConfig {
     pub probe_timeout: Duration,
     /// Consecutive probe failures before a worker is declared dead.
     pub fail_threshold: u32,
-    /// HTTP worker threads serving the API.
-    pub http_workers: usize,
     /// Diagnostics sink.
     pub log: Logger,
 }
@@ -102,7 +100,6 @@ impl Default for RouterConfig {
             poll_interval: DEFAULT_POLL_INTERVAL,
             probe_timeout: DEFAULT_PROBE_TIMEOUT,
             fail_threshold: DEFAULT_FAIL_THRESHOLD,
-            http_workers: 2,
             log: Arc::new(|_| {}),
         }
     }
@@ -369,7 +366,7 @@ impl Router {
 
         let listener = TcpListener::bind(&config.addr)?;
         let handler = handler(Arc::clone(&shared));
-        let http = HttpServer::start(listener, handler, config.http_workers.max(1))?;
+        let http = HttpServer::start(listener, handler)?;
 
         let poll_shared = Arc::clone(&shared);
         let poller = std::thread::Builder::new()

@@ -49,7 +49,6 @@ pub fn start_on(root: &Path, config: DaemonConfig) -> (Daemon, SocketAddr) {
         root: root.to_path_buf(),
         addr: "127.0.0.1:0".to_string(),
         profile: false,
-        http_workers: 2,
         log: Arc::new(|_| {}),
         ..config
     })

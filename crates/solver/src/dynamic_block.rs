@@ -16,7 +16,6 @@ use crate::shifted_lanczos::{shifted_block_lanczos, shifted_lanczos_pair, ReSink
 use crate::stats::{SolveReport, WorkerStats};
 use crate::workspace::{with_thread_workspace, Workspace};
 use mbrpa_linalg::{Mat, C64};
-use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// How a worker chooses its COCG block size.
@@ -190,24 +189,6 @@ fn schedule_chunks(
     (s, all_converged)
 }
 
-/// Column `w − 1`'s solve, run in the idle slot of Alg. 4's `s = 1`
-/// probe and held until the schedule reaches the column.
-struct Carried {
-    col: usize,
-    /// The probe's iterate, `Re x` of the column in its `im` slot.
-    x: Vec<C64>,
-    report: SolveReport,
-    elapsed: Duration,
-}
-
-std::thread_local! {
-    /// The vector a carried column waits in, one per thread and outside
-    /// the workspace pools: a seventh vector in the complex pool reshuffles
-    /// which buffers the Lanczos vectors land in, which moves a 14³ solve
-    /// by ±10 %, and raised the peak RSS at 14³ by about 0.5 MiB.
-    static HELD: Cell<Vec<C64>> = const { Cell::new(Vec::new()) };
-}
-
 /// [`solve_multi_rhs`] for `A = R + iω` and a real block `b`, wanting
 /// only `Re X`: the Sternheimer solves of `χ⁰`. Same schedule, same
 /// statistics, every chunk in real arithmetic: a width-1 chunk through
@@ -220,13 +201,10 @@ std::thread_local! {
 ///
 /// No Lanczos call need leave its second slot idle for the probe: under
 /// Alg. 4 with `w ≥ 4` the `s = 1` probe solves column 0 and, beside it,
-/// column `w − 1`, whose `Re x` waits in a vector of the thread. Only column 0's
-/// report prices the probe, so Alg. 4 chooses what it chose without the
-/// passenger. A width-1 chunk that reaches column `w − 1` is served from
-/// the held solve; if a wider chunk covers it instead, the held solve is
-/// dropped and counted as such (`stats.lanczos`). The slots never mix, so
-/// every column's `Re x`, iterations and matvecs are the ones a lone
-/// solve gives.
+/// column `w − 1`, and Alg. 4 schedules the first `w − 1` columns only.
+/// Only column 0's report prices the probe, so Alg. 4 chooses what it
+/// chose without the passenger. The slots never mix, so every column's
+/// `Re x`, iterations and matvecs are the ones a lone solve gives.
 pub fn solve_shifted_real_rhs<O: RealShifted>(
     op: &O,
     b: &Mat<f64>,
@@ -238,78 +216,38 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
 ) -> bool {
     let w = b.cols();
     let carries = w >= 4 && !matches!(policy, BlockPolicy::Fixed(_));
-    let mut carried: Option<Carried> = None;
-    let all_converged = schedule_chunks(w, policy, true, &mut |start, width, chunks| {
+    let scheduled = if carries { w - 1 } else { w };
+    schedule_chunks(scheduled, policy, true, &mut |start, width, chunks| {
         let t0 = Instant::now();
         if width == 1 {
-            let cover = start..start + chunks;
-            let held = carried.take_if(|h| cover.contains(&h.col));
-            let mut cols = [0; 2];
-            let mut k = 0;
-            for c in cover.filter(|&c| held.as_ref().is_none_or(|h| h.col != c)) {
-                cols[k] = c;
-                k += 1;
-            }
             // Alg. 4's `s = 1` probe takes the last column into its idle slot
             let probe = carries && start == 0;
-            if probe {
-                cols[1] = w - 1;
-            }
-            let lanes = if probe { 2 } else { k };
+            let (cols, lanes) = if probe {
+                ([0, w - 1], 2)
+            } else {
+                ([start, start + 1], chunks)
+            };
+            let reports = with_thread_workspace(|ws: &mut Workspace<C64>| {
+                shifted_lanczos_pair(op, b, guess, &cols[..lanes], opts, ws, sink)
+            });
+            let total = t0.elapsed();
+            let elapsed = total / lanes as u32;
             let mut ok = true;
-            let mut price = None;
-            if lanes > 0 {
-                let mut keep = probe.then(|| HELD.take());
-                let reports = with_thread_workspace(|ws: &mut Workspace<C64>| {
-                    shifted_lanczos_pair(
-                        op,
-                        b,
-                        guess,
-                        &cols[..lanes],
-                        opts,
-                        ws,
-                        &mut |c, x, slot| match keep.as_mut() {
-                            Some(keep) if c == w - 1 => {
-                                keep.clear();
-                                keep.extend_from_slice(x);
-                            }
-                            _ => sink(c, x, slot),
-                        },
-                    )
-                });
-                let total = t0.elapsed();
-                let elapsed = total / lanes as u32;
-                for report in &reports[..k] {
-                    stats.absorb(1, 1, report, elapsed);
-                    ok &= report.converged;
-                }
-                stats.lanczos.lone_solves += usize::from(lanes == 1);
-                stats.lanczos.carried += usize::from(probe);
-                // the probe is priced by column 0 alone: its report, and
-                // its share of the steps the call ran
+            for report in &reports[..lanes] {
+                stats.absorb(1, 1, report, elapsed);
+                ok &= report.converged;
+            }
+            stats.lanczos.lone_solves += usize::from(lanes == 1);
+            stats.lanczos.carried += usize::from(probe);
+            // the probe is priced by column 0 alone: its report, and its
+            // share of the steps the call ran
+            let priced = if probe {
                 let steps = reports[0].iterations.max(reports[1].iterations).max(1);
-                let own = total.mul_f64(reports[0].iterations.max(1) as f64 / steps as f64);
-                let priced = if probe { own } else { elapsed };
-                price = Some(chunk_cost(policy, op, 1, &reports[0], priced));
-                if let Some(x) = keep {
-                    let report = reports[1].clone();
-                    carried = Some(Carried {
-                        col: w - 1,
-                        x,
-                        report,
-                        elapsed,
-                    });
-                }
-            }
-            if let Some(h) = held {
-                sink(h.col, &h.x, 1);
-                stats.absorb(1, 1, &h.report, h.elapsed);
-                ok &= h.report.converged;
-                price.get_or_insert_with(|| chunk_cost(policy, op, 1, &h.report, h.elapsed));
-                HELD.set(h.x);
-            }
-            // lint: allow(unwrap) — a width-1 call covers at least one column
-            return (price.expect("a column was solved"), ok);
+                total.mul_f64(reports[0].iterations.max(1) as f64 / steps as f64)
+            } else {
+                elapsed
+            };
+            return (chunk_cost(policy, op, 1, &reports[0], priced), ok);
         }
         let report = with_thread_workspace(|ws: &mut Workspace<C64>| {
             shifted_block_lanczos(op, b, guess, start..start + width, opts, ws, sink)
@@ -321,17 +259,7 @@ pub fn solve_shifted_real_rhs<O: RealShifted>(
             report.converged,
         )
     })
-    .1;
-    // a wider chunk solved the held column again
-    if let Some(h) = carried {
-        stats.lanczos.carried_dropped += 1;
-        stats.lanczos.carried_dropped_matvecs += h.report.matvecs;
-        // its time is the probe's: width 1, no columns, no steps
-        stats.solve_time += h.elapsed;
-        stats.block_sizes.add_load(1, 0, h.elapsed);
-        HELD.set(h.x);
-    }
-    all_converged
+    .1
 }
 
 #[cfg(test)]
@@ -340,6 +268,7 @@ mod tests {
     use crate::block_cocg::{block_cocg, true_relative_residual};
     use crate::stats::{BlockSizeHistogram, LanczosSlots};
     use crate::test_util::{rand_rhs, test_operator};
+    use mbrpa_check::Rng;
 
     #[test]
     fn singles_pair_up_past_the_probes_only() {
@@ -405,15 +334,17 @@ mod tests {
     }
 
     #[test]
-    fn the_probe_carries_the_last_column_to_its_width_one_chunk() {
-        // For w = 1..=12 under fixed and cost-model policies: the chunks the
-        // schedule makes without a carry (every width-1 chunk its own Alg. 3
-        // solve, which is what the real path ran before the probe carried),
-        // then the real path itself: the same histogram, every column sunk
-        // once with its solution, and Lanczos calls left lone only where the
-        // held column could not serve them.
-        let (mut served, mut dropped) = (0, 0);
-        for w in 1..=12 {
+    fn the_probe_carries_the_last_column_beside_column_0() {
+        // For w = 1..=24 under fixed and cost-model policies: the chunks the
+        // schedule makes over the columns Alg. 4 schedules (all w, or the
+        // first w − 1 where the probe carries), each solved alone by block
+        // COCG (Alg. 3) for its solution and by its real solver for its
+        // price and matvecs, plus column w − 1 as its own width-1 solve where
+        // the probe carries; then the real path itself: the same histogram
+        // and matvecs (no column solved twice), every column sunk once with
+        // its solution, and a Lanczos call left lone for each width-1 chunk
+        // without a partner.
+        for w in 1..=24 {
             for policy in [
                 BlockPolicy::Fixed(1),
                 BlockPolicy::Fixed(2),
@@ -430,46 +361,49 @@ mod tests {
                 let bc = rand_rhs(n, w, 31 + w as u64);
                 let b = bc.map(|z| z.re);
                 let opts = CocgOptions::with_tol(1e-7);
+                let carries = w >= 4 && policy == BlockPolicy::DynamicCostModel;
+                let scheduled = if carries { w - 1 } else { w };
                 let mut chunks_seen = Vec::new();
                 let mut want = Mat::zeros(n, w);
                 let mut want_hist = BlockSizeHistogram::new();
-                schedule_chunks(w, policy, true, &mut |start, width, chunks| {
+                let mut want_matvecs = 0;
+                let mut reference = |c0: usize, width: usize| {
+                    let rhs = b.columns(c0, width).map(|x| C64::new(x, 0.0));
+                    want.set_columns(c0, &block_cocg(&op, &rhs, None, &opts).0);
+                    want_hist.record(width, width);
+                    // the real solve of this chunk alone prices it
+                    let report = with_thread_workspace(|ws: &mut Workspace<C64>| {
+                        let ignore = &mut |_: usize, _: &[C64], _: usize| {};
+                        if width == 1 {
+                            let [report, _] =
+                                shifted_lanczos_pair(&op, &b, None, &[c0], &opts, ws, ignore);
+                            report
+                        } else {
+                            shifted_block_lanczos(&op, &b, None, c0..c0 + width, &opts, ws, ignore)
+                        }
+                    });
+                    want_matvecs += report.matvecs;
+                    report
+                };
+                schedule_chunks(scheduled, policy, true, &mut |start, width, chunks| {
                     chunks_seen.push((start, width, chunks));
-                    let mut first = None;
-                    for k in 0..chunks {
-                        let c0 = start + k * width;
-                        let rhs = b.columns(c0, width).map(|x| C64::new(x, 0.0));
-                        let (x, report) = block_cocg(&op, &rhs, None, &opts);
-                        want.set_columns(c0, &x);
-                        want_hist.record(width, width);
-                        first.get_or_insert(report);
-                    }
-                    let report = first.unwrap();
-                    (model_cost(&op, width, &report), report.converged)
+                    let reports: Vec<_> = (0..chunks)
+                        .map(|k| reference(start + k * width, width))
+                        .collect();
+                    (model_cost(&op, width, &reports[0]), reports[0].converged)
                 });
-                let carries = w >= 4 && policy == BlockPolicy::DynamicCostModel;
-                let mut lone = chunks_seen
+                let lone = chunks_seen
                     .iter()
                     .filter(|&&(_, width, chunks)| width == 1 && chunks == 1)
                     .count();
-                let mut want_slots = LanczosSlots::default();
                 if carries {
-                    want_slots.carried = 1;
-                    lone -= 1; // the probe runs as a pair
-                    let last = chunks_seen
-                        .iter()
-                        .find(|&&(start, width, chunks)| {
-                            (start..start + width * chunks).contains(&(w - 1))
-                        })
-                        .copied()
-                        .unwrap();
-                    match last {
-                        (_, 1, 1) => lone -= 1, // served: no call at all
-                        (_, 1, _) => lone += 1, // its partner runs alone
-                        _ => want_slots.carried_dropped = 1,
-                    }
+                    reference(w - 1, 1);
                 }
-                want_slots.lone_solves = lone;
+                let want_slots = LanczosSlots {
+                    // the probe runs as a pair
+                    lone_solves: lone - usize::from(carries),
+                    carried: usize::from(carries),
+                };
 
                 let mut stats = WorkerStats::new();
                 let mut sunk = vec![0; w];
@@ -493,20 +427,55 @@ mod tests {
                 assert!(ok, "{what}");
                 assert!(sunk.iter().all(|&k| k == 1), "{what}: sunk {sunk:?}");
                 assert_eq!(stats.block_sizes, want_hist, "{what}");
-                let mut slots = stats.lanczos;
-                if slots.carried_dropped > 0 {
-                    assert!(slots.carried_dropped_matvecs > 0, "{what}");
-                    slots.carried_dropped_matvecs = 0;
-                    dropped += 1;
-                } else if carries {
-                    served += 1;
-                }
-                assert_eq!(slots, want_slots, "{what}");
+                assert_eq!(stats.matvecs, want_matvecs, "{what}");
+                assert_eq!(stats.lanczos, want_slots, "{what}");
             }
         }
+    }
+
+    #[test]
+    fn carrying_moves_no_chunk_where_a_width_one_chunk_reaches_the_last_column() {
+        // Alg. 4 over w columns, on seeded chunk costs, against Alg. 4 over
+        // the first w − 1: wherever the former reaches column w − 1 in a
+        // width-1 chunk, taking that column out of the chunk gives the
+        // latter's calls, so solving it beside the probe changes no chunk.
+        let mut reached = 0;
+        mbrpa_check::check(256, |rng| {
+            let w = rng.random_range(4..41);
+            let seed: u64 = rng.random();
+            let calls = |nrhs| {
+                let mut seen = Vec::new();
+                schedule_chunks(
+                    nrhs,
+                    BlockPolicy::DynamicCostModel,
+                    true,
+                    &mut |start, width, chunks| {
+                        seen.push((start, width, chunks));
+                        // a cost per chunk, the same whichever schedule asks
+                        let h = (seed ^ ((start as u64) << 32) ^ width as u64)
+                            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        (
+                            width as f64 * (0.5 + (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0),
+                            true,
+                        )
+                    },
+                );
+                seen
+            };
+            let mut full = calls(w);
+            let last = full.pop().unwrap();
+            if last.1 > 1 {
+                return;
+            }
+            reached += 1;
+            if last.2 == 2 {
+                full.push((last.0, 1, 1));
+            }
+            assert_eq!(full, calls(w - 1), "w {w}, last chunk {last:?}");
+        });
         assert!(
-            served > 0 && dropped > 0,
-            "served {served}, dropped {dropped}"
+            reached >= 32,
+            "{reached} of 256 schedules reached it in a width-1 chunk"
         );
     }
 

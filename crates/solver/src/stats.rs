@@ -208,19 +208,12 @@ pub struct LanczosSlots {
     pub lone_solves: usize,
     /// Last columns Alg. 4's `s = 1` probe solved in its idle slot.
     pub carried: usize,
-    /// Carried columns a wider chunk solved again; their work is in no
-    /// other field.
-    pub carried_dropped: usize,
-    /// Matvecs of the dropped carried columns.
-    pub carried_dropped_matvecs: usize,
 }
 
 impl LanczosSlots {
     fn merge(&mut self, other: &LanczosSlots) {
         self.lone_solves += other.lone_solves;
         self.carried += other.carried;
-        self.carried_dropped += other.carried_dropped;
-        self.carried_dropped_matvecs += other.carried_dropped_matvecs;
     }
 }
 

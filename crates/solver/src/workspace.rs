@@ -78,9 +78,8 @@ impl<T: Scalar> Workspace<T> {
                     // the stack), so a pool that keeps missing does not
                     // keep adding buffers. Which one grows decides where
                     // the solver's vectors land, and placement alone
-                    // moves a 14³ solve by ±10 % (`HELD` in
-                    // dynamic_block.rs): another pick is a measured
-                    // change of its own.
+                    // moves a 14³ solve by ±10 %: another pick is a
+                    // measured change of its own.
                     Some(mut buf) => {
                         buf.reserve(len.saturating_sub(buf.len()));
                         buf

@@ -13,6 +13,7 @@
 //! same way on complex blocks, and so is one `solve_multi_rhs` call under
 //! Alg. 4's cost model.
 
+use mbrpa_check::fnv1a64;
 use mbrpa_dft::{
     solve_occupied_dense, Hamiltonian, KsSolution, PotentialParams, SiliconSpec, SternheimerLinOp,
     SternheimerOperator,
@@ -23,18 +24,6 @@ use mbrpa_solver::{
     block_cocg_ws, galerkin_guess, galerkin_guess_real, shifted_block_lanczos, solve_multi_rhs,
     BlockPolicy, CocgOptions, LinearOperator, WorkerStats, Workspace,
 };
-
-/// 64-bit FNV-1a over the little-endian bytes of each value's bits.
-fn fnv1a64(values: impl Iterator<Item = f64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in values {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 /// What one solve is pinned by: the hash of `Re x` over the columns in
 /// order, iterations, matvecs, breakdowns and the hash of the residual
