@@ -4,18 +4,19 @@
 //! 1. **subspace iteration** over the lowest `n_eig` eigenvalues (the
 //!    paper's evaluated method; truncates the trace),
 //! 2. **scalar Lanczos quadrature** (§V: no eigensolve, full spectrum),
-//! 3. **block Lanczos quadrature** (§V: "can additionally take advantage
-//!    of a block-type algorithm"),
+//!    block Lanczos at `b = 1`,
+//! 3. **block Lanczos quadrature** at `b = 4` (§V: "can additionally take
+//!    advantage of a block-type algorithm"),
 //! 4. the **exact dense trace** as ground truth.
 //!
-//! Run with `cargo run --release --example trace_estimators`.
+//! Run with `cargo run --release -p mbrpa-bench --example trace_estimators`.
 
 use mbrpa::core::{
-    block_lanczos_trace, dielectric_spectrum, frequency_quadrature, full_spectrum, lanczos_trace,
-    random_orthonormal_block, subspace_iteration, trace_term, BlockTraceOptions,
-    TraceEstimatorOptions,
+    dielectric_spectrum, frequency_quadrature, full_spectrum, random_orthonormal_block,
+    subspace_iteration, trace_term,
 };
 use mbrpa::prelude::*;
+use mbrpa_bench::trace_est::{block_lanczos_trace, BlockTraceOptions};
 use std::time::Instant;
 
 fn main() {
@@ -75,29 +76,30 @@ fn main() {
         trace_term(&sub.eigenvalues)
     );
 
-    // 2. scalar Lanczos quadrature
+    // 2. scalar Lanczos quadrature: block size 1
     let f = |mu: f64| {
         let mu = mu.min(0.0);
         (1.0 - mu).ln() + mu
     };
     let t0 = Instant::now();
-    let scalar = lanczos_trace(
+    let scalar = block_lanczos_trace(
         &op,
         &f,
-        &TraceEstimatorOptions {
-            n_probes: 16,
-            lanczos_steps: 20,
+        &BlockTraceOptions {
+            n_blocks: 16,
+            block_size: 1,
+            steps: 20,
             seed: 31,
         },
     )
     .expect("scalar lanczos");
     let t_scalar = t0.elapsed().as_secs_f64();
     println!(
-        "scalar Lanczos (16 probes)         : {:+.6} ± {:.4} Ha   [{t_scalar:.1} s, full spectrum]",
+        "scalar Lanczos (16 probes, b = 1)  : {:+.6} ± {:.4} Ha   [{t_scalar:.1} s, full spectrum]",
         scalar.trace, scalar.std_error
     );
 
-    // 3. block Lanczos quadrature
+    // 3. block Lanczos quadrature, b = 4
     let t0 = Instant::now();
     let block = block_lanczos_trace(
         &op,
@@ -112,7 +114,7 @@ fn main() {
     .expect("block lanczos");
     let t_block = t0.elapsed().as_secs_f64();
     println!(
-        "block Lanczos (4 blocks × 4)       : {:+.6} ± {:.4} Ha   [{t_block:.1} s, full spectrum]",
+        "block Lanczos (4 blocks, b = 4)    : {:+.6} ± {:.4} Ha   [{t_block:.1} s, full spectrum]",
         block.trace, block.std_error
     );
 

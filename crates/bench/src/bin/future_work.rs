@@ -7,8 +7,9 @@
 
 use mbrpa_bench::rpa_lanczos::compute_rpa_energy_lanczos;
 use mbrpa_bench::seed::seed_cocg;
+use mbrpa_bench::trace_est::BlockTraceOptions;
 use mbrpa_bench::{ladder_config, prepare_ladder_system, print_table, HarnessOptions};
-use mbrpa_core::{frequency_quadrature, TraceEstimatorOptions};
+use mbrpa_core::frequency_quadrature;
 use mbrpa_dft::{SternheimerLinOp, SternheimerOperator};
 use mbrpa_linalg::{Mat, C64};
 use mbrpa_solver::{block_cocg, CocgOptions};
@@ -33,9 +34,10 @@ fn main() {
     let subspace = setup.run(&config).expect("subspace path");
     let t_subspace = t0.elapsed().as_secs_f64();
     eprintln!("Lanczos-quadrature path…");
-    let estimator = TraceEstimatorOptions {
-        n_probes: 16,
-        lanczos_steps: 24,
+    let estimator = BlockTraceOptions {
+        n_blocks: 16,
+        block_size: 1,
+        steps: 24,
         seed: 31,
     };
     let t0 = Instant::now();

@@ -22,6 +22,7 @@ pub mod rpa_lanczos;
 pub mod seed;
 #[cfg(test)]
 mod test_util;
+pub mod trace_est;
 
 use mbrpa_core::{KsSolver, RpaConfig, RpaSetup};
 use mbrpa_dft::{ChefsiOptions, PotentialParams, SiliconSpec};

@@ -12,12 +12,11 @@
 //! whole spectrum, so it needs no eigenvalue-count parameter at all.
 //!
 //! The `future_work` harness runs it beside the subspace-iteration driver
-//! of `mbrpa-core`, whose trace estimators it calls.
+//! of `mbrpa-core`. The estimator is [`crate::trace_est`]'s block Lanczos
+//! quadrature; `block_size = 1` is the scalar method.
 
-use mbrpa_core::{
-    frequency_quadrature, lanczos_trace, DielectricOperator, RpaConfig, SternheimerSettings,
-    TraceEstimatorOptions,
-};
+use crate::trace_est::{block_lanczos_trace, BlockTraceOptions};
+use mbrpa_core::{frequency_quadrature, DielectricOperator, RpaConfig, SternheimerSettings};
 use mbrpa_dft::{Crystal, Hamiltonian, KsSolution};
 use mbrpa_grid::CoulombOperator;
 use mbrpa_linalg::LinalgError;
@@ -61,7 +60,7 @@ pub fn compute_rpa_energy_lanczos(
     ks: &KsSolution,
     coulomb: &CoulombOperator,
     config: &RpaConfig,
-    estimator: &TraceEstimatorOptions,
+    estimator: &BlockTraceOptions,
 ) -> Result<LanczosRpaResult, LinalgError> {
     let t_start = Instant::now();
     let quad = frequency_quadrature(config.n_omega);
@@ -94,11 +93,11 @@ pub fn compute_rpa_energy_lanczos(
             settings,
             config.n_workers,
         );
-        let opts = TraceEstimatorOptions {
+        let opts = BlockTraceOptions {
             seed: estimator.seed ^ ((k as u64) << 32),
             ..*estimator
         };
-        let est = lanczos_trace(&op, &f, &opts)?;
+        let est = block_lanczos_trace(&op, &f, &opts)?;
         let scale = pt.weight / (2.0 * std::f64::consts::PI);
         total += scale * est.trace;
         var += (scale * est.std_error).powi(2);
@@ -153,9 +152,10 @@ mod tests {
             n_workers: 1,
             ..RpaConfig::default()
         };
-        let estimator = TraceEstimatorOptions {
-            n_probes: 12,
-            lanczos_steps: 30,
+        let estimator = BlockTraceOptions {
+            n_blocks: 12,
+            block_size: 1,
+            steps: 30,
             seed: 5,
         };
         let result = compute_rpa_energy_lanczos(
@@ -207,9 +207,10 @@ mod tests {
                 &setup.ks,
                 &setup.coulomb,
                 &config,
-                &TraceEstimatorOptions {
-                    n_probes: probes,
-                    lanczos_steps: 20,
+                &BlockTraceOptions {
+                    n_blocks: probes,
+                    block_size: 1,
+                    steps: 20,
                     seed: 9,
                 },
             )

@@ -40,7 +40,6 @@ use mbrpa_solver::{
 };
 use rayon::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 /// Least Sternheimer work (grid points × columns × occupied orbitals) each
 /// column range must bring before a `χ⁰` apply fans its (range, orbital)
@@ -226,6 +225,7 @@ impl<'a> DielectricOperator<'a> {
     }
 
     /// Snapshot of the merged worker statistics accumulated so far.
+    // lint: allow(unreached_pub) — read by tests/failure_modes.rs and chi0_alloc
     pub fn stats_snapshot(&self) -> WorkerStats {
         self.lock_ledger().stats()
     }
@@ -233,13 +233,6 @@ impl<'a> DielectricOperator<'a> {
     /// Total single-column operator applications so far.
     pub fn applications(&self) -> usize {
         self.lock_ledger().applications
-    }
-
-    /// Cumulative Sternheimer solve time per logical worker (the §III-D
-    /// load-imbalance profile).
-    pub fn worker_load_snapshot(&self) -> Vec<Duration> {
-        let ledger = self.lock_ledger();
-        ledger.workers.iter().map(|w| w.solve_time).collect()
     }
 
     /// Has the attached [`CancelToken`] (if any) been set? The operator
@@ -312,8 +305,9 @@ impl<'a> DielectricOperator<'a> {
         );
     }
 
-    /// `χ⁰V` over the worker partition (no `ν½` factors). Used by the
-    /// direct-comparison tests and the `νχ⁰` spectrum figure.
+    /// `χ⁰V` over the worker partition (no `ν½` factors), for the
+    /// direct-comparison tests.
+    // lint: allow(unreached_pub) — checked by sternheimer_vs_adler_wiser, chi0_alloc, failure_modes
     pub fn apply_chi0_block(&self, v: &Mat<f64>) -> Mat<f64> {
         self.partitioned_apply(v, false)
     }
@@ -606,6 +600,7 @@ mod tests {
     use super::*;
     use mbrpa_dft::{solve_occupied_dense, PotentialParams, SiliconSpec};
     use mbrpa_grid::SpectralLaplacian;
+    use std::time::Duration;
 
     /// Small fixture shared by the operator tests: a 2-atom-scale crystal
     /// is too big; use a 5³ grid with a handful of orbitals.
@@ -774,10 +769,10 @@ mod tests {
             "oversubscription changed the math: {}",
             o1.max_abs_diff(&o64)
         );
-        let load = d64.worker_load_snapshot();
+        let load = d64.ledger().workers;
         assert_eq!(load.len(), 64, "ledger keeps the configured width");
         // only the clamped workers can have accrued any solve time
-        assert!(load[2..].iter().all(|d| d.is_zero()));
+        assert!(load[2..].iter().all(|w| w.solve_time.is_zero()));
     }
 
     #[test]
@@ -839,9 +834,9 @@ mod tests {
                 assert_eq!(ledger.orbital_iterations.len(), f.energies.len());
                 let per_orbital: usize = ledger.orbital_iterations.iter().sum();
                 assert_eq!(per_orbital, s.iterations, "{workers} workers");
-                let load = d.worker_load_snapshot();
-                assert_eq!(load.len(), workers);
-                assert_eq!(load.iter().sum::<Duration>(), s.solve_time);
+                assert_eq!(ledger.workers.len(), workers);
+                let load = ledger.workers.iter().map(|w| w.solve_time);
+                assert_eq!(load.sum::<Duration>(), s.solve_time);
             }
         }
     }

@@ -70,6 +70,7 @@ impl Default for RpaConfig {
 impl RpaConfig {
     /// Table I defaults with `n_eig = eig_per_atom · atoms` (the paper uses
     /// 96/atom; scaled runs typically use 24/atom).
+    // lint: allow(unreached_pub) — builds the configs of failure_modes and paper_scale_smoke
     pub fn for_system(atoms: usize, eig_per_atom: usize) -> Self {
         Self {
             n_eig: atoms * eig_per_atom,

@@ -107,6 +107,7 @@ pub fn dielectric_spectrum(
 }
 
 /// Exact eigenpairs of `ν½χ⁰ν½` (for the Figure 2 overlap study).
+// lint: allow(unreached_pub) — `fig2_warmstart_overlap` reference
 pub fn dielectric_eigenpairs(
     eig_h: &SymEig,
     n_occupied: usize,
@@ -136,6 +137,7 @@ pub fn exact_trace_term(spectrum: &[f64]) -> f64 {
 
 /// Direct-method RPA correlation energy: full spectrum of `H`, explicit
 /// `χ⁰(iω_k)`, exact traces (the §IV-C comparator).
+// lint: allow(unreached_pub) — the §IV-C comparator of the bench harnesses and referee of golden_energy
 pub fn direct_rpa_energy(
     h_dense: &Mat<f64>,
     n_occupied: usize,

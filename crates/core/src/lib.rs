@@ -16,8 +16,9 @@
 //! 4. [`rpa`]: the driver accumulating `E_RPA = Σ w_k E_k / 2π`.
 //!
 //! [`direct`] provides the quartic-scaling explicit Adler–Wiser baseline
-//! (correctness oracle and the §IV-C comparator), and [`trace_est`] the
-//! Lanczos-quadrature trace estimator proposed as future work in §V.
+//! (correctness oracle and the §IV-C comparator). The Lanczos-quadrature
+//! trace estimator that §V proposes as future work lives in `mbrpa-bench`
+//! (`trace_est`), beside `rpa_lanczos`, its one caller.
 
 // Index-heavy numerical kernels read better with explicit loop indices and
 // the domain-meaningful `2r + 1` stencil-count forms.
@@ -40,7 +41,6 @@ pub mod quadrature;
 pub mod report;
 pub mod rpa;
 pub mod subspace;
-pub mod trace_est;
 pub mod workers;
 
 pub use cancel::CancelToken;
@@ -62,8 +62,5 @@ pub use rpa::{quadrature_of, KsSolver, OmegaReport, PartialRun, RpaResult, RpaSe
 pub use subspace::{
     positive_ritz, subspace_iteration, trace_term, SubspaceIterRecord, SubspaceOutcome,
     SubspaceTimings,
-};
-pub use trace_est::{
-    block_lanczos_trace, lanczos_trace, BlockTraceOptions, TraceEstimate, TraceEstimatorOptions,
 };
 pub use workers::{partition_columns, ColumnRange};

@@ -218,6 +218,7 @@ impl RpaSetup {
 
     /// Run with crash-safe per-frequency checkpoints in `store`, resuming
     /// any compatible prior state per `policy`.
+    // lint: allow(unreached_pub) — pinned by crates/e2e (checkpoint workload) and checkpoint_restart
     pub fn run_resumable(
         &self,
         config: &RpaConfig,
@@ -463,6 +464,7 @@ fn publish_work(label: &str, ledger: &Ledger, stats: &WorkerStats) {
 }
 
 /// Convenience quadrature accessor re-exported for harnesses.
+// lint: allow(unreached_pub) — pinned by crates/e2e
 pub fn quadrature_of(config: &RpaConfig) -> Vec<FrequencyPoint> {
     frequency_quadrature(config.n_omega)
 }

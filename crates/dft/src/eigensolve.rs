@@ -113,6 +113,7 @@ impl KsSolution {
 
     /// HOMO–LUMO gap `λ_{n_s+1} − λ_{n_s}` when an extra eigenpair was
     /// computed.
+    // lint: allow(unreached_pub) — printed by the quickstart example and `direct_vs_iterative`
     pub fn gap(&self) -> Option<f64> {
         if self.energies.len() > self.n_occupied {
             Some(self.energies[self.n_occupied] - self.energies[self.n_occupied - 1])

@@ -127,6 +127,7 @@ impl Hamiltonian {
 
     /// Deterministic lower bound on `λ_min(H)`: `min V_loc` (kinetic and
     /// the PSD non-local term only raise the spectrum).
+    // lint: allow(unreached_pub) — bound checked by proptest_dft and eigensolve's tests
     pub fn spectral_lower_bound(&self) -> f64 {
         self.vloc.iter().cloned().fold(f64::INFINITY, f64::min)
     }

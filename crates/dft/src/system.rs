@@ -106,6 +106,7 @@ impl Default for SiliconSpec {
 
 impl SiliconSpec {
     /// The paper's full-scale configuration (15³ points per cell).
+    // lint: allow(unreached_pub) — the bench harnesses' `--paper-scale` shape and paper_scale_smoke
     pub fn paper_scale(cells_z: usize) -> Self {
         Self {
             points_per_cell: 15,
@@ -165,6 +166,7 @@ impl SiliconSpec {
 }
 
 /// The Table III ladder: `Si8, Si16, …` with `cells_z = 1..=max_cells`.
+// lint: allow(unreached_pub) — the Table III ladder of `table3_systems`
 pub fn silicon_ladder(base: SiliconSpec, max_cells: usize) -> Vec<Crystal> {
     (1..=max_cells)
         .map(|c| SiliconSpec { cells_z: c, ..base }.build())

@@ -25,12 +25,14 @@ impl CoulombOperator {
     }
 
     /// `out = ν v = 4π(−∇²)⁻¹ v` (zero mode → 0).
-    pub fn apply_nu(&self, v: &[f64], out: &mut [f64]) {
+    #[cfg(test)]
+    fn apply_nu(&self, v: &[f64], out: &mut [f64]) {
         self.spectral.apply_function(&nu_of, v, out);
     }
 
     /// `out = ν½ v = √(4π)·(−∇²)⁻½ v` (zero mode → 0).
-    pub fn apply_nu_sqrt(&self, v: &[f64], out: &mut [f64]) {
+    #[cfg(test)]
+    fn apply_nu_sqrt(&self, v: &[f64], out: &mut [f64]) {
         self.spectral
             .apply_function(&|lam| nu_of(lam).sqrt(), v, out);
     }

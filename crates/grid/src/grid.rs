@@ -38,6 +38,7 @@ pub struct Grid3 {
 
 impl Grid3 {
     /// Cubic grid with uniform spacing.
+    // lint: allow(unreached_pub) — builds the grids of the benches, examples and tests
     pub fn cubic(n: usize, h: f64, bc: Boundary) -> Self {
         Self {
             nx: n,

@@ -164,6 +164,7 @@ impl SpectralLaplacian {
 
     /// Solve the Poisson problem `∇² u = rhs` (pseudo-inverse on the
     /// periodic zero mode: the mean of `u` is gauged to zero).
+    // lint: allow(unreached_pub) — referee of the spectral basis in proptest_grid
     pub fn solve_poisson(&self, rhs: &[f64], u: &mut [f64]) {
         self.apply_function(
             &|lam| if exactly_zero(lam) { 0.0 } else { 1.0 / lam },

@@ -315,6 +315,7 @@ impl Laplacian {
     /// This is the variant the paper's arithmetic-intensity analysis argues
     /// *against*; it exists to substantiate Figure/§III-C in a benchmark and
     /// as a correctness cross-check.
+    // lint: allow(unreached_pub) — `kernels_bench` row and referee of proptest_stencil_block
     pub fn apply_block_simultaneous<T: Scalar>(&self, v: &Mat<T>, out: &mut Mat<T>) {
         assert_eq!(v.shape(), out.shape());
         let n = self.grid.len();

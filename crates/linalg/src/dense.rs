@@ -35,6 +35,7 @@ impl<T: Scalar> Mat<T> {
     }
 
     /// Identity matrix of order `n`.
+    // lint: allow(unreached_pub) — test fixture of linalg, dft and solver tests
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
@@ -174,6 +175,7 @@ impl<T: Scalar> Mat<T> {
     }
 
     /// Conjugate transpose.
+    // lint: allow(unreached_pub) — referee of proptest_linalg
     pub fn conj_transpose(&self) -> Mat<T> {
         Mat::from_fn(self.cols, self.rows, |i, j| self[(j, i)].conj())
     }
@@ -199,6 +201,7 @@ impl<T: Scalar> Mat<T> {
     }
 
     /// `self *= alpha`, elementwise.
+    // lint: allow(unreached_pub) — used by block_lanczos_bits and the seed baseline's tests
     pub fn scale_assign(&mut self, alpha: T) {
         crate::vecops::scal(alpha, &mut self.data);
     }
@@ -209,6 +212,7 @@ impl<T: Scalar> Mat<T> {
     }
 
     /// Largest modulus among entries.
+    // lint: allow(unreached_pub) — residual check of proptest_linalg and sternheimer_vs_adler_wiser
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|x| x.abs()).fold(0.0, f64::max)
     }
@@ -219,6 +223,7 @@ impl<T: Scalar> Mat<T> {
     }
 
     /// Maximum modulus of `self - other`.
+    // lint: allow(unreached_pub) — pinned by crates/e2e (replay check)
     pub fn max_abs_diff(&self, other: &Mat<T>) -> f64 {
         assert_eq!(self.shape(), other.shape());
         self.data

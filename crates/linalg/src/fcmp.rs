@@ -3,38 +3,27 @@
 //! The invariant linter (`mbrpa-lint`, rule `float_cmp`) and clippy's
 //! `float_cmp` both forbid raw `==`/`!=` on floats in non-test code:
 //! in this codebase a float equality is almost always a tolerance bug
-//! (solver residuals, quadrature weights, Ritz values). The two
-//! comparisons that *are* legitimate get named, documented entry
-//! points here, so every call site states intent instead of repeating
-//! a suspicious-looking operator:
-//!
-//! * [`exactly_zero`] — bitwise zero test for structural guards:
-//!   a zero right-hand side, a zero pivot, a zero eigenvalue of the
-//!   discrete Laplacian. These are *exact* cases produced by
-//!   construction (memset, deflation, pseudo-inverse of a singular
-//!   mode), not approximate ones, and a tolerance would be wrong.
-//! * [`approx_eq`] — mixed relative/absolute tolerance comparison for
-//!   everything else.
+//! (solver residuals, quadrature weights, Ritz values), and the caller
+//! writes its tolerance out. The one comparison that *is* legitimate
+//! gets a named, documented entry point here, so every call site states
+//! intent instead of repeating a suspicious-looking operator:
+//! [`exactly_zero`], the bitwise zero test for structural guards — a
+//! zero right-hand side, a zero pivot, a zero eigenvalue of the discrete
+//! Laplacian. These are *exact* cases produced by construction (memset,
+//! deflation, pseudo-inverse of a singular mode), not approximate ones,
+//! and a tolerance would be wrong.
 
 /// True iff `x` is (positive or negative) floating-point zero.
 ///
 /// Use only for *structural* zeros — values that are exactly zero by
 /// construction (zero-filled buffers, deflated pivots, the null-space
 /// eigenvalue of a projected operator) — never for "small enough"
-/// checks; those want [`approx_eq`] or an explicit tolerance.
+/// checks; those want an explicit tolerance.
 #[inline(always)]
 #[allow(clippy::float_cmp)]
 pub fn exactly_zero(x: f64) -> bool {
     // lint: allow(float_cmp) — bitwise exact-zero test is this helper's purpose
     x == 0.0
-}
-
-/// True iff `a` and `b` agree within `rtol` (relative, scaled by the
-/// larger magnitude) or `atol` (absolute, for values near zero).
-#[inline]
-pub fn approx_eq(a: f64, b: f64, rtol: f64, atol: f64) -> bool {
-    let scale = a.abs().max(b.abs());
-    (a - b).abs() <= atol.max(rtol * scale)
 }
 
 #[cfg(test)]
@@ -48,15 +37,5 @@ mod tests {
         assert!(!exactly_zero(f64::MIN_POSITIVE));
         assert!(!exactly_zero(1e-300));
         assert!(!exactly_zero(f64::NAN));
-    }
-
-    #[test]
-    fn approx_eq_mixes_relative_and_absolute() {
-        assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-10, 0.0));
-        assert!(!approx_eq(1.0, 1.0 + 1e-8, 1e-10, 0.0));
-        assert!(approx_eq(0.0, 1e-14, 0.0, 1e-12));
-        assert!(!approx_eq(0.0, 1e-8, 0.0, 1e-12));
-        // Relative tolerance scales with magnitude.
-        assert!(approx_eq(1e10, 1e10 + 1.0, 1e-9, 0.0));
     }
 }

@@ -37,7 +37,7 @@ pub mod vecops;
 pub use chol::Cholesky;
 pub use dense::Mat;
 pub use error::LinalgError;
-pub use fcmp::{approx_eq, exactly_zero};
+pub use fcmp::exactly_zero;
 pub use gemm::{matmul, matmul_into, matmul_nt, matmul_tn, matmul_tn_into, matmul_tn_rowsum_into};
 pub use lu::{factor_solve_in_place, solve};
 pub use qr::{orthonormalize_columns, thin_qr, ThinQr};

@@ -17,6 +17,7 @@ fn count_reduce(flops: usize) {
 
 /// Unconjugated dot product `xᵀ y` (the bilinear form used by COCG).
 #[inline]
+// lint: allow(unreached_pub) — `kernels_bench` row; the QMR and seed baselines
 pub fn dot_t<T: Scalar>(x: &[T], y: &[T]) -> T {
     debug_assert_eq!(x.len(), y.len());
     let (xc, yc) = (T::as_components(x), T::as_components(y));

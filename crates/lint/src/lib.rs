@@ -6,8 +6,8 @@
 //! equality, hash-map iteration order must not leak into numeric
 //! results, `unsafe` soundness arguments and weakened atomic orderings
 //! must be written down, rayon regions must not nest, lock guards must
-//! not be held across blocking calls, and schema tags come from one
-//! registry.
+//! not be held across blocking calls, schema tags come from one
+//! registry, and a library `pub` item has a shipped caller.
 //!
 //! The pass lexes every workspace `.rs` file with a hand-rolled Rust
 //! lexer ([`lexer`]) — comments, raw strings, and char-vs-lifetime
@@ -51,9 +51,10 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Wall-clock breakdown of one workspace scan, summed over files. The
-/// lex pass runs once per file and is shared by all thirteen rules;
+/// lex pass runs once per file and is shared by all fourteen rules;
 /// `structure` covers scope-tree construction plus comment/suppression
-/// indexing; `rules` is the rule engine proper.
+/// indexing; `rules` is the rule engine proper, the workspace-level
+/// `unreached_pub` resolve included.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Timing {
     /// Total time lexing.
@@ -86,6 +87,7 @@ pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
     files.sort();
     let mut findings = Vec::new();
     let mut timing = Timing::default();
+    let mut reach = rules::Reachability::default();
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))
             .map_err(|e| format!("read {}: {e}", rel.display()))?;
@@ -98,8 +100,12 @@ pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
         timing.structure += analysis.structure_time;
         let t0 = std::time::Instant::now();
         findings.extend(rules::run_rules(&analysis));
+        reach.add(&analysis);
         timing.rules += t0.elapsed();
     }
+    let t0 = std::time::Instant::now();
+    findings.extend(reach.resolve());
+    timing.rules += t0.elapsed();
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(ScanResult {

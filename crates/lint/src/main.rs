@@ -51,6 +51,9 @@ rules (structure-aware, over the scope tree):
   lock_hold        no blocking call while a lock guard is live (serve)
   schema_tag       mbrpa.*/N literals only in the mbrpa-schema registry
 
+rules (workspace-level, resolved after every file is read):
+  unreached_pub    a library pub item is named by shipped non-test code
+
 meta:
   unused_allow     a `// lint: allow(<rule>)` that matched no finding
 

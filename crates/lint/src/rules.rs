@@ -2,7 +2,7 @@
 //! rules, the scope tree built over it ([`crate::scope`]) — and emits
 //! findings.
 //!
-//! Twelve rules enforce invariants the compiler cannot see (rule ids
+//! Thirteen rules enforce invariants the compiler cannot see (rule ids
 //! are the strings used in `// lint: allow(<rule>)` suppressions):
 //!
 //! | id                | invariant                                               |
@@ -19,6 +19,7 @@
 //! | `nested_par`      | no rayon calls nested under an already-parallel region   |
 //! | `lock_hold`       | no blocking call while a lock guard is live (`serve`)    |
 //! | `schema_tag`      | `mbrpa.*/N` literals only in the `mbrpa-schema` registry |
+//! | `unreached_pub`   | a library `pub` item is named by shipped non-test code   |
 //! | `unused_allow`    | (meta) a suppression that matched no finding             |
 //!
 //! Suppressions: `// lint: allow(<rule>) — <justification>` on the same
@@ -30,7 +31,9 @@
 //! Each file is lexed and structurally parsed exactly once
 //! ([`analyze`]); every rule shares that [`Analysis`]. [`check_file`]
 //! is the analyze-then-run convenience used by tests and one-shot
-//! callers.
+//! callers. `unreached_pub` alone needs every file: [`Reachability`]
+//! gathers its inputs from each [`Analysis`] in the same pass and
+//! resolves them once the last file is read.
 
 use crate::lexer::{lex, TokKind, Token};
 use crate::scope::{Owner, ScopeKind, ScopeTree};
@@ -51,7 +54,7 @@ pub struct Finding {
 
 /// All rule ids, in reporting order. `unused_allow` is the meta-rule
 /// for suppressions that matched nothing.
-pub const RULE_IDS: [&str; 13] = [
+pub const RULE_IDS: [&str; 14] = [
     "safety",
     "unwrap",
     "float_cmp",
@@ -64,6 +67,7 @@ pub const RULE_IDS: [&str; 13] = [
     "nested_par",
     "lock_hold",
     "schema_tag",
+    "unreached_pub",
     "unused_allow",
 ];
 
@@ -313,8 +317,8 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
                     emit(
                         tok.line,
                         "float_cmp",
-                        "float equality: use a tolerance helper (`approx_eq`) or an \
-                         explicit exact-zero guard (`exactly_zero`)"
+                        "float equality: compare against an explicit tolerance, or \
+                         guard a structural zero with `exactly_zero`"
                             .to_string(),
                     );
                 }
@@ -411,7 +415,9 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
     rule_schema_tag(a, &code, &is_test_line, &mut emit);
 
     for s in &suppressions {
-        if !s.used {
+        // `unreached_pub` allows are settled workspace-wide, by
+        // [`Reachability::resolve`].
+        if !s.used && s.rule != UNREACHED_PUB {
             findings.push(Finding {
                 file: a.rel_path.to_string(),
                 line: s.line,
@@ -1007,6 +1013,130 @@ fn contains_schema_tag(s: &str) -> bool {
         }
     }
     false
+}
+
+// ---------------------------------------------------------------------
+// R13: unreached_pub (workspace-level)
+// ---------------------------------------------------------------------
+
+const UNREACHED_PUB: &str = "unreached_pub";
+
+/// Keywords whose next identifier is the name of the item they define.
+const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// Workspace-level state of rule `unreached_pub`: a `pub` item in the
+/// non-test `src` of a [`LIBRARY_CRATES`] member other than the lint and
+/// root crates, whose name shipped code — those sources plus the root
+/// `src/` with the binaries — never spells outside item definitions and
+/// `pub use` re-exports. Callers in benches, examples, tests and
+/// `#[cfg(test)]` do not count. Matching is by name, so a shared name can
+/// only hide a finding, never invent one. `scan_workspace` feeds every
+/// file's [`Analysis`] to [`add`] inside its one pass and calls
+/// [`resolve`] after the last.
+///
+/// [`add`]: Reachability::add
+/// [`resolve`]: Reachability::resolve
+#[derive(Default)]
+pub struct Reachability {
+    /// `(file, line, name)` of each checked `pub` item.
+    items: Vec<(String, u32, String)>,
+    /// `(file, suppression)` of each `allow(unreached_pub)`.
+    allows: Vec<(String, Suppression)>,
+    /// Every identifier shipped non-test code uses.
+    reached: std::collections::HashSet<String>,
+}
+
+impl Reachability {
+    /// Take one file's `pub` items, `allow(unreached_pub)` comments and,
+    /// if it ships, the names it uses.
+    pub fn add(&mut self, a: &Analysis) {
+        let file = &a.rel_path;
+        for s in a.suppressions.iter().filter(|s| s.rule == UNREACHED_PUB) {
+            self.allows.push((file.clone(), s.clone()));
+        }
+        let in_crate_src =
+            a.class.is_library && !matches!(a.class.crate_name.as_str(), "lint" | "mbrpa");
+        if a.class.is_test_file || !(in_crate_src || file.starts_with("src/")) {
+            return;
+        }
+        let code: Vec<&Token> = a.code_idx.iter().map(|&i| &a.tokens[i]).collect();
+        let text = |j: usize| code.get(j).map_or("", |t| t.text.as_str());
+        let mut in_pub_use = false;
+        for (i, t) in code.iter().enumerate() {
+            if in_pub_use {
+                in_pub_use = t.text != ";";
+                continue;
+            }
+            if t.kind != TokKind::Ident
+                || a.test_lines.iter().any(|&(s, e)| (s..=e).contains(&t.line))
+            {
+                continue;
+            }
+            let prev = i.checked_sub(1).map_or("", text);
+            let defined = ITEM_KEYWORDS.contains(&prev)
+                || (prev == "mut" && i.checked_sub(2).map_or("", text) == "static");
+            match t.text.as_str() {
+                // `pub use` and `pub(crate) use` re-export; they call nothing.
+                "use" => in_pub_use = matches!(prev, "pub" | ")"),
+                "pub" if in_crate_src && text(i + 1) != "(" => {
+                    let mut j = i + 1;
+                    while matches!(text(j), "unsafe" | "async" | "extern")
+                        || (text(j) == "const" && matches!(text(j + 1), "fn" | "unsafe"))
+                        || code.get(j).is_some_and(|t| t.kind == TokKind::Str)
+                    {
+                        j += 1;
+                    }
+                    if ITEM_KEYWORDS.contains(&text(j)) {
+                        j += usize::from(text(j + 1) == "mut");
+                        if let Some(name) = code.get(j + 1).filter(|n| n.kind == TokKind::Ident) {
+                            self.items.push((file.clone(), t.line, name.text.clone()));
+                        }
+                    }
+                }
+                _ if !defined && !self.reached.contains(&t.text) => {
+                    self.reached.insert(t.text.clone());
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Report every unreached item no allow covers, and every
+    /// `allow(unreached_pub)` that covers no unreached item.
+    pub fn resolve(mut self) -> Vec<Finding> {
+        let mut findings = Vec::new();
+        for (file, line, name) in &self.items {
+            if self.reached.contains(name) {
+                continue;
+            }
+            let covers =
+                |(f, s): &&mut (String, Suppression)| f == file && s.covered.contains(line);
+            match self.allows.iter_mut().find(covers) {
+                Some((_, s)) => s.used = true,
+                None => findings.push(Finding {
+                    file: file.clone(),
+                    line: *line,
+                    rule: UNREACHED_PUB,
+                    message: format!(
+                        "`pub` item `{name}` is named by no shipped non-test code: \
+                         delete it, move it under `#[cfg(test)]` or beside its caller, \
+                         or keep it with `// lint: allow(unreached_pub) — <reason>`"
+                    ),
+                }),
+            }
+        }
+        for (file, s) in self.allows.iter().filter(|(_, s)| !s.used) {
+            findings.push(Finding {
+                file: file.clone(),
+                line: s.line,
+                rule: "unused_allow",
+                message: format!(
+                    "suppression `lint: allow({UNREACHED_PUB})` matched no finding; remove it"
+                ),
+            });
+        }
+        findings
+    }
 }
 
 // ---------------------------------------------------------------------

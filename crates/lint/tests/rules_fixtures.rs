@@ -5,7 +5,8 @@
 //! positive (flagged), negative (clean), suppressed (justified inline
 //! suppression), and an unused suppression (flagged as
 //! `unused_allow`). Expectations are per-rule finding counts, so the
-//! tests are robust to fixture line drift.
+//! tests are robust to fixture line drift. The workspace-level rule
+//! `unreached_pub` reads a tree of its own, `tests/fixtures/unreached_pub`.
 
 use mbrpa_lint::rules::{check_file, classify, Finding};
 use std::path::Path;
@@ -200,4 +201,25 @@ fn schema_tag_rule_exempts_the_registry_crate() {
     let src = fixture_src("crates/dft/src/rule_schema_tag.rs");
     let f = check_file("crates/schema/src/rule_schema_tag.rs", &src);
     assert_only(&f, &[("schema_tag", 0), ("unused_allow", 2)]);
+}
+
+#[test]
+fn unreached_pub_rule_cases() {
+    // Findings: a `pub fn` called only from `#[cfg(test)]`, one called
+    // only from `crates/bench` and `tests/`, and a struct reached only
+    // through a `pub use`. Clean: an item named in `src/bin`, a
+    // `pub(crate)` one and a reasoned allow. The allow on an item
+    // `crates/solver/src` names is stale.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/unreached_pub");
+    let f = mbrpa_lint::scan_workspace(&root)
+        .expect("scan fixture tree")
+        .findings;
+    assert_only(&f, &[("unreached_pub", 3), ("unused_allow", 1)]);
+    for name in ["only_unit_tested", "only_benched", "OnlyReexported"] {
+        assert!(
+            f.iter()
+                .any(|x| x.rule == "unreached_pub" && x.message.contains(&format!("`{name}`"))),
+            "`{name}` must be a finding: {f:#?}"
+        );
+    }
 }

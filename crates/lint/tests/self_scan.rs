@@ -81,6 +81,7 @@ fn deny_exits_nonzero_on_fixture_violations() {
         "nested_par",
         "lock_hold",
         "schema_tag",
+        "unreached_pub",
     ] {
         assert!(
             stdout.contains(rule),

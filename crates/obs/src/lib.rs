@@ -481,6 +481,7 @@ impl Report {
     /// Total seconds over every span whose **last** path segment equals
     /// `leaf` — e.g. `sum_leaf("apply")` aggregates the apply kernel across
     /// all frequencies and parents.
+    // lint: allow(unreached_pub) — `fig5_kernel_breakdown` reads the profile through it
     pub fn sum_leaf(&self, leaf: &str) -> f64 {
         self.spans
             .iter()

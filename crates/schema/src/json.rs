@@ -79,6 +79,7 @@ impl JsonValue {
     }
 
     /// The boolean payload, if this is a boolean.
+    // lint: allow(unreached_pub) — pinned by crates/e2e (compare) and read by `kernels_bench --validate`
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             JsonValue::Bool(b) => Some(*b),

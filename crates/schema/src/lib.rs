@@ -46,8 +46,9 @@ pub const WORKER: &str = "mbrpa.worker/1";
 /// `<root>/route-table.json`).
 pub const ROUTE_TABLE: &str = "mbrpa.route-table/1";
 
-/// Every registered tag, for exhaustiveness checks and tooling.
-pub const ALL: [&str; 10] = [
+/// Every registered tag, for the registry's own checks.
+#[cfg(test)]
+const ALL: [&str; 10] = [
     JOB,
     JOB_STATUS,
     RESULT,

@@ -61,6 +61,7 @@ impl Default for CocgOptions {
 
 impl CocgOptions {
     /// Same options with a different tolerance.
+    // lint: allow(unreached_pub) — options of the bench baselines and the solver tests
     pub fn with_tol(tol: f64) -> Self {
         Self {
             tol,
@@ -413,6 +414,7 @@ pub fn block_cocg_ws(
 }
 
 /// Single right-hand-side COCG (the `s = 1` reduction of Algorithm 3).
+// lint: allow(unreached_pub) — referee of the GMRES, QMR and seed baselines
 pub fn cocg(
     op: &dyn LinearOperator<C64>,
     b: &[C64],
@@ -427,6 +429,7 @@ pub fn cocg(
 
 /// True relative residual `‖B − AX‖_F / ‖B‖_F` (verification helper; one
 /// extra block application).
+// lint: allow(unreached_pub) — residual check of the bench baselines and the solver tests
 pub fn true_relative_residual(op: &dyn LinearOperator<C64>, b: &Mat<C64>, x: &Mat<C64>) -> f64 {
     let mut ax = Mat::zeros(b.rows(), b.cols());
     op.apply_block(x, &mut ax);

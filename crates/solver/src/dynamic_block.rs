@@ -70,6 +70,7 @@ pub struct MultiRhsOutcome {
 
 /// Solve `A X = B` for `B` with many columns, choosing the COCG block size
 /// per `policy` and accumulating per-worker statistics.
+// lint: allow(unreached_pub) — pinned by crates/e2e and block_lanczos_bits
 pub fn solve_multi_rhs(
     op: &dyn LinearOperator<C64>,
     b: &Mat<C64>,

@@ -21,6 +21,7 @@ use mbrpa_linalg::{exactly_zero, matmul_into, matmul_tn_rowsum_into, Mat, C64};
 /// `Y₀` is linear in `B`: it is [`galerkin_guess_real`] of `Re B` plus
 /// `i·` that of `Im B`, and the second term is skipped when `Im B` is
 /// zero, so a real-valued `B` gets the real guess's bits.
+// lint: allow(unreached_pub) — pinned by crates/e2e and block_lanczos_bits
 pub fn galerkin_guess(
     psi: &Mat<f64>,
     energies: &[f64],

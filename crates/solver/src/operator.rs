@@ -54,6 +54,7 @@ impl<T: Scalar> DenseOperator<T> {
     }
 
     /// The wrapped matrix.
+    // lint: allow(unreached_pub) — the dense referee of proptest_solver and steady_state_alloc
     pub fn matrix(&self) -> &Mat<T> {
         &self.a
     }

@@ -52,11 +52,6 @@ impl<T: Scalar> Workspace<T> {
         self.fresh_allocs
     }
 
-    /// Buffers currently parked in the free list.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
     /// Pop the best-fitting free buffer for `len` elements, or allocate.
     fn take_vec(&mut self, len: usize) -> Vec<T> {
         // Best fit: smallest capacity that still holds `len`, so a small
@@ -274,7 +269,7 @@ mod tests {
         assert_eq!(grown[(0, 0)], 8.0);
         assert_eq!(ws.fresh_allocs(), 4);
         // the 4- and 16-element buffers stay parked
-        assert_eq!(ws.pooled(), 2);
+        assert_eq!(ws.free.len(), 2);
         assert_eq!(ws.take_scratch(16, 1)[(0, 0)], 16.0);
         assert_eq!(ws.take_scratch(4, 1)[(0, 0)], 4.0);
         assert_eq!(ws.fresh_allocs(), 4);
@@ -313,10 +308,10 @@ mod tests {
                 let inner = with_thread_workspace(|inner: &mut Workspace<C64>| {
                     let m = inner.take_zeroed(4, 4);
                     inner.give(m);
-                    (inner.pooled(), inner.fresh_allocs())
+                    (inner.free.len(), inner.fresh_allocs())
                 });
                 outer.give(held);
-                (inner, outer.pooled(), outer.fresh_allocs())
+                (inner, outer.free.len(), outer.fresh_allocs())
             })
         };
         let first = round();

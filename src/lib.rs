@@ -82,10 +82,10 @@ pub fn init_runtime(threads: Option<usize>) -> Result<mbrpa_simd::Dispatch, Stri
 pub mod prelude {
     pub use mbrpa_ckpt::CheckpointStore;
     pub use mbrpa_core::{
-        dielectric_spectrum, direct_rpa_energy, frequency_quadrature, full_spectrum, lanczos_trace,
+        dielectric_spectrum, direct_rpa_energy, frequency_quadrature, full_spectrum,
         subspace_iteration, CancelToken, DielectricOperator, KsSolver, PartialRun,
         ResumableOutcome, ResumePolicy, RpaConfig, RpaResult, RpaRunError, RpaSetup, RunOptions,
-        SternheimerSettings, TraceEstimatorOptions,
+        SternheimerSettings,
     };
     pub use mbrpa_dft::{
         silicon_ladder, solve_occupied_chefsi, solve_occupied_dense, ChefsiOptions, Crystal,

@@ -1,14 +1,13 @@
-//! The §V future-work path: Lanczos-quadrature trace estimation of the RPA
-//! integrand, cross-checked against the subspace-iteration trace and the
-//! exact dense trace on a small system.
+//! The subspace-iteration trace of the RPA integrand against the exact
+//! dense trace on a small system. The §V Lanczos-quadrature estimator is
+//! checked against the same trace in `crates/bench/tests/trace_estimators.rs`.
 
 // Test code: panics are failures, and exact float comparisons assert
 // bitwise-reproducible results (DESIGN.md §9).
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
 use mbrpa::core::{
-    dielectric_spectrum, full_spectrum, lanczos_trace, random_orthonormal_block,
-    subspace_iteration, trace_term, TraceEstimatorOptions,
+    dielectric_spectrum, full_spectrum, random_orthonormal_block, subspace_iteration, trace_term,
 };
 use mbrpa::prelude::*;
 
@@ -41,48 +40,6 @@ fn fixture() -> Fixture {
         coulomb: CoulombOperator::new(spectral),
         n_occ,
     }
-}
-
-#[test]
-fn lanczos_trace_agrees_with_exact_dense_trace() {
-    let f = fixture();
-    let omega = 0.6;
-    let op = DielectricOperator::new(
-        &f.ham,
-        &f.psi,
-        &f.energies,
-        &f.coulomb,
-        omega,
-        SternheimerSettings {
-            tol: 1e-9,
-            ..SternheimerSettings::default()
-        },
-        1,
-    );
-    let eig = full_spectrum(&f.h_dense).unwrap();
-    let exact_spectrum = dielectric_spectrum(&eig, f.n_occ, omega, &f.coulomb).unwrap();
-    let exact: f64 = exact_spectrum.iter().map(|&m| (1.0 - m).ln() + m).sum();
-
-    let est = lanczos_trace(
-        &op,
-        &|mu| {
-            let mu = mu.min(0.0);
-            (1.0 - mu).ln() + mu
-        },
-        &TraceEstimatorOptions {
-            n_probes: 20,
-            lanczos_steps: 25,
-            seed: 4,
-        },
-    )
-    .unwrap();
-    let err = (est.trace - exact).abs();
-    assert!(
-        err < 6.0 * est.std_error.max(0.01 * exact.abs()),
-        "Lanczos trace {} vs exact {exact} (stderr {})",
-        est.trace,
-        est.std_error
-    );
 }
 
 #[test]
