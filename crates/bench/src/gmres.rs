@@ -184,7 +184,7 @@ pub fn gmres(
 mod tests {
     use super::*;
     use crate::test_util::{rand_c, test_operator};
-    use mbrpa_solver::{cocg, true_relative_residual, CocgOptions};
+    use mbrpa_solver::{block_cocg, true_relative_residual, CocgOptions};
 
     #[test]
     fn solves_complex_symmetric_system() {
@@ -231,9 +231,10 @@ mod tests {
                 ..GmresOptions::default()
             },
         );
-        let (xc, rc) = cocg(&op, &b, None, &CocgOptions::with_tol(1e-11));
+        let bm = Mat::col_vector(b);
+        let (xc, rc) = block_cocg(&op, &bm, None, &CocgOptions::with_tol(1e-11));
         assert!(rg.converged && rc.converged);
-        for (a, c) in xg.iter().zip(xc.iter()) {
+        for (a, c) in xg.iter().zip(xc.col(0)) {
             assert!((*a - *c).norm() < 1e-8, "{a} vs {c}");
         }
     }

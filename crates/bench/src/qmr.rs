@@ -216,7 +216,7 @@ mod tests {
     use super::*;
     use crate::test_util::{rand_c, test_operator};
     use mbrpa_linalg::Mat;
-    use mbrpa_solver::{cocg, CocgOptions};
+    use mbrpa_solver::{block_cocg, CocgOptions};
 
     #[test]
     fn solves_well_conditioned_system() {
@@ -246,9 +246,10 @@ mod tests {
                 ..QmrOptions::default()
             },
         );
-        let (xc, rc) = cocg(&op, &b, None, &CocgOptions::with_tol(1e-11));
+        let bm = Mat::col_vector(b);
+        let (xc, rc) = block_cocg(&op, &bm, None, &CocgOptions::with_tol(1e-11));
         assert!(rq.converged && rc.converged);
-        for (a, c) in xq.iter().zip(xc.iter()) {
+        for (a, c) in xq.iter().zip(xc.col(0)) {
             assert!((*a - *c).norm() < 1e-8, "{a} vs {c}");
         }
     }

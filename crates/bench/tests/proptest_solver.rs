@@ -7,7 +7,7 @@ use mbrpa_bench::qmr::{qmr_sym, QmrOptions};
 use mbrpa_bench::seed::seed_cocg;
 use mbrpa_check::{assume, check, Rng, StdRng};
 use mbrpa_linalg::{Mat, C64};
-use mbrpa_solver::{cocg, true_relative_residual, CocgOptions, DenseOperator};
+use mbrpa_solver::{block_cocg, true_relative_residual, CocgOptions, DenseOperator};
 
 /// Random complex-symmetric `A = S + (d + iω)I`, diagonally dominated so
 /// every draw is solvable.
@@ -36,7 +36,7 @@ fn qmr_cocg_agree() {
     check(24, |rng| {
         let op = operator_strategy(rng, 14);
         let b = rhs_strategy(rng, 14, 1);
-        let (xc, rc) = cocg(&op, b.col(0), None, &CocgOptions::with_tol(1e-11));
+        let (xc, rc) = block_cocg(&op, &b, None, &CocgOptions::with_tol(1e-11));
         let (xq, rq) = qmr_sym(
             &op,
             b.col(0),
@@ -48,7 +48,7 @@ fn qmr_cocg_agree() {
             },
         );
         assume(rc.converged && rq.converged);
-        for (a, c) in xq.iter().zip(xc.iter()) {
+        for (a, c) in xq.iter().zip(xc.col(0)) {
             assert!((*a - *c).norm() < 1e-7);
         }
     });
@@ -73,7 +73,7 @@ fn gmres_cocg_agree() {
     check(24, |rng| {
         let op = operator_strategy(rng, 15);
         let b = rhs_strategy(rng, 15, 1);
-        let (xc, rc) = cocg(&op, b.col(0), None, &CocgOptions::with_tol(1e-11));
+        let (xc, rc) = block_cocg(&op, &b, None, &CocgOptions::with_tol(1e-11));
         let (xg, rg) = gmres(
             &op,
             b.col(0),
@@ -86,7 +86,7 @@ fn gmres_cocg_agree() {
             },
         );
         assume(rc.converged && rg.converged);
-        for (a, c) in xg.iter().zip(xc.iter()) {
+        for (a, c) in xg.iter().zip(xc.col(0)) {
             assert!((*a - *c).norm() < 1e-7);
         }
     });

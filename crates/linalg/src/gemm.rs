@@ -506,7 +506,7 @@ fn gram_chunk_simd(
 /// One row chunk of a complex Gram product `AᵀB`, written (overwriting)
 /// into `out`. An entry inside the complete 2×2 tiles (`i < kc − kc mod 2`,
 /// `j < n − n mod 2`) sums in two complex lanes ([`dot_t_two_lanes`]);
-/// every other entry is the dispatched `mbrpa_simd::dot_t_c64`. Block
+/// every other entry is `mbrpa_simd::dot_t_c64`. Block
 /// COCG's pinned bits depend on that split.
 fn gram_chunk_chains<T: Scalar>(a: &Mat<T>, b: &Mat<T>, row0: usize, h: usize, out: &mut [T]) {
     let (kc, n) = (a.cols(), b.cols());

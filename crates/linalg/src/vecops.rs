@@ -1,9 +1,10 @@
 //! Slice-level vector kernels shared by the dense and iterative layers.
 //!
 //! Every reduction and update here routes through `mbrpa-simd` on the
-//! scalar's flat component view, so the same runtime-dispatched
-//! microkernels (and the same bit-exact lane-split accumulation order)
-//! back both the `f64` and `Complex64` instantiations.
+//! scalar's flat component view, so the same bit-exact lane-split
+//! accumulation order backs both the `f64` instantiations (runtime-
+//! dispatched microkernels) and the `Complex64` ones (one body on every
+//! path).
 
 use crate::scalar::Scalar;
 

@@ -149,22 +149,21 @@ struct Suppression {
 }
 
 /// Everything derived from one file exactly once and shared by every
-/// rule: the token stream, the comment-free code view, the scope tree,
-/// test spans, suppression comments, and marker-comment line sets.
-/// Build with [`analyze`], run the rules with [`run_rules`].
+/// rule: the comment-free code view, the scope tree, the test lines,
+/// suppression comments, and marker-comment line sets. Build with
+/// [`analyze`], run the rules with [`run_rules`].
 pub struct Analysis {
     /// Workspace-relative path (forward slashes) the file was read as.
     pub rel_path: String,
     /// Path-derived rule participation.
     pub class: FileClass,
-    /// Full token stream, comments included.
-    pub tokens: Vec<Token>,
-    /// Indices into `tokens` of the non-comment tokens, in order.
-    pub code_idx: Vec<usize>,
+    /// The code view every rule walks: the file's tokens without its
+    /// comments, in order.
+    pub code: Vec<Token>,
     /// Scope tree over the code view (indices are code-view positions).
     pub tree: ScopeTree,
-    /// Inclusive line spans of `#[cfg(test)]` / `#[test]` items.
-    pub test_lines: Vec<(u32, u32)>,
+    /// `test_line[l]`: line `l` lies in a `#[cfg(test)]` / `#[test]` item.
+    test_line: Vec<bool>,
     suppressions: Vec<Suppression>,
     safety_lines: Vec<u32>,
     ord_lines: Vec<u32>,
@@ -184,34 +183,38 @@ pub fn analyze(rel_path: &str, src: &str) -> Analysis {
     let lex_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let code_idx: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .map(|(i, _)| i)
-        .collect();
-    let code: Vec<&Token> = code_idx.iter().map(|&i| &tokens[i]).collect();
-    let tree = ScopeTree::build(&code);
-    let test_lines = test_line_spans(&tokens, class.is_test_file);
     let suppressions = collect_suppressions(&tokens);
     let safety_lines = marker_comment_lines(&tokens, "SAFETY:", false);
     let ord_lines = marker_comment_lines(&tokens, "ord:", true);
     let comment_only = comment_only_lines(&tokens);
+    let code: Vec<Token> = tokens
+        .into_iter()
+        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+        .collect();
+    let tree = ScopeTree::build(&code);
+    let test_line = test_line_mask(&code, class.is_test_file);
     let structure_time = t1.elapsed();
 
     Analysis {
         rel_path: rel_path.to_string(),
         class,
-        tokens,
-        code_idx,
+        code,
         tree,
-        test_lines,
+        test_line,
         suppressions,
         safety_lines,
         ord_lines,
         comment_only,
         lex_time,
         structure_time,
+    }
+}
+
+impl Analysis {
+    /// True if `line` is test code: the file is a test target, or the
+    /// line lies in a `#[cfg(test)]` / `#[test]` item.
+    pub fn is_test_line(&self, line: u32) -> bool {
+        self.class.is_test_file || self.test_line.get(line as usize) == Some(&true)
     }
 }
 
@@ -225,7 +228,7 @@ pub fn check_file(rel_path: &str, src: &str) -> Vec<Finding> {
 /// Run every rule over a prebuilt [`Analysis`] and return the findings.
 pub fn run_rules(a: &Analysis) -> Vec<Finding> {
     let class = &a.class;
-    let code: Vec<&Token> = a.code_idx.iter().map(|&i| &a.tokens[i]).collect();
+    let code = &a.code;
     let mut suppressions = a.suppressions.clone();
 
     let mut findings = Vec::new();
@@ -243,9 +246,6 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
             message,
         });
     };
-
-    let is_test_line =
-        |line: u32| class.is_test_file || a.test_lines.iter().any(|&(s, e)| line >= s && line <= e);
 
     // Bracket depth for `narrow_cast`: depth of `[` … `]` nesting,
     // excluding attribute brackets (`#[…]` / `#![…]`).
@@ -294,7 +294,7 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
             // R2: unwrap/expect in library non-test code.
             (TokKind::Ident, "unwrap" | "expect")
                 if class.is_library
-                    && !is_test_line(tok.line)
+                    && !a.is_test_line(tok.line)
                     && matches!(prev, Some(p) if p.text == ".")
                     && matches!(next, Some(n) if n.text == "(") =>
             {
@@ -309,7 +309,7 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
                 );
             }
             // R3: float equality outside tests.
-            (TokKind::Punct, "==" | "!=") if !is_test_line(tok.line) => {
+            (TokKind::Punct, "==" | "!=") if !a.is_test_line(tok.line) => {
                 let float_side = matches!(prev, Some(p) if p.kind == TokKind::Float)
                     || matches!(next, Some(n) if n.kind == TokKind::Float)
                     || is_float_path(next, next2);
@@ -325,7 +325,7 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
             }
             // R4: hash collections in numeric crates.
             (TokKind::Ident, "HashMap" | "HashSet")
-                if class.is_numeric && !is_test_line(tok.line) =>
+                if class.is_numeric && !a.is_test_line(tok.line) =>
             {
                 emit(
                     tok.line,
@@ -341,7 +341,7 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
             // R5: direct stdout/stderr in library crates.
             (TokKind::Ident, "println" | "eprintln" | "print" | "eprint")
                 if class.is_library
-                    && !is_test_line(tok.line)
+                    && !a.is_test_line(tok.line)
                     && matches!(next, Some(n) if n.text == "!")
                     // `writeln!(f, …)`-style callees and method names
                     // (`w.print!`…) don't exist; but guard against
@@ -362,7 +362,7 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
             (TokKind::Ident, "as")
                 if index_depth > 0
                     && attr_depth_at.is_none()
-                    && !is_test_line(tok.line)
+                    && !a.is_test_line(tok.line)
                     && matches!(
                         next,
                         Some(n) if matches!(
@@ -408,11 +408,11 @@ pub fn run_rules(a: &Analysis) -> Vec<Finding> {
 
     // Structural rules (R8–R12): need the scope tree, not just the
     // token window. See DESIGN.md §9 for the per-rule semantics.
-    rule_atomic_ordering(a, &code, &mut emit);
-    rule_unsafe_wrapper(a, &code, &is_test_line, &mut emit);
-    rule_nested_par(a, &code, &mut emit);
-    rule_lock_hold(a, &code, &is_test_line, &mut emit);
-    rule_schema_tag(a, &code, &is_test_line, &mut emit);
+    rule_atomic_ordering(a, &mut emit);
+    rule_unsafe_wrapper(a, &mut emit);
+    rule_nested_par(a, &mut emit);
+    rule_lock_hold(a, &mut emit);
+    rule_schema_tag(a, &mut emit);
 
     for s in &suppressions {
         // `unreached_pub` allows are settled workspace-wide, by
@@ -448,11 +448,8 @@ const RELAXED_ORDERINGS: [&str; 4] = ["Relaxed", "Acquire", "Release", "AcqRel"]
 /// names the pairing (which store a load observes, or why no pairing is
 /// needed) so an auditor can check the protocol without re-deriving it.
 /// Applies everywhere, tests included — a racy test is still a race.
-fn rule_atomic_ordering(
-    a: &Analysis,
-    code: &[&Token],
-    emit: &mut dyn FnMut(u32, &'static str, String),
-) {
+fn rule_atomic_ordering(a: &Analysis, emit: &mut dyn FnMut(u32, &'static str, String)) {
+    let code = &a.code;
     let mut seen_lines: Vec<u32> = Vec::new();
     for (i, tok) in code.iter().enumerate() {
         if tok.kind != TokKind::Ident || tok.text != "Ordering" {
@@ -506,15 +503,11 @@ const CHECK_MACROS: [&str; 4] = ["assert", "assert_eq", "assert_ne", "panic"];
 /// `unsafe fn` bodies and `macro_rules!` bodies are exempt (their
 /// obligations transfer to callers / expansion sites), and the `safety`
 /// rule still demands a SAFETY comment everywhere.
-fn rule_unsafe_wrapper(
-    a: &Analysis,
-    code: &[&Token],
-    is_test_line: &dyn Fn(u32) -> bool,
-    emit: &mut dyn FnMut(u32, &'static str, String),
-) {
+fn rule_unsafe_wrapper(a: &Analysis, emit: &mut dyn FnMut(u32, &'static str, String)) {
     if a.class.crate_name != ARCH_CRATE {
         return;
     }
+    let code = &a.code;
     // (a) Fully-public unsafe fn: the crate's API surface must be the
     // checked safe wrappers, not the raw kernels.
     for s in &a.tree.scopes {
@@ -525,7 +518,7 @@ fn rule_unsafe_wrapper(
             is_pub: true,
         } = &s.owner
         {
-            if !is_test_line(*line) {
+            if !a.is_test_line(*line) {
                 emit(
                     *line,
                     "unsafe_wrapper",
@@ -547,7 +540,7 @@ fn rule_unsafe_wrapper(
         if !matches!(code.get(i + 1), Some(n) if n.text == "{") {
             continue;
         }
-        if is_test_line(tok.line) {
+        if a.is_test_line(tok.line) {
             continue;
         }
         let Some(sid) = a.tree.scope_of[i] else {
@@ -613,8 +606,8 @@ const PAR_METHODS: [&str; 9] = [
 
 /// True if code index `i` is a rayon parallel call: `.par_iter()`-style
 /// method or `rayon::scope(`/`rayon::join(`.
-fn is_par_call(code: &[&Token], i: usize) -> bool {
-    let t = code[i];
+fn is_par_call(code: &[Token], i: usize) -> bool {
+    let t = &code[i];
     if t.kind != TokKind::Ident {
         return false;
     }
@@ -631,8 +624,8 @@ fn is_par_call(code: &[&Token], i: usize) -> bool {
 
 /// True if code index `i` is a call of the `outer_scope` RAII guard
 /// (`crates/linalg/src/par.rs`) — excluding its own definition.
-fn is_outer_guard(code: &[&Token], i: usize) -> bool {
-    let t = code[i];
+fn is_outer_guard(code: &[Token], i: usize) -> bool {
+    let t = &code[i];
     t.kind == TokKind::Ident
         && t.text == "outer_scope"
         && matches!(code.get(i + 1), Some(n) if n.text == "(")
@@ -654,7 +647,8 @@ fn is_outer_guard(code: &[&Token], i: usize) -> bool {
 /// The innermost scope of the call itself is never scanned: binding the
 /// guard and immediately going parallel *in the same scope* is the
 /// sanctioned "this is the outer region" idiom (`core::chi0`).
-fn rule_nested_par(a: &Analysis, code: &[&Token], emit: &mut dyn FnMut(u32, &'static str, String)) {
+fn rule_nested_par(a: &Analysis, emit: &mut dyn FnMut(u32, &'static str, String)) {
+    let code = &a.code;
     'calls: for i in 0..code.len() {
         if !is_par_call(code, i) {
             continue;
@@ -746,8 +740,8 @@ const BLOCKING_CALLS: [&str; 10] = [
 const BLOCKING_CALLS_NO_ARGS: [&str; 3] = ["recv", "join", "accept"];
 
 /// True if code index `i` is a potentially-blocking call site.
-fn is_blocking_call(code: &[&Token], i: usize) -> bool {
-    let t = code[i];
+fn is_blocking_call(code: &[Token], i: usize) -> bool {
+    let t = &code[i];
     if t.kind != TokKind::Ident {
         return false;
     }
@@ -768,8 +762,8 @@ fn is_blocking_call(code: &[&Token], i: usize) -> bool {
 /// True if code index `i` acquires a lock guard: the `lock(&mutex)`
 /// poisoning-tolerant helper (`crates/serve`), a `.lock()` method, or
 /// an argument-free `.read()`/`.write()` (RwLock).
-fn is_lock_acquire(code: &[&Token], i: usize) -> bool {
-    let t = code[i];
+fn is_lock_acquire(code: &[Token], i: usize) -> bool {
+    let t = &code[i];
     if t.kind != TokKind::Ident || !matches!(code.get(i + 1), Some(n) if n.text == "(") {
         return false;
     }
@@ -792,15 +786,11 @@ fn is_lock_acquire(code: &[&Token], i: usize) -> bool {
 /// `for x in lock(…).iter() { … }`, `while let`/`if let`) whose guard
 /// lives across the body. Temporaries consumed in one statement
 /// (`lock(&q).claim()`) are fine and not flagged.
-fn rule_lock_hold(
-    a: &Analysis,
-    code: &[&Token],
-    is_test_line: &dyn Fn(u32) -> bool,
-    emit: &mut dyn FnMut(u32, &'static str, String),
-) {
+fn rule_lock_hold(a: &Analysis, emit: &mut dyn FnMut(u32, &'static str, String)) {
     if a.class.crate_name != SERVE_CRATE || a.class.is_test_file {
         return;
     }
+    let code = &a.code;
     for (sid, s) in a.tree.scopes.iter().enumerate() {
         if s.kind != ScopeKind::Brace {
             continue;
@@ -820,11 +810,11 @@ fn rule_lock_hold(
                     || (matches!(kw, "while" | "if")
                         && matches!(direct.get(d + 1), Some(&n) if code[n].text == "let")));
             if header_kw {
-                d = check_header_guard(a, code, &direct, d, sid, is_test_line, emit);
+                d = check_header_guard(a, &direct, d, emit);
                 continue;
             }
             if is_kw_ident && kw == "let" {
-                d = check_let_guard(a, code, &direct, d, s.close, is_test_line, emit);
+                d = check_let_guard(a, &direct, d, s.close, emit);
                 continue;
             }
             d += 1;
@@ -838,13 +828,11 @@ fn rule_lock_hold(
 /// position to resume from.
 fn check_header_guard(
     a: &Analysis,
-    code: &[&Token],
     direct: &[usize],
     d: usize,
-    _sid: usize,
-    is_test_line: &dyn Fn(u32) -> bool,
     emit: &mut dyn FnMut(u32, &'static str, String),
 ) -> usize {
+    let code = &a.code;
     let mut acquire: Option<usize> = None;
     let mut q = d + 1;
     while q < direct.len() {
@@ -852,9 +840,8 @@ fn check_header_guard(
         if code[j].text == "{" {
             // Body block found.
             if let (Some(acq), Some(body)) = (acquire, a.tree.opened_at(j)) {
-                if !is_test_line(code[acq].line) {
+                if !a.is_test_line(code[acq].line) {
                     scan_blocking_range(
-                        a,
                         code,
                         a.tree.scopes[body].open + 1,
                         a.tree.scopes[body].close,
@@ -882,13 +869,12 @@ fn check_header_guard(
 /// for blocking calls. Returns the next `direct` position.
 fn check_let_guard(
     a: &Analysis,
-    code: &[&Token],
     direct: &[usize],
     d: usize,
     scope_close: usize,
-    is_test_line: &dyn Fn(u32) -> bool,
     emit: &mut dyn FnMut(u32, &'static str, String),
 ) -> usize {
+    let code = &a.code;
     // Find the statement's end (`;` at this level) and the acquisition.
     let mut acquire: Option<usize> = None;
     let mut retained = false;
@@ -927,8 +913,8 @@ fn check_let_guard(
     }
     let stmt_end = direct.get(q).copied().unwrap_or(scope_close);
     if let Some(acq) = acquire {
-        if retained && !is_test_line(code[acq].line) {
-            scan_blocking_range(a, code, stmt_end + 1, scope_close, code[acq].line, emit);
+        if retained && !a.is_test_line(code[acq].line) {
+            scan_blocking_range(code, stmt_end + 1, scope_close, code[acq].line, emit);
         }
     }
     q + 1
@@ -937,8 +923,7 @@ fn check_let_guard(
 /// Emit at most one `lock_hold` finding for the first blocking call in
 /// `[start, end)` (code-view indices, nested scopes included).
 fn scan_blocking_range(
-    _a: &Analysis,
-    code: &[&Token],
+    code: &[Token],
     start: usize,
     end: usize,
     guard_line: u32,
@@ -969,17 +954,12 @@ fn scan_blocking_range(
 /// `mbrpa-schema` registry crate; everyone else references the
 /// constants, so a writer and its validator cannot drift apart. Test
 /// code is exempt — suites deliberately forge wrong-schema documents.
-fn rule_schema_tag(
-    a: &Analysis,
-    code: &[&Token],
-    is_test_line: &dyn Fn(u32) -> bool,
-    emit: &mut dyn FnMut(u32, &'static str, String),
-) {
+fn rule_schema_tag(a: &Analysis, emit: &mut dyn FnMut(u32, &'static str, String)) {
     if a.class.crate_name == SCHEMA_CRATE {
         return;
     }
-    for tok in code {
-        if tok.kind != TokKind::Str || is_test_line(tok.line) {
+    for tok in &a.code {
+        if tok.kind != TokKind::Str || a.is_test_line(tok.line) {
             continue;
         }
         if contains_schema_tag(&tok.text) {
@@ -1059,7 +1039,7 @@ impl Reachability {
         if a.class.is_test_file || !(in_crate_src || file.starts_with("src/")) {
             return;
         }
-        let code: Vec<&Token> = a.code_idx.iter().map(|&i| &a.tokens[i]).collect();
+        let code = &a.code;
         let text = |j: usize| code.get(j).map_or("", |t| t.text.as_str());
         let mut in_pub_use = false;
         for (i, t) in code.iter().enumerate() {
@@ -1067,9 +1047,7 @@ impl Reachability {
                 in_pub_use = t.text != ";";
                 continue;
             }
-            if t.kind != TokKind::Ident
-                || a.test_lines.iter().any(|&(s, e)| (s..=e).contains(&t.line))
-            {
+            if t.kind != TokKind::Ident || a.is_test_line(t.line) {
                 continue;
             }
             let prev = i.checked_sub(1).map_or("", text);
@@ -1145,7 +1123,7 @@ impl Reachability {
 
 /// True if the tokens after `==`/`!=` spell a float-typed constant path
 /// like `f64::NAN` or `f32::EPSILON`.
-fn is_float_path(next: Option<&&Token>, next2: Option<&&Token>) -> bool {
+fn is_float_path(next: Option<&Token>, next2: Option<&Token>) -> bool {
     matches!(next, Some(n) if n.text == "f64" || n.text == "f32")
         && matches!(next2, Some(n2) if n2.text == "::")
 }
@@ -1245,18 +1223,14 @@ fn collect_suppressions(tokens: &[Token]) -> Vec<Suppression> {
     out
 }
 
-/// Line ranges `(start, end)` inclusive that belong to `#[cfg(test)]`
-/// modules or `#[test]` functions. Reconstructed from the token stream
-/// by brace matching; `#[cfg(not(test))]` and friends are ignored.
-fn test_line_spans(tokens: &[Token], whole_file_is_test: bool) -> Vec<(u32, u32)> {
+/// `mask[l]`: line `l` belongs to a `#[cfg(test)]` module or a `#[test]`
+/// function. Reconstructed from the code view by brace matching;
+/// `#[cfg(not(test))]` and friends are ignored.
+fn test_line_mask(code: &[Token], whole_file_is_test: bool) -> Vec<bool> {
     if whole_file_is_test {
-        return Vec::new(); // caller short-circuits on is_test_file
+        return Vec::new(); // `Analysis::is_test_line` short-circuits on it
     }
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-        .collect();
-    let mut spans = Vec::new();
+    let mut mask = vec![false; code.last().map_or(0, |t| t.line as usize + 1)];
     let mut i = 0usize;
     while i < code.len() {
         if code[i].text == "#" && code.get(i + 1).map(|t| t.text.as_str()) == Some("[") {
@@ -1321,7 +1295,7 @@ fn test_line_spans(tokens: &[Token], whole_file_is_test: bool) -> Vec<(u32, u32)
                         _ => k += 1,
                     }
                 }
-                spans.push((start_line, end_line));
+                mask[start_line as usize..=end_line as usize].fill(true);
                 i = j;
                 continue;
             }
@@ -1330,5 +1304,5 @@ fn test_line_spans(tokens: &[Token], whole_file_is_test: bool) -> Vec<(u32, u32)
         }
         i += 1;
     }
-    spans
+    mask
 }

@@ -100,7 +100,7 @@ pub struct ScopeTree {
 
 impl ScopeTree {
     /// Build the tree from a code view (comment tokens filtered out).
-    pub fn build(code: &[&Token]) -> ScopeTree {
+    pub fn build(code: &[Token]) -> ScopeTree {
         let mut scopes: Vec<Scope> = Vec::new();
         let mut stack: Vec<usize> = Vec::new();
         // headers[stack.len()] = header buffer of the current level.
@@ -236,10 +236,10 @@ impl ScopeTree {
 
 /// Classify a brace's header buffer (code-view indices of the tokens
 /// between the previous statement boundary and the `{`).
-fn classify_owner(code: &[&Token], header: &[usize]) -> Owner {
+fn classify_owner(code: &[Token], header: &[usize]) -> Owner {
     let mut fn_pos: Option<usize> = None;
     for (h, &idx) in header.iter().enumerate() {
-        let t = code[idx];
+        let t = &code[idx];
         if t.kind != TokKind::Ident {
             continue;
         }
@@ -257,14 +257,14 @@ fn classify_owner(code: &[&Token], header: &[usize]) -> Owner {
     let fn_line = code[header[p]].line;
     let name = header
         .get(p + 1)
-        .map(|&idx| code[idx])
+        .map(|&idx| &code[idx])
         .filter(|t| t.kind == TokKind::Ident)
         .map(|t| t.text.clone())
         .unwrap_or_default();
     let mut is_unsafe = false;
     let mut is_pub = false;
     for &idx in &header[..p] {
-        let t = code[idx];
+        let t = &code[idx];
         if t.text == "unsafe" {
             is_unsafe = true;
         }
@@ -289,12 +289,13 @@ mod tests {
 
     fn tree(src: &str) -> (Vec<Token>, ScopeTree) {
         let tokens = lex(src);
-        let code: Vec<&Token> = tokens
+        let code: Vec<Token> = tokens
             .iter()
             .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+            .cloned()
             .collect();
         let tree = ScopeTree::build(&code);
-        (tokens.clone(), tree)
+        (tokens, tree)
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn every_workspace_file_parses_balanced() {
         // Structural sanity on every scope the rules will walk.
         for (id, s) in a.tree.scopes.iter().enumerate() {
             assert!(
-                s.open < s.close && s.close <= a.code_idx.len(),
+                s.open < s.close && s.close <= a.code.len(),
                 "{rel_str}: scope {id} has an inverted span"
             );
             if let Some(p) = s.parent {
@@ -87,7 +87,7 @@ fn truncated_sources_recover_without_panicking() {
         // No assertion on `balanced` here — a lucky cut can land between
         // items — but the scope invariants must hold even on fragments.
         for s in &a.tree.scopes {
-            assert!(s.open < s.close && s.close <= a.code_idx.len());
+            assert!(s.open < s.close && s.close <= a.code.len());
         }
     }
 }

@@ -32,7 +32,7 @@ use core::arch::x86_64::{
     _mm_setzero_pd, _mm_store_sd, _mm_storeu_pd, _CMP_EQ_UQ, _CMP_LT_OQ, _CMP_NEQ_UQ,
 };
 
-/// Swap re/im within each complex pair: `[a, b, c, d] → [b, a, d, c]`.
+/// Swap the two f64s within each 128-bit pair: `[a, b, c, d] → [b, a, d, c]`.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 // SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
@@ -716,65 +716,6 @@ pub(crate) unsafe fn dense_projector_add(
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise, complex coefficients on interleaved data
-// ---------------------------------------------------------------------------
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-pub(crate) unsafe fn axpy_c64(ar: f64, ai: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len() % 2, 0);
-    let n = y.len();
-    let n4 = n - n % 4;
-    let var = _mm256_set1_pd(ar);
-    // Memory order [-ai, ai, -ai, ai] (set_pd lists high→low lanes).
-    let vas = _mm256_set_pd(ai, -ai, ai, -ai);
-    let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
-    let mut i = 0;
-    while i < n4 {
-        // SAFETY: i + 4 <= n and both slices have length n.
-        let xv = _mm256_loadu_pd(xp.add(i));
-        let yv = _mm256_loadu_pd(yp.add(i));
-        let t = _mm256_fmadd_pd(var, xv, yv);
-        _mm256_storeu_pd(yp.add(i), _mm256_fmadd_pd(vas, swap_pairs(xv), t));
-        i += 4;
-    }
-    if n4 < n {
-        let (xr, xi) = (x[n4], x[n4 + 1]);
-        y[n4] = (-ai).mul_add(xi, ar.mul_add(xr, y[n4]));
-        y[n4 + 1] = ai.mul_add(xr, ar.mul_add(xi, y[n4 + 1]));
-    }
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-pub(crate) unsafe fn scal_c64(ar: f64, ai: f64, x: &mut [f64]) {
-    debug_assert_eq!(x.len() % 2, 0);
-    let n = x.len();
-    let n4 = n - n % 4;
-    let var = _mm256_set1_pd(ar);
-    let vas = _mm256_set_pd(ai, -ai, ai, -ai);
-    let xp = x.as_mut_ptr();
-    let mut i = 0;
-    while i < n4 {
-        // SAFETY: i + 4 <= n.
-        let xv = _mm256_loadu_pd(xp.add(i));
-        let prod = _mm256_fmadd_pd(vas, swap_pairs(xv), _mm256_mul_pd(var, xv));
-        _mm256_storeu_pd(xp.add(i), prod);
-        i += 4;
-    }
-    if n4 < n {
-        let (xr, xi) = (x[n4], x[n4 + 1]);
-        x[n4] = (-ai).mul_add(xi, ar * xr);
-        x[n4 + 1] = ai.mul_add(xr, ar * xi);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Reductions
 // ---------------------------------------------------------------------------
 
@@ -839,66 +780,6 @@ pub(crate) unsafe fn nrm2_sq(x: &[f64]) -> f64 {
         state[l] = xr.mul_add(xr, state[l]);
     }
     lanes::fold(&state)
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-unsafe fn dot_c64_states(
-    x: &[f64],
-    y: &[f64],
-) -> ([f64; 2 * lanes::C64_LANES], [f64; 2 * lanes::C64_LANES]) {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert_eq!(x.len() % 2, 0);
-    let n = x.len();
-    let n8 = n - n % (2 * lanes::C64_LANES);
-    let mut p0 = _mm256_setzero_pd();
-    let mut p1 = _mm256_setzero_pd();
-    let mut q0 = _mm256_setzero_pd();
-    let mut q1 = _mm256_setzero_pd();
-    let (xp, yp) = (x.as_ptr(), y.as_ptr());
-    let mut i = 0;
-    while i < n8 {
-        // SAFETY: i + 8 <= n and both slices have length n.
-        let xv0 = _mm256_loadu_pd(xp.add(i));
-        let yv0 = _mm256_loadu_pd(yp.add(i));
-        p0 = _mm256_fmadd_pd(xv0, yv0, p0);
-        q0 = _mm256_fmadd_pd(xv0, swap_pairs(yv0), q0);
-        let xv1 = _mm256_loadu_pd(xp.add(i + 4));
-        let yv1 = _mm256_loadu_pd(yp.add(i + 4));
-        p1 = _mm256_fmadd_pd(xv1, yv1, p1);
-        q1 = _mm256_fmadd_pd(xv1, swap_pairs(yv1), q1);
-        i += 8;
-    }
-    let mut p = [0.0_f64; 2 * lanes::C64_LANES];
-    let mut q = [0.0_f64; 2 * lanes::C64_LANES];
-    // SAFETY: `p`/`q` each have room for both 4-lane stores.
-    _mm256_storeu_pd(p.as_mut_ptr(), p0);
-    _mm256_storeu_pd(p.as_mut_ptr().add(4), p1);
-    _mm256_storeu_pd(q.as_mut_ptr(), q0);
-    _mm256_storeu_pd(q.as_mut_ptr().add(4), q1);
-    let mut j = n8 / 2;
-    while j < n / 2 {
-        let l = 2 * (j % lanes::C64_LANES);
-        let (xr, xi) = (x[2 * j], x[2 * j + 1]);
-        let (yr, yi) = (y[2 * j], y[2 * j + 1]);
-        p[l] = xr.mul_add(yr, p[l]);
-        p[l + 1] = xi.mul_add(yi, p[l + 1]);
-        q[l] = xr.mul_add(yi, q[l]);
-        q[l + 1] = xi.mul_add(yr, q[l + 1]);
-        j += 1;
-    }
-    (p, q)
-}
-
-#[target_feature(enable = "avx2,fma")]
-// SAFETY: `#[target_feature]` fn — the caller must guarantee AVX2+FMA
-// support; `dispatch_on!` only routes here when `available()` reported
-// it. All memory access goes through safe slices.
-pub(crate) unsafe fn dot_t_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
-    let (p, q) = dot_c64_states(x, y);
-    lanes::combine_t(&p, &q)
 }
 
 // ---------------------------------------------------------------------------

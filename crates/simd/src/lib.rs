@@ -3,18 +3,21 @@
 //! This crate is the only place in the workspace allowed to touch
 //! `core::arch` intrinsics (enforced by the mbrpa-lint `arch_intrinsics`
 //! rule). It exposes a *safe* slice-level API — scaled copies, fused
-//! axpy variants, Chebyshev shift/scale updates, complex axpy and scale,
-//! lane-split dot products and norms, a BLIS-style real GEMM microkernel,
-//! a real Gram tile, the three sweeps of a real (block) Lanczos step, and the
-//! three pieces of `H·v` (halo fill, stencil sweep, sparse or dense
-//! projector term) — and picks the fastest available backend at runtime:
+//! axpy variants, Chebyshev shift/scale updates, lane-split dot products
+//! and norms, a BLIS-style real GEMM microkernel, a real Gram tile, the
+//! three sweeps of a real (block) Lanczos step, and the three pieces of
+//! `H·v` (halo fill, stencil sweep, sparse or dense projector term) — and
+//! picks the fastest available backend at runtime:
 //!
 //! | path     | arch     | selected when                                  |
 //! |----------|----------|------------------------------------------------|
 //! | `avx2`   | x86_64   | `avx2` **and** `fma` detected via CPUID        |
 //! | `scalar` | any      | fallback, and forced via `MBRPA_SIMD=scalar`   |
 //!
-//! Every other target (aarch64 included) runs the scalar twins.
+//! Every other target (aarch64 included) runs the scalar twins. The
+//! complex axpy, scale and unconjugated dot (`axpy_c64`, `scal_c64`,
+//! `dot_t_c64`) serve only block COCG, which no shipped run reaches, so
+//! they have one body, run on every path.
 //!
 //! **Bit-identity guarantee.** Every backend produces *bitwise
 //! identical* results for every primitive, on every input. The scalar
@@ -317,29 +320,19 @@ pub fn stencil_rows_on(
     )
 }
 
-/// Complex `y += (ar + i·ai) · x` on interleaved `[re, im, …]` slices,
-/// on the given path.
-#[inline]
-pub fn axpy_c64_on(d: Dispatch, ar: f64, ai: f64, x: &[f64], y: &mut [f64]) {
-    dispatch_on!(d, axpy_c64(ar, ai, x, y))
-}
-
-/// Complex `y += (ar + i·ai) · x` on interleaved slices, active path.
+/// Complex `y += (ar + i·ai) · x` on interleaved `[re, im, …]` slices.
+/// One body on every path (no shipped run calls the complex kernels, so
+/// none has a vector body).
 #[inline]
 pub fn axpy_c64(ar: f64, ai: f64, x: &[f64], y: &mut [f64]) {
-    axpy_c64_on(active(), ar, ai, x, y)
+    scalar::axpy_c64(ar, ai, x, y)
 }
 
-/// Complex `x *= (ar + i·ai)` on an interleaved slice, on the given path.
-#[inline]
-pub fn scal_c64_on(d: Dispatch, ar: f64, ai: f64, x: &mut [f64]) {
-    dispatch_on!(d, scal_c64(ar, ai, x))
-}
-
-/// Complex `x *= (ar + i·ai)` on an interleaved slice, active path.
+/// Complex `x *= (ar + i·ai)` on an interleaved slice; one body on every
+/// path.
 #[inline]
 pub fn scal_c64(ar: f64, ai: f64, x: &mut [f64]) {
-    scal_c64_on(active(), ar, ai, x)
+    scalar::scal_c64(ar, ai, x)
 }
 
 /// Real dot `Σ x[i]·y[i]` with the canonical 8-lane split, given path.
@@ -367,17 +360,12 @@ pub fn nrm2_sq(x: &[f64]) -> f64 {
     nrm2_sq_on(active(), x)
 }
 
-/// Unconjugated complex dot `xᵀy` on interleaved slices, given path.
-/// Returns `(re, im)`.
-#[inline]
-pub fn dot_t_c64_on(d: Dispatch, x: &[f64], y: &[f64]) -> (f64, f64) {
-    dispatch_on!(d, dot_t_c64(x, y))
-}
-
-/// Unconjugated complex dot `xᵀy` on the active path.
+/// Unconjugated complex dot `xᵀy` on interleaved slices, returned as
+/// `(re, im)`, with the canonical [`C64_LANES`] split; one body on every
+/// path.
 #[inline]
 pub fn dot_t_c64(x: &[f64], y: &[f64]) -> (f64, f64) {
-    dot_t_c64_on(active(), x, y)
+    scalar::dot_t_c64(x, y)
 }
 
 /// 8×4 f64 GEMM microkernel: `acc[8j + i] += Σ_p ap[8p + i] · bp[4p + j]`
@@ -869,9 +857,7 @@ mod tests {
         // x = [i, 2], y = [i, 1 + i]: xᵀy = 1 + 2i.
         let x = [0.0, 1.0, 2.0, 0.0];
         let y = [0.0, 1.0, 1.0, 1.0];
-        for &d in available() {
-            assert_eq!(dot_t_c64_on(d, &x, &y), (1.0, 2.0), "{d:?}");
-        }
+        assert_eq!(dot_t_c64(&x, &y), (1.0, 2.0));
     }
 
     #[test]
@@ -935,15 +921,13 @@ mod tests {
     #[test]
     fn complex_elementwise_matches_complex_arithmetic() {
         // (1 + 2i) · (3 − i) = 5 + 5i
-        for &d in available() {
-            let x = [3.0, -1.0];
-            let mut y = [0.0, 0.0];
-            axpy_c64_on(d, 1.0, 2.0, &x, &mut y);
-            assert_eq!(y, [5.0, 5.0]);
-            let mut z = [3.0, -1.0];
-            scal_c64_on(d, 1.0, 2.0, &mut z);
-            assert_eq!(z, [5.0, 5.0]);
-        }
+        let x = [3.0, -1.0];
+        let mut y = [0.0, 0.0];
+        axpy_c64(1.0, 2.0, &x, &mut y);
+        assert_eq!(y, [5.0, 5.0]);
+        let mut z = [3.0, -1.0];
+        scal_c64(1.0, 2.0, &mut z);
+        assert_eq!(z, [5.0, 5.0]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bitwise identity of every `mbrpa-simd` primitive across dispatch paths.
+//! Bitwise identity of every dispatched `mbrpa-simd` primitive across paths.
 //!
 //! The crate's contract (DESIGN.md §8) is that the scalar backend is not
 //! merely "close to" the vector backends — it replicates their lane
@@ -90,31 +90,6 @@ fn real_elementwise_bitwise_identical() {
 }
 
 #[test]
-fn complex_elementwise_bitwise_identical() {
-    check(48, |rng| {
-        let m = rng.random_range(0usize..33);
-        let ar = rng.random_range(-2.0f64..2.0);
-        let ai = rng.random_range(-2.0f64..2.0);
-        let seed = rng.random_range(1..usize::MAX) as u64;
-        let mut rng = Rng::new(seed);
-        let x = rng.vec(2 * m);
-        let init = rng.vec(2 * m);
-        let s = Dispatch::Scalar;
-        for d in vector_paths() {
-            let (mut want, mut got) = (init.clone(), init.clone());
-            mbrpa_simd::axpy_c64_on(s, ar, ai, &x, &mut want);
-            mbrpa_simd::axpy_c64_on(d, ar, ai, &x, &mut got);
-            assert_same_bits(d, "axpy_c64", &got, &want);
-
-            let (mut want, mut got) = (init.clone(), init.clone());
-            mbrpa_simd::scal_c64_on(s, ar, ai, &mut want);
-            mbrpa_simd::scal_c64_on(d, ar, ai, &mut got);
-            assert_same_bits(d, "scal_c64", &got, &want);
-        }
-    });
-}
-
-#[test]
 fn reductions_bitwise_identical() {
     check(48, |rng| {
         let m = rng.random_range(0usize..41);
@@ -131,18 +106,15 @@ fn reductions_bitwise_identical() {
             let want = mbrpa_simd::nrm2_sq_on(s, &x);
             let got = mbrpa_simd::nrm2_sq_on(d, &x);
             assert_same_bits(d, "nrm2_sq", &[got], &[want]);
-
-            let (wr, wi) = mbrpa_simd::dot_t_c64_on(s, &x, &y);
-            let (gr, gi) = mbrpa_simd::dot_t_c64_on(d, &x, &y);
-            assert_same_bits(d, "dot_t_c64", &[gr, gi], &[wr, wi]);
         }
     });
 }
 
-/// The scalar oracle itself against plain loops, at the lengths and
-/// for the five vector kernels COCG's recurrences use (with every
-/// other path bit-identical to it, this pins them all): the lane
-/// split changes the rounding, never the value.
+/// The scalar oracle itself against plain loops, at the lengths COCG's
+/// recurrences use (with every other path bit-identical to it, this pins
+/// them all): the lane split changes the rounding, never the value. The
+/// complex kernels have one body on every path; their lane order is
+/// pinned here bit for bit, since block COCG's pins were recorded in it.
 #[test]
 fn scalar_oracle_matches_plain_loops() {
     check(48, |rng| {
@@ -165,13 +137,43 @@ fn scalar_oracle_matches_plain_loops() {
             tr += a[0] * b[0] - a[1] * b[1];
             ti += a[0] * b[1] + a[1] * b[0];
         }
-        let (gr, gi) = mbrpa_simd::dot_t_c64_on(s, &x, &y);
+        let (gr, gi) = mbrpa_simd::dot_t_c64(&x, &y);
         assert!((gr - tr).abs() <= tol && (gi - ti).abs() <= tol);
+
+        // Complex element j lands in lane j mod C64_LANES; each lane is a
+        // fused chain, and the lanes fold in order.
+        let lanes = mbrpa_simd::C64_LANES;
+        let (mut p, mut q) = (vec![[0.0f64; 2]; lanes], vec![[0.0f64; 2]; lanes]);
+        for (j, (a, b)) in x.chunks_exact(2).zip(y.chunks_exact(2)).enumerate() {
+            let (pl, ql) = (&mut p[j % lanes], &mut q[j % lanes]);
+            *pl = [a[0].mul_add(b[0], pl[0]), a[1].mul_add(b[1], pl[1])];
+            *ql = [a[0].mul_add(b[1], ql[0]), a[1].mul_add(b[0], ql[1])];
+        }
+        let fold = |v: &[[f64; 2]], c: usize| v.iter().fold(0.0, |acc, l| acc + l[c]);
+        let want = [fold(&p, 0) - fold(&p, 1), fold(&q, 0) + fold(&q, 1)];
+        assert_eq!([gr.to_bits(), gi.to_bits()], want.map(f64::to_bits));
 
         let mut got = y.clone();
         mbrpa_simd::axpy_on(s, 0.5, &x, &mut got);
         for ((g, a), b) in got.iter().zip(&x).zip(&y) {
             assert!((g - (b + 0.5 * a)).abs() <= 1e-14);
+        }
+
+        // (ar + i·ai)·x, plain complex arithmetic per element
+        let (ar, ai) = (0.75, -1.25);
+        let times: Vec<f64> = x
+            .chunks_exact(2)
+            .flat_map(|a| [ar * a[0] - ai * a[1], ar * a[1] + ai * a[0]])
+            .collect();
+        let mut got = y.clone();
+        mbrpa_simd::axpy_c64(ar, ai, &x, &mut got);
+        for ((g, t), b) in got.iter().zip(&times).zip(&y) {
+            assert!((g - (b + t)).abs() <= 1e-14);
+        }
+        let mut got = x.clone();
+        mbrpa_simd::scal_c64(ar, ai, &mut got);
+        for (g, t) in got.iter().zip(&times) {
+            assert!((g - t).abs() <= 1e-14);
         }
     });
 }

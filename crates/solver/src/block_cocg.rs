@@ -413,20 +413,6 @@ pub fn block_cocg_ws(
     (x, report)
 }
 
-/// Single right-hand-side COCG (the `s = 1` reduction of Algorithm 3).
-// lint: allow(unreached_pub) — referee of the GMRES, QMR and seed baselines
-pub fn cocg(
-    op: &dyn LinearOperator<C64>,
-    b: &[C64],
-    x0: Option<&[C64]>,
-    opts: &CocgOptions,
-) -> (Vec<C64>, SolveReport) {
-    let bm = Mat::col_vector(b.to_vec());
-    let x0m = x0.map(|g| Mat::col_vector(g.to_vec()));
-    let (x, report) = block_cocg(op, &bm, x0m.as_ref(), opts);
-    (x.into_vec(), report)
-}
-
 /// True relative residual `‖B − AX‖_F / ‖B‖_F` (verification helper; one
 /// extra block application).
 // lint: allow(unreached_pub) — residual check of the bench baselines and the solver tests
@@ -456,19 +442,6 @@ mod tests {
         assert!(report.converged, "report: {report:?}");
         let res = true_relative_residual(&op, &b, &x);
         assert!(res < 1e-8, "true residual {res}");
-    }
-
-    #[test]
-    fn single_rhs_cocg_matches_block_width_one() {
-        let op = test_operator(30, 4.0, 0.5, 3);
-        let b = rand_rhs(30, 1, 4);
-        let opts = CocgOptions::with_tol(1e-10);
-        let (xb, _) = block_cocg(&op, &b, None, &opts);
-        let (xv, report) = cocg(&op, b.col(0), None, &opts);
-        assert!(report.converged);
-        for (a, c) in xb.col(0).iter().zip(xv.iter()) {
-            assert!((*a - *c).norm() < 1e-8);
-        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ mod test_util;
 pub mod workspace;
 
 pub use block_cocg::{
-    block_cocg, block_cocg_ws, cocg, true_relative_residual, CocgOptions, MAX_BREAKDOWNS,
+    block_cocg, block_cocg_ws, true_relative_residual, CocgOptions, MAX_BREAKDOWNS,
 };
 pub use chebyshev::{
     chebyshev_filter, random_orthonormal_block, rayleigh_ritz, RitzRound, SubspaceTimings,

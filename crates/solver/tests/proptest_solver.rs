@@ -4,7 +4,7 @@
 use mbrpa_check::{assume, check, Rng, StdRng};
 use mbrpa_linalg::{matmul, symmetric_eig, Mat, C64};
 use mbrpa_solver::{
-    block_cocg, block_cocg_ws, cocg, galerkin_guess, galerkin_guess_real, shifted_block_lanczos,
+    block_cocg, block_cocg_ws, galerkin_guess, galerkin_guess_real, shifted_block_lanczos,
     shifted_lanczos_pair, true_relative_residual, CocgOptions, DenseOperator, LinearOperator,
     RealShifted, SolveReport, Workspace, MAX_BREAKDOWNS,
 };
@@ -788,13 +788,14 @@ fn solver_linearity() {
         let b1 = rhs_strategy(rng, 14, 1);
         let b2 = rhs_strategy(rng, 14, 1);
         let opts = CocgOptions::with_tol(1e-11);
-        let (x1, r1) = cocg(&op, b1.col(0), None, &opts);
-        let (x2, r2) = cocg(&op, b2.col(0), None, &opts);
+        let (x1, r1) = block_cocg(&op, &b1, None, &opts);
+        let (x2, r2) = block_cocg(&op, &b2, None, &opts);
         assume(r1.converged && r2.converged);
         let mut bsum = b1.clone();
         bsum.axpy(C64::new(1.0, 0.0), &b2);
-        let (xs, rs) = cocg(&op, bsum.col(0), None, &opts);
+        let (xs, rs) = block_cocg(&op, &bsum, None, &opts);
         assume(rs.converged);
+        let (x1, x2, xs) = (x1.col(0), x2.col(0), xs.col(0));
         for i in 0..14 {
             assert!((xs[i] - (x1[i] + x2[i])).norm() < 1e-6);
         }
@@ -916,11 +917,12 @@ fn scaling_equivariance() {
         let b = rhs_strategy(rng, 12, 1);
         let scale = rng.random_range(0.5f64..3.0);
         let opts = CocgOptions::with_tol(1e-11);
-        let (x, r) = cocg(&op, b.col(0), None, &opts);
+        let (x, r) = block_cocg(&op, &b, None, &opts);
         assume(r.converged);
-        let bs: Vec<C64> = b.col(0).iter().map(|z| z.scale(scale)).collect();
-        let (xs, rs) = cocg(&op, &bs, None, &opts);
+        let bs = b.map(|z| z.scale(scale));
+        let (xs, rs) = block_cocg(&op, &bs, None, &opts);
         assume(rs.converged);
+        let (x, xs) = (x.col(0), xs.col(0));
         for i in 0..12 {
             assert!((xs[i] - x[i].scale(scale)).norm() < 1e-6 * (1.0 + x[i].norm()));
         }

@@ -12,7 +12,7 @@
 use mbrpa::core::frequency_quadrature;
 use mbrpa::dft::SternheimerLinOp;
 use mbrpa::prelude::*;
-use mbrpa::solver::true_relative_residual;
+use mbrpa::solver::{block_cocg, true_relative_residual};
 
 fn random_rhs(n: usize, s: usize, seed: u64) -> Mat<C64> {
     let mut state = seed | 1;

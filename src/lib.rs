@@ -94,9 +94,7 @@ pub mod prelude {
     pub use mbrpa_grid::{Boundary, CoulombOperator, Grid3, Laplacian, SpectralLaplacian};
     pub use mbrpa_linalg::{Mat, C64};
     pub use mbrpa_serve::{Daemon, DaemonConfig};
-    pub use mbrpa_solver::{
-        block_cocg, cocg, solve_multi_rhs, BlockPolicy, CocgOptions, LinearOperator, WorkerStats,
-    };
+    pub use mbrpa_solver::{BlockPolicy, CocgOptions, LinearOperator, WorkerStats};
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use mbrpa::dft::{
     SternheimerLinOp, SternheimerOperator,
 };
 use mbrpa::prelude::*;
-use mbrpa::solver::true_relative_residual;
+use mbrpa::solver::{block_cocg, true_relative_residual};
 
 fn tiny_ham() -> (usize, Hamiltonian) {
     let c = SiliconSpec {
