@@ -308,6 +308,13 @@ if grep -rnE --include='*.rs' 'residual_history\.(push|pop|extend)' crates/solve
     echo "ci: a solver edits its residual history itself — call SolveReport::test_iteration and its helpers"
     exit 1
 fi
+# One real solver family on the shipped Sternheimer path: a real block
+# solve that breaks down restarts its columns as Lanczos pairs, so the
+# real-arithmetic solvers never call complex block COCG.
+if sed '/^#\[cfg(test)\]/,$d' crates/solver/src/shifted_lanczos.rs | grep -nw 'block_cocg_ws'; then
+    echo "ci: shifted_lanczos.rs calls block_cocg_ws — a broken-down block restarts as Lanczos pairs"
+    exit 1
+fi
 leg grep-gates ran "one-copy and removed-path source gates"
 
 # Less library: the deleted files stay deleted, and so do the non-`pub`
@@ -318,7 +325,7 @@ leg grep-gates ran "one-copy and removed-path source gates"
 # what it needs, with its reason, in its place.
 if [ -e crates/dft/src/occupations.rs ] || [ -e crates/linalg/src/svd.rs ] \
     || [ -e crates/core/src/rpa_lanczos.rs ] || [ -e crates/dft/src/orbital_io.rs ] \
-    || grep -rnwE --include='*.rs' 'GaussScratch|orbital_io|count_solve|absorb_column|ThinPairs|finish_thin_gram|finish_cocg_gram|gemm_c64_4x4|gram2_c64|carried_dropped|HELD|struct Carried' \
+    || grep -rnwE --include='*.rs' 'GaussScratch|orbital_io|count_solve|absorb_column|ThinPairs|finish_thin_gram|finish_cocg_gram|gemm_c64_4x4|gram2_c64|carried_dropped|HELD|struct Carried|enum Breakdown' \
         crates/*/src src; then
     echo "ci: a deleted library item is back — nothing outside its own tests called it"
     exit 1
@@ -452,12 +459,14 @@ leg daemon-smoke ran "served job, stored documents validated, cache hit/flush/mi
 # dispatch path returns bit-identical results. Re-run the golden
 # pinned-energy test and a full daemon round-trip under the canonical
 # scalar path and the best native vector path, and require the stored
-# `total_energy_bits` hex pattern to equal the pinned one on every path.
-# cluster_smoke.rpa's projectors take the dense form, so this is also the
-# end-to-end gate of the dense kernel against the sparse one it replaced.
+# `total_energy_bits` of each shipped input to equal its pinned value on
+# every path. The three inputs' projectors take the dense form, so this is
+# also the end-to-end gate of the dense kernel against the sparse one it
+# replaced; Si8.rpa and Si7_vacancy.rpa run real block Lanczos chunks and
+# odd-width Lanczos pairs end to end.
 DISPATCH_MATRIX="scalar"
 grep -q avx2 /proc/cpuinfo 2>/dev/null && DISPATCH_MATRIX="$DISPATCH_MATRIX avx2"
-MATRIX_BITS='"total_energy_bits":"bfc6a7a1a856899e"'
+PINNED_INPUTS="cluster_smoke:bfc6a7a1a856899e Si8:bfd480a981dc5d2d Si7_vacancy:bfd1ac3fa64ae1f8"
 for SIMD in $DISPATCH_MATRIX; do
     MBRPA_SIMD="$SIMD" cargo test -q --release --test golden_energy
     ROOT="target/serve_dispatch_$SIMD"
@@ -474,20 +483,27 @@ for SIMD in $DISPATCH_MATRIX; do
     ADDR="$(cat "$ROOT/addr.txt")"
     "$RPACLIENT" -addr "$ADDR" health | grep -q "\"simd\":\"$SIMD\"" \
         || { echo "ci: daemon health does not report dispatch '$SIMD'"; exit 1; }
-    "$RPACLIENT" -addr "$ADDR" submit inputs/cluster_smoke.rpa -name "ci-dispatch-$SIMD"
-    "$RPACLIENT" -addr "$ADDR" wait job-000001
-    BITS="$(grep -o '"total_energy_bits":"[0-9a-f]\{16\}"' \
-        "$ROOT/store/jobs/job-000001/result.json")"
+    JOB=0
+    for PINNED_INPUT in $PINNED_INPUTS; do
+        INPUT="${PINNED_INPUT%%:*}"
+        PINNED="${PINNED_INPUT#*:}"
+        JOB=$((JOB + 1))
+        JOB_ID="$(printf 'job-%06d' "$JOB")"
+        "$RPACLIENT" -addr "$ADDR" submit "inputs/$INPUT.rpa" -name "ci-dispatch-$SIMD-$INPUT"
+        "$RPACLIENT" -addr "$ADDR" wait "$JOB_ID"
+        BITS="$(grep -o '"total_energy_bits":"[0-9a-f]\{16\}"' \
+            "$ROOT/store/jobs/$JOB_ID/result.json")"
+        [ -n "$BITS" ] || { echo "ci: no total_energy_bits in the $SIMD result of $INPUT.rpa"; exit 1; }
+        if [ "\"total_energy_bits\":\"$PINNED\"" != "$BITS" ]; then
+            echo "ci: served $INPUT.rpa energy under $SIMD is $BITS, pinned $PINNED"
+            exit 1
+        fi
+    done
     "$RPACLIENT" -addr "$ADDR" shutdown
     wait "$SERVE_PID"
     trap - EXIT
-    [ -n "$BITS" ] || { echo "ci: no total_energy_bits in the $SIMD result"; exit 1; }
-    if [ "$MATRIX_BITS" != "$BITS" ]; then
-        echo "ci: served cluster_smoke.rpa energy under $SIMD is $BITS, pinned $MATRIX_BITS"
-        exit 1
-    fi
 done
-leg dispatch-matrix ran "golden energy and pinned served bits on: $DISPATCH_MATRIX"
+leg dispatch-matrix ran "golden energy and pinned served bits of cluster_smoke, Si8 and Si7_vacancy on: $DISPATCH_MATRIX"
 
 # Dense eigensolver bits: the pin test of `symmetric_eig` and
 # `generalized_sym_eig` under every path of the dispatch matrix above and
@@ -505,7 +521,7 @@ done
 leg dense-eig-bits ran "dense_eig_bits on: $DISPATCH_MATRIX x 1 and 2 threads"
 
 # Block Lanczos bits: the pin test of `shifted_block_lanczos` (its `s × s`
-# recurrence, the Galerkin start and the hand-off to block COCG) under
+# recurrence, the Galerkin start and the restart as Lanczos pairs) under
 # every path of the dispatch matrix and on one and two pool threads. The
 # sweeps are dispatched kernels, and the Sternheimer operators come from
 # the dispatched Hamiltonian apply.
@@ -647,11 +663,11 @@ leg work-counters ran "traced smoke counters of the three solve workloads"
 # count no Lanczos call with an idle slot, and its block-size table (Table
 # IV) must read as committed: the chunks of the columns before the last
 # one, with the last column among the width-1 solves. It must count no
-# breakdown either: block COCG, whose products are plain chains and whose
-# level-1 kernels have no vector body, runs only where a real block solve
-# breaks down and hands off, and a shipped input that reached it would be
-# slow. Si7_vacancy.rpa, the other shipped solve input (odd worker width,
-# so it keeps lone Lanczos calls), must not reach it either.
+# breakdown either: a real block solve that breaks down drops its steps
+# and restarts its columns as Lanczos pairs, so a shipped input that
+# reached it would redo work. Si7_vacancy.rpa, the other shipped solve
+# input (odd worker width, so it keeps lone Lanczos calls), must not
+# reach it either.
 CARRY_DIR="target/ci_carry"
 rm -rf "$CARRY_DIR"
 mkdir -p "$CARRY_DIR"
@@ -661,11 +677,11 @@ LONE="$(grep -o '"solver.lanczos.lone_solves":[0-9]*' "$CARRY_DIR/profile.json" 
 [ "$LONE" = 0 ] \
     || { echo "ci: Si8.rpa ran ${LONE:-an uncounted number of} lone Lanczos solves, want 0"; exit 1; }
 grep -qE '"solver\.cocg\.breakdowns":0[,}]' "$CARRY_DIR/profile.json" \
-    || { echo "ci: Si8.rpa handed a block to block COCG (solver.cocg.breakdowns is not 0)"; exit 1; }
+    || { echo "ci: a Si8.rpa block broke down and restarted as pairs (solver.cocg.breakdowns is not 0)"; exit 1; }
 cp inputs/Si7_vacancy.rpa "$CARRY_DIR/"
 (cd "$CARRY_DIR" && ../release/rpacalc -name Si7_vacancy -profile vacancy.json >>run.log)
 grep -qE '"solver\.cocg\.breakdowns":0[,}]' "$CARRY_DIR/vacancy.json" \
-    || { echo "ci: Si7_vacancy.rpa handed a block to block COCG (solver.cocg.breakdowns is not 0)"; exit 1; }
+    || { echo "ci: a Si7_vacancy.rpa block broke down and restarted as pairs (solver.cocg.breakdowns is not 0)"; exit 1; }
 GOT_TABLE="$(sed -n '/^Block size | Count | Fraction$/,/^Worker /p' "$CARRY_DIR/Si8.out" | sed '$d')"
 WANT_TABLE="$(cat <<'TABLE'
 Block size | Count | Fraction
@@ -677,7 +693,7 @@ TABLE
 )"
 [ "$GOT_TABLE" = "$WANT_TABLE" ] \
     || { echo "ci: Si8.rpa block-size table moved:"; echo "$GOT_TABLE"; exit 1; }
-leg lanczos-carry ran "Si8.rpa: no lone Lanczos solve, block-size table as committed; Si8.rpa and Si7_vacancy.rpa: no breakdown hand-off to block COCG"
+leg lanczos-carry ran "Si8.rpa: no lone Lanczos solve, block-size table as committed; Si8.rpa and Si7_vacancy.rpa: no block broke down and restarted as pairs"
 
 # One χ⁰ result on any thread count: the apply runs one task per (column
 # range, orbital) on whichever thread is free and folds each range's

@@ -168,7 +168,7 @@ fn warm_orbital_contributions_do_not_allocate() {
                     BlockPolicy::Fixed(s) => assert_eq!(stats.block_sizes.count(s), 2 * 4 * n_s),
                     BlockPolicy::DynamicTimed => unreachable!(),
                 }
-                assert_eq!(stats.breakdowns, 0, "{policy:?}: a block solve handed off");
+                assert_eq!(stats.breakdowns, 0, "{policy:?}: a block solve broke down");
                 counted
             })
             .collect();

@@ -2,8 +2,8 @@
 //! operator merges them with the per-orbital iterations, and
 //! `RpaSetup::run_with` publishes that ledger once per frequency. The
 //! counters of a profiled run are therefore the `RpaResult`'s own stats —
-//! real block Lanczos chunks, real Lanczos pairs and block COCG hand-offs
-//! alike — and the per-frequency counters and series add up to them.
+//! real block Lanczos chunks, real Lanczos pairs and blocks restarted as
+//! pairs alike — and the per-frequency counters and series add up to them.
 //!
 //! This file holds a single `#[test]`: the telemetry sink is one per
 //! process, so a second test in the binary would add to the counters.

@@ -11,11 +11,11 @@
 //! `O(s³)` solves (lines 8, 12), exactly the cost model of §III-B.
 //!
 //! The χ⁰ Sternheimer chunks run in real arithmetic
-//! ([`crate::shifted_block_lanczos`]), so block COCG runs where right-hand
-//! sides are complex ([`crate::solve_multi_rhs`]), as the real block
-//! solve's breakdown hand-off, and as the tests' reference for both real
-//! solves. It has one body at every width: the products are the packed
-//! GEMM and Gram drivers of `mbrpa-linalg`.
+//! ([`crate::shifted_block_lanczos`], whose breakdowns restart as real
+//! Lanczos pairs), so block COCG runs only where right-hand sides are
+//! complex ([`crate::solve_multi_rhs`]) and as the tests' referee of both
+//! real solves. It has one body at every width: the products are the
+//! plain complex GEMM and Gram chains of `mbrpa-linalg`.
 //!
 //! COCG has no optimality property in residual or error norms (§III-B), so
 //! the Gram matrices `μ = PᵀAP` and `ρ = WᵀW` can become numerically

@@ -338,13 +338,15 @@ mod tests {
     fn the_probe_carries_the_last_column_beside_column_0() {
         // For w = 1..=24 under fixed and cost-model policies: the chunks the
         // schedule makes over the columns Alg. 4 schedules (all w, or the
-        // first w − 1 where the probe carries), each solved alone by block
-        // COCG (Alg. 3) for its solution and by its real solver for its
-        // price and matvecs, plus column w − 1 as its own width-1 solve where
-        // the probe carries; then the real path itself: the same histogram
-        // and matvecs (no column solved twice), every column sunk once with
-        // its solution, and a Lanczos call left lone for each width-1 chunk
-        // without a partner.
+        // first w − 1 where the probe carries), each solved alone by its
+        // real solver for its price and matvecs and by block COCG (Alg. 3)
+        // for its solution, or where the real solve broke down by its
+        // columns' lone pair solves, plus column w − 1 as its own width-1
+        // solve where the probe carries; then the real path itself: the same
+        // histogram and matvecs (no column solved twice), every column sunk
+        // once with its solution, and a Lanczos call left lone for each
+        // width-1 chunk without a partner.
+        let mut restarted = 0;
         for w in 1..=24 {
             for policy in [
                 BlockPolicy::Fixed(1),
@@ -369,8 +371,6 @@ mod tests {
                 let mut want_hist = BlockSizeHistogram::new();
                 let mut want_matvecs = 0;
                 let mut reference = |c0: usize, width: usize| {
-                    let rhs = b.columns(c0, width).map(|x| C64::new(x, 0.0));
-                    want.set_columns(c0, &block_cocg(&op, &rhs, None, &opts).0);
                     want_hist.record(width, width);
                     // the real solve of this chunk alone prices it
                     let report = with_thread_workspace(|ws: &mut Workspace<C64>| {
@@ -384,6 +384,24 @@ mod tests {
                         }
                     });
                     want_matvecs += report.matvecs;
+                    if report.breakdowns == 0 {
+                        let rhs = b.columns(c0, width).map(|x| C64::new(x, 0.0));
+                        want.set_columns(c0, &block_cocg(&op, &rhs, None, &opts).0);
+                    } else {
+                        // a chunk that broke down restarted its columns as
+                        // pairs: each column's lone pair solve is its answer
+                        restarted += 1;
+                        let ws = &mut Workspace::new();
+                        for c in c0..c0 + width {
+                            let col = want.col_mut(c);
+                            let sink = &mut |_: usize, x: &[C64], _: usize| {
+                                col.iter_mut()
+                                    .zip(x)
+                                    .for_each(|(v, z)| *v = C64::new(z.re, 0.0));
+                            };
+                            shifted_lanczos_pair(&op, &b, None, &[c], &opts, ws, sink);
+                        }
+                    }
                     report
                 };
                 schedule_chunks(scheduled, policy, true, &mut |start, width, chunks| {
@@ -432,6 +450,7 @@ mod tests {
                 assert_eq!(stats.lanczos, want_slots, "{what}");
             }
         }
+        assert!(restarted > 0, "no chunk broke down to test the restart");
     }
 
     #[test]

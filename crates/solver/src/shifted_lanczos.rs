@@ -9,7 +9,7 @@
 //! directions `d_k = (q_k − β_k d_{k−1})/δ_k`. Its iterates are COCG's:
 //! the residual norm is `β_{k+1}|ζ_k/δ_k|`, tested against the same
 //! `tol·‖b‖` at the same step, so iteration counts agree with
-//! [`block_cocg_ws`](crate::block_cocg_ws) at `s = 1`
+//! [`block_cocg`](crate::block_cocg) at `s = 1`
 //! (`tests/proptest_solver.rs`). `Im δ_k ≥ ω > 0`, so no pivot vanishes
 //! and there is no breakdown to guard.
 //!
@@ -20,9 +20,12 @@
 //! A chunk of `s ≥ 2` columns runs the block analogue,
 //! [`shifted_block_lanczos`]: real block Lanczos on `R` with the block
 //! `LU` of `T_k + iω` in `s × s` matrices, block COCG's iterates, the
-//! columns packed two to a `C64` vector the same way.
+//! columns packed two to a `C64` vector the same way. A block that breaks
+//! down restarts its columns from the guess as pairs, so the shipped
+//! solves are real arithmetic throughout; complex block COCG is left to
+//! complex right-hand sides and to the tests, as the referee of both.
 
-use crate::block_cocg::{block_cocg_ws, CocgOptions, BREAKDOWN_RCOND};
+use crate::block_cocg::{CocgOptions, BREAKDOWN_RCOND};
 use crate::operator::LinearOperator;
 use crate::stats::SolveReport;
 use crate::workspace::Workspace;
@@ -365,18 +368,6 @@ fn cholesky_qr(s: usize, g: &[f64], d: &mut [f64], beta: &mut [f64], b_inv: &mut
     true
 }
 
-/// Where a block Lanczos solve stops for block COCG, and so which
-/// residual the recurrence holds for its `X`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Breakdown {
-    /// `W₀` has no QR: no step taken, `X = X₀`.
-    Start,
-    /// `U` has no QR: `X_k`, with `W_k = −U·Δ_k⁻¹Z_k`.
-    Qr,
-    /// `Δ_k` has no LU: `X_{k−1}` stands, with `W_{k−1} = V_k Z_k`.
-    Delta,
-}
-
 /// Solve `(R + iω) X = B` for the columns `cols` of the real block `b` —
 /// two or more; one column is [`shifted_lanczos_pair`]'s — and hand `Re x`
 /// of each to `sink`: block COCG's iterates in real arithmetic.
@@ -400,17 +391,17 @@ enum Breakdown {
 /// `guess` is `[Re X₀ | Im X₀]` as for [`shifted_lanczos_pair`], and the
 /// start drops the same imaginary part of the residual. Where a QR is
 /// rank-deficient or a `Δ_k` pivot ratio is at or below the breakdown
-/// floor, the solve counts one breakdown and hands the block to
-/// [`block_cocg_ws`] from the current complex `X` with the iterations left,
-/// as Alg. 3 restarts from its own breakdowns. `Im X` is not carried: the
-/// hand-off rebuilds it from the real part of the residual `W` the
-/// recurrence holds for `X`, `Re W = B − R·Re X + ω·Im X`, with one apply
-/// of `R`. On a block whose Krylov space runs out that takes block COCG's
-/// iterations, plus two block applies (the rebuild and the fresh
-/// residual; none before a first step without a guess, where the solve is
-/// block COCG's). The residual history is kept as block COCG keeps its
-/// own, one entry per iteration and the start's: block COCG's first entry,
-/// the fresh residual, replaces the one of the iterate it restarts from.
+/// floor before the solve has converged, the solve counts one breakdown,
+/// drops the block's iterate and restarts every column from the guess
+/// through [`shifted_lanczos_pair`], two to a call, on the iterations left.
+/// The slots never mix, so each column's `Re x` is its lone pair solve's
+/// bit for bit, and a pair cannot break down (`Im δ_k ≥ ω > 0`). The
+/// report adds the pairs' matvecs to the block's and the longest pair
+/// call's iterations to its steps; the history replaces the dropped
+/// iterate's entry with the columns' `‖W‖_F/‖B‖_F`, step by step, so it
+/// keeps one entry per iteration and the start's. A block whose Krylov
+/// space runs out as it converges reads its residual from the Gram matrix
+/// and finishes without a restart.
 /// All work vectors come from `ws` and go back to it.
 pub fn shifted_block_lanczos(
     op: &dyn RealShifted,
@@ -467,7 +458,8 @@ pub fn shifted_block_lanczos(
     }
     let b_norm = b_sq.sqrt();
     let mut blown_up = false;
-    let mut handoff = None;
+    // a rank-deficient W₀ or U, or a Δ_k at the breakdown floor
+    let mut broke_down = false;
     if exactly_zero(b_norm) {
         report.solved_by_guess(opts);
     } else {
@@ -496,7 +488,7 @@ pub fn shifted_block_lanczos(
         mbrpa_simd::block_lanczos_orthogonalize(n, s, zero, comps(&v), comps_mut(&mut y), gram);
         w_sq = (0..s).map(|j| gram[j + s * j]).sum::<f64>();
         if !cholesky_qr(s, gram, &mut t[..s], beta, b_inv) {
-            handoff = Some(Breakdown::Start);
+            broke_down = true;
         } else {
             let step = BlockStep {
                 b_inv,
@@ -534,7 +526,7 @@ pub fn shifted_block_lanczos(
     while !report.converged && !blown_up {
         // Eq. 10, where Alg. 3 tests it; a breakdown stops after the test
         let rel = res / b_norm;
-        if report.test_iteration(rel, opts) || handoff.is_some() {
+        if report.test_iteration(rel, opts) || broke_down {
             break;
         }
         for q in 0..m {
@@ -596,9 +588,9 @@ pub fn shifted_block_lanczos(
         // as a blow-up instead
         let ratio = factor_solve_in_place(s, delta, em);
         if !ratio.is_ok_and(|r| r > BREAKDOWN_RCOND || r.is_nan()) {
-            // the step ends where it started: X and its residual stand
+            // the step ends where it started: its entry is X's residual
             report.log_residual(rel, opts.track_residuals);
-            handoff = Some(Breakdown::Delta);
+            broke_down = true;
             break;
         }
         for (k, (e, m)) in em[..ss].iter().zip(&em[ss..]).enumerate() {
@@ -650,7 +642,7 @@ pub fn shifted_block_lanczos(
         // ‖W_k‖_F = ‖U M_k‖_F: ‖Z_{k+1}‖_F with Z_{k+1} = −β_{k+1}M_k, or
         // from the Gram matrix itself when U has no QR
         let res_sq = if deficient {
-            handoff = Some(Breakdown::Qr);
+            broke_down = true;
             (0..s)
                 .map(|c| {
                     let quad = |mm: &[f64]| {
@@ -679,71 +671,10 @@ pub fn shifted_block_lanczos(
         }
     }
 
-    let broke_down = handoff.filter(|_| !report.converged && !blown_up);
-    report.breakdowns += usize::from(broke_down.is_some());
-    if let Some(stop) = broke_down.filter(|_| report.iterations < opts.max_iters) {
-        // Im X, which the sweeps do not carry: X₀'s before a step, else
-        // from the real part of the residual the recurrence holds for X,
-        // Re W = b − R·Re X + ω·Im X, after one apply of R
-        let at_start = stop == Breakdown::Start || exactly_zero(omega);
-        let at = |c: usize, i: usize| 2 * ((c / 2) * n + i) + c % 2;
-        if !at_start {
-            let (basis, coef, sign) = match stop {
-                Breakdown::Qr => (&y, &*m_re, -1.0),
-                _ => (&v, &*z_re, 1.0),
-            };
-            let (us, re_w) = (comps(basis), comps_mut(&mut dn_re));
-            for c in 0..s {
-                for i in 0..n {
-                    re_w[at(c, i)] =
-                        sign * (0..s).map(|l| us[at(l, i)] * coef[l + s * c]).sum::<f64>();
-                }
-            }
-            for q in 0..m {
-                op.apply_real_pair(x.col(q), dn_im.col_mut(q));
-            }
-            report.matvecs += s;
-        }
-        // block COCG from the current X, on the iterations left, as Alg. 3
-        // restarts after its own breakdowns: from a fresh residual, whose
-        // norm replaces the last one the history holds
-        let sub_opts = CocgOptions {
-            max_iters: opts.max_iters - report.iterations,
-            ..*opts
-        };
-        let mut cb = ws.take_scratch(n, s);
-        let mut cg = ws.take_scratch(n, s);
-        let (xs, re_w, r_x) = (comps(&x), comps(&dn_re), comps(&dn_im));
-        for c in 0..s {
-            let im0 = guess.map(|g| g.col(w + cols.start + c));
-            for (i, (zb, zg)) in cb.col_mut(c).iter_mut().zip(cg.col_mut(c)).enumerate() {
-                let (k, bi) = (at(c, i), b[(i, cols.start + c)]);
-                let im = if at_start {
-                    im0.map_or(0.0, |g| g[i])
-                } else {
-                    (r_x[k] - bi + re_w[k]) / omega
-                };
-                *zb = C64::new(bi, 0.0);
-                *zg = C64::new(xs[k], im);
-            }
-        }
-        // no step and no guess leave X = 0, block COCG's own start
-        let x0 = (stop != Breakdown::Start || guess.is_some()).then_some(&cg);
-        let (xc, sub) = block_cocg_ws(op, &cb, x0, &sub_opts, ws);
-        report.iterations += sub.iterations;
-        report.matvecs += sub.matvecs;
-        report.breakdowns += sub.breakdowns;
-        report.converged = sub.converged;
-        report.relative_residual = sub.relative_residual;
-        if opts.track_residuals {
-            report.restart_history(sub.residual_history.iter().copied());
-        }
-        for c in 0..s {
-            sink(cols.start + c, xc.col(c), 0);
-        }
-        ws.give(cb);
-        ws.give(cg);
-    } else {
+    let broke_down = broke_down && !report.converged && !blown_up;
+    report.breakdowns += usize::from(broke_down);
+    let restart = broke_down && report.iterations < opts.max_iters;
+    if !restart {
         // the one scan of the iterate: a non-finite X is no solution
         if blown_up || !comps(&x).iter().all(|v| v.is_finite()) {
             report.converged = false;
@@ -754,6 +685,25 @@ pub fn shifted_block_lanczos(
     }
     for mat in [x, y, v_prev, v, d_re, d_im, dn_re, dn_im, small] {
         ws.give(mat);
+    }
+    if restart {
+        // the block's steps are dropped: every column starts again from
+        // the guess as a Lanczos pair on the iterations left, two to a call
+        let from = report.iterations;
+        let left = CocgOptions {
+            max_iters: opts.max_iters - from,
+            ..*opts
+        };
+        report.restart_as_columns();
+        for c in cols.clone().step_by(2) {
+            let pair = [c, c + 1];
+            let lanes = (cols.end - c).min(2);
+            let reports = shifted_lanczos_pair(op, b, guess, &pair[..lanes], &left, ws, sink);
+            for (&c, col) in pair.iter().zip(&reports[..lanes]) {
+                let share = mbrpa_simd::nrm2_sq(b.col(c)).sqrt() / b_norm;
+                report.add_restarted_column(from, share, col);
+            }
+        }
     }
     report
 }

@@ -73,13 +73,45 @@ impl SolveReport {
         }
     }
 
-    /// A restart from the current iterate (a hand-off or a half split):
+    /// A restart from the current iterate (block COCG's half split):
     /// the restarted solve's history, which opens with the fresh residual,
     /// replaces the last entry, the recurrence's residual for the same
     /// iterate.
     pub(crate) fn restart_history(&mut self, entries: impl Iterator<Item = f64>) {
         self.residual_history.pop();
         self.residual_history.extend(entries);
+    }
+
+    /// A block solve that broke down drops its iterate and restarts its
+    /// columns as solves of their own: the dropped iterate's history entry
+    /// goes, and the columns come in through
+    /// [`add_restarted_column`](Self::add_restarted_column).
+    pub(crate) fn restart_as_columns(&mut self) {
+        self.converged = true;
+        self.relative_residual = 0.0;
+        self.residual_history.pop();
+    }
+
+    /// Fold in one restarted column's report, `share = ‖b_c‖/‖B‖_F`, the
+    /// block having stopped after `from` iterations. The columns run side
+    /// by side on the iterations left: work adds up, the iterations are
+    /// the longest column's, the block converges when every column has,
+    /// and each step's residual is the columns' `‖W‖_F/‖B‖_F`, a column
+    /// that has stopped holding its last.
+    pub(crate) fn add_restarted_column(&mut self, from: usize, share: f64, col: &SolveReport) {
+        self.iterations = self.iterations.max(from + col.iterations);
+        self.matvecs += col.matvecs;
+        self.converged &= col.converged;
+        self.relative_residual = self.relative_residual.hypot(share * col.relative_residual);
+        let (hist, own) = (&mut self.residual_history, &col.residual_history);
+        if let Some(&last) = own.last() {
+            // past the columns folded so far, each holds its last residual
+            let held = hist.last().filter(|_| hist.len() > from).copied();
+            hist.resize(hist.len().max(from + own.len()), held.unwrap_or(0.0));
+            for (k, h) in hist[from..].iter_mut().enumerate() {
+                *h = h.hypot(share * own.get(k).copied().unwrap_or(last));
+            }
+        }
     }
 }
 

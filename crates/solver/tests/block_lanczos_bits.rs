@@ -8,10 +8,10 @@
 //! column's `Re x` and of the residual history, and keeps the counts of
 //! each report, on the Sternheimer operators of the benchmark's three grid
 //! shapes, with and without the Galerkin guess, and on one block whose
-//! Krylov space runs out and is handed to block COCG. Block COCG itself
-//! (Alg. 3: the hand-off's solver and the tests' referee) is pinned the
-//! same way on complex blocks, and so is one `solve_multi_rhs` call under
-//! Alg. 4's cost model.
+//! Krylov space runs out and restarts its columns as Lanczos pairs. Block
+//! COCG itself (Alg. 3: the solver of complex right-hand sides and the
+//! tests' referee) is pinned the same way on complex blocks, and so is one
+//! `solve_multi_rhs` call under Alg. 4's cost model.
 
 use mbrpa_check::fnv1a64;
 use mbrpa_dft::{
@@ -136,10 +136,10 @@ fn block_solves_keep_their_bits_on_the_serve_shape() {
             (0x20d9720738bc0265, 23, 96, 0, 0xd574477e0a9d4764),
             (0x3ff4acbf69822cba, 26, 130, 0, 0x0108c85defa0c4ed),
             (0x46aba4694f001462, 21, 110, 0, 0x945bccdc6d43f09a),
-            (0x540130c2e9547708, 71, 420, 6, 0x0e9720c6e22045cb),
+            (0x81293cf09147f818, 106, 835, 1, 0x1a54ea30c5431431),
             (0xcbfce6265efca368, 14, 120, 0, 0x5bf673a7d3420b73),
-            (0xe755e8fe9bcf3c02, 162, 1144, 16, 0x9966e7ea727bf043),
-            (0x8786166f1a06c909, 39, 528, 6, 0x38e7a4f2d15f0551),
+            (0xab3058993ec82f25, 98, 1545, 1, 0x8cd5d98c92ac8cc8),
+            (0xc82f47a4cb382100, 57, 925, 1, 0x1b0571f4492b21db),
         ],
     );
 }
@@ -193,11 +193,11 @@ fn block_solves_keep_their_bits_on_the_cluster_shape() {
 }
 
 #[test]
-fn a_hand_off_to_block_cocg_keeps_its_bits() {
+fn a_restart_as_pairs_keeps_its_bits() {
     // four columns in the span of six eigenvectors of H, three occupied and
     // three not: the block Krylov space runs out after one step (with no
     // guess) or at the start (the Galerkin guess leaves a residual in the
-    // three unoccupied ones alone), and the solve hands off to block COCG
+    // three unoccupied ones alone), and the columns restart as pairs
     let (ham, ks) = shape(5, Boundary::Dirichlet, 11);
     let n = ham.dim();
     let m = ks.n_occupied;
@@ -212,14 +212,14 @@ fn a_hand_off_to_block_cocg_keeps_its_bits() {
         .into_iter()
         .map(|with_guess| {
             let p = pin(&ham, &ks, &b, 4, with_guess);
-            println!("hand-off guess {with_guess}: {}", show(&p));
-            assert!(p.3 > 0, "the solve must hand off: {p:?}");
+            println!("restart guess {with_guess}: {}", show(&p));
+            assert_eq!(p.3, 1, "the solve must restart once: {p:?}");
             p
         })
         .collect();
     let pinned = [
-        (0xbb678bcc2e8a4c26, 12, 64, 6, 0x11289431e8b6efe0),
-        (0x5277e9fb473904e7, 29, 104, 16, 0x627009b3eed64263),
+        (0xb5c6cdb50913d641, 7, 28, 1, 0x639560c5115545cd),
+        (0x730a64be05cda394, 3, 20, 1, 0x5832b82a75125cb4),
     ];
     assert_eq!(got, pinned);
 }

@@ -540,12 +540,60 @@ fn real_block_solves_match_block_cocg() {
     });
 }
 
+/// The real block solve of the columns `0..s` of `b`, `None` where it did
+/// not break down, else the block's steps, held to the contract of a
+/// restart: one breakdown; every column its lone pair solve's `Re x` bit
+/// for bit, within `2·tol·‖b‖/σ_min` of the dense solve; the block's steps
+/// and matvecs plus the pairs'; one history entry per iteration and the
+/// start's, the last the solve's residual.
+fn restarted_steps(
+    op: &ShiftedDense,
+    b: &Mat<f64>,
+    guess: Option<&Mat<f64>>,
+    opts: &CocgOptions,
+) -> Option<usize> {
+    let s = b.cols();
+    let (x, got) = real_block_solve(op, b, guess, 0..s, opts);
+    if got.breakdowns == 0 {
+        return None;
+    }
+    let what = format!("s {s}, guess {}: {got:?}", guess.is_some());
+    let bits = |v: &[f64]| v.iter().map(|z| z.to_bits()).collect::<Vec<_>>();
+    let bc = b.map(|v| C64::new(v, 0.0));
+    let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).expect("R + iω is nonsingular");
+    let bound = 2.0 * opts.tol * b.fro_norm() / op.sigma_min();
+    let (mut pair_iters, mut pair_matvecs) = (0, 0);
+    for c in 0..s {
+        let (lone, [rep, _]) = real_solve(op, b, guess, &[c], opts);
+        assert!(rep.converged, "{what}: column {c} alone: {rep:?}");
+        assert_eq!(bits(x.col(c)), bits(&lone[0]), "{what}: column {c}");
+        let err = max_diff(x.col(c), exact.col(c).iter().map(|z| z.re));
+        assert!(
+            err <= bound,
+            "{what}: column {c}: {err:e} from the dense solve, bound {bound:e}"
+        );
+        pair_iters = pair_iters.max(rep.iterations);
+        pair_matvecs += rep.matvecs;
+    }
+    assert!(got.converged, "{what}");
+    assert_eq!(got.breakdowns, 1, "{what}");
+    let steps = got.iterations.checked_sub(pair_iters).expect(&what);
+    let start = if guess.is_some() { s } else { 0 };
+    assert_eq!(got.matvecs, start + s * steps + pair_matvecs, "{what}");
+    assert_eq!(got.residual_history.len(), got.iterations + 1, "{what}");
+    assert_eq!(
+        got.residual_history.last(),
+        Some(&got.relative_residual),
+        "{what}"
+    );
+    Some(steps)
+}
+
 /// A rank-deficient start block — a repeated column, or a zero one — has
-/// no QR: the real block solve hands it to block COCG before a step, so
-/// the solve is block COCG's — iterations, matvecs, residual history and
-/// `Re X` to the bit — with the hand-off counted in `breakdowns`.
+/// no QR: the real block solve breaks down before a step and restarts
+/// every column as a Lanczos pair.
 #[test]
-fn rank_deficient_blocks_hand_off_to_block_cocg() {
+fn rank_deficient_blocks_restart_as_pairs() {
     check(24, |rng| {
         let n = 40;
         let s = rng.random_range(2usize..6);
@@ -563,45 +611,16 @@ fn rank_deficient_blocks_hand_off_to_block_cocg() {
             track_residuals: true,
             ..CocgOptions::with_tol(1e-8)
         };
-        let (x, report) = real_block_solve(&op, &b, None, 0..s, &opts);
-        assert!(report.converged, "{report:?}");
-        let bc = Mat::from_fn(n, s, |i, c| C64::new(b[(i, c)], 0.0));
-        let (xc, want) = block_cocg_ws(&op, &bc, None, &opts, &mut Workspace::new());
-        assert_eq!(report.breakdowns, want.breakdowns + 1, "{report:?}");
-        assert_eq!(
-            (report.iterations, report.matvecs, report.converged),
-            (want.iterations, want.matvecs, want.converged)
-        );
-        assert_eq!(report.residual_history, want.residual_history);
-        let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
-        let bound = 2.0 * opts.tol * b.fro_norm() / op.sigma_min();
-        for c in 0..s {
-            let bits = |v: &mut dyn Iterator<Item = f64>| v.map(f64::to_bits).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&mut x.col(c).iter().copied()),
-                bits(&mut xc.col(c).iter().map(|z| z.re)),
-                "column {c}"
-            );
-            let err = max_diff(x.col(c), exact.col(c).iter().map(|z| z.re));
-            assert!(
-                err <= bound,
-                "column {c}: {err:e} from the dense solve, bound {bound:e}"
-            );
-        }
+        assert_eq!(restarted_steps(&op, &b, None, &opts), Some(0));
     });
 }
 
 /// A block whose Krylov space runs out mid-solve — every column in the
 /// span of a few eigenvectors, more of them than one block holds — loses
-/// its QR part-way and hands off from its complex iterate, `Im X` rebuilt
-/// from the recurrence's residual; with no guess or a complex one. Block
-/// COCG breaks down at the same step
-/// and restarts from the same iterate, so the two take the same
-/// iterations, the hand-off costing two block applies (`R·Re X` and the
-/// fresh residual) and one breakdown more, and keep residual histories of
-/// one length.
+/// its QR part-way and restarts every column as a Lanczos pair from the
+/// start, with no guess or a complex one.
 #[test]
-fn exhausted_krylov_spaces_hand_off_mid_solve() {
+fn exhausted_krylov_spaces_restart_mid_solve() {
     check(128, |rng| {
         let n = 40;
         let s = rng.random_range(2usize..6);
@@ -621,12 +640,10 @@ fn exhausted_krylov_spaces_hand_off_mid_solve() {
             track_residuals: true,
             ..CocgOptions::with_tol(1e-10)
         };
-        let bc = Mat::from_fn(n, s, |i, c| C64::new(b[(i, c)], 0.0));
         // or from X₀ = A⁻¹(0.6·B), complex, whose residual stays in the span
-        let x0 = rng
-            .random::<bool>()
-            .then(|| mbrpa_linalg::solve(op.complex.matrix(), &bc.map(|z| z.scale(0.6))).unwrap());
-        let guess = x0.as_ref().map(|x0| {
+        let guess = rng.random::<bool>().then(|| {
+            let bc = b.map(|v| C64::new(0.6 * v, 0.0));
+            let x0 = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
             Mat::from_fn(n, 2 * s, |i, c| {
                 let z = x0[(i, c % s)];
                 if c < s {
@@ -636,45 +653,20 @@ fn exhausted_krylov_spaces_hand_off_mid_solve() {
                 }
             })
         });
-        let (x, got) = real_block_solve(&op, &b, guess.as_ref(), 0..s, &opts);
-        let (_, want) = block_cocg_ws(&op, &bc, x0.as_ref(), &opts, &mut Workspace::new());
         // a column of U that is rounding alone passes the equilibrated rank
-        // test, and the recurrence runs on past it: no hand-off to compare
-        assume(got.breakdowns > 0);
-        let what = format!(
-            "s {s}, {k} eigenvectors, guess {}: {got:?} against {want:?}",
-            x0.is_some()
-        );
-        assert!(got.converged && want.converged, "{what}");
-        assert_eq!(got.iterations, want.iterations, "{what}");
-        assert_eq!(got.matvecs, want.matvecs + 2 * s, "{what}");
-        assert_eq!(got.breakdowns, want.breakdowns + 1, "{what}");
-        assert_eq!(
-            got.residual_history.len(),
-            want.residual_history.len(),
-            "{what}"
-        );
-        let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
-        let bound = 2.0 * opts.tol * b.fro_norm() / op.sigma_min();
-        for c in 0..s {
-            let err = max_diff(x.col(c), exact.col(c).iter().map(|z| z.re));
-            assert!(
-                err <= bound,
-                "column {c}: {err:e} from the dense solve, bound {bound:e}"
-            );
-        }
+        // test, and the recurrence runs on past it: no restart to check
+        assume(restarted_steps(&op, &b, guess.as_ref(), &opts).is_some());
     });
 }
 
-/// A `Δ_k` with no LU hands off as well. `R = diag(±(1 + 0.1·l))`, the two
+/// A `Δ_k` with no LU restarts as well. `R = diag(±(1 + 0.1·l))`, the two
 /// signs of each magnitude side by side, and `b₁ = e₀ + e₁` give
 /// `b₁ᵀRb₁ = 0`; with `b₂` kept off `e₀` and `e₁`, `V₁ = [b₁/√2, b₂/‖b₂‖]`
 /// and `α₁ = diag(0, ·)`, so `Δ₁ = α₁ + iω` has a pivot ratio of about
 /// `ω`, under the breakdown floor at `ω = 1e-15`: the first step stops on
-/// it. Block COCG, whose equilibrated `μ = diag(2iω, ·)` is no breakdown,
-/// finishes the solve from the complex iterate.
+/// it. The pairs, whose pivots keep `Im δ_k ≥ ω`, finish the solve.
 #[test]
-fn singular_pivot_blocks_hand_off_to_block_cocg() {
+fn singular_pivot_blocks_restart_as_pairs() {
     check(8, |rng| {
         let n = 40;
         let r = Mat::from_fn(n, n, |i, j| {
@@ -695,24 +687,7 @@ fn singular_pivot_blocks_hand_off_to_block_cocg() {
             track_residuals: true,
             ..CocgOptions::with_tol(1e-8)
         };
-        let (x, report) = real_block_solve(&op, &b, None, 0..2, &opts);
-        assert!(report.converged, "{report:?}");
-        assert!(report.breakdowns >= 1, "no hand-off: {report:?}");
-        assert_eq!(
-            report.residual_history.len(),
-            report.iterations + 1,
-            "{report:?}"
-        );
-        let bc = Mat::from_fn(n, 2, |i, c| C64::new(b[(i, c)], 0.0));
-        let exact = mbrpa_linalg::solve(op.complex.matrix(), &bc).unwrap();
-        let bound = 2.0 * opts.tol * b.fro_norm() / op.sigma_min();
-        for c in 0..2 {
-            let err = max_diff(x.col(c), exact.col(c).iter().map(|z| z.re));
-            assert!(
-                err <= bound,
-                "column {c}: {err:e} from the dense solve, bound {bound:e}"
-            );
-        }
+        assert_eq!(restarted_steps(&op, &b, None, &opts), Some(1));
     });
 }
 

@@ -7,7 +7,8 @@
 //! the one matrix allocated, whatever `s` is. The real block Lanczos solve
 //! keeps the same two promises: its vectors and every `s × s` matrix of
 //! its recurrence (the `LU` of `Δ_k` included) come from the pool, once
-//! per chunk.
+//! per chunk, and so do the Lanczos pairs a broken-down block restarts
+//! its columns as.
 //!
 //! This file intentionally holds a single `#[test]`: the counting global
 //! allocator tallies the whole process, so concurrent tests in the same
@@ -147,7 +148,11 @@ fn iteration_count_does_not_change_allocation_count() {
         omega: 1.0,
     };
     let b = rand_rhs(n, 16, 13).map(|z| z.re);
-    let real_allocs = |s: usize, tol: f64, iters: usize, ws: &mut Workspace<C64>| {
+    // column 1 repeats column 0: a block over both breaks down at its start
+    // and restarts its columns as Lanczos pairs
+    let mut twin = b.clone();
+    twin.col_mut(1).copy_from_slice(b.col(0));
+    let solve_allocs = |b: &Mat<f64>, s: usize, tol: f64, iters: usize, ws: &mut Workspace<C64>| {
         let opts = CocgOptions {
             tol,
             max_iters: iters,
@@ -155,13 +160,17 @@ fn iteration_count_does_not_change_allocation_count() {
         };
         // ord: Relaxed — the measured solve runs on this thread; program order suffices
         let before = ALLOCS.load(Ordering::Relaxed);
-        let rep = shifted_block_lanczos(&real, &b, None, 0..s, &opts, ws, &mut |_, x, _| {
+        let rep = shifted_block_lanczos(&real, b, None, 0..s, &opts, ws, &mut |_, x, _| {
             std::hint::black_box(x);
         });
         // ord: Relaxed — see `before` above
         let count = ALLOCS.load(Ordering::Relaxed) - before;
-        assert_eq!(rep.breakdowns, 0, "s = {s}: {rep:?}");
         assert!(rep.converged || rep.iterations == iters, "s = {s}: {rep:?}");
+        (count, rep.breakdowns)
+    };
+    let real_allocs = |s: usize, tol: f64, iters: usize, ws: &mut Workspace<C64>| {
+        let (count, breakdowns) = solve_allocs(&b, s, tol, iters, ws);
+        assert_eq!(breakdowns, 0, "s = {s}");
         count
     };
     let mut ws = Workspace::new();
@@ -178,6 +187,16 @@ fn iteration_count_does_not_change_allocation_count() {
         real_allocs(2, 1e-10, 200, &mut ws),
         real_allocs(16, 1e-10, 200, &mut ws),
         "a warm block Lanczos solve must allocate no more at s = 16 than at s = 2"
+    );
+    let mut ws = Workspace::new();
+    solve_allocs(&twin, 4, 1e-10, 200, &mut ws);
+    real_allocs(4, 1e-10, 200, &mut ws);
+    let restarted = solve_allocs(&twin, 4, 1e-10, 200, &mut ws);
+    assert_eq!(restarted.1, 1, "the repeated column must restart the block");
+    assert_eq!(
+        restarted.0,
+        real_allocs(4, 1e-10, 200, &mut ws),
+        "a warm block Lanczos solve that restarts as pairs must allocate as often as one that does not"
     );
 }
 
